@@ -66,10 +66,6 @@ from .sampler import (  # noqa: E402
     penetration_grad,
     penetration_loss,
     sample,
-    sample_euler,
-    sample_improved_guided,
-    sample_stochastic,
-    sample_vanilla_guided,
 )
 
 __version__ = "0.1.0"

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -53,16 +51,8 @@ def _sha256(path: str) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with dt.atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_manifest(out_path: str, command: str, config: dict,
@@ -151,6 +141,11 @@ def cmd_sample(args) -> int:
     if skel.motion_dim != params.config.frame_dim:
         print(f"error: data dimension {skel.motion_dim} does not match model "
               f"frame_dim {params.config.frame_dim}", file=sys.stderr)
+        return EXIT_SCHEMA
+    frames = max(s.actor.shape[0] for s in samples)
+    if frames > params.config.max_frames:
+        print(f"error: data has {frames} frames, model max_frames is "
+              f"{params.config.max_frames}", file=sys.stderr)
         return EXIT_SCHEMA
 
     if args.split == "test":

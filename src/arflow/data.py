@@ -21,6 +21,7 @@ Motion files are line-delimited JSON; see README "Motion interchange file".
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -388,27 +389,38 @@ def _person_motion(rec: dict, line: int) -> tuple[geo.Skeleton, np.ndarray]:
     return skel, motion
 
 
-def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton,
-                 fps: float = DEFAULT_FPS) -> None:
-    """Write samples as one JSON record per line (atomic, diffable)."""
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text handle on a temporary file next to ``path``.
+
+    A clean exit moves the file onto ``path`` with ``os.replace``; an
+    exception removes it, so readers see the old file or the whole new one.
+    """
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            for s in samples:
-                rec = {
-                    "version": FILE_VERSION,
-                    "label": int(s.label),
-                    "seed": list(s.seed_used),
-                    "actor": _person_record(skel, s.actor, fps),
-                    "reactor": _person_record(skel, s.reactor, fps),
-                }
-                fh.write(json.dumps(rec) + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton,
+                 fps: float = DEFAULT_FPS) -> None:
+    """Write samples as one JSON record per line (atomic, diffable)."""
+    with atomic_open(path) as fh:
+        for s in samples:
+            rec = {
+                "version": FILE_VERSION,
+                "label": int(s.label),
+                "seed": list(s.seed_used),
+                "actor": _person_record(skel, s.actor, fps),
+                "reactor": _person_record(skel, s.reactor, fps),
+            }
+            fh.write(json.dumps(rec) + "\n")
 
 
 def load_samples(path: str) -> tuple[list[InteractionSample], geo.Skeleton | None]:

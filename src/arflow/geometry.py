@@ -177,26 +177,8 @@ def frame_to_row(skel: Skeleton, frame: BodyPoseFrame) -> np.ndarray:
                            np.asarray(frame.root_trans).reshape(3)])
 
 
-def row_to_frame(skel: Skeleton, row: np.ndarray) -> BodyPoseFrame:
-    k = skel.joint_count
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (skel.motion_dim,):
-        raise DimensionMismatch(f"row must have length {skel.motion_dim}")
-    return BodyPoseFrame(row[: 6 * k].reshape(k, 6),
-                         row[6 * k: 6 * k + 6].copy(),
-                         row[6 * k + 6:].copy())
-
-
 def motion_from_frames(skel: Skeleton, frames: list[BodyPoseFrame]) -> np.ndarray:
     return np.stack([frame_to_row(skel, f) for f in frames])
-
-
-def frames_from_motion(skel: Skeleton, motion: np.ndarray) -> list[BodyPoseFrame]:
-    motion = np.asarray(motion, dtype=np.float64)
-    if motion.ndim != 2 or motion.shape[1] != skel.motion_dim:
-        raise DimensionMismatch(
-            f"motion must be (H, {skel.motion_dim}), got {motion.shape}")
-    return [row_to_frame(skel, row) for row in motion]
 
 
 # ---------------------------------------------------------------------------

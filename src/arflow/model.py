@@ -17,8 +17,6 @@ Everything is seeded and bit-reproducible.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,6 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import flowpath as fp
 from . import geometry as geo
+from .data import atomic_open
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -81,7 +80,6 @@ class TrainConfig:
     sigma_min: float = fp.SIGMA_MIN_DEFAULT
     t_grid: int = 1000
     cond_dropout_prob: float = 0.1
-    continuous_t: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -300,50 +298,23 @@ def as_x1_predictor(params: PredictorParams, sigma_min: float):
 # Loss and gradients
 # ---------------------------------------------------------------------------
 
-def _draw_ts(cfg: TrainConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    if cfg.continuous_t:
-        return rng.uniform(0.0, (cfg.t_grid - 1) / cfg.t_grid, size=n)
-    return rng.integers(0, cfg.t_grid, size=n) / cfg.t_grid
+def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
+                skel: geo.Skeleton, cfg: TrainConfig, ts: np.ndarray,
+                conds: list[int | None],
+                targets: list[fp.InteractionTargets] | None = None):
+    """Training loss on the tape: ``(total, fm, inter value)``.
 
-
-def grad_loss(params: PredictorParams, batch, skel: geo.Skeleton,
-              cfg: TrainConfig, *, ts: np.ndarray | None = None,
-              conds: list[int | None] | None = None,
-              rng: np.random.Generator | None = None,
-              targets: list[fp.InteractionTargets] | None = None):
-    """Loss and parameter gradients on a batch of (x0, x1, c) triples.
-
-    ``ts``/``conds`` override the per-sample flow times and condition ids;
-    otherwise they are drawn from ``rng`` (times from the uniform t_grid,
-    conditions from the batch with classifier-free dropout).  ``targets``
-    optionally carries per-sample precomputed interaction constants.
-    Returns ``(total, fm, inter, grads)`` with grads keyed like
-    ``params.arrays``.
+    Shared by :func:`grad_loss` and :func:`loss_value`, so the gradient
+    checks differentiate exactly the forward they check.
     """
-    if len(batch) == 0:
-        raise InvalidConfig("batch must be non-empty")
-    pcfg = params.config
-    b = len(batch)
-    if ts is None:
-        if rng is None:
-            raise InvalidConfig("either ts or rng must be given")
-        ts = _draw_ts(cfg, b, rng)
-    if conds is None:
-        conds = []
-        for _, _, c in batch:
-            if c is not None and rng is not None and cfg.cond_dropout_prob > 0.0 \
-                    and rng.random() < cfg.cond_dropout_prob:
-                c = None
-            conds.append(c)
     rows = _cond_rows(pcfg, conds)
-
+    b = len(batch)
     x0 = np.stack([np.asarray(s[0], dtype=np.float64) for s in batch])
     x1 = np.stack([np.asarray(s[1], dtype=np.float64) for s in batch])
     h = x0.shape[1]
     x_t = np.stack([fp.interpolate(x0[i], x1[i], float(ts[i]), cfg.sigma_min)
                     for i in range(b)])
 
-    tensors = _as_tensors(params, trainable=True)
     raw, _ = _forward(tensors, pcfg, x_t, np.asarray(ts, dtype=np.float64), rows)
 
     if pcfg.prediction_mode == "x1":
@@ -370,7 +341,40 @@ def grad_loss(params: PredictorParams, batch, skel: geo.Skeleton,
             targets=merged)
         inter_val = float(loss_inter.data)
         loss = loss + loss_inter * cfg.lambda_inter
+    return loss, loss_fm, inter_val
 
+
+def grad_loss(params: PredictorParams, batch, skel: geo.Skeleton,
+              cfg: TrainConfig, *, ts: np.ndarray | None = None,
+              conds: list[int | None] | None = None,
+              rng: np.random.Generator | None = None,
+              targets: list[fp.InteractionTargets] | None = None):
+    """Loss and parameter gradients on a batch of (x0, x1, c) triples.
+
+    ``ts``/``conds`` override the per-sample flow times and condition ids;
+    otherwise they are drawn from ``rng`` (times from the uniform t_grid,
+    conditions from the batch with classifier-free dropout).  ``targets``
+    optionally carries per-sample precomputed interaction constants.
+    Returns ``(total, fm, inter, grads)`` with grads keyed like
+    ``params.arrays``.
+    """
+    if len(batch) == 0:
+        raise InvalidConfig("batch must be non-empty")
+    if ts is None:
+        if rng is None:
+            raise InvalidConfig("either ts or rng must be given")
+        ts = rng.integers(0, cfg.t_grid, size=len(batch)) / cfg.t_grid
+    if conds is None:
+        conds = []
+        for _, _, c in batch:
+            if c is not None and rng is not None and cfg.cond_dropout_prob > 0.0 \
+                    and rng.random() < cfg.cond_dropout_prob:
+                c = None
+            conds.append(c)
+
+    tensors = _as_tensors(params, trainable=True)
+    loss, loss_fm, inter_val = _loss_graph(tensors, params.config, batch, skel,
+                                           cfg, ts, conds, targets)
     total = float(loss.data)
     if not np.isfinite(total):
         raise NonFiniteLoss("non-finite training loss")
@@ -384,31 +388,9 @@ def loss_value(params: PredictorParams, batch, skel: geo.Skeleton,
                cfg: TrainConfig, *, ts: np.ndarray,
                conds: list[int | None]) -> float:
     """Forward-only total loss at fixed (ts, conds); used by gradient checks."""
-    pcfg = params.config
-    rows = _cond_rows(pcfg, conds)
-    x0 = np.stack([np.asarray(s[0], dtype=np.float64) for s in batch])
-    x1 = np.stack([np.asarray(s[1], dtype=np.float64) for s in batch])
-    b, h = x0.shape[0], x0.shape[1]
-    x_t = np.stack([fp.interpolate(x0[i], x1[i], float(ts[i]), cfg.sigma_min)
-                    for i in range(b)])
-    raw, _ = _forward(_as_tensors(params, trainable=False), pcfg, x_t,
-                      np.asarray(ts, dtype=np.float64), rows)
-    raw_np = raw.data
-    if pcfg.prediction_mode == "x1":
-        target = x1
-        x1_hat = raw_np
-    else:
-        target = np.stack([fp.target_velocity(x0[i], x1[i], cfg.sigma_min)
-                           for i in range(b)])
-        coeff = (1.0 - (1.0 - cfg.sigma_min) * np.asarray(ts))[:, None, None]
-        x1_hat = raw_np * coeff + (1.0 - cfg.sigma_min) * x_t
-    total = float(np.mean((raw_np - target) ** 2))
-    if cfg.lambda_inter != 0.0:
-        inter = fp.interaction_loss_t(
-            ad.constant(x1_hat.reshape(b * h, -1)),
-            x1.reshape(b * h, -1), x0.reshape(b * h, -1), skel)
-        total += cfg.lambda_inter * float(inter.data)
-    return total
+    loss, _, _ = _loss_graph(_as_tensors(params, trainable=False), params.config,
+                             batch, skel, cfg, ts, conds)
+    return float(loss.data)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +459,8 @@ def save_params(path: str, params: PredictorParams) -> None:
         "arrays": {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
                    for name, arr in sorted(params.arrays.items())},
     }
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        json.dump(doc, fh)
 
 
 def load_params(path: str) -> PredictorParams:

@@ -1,21 +1,21 @@
-"""Sampling: plain Euler, guided variants, stochastic mixing, penetration loss.
+"""Sampling: one Euler walk with optional guidance and stochastic mixing.
 
 A predictor here is any callable ``(x_t, t, c) -> x1_hat`` returning the
 endpoint estimate for the current state (see
-:func:`arflow.model.as_x1_predictor`).  All samplers walk the uniform time
-grid ``t_n = (n - 1) / (N - 1)`` and are pure given their inputs and seed.
+:func:`arflow.model.as_x1_predictor`).  :func:`sample` walks the uniform
+time grid ``t_n = (n - 1) / (N - 1)`` and is pure given its inputs and seed.
 
 Guidance evaluates the penetration gradient at the endpoint estimate, never
-through the network.  The vanilla variant subtracts the scaled gradient
-from the stepped state; the improved variant corrects the endpoint first,
-blends the recovered path start with the true action through the weight
-factor, and re-interpolates back onto the path.  Stochastic sampling mixes
-the projection direction with a norm-matched random direction.
+through the network.  Vanilla guidance subtracts the scaled gradient from
+the stepped state; improved guidance corrects the endpoint first, blends
+the recovered path start with the true action through the weight factor,
+and re-interpolates back onto the path.  Stochastic sampling (beta > 0)
+mixes the projection direction with a norm-matched random direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class SamplerConfig:
             raise InvalidConfig("lambda_pene must be >= 0 and zeta > 0")
         if not 0.0 <= self.w <= 1.0 or not 0.0 <= self.beta <= 1.0:
             raise InvalidConfig("w and beta must lie in [0, 1]")
+        if self.guidance == "vanilla" and self.beta > 0.0:
+            raise InvalidConfig("stochastic sampling composes with improved or none")
 
 
 def time_grid(steps: int) -> np.ndarray:
@@ -144,9 +146,6 @@ def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
 
 def _euler_step(x: np.ndarray, x1_hat: np.ndarray, tn: float, tn1: float,
                 cfg: SamplerConfig) -> np.ndarray:
-    if x1_hat.shape != x.shape:
-        raise ShapeMismatch(
-            f"predictor returned {x1_hat.shape}, expected {x.shape}")
     if cfg.mode == "v":
         v = fp.v_from_x1(x1_hat, x, tn, cfg.sigma_min)
         return x + (tn1 - tn) * v
@@ -155,118 +154,66 @@ def _euler_step(x: np.ndarray, x1_hat: np.ndarray, tn: float, tn1: float,
             + (tn1 - tn) / denom * x1_hat)
 
 
-def _grad_at(x1_hat: np.ndarray, cfg: SamplerConfig,
-             ctx: GuidanceContext | None) -> np.ndarray:
-    if cfg.lambda_pene == 0.0:
-        return np.zeros_like(x1_hat)
-    if ctx is None:
-        raise InvalidConfig("guided sampling needs a GuidanceContext")
-    return penetration_grad(x1_hat, ctx, cfg.zeta)
+def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
+                       grad: np.ndarray | None, tn: float, tn1: float,
+                       cfg: SamplerConfig,
+                       rng: np.random.Generator | None) -> np.ndarray:
+    """Recover the path start, correct and blend (improved), re-interpolate.
 
-
-def sample_euler(predictor, x0: np.ndarray, cfg: SamplerConfig,
-                 c: int | None = None) -> np.ndarray:
-    """Unguided Euler integration from the action to the reaction."""
-    x = np.array(x0, dtype=np.float64)
-    grid = time_grid(cfg.steps)
-    for n in range(cfg.steps - 1):
-        x1_hat = predictor(x, float(grid[n]), c)
-        x = _euler_step(x, x1_hat, float(grid[n]), float(grid[n + 1]), cfg)
-    return x
-
-
-def sample_vanilla_guided(predictor, x0: np.ndarray, cfg: SamplerConfig,
-                          c: int | None = None,
-                          ctx: GuidanceContext | None = None) -> np.ndarray:
-    """Euler step, then subtract the scaled penetration gradient.
-
-    The gradient is evaluated at the endpoint estimate and applied to the
-    stepped state directly; the predictor itself is never differentiated.
-    With lambda_pene = 0 this is exactly :func:`sample_euler`.
+    ``rng`` is given only when beta > 0; it draws the random direction that
+    is norm-matched to the projection direction and mixed in by beta.  With
+    lambda_pene = 0, w = 1 and beta = 0 this reduces to the Euler step
+    (path-start recovery and re-interpolation compose to it).
     """
-    x = np.array(x0, dtype=np.float64)
-    grid = time_grid(cfg.steps)
-    for n in range(cfg.steps - 1):
-        x1_hat = predictor(x, float(grid[n]), c)
-        x = _euler_step(x, x1_hat, float(grid[n]), float(grid[n + 1]), cfg)
-        if cfg.lambda_pene != 0.0:
-            x = x - cfg.lambda_pene * _grad_at(x1_hat, cfg, ctx)
-    return x
-
-
-def _guided_core(predictor, x0: np.ndarray, cfg: SamplerConfig, c,
-                 ctx: GuidanceContext | None,
-                 rng: np.random.Generator | None) -> np.ndarray:
-    """Shared loop of the improved and stochastic samplers.
-
-    Per step: recover the path start from the endpoint estimate, correct
-    the endpoint with the penetration gradient, blend the recovered start
-    with the true action, then re-interpolate (mixing in a random direction
-    when beta > 0).  ``rng`` is only consulted when beta > 0, so the
-    beta = 0 path is bit-identical to the improved sampler.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    x = np.array(x0)
-    grid = time_grid(cfg.steps)
-    corrected = cfg.guidance != "none"
-    for n in range(cfg.steps - 1):
-        tn, tn1 = float(grid[n]), float(grid[n + 1])
-        x1_hat = predictor(x, tn, c)
-        x0_rec = fp.x0_hat(x1_hat, x, tn, cfg.sigma_min)
-        x1_corr = x1_hat - cfg.lambda_pene * _grad_at(x1_hat, cfg, ctx) \
-            if corrected and cfg.lambda_pene != 0.0 else x1_hat
-        x0_star = cfg.w * x0_rec + (1.0 - cfg.w) * x0 if corrected else x0_rec
-        if cfg.beta > 0.0:
-            d_base = x0_star - x1_corr
-            d_rand = rng.standard_normal(size=d_base.shape)
-            base_norm = np.linalg.norm(d_base)
-            rand_norm = np.linalg.norm(d_rand)
-            if rand_norm > 0.0:
-                d_rand *= base_norm / rand_norm
-            d_mix = d_base + cfg.beta * (d_rand - d_base)
-            x = x1_corr + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_star
-        else:
-            x = fp.interpolate(x0_star, x1_corr, tn1, cfg.sigma_min)
-    return x
-
-
-def sample_improved_guided(predictor, x0: np.ndarray, cfg: SamplerConfig,
-                           c: int | None = None,
-                           ctx: GuidanceContext | None = None) -> np.ndarray:
-    """Reprojection-corrected guidance with the weight-factor blend.
-
-    With lambda_pene = 0 and w = 1 the loop reduces to the plain Euler
-    closed form (path-start recovery and re-interpolation compose to the
-    one-step update).
-    """
-    cfg = replace(cfg, beta=0.0, guidance="improved")
-    return _guided_core(predictor, x0, cfg, c, ctx, rng=None)
-
-
-def sample_stochastic(predictor, x0: np.ndarray, cfg: SamplerConfig,
-                      c: int | None = None,
-                      ctx: GuidanceContext | None = None,
-                      sample_index: int = 0) -> np.ndarray:
-    """Stochastic sampling; beta blends the projection direction with noise.
-
-    Composes with improved guidance (guidance="improved") or runs on the
-    uncorrected quantities (guidance="none").  beta = 0 is bit-equal to
-    :func:`sample_improved_guided`.  The random stream is derived from
-    (cfg.seed, sample_index), so concurrent samples are reproducible.
-    """
-    if cfg.guidance == "vanilla":
-        raise InvalidConfig("stochastic sampling composes with improved or none")
-    rng = np.random.default_rng((cfg.seed, sample_index)) if cfg.beta > 0.0 else None
-    return _guided_core(predictor, x0, cfg, c, ctx, rng=rng)
+    x0_rec = fp.x0_hat(x1_hat, x, tn, cfg.sigma_min)
+    x1_corr = x1_hat - cfg.lambda_pene * grad if grad is not None else x1_hat
+    if cfg.guidance == "improved":
+        x0_star = cfg.w * x0_rec + (1.0 - cfg.w) * x0
+    else:
+        x0_star = x0_rec
+    if rng is None:
+        return fp.interpolate(x0_star, x1_corr, tn1, cfg.sigma_min)
+    d_base = x0_star - x1_corr
+    d_rand = rng.standard_normal(size=d_base.shape)
+    base_norm = np.linalg.norm(d_base)
+    rand_norm = np.linalg.norm(d_rand)
+    if rand_norm > 0.0:
+        d_rand *= base_norm / rand_norm
+    d_mix = d_base + cfg.beta * (d_rand - d_base)
+    return x1_corr + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_star
 
 
 def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c: int | None = None,
            ctx: GuidanceContext | None = None, sample_index: int = 0) -> np.ndarray:
-    """Dispatch on the configured guidance and randomness."""
-    if cfg.beta > 0.0:
-        return sample_stochastic(predictor, x0, cfg, c, ctx, sample_index)
-    if cfg.guidance == "improved":
-        return sample_improved_guided(predictor, x0, cfg, c, ctx)
-    if cfg.guidance == "vanilla":
-        return sample_vanilla_guided(predictor, x0, cfg, c, ctx)
-    return sample_euler(predictor, x0, cfg, c)
+    """Integrate from the action to the reaction along the uniform time grid.
+
+    Each step calls the predictor once.  With guidance none or vanilla and
+    beta = 0 the state takes the Euler step; vanilla then subtracts the
+    scaled penetration gradient taken at the endpoint estimate.  With
+    improved guidance or beta > 0 the state is re-projected instead (see
+    :func:`_reprojection_step`).  The random stream is derived from
+    (cfg.seed, sample_index), so concurrent samples are reproducible, and it
+    is only consulted when beta > 0.
+    """
+    guided = cfg.guidance != "none" and cfg.lambda_pene != 0.0
+    if guided and ctx is None:
+        raise InvalidConfig("guided sampling needs a GuidanceContext")
+    reproject = cfg.guidance == "improved" or cfg.beta > 0.0
+    rng = np.random.default_rng((cfg.seed, sample_index)) if cfg.beta > 0.0 else None
+    x0 = np.asarray(x0, dtype=np.float64)
+    x = np.array(x0)
+    grid = time_grid(cfg.steps)
+    for n in range(cfg.steps - 1):
+        tn, tn1 = float(grid[n]), float(grid[n + 1])
+        x1_hat = predictor(x, tn, c)
+        if x1_hat.shape != x.shape:
+            raise ShapeMismatch(
+                f"predictor returned {x1_hat.shape}, expected {x.shape}")
+        grad = penetration_grad(x1_hat, ctx, cfg.zeta) if guided else None
+        if reproject:
+            x = _reprojection_step(x, x1_hat, x0, grad, tn, tn1, cfg, rng)
+        else:
+            x = _euler_step(x, x1_hat, tn, tn1, cfg)
+            if guided:
+                x = x - cfg.lambda_pene * grad
+    return x

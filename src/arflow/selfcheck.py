@@ -10,7 +10,7 @@ in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,10 +115,10 @@ def check_mode_duality(rng) -> CheckResult:
     predictor = _nonlinear_predictor(rng, x0.shape)
     worst = 0.0
     for s in (0.0, 1e-4, 0.05):
-        a = smp.sample_euler(predictor, x0,
-                             smp.SamplerConfig(steps=5, sigma_min=s, mode="x1"))
-        b = smp.sample_euler(predictor, x0,
-                             smp.SamplerConfig(steps=5, sigma_min=s, mode="v"))
+        a = smp.sample(predictor, x0,
+                       smp.SamplerConfig(steps=5, sigma_min=s, mode="x1"))
+        b = smp.sample(predictor, x0,
+                       smp.SamplerConfig(steps=5, sigma_min=s, mode="v"))
         worst = max(worst, np.max(np.abs(a - b)))
     return CheckResult("sampling-mode-duality", worst < 1e-10,
                        f"max abs err {worst:.2e}")
@@ -128,12 +128,12 @@ def check_oracle_exactness(rng) -> CheckResult:
     x0, x1 = _motions(rng, 2)
     worst = 0.0
     for n in (2, 5, 100):
-        out = smp.sample_euler(lambda x, t, c: x1, x0,
-                               smp.SamplerConfig(steps=n, sigma_min=0.0))
+        out = smp.sample(lambda x, t, c: x1, x0,
+                         smp.SamplerConfig(steps=n, sigma_min=0.0))
         worst = max(worst, np.max(np.abs(out - x1)))
     s = 0.03
-    out = smp.sample_euler(lambda x, t, c: x1, x0,
-                           smp.SamplerConfig(steps=5, sigma_min=s))
+    out = smp.sample(lambda x, t, c: x1, x0,
+                     smp.SamplerConfig(steps=5, sigma_min=s))
     worst = max(worst, np.max(np.abs(out - (x1 + s * x0))))
     return CheckResult("oracle-exactness", worst < 1e-12, f"max abs err {worst:.2e}")
 
@@ -141,21 +141,23 @@ def check_oracle_exactness(rng) -> CheckResult:
 def check_guidance_reductions(rng) -> CheckResult:
     x0 = rng.normal(size=(4, 9))
     predictor = _nonlinear_predictor(rng, x0.shape)
-    euler = smp.sample_euler(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4))
-    van = smp.sample_vanilla_guided(
+    euler = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4))
+    van = smp.sample(
         predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4,
                                          guidance="vanilla", lambda_pene=0.0))
     imp_cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="improved",
                                 lambda_pene=0.0, w=1.0)
-    imp = smp.sample_improved_guided(predictor, x0, imp_cfg)
-    sto = smp.sample_stochastic(predictor, x0, imp_cfg)
+    imp = smp.sample(predictor, x0, imp_cfg)
+    # at beta = 0 the (seed, sample_index) stream must not be consulted
+    other = smp.sample(predictor, x0, replace(imp_cfg, seed=imp_cfg.seed + 1),
+                       sample_index=3)
     err_v = np.max(np.abs(van - euler))
     err_i = np.max(np.abs(imp - euler))
-    bit_equal = np.array_equal(sto, imp)
+    bit_equal = np.array_equal(other, imp)
     ok = err_v == 0.0 and err_i < 1e-12 and bit_equal
     return CheckResult("guidance-reductions", ok,
                        f"vanilla {err_v:.1e}, improved {err_i:.1e}, "
-                       f"stochastic bit-equal {bit_equal}")
+                       f"beta-0 seed-independent {bit_equal}")
 
 
 def check_rot6d_round_trip(rng) -> CheckResult:
@@ -301,8 +303,8 @@ def check_seed_determinism(rng) -> CheckResult:
     predictor = _nonlinear_predictor(rng, x0.shape)
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="none", beta=0.02,
                             seed=11)
-    a = smp.sample_stochastic(predictor, x0, cfg, sample_index=2)
-    b = smp.sample_stochastic(predictor, x0, cfg, sample_index=2)
+    a = smp.sample(predictor, x0, cfg, sample_index=2)
+    b = smp.sample(predictor, x0, cfg, sample_index=2)
     sampler_ok = np.array_equal(a, b)
     skel = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [0.0, 0, 1.0]]),
                         np.array([0.1]))

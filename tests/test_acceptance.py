@@ -8,6 +8,7 @@ toward the guidance-efficacy budget below.
 
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,10 +59,10 @@ def test_criterion_01_algebraic_equivalence():
         a = rng.normal(scale=0.3, size=x0.shape)
         predictor = lambda x, t, c: np.tanh(x + a) * (1.0 + 0.5 * t)
         s = float(rng.uniform(0.0, 0.1))
-        xa = smp.sample_euler(predictor, x0,
-                              smp.SamplerConfig(steps=5, sigma_min=s, mode="x1"))
-        xb = smp.sample_euler(predictor, x0,
-                              smp.SamplerConfig(steps=5, sigma_min=s, mode="v"))
+        xa = smp.sample(predictor, x0,
+                        smp.SamplerConfig(steps=5, sigma_min=s, mode="x1"))
+        xb = smp.sample(predictor, x0,
+                        smp.SamplerConfig(steps=5, sigma_min=s, mode="v"))
         worst_mode = max(worst_mode, np.max(np.abs(xa - xb)))
     ok = worst_step < 1e-10 and worst_round < 1e-10 and worst_mode < 1e-10
     report(1, "algebraic-equivalence", ok,
@@ -80,13 +81,13 @@ def test_criterion_02_oracle_exactness():
     x1 = rng.normal(size=(8, 13))
     worst = 0.0
     for n in (2, 5, 100):
-        out = smp.sample_euler(lambda x, t, c: x1, x0,
-                               smp.SamplerConfig(steps=n, sigma_min=0.0))
+        out = smp.sample(lambda x, t, c: x1, x0,
+                         smp.SamplerConfig(steps=n, sigma_min=0.0))
         worst = max(worst, np.max(np.abs(out - x1)))
     s = 0.05
     for n in (2, 5, 100):
-        out = smp.sample_euler(lambda x, t, c: x1, x0,
-                               smp.SamplerConfig(steps=n, sigma_min=s))
+        out = smp.sample(lambda x, t, c: x1, x0,
+                         smp.SamplerConfig(steps=n, sigma_min=s))
         worst = max(worst, np.max(np.abs(out - (x1 + s * x0))))
     report(2, "oracle-exactness", worst < 1e-12, f"max abs err {worst:.1e}",
            time.time() - started, 1.0)
@@ -106,22 +107,24 @@ def test_criterion_03_reduction_chain():
         a = rng.normal(scale=0.3, size=x0.shape)
         predictor = lambda x, t, c: np.tanh(x + a) * (1.0 + 0.5 * t)
         s = float(rng.uniform(0.0, 0.1))
-        euler = smp.sample_euler(predictor, x0,
-                                 smp.SamplerConfig(steps=5, sigma_min=s))
-        vanilla = smp.sample_vanilla_guided(
+        euler = smp.sample(predictor, x0,
+                           smp.SamplerConfig(steps=5, sigma_min=s))
+        vanilla = smp.sample(
             predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
                                              guidance="vanilla", lambda_pene=0.0))
         icfg = smp.SamplerConfig(steps=5, sigma_min=s, guidance="improved",
                                  lambda_pene=0.0, w=1.0, seed=3)
-        improved = smp.sample_improved_guided(predictor, x0, icfg)
-        stochastic = smp.sample_stochastic(predictor, x0, icfg)
+        improved = smp.sample(predictor, x0, icfg)
+        # beta = 0 never consults the (seed, sample_index) stream
+        reseeded = smp.sample(predictor, x0, replace(icfg, seed=4),
+                              sample_index=7)
         worst_vanilla = max(worst_vanilla, np.max(np.abs(vanilla - euler)))
         worst_improved = max(worst_improved, np.max(np.abs(improved - euler)))
-        bit_equal = bit_equal and np.array_equal(stochastic, improved)
+        bit_equal = bit_equal and np.array_equal(reseeded, improved)
     ok = worst_vanilla < 1e-12 and worst_improved < 1e-12 and bit_equal
     report(3, "reduction-chain", ok,
            f"vanilla {worst_vanilla:.1e}, improved {worst_improved:.1e}, "
-           f"stochastic-bit-equal {bit_equal}", time.time() - started, 5.0)
+           f"beta0-seed-independent {bit_equal}", time.time() - started, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ def test_criterion_06_trainability(trained_setup):
     cfg = smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min)
     errs, base = [], []
     for s in trained_setup["test"]:
-        out = smp.sample_euler(predictor, s.actor, cfg, None)
+        out = smp.sample(predictor, s.actor, cfg, None)
         errs.append(np.sqrt(np.mean((out - s.reactor) ** 2)))
         base.append(np.sqrt(np.mean((s.actor - s.reactor) ** 2)))
     ratio = float(np.mean(errs) / np.mean(base))
@@ -403,7 +406,7 @@ def test_criterion_10_stochastic_diversity(trained_setup):
             for seed in range(20):
                 cfg = smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min,
                                         guidance="none", beta=beta, seed=seed)
-                outs.append(smp.sample_stochastic(predictor, actor, cfg))
+                outs.append(smp.sample(predictor, actor, cfg))
             spreads.append(float(np.var(np.stack(outs), axis=0).mean()))
         variances.append(float(np.mean(spreads)))
     ok = variances[0] < variances[1] < variances[2]

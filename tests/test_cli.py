@@ -141,6 +141,23 @@ def test_sample_missing_model_exits_4(small_data, tmp_path):
                "--data", str(small_data), "--out", str(tmp_path / "s.jsonl")) == 4
 
 
+def test_sample_too_many_frames_exits_4(small_model, tmp_path):
+    # small_model was trained on 8-frame data, so max_frames is 8
+    long_data = tmp_path / "long.jsonl"
+    assert run("gen-data", "--pairs", "4", "--frames", "12", "--seed", "3",
+               "--out", str(long_data)) == 0
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(small_model), "--data", str(long_data),
+               "--out", str(out), "--split", "all") == 4
+    assert not out.exists()
+
+
+def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
+    assert run("sample", "--model", str(small_model), "--data", str(small_data),
+               "--out", str(tmp_path / "s.jsonl"), "--guidance", "vanilla",
+               "--beta", "0.5") == 2
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow import sampler as smp
-from arflow.errors import DimensionMismatch, InvalidConfig
+from arflow.errors import DimensionMismatch, InvalidConfig, ShapeMismatch
 
 from test_geometry import chain_skeleton
 from test_flowpath import random_motion
@@ -147,7 +147,7 @@ def test_penetration_frame_count_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# sample_euler
+# unguided Euler
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("steps", [2, 5, 100])
@@ -156,7 +156,7 @@ def test_oracle_predictor_exact(steps):
     x0 = rng.normal(size=(6, 11))
     x1 = rng.normal(size=(6, 11))
     cfg = smp.SamplerConfig(steps=steps, sigma_min=0.0)
-    out = smp.sample_euler(oracle(x1), x0, cfg)
+    out = smp.sample(oracle(x1), x0, cfg)
     assert np.max(np.abs(out - x1)) < 1e-12
 
 
@@ -166,7 +166,7 @@ def test_oracle_predictor_sigma_coupling():
     x1 = rng.normal(size=(4, 7))
     s = 0.03
     cfg = smp.SamplerConfig(steps=5, sigma_min=s)
-    out = smp.sample_euler(oracle(x1), x0, cfg)
+    out = smp.sample(oracle(x1), x0, cfg)
     assert np.max(np.abs(out - (x1 + s * x0))) < 1e-12
 
 
@@ -175,10 +175,10 @@ def test_v_mode_equals_x1_mode():
     x0 = rng.normal(size=(5, 9))
     predictor = nonlinear_predictor(7, x0.shape)
     for s in (0.0, 1e-4, 0.05):
-        a = smp.sample_euler(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
-                                                              mode="x1"))
-        b = smp.sample_euler(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
-                                                              mode="v"))
+        a = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
+                                                        mode="x1"))
+        b = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
+                                                        mode="v"))
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -192,8 +192,8 @@ def test_vanilla_lambda_zero_is_euler_bit_exact():
     predictor = nonlinear_predictor(9, x0.shape)
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="vanilla",
                             lambda_pene=0.0)
-    a = smp.sample_vanilla_guided(predictor, x0, cfg)
-    b = smp.sample_euler(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4))
+    a = smp.sample(predictor, x0, cfg)
+    b = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4))
     assert np.array_equal(a, b)
 
 
@@ -203,8 +203,8 @@ def test_improved_lambda0_w1_is_euler():
     predictor = nonlinear_predictor(11, x0.shape)
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="improved",
                             lambda_pene=0.0, w=1.0)
-    a = smp.sample_improved_guided(predictor, x0, cfg)
-    b = smp.sample_euler(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4))
+    a = smp.sample(predictor, x0, cfg)
+    b = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4))
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -214,13 +214,12 @@ def test_saturated_scene_guidance_is_noop():
     ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, h))
     x0 = reactor_at(skel, h, (20.0, 0.0, 0.0))
     x1 = reactor_at(skel, h, (21.0, 0.0, 0.0))
-    for guidance, fn in (("vanilla", smp.sample_vanilla_guided),
-                         ("improved", smp.sample_improved_guided)):
+    for guidance in ("vanilla", "improved"):
         cfg = smp.SamplerConfig(steps=5, sigma_min=0.0, guidance=guidance,
                                 lambda_pene=2.0, w=1.0)
-        out = fn(oracle(x1), x0, cfg, ctx=ctx)
-        ref = smp.sample_euler(oracle(x1), x0, smp.SamplerConfig(steps=5,
-                                                                 sigma_min=0.0))
+        out = smp.sample(oracle(x1), x0, cfg, ctx=ctx)
+        ref = smp.sample(oracle(x1), x0, smp.SamplerConfig(steps=5,
+                                                           sigma_min=0.0))
         assert np.max(np.abs(out - ref)) < 1e-12
 
 
@@ -231,9 +230,9 @@ def test_vanilla_guidance_reduces_penetration():
     x0 = reactor_at(skel, h, (1.5, 0.8, 0.2))
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="vanilla",
                             lambda_pene=2.0)
-    unguided = smp.sample_euler(oracle(gt_penetrating), x0,
-                                smp.SamplerConfig(steps=5, sigma_min=1e-4))
-    guided = smp.sample_vanilla_guided(oracle(gt_penetrating), x0, cfg, ctx=ctx)
+    unguided = smp.sample(oracle(gt_penetrating), x0,
+                          smp.SamplerConfig(steps=5, sigma_min=1e-4))
+    guided = smp.sample(oracle(gt_penetrating), x0, cfg, ctx=ctx)
     assert (smp.penetration_loss(guided, ctx, cfg.zeta)
             < smp.penetration_loss(unguided, ctx, cfg.zeta))
 
@@ -244,9 +243,9 @@ def test_improved_guidance_reduces_penetration():
     x0 = reactor_at(ctx.skel, h, (1.5, 0.8, 0.2))
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="improved",
                             lambda_pene=2.0, w=0.7)
-    unguided = smp.sample_euler(oracle(gt_penetrating), x0,
-                                smp.SamplerConfig(steps=5, sigma_min=1e-4))
-    guided = smp.sample_improved_guided(oracle(gt_penetrating), x0, cfg, ctx=ctx)
+    unguided = smp.sample(oracle(gt_penetrating), x0,
+                          smp.SamplerConfig(steps=5, sigma_min=1e-4))
+    guided = smp.sample(oracle(gt_penetrating), x0, cfg, ctx=ctx)
     assert (smp.penetration_loss(guided, ctx, cfg.zeta)
             < smp.penetration_loss(unguided, ctx, cfg.zeta))
 
@@ -259,7 +258,7 @@ def test_improved_oracle_exact_path_independent_of_w():
     for w in (0.0, 0.3, 1.0):
         cfg = smp.SamplerConfig(steps=5, sigma_min=0.0, guidance="improved",
                                 lambda_pene=0.0, w=w)
-        outs.append(smp.sample_improved_guided(oracle(x1), x0, cfg))
+        outs.append(smp.sample(oracle(x1), x0, cfg))
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-12
     assert np.max(np.abs(outs[0] - outs[2])) < 1e-12
 
@@ -268,15 +267,17 @@ def test_improved_oracle_exact_path_independent_of_w():
 # stochastic sampling
 # ---------------------------------------------------------------------------
 
-def test_stochastic_beta_zero_bit_equals_improved():
+def test_beta_zero_ignores_seed_stream():
     rng = np.random.default_rng(16)
     x0 = rng.normal(size=(4, 8))
     predictor = nonlinear_predictor(17, x0.shape)
-    cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="improved",
-                            lambda_pene=0.0, w=0.6, beta=0.0, seed=5)
-    a = smp.sample_stochastic(predictor, x0, cfg)
-    b = smp.sample_improved_guided(predictor, x0, cfg)
-    assert np.array_equal(a, b)
+    base = dict(steps=5, sigma_min=1e-4, guidance="improved", lambda_pene=0.0,
+                w=0.6, beta=0.0)
+    a = smp.sample(predictor, x0, smp.SamplerConfig(seed=5, **base))
+    for seed, index in ((5, 1), (6, 0), (9, 4)):
+        b = smp.sample(predictor, x0, smp.SamplerConfig(seed=seed, **base),
+                       sample_index=index)
+        assert np.array_equal(a, b)
 
 
 def test_stochastic_seed_determinism_and_diversity():
@@ -284,14 +285,14 @@ def test_stochastic_seed_determinism_and_diversity():
     x0 = rng.normal(size=(4, 8))
     predictor = nonlinear_predictor(19, x0.shape)
     base = dict(steps=5, sigma_min=1e-4, guidance="none", beta=0.02)
-    a1 = smp.sample_stochastic(predictor, x0, smp.SamplerConfig(seed=1, **base))
-    a2 = smp.sample_stochastic(predictor, x0, smp.SamplerConfig(seed=1, **base))
-    b = smp.sample_stochastic(predictor, x0, smp.SamplerConfig(seed=2, **base))
+    a1 = smp.sample(predictor, x0, smp.SamplerConfig(seed=1, **base))
+    a2 = smp.sample(predictor, x0, smp.SamplerConfig(seed=1, **base))
+    b = smp.sample(predictor, x0, smp.SamplerConfig(seed=2, **base))
     assert np.array_equal(a1, a2)
     assert np.max(np.abs(a1 - b)) > 0.0
     # distinct per-sample streams from the same seed
-    c = smp.sample_stochastic(predictor, x0, smp.SamplerConfig(seed=1, **base),
-                              sample_index=1)
+    c = smp.sample(predictor, x0, smp.SamplerConfig(seed=1, **base),
+                   sample_index=1)
     assert np.max(np.abs(a1 - c)) > 0.0
 
 
@@ -303,7 +304,7 @@ def test_stochastic_beta_one_uses_random_direction():
     s = 0.01
     cfg = smp.SamplerConfig(steps=3, sigma_min=s, guidance="none", beta=1.0,
                             seed=7)
-    out = smp.sample_stochastic(oracle(x1), x0, cfg, sample_index=3)
+    out = smp.sample(oracle(x1), x0, cfg, sample_index=3)
     # replicate the two updates by hand with the derived stream
     gen = np.random.default_rng((7, 3))
     x = x0.copy()
@@ -316,10 +317,22 @@ def test_stochastic_beta_one_uses_random_direction():
     assert np.allclose(out, x, atol=1e-12)
 
 
-def test_stochastic_rejects_vanilla_composition():
-    cfg = smp.SamplerConfig(guidance="vanilla", beta=0.5)
+def test_sampler_config_rejects_stochastic_vanilla():
     with pytest.raises(InvalidConfig):
-        smp.sample_stochastic(oracle(np.zeros((2, 4))), np.zeros((2, 4)), cfg)
+        smp.SamplerConfig(guidance="vanilla", beta=0.5)
+
+
+@pytest.mark.parametrize("guidance", ["vanilla", "improved"])
+def test_guided_sampling_needs_context(guidance):
+    cfg = smp.SamplerConfig(guidance=guidance, lambda_pene=1.0)
+    with pytest.raises(InvalidConfig):
+        smp.sample(oracle(np.zeros((2, 4))), np.zeros((2, 4)), cfg)
+
+
+def test_predictor_shape_mismatch_rejected():
+    cfg = smp.SamplerConfig(guidance="improved", lambda_pene=0.0)
+    with pytest.raises(ShapeMismatch):
+        smp.sample(oracle(np.zeros((3, 4))), np.zeros((2, 4)), cfg)
 
 
 def test_sampler_config_validation():

@@ -6,8 +6,9 @@ wall-clock time; re-running with the same flags reproduces the artifact
 checksums exactly (the manifest's wall-clock field aside).
 
 Exit codes: 0 success; 1 verify found failing properties; 2 configuration
-error; 3 non-finite training loss; 4 model/data mismatch while sampling;
-5 empty evaluation input.
+error; 3 non-finite training loss; 4 model/data mismatch while sampling
+(including an invalid model file); 5 empty evaluation input; 6 non-finite
+predictor output while sampling.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     NonFiniteLoss,
+    NonFiniteSample,
     SchemaError,
 )
 
@@ -40,6 +42,10 @@ EXIT_CONFIG = 2
 EXIT_NONFINITE = 3
 EXIT_SCHEMA = 4
 EXIT_EMPTY = 5
+EXIT_NONFINITE_SAMPLE = 6
+
+# most actors one batched ``arflow sample`` call drives at once
+SAMPLE_CHUNK = 64
 
 
 def _sha256(path: str) -> str:
@@ -166,16 +172,26 @@ def cmd_sample(args) -> int:
                             lambda_pene=args.lambda_pene, zeta=args.zeta,
                             w=args.w, beta=args.beta, seed=args.seed)
     predictor = mdl.as_x1_predictor(params, cfg.sigma_min)
+    guided = cfg.guidance != "none" and cfg.lambda_pene > 0.0
 
-    out_samples = []
+    # one batched sample call per chunk of equal-length actors; a sample's
+    # stream index is its position in the subset, so its output does not
+    # depend on how the subset is grouped and chunked
+    by_frames: dict[int, list[int]] = {}
     for index, s in enumerate(subset):
-        ctx = None
-        if cfg.guidance != "none" and cfg.lambda_pene > 0.0:
-            ctx = smp.GuidanceContext.from_actor(skel, s.actor)
-        c = s.label if args.cond == "label" else None
-        reaction = smp.sample(predictor, s.actor, cfg, c, ctx, sample_index=index)
-        out_samples.append(dt.InteractionSample(s.actor, reaction, s.label,
-                                                s.seed_used))
+        by_frames.setdefault(s.actor.shape[0], []).append(index)
+    reactions: list[np.ndarray | None] = [None] * len(subset)
+    for group in by_frames.values():
+        for start in range(0, len(group), SAMPLE_CHUNK):
+            chunk = group[start:start + SAMPLE_CHUNK]
+            actors = np.stack([subset[i].actor for i in chunk])
+            ctx = smp.GuidanceContext.from_actor(skel, actors) if guided else None
+            c = [subset[i].label for i in chunk] if args.cond == "label" else None
+            out = smp.sample(predictor, actors, cfg, c, ctx, sample_index=chunk)
+            for i, reaction in zip(chunk, out):
+                reactions[i] = reaction
+    out_samples = [dt.InteractionSample(s.actor, r, s.label, s.seed_used)
+                   for s, r in zip(subset, reactions)]
     dt.save_samples(args.out, out_samples, skel)
     _write_manifest(args.out, "sample", vars(args), [args.model, args.data],
                     [args.out], started)
@@ -380,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except EmptyInput as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_EMPTY
+    except NonFiniteSample as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NONFINITE_SAMPLE
     except (InvalidConfig, OSError, ArflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -372,14 +372,12 @@ def _person_motion(rec: dict, line: int) -> tuple[geo.Skeleton, np.ndarray]:
         sk = rec["skeleton"]
         skel = geo.Skeleton(tuple(sk["parents"]), np.asarray(sk["offsets"]),
                             np.asarray(sk["radii"]))
-        rows = []
-        for f in rec["frames"]:
-            rows.append(np.concatenate([
-                np.asarray(f["rot6d"], dtype=np.float64).reshape(-1),
-                np.asarray(f["root_rot6d"], dtype=np.float64),
-                np.asarray(f["trans"], dtype=np.float64),
-            ]))
-        motion = np.stack(rows)
+        frames = rec["frames"]
+        h = len(frames)
+        # one parse per field over all frames; ragged frames raise ValueError
+        motion = np.concatenate([
+            np.asarray([f[key] for f in frames], dtype=np.float64).reshape(h, -1)
+            for key in ("rot6d", "root_rot6d", "trans")], axis=1)
     except (KeyError, TypeError, ValueError, InvalidConfig) as err:
         raise SchemaError(f"bad person record ({err})", line=line) from err
     if motion.shape[1] != skel.motion_dim:

@@ -60,6 +60,10 @@ class NonFiniteLoss(ArflowError):
         self.step = step
 
 
+class NonFiniteSample(ArflowError):
+    """The predictor returned NaN or Inf while sampling."""
+
+
 class InvalidConfig(ArflowError):
     """Configuration values violate a documented constraint."""
 

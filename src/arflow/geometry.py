@@ -268,23 +268,37 @@ class Capsule:
 
 @dataclass
 class CapsuleSet:
-    """World-space capsules of one body in one frame, stored columnar."""
+    """World-space capsules of one body in one frame, stored columnar.
 
-    seg_a: np.ndarray   # (C, 3)
-    seg_b: np.ndarray   # (C, 3)
+    ``seg_a``/``seg_b`` may carry leading frame axes, ``(..., C, 3)``: the
+    set then holds one body per frame, all sharing the radii.  Only
+    :func:`sdf_and_gradient` and :meth:`frame` accept such a set.
+    """
+
+    seg_a: np.ndarray   # (..., C, 3)
+    seg_b: np.ndarray   # (..., C, 3)
     radius: np.ndarray  # (C,)
 
     def __post_init__(self):
-        self.seg_a = np.asarray(self.seg_a, dtype=np.float64).reshape(-1, 3)
-        self.seg_b = np.asarray(self.seg_b, dtype=np.float64).reshape(-1, 3)
+        self.seg_a = np.atleast_2d(np.asarray(self.seg_a, dtype=np.float64))
+        self.seg_b = np.atleast_2d(np.asarray(self.seg_b, dtype=np.float64))
         self.radius = np.asarray(self.radius, dtype=np.float64).reshape(-1)
-        if len(self.seg_a) == 0:
+        if len(self.radius) == 0:
             raise InvalidConfig("capsule set must be non-empty")
+        if (self.seg_a.shape != self.seg_b.shape
+                or self.seg_a.shape[-2:] != (len(self.radius), 3)):
+            raise InvalidConfig(
+                f"capsule endpoints {self.seg_a.shape}/{self.seg_b.shape} do not "
+                f"match {len(self.radius)} radii")
         if np.any(self.radius <= 0.0):
             raise InvalidConfig("capsule radii must be positive")
 
     def __len__(self) -> int:
         return len(self.radius)
+
+    def frame(self, f: int) -> "CapsuleSet":
+        """Body of frame ``f`` in a set with a leading frame axis."""
+        return CapsuleSet(self.seg_a[f], self.seg_b[f], self.radius)
 
     @property
     def capsules(self) -> list[Capsule]:
@@ -304,22 +318,30 @@ def body_capsules(skel: Skeleton, frame: BodyPoseFrame) -> CapsuleSet:
     return CapsuleSet(pos[parents], pos[1:], skel.radii)
 
 
-def motion_capsules(skel: Skeleton, motion: np.ndarray) -> list[CapsuleSet]:
-    """Per-frame capsule sets for a whole motion."""
+def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
+    """Per-frame bodies of an (F, D) motion as one (F, C, 3) capsule set.
+
+    One FK pass covers every frame, whichever sample each belongs to;
+    :meth:`CapsuleSet.frame` gives one frame's body.
+    """
     pos = motion_joint_positions(skel, motion)
     parents = np.array(skel.parents[1:])
-    return [CapsuleSet(p[parents], p[1:], skel.radii) for p in pos]
+    return CapsuleSet(pos[:, parents], pos[:, 1:], skel.radii)
 
 
 def _segment_closest(points: np.ndarray, body: CapsuleSet) -> np.ndarray:
-    """Closest points on every capsule axis for every query point: (N, C, 3)."""
-    d = body.seg_b - body.seg_a                      # (C, 3)
-    dd = np.einsum("ci,ci->c", d, d)                 # (C,)
-    ap = points[:, None, :] - body.seg_a[None, :, :]  # (N, C, 3)
-    t = np.einsum("nci,ci->nc", ap, d)
+    """Closest points on every capsule axis for every query point.
+
+    ``points`` is (..., N, 3) with the body's leading frame axes, if any;
+    returns (..., N, C, 3).
+    """
+    d = body.seg_b - body.seg_a                                # (..., C, 3)
+    dd = np.einsum("...ci,...ci->...c", d, d)[..., None, :]    # (..., 1, C)
+    ap = points[..., :, None, :] - body.seg_a[..., None, :, :]  # (..., N, C, 3)
+    t = np.einsum("...nci,...ci->...nc", ap, d)
     t = np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0)
     t = np.clip(t, 0.0, 1.0)
-    return body.seg_a[None, :, :] + t[..., None] * d[None, :, :]
+    return body.seg_a[..., None, :, :] + t[..., None] * d[..., None, :, :]
 
 
 def _capsule_sdfs(points: np.ndarray, body: CapsuleSet) -> np.ndarray:
@@ -335,10 +357,9 @@ def body_sdf(p: np.ndarray, body: CapsuleSet) -> float:
     return float(_capsule_sdfs(p, body).min())
 
 
-def _tie_direction(body: CapsuleSet, idx: int) -> np.ndarray:
-    # Deterministic fallback for a point on the capsule axis: +x projected
-    # perpendicular to the axis (then +y when the axis is along x).
-    d = body.seg_b[idx] - body.seg_a[idx]
+def _tie_direction(d: np.ndarray) -> np.ndarray:
+    # Deterministic fallback for a point on a capsule axis ``d``: +x
+    # projected perpendicular to the axis (then +y when the axis is along x).
     n = np.linalg.norm(d)
     if n < 1e-12:
         return np.array([1.0, 0.0, 0.0])
@@ -363,22 +384,29 @@ def body_sdf_gradient(p: np.ndarray, body: CapsuleSet) -> np.ndarray:
 
 
 def sdf_and_gradient(points: np.ndarray, body: CapsuleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized SDF value and unit gradient at many points: (N,), (N, 3)."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    """Vectorized SDF value and unit gradient at many points.
+
+    A single body takes any points reshaped to (N, 3) and returns (N,),
+    (N, 3).  Per-frame bodies (``body.seg_a`` of shape (F, C, 3)) take
+    (F, N, 3) points, frame f measured against body f, and return (F, N),
+    (F, N, 3).
+    """
+    lead = body.seg_a.shape[:-2]
+    points = np.asarray(points, dtype=np.float64).reshape(lead + (-1, 3))
     closest = _segment_closest(points, body)
-    diff = points[:, None, :] - closest
+    diff = points[..., :, None, :] - closest
     dist = np.linalg.norm(diff, axis=-1)
-    sdfs = dist - body.radius[None, :]
-    idx = np.argmin(sdfs, axis=1)
-    rows = np.arange(len(points))
-    sdf = sdfs[rows, idx]
-    v = diff[rows, idx]
-    n = dist[rows, idx]
+    sdfs = dist - body.radius
+    idx = np.argmin(sdfs, axis=-1)[..., None]
+    sdf = np.take_along_axis(sdfs, idx, axis=-1)[..., 0]
+    v = np.take_along_axis(diff, idx[..., None], axis=-2)[..., 0, :]
+    n = np.take_along_axis(dist, idx, axis=-1)
     grad = np.empty_like(v)
-    ok = n > 1e-12
-    grad[ok] = v[ok] / n[ok, None]
-    for i in np.nonzero(~ok)[0]:
-        grad[i] = _tie_direction(body, int(idx[i]))
+    ok = n[..., 0] > 1e-12
+    grad[ok] = v[ok] / n[ok]
+    for i in zip(*np.nonzero(~ok)):
+        c = i[:-1] + (int(idx[i + (0,)]),)
+        grad[i] = _tie_direction(body.seg_b[c] - body.seg_a[c])
     return sdf, grad
 
 

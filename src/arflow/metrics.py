@@ -73,10 +73,11 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
     for actor, reactor in samples:
         caps_a = geo.motion_capsules(skel, actor)
         caps_b = geo.motion_capsules(skel, reactor)
-        if len(caps_a) != len(caps_b):
+        if len(caps_a.seg_a) != len(caps_b.seg_a):
             raise DimensionMismatch("actor and reactor frame counts differ")
-        for a, b in zip(caps_a, caps_b):
-            vol = geo.capsule_intersection_volume(a, b, voxel_size)
+        for f in range(len(caps_a.seg_a)):
+            vol = geo.capsule_intersection_volume(caps_a.frame(f), caps_b.frame(f),
+                                                  voxel_size)
             total_volume += vol
             f_total += 1
             if vol > 0.0:

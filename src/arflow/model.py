@@ -175,12 +175,12 @@ def _cond_rows(cfg: PredictorConfig, conds) -> np.ndarray:
 
 
 def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
-             x_t: np.ndarray, t: np.ndarray, cond_rows: np.ndarray
-             ) -> tuple[ad.Tensor, ad.Tensor]:
-    """Batched forward pass; returns (raw output (B,H,D), hidden (B,H,width)).
+             x_t: np.ndarray, t, cond_rows: np.ndarray) -> ad.Tensor:
+    """Batched forward pass up to the final hidden state (B, H, width).
 
-    Dense projections run on (B*S, .) matrices so their parameter gradients
-    are single GEMMs instead of broadcast reductions.
+    ``t`` is one flow time per sample, or a scalar shared by the batch
+    (embedded once).  Dense projections run on (B*S, .) matrices so their
+    parameter gradients are single GEMMs instead of broadcast reductions.
     """
     b, h, _ = x_t.shape
     w = cfg.width
@@ -189,7 +189,7 @@ def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
     frames = (ad.constant(x_t.reshape(b * h, -1)) @ tensors["in_proj_w"]
               + tensors["in_proj_b"]).reshape(b, h, w)
 
-    tfeat = ad.constant(_timestep_features(t, w))
+    tfeat = ad.constant(_timestep_features(np.atleast_1d(t), w))
     temb = ad.gelu(tfeat @ tensors["t_mlp_w1"] + tensors["t_mlp_b1"])
     temb = temb @ tensors["t_mlp_w2"] + tensors["t_mlp_b2"]
     onehot = np.zeros((b, cfg.cond_vocab + 1))
@@ -225,10 +225,7 @@ def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
         x = x + (ff @ tensors[f"l{i}_ff_w2"]
                  + tensors[f"l{i}_ff_b2"]).reshape(b, seq, w)
 
-    hidden = _layer_norm(x, tensors["final_ln_g"], tensors["final_ln_b"])[:, 1:, :]
-    out = (hidden.reshape(b * h, w) @ tensors["out_proj_w"]
-           + tensors["out_proj_b"]).reshape(b, h, cfg.frame_dim)
-    return out, hidden
+    return _layer_norm(x, tensors["final_ln_g"], tensors["final_ln_b"])[:, 1:, :]
 
 
 def _as_tensors(params: PredictorParams, trainable: bool) -> dict[str, ad.Tensor]:
@@ -236,30 +233,44 @@ def _as_tensors(params: PredictorParams, trainable: bool) -> dict[str, ad.Tensor
     return {name: wrap(arr) for name, arr in params.arrays.items()}
 
 
-def _check_input(cfg: PredictorConfig, x_t: np.ndarray) -> np.ndarray:
+def _check_input(cfg: PredictorConfig, x_t: np.ndarray,
+                 batched: bool = False) -> np.ndarray:
     x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.ndim != 2 or x_t.shape[1] != cfg.frame_dim:
+    ranks = (2, 3) if batched else (2,)
+    if x_t.ndim not in ranks or x_t.shape[-1] != cfg.frame_dim:
         raise DimensionMismatch(
-            f"expected (H, {cfg.frame_dim}) input, got {x_t.shape}")
-    if x_t.shape[0] > cfg.max_frames:
+            f"expected ({'[B,] ' if batched else ''}H, {cfg.frame_dim}) input, "
+            f"got {x_t.shape}")
+    if x_t.shape[-2] > cfg.max_frames:
         raise DimensionMismatch(
-            f"{x_t.shape[0]} frames exceeds max_frames={cfg.max_frames}")
+            f"{x_t.shape[-2]} frames exceeds max_frames={cfg.max_frames}")
     return x_t
 
 
 def predict(params: PredictorParams, x_t: np.ndarray, t: float,
-            c: int | None = None) -> np.ndarray:
-    """Raw network output for one motion state: (H, D).
+            c=None) -> np.ndarray:
+    """Raw network output for one motion state (H, D), or a batch (B, H, D).
 
-    In causal mode output frame h depends only on input frames <= h (plus t
-    and c).  Pure and deterministic.
+    For a batch, ``c`` is a length-B sequence of condition ids (None entries
+    take the null token) or None for the null token throughout; one forward
+    pass covers the whole batch.  In causal mode output frame h depends only
+    on input frames <= h (plus t and c).  Pure and deterministic.
     """
     cfg = params.config
-    x_t = _check_input(cfg, x_t)
-    rows = _cond_rows(cfg, [c])
-    out, _ = _forward(_as_tensors(params, trainable=False), cfg,
-                      x_t[None], np.array([t]), rows)
-    return out.data[0]
+    x_t = _check_input(cfg, x_t, batched=True)
+    if x_t.ndim == 2:
+        batch, conds = x_t[None], [c]
+    else:
+        batch, conds = x_t, ([None] * len(x_t) if c is None else list(c))
+        if len(conds) != len(batch):
+            raise DimensionMismatch(
+                f"{len(conds)} conditions for a batch of {len(batch)}")
+    hidden = _forward(_as_tensors(params, trainable=False), cfg, batch, float(t),
+                      _cond_rows(cfg, conds)).data
+    # one (H, width) x (width, D) product per sample, the shape of a single
+    # call, so a sample's output does not depend on the batch it is in
+    out = hidden @ params.arrays["out_proj_w"] + params.arrays["out_proj_b"]
+    return out if x_t.ndim == 3 else out[0]
 
 
 def hidden_features(params: PredictorParams, motion: np.ndarray, t: float = 1.0,
@@ -268,8 +279,8 @@ def hidden_features(params: PredictorParams, motion: np.ndarray, t: float = 1.0,
     cfg = params.config
     motion = _check_input(cfg, motion)
     rows = _cond_rows(cfg, [c])
-    _, hidden = _forward(_as_tensors(params, trainable=False), cfg,
-                         motion[None], np.array([t]), rows)
+    hidden = _forward(_as_tensors(params, trainable=False), cfg,
+                      motion[None], float(t), rows)
     return hidden.data[0].mean(axis=0)
 
 
@@ -287,7 +298,7 @@ def as_x1_predictor(params: PredictorParams, sigma_min: float):
     """Wrap trained params as a sampler-facing callable (x_t, t, c) -> x1_hat."""
     mode = params.config.prediction_mode
 
-    def predictor(x_t: np.ndarray, t: float, c: int | None) -> np.ndarray:
+    def predictor(x_t: np.ndarray, t: float, c) -> np.ndarray:
         raw = predict(params, x_t, t, c)
         return prediction_to_x1(raw, x_t, t, sigma_min, mode)
 
@@ -315,7 +326,9 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
     x_t = np.stack([fp.interpolate(x0[i], x1[i], float(ts[i]), cfg.sigma_min)
                     for i in range(b)])
 
-    raw, _ = _forward(tensors, pcfg, x_t, np.asarray(ts, dtype=np.float64), rows)
+    hidden = _forward(tensors, pcfg, x_t, np.asarray(ts, dtype=np.float64), rows)
+    raw = (hidden.reshape(b * h, pcfg.width) @ tensors["out_proj_w"]
+           + tensors["out_proj_b"]).reshape(b, h, pcfg.frame_dim)
 
     if pcfg.prediction_mode == "x1":
         target = x1
@@ -451,27 +464,43 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
 # ---------------------------------------------------------------------------
 
 def save_params(path: str, params: PredictorParams) -> None:
-    doc = {
-        "format": PARAMS_FORMAT,
-        "version": PARAMS_VERSION,
-        "config": asdict(params.config),
-        "meta": params.meta,
-        "arrays": {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-                   for name, arr in sorted(params.arrays.items())},
-    }
+    head = json.dumps({"format": PARAMS_FORMAT, "version": PARAMS_VERSION,
+                       "config": asdict(params.config), "meta": params.meta})
+    # the bytes json.dumps gives the whole document, written one array at a
+    # time: the C encoder's speed without holding every array's text at once
     with atomic_open(path) as fh:
-        json.dump(doc, fh)
+        fh.write(head[:-1] + ', "arrays": {')
+        for i, (name, arr) in enumerate(sorted(params.arrays.items())):
+            rec = json.dumps({"shape": list(arr.shape),
+                              "data": arr.reshape(-1).tolist()})
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: {rec}')
+        fh.write("}}")
 
 
 def load_params(path: str) -> PredictorParams:
+    """Read a parameter file; ``InvalidConfig`` unless every array has the
+    shape :func:`init_params` gives its config and only finite values."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != PARAMS_FORMAT or doc.get("version") != PARAMS_VERSION:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise InvalidConfig(f"{path} is not JSON: {err}") from err
+    if (not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT
+            or doc.get("version") != PARAMS_VERSION):
         raise InvalidConfig(f"not a {PARAMS_FORMAT} v{PARAMS_VERSION} file: {path}")
-    cfg = PredictorConfig(**doc["config"])
-    arrays = {name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-              for name, rec in doc["arrays"].items()}
-    expected = set(init_params(cfg, 0).arrays)
-    if set(arrays) != expected:
+    try:
+        cfg = PredictorConfig(**doc["config"])
+        arrays = {name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+                  for name, rec in doc["arrays"].items()}
+    except (KeyError, TypeError, ValueError) as err:
+        raise InvalidConfig(f"malformed parameter file {path}: {err}") from err
+    expected = init_params(cfg, 0).arrays
+    if set(arrays) != set(expected):
         raise InvalidConfig("parameter file is missing arrays")
+    for name, arr in arrays.items():
+        if arr.shape != expected[name].shape:
+            raise InvalidConfig(f"array {name} has shape {arr.shape}, "
+                                f"config needs {expected[name].shape}")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidConfig(f"array {name} has non-finite values")
     return PredictorParams(cfg, arrays, meta=doc.get("meta", {}))

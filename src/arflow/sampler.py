@@ -2,8 +2,9 @@
 
 A predictor here is any callable ``(x_t, t, c) -> x1_hat`` returning the
 endpoint estimate for the current state (see
-:func:`arflow.model.as_x1_predictor`).  :func:`sample` walks the uniform
-time grid ``t_n = (n - 1) / (N - 1)`` and is pure given its inputs and seed.
+:func:`arflow.model.as_x1_predictor`); the state is one motion (H, D) or a
+batch (B, H, D).  :func:`sample` walks the uniform time grid
+``t_n = (n - 1) / (N - 1)`` and is pure given its inputs and seed.
 
 Guidance evaluates the penetration gradient at the endpoint estimate, never
 through the network.  Vanilla guidance subtracts the scaled gradient from
@@ -15,14 +16,19 @@ mixes the projection direction with a norm-matched random direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import flowpath as fp
 from . import geometry as geo
-from .errors import DimensionMismatch, InvalidConfig, ShapeMismatch
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteSample,
+    ShapeMismatch,
+)
 
 GUIDANCE_MODES = ("none", "vanilla", "improved")
 
@@ -60,54 +66,56 @@ def time_grid(steps: int) -> np.ndarray:
 
 @dataclass
 class GuidanceContext:
-    """Per-frame actor geometry the penetration terms are evaluated against."""
+    """Per-frame actor geometry the penetration terms are evaluated against.
+
+    ``actor`` is (H, D) or a batch (B, H, D); ``capsules`` holds one actor
+    body per frame, its leading frame axes flattened to ``B * H``.
+    """
 
     skel: geo.Skeleton
     actor: np.ndarray
-    capsules: list[geo.CapsuleSet] = field(default_factory=list)
+    capsules: geo.CapsuleSet
+
+    def __post_init__(self):
+        frames = int(np.prod(np.shape(self.actor)[:-1]))
+        if self.capsules.seg_a.shape[:-2] != (frames,):
+            raise DimensionMismatch(
+                f"capsules of shape {self.capsules.seg_a.shape} for an actor of "
+                f"shape {np.shape(self.actor)}")
 
     @classmethod
     def from_actor(cls, skel: geo.Skeleton, actor: np.ndarray) -> "GuidanceContext":
         actor = np.asarray(actor, dtype=np.float64)
-        return cls(skel, actor, geo.motion_capsules(skel, actor))
-
-    @property
-    def frames(self) -> int:
-        return len(self.capsules)
-
-
-def _reaction_positions(skel: geo.Skeleton, reaction: np.ndarray,
-                        for_grad: bool) -> tuple[np.ndarray, ad.Tensor | None, ad.Tensor | None]:
-    """FK positions of an in-flight reaction via the tolerant tape decode.
-
-    The same forward computation serves the loss value and the gradient, so
-    the finite-difference relationship between the two is exact.
-    """
-    leaf = ad.leaf(reaction) if for_grad else ad.constant(reaction)
-    pos, _ = geo.fk_positions_t(skel, leaf)
-    return pos.data, (pos if for_grad else None), (leaf if for_grad else None)
-
-
-def _joint_sdfs(ctx: GuidanceContext, positions: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-joint SDF values and unit gradients against the per-frame actor."""
-    h, k, _ = positions.shape
-    sdf = np.empty((h, k))
-    grad = np.empty((h, k, 3))
-    for i, caps in enumerate(ctx.capsules):
-        sdf[i], grad[i] = geo.sdf_and_gradient(positions[i], caps)
-    return sdf, grad
+        frames = actor.reshape(-1, actor.shape[-1])
+        return cls(skel, actor, geo.motion_capsules(skel, frames))
 
 
 def _check_reaction(ctx: GuidanceContext, reaction: np.ndarray) -> np.ndarray:
     reaction = np.asarray(reaction, dtype=np.float64)
-    if reaction.ndim != 2 or reaction.shape[1] != ctx.skel.motion_dim:
+    if reaction.ndim not in (2, 3) or reaction.shape[-1] != ctx.skel.motion_dim:
         raise DimensionMismatch(
-            f"reaction must be (H, {ctx.skel.motion_dim}), got {reaction.shape}")
-    if reaction.shape[0] != ctx.frames:
+            f"reaction must be ([B,] H, {ctx.skel.motion_dim}), got {reaction.shape}")
+    if reaction.shape[:-1] != ctx.actor.shape[:-1]:
         raise DimensionMismatch(
-            f"reaction has {reaction.shape[0]} frames, context has {ctx.frames}")
+            f"reaction frames {reaction.shape[:-1]} do not match the context's "
+            f"{ctx.actor.shape[:-1]}")
     return reaction
+
+
+def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, for_grad: bool):
+    """Per-joint SDF values and unit gradients against the per-frame actor.
+
+    One tape FK over all frames, via the tolerant decode, so the loss value
+    and the gradient share one forward computation and the
+    finite-difference relationship between the two is exact.  Returns
+    ``(sdf (F, K), grad (F, K, 3), positions node, leaf)`` over the
+    ``F = B * H`` flattened frames.
+    """
+    flat = reaction.reshape(-1, reaction.shape[-1])
+    leaf = ad.leaf(flat) if for_grad else ad.constant(flat)
+    pos, _ = geo.fk_positions_t(ctx.skel, leaf)
+    sdf, grad = geo.sdf_and_gradient(pos.data, ctx.capsules)
+    return sdf, grad, pos, leaf
 
 
 def penetration_loss(reaction: np.ndarray, ctx: GuidanceContext,
@@ -115,13 +123,12 @@ def penetration_loss(reaction: np.ndarray, ctx: GuidanceContext,
     """Sum over joints and frames of -min(actor SDF at the joint, zeta).
 
     Fully separated bodies saturate every term at -zeta; each penetrating
-    joint adds its (positive) penetration depth.
+    joint adds its (positive) penetration depth.  A batch sums over samples.
     """
     if zeta <= 0.0:
         raise InvalidConfig("zeta must be positive")
     reaction = _check_reaction(ctx, reaction)
-    positions, _, _ = _reaction_positions(ctx.skel, reaction, for_grad=False)
-    sdf, _ = _joint_sdfs(ctx, positions)
+    sdf, _, _, _ = _joint_sdfs(ctx, reaction, for_grad=False)
     return float(-np.minimum(sdf, zeta).sum())
 
 
@@ -130,18 +137,18 @@ def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
     """Gradient of :func:`penetration_loss` w.r.t. every motion coordinate.
 
     Chains the analytic SDF gradient through forward kinematics and the 6D
-    decode; saturated joints (SDF >= zeta) contribute nothing.
+    decode in one backward over all frames; saturated joints (SDF >= zeta)
+    contribute nothing.
     """
     if zeta <= 0.0:
         raise InvalidConfig("zeta must be positive")
     reaction = _check_reaction(ctx, reaction)
-    positions, pos_node, leaf = _reaction_positions(ctx.skel, reaction, for_grad=True)
-    sdf, sdf_grad = _joint_sdfs(ctx, positions)
+    sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, for_grad=True)
     seed = np.where((sdf < zeta)[..., None], -sdf_grad, 0.0)
     if not seed.any():
         return np.zeros_like(reaction)
-    pos_node.backward(seed)
-    return leaf.grad
+    pos.backward(seed)
+    return leaf.grad.reshape(reaction.shape)
 
 
 def _euler_step(x: np.ndarray, x1_hat: np.ndarray, tn: float, tn1: float,
@@ -157,11 +164,12 @@ def _euler_step(x: np.ndarray, x1_hat: np.ndarray, tn: float, tn1: float,
 def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
                        grad: np.ndarray | None, tn: float, tn1: float,
                        cfg: SamplerConfig,
-                       rng: np.random.Generator | None) -> np.ndarray:
+                       rngs: list[np.random.Generator] | None) -> np.ndarray:
     """Recover the path start, correct and blend (improved), re-interpolate.
 
-    ``rng`` is given only when beta > 0; it draws the random direction that
-    is norm-matched to the projection direction and mixed in by beta.  With
+    ``rngs`` is given only when beta > 0, one generator per sample in batch
+    order; each draws its sample's random direction, norm-matched to that
+    sample's projection direction and mixed in by beta.  With
     lambda_pene = 0, w = 1 and beta = 0 this reduces to the Euler step
     (path-start recovery and re-interpolation compose to it).
     """
@@ -171,36 +179,55 @@ def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
         x0_star = cfg.w * x0_rec + (1.0 - cfg.w) * x0
     else:
         x0_star = x0_rec
-    if rng is None:
+    if rngs is None:
         return fp.interpolate(x0_star, x1_corr, tn1, cfg.sigma_min)
     d_base = x0_star - x1_corr
-    d_rand = rng.standard_normal(size=d_base.shape)
-    base_norm = np.linalg.norm(d_base)
-    rand_norm = np.linalg.norm(d_rand)
-    if rand_norm > 0.0:
-        d_rand *= base_norm / rand_norm
+    d_rand = np.empty_like(d_base)
+    per_sample = (d.reshape((-1,) + d.shape[-2:]) for d in (d_base, d_rand))
+    for gen, base, rand in zip(rngs, *per_sample):
+        rand[...] = gen.standard_normal(size=base.shape)
+        rand_norm = np.linalg.norm(rand)
+        if rand_norm > 0.0:
+            rand *= np.linalg.norm(base) / rand_norm
     d_mix = d_base + cfg.beta * (d_rand - d_base)
     return x1_corr + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_star
 
 
-def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c: int | None = None,
-           ctx: GuidanceContext | None = None, sample_index: int = 0) -> np.ndarray:
+def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
+           ctx: GuidanceContext | None = None, sample_index=None) -> np.ndarray:
     """Integrate from the action to the reaction along the uniform time grid.
+
+    ``x0`` is one action (H, D) or a batch (B, H, D); the predictor and the
+    guidance context get states of the same rank.  For one action ``c`` is a
+    condition id or None and ``sample_index`` an int (default 0); for a
+    batch ``c`` is a length-B sequence (or None for no condition) and
+    ``sample_index`` a length-B sequence (default ``range(B)``).
 
     Each step calls the predictor once.  With guidance none or vanilla and
     beta = 0 the state takes the Euler step; vanilla then subtracts the
     scaled penetration gradient taken at the endpoint estimate.  With
     improved guidance or beta > 0 the state is re-projected instead (see
-    :func:`_reprojection_step`).  The random stream is derived from
-    (cfg.seed, sample_index), so concurrent samples are reproducible, and it
-    is only consulted when beta > 0.
+    :func:`_reprojection_step`).  Each sample's random stream is derived
+    from (cfg.seed, its sample_index), so a sample's output does not depend
+    on the batch it runs in; the streams are only consulted when beta > 0.
+    Raises ``NonFiniteSample`` when the predictor returns NaN or Inf.
     """
     guided = cfg.guidance != "none" and cfg.lambda_pene != 0.0
     if guided and ctx is None:
         raise InvalidConfig("guided sampling needs a GuidanceContext")
-    reproject = cfg.guidance == "improved" or cfg.beta > 0.0
-    rng = np.random.default_rng((cfg.seed, sample_index)) if cfg.beta > 0.0 else None
     x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim == 2:
+        indices = [0 if sample_index is None else sample_index]
+    elif x0.ndim == 3:
+        indices = list(range(len(x0)) if sample_index is None else sample_index)
+        if len(indices) != len(x0):
+            raise DimensionMismatch(
+                f"{len(indices)} sample indices for a batch of {len(x0)}")
+    else:
+        raise DimensionMismatch(f"x0 must be (H, D) or (B, H, D), got {x0.shape}")
+    reproject = cfg.guidance == "improved" or cfg.beta > 0.0
+    rngs = ([np.random.default_rng((cfg.seed, i)) for i in indices]
+            if cfg.beta > 0.0 else None)
     x = np.array(x0)
     grid = time_grid(cfg.steps)
     for n in range(cfg.steps - 1):
@@ -209,9 +236,11 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c: int | None = None,
         if x1_hat.shape != x.shape:
             raise ShapeMismatch(
                 f"predictor returned {x1_hat.shape}, expected {x.shape}")
+        if not np.isfinite(x1_hat).all():
+            raise NonFiniteSample(f"predictor output is not finite at t={tn:g}")
         grad = penetration_grad(x1_hat, ctx, cfg.zeta) if guided else None
         if reproject:
-            x = _reprojection_step(x, x1_hat, x0, grad, tn, tn1, cfg, rng)
+            x = _reprojection_step(x, x1_hat, x0, grad, tn, tn1, cfg, rngs)
         else:
             x = _euler_step(x, x1_hat, tn, tn1, cfg)
             if guided:

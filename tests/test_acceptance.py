@@ -218,6 +218,7 @@ def test_criterion_05_guidance_efficacy(trained_setup):
     tcfg = trained_setup["train_cfg"]
     predictor = mdl.as_x1_predictor(trained_setup["params"], tcfg.sigma_min)
     suite = dt.generate_mixed(200, frames=16, contact_fraction=1.0, seed=99)
+    actors = np.stack([s.actor for s in suite])
 
     results = {}
     for name, cfg in [
@@ -229,11 +230,9 @@ def test_criterion_05_guidance_efficacy(trained_setup):
                                        guidance="improved", lambda_pene=2.0,
                                        zeta=0.5, w=0.7)),
     ]:
-        pairs = []
-        for s in suite:
-            ctx = (smp.GuidanceContext.from_actor(skel, s.actor)
-                   if cfg.guidance != "none" else None)
-            pairs.append((s.actor, smp.sample(predictor, s.actor, cfg, None, ctx)))
+        ctx = (smp.GuidanceContext.from_actor(skel, actors)
+               if cfg.guidance != "none" else None)
+        pairs = list(zip(actors, smp.sample(predictor, actors, cfg, None, ctx)))
         vol, f_pene, f_total, _ = mx.penetration_stats(pairs, skel, 0.02)
         results[name] = (vol / f_total * mx.M3_TO_CM3, f_pene / f_total)
 
@@ -298,7 +297,7 @@ def test_criterion_07_metric_units():
     frame = geo.identity_frame(skel)
     frame.root_trans = np.array([0.0, 0.0, 0.9])
     motion = np.tile(geo.frame_to_row(skel, frame), (1, 1))
-    caps = geo.motion_capsules(skel, motion)[0]
+    caps = geo.motion_capsules(skel, motion).frame(0)
     vs = 0.02
     body_volume = geo.voxelize(caps, vs, geo.shared_bounds(caps, caps, vs)).volume
     iv_super = mx.intersection_volume([(motion, motion.copy())], skel, vs)

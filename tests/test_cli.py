@@ -7,6 +7,8 @@ import pytest
 from arflow import cli
 from arflow import data as dt
 from arflow import flowpath as fp
+from arflow import model as mdl
+from arflow import sampler as smp
 from arflow import selfcheck
 
 
@@ -156,6 +158,74 @@ def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
     assert run("sample", "--model", str(small_model), "--data", str(small_data),
                "--out", str(tmp_path / "s.jsonl"), "--guidance", "vanilla",
                "--beta", "0.5") == 2
+
+
+def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
+    # 70 six-frame actors (more than one chunk) interleaved with 12
+    # eight-frame ones; output keeps file order and each reaction matches a
+    # single-actor call with the actor's position as its stream index
+    short, long_ = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+    assert run("gen-data", "--pairs", "70", "--frames", "6", "--seed", "4",
+               "--contact-fraction", "1.0", "--out", str(short)) == 0
+    assert run("gen-data", "--pairs", "12", "--frames", "8", "--seed", "5",
+               "--contact-fraction", "1.0", "--out", str(long_)) == 0
+    lines_s = short.read_text().splitlines()
+    lines_l = long_.read_text().splitlines()
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(lines_s[:30] + lines_l[:6] + lines_s[30:]
+                               + lines_l[6:]) + "\n")
+    assert len(lines_s) > cli.SAMPLE_CHUNK
+    out = tmp_path / "s.jsonl"
+    flags = ["--guidance", "improved", "--beta", "0.2", "--cond", "label",
+             "--seed", "6"]
+    assert run("sample", "--model", str(small_model), "--data", str(mixed),
+               "--out", str(out), "--split", "all", *flags) == 0
+    subset, skel = dt.load_samples(str(mixed))
+    got, _ = dt.load_samples(str(out))
+    assert len(got) == len(subset) == 82
+    params = mdl.load_params(str(small_model))
+    cfg = smp.SamplerConfig(steps=5, sigma_min=params.meta["sigma_min"],
+                            guidance="improved", beta=0.2, seed=6)
+    predictor = mdl.as_x1_predictor(params, cfg.sigma_min)
+    for index, (s, g) in enumerate(zip(subset, got)):
+        assert np.array_equal(s.actor, g.actor) and s.label == g.label
+        ctx = smp.GuidanceContext.from_actor(skel, s.actor)
+        ref = smp.sample(predictor, s.actor, cfg, s.label, ctx, sample_index=index)
+        assert np.max(np.abs(g.reactor - ref)) <= 1e-12
+
+
+def _edited_model(small_model, tmp_path, name, edit):
+    doc = json.loads(small_model.read_text())
+    edit(doc["arrays"])
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sample_huge_weights_exit_6(small_model, small_data, tmp_path):
+    # finite weights whose output overflows: no NaN file, exit 6
+    def huge(arrays):
+        arrays["out_proj_w"]["data"] = [1e308] * len(arrays["out_proj_w"]["data"])
+    model = _edited_model(small_model, tmp_path, "huge.json", huge)
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out)) == 6
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", ["nan", "shape"])
+def test_sample_invalid_model_exits_4(small_model, small_data, tmp_path, defect):
+    def edit(arrays):
+        if defect == "nan":
+            arrays["l0_ff_w1"]["data"][0] = float("nan")
+        else:
+            arrays["out_proj_b"] = {"shape": [1], "data": [0.0]}
+    model = _edited_model(small_model, tmp_path, f"{defect}.json", edit)
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out)) == 4
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

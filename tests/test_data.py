@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,17 @@ def test_missing_field_raises_schema_error(tmp_path):
     with pytest.raises(SchemaError) as err:
         dt.load_samples(str(tmp_path / "bad.jsonl"))
     assert err.value.line == 1
+
+
+def test_ragged_rot6d_frames_raise_schema_error(tmp_path):
+    samples = dt.generate_mixed(3, frames=4, seed=13)
+    path = tmp_path / "motions.jsonl"
+    dt.save_samples(str(path), samples, dt.default_skeleton())
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["reactor"]["frames"][2]["rot6d"] = rec["reactor"]["frames"][2]["rot6d"][:-1]
+    lines[1] = json.dumps(rec)
+    (tmp_path / "ragged.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(tmp_path / "ragged.jsonl"))
+    assert err.value.line == 2

@@ -260,6 +260,41 @@ def test_sdf_gradient_tie_rule_on_axis():
     assert np.allclose(g, [1.0, 0.0, 0.0], atol=1e-12)  # +x projected
 
 
+def test_sdf_per_frame_bodies_match_single_bodies():
+    # frame f's points against frame f's body, tie points included
+    rng = np.random.default_rng(24)
+    seg_a = rng.normal(size=(6, 3, 3))
+    seg_b = rng.normal(size=(6, 3, 3))
+    radii = np.array([0.2, 0.1, 0.3])
+    points = rng.normal(size=(6, 4, 3))
+    points[2, 1] = 0.5 * (seg_a[2, 0] + seg_b[2, 0])  # on an axis
+    sdf, grad = geo.sdf_and_gradient(points, geo.CapsuleSet(seg_a, seg_b, radii))
+    assert sdf.shape == (6, 4) and grad.shape == (6, 4, 3)
+    for f in range(6):
+        one = geo.CapsuleSet(seg_a[f], seg_b[f], radii)
+        sdf_f, grad_f = geo.sdf_and_gradient(points[f], one)
+        assert np.array_equal(sdf[f], sdf_f) and np.array_equal(grad[f], grad_f)
+
+
+def test_motion_capsules_match_single_frame_bodies():
+    rng = np.random.default_rng(25)
+    skel = chain_skeleton(4, offset=(0.1, 0.2, 0.3))
+    k = skel.joint_count
+    rots = np.stack([random_rotation(rng) for _ in range(5 * (k + 1))])
+    motion = np.concatenate([geo.rot6d_encode(rots).reshape(5, -1),
+                             rng.normal(size=(5, 3))], axis=1)
+    bodies = geo.motion_capsules(skel, motion)
+    assert bodies.seg_a.shape == (5, k - 1, 3)
+    for f, row in enumerate(motion):
+        frame = geo.BodyPoseFrame(row[:6 * k].reshape(k, 6), row[6 * k:6 * k + 6],
+                                  row[-3:])
+        single = geo.body_capsules(skel, frame)
+        assert np.allclose(bodies.frame(f).seg_a, single.seg_a, atol=1e-12)
+        assert np.allclose(bodies.frame(f).seg_b, single.seg_b, atol=1e-12)
+    with pytest.raises(InvalidConfig):
+        geo.CapsuleSet(np.zeros((2, 3)), np.zeros((3, 3)), np.ones(2))
+
+
 def test_sdf_is_lipschitz():
     rng = np.random.default_rng(31)
     body = geo.CapsuleSet(

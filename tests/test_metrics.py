@@ -34,7 +34,7 @@ def test_iv_superposed_bodies_equals_body_volume():
     skel = chain_skeleton(3, radius=0.08)
     vs = 0.02
     actor = still_actor(skel, 1)
-    caps = geo.motion_capsules(skel, actor)[0]
+    caps = geo.motion_capsules(skel, actor).frame(0)
     grid = geo.voxelize(caps, vs, geo.shared_bounds(caps, caps, vs))
     iv = mx.intersection_volume([(actor, actor.copy())], skel, vs)
     assert iv == pytest.approx(grid.volume * mx.M3_TO_CM3)
@@ -47,7 +47,7 @@ def test_iv_hand_average_over_samples():
     actor = still_actor(skel, 2)
     far = still_actor(skel, 2, (6.0, 0.0, 0.0))
     samples = [(actor, far), (actor, actor.copy())]
-    caps = geo.motion_capsules(skel, actor)[0]
+    caps = geo.motion_capsules(skel, actor).frame(0)
     body_vol = geo.capsule_intersection_volume(caps, caps, vs) * mx.M3_TO_CM3
     assert mx.intersection_volume(samples, skel, vs) == pytest.approx(body_vol / 2)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,60 @@ def test_params_file_rejects_other_formats(tmp_path):
     path.write_text('{"format": "something-else", "version": 1}')
     with pytest.raises(InvalidConfig):
         mdl.load_params(str(path))
+
+
+def _write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _saved_doc(tmp_path):
+    skel = chain_skeleton(2)
+    params = mdl.init_params(tiny_config(skel), seed=12)
+    path = tmp_path / "model.json"
+    mdl.save_params(str(path), params)
+    return json.loads(path.read_text())
+
+
+def test_params_file_rejects_wrong_shape(tmp_path):
+    # a (1,) output bias used to load and then broadcast in predict
+    doc = _saved_doc(tmp_path)
+    doc["arrays"]["out_proj_b"] = {"shape": [1], "data": [0.0]}
+    with pytest.raises(InvalidConfig, match="out_proj_b"):
+        mdl.load_params(_write_doc(tmp_path / "bad.json", doc))
+
+
+def test_params_file_rejects_non_finite(tmp_path):
+    doc = _saved_doc(tmp_path)
+    doc["arrays"]["l0_qkv_w"]["data"][3] = float("nan")
+    with pytest.raises(InvalidConfig, match="l0_qkv_w"):
+        mdl.load_params(_write_doc(tmp_path / "nan.json", doc))
+    doc["arrays"]["l0_qkv_w"]["data"][3] = float("inf")
+    with pytest.raises(InvalidConfig, match="l0_qkv_w"):
+        mdl.load_params(_write_doc(tmp_path / "inf.json", doc))
+
+
+def test_params_file_rejects_data_shape_disagreement(tmp_path):
+    doc = _saved_doc(tmp_path)
+    doc["arrays"]["in_proj_b"]["data"].append(0.0)
+    with pytest.raises(InvalidConfig):
+        mdl.load_params(_write_doc(tmp_path / "long.json", doc))
+
+
+def test_predict_batch_matches_single_calls():
+    # one forward over the batch, one condition per sample; each sample's
+    # output is bit-equal to its own single-motion call
+    rng = np.random.default_rng(13)
+    skel = chain_skeleton(2)
+    cfg = tiny_config(skel, h=4, width=16)
+    params = mdl.init_params(cfg, seed=5)
+    params.arrays["out_proj_w"] = rng.normal(size=params.arrays["out_proj_w"].shape)
+    x = rng.normal(size=(5, 4, cfg.frame_dim))
+    conds = [0, None, 2, 1, None]
+    out = mdl.predict(params, x, 0.3, conds)
+    for i in range(5):
+        assert np.array_equal(out[i], mdl.predict(params, x[i], 0.3, conds[i]))
+    nulls = mdl.predict(params, x, 0.3, None)
+    assert np.array_equal(nulls[1], out[1])
+    with pytest.raises(DimensionMismatch):
+        mdl.predict(params, x, 0.3, [0, 1])

@@ -3,8 +3,14 @@ import pytest
 
 from arflow import flowpath as fp
 from arflow import geometry as geo
+from arflow import model as mdl
 from arflow import sampler as smp
-from arflow.errors import DimensionMismatch, InvalidConfig, ShapeMismatch
+from arflow.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    NonFiniteSample,
+    ShapeMismatch,
+)
 
 from test_geometry import chain_skeleton
 from test_flowpath import random_motion
@@ -134,7 +140,7 @@ def test_penetration_grad_translation_direction():
     ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
     reaction = reactor_at(skel, 1, (0.5, 0.1, 0.2))
     pos = geo.motion_joint_positions(skel, reaction)
-    sdf_dir = geo.body_sdf_gradient(pos[0, 0], ctx.capsules[0])
+    sdf_dir = geo.body_sdf_gradient(pos[0, 0], ctx.capsules.frame(0))
     grad = smp.penetration_grad(reaction, ctx, zeta=0.5)
     assert np.allclose(grad[0, -3:], -sdf_dir, atol=1e-12)
 
@@ -342,3 +348,159 @@ def test_sampler_config_validation():
         smp.SamplerConfig(guidance="both")
     with pytest.raises(InvalidConfig):
         smp.SamplerConfig(w=1.5)
+
+
+def test_non_finite_prediction_raises():
+    cfg = smp.SamplerConfig(steps=3)
+    with pytest.raises(NonFiniteSample):
+        smp.sample(oracle(np.full((2, 4), np.inf)), np.zeros((2, 4)), cfg)
+
+
+# ---------------------------------------------------------------------------
+# batched sampling
+# ---------------------------------------------------------------------------
+
+def batch_scene(b=6, h=4, seed=21):
+    """Overlapping actors, per-sample conditions and a small predictor whose
+    output projection has a healthy scale (its rotations stay decodable)."""
+    rng = np.random.default_rng(seed)
+    skel = chain_skeleton(3, offset=(0.25, 0.1, 0.3))
+    actors = np.stack([random_motion(rng, skel, h) for _ in range(b)])
+    actors[..., -3:] = rng.normal(scale=0.15, size=(b, h, 3))
+    cfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=h, layers=1,
+                              width=16, heads=2, cond_vocab=2)
+    params = mdl.init_params(cfg, seed=seed)
+    params.arrays["out_proj_w"] = rng.normal(
+        scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
+    conds = [i % 3 if i % 3 < 2 else None for i in range(b)]
+    return skel, actors, mdl.as_x1_predictor(params, 1e-4), conds
+
+
+BATCH_CONFIGS = [
+    dict(guidance="none"),
+    dict(guidance="vanilla", lambda_pene=2.0),
+    dict(guidance="improved", lambda_pene=2.0, w=0.7),
+    dict(guidance="improved", lambda_pene=2.0, w=0.7, beta=0.3),
+    dict(guidance="none", beta=0.5),
+    dict(guidance="none", mode="v"),
+]
+
+
+def run_batch(predictor, skel, actors, conds, cfg, indices):
+    ctx = smp.GuidanceContext.from_actor(skel, actors)
+    return smp.sample(predictor, actors, cfg, conds, ctx, sample_index=indices)
+
+
+@pytest.mark.parametrize("kw", BATCH_CONFIGS)
+def test_batch_matches_single_calls(kw):
+    skel, actors, predictor, conds = batch_scene()
+    cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
+    indices = [4, 0, 9, 2, 7, 1]
+    out = run_batch(predictor, skel, actors, conds, cfg, indices)
+    for i, actor in enumerate(actors):
+        ctx = smp.GuidanceContext.from_actor(skel, actor)
+        single = smp.sample(predictor, actor, cfg, conds[i], ctx,
+                            sample_index=indices[i])
+        assert np.max(np.abs(out[i] - single)) <= 1e-12
+    if cfg.guidance != "none":
+        unguided = run_batch(predictor, skel, actors, conds,
+                             smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3,
+                                               beta=cfg.beta), indices)
+        assert np.max(np.abs(out - unguided)) > 1e-6  # guidance was active
+
+
+@pytest.mark.parametrize("kw", BATCH_CONFIGS)
+def test_batch_output_independent_of_size_and_order(kw):
+    skel, actors, predictor, conds = batch_scene()
+    cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
+    indices = list(range(len(actors)))
+    out = run_batch(predictor, skel, actors, conds, cfg, indices)
+    rev = run_batch(predictor, skel, actors[::-1], conds[::-1], cfg, indices[::-1])
+    assert np.max(np.abs(out - rev[::-1])) <= 1e-12
+    part = run_batch(predictor, skel, actors[2:4], conds[2:4], cfg, indices[2:4])
+    assert np.max(np.abs(out[2:4] - part)) <= 1e-12
+
+
+def test_batch_of_one_equals_single_call():
+    skel, actors, predictor, conds = batch_scene(b=1)
+    for kw in BATCH_CONFIGS:
+        cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
+        ctx1 = smp.GuidanceContext.from_actor(skel, actors[0])
+        one = smp.sample(predictor, actors[0], cfg, conds[0], ctx1)
+        batch = run_batch(predictor, skel, actors, conds, cfg, None)
+        assert batch.shape == (1,) + one.shape
+        assert np.array_equal(batch[0], one)
+
+
+def test_batch_stochastic_streams_per_sample():
+    # each sample draws from its own (seed, sample_index) stream, in batch
+    # order, and its random direction is norm-matched to its own projection
+    rng = np.random.default_rng(22)
+    x0 = rng.normal(size=(3, 3, 6))
+    x1 = rng.normal(size=(3, 3, 6))
+    x1[1] *= 10.0  # per-sample norms differ widely
+    s, indices = 0.01, [5, 0, 9]
+    cfg = smp.SamplerConfig(steps=3, sigma_min=s, guidance="none", beta=0.4,
+                            seed=7)
+    out = smp.sample(oracle(x1), x0, cfg, sample_index=indices)
+    for i, index in enumerate(indices):
+        gen = np.random.default_rng((7, index))
+        x = x0[i].copy()
+        for tn, tn1 in ((0.0, 0.5), (0.5, 1.0)):
+            x0_rec = fp.x0_hat(x1[i], x, tn, s)
+            d_base = x0_rec - x1[i]
+            d_rand = gen.standard_normal(size=d_base.shape)
+            d_rand *= np.linalg.norm(d_base) / np.linalg.norm(d_rand)
+            d_mix = d_base + 0.4 * (d_rand - d_base)
+            x = x1[i] + (1.0 - tn1) * d_mix + s * tn1 * x0_rec
+        assert np.array_equal(out[i], x)
+
+
+def test_batch_reduction_identities_bit_exact():
+    skel, actors, predictor, conds = batch_scene()
+    euler = smp.sample(predictor, actors, smp.SamplerConfig(steps=5, sigma_min=1e-4),
+                       conds)
+    ctx = smp.GuidanceContext.from_actor(skel, actors)
+    vanilla0 = smp.sample(predictor, actors,
+                          smp.SamplerConfig(steps=5, sigma_min=1e-4,
+                                            guidance="vanilla", lambda_pene=0.0),
+                          conds, ctx)
+    assert np.array_equal(euler, vanilla0)
+    base = dict(steps=5, sigma_min=1e-4, guidance="improved", lambda_pene=2.0,
+                w=0.6, beta=0.0)
+    a = smp.sample(predictor, actors, smp.SamplerConfig(seed=5, **base), conds, ctx)
+    b = smp.sample(predictor, actors, smp.SamplerConfig(seed=6, **base), conds, ctx,
+                   sample_index=range(10, 16))
+    assert np.array_equal(a, b)
+
+
+def test_batched_penetration_grad_matches_per_sample():
+    skel, actors, _, _ = batch_scene()
+    rng = np.random.default_rng(23)
+    reactions = np.stack([random_motion(rng, skel, actors.shape[1])
+                          for _ in range(len(actors))])
+    reactions[..., -3:] = actors[..., -3:] + rng.normal(scale=0.1,
+                                                        size=actors[..., -3:].shape)
+    ctx = smp.GuidanceContext.from_actor(skel, actors)
+    grad = smp.penetration_grad(reactions, ctx, 0.5)
+    assert np.any(grad != 0.0)
+    loss = 0.0
+    for i in range(len(actors)):
+        ctx_i = smp.GuidanceContext.from_actor(skel, actors[i])
+        single = smp.penetration_grad(reactions[i], ctx_i, 0.5)
+        assert np.max(np.abs(grad[i] - single)) <= 1e-12
+        loss += smp.penetration_loss(reactions[i], ctx_i, 0.5)
+    assert smp.penetration_loss(reactions, ctx, 0.5) == pytest.approx(loss, abs=1e-9)
+
+
+def test_batch_shape_checks():
+    skel, actors, predictor, conds = batch_scene(b=3)
+    cfg = smp.SamplerConfig(steps=3, guidance="vanilla", lambda_pene=1.0)
+    single_ctx = smp.GuidanceContext.from_actor(skel, actors[0])
+    with pytest.raises(DimensionMismatch):
+        smp.sample(predictor, actors, cfg, conds, single_ctx)
+    with pytest.raises(DimensionMismatch):
+        smp.GuidanceContext(skel, actors, single_ctx.capsules)
+    with pytest.raises(DimensionMismatch):
+        smp.sample(predictor, actors, smp.SamplerConfig(steps=3), conds,
+                   sample_index=[0, 1])

@@ -24,16 +24,14 @@ from .data import (  # noqa: E402
     train_test_split,
 )
 from .geometry import (  # noqa: E402
-    BodyPoseFrame,
-    Capsule,
     CapsuleSet,
     Skeleton,
     VoxelGrid,
-    body_capsules,
     body_sdf,
     body_sdf_gradient,
-    forward_kinematics,
     intersection_volume_frame,
+    motion_capsules,
+    motion_joint_positions,
     rot6d_decode,
     rot6d_encode,
     voxelize,

@@ -5,10 +5,11 @@ applied to it on a tape.  Calling :meth:`Tensor.backward` on any node walks
 the tape in reverse topological order and accumulates gradients into every
 leaf created with ``requires_grad=True``.
 
-The op set is exactly what the sequence predictor, the interaction loss, and
-the penetration gradient need: broadcasting arithmetic, batched ``matmul``,
-axis reductions, a few pointwise nonlinearities, softmax, shape ops, and
-basic slicing.  Operands of ``matmul`` must be at least 2-D.
+The op set is what the predictor, the interaction loss and the penetration
+gradient record: broadcasting ``+ - * /`` (Tensor on the left), negation,
+batched ``@`` (operands at least 2-D), ``sum``/``mean``, ``sqrt``, shape ops,
+basic slicing, ``concat``/``stack``, ``softmax``, ``gelu``, and the norm and
+cross product along the last axis.
 """
 
 from __future__ import annotations
@@ -118,8 +119,6 @@ class Tensor:
 
         return Tensor._make(out, (self, other), bw)
 
-    __radd__ = __add__
-
     def __neg__(self):
         def bw(g):
             return ((self, -g),)
@@ -128,9 +127,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -142,8 +138,6 @@ class Tensor:
 
         return Tensor._make(out, (self, other), bw)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = as_tensor(other)
         out = self.data / other.data
@@ -154,19 +148,6 @@ class Tensor:
                                          other.data.shape)))
 
         return Tensor._make(out, (self, other), bw)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out = self.data ** exponent
-
-        def bw(g):
-            return ((self, g * exponent * self.data ** (exponent - 1)),)
-
-        return Tensor._make(out, (self,), bw)
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -184,47 +165,11 @@ class Tensor:
 
     # -- pointwise ----------------------------------------------------------
 
-    def exp(self):
-        out = np.exp(self.data)
-
-        def bw(g):
-            return ((self, g * out),)
-
-        return Tensor._make(out, (self,), bw)
-
-    def tanh(self):
-        out = np.tanh(self.data)
-
-        def bw(g):
-            return ((self, g * (1.0 - out ** 2)),)
-
-        return Tensor._make(out, (self,), bw)
-
     def sqrt(self):
         out = np.sqrt(self.data)
 
         def bw(g):
             return ((self, g * 0.5 / out),)
-
-        return Tensor._make(out, (self,), bw)
-
-    def minimum(self, bound: float):
-        """Elementwise min with a constant; gradient flows only where data < bound."""
-        mask = self.data < bound
-        out = np.where(mask, self.data, bound)
-
-        def bw(g):
-            return ((self, g * mask),)
-
-        return Tensor._make(out, (self,), bw)
-
-    def maximum(self, bound: float):
-        """Elementwise max with a constant; gradient flows only where data > bound."""
-        mask = self.data > bound
-        out = np.where(mask, self.data, bound)
-
-        def bw(g):
-            return ((self, g * mask),)
 
         return Tensor._make(out, (self,), bw)
 
@@ -259,15 +204,6 @@ class Tensor:
 
         def bw(g):
             return ((self, g.reshape(old)),)
-
-        return Tensor._make(out, (self,), bw)
-
-    def transpose(self, axes: tuple[int, ...]):
-        out = self.data.transpose(axes)
-        inv = np.argsort(axes)
-
-        def bw(g):
-            return ((self, g.transpose(inv)),)
 
         return Tensor._make(out, (self,), bw)
 

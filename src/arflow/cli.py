@@ -103,7 +103,11 @@ def cmd_train(args) -> int:
     cond_vocab = 0 if args.unconditioned else len(dt.SCENARIOS)
     dataset = [(s.actor, s.reactor, None if args.unconditioned else s.label)
                for s in train_split]
-    h = dataset[0][0].shape[0]
+    counts = sorted({s[0].shape[0] for s in dataset})
+    if len(counts) > 1:
+        raise InvalidConfig(f"training records differ in frame count {counts}; "
+                            f"train needs one frame count")
+    h = counts[0]
     pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=h,
                                layers=args.layers, width=args.width,
                                heads=args.heads, causal=args.causal,
@@ -135,6 +139,8 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.time()
+    if args.limit < 0:
+        raise InvalidConfig(f"--limit must be >= 0, got {args.limit}")
     try:
         params = mdl.load_params(args.model)
         samples, skel = dt.load_samples(args.data)
@@ -210,6 +216,8 @@ def _extractor_from_args(args) -> mx.FeatureExtractor:
     if args.features == "proj":
         return mx.FeatureExtractor("random_projection", seed=args.feature_seed,
                                    out_dim=args.proj_dim)
+    if not args.feature_model:
+        raise InvalidConfig("--features latent needs --feature-model")
     return mx.FeatureExtractor("predictor_latent",
                                params=mdl.load_params(args.feature_model))
 

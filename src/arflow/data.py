@@ -102,9 +102,11 @@ def default_skeleton(joints: int = DEFAULT_JOINTS) -> geo.Skeleton:
 # Pose construction helpers
 # ---------------------------------------------------------------------------
 
-def _rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
+def _rotation_about(axis: np.ndarray, angle) -> np.ndarray:
+    """Rotation(s) about ``axis``: (3, 3) for a scalar angle, (H, 3, 3) for H angles."""
     axis = np.asarray(axis, dtype=np.float64)
     axis = axis / np.linalg.norm(axis)
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     kx = np.array([[0.0, -axis[2], axis[1]],
                    [axis[2], 0.0, -axis[0]],
                    [-axis[1], axis[0], 0.0]])
@@ -128,19 +130,17 @@ def _pose_joints(skel: geo.Skeleton) -> dict[str, int]:
 def _build_motion(skel: geo.Skeleton, root_pos: np.ndarray, facing: np.ndarray,
                   joint_angles: dict[int, tuple[np.ndarray, np.ndarray]]
                   ) -> np.ndarray:
-    """Assemble a motion from root positions, a facing direction, and
-    per-joint (axis, angle-series) rotations."""
-    h = root_pos.shape[0]
-    root6 = geo.rot6d_encode(_yaw_facing(facing))
-    frames = []
-    for i in range(h):
-        frame = geo.identity_frame(skel)
-        frame.root_rot = root6.copy()
-        frame.root_trans = root_pos[i]
-        for j, (axis, series) in joint_angles.items():
-            frame.joint_rot[j] = geo.rot6d_encode(_rotation_about(axis, series[i]))
-        frames.append(frame)
-    return geo.motion_from_frames(skel, frames)
+    """Assemble an (H, D) motion from root positions, a facing direction,
+    and per-joint (axis, angle-series) rotations; other joints stay at
+    identity."""
+    k = skel.joint_count
+    motion = np.zeros((root_pos.shape[0], skel.motion_dim))
+    motion[:, : 6 * (k + 1)] = np.tile(geo.IDENTITY_ROT6D, k + 1)
+    motion[:, 6 * k: 6 * k + 6] = geo.rot6d_encode(_yaw_facing(facing))
+    motion[:, 6 * k + 6:] = root_pos
+    for j, (axis, series) in joint_angles.items():
+        motion[:, 6 * j: 6 * j + 6] = geo.rot6d_encode(_rotation_about(axis, series))
+    return motion
 
 
 def _bump(tau: np.ndarray, center: float = 0.5, width: float = 0.18) -> np.ndarray:
@@ -153,7 +153,6 @@ def _bump(tau: np.ndarray, center: float = 0.5, width: float = 0.18) -> np.ndarr
 
 _ARM_REST = np.pi / 2  # arms hang down; raising swings them toward the other body
 _Y_AXIS = np.array([0.0, 1.0, 0.0])
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def _scenario_frame(cfg: ScenarioConfig, rng: np.random.Generator,
@@ -429,22 +428,26 @@ def load_samples(path: str) -> tuple[list[InteractionSample], geo.Skeleton | Non
     """
     samples: list[InteractionSample] = []
     skel: geo.Skeleton | None = None
-    with open(path) as fh:
+    # bytes: json.loads decodes each line, so bad UTF-8 is reported with its line
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SchemaError(f"invalid JSON ({err.msg})", line=line_no) from err
+            except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+                raise SchemaError(f"invalid JSON ({err})", line=line_no) from err
+            if not isinstance(rec, dict):
+                raise SchemaError("record is not a JSON object", line=line_no)
             if rec.get("version") != FILE_VERSION:
                 raise SchemaError("missing or unsupported version", line=line_no)
             try:
                 label = int(rec["label"])
                 seed = tuple(rec.get("seed", ()))
                 actor_rec, reactor_rec = rec["actor"], rec["reactor"]
-            except (KeyError, TypeError) as err:
-                raise SchemaError(f"missing field ({err})", line=line_no) from err
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
+                raise SchemaError(f"missing or malformed field ({err})",
+                                  line=line_no) from err
             skel_a, actor = _person_motion(actor_rec, line_no)
             skel_b, reactor = _person_motion(reactor_rec, line_no)
             if skel is None:

@@ -64,8 +64,9 @@ def x1_from_v(v: np.ndarray, x_t: np.ndarray, t: float, sigma_min: float) -> np.
     return (1.0 - sigma_min) * x_t + (1.0 - (1.0 - sigma_min) * t) * v
 
 
-def x1_from_v_t(v: ad.Tensor, x_t: ad.Tensor, t: float, sigma_min: float) -> ad.Tensor:
-    """Tape variant of :func:`x1_from_v` for training in velocity mode."""
+def x1_from_v_t(v: ad.Tensor, x_t: ad.Tensor, t, sigma_min: float) -> ad.Tensor:
+    """Tape variant of :func:`x1_from_v`; ``t`` may be per-sample times that
+    broadcast against ``v``."""
     return v * (1.0 - (1.0 - sigma_min) * t) + x_t * (1.0 - sigma_min)
 
 

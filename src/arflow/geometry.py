@@ -13,7 +13,7 @@ orientation in 6D, then the 3 root-translation coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def decode_rot6d_t(r: ad.Tensor, eps: float = 1e-12) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Skeleton and poses
+# Skeleton
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -132,14 +132,15 @@ class Skeleton:
         if k < 1 or self.parents[0] != -1:
             raise InvalidConfig("joint 0 must be the root (parent -1)")
         for j, p in enumerate(self.parents[1:], start=1):
-            if not 0 <= p < j:
-                raise InvalidConfig(f"parent of joint {j} must be in [0, {j})")
+            if not isinstance(p, (int, np.integer)) or not 0 <= p < j:
+                raise InvalidConfig(
+                    f"parent of joint {j} must be an integer in [0, {j})")
         if self.offsets.shape != (k, 3):
             raise InvalidConfig(f"offsets must have shape ({k}, 3)")
         if self.radii.shape != (max(k - 1, 0),):
             raise InvalidConfig(f"radii must have shape ({k - 1},)")
-        if np.any(self.radii <= 0.0):
-            raise InvalidConfig("all capsule radii must be positive")
+        if not np.all((self.radii > 0.0) & np.isfinite(self.radii)):
+            raise InvalidConfig("all capsule radii must be positive and finite")
         if not np.all(np.isfinite(self.offsets)):
             raise InvalidConfig("offsets must be finite")
 
@@ -152,64 +153,17 @@ class Skeleton:
         return 6 * (self.joint_count + 1) + 3
 
 
-@dataclass
-class BodyPoseFrame:
-    """One frame of one body: K joint rotations, root orientation, root translation."""
-
-    joint_rot: np.ndarray  # (K, 6)
-    root_rot: np.ndarray   # (6,)
-    root_trans: np.ndarray  # (3,)
-
-
-def identity_frame(skel: Skeleton) -> BodyPoseFrame:
-    k = skel.joint_count
-    return BodyPoseFrame(np.tile(IDENTITY_ROT6D, (k, 1)), IDENTITY_ROT6D.copy(),
-                         np.zeros(3))
-
-
-def frame_to_row(skel: Skeleton, frame: BodyPoseFrame) -> np.ndarray:
-    """Pack one pose frame into a length-D motion row."""
-    k = skel.joint_count
-    if frame.joint_rot.shape != (k, 6):
-        raise DimensionMismatch(f"joint_rot must be ({k}, 6)")
-    return np.concatenate([np.asarray(frame.joint_rot).reshape(-1),
-                           np.asarray(frame.root_rot).reshape(6),
-                           np.asarray(frame.root_trans).reshape(3)])
-
-
-def motion_from_frames(skel: Skeleton, frames: list[BodyPoseFrame]) -> np.ndarray:
-    return np.stack([frame_to_row(skel, f) for f in frames])
-
-
 # ---------------------------------------------------------------------------
 # Forward kinematics
 # ---------------------------------------------------------------------------
 
-def forward_kinematics(skel: Skeleton, frame: BodyPoseFrame) -> np.ndarray:
-    """World positions of all K joints for one pose frame.
-
-    Joint 0 sits at ``root_trans``; each child sits at its parent plus the
-    parent's world rotation applied to the child's offset.  The root world
-    rotation is ``root_rot @ joint_rot[0]``.
-    """
-    k = skel.joint_count
-    if np.asarray(frame.joint_rot).shape != (k, 6):
-        raise DimensionMismatch(f"joint_rot must be ({k}, 6)")
-    rots = rot6d_decode(np.asarray(frame.joint_rot, dtype=np.float64))
-    root = rot6d_decode(np.asarray(frame.root_rot, dtype=np.float64))
-    world_rot = np.empty((k, 3, 3))
-    pos = np.empty((k, 3))
-    world_rot[0] = root @ rots[0]
-    pos[0] = np.asarray(frame.root_trans, dtype=np.float64)
-    for j in range(1, k):
-        p = skel.parents[j]
-        pos[j] = pos[p] + world_rot[p] @ skel.offsets[j]
-        world_rot[j] = world_rot[p] @ rots[j]
-    return pos
-
-
 def motion_joint_positions(skel: Skeleton, motion: np.ndarray) -> np.ndarray:
-    """FK for a whole motion at once; returns (H, K, 3)."""
+    """World positions of all K joints in every frame; returns (H, K, 3).
+
+    Joint 0 sits at the root translation; each child sits at its parent
+    plus the parent's world rotation applied to the child's offset.  The
+    root world rotation is the root orientation times joint rotation 0.
+    """
     motion = np.asarray(motion, dtype=np.float64)
     if motion.ndim != 2 or motion.shape[1] != skel.motion_dim:
         raise DimensionMismatch(
@@ -255,17 +209,6 @@ def fk_positions_t(skel: Skeleton, motion: ad.Tensor) -> tuple[ad.Tensor, ad.Ten
 # Capsules and signed distance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Capsule:
-    endpoint_a: np.ndarray
-    endpoint_b: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise InvalidConfig("capsule radius must be positive")
-
-
 @dataclass
 class CapsuleSet:
     """World-space capsules of one body in one frame, stored columnar.
@@ -300,22 +243,10 @@ class CapsuleSet:
         """Body of frame ``f`` in a set with a leading frame axis."""
         return CapsuleSet(self.seg_a[f], self.seg_b[f], self.radius)
 
-    @property
-    def capsules(self) -> list[Capsule]:
-        return [Capsule(a, b, float(r))
-                for a, b, r in zip(self.seg_a, self.seg_b, self.radius)]
-
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.minimum(self.seg_a, self.seg_b) - self.radius[:, None]
         hi = np.maximum(self.seg_a, self.seg_b) + self.radius[:, None]
         return lo.min(axis=0), hi.max(axis=0)
-
-
-def body_capsules(skel: Skeleton, frame: BodyPoseFrame) -> CapsuleSet:
-    """One capsule per bone, endpoints at the two world joint positions."""
-    pos = forward_kinematics(skel, frame)
-    parents = np.array(skel.parents[1:])
-    return CapsuleSet(pos[parents], pos[1:], skel.radii)
 
 
 def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:

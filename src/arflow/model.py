@@ -336,8 +336,8 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
     else:
         target = np.stack([fp.target_velocity(x0[i], x1[i], cfg.sigma_min)
                            for i in range(b)])
-        coeff = (1.0 - (1.0 - cfg.sigma_min) * np.asarray(ts))[:, None, None]
-        x1_hat = raw * ad.constant(coeff) + ad.constant((1.0 - cfg.sigma_min) * x_t)
+        x1_hat = fp.x1_from_v_t(raw, ad.constant(x_t), np.asarray(ts)[:, None, None],
+                                cfg.sigma_min)
 
     diff = raw - ad.constant(target)
     loss_fm = (diff * diff).mean()

@@ -171,20 +171,20 @@ def check_rot6d_round_trip(rng) -> CheckResult:
 def check_fk_equivariance(rng) -> CheckResult:
     skel = geo.Skeleton((-1, 0, 1, 2), rng.normal(scale=0.3, size=(4, 3)),
                         np.full(3, 0.1))
-    frame = geo.identity_frame(skel)
+    # frames: a random pose, the pose shifted, the pose turned about the
+    # origin (columns 24:30 hold the root orientation)
+    motion = np.tile(np.r_[np.tile(geo.IDENTITY_ROT6D, 5), 0.0, 0.0, 0.0], (3, 1))
     for j in range(4):
-        frame.joint_rot[j] = geo.rot6d_encode(geo.rot6d_decode(rng.normal(size=6)))
-    frame.root_trans = rng.normal(size=3)
-    base = geo.forward_kinematics(skel, frame)
+        motion[:, 6 * j: 6 * j + 6] = geo.rot6d_encode(
+            geo.rot6d_decode(rng.normal(size=6)))
+    motion[:, -3:] = rng.normal(size=3)
     shift = rng.normal(size=3)
-    frame.root_trans = frame.root_trans + shift
-    moved = geo.forward_kinematics(skel, frame)
-    err_t = np.max(np.abs(moved - base - shift))
-    frame.root_trans = frame.root_trans - shift
+    motion[1, -3:] += shift
     r = geo.rot6d_decode(rng.normal(size=6))
-    frame.root_rot = geo.rot6d_encode(r @ geo.rot6d_decode(frame.root_rot))
-    frame.root_trans = r @ frame.root_trans
-    rotated = geo.forward_kinematics(skel, frame)
+    motion[2, 24:30] = geo.rot6d_encode(r @ geo.rot6d_decode(motion[0, 24:30]))
+    motion[2, -3:] = r @ motion[0, -3:]
+    base, moved, rotated = geo.motion_joint_positions(skel, motion)
+    err_t = np.max(np.abs(moved - base - shift))
     err_r = np.max(np.abs(rotated - base @ r.T))
     ok = err_t < 1e-12 and err_r < 1e-9
     return CheckResult("fk-equivariance", ok, f"shift {err_t:.1e}, rot {err_r:.1e}")
@@ -216,8 +216,7 @@ def _penetrating_scene(rng):
     actor_skel = geo.Skeleton((-1, 0, 1),
                               np.array([[0.0, 0, 0], [0.6, 0, 0], [0.0, 0.6, 0]]),
                               np.array([0.25, 0.2]))
-    frame = geo.identity_frame(actor_skel)
-    actor = np.tile(geo.frame_to_row(actor_skel, frame), (3, 1))
+    actor = np.tile(np.r_[np.tile(geo.IDENTITY_ROT6D, 4), 0.0, 0.0, 0.0], (3, 1))
     ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
     reaction = rng.normal(scale=0.5, size=(3, skel.motion_dim))
     reaction[:, -3:] = rng.normal(scale=0.15, size=(3, 3))

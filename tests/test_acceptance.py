@@ -21,6 +21,8 @@ from arflow import metrics as mx
 from arflow import model as mdl
 from arflow import sampler as smp
 
+from test_geometry import pose_row
+
 
 def report(num, name, ok, detail, seconds, budget):
     status = "PASS" if ok and seconds < budget else "FAIL"
@@ -142,8 +144,7 @@ def test_criterion_04_gradient_correctness():
     actor_skel = geo.Skeleton((-1, 0, 1),
                               np.array([[0.0, 0, 0], [0.6, 0, 0], [0.0, 0.6, 0]]),
                               np.array([0.25, 0.2]))
-    actor = np.tile(geo.frame_to_row(actor_skel, geo.identity_frame(actor_skel)),
-                    (3, 1))
+    actor = np.tile(pose_row(actor_skel), (3, 1))
     ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
     reaction = rng.normal(scale=0.5, size=(3, skel.motion_dim))
     reaction[:, -3:] = rng.normal(scale=0.15, size=(3, 3))
@@ -294,9 +295,7 @@ def test_criterion_07_metric_units():
     fid_gap = abs(mx.fid(a, b) - closed) / closed
 
     skel = dt.default_skeleton()
-    frame = geo.identity_frame(skel)
-    frame.root_trans = np.array([0.0, 0.0, 0.9])
-    motion = np.tile(geo.frame_to_row(skel, frame), (1, 1))
+    motion = pose_row(skel, trans=(0.0, 0.0, 0.9))[None]
     caps = geo.motion_capsules(skel, motion).frame(0)
     vs = 0.02
     body_volume = geo.voxelize(caps, vs, geo.shared_bounds(caps, caps, vs)).volume
@@ -311,9 +310,7 @@ def test_criterion_07_metric_units():
 
     chain = dt.default_skeleton()
     def at(p):
-        f = geo.identity_frame(chain)
-        f.root_trans = np.asarray(p, dtype=float)
-        return np.tile(geo.frame_to_row(chain, f), (3, 1))
+        return np.tile(pose_row(chain, trans=p), (3, 1))
     overlapping = (at((0, 0, 0.9)), at((0.05, 0, 0.9)))
     fixtures = [overlapping] + [(at((0, 0, 0.9)), at((4.0 + i, 0, 0.9)))
                                 for i in range(3)]

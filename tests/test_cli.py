@@ -109,9 +109,55 @@ def test_train_missing_data_exits_2(tmp_path):
                "--out", str(tmp_path / "m.json"), "--steps", "1") == 2
 
 
+def test_train_mixed_frame_counts_exits_2(tmp_path, capsys):
+    long_data, short_data = tmp_path / "long.jsonl", tmp_path / "short.jsonl"
+    assert run("gen-data", "--pairs", "30", "--frames", "16", "--seed", "1",
+               "--out", str(long_data)) == 0
+    assert run("gen-data", "--pairs", "9", "--frames", "6", "--seed", "2",
+               "--out", str(short_data)) == 0
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(long_data.read_text() + short_data.read_text())
+    out = tmp_path / "m.json"
+    assert run("train", "--data", str(mixed), "--out", str(out),
+               "--steps", "3") == 2
+    assert "[6, 16]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _label_x(line):
+    rec = json.loads(line)
+    rec["label"] = "x"
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("damage", [lambda line: "[1, 2]", _label_x],
+                         ids=["not-an-object", "label-not-int"])
+@pytest.mark.parametrize("command,code", [("eval", 2), ("train", 2), ("sample", 4)])
+def test_malformed_record_exits_with_schema_code(damage, command, code, small_data,
+                                                 small_model, tmp_path, capsys):
+    lines = small_data.read_text().splitlines()
+    lines[2] = damage(lines[2])
+    data = tmp_path / "malformed.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    argv = {"eval": ["eval", "--inputs", str(data)],
+            "train": ["train", "--data", str(data), "--out", out, "--steps", "1"],
+            "sample": ["sample", "--model", str(small_model), "--data", str(data),
+                       "--out", out]}[command]
+    assert run(*argv) == code
+    assert "line 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
+
+def test_sample_negative_limit_exits_2(small_model, small_data, tmp_path):
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(small_model), "--data", str(small_data),
+               "--out", str(out), "--limit", "-1") == 2
+    assert not out.exists()
+
 
 def test_sample_guidance_reduction_parity(small_model, small_data, tmp_path):
     outa = tmp_path / "euler.jsonl"
@@ -259,6 +305,12 @@ def test_eval_div_multimod(small_data, tmp_path):
     values = dict(line.split(": ") for line in out.read_text().splitlines())
     assert float(values["diversity"]) > 0.0
     assert float(values["multimodality"]) > 0.0
+
+
+def test_eval_latent_features_need_model_exits_2(small_data, capsys):
+    assert run("eval", "--inputs", str(small_data), "--metrics", "div",
+               "--features", "latent", "--sd", "10", "--allow-replacement") == 2
+    assert "--feature-model" in capsys.readouterr().err
 
 
 def test_eval_empty_input_exits_5(tmp_path):

@@ -124,6 +124,17 @@ def test_truncated_file_names_offending_line(tmp_path):
     assert err.value.line == 3
 
 
+def test_invalid_utf8_raises_schema_error(tmp_path):
+    samples = dt.generate_mixed(2, frames=4, seed=13)
+    path = tmp_path / "motions.jsonl"
+    dt.save_samples(str(path), samples, dt.default_skeleton())
+    with open(path, "ab") as fh:
+        fh.write(b'{"version": 1, "label": "\xff"}\n')
+    with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(path))
+    assert err.value.line == 3
+
+
 def test_missing_field_raises_schema_error(tmp_path):
     (tmp_path / "bad.jsonl").write_text('{"version": 1, "label": 0}\n')
     with pytest.raises(SchemaError) as err:

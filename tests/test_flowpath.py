@@ -6,7 +6,7 @@ from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow.errors import ShapeMismatch, SingularTime
 
-from test_geometry import chain_skeleton, random_rotation
+from test_geometry import chain_skeleton, pose_row, random_rotation
 
 
 def rand_pair(rng, shape=(8, 15)):
@@ -160,15 +160,10 @@ def test_fm_loss_symmetric_nonnegative():
 
 
 def random_motion(rng, skel, h=4):
-    frames = []
-    for _ in range(h):
-        f = geo.identity_frame(skel)
-        for j in range(skel.joint_count):
-            f.joint_rot[j] = geo.rot6d_encode(random_rotation(rng))
-        f.root_rot = geo.rot6d_encode(random_rotation(rng))
-        f.root_trans = rng.normal(size=3)
-        frames.append(f)
-    return geo.motion_from_frames(skel, frames)
+    k = skel.joint_count
+    return np.stack([pose_row(skel, [random_rotation(rng) for _ in range(k)],
+                              random_rotation(rng), rng.normal(size=3))
+                     for _ in range(h)])
 
 
 def test_interaction_loss_zero_on_equal():

@@ -19,6 +19,39 @@ def chain_skeleton(k=3, offset=(0.0, 0.0, 1.0), radius=0.1):
     )
 
 
+def pose_row(skel, joint_rots=None, root_rot=None, trans=(0.0, 0.0, 0.0)):
+    """One motion row: K joint rotations and the root orientation as 3x3
+    matrices (identity when omitted), then the root translation."""
+    k = skel.joint_count
+    rots = np.tile(np.eye(3), (k + 1, 1, 1))
+    if joint_rots is not None:
+        rots[:k] = joint_rots
+    if root_rot is not None:
+        rots[k] = root_rot
+    return np.concatenate([geo.rot6d_encode(rots).reshape(-1),
+                           np.asarray(trans, dtype=float)])
+
+
+def forward_kinematics(skel, row):
+    """Reference FK of one motion row, one matrix product at a time: (K, 3)."""
+    k = skel.joint_count
+    rots = geo.rot6d_decode(row[:6 * (k + 1)].reshape(k + 1, 6))
+    world_rot = np.empty((k, 3, 3))
+    pos = np.empty((k, 3))
+    world_rot[0] = rots[k] @ rots[0]
+    pos[0] = row[-3:]
+    for j in range(1, k):
+        p = skel.parents[j]
+        pos[j] = pos[p] + world_rot[p] @ skel.offsets[j]
+        world_rot[j] = world_rot[p] @ rots[j]
+    return pos
+
+
+def fk_row(skel, row):
+    """Production FK of one row: (K, 3)."""
+    return geo.motion_joint_positions(skel, row[None])[0]
+
+
 def rz(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -107,57 +140,43 @@ def test_decode_tape_matches_strict():
 
 def test_fk_identity_chain():
     skel = chain_skeleton(3)
-    pos = geo.forward_kinematics(skel, geo.identity_frame(skel))
+    pos = fk_row(skel, pose_row(skel))
     assert np.allclose(pos, [[0, 0, 0], [0, 0, 1], [0, 0, 2]], atol=1e-12)
 
 
 def test_fk_translation_equivariance():
     skel = chain_skeleton(4)
-    frame = geo.identity_frame(skel)
-    base = geo.forward_kinematics(skel, frame)
-    frame.root_trans = np.array([5.0, 0.0, 0.0])
-    moved = geo.forward_kinematics(skel, frame)
+    base = fk_row(skel, pose_row(skel))
+    moved = fk_row(skel, pose_row(skel, trans=(5.0, 0.0, 0.0)))
     assert np.allclose(moved, base + np.array([5.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_fk_root_rotation_turns_bone():
     skel = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [1.0, 0, 0]]), np.array([0.1]))
-    frame = geo.identity_frame(skel)
-    frame.root_rot = geo.rot6d_encode(rz(np.pi / 2))
-    pos = geo.forward_kinematics(skel, frame)
+    pos = fk_row(skel, pose_row(skel, root_rot=rz(np.pi / 2)))
     assert np.allclose(pos[1], pos[0] + np.array([0.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_fk_rotation_equivariance():
     rng = np.random.default_rng(5)
     skel = chain_skeleton(4, offset=(0.3, 0.1, 0.5))
-    frame = geo.identity_frame(skel)
-    for j in range(4):
-        frame.joint_rot[j] = geo.rot6d_encode(random_rotation(rng))
-    frame.root_trans = rng.normal(size=3)
-    base = geo.forward_kinematics(skel, frame)
+    joint_rots = [random_rotation(rng) for _ in range(4)]
+    trans = rng.normal(size=3)
+    base = fk_row(skel, pose_row(skel, joint_rots, trans=trans))
     r = random_rotation(rng)
-    frame.root_rot = geo.rot6d_encode(r @ geo.rot6d_decode(frame.root_rot))
-    frame.root_trans = r @ frame.root_trans
-    rotated = geo.forward_kinematics(skel, frame)
+    rotated = fk_row(skel, pose_row(skel, joint_rots, root_rot=r, trans=r @ trans))
     assert np.allclose(rotated, base @ r.T, atol=1e-10)
 
 
 def test_motion_fk_matches_per_frame():
     rng = np.random.default_rng(9)
     skel = chain_skeleton(5, offset=(0.2, 0.0, 0.4))
-    frames = []
-    for _ in range(6):
-        f = geo.identity_frame(skel)
-        for j in range(5):
-            f.joint_rot[j] = geo.rot6d_encode(random_rotation(rng))
-        f.root_rot = geo.rot6d_encode(random_rotation(rng))
-        f.root_trans = rng.normal(size=3)
-        frames.append(f)
-    motion = geo.motion_from_frames(skel, frames)
+    motion = np.stack([pose_row(skel, [random_rotation(rng) for _ in range(5)],
+                                random_rotation(rng), rng.normal(size=3))
+                       for _ in range(6)])
     batched = geo.motion_joint_positions(skel, motion)
-    for h, f in enumerate(frames):
-        assert np.allclose(batched[h], geo.forward_kinematics(skel, f), atol=1e-12)
+    for h, row in enumerate(motion):
+        assert np.allclose(batched[h], forward_kinematics(skel, row), atol=1e-12)
 
 
 def test_fk_tape_matches_numpy():
@@ -178,7 +197,7 @@ def test_fk_tape_matches_numpy():
 
 def test_body_capsules_basic():
     skel = chain_skeleton(2)
-    caps = geo.body_capsules(skel, geo.identity_frame(skel))
+    caps = geo.motion_capsules(skel, pose_row(skel)[None]).frame(0)
     assert len(caps) == 1
     assert np.allclose(caps.seg_a[0], [0, 0, 0])
     assert np.allclose(caps.seg_b[0], [0, 0, 1])
@@ -187,11 +206,10 @@ def test_body_capsules_basic():
 
 def test_body_capsules_count_and_translation():
     skel = chain_skeleton(5)
-    frame = geo.identity_frame(skel)
-    caps = geo.body_capsules(skel, frame)
+    motion = np.stack([pose_row(skel), pose_row(skel, trans=(1.0, 2.0, 3.0))])
+    bodies = geo.motion_capsules(skel, motion)
+    caps, moved = bodies.frame(0), bodies.frame(1)
     assert len(caps) == 4
-    frame.root_trans = np.array([1.0, 2.0, 3.0])
-    moved = geo.body_capsules(skel, frame)
     assert np.allclose(moved.seg_a, caps.seg_a + np.array([1.0, 2.0, 3.0]))
     assert np.allclose(moved.seg_b, caps.seg_b + np.array([1.0, 2.0, 3.0]))
 
@@ -285,12 +303,11 @@ def test_motion_capsules_match_single_frame_bodies():
                              rng.normal(size=(5, 3))], axis=1)
     bodies = geo.motion_capsules(skel, motion)
     assert bodies.seg_a.shape == (5, k - 1, 3)
+    parents = list(skel.parents[1:])
     for f, row in enumerate(motion):
-        frame = geo.BodyPoseFrame(row[:6 * k].reshape(k, 6), row[6 * k:6 * k + 6],
-                                  row[-3:])
-        single = geo.body_capsules(skel, frame)
-        assert np.allclose(bodies.frame(f).seg_a, single.seg_a, atol=1e-12)
-        assert np.allclose(bodies.frame(f).seg_b, single.seg_b, atol=1e-12)
+        pos = forward_kinematics(skel, row)
+        assert np.allclose(bodies.frame(f).seg_a, pos[parents], atol=1e-12)
+        assert np.allclose(bodies.frame(f).seg_b, pos[1:], atol=1e-12)
     with pytest.raises(InvalidConfig):
         geo.CapsuleSet(np.zeros((2, 3)), np.zeros((3, 3)), np.ones(2))
 

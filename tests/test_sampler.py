@@ -12,15 +12,13 @@ from arflow.errors import (
     ShapeMismatch,
 )
 
-from test_geometry import chain_skeleton
+from test_geometry import chain_skeleton, pose_row
 from test_flowpath import random_motion
 
 
 def still_actor(skel, h, at=(0.0, 0.0, 0.0)):
     """Actor standing still at a point, identity pose."""
-    frame = geo.identity_frame(skel)
-    frame.root_trans = np.asarray(at, dtype=float)
-    return np.tile(geo.frame_to_row(skel, frame), (h, 1))
+    return np.tile(pose_row(skel, trans=at), (h, 1))
 
 
 def reactor_at(skel, h, at):

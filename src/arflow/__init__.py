@@ -26,15 +26,12 @@ from .data import (  # noqa: E402
 from .geometry import (  # noqa: E402
     CapsuleSet,
     Skeleton,
-    VoxelGrid,
     body_sdf,
     body_sdf_gradient,
-    intersection_volume_frame,
     motion_capsules,
     motion_joint_positions,
     rot6d_decode,
     rot6d_encode,
-    voxelize,
 )
 from .metrics import (  # noqa: E402
     FeatureExtractor,

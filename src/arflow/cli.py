@@ -1,9 +1,10 @@
 """Command-line surface: gen-data, train, sample, eval, verify.
 
 Every command that writes artifacts also writes ``<out>.manifest.json``
-recording the resolved configuration, seeds, input/output checksums, and
-wall-clock time; re-running with the same flags reproduces the artifact
-checksums exactly (the manifest's wall-clock field aside).
+recording the resolved configuration, seeds, input/output checksums,
+wall-clock time and ``time.perf_counter`` seconds per phase (``load``,
+``compute``, ``write``); re-running with the same flags reproduces the
+artifact checksums exactly (the manifest's timing fields aside).
 
 Exit codes: 0 success; 1 verify found failing properties; 2 configuration
 error; 3 non-finite training loss; 4 model/data mismatch while sampling
@@ -61,14 +62,34 @@ def _atomic_write(path: str, text: str) -> None:
         fh.write(text)
 
 
+class _Phases:
+    """Wall-clock start and ``time.perf_counter`` seconds per phase of a command.
+
+    :meth:`end` charges the time since the previous call to one phase.
+    """
+
+    def __init__(self):
+        self.started = time.time()
+        self.seconds = {"load": 0.0, "compute": 0.0, "write": 0.0}
+        self._mark = time.perf_counter()
+
+    def end(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._mark
+        self._mark = now
+
+
 def _write_manifest(out_path: str, command: str, config: dict,
-                    inputs: list[str], outputs: list[str], started: float) -> None:
+                    inputs: list[str], outputs: list[str], phases: _Phases) -> None:
+    checksums = {"inputs": {p: _sha256(p) for p in inputs},
+                 "outputs": {p: _sha256(p) for p in outputs}}
+    phases.end("write")
     manifest = {
         "command": command,
         "config": {k: v for k, v in config.items() if k not in ("func", "command")},
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(p) for p in outputs},
-        "wall_clock_s": round(time.time() - started, 3),
+        **checksums,
+        "wall_clock_s": round(time.time() - phases.started, 3),
+        "phase_s": {k: round(v, 6) for k, v in phases.seconds.items()},
     }
     _atomic_write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -78,14 +99,15 @@ def _write_manifest(out_path: str, command: str, config: dict,
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    started = time.time()
+    phases = _Phases()
     samples = dt.generate_mixed(args.pairs, frames=args.frames, joints=args.joints,
                                 noise=args.noise,
                                 contact_fraction=args.contact_fraction,
                                 seed=args.seed, scenario=args.scenario)
     skel = dt.default_skeleton(args.joints)
+    phases.end("compute")
     dt.save_samples(args.out, samples, skel, fps=args.fps)
-    _write_manifest(args.out, "gen-data", vars(args), [], [args.out], started)
+    _write_manifest(args.out, "gen-data", vars(args), [], [args.out], phases)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
@@ -95,8 +117,9 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    started = time.time()
+    phases = _Phases()
     samples, skel = dt.load_samples(args.data)
+    phases.end("load")
     if not samples:
         raise InvalidConfig(f"no samples in {args.data}")
     train_split, _ = dt.train_test_split(samples)
@@ -121,13 +144,14 @@ def cmd_train(args) -> int:
                                 log_every=args.log_every)
     params.meta = {"sigma_min": tcfg.sigma_min, "steps": tcfg.steps,
                    "seed": tcfg.seed, "train_samples": len(dataset)}
+    phases.end("compute")
     mdl.save_params(args.out, params)
     loss_path = args.out + ".loss.csv"
     _atomic_write(loss_path, "".join(
         f"{i},{fm!r},{inter!r},{total!r}\n"
         for i, (fm, inter, total) in enumerate(history)))
     _write_manifest(args.out, "train", vars(args), [args.data],
-                    [args.out, loss_path], started)
+                    [args.out, loss_path], phases)
     print(f"trained {args.steps} steps; final fm loss {history[-1][0]:.6f}; "
           f"model at {args.out}")
     return EXIT_OK
@@ -138,7 +162,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    started = time.time()
+    phases = _Phases()
     if args.limit < 0:
         raise InvalidConfig(f"--limit must be >= 0, got {args.limit}")
     try:
@@ -147,6 +171,7 @@ def cmd_sample(args) -> int:
     except (OSError, InvalidConfig, SchemaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
+    phases.end("load")
     if not samples:
         print("error: no samples to drive sampling", file=sys.stderr)
         return EXIT_SCHEMA
@@ -198,9 +223,10 @@ def cmd_sample(args) -> int:
                 reactions[i] = reaction
     out_samples = [dt.InteractionSample(s.actor, r, s.label, s.seed_used)
                    for s, r in zip(subset, reactions)]
+    phases.end("compute")
     dt.save_samples(args.out, out_samples, skel)
     _write_manifest(args.out, "sample", vars(args), [args.model, args.data],
-                    [args.out], started)
+                    [args.out], phases)
     print(f"sampled {len(out_samples)} reactions ({args.guidance} guidance) "
           f"to {args.out}")
     return EXIT_OK
@@ -223,8 +249,9 @@ def _extractor_from_args(args) -> mx.FeatureExtractor:
 
 
 def cmd_eval(args) -> int:
-    started = time.time()
+    phases = _Phases()
     samples, skel = dt.load_samples(args.inputs)
+    phases.end("load")
     if not samples:
         print("error: empty evaluation input", file=sys.stderr)
         return EXIT_EMPTY
@@ -252,7 +279,9 @@ def cmd_eval(args) -> int:
         if "fid" in wanted:
             if not args.ref:
                 raise InvalidConfig("fid needs --ref")
+            phases.end("compute")
             ref_samples, ref_skel = dt.load_samples(args.ref)
+            phases.end("load")
             if not ref_samples:
                 print("error: empty reference input", file=sys.stderr)
                 return EXIT_EMPTY
@@ -273,11 +302,12 @@ def cmd_eval(args) -> int:
     lines = ["report_version: 1", f"voxel_size_m: {args.voxel!r}"]
     lines += [f"{key}: {value!r}" for key, value in report.items()]
     text = "\n".join(lines) + "\n"
+    phases.end("compute")
     if args.out:
         _atomic_write(args.out, text)
         _write_manifest(args.out, "eval", vars(args),
                         [args.inputs] + ([args.ref] if args.ref else []),
-                        [args.out], started)
+                        [args.out], phases)
     print(text, end="")
     return EXIT_OK
 

@@ -366,17 +366,29 @@ def _person_record(skel: geo.Skeleton, motion: np.ndarray, fps: float) -> dict:
     }
 
 
+def _numbers(values, line: int) -> np.ndarray:
+    """``values`` as an array, rejected unless it holds JSON numbers only.
+
+    One dtype-kind check over the whole array: strings, nulls and objects
+    give a non-numeric dtype instead of being parsed or coerced.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(f"non-numeric values (dtype {arr.dtype})", line=line)
+    return arr
+
+
 def _person_motion(rec: dict, line: int) -> tuple[geo.Skeleton, np.ndarray]:
     try:
         sk = rec["skeleton"]
-        skel = geo.Skeleton(tuple(sk["parents"]), np.asarray(sk["offsets"]),
-                            np.asarray(sk["radii"]))
+        skel = geo.Skeleton(tuple(sk["parents"]), _numbers(sk["offsets"], line),
+                            _numbers(sk["radii"], line))
         frames = rec["frames"]
         h = len(frames)
         # one parse per field over all frames; ragged frames raise ValueError
         motion = np.concatenate([
-            np.asarray([f[key] for f in frames], dtype=np.float64).reshape(h, -1)
-            for key in ("rot6d", "root_rot6d", "trans")], axis=1)
+            _numbers([f[key] for f in frames], line).reshape(h, -1)
+            for key in ("rot6d", "root_rot6d", "trans")], axis=1, dtype=np.float64)
     except (KeyError, TypeError, ValueError, InvalidConfig) as err:
         raise SchemaError(f"bad person record ({err})", line=line) from err
     if motion.shape[1] != skel.motion_dim:
@@ -439,13 +451,15 @@ def load_samples(path: str) -> tuple[list[InteractionSample], geo.Skeleton | Non
                 raise SchemaError(f"invalid JSON ({err})", line=line_no) from err
             if not isinstance(rec, dict):
                 raise SchemaError("record is not a JSON object", line=line_no)
-            if rec.get("version") != FILE_VERSION:
+            if type(rec.get("version")) is not int or rec["version"] != FILE_VERSION:
                 raise SchemaError("missing or unsupported version", line=line_no)
+            label = rec.get("label")
+            if type(label) is not int:
+                raise SchemaError("missing or non-integer label", line=line_no)
             try:
-                label = int(rec["label"])
                 seed = tuple(rec.get("seed", ()))
                 actor_rec, reactor_rec = rec["actor"], rec["reactor"]
-            except (KeyError, TypeError, ValueError, OverflowError) as err:
+            except (KeyError, TypeError) as err:
                 raise SchemaError(f"missing or malformed field ({err})",
                                   line=line_no) from err
             skel_a, actor = _person_motion(actor_rec, line_no)

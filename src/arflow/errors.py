@@ -29,10 +29,6 @@ class GridTooLarge(ArflowError):
     """Requested voxel grid exceeds the voxel-count cap."""
 
 
-class GridMismatch(ArflowError):
-    """Voxel grids differ in origin, voxel size, or dimensions."""
-
-
 class EmptyInput(ArflowError):
     """Metric or command received an empty sample list."""
 

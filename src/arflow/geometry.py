@@ -1,4 +1,4 @@
-"""Body geometry: 6D rotations, kinematic chains, capsule SDFs, voxel grids.
+"""Body geometry: 6D rotations, kinematic chains, capsule SDFs, voxel overlap.
 
 A body is a capsule-skinned kinematic tree.  Joint 0 is the root; every
 other joint hangs off a parent with a constant offset expressed in the
@@ -21,7 +21,6 @@ from . import autodiff as ad
 from .errors import (
     DegenerateRotation,
     DimensionMismatch,
-    GridMismatch,
     GridTooLarge,
     InvalidConfig,
     NotARotation,
@@ -243,10 +242,15 @@ class CapsuleSet:
         """Body of frame ``f`` in a set with a leading frame axis."""
         return CapsuleSet(self.seg_a[f], self.seg_b[f], self.radius)
 
+    def capsule_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-capsule boxes ``(lo, hi)``, each (..., C, 3)."""
+        return (np.minimum(self.seg_a, self.seg_b) - self.radius[:, None],
+                np.maximum(self.seg_a, self.seg_b) + self.radius[:, None])
+
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.minimum(self.seg_a, self.seg_b) - self.radius[:, None]
-        hi = np.maximum(self.seg_a, self.seg_b) + self.radius[:, None]
-        return lo.min(axis=0), hi.max(axis=0)
+        """Body box ``(lo, hi)``, each (..., 3): one per frame in a per-frame set."""
+        lo, hi = self.capsule_aabbs()
+        return lo.min(axis=-2), hi.max(axis=-2)
 
 
 def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
@@ -260,26 +264,28 @@ def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
     return CapsuleSet(pos[:, parents], pos[:, 1:], skel.radii)
 
 
-def _segment_closest(points: np.ndarray, body: CapsuleSet) -> np.ndarray:
-    """Closest points on every capsule axis for every query point.
+def _segment_closest(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
+                     ) -> np.ndarray:
+    """Closest points on every capsule axis ``seg_a -> seg_b`` for every query point.
 
-    ``points`` is (..., N, 3) with the body's leading frame axes, if any;
+    ``points`` is (..., N, 3) with the capsules' leading frame axes, if any;
     returns (..., N, C, 3).
     """
-    d = body.seg_b - body.seg_a                                # (..., C, 3)
+    d = seg_b - seg_a                                          # (..., C, 3)
     dd = np.einsum("...ci,...ci->...c", d, d)[..., None, :]    # (..., 1, C)
-    ap = points[..., :, None, :] - body.seg_a[..., None, :, :]  # (..., N, C, 3)
+    ap = points[..., :, None, :] - seg_a[..., None, :, :]      # (..., N, C, 3)
     t = np.einsum("...nci,...ci->...nc", ap, d)
     t = np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0)
     t = np.clip(t, 0.0, 1.0)
-    return body.seg_a[..., None, :, :] + t[..., None] * d[..., None, :, :]
+    return seg_a[..., None, :, :] + t[..., None] * d[..., None, :, :]
 
 
-def _capsule_sdfs(points: np.ndarray, body: CapsuleSet) -> np.ndarray:
-    """Per-capsule signed distances: (N, C)."""
-    closest = _segment_closest(points, body)
+def _capsule_sdfs(points: np.ndarray, body: CapsuleSet,
+                  which: slice = slice(None)) -> np.ndarray:
+    """Signed distances to the capsules ``which`` of the body: (N, C)."""
+    closest = _segment_closest(points, body.seg_a[which], body.seg_b[which])
     dist = np.linalg.norm(points[:, None, :] - closest, axis=-1)
-    return dist - body.radius[None, :]
+    return dist - body.radius[which][None, :]
 
 
 def body_sdf(p: np.ndarray, body: CapsuleSet) -> float:
@@ -324,7 +330,7 @@ def sdf_and_gradient(points: np.ndarray, body: CapsuleSet) -> tuple[np.ndarray, 
     """
     lead = body.seg_a.shape[:-2]
     points = np.asarray(points, dtype=np.float64).reshape(lead + (-1, 3))
-    closest = _segment_closest(points, body)
+    closest = _segment_closest(points, body.seg_a, body.seg_b)
     diff = points[..., :, None, :] - closest
     dist = np.linalg.norm(diff, axis=-1)
     sdfs = dist - body.radius
@@ -342,7 +348,7 @@ def sdf_and_gradient(points: np.ndarray, body: CapsuleSet) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# Voxelization
+# Intersection volume
 # ---------------------------------------------------------------------------
 
 DEFAULT_VOXEL_SIZE = 0.02
@@ -350,21 +356,10 @@ MAX_VOXELS = 10 ** 8
 _CHUNK = 1 << 19
 
 
-@dataclass
-class VoxelGrid:
-    origin: np.ndarray
-    voxel_size: float
-    dims: tuple[int, int, int]
-    occupancy: np.ndarray  # bool, shape dims
-
-    @property
-    def occupied_count(self) -> int:
-        return int(self.occupancy.sum())
-
-    @property
-    def volume(self) -> float:
-        """Occupied volume in cubic meters (count times voxel_size cubed)."""
-        return self.occupied_count * self.voxel_size ** 3
+def check_voxel_size(voxel_size: float) -> None:
+    """Raise ``InvalidConfig`` unless the voxel size is positive and finite."""
+    if not (np.isfinite(voxel_size) and voxel_size > 0.0):
+        raise InvalidConfig(f"voxel_size must be positive and finite, got {voxel_size!r}")
 
 
 def _grid_dims(lo: np.ndarray, hi: np.ndarray, voxel_size: float) -> tuple[int, int, int]:
@@ -372,83 +367,44 @@ def _grid_dims(lo: np.ndarray, hi: np.ndarray, voxel_size: float) -> tuple[int, 
     return tuple(int(max(v, 1)) for v in n)
 
 
-def _occupancy(body: CapsuleSet, origin: np.ndarray, voxel_size: float,
-               index_ranges: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Center-in-solid occupancy over a grid-aligned index window."""
-    axes = [origin[i] + (index_ranges[i] + 0.5) * voxel_size for i in range(3)]
-    shape = tuple(len(a) for a in axes)
-    xs, ys, zs = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    occ = np.empty(points.shape[0], dtype=bool)
-    for start in range(0, points.shape[0], _CHUNK):
+def _capsule_windows(body: CapsuleSet, origin: np.ndarray, voxel_size: float,
+                     i_lo: np.ndarray, i_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-capsule voxel index windows ``[lo, hi)``, (C, 3) each, clipped to
+    the grid window ``[i_lo, i_hi)`` and counted from ``i_lo``.
+
+    Each window covers the capsule's box padded by one voxel, so every
+    center it leaves out lies more than a voxel outside the capsule.
+    """
+    lo, hi = body.capsule_aabbs()
+    w_lo = np.floor((lo - origin) / voxel_size).astype(int) - 1
+    w_hi = np.ceil((hi - origin) / voxel_size).astype(int) + 1
+    return np.maximum(w_lo, i_lo) - i_lo, np.minimum(w_hi, i_hi) - i_lo
+
+
+def _inside(points: np.ndarray, body: CapsuleSet, c: int) -> np.ndarray:
+    """Whether each of the (N, 3) points lies inside capsule ``c`` (SDF < 0)."""
+    inside = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), _CHUNK):
         chunk = points[start:start + _CHUNK]
-        occ[start:start + _CHUNK] = _capsule_sdfs(chunk, body).min(axis=1) < 0.0
-    return occ.reshape(shape)
-
-
-def voxelize(body: CapsuleSet, voxel_size: float,
-             bounds: tuple[np.ndarray, np.ndarray] | None = None,
-             max_voxels: int = MAX_VOXELS) -> VoxelGrid:
-    """Occupancy grid of a body: a voxel is occupied iff its center is inside.
-
-    ``bounds`` is an (lo, hi) axis-aligned box; when omitted it is the body
-    AABB padded by one voxel.  Raises ``GridTooLarge`` when the grid would
-    exceed ``max_voxels`` cells and ``InvalidConfig`` when explicit bounds
-    do not enclose the body.
-    """
-    if voxel_size <= 0.0:
-        raise InvalidConfig("voxel_size must be positive")
-    lo_body, hi_body = body.aabb()
-    if bounds is None:
-        lo = lo_body - voxel_size
-        hi = hi_body + voxel_size
-    else:
-        lo = np.asarray(bounds[0], dtype=np.float64)
-        hi = np.asarray(bounds[1], dtype=np.float64)
-        if np.any(lo > lo_body) or np.any(hi < hi_body):
-            raise InvalidConfig("bounds do not enclose the body")
-    dims = _grid_dims(lo, hi, voxel_size)
-    if int(np.prod(dims)) > max_voxels:
-        raise GridTooLarge(f"grid {dims} exceeds {max_voxels} voxels")
-    ranges = tuple(np.arange(n, dtype=np.float64) for n in dims)
-    occ = _occupancy(body, lo, voxel_size, ranges)
-    return VoxelGrid(lo, float(voxel_size), dims, occ)
-
-
-def shared_bounds(a: CapsuleSet, b: CapsuleSet, voxel_size: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Union of both bodies' AABBs padded by one voxel; one grid for both."""
-    lo_a, hi_a = a.aabb()
-    lo_b, hi_b = b.aabb()
-    return (np.minimum(lo_a, lo_b) - voxel_size,
-            np.maximum(hi_a, hi_b) + voxel_size)
-
-
-def intersection_volume_frame(a: VoxelGrid, b: VoxelGrid) -> float:
-    """Volume of voxels occupied in both grids (cubic meters).
-
-    The grids must share origin, voxel size, and dimensions exactly.
-    """
-    if (a.dims != b.dims or a.voxel_size != b.voxel_size
-            or not np.array_equal(a.origin, b.origin)):
-        raise GridMismatch("grids differ in origin, voxel size, or dims")
-    count = int(np.logical_and(a.occupancy, b.occupancy).sum())
-    return count * a.voxel_size ** 3
+        inside[start:start + _CHUNK] = _capsule_sdfs(chunk, body, slice(c, c + 1))[:, 0] < 0.0
+    return inside
 
 
 def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float,
                                 max_voxels: int = MAX_VOXELS) -> float:
     """Intersection volume of two bodies on their shared grid (cubic meters).
 
-    Equal to voxelizing both bodies over the shared padded-union grid and
-    counting both-occupied voxels, but only the grid-aligned window around
-    the AABB overlap is evaluated (voxels outside it cannot be occupied by
-    both bodies).  Center coordinates are computed with the exact same
-    arithmetic as :func:`voxelize`, so the result matches the full-grid
-    computation bit for bit.
+    The grid is the union of both bodies' boxes padded by one voxel, and a
+    voxel counts when its center lies inside both bodies (signed distance
+    below zero).  Only voxels that can hold such a center are tested: the
+    window around the two boxes' overlap; in it, each capsule of ``a`` on
+    the centers of its own box padded by one voxel; then each capsule of
+    ``b`` on the centers ``a`` occupies, again only inside its padded box.
+    Every tested center gets the same coordinates and the same per-capsule
+    arithmetic as on the full grid, so the result equals the full-grid
+    count bit for bit.
     """
-    if voxel_size <= 0.0:
-        raise InvalidConfig("voxel_size must be positive")
+    check_voxel_size(voxel_size)
     lo_a, hi_a = a.aabb()
     lo_b, hi_b = b.aabb()
     lo_i = np.maximum(lo_a, lo_b)
@@ -463,7 +419,25 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float,
         return 0.0
     if int(np.prod(i_hi - i_lo)) > max_voxels:
         raise GridTooLarge("overlap window exceeds the voxel cap")
-    ranges = tuple(np.arange(i_lo[i], i_hi[i], dtype=np.float64) for i in range(3))
-    occ_a = _occupancy(a, origin, voxel_size, ranges)
-    occ_b = _occupancy(b, origin, voxel_size, ranges)
-    return int(np.logical_and(occ_a, occ_b).sum()) * voxel_size ** 3
+    axes = [origin[i] + (np.arange(i_lo[i], i_hi[i], dtype=np.float64) + 0.5) * voxel_size
+            for i in range(3)]
+
+    occ_a = np.zeros(tuple(i_hi - i_lo), dtype=bool)
+    w_lo, w_hi = _capsule_windows(a, origin, voxel_size, i_lo, i_hi)
+    for c in range(len(a)):
+        if np.any(w_lo[c] >= w_hi[c]):
+            continue
+        block = tuple(slice(lo, hi) for lo, hi in zip(w_lo[c], w_hi[c]))
+        grids = np.meshgrid(*(ax[s] for ax, s in zip(axes, block)), indexing="ij")
+        points = np.stack([g.ravel() for g in grids], axis=1)
+        occ_a[block] |= _inside(points, a, c).reshape(grids[0].shape)
+
+    cells = np.argwhere(occ_a)                 # (P, 3) window indices of a's centers
+    points = np.stack([axes[i][cells[:, i]] for i in range(3)], axis=1)
+    in_b = np.zeros(len(cells), dtype=bool)
+    w_lo, w_hi = _capsule_windows(b, origin, voxel_size, i_lo, i_hi)
+    for c in range(len(b)):
+        todo = np.flatnonzero(~in_b & np.all((cells >= w_lo[c]) & (cells < w_hi[c]), axis=1))
+        if len(todo):
+            in_b[todo] = _inside(points[todo], b, c)
+    return int(in_b.sum()) * voxel_size ** 3

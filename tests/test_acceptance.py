@@ -22,6 +22,7 @@ from arflow import model as mdl
 from arflow import sampler as smp
 
 from test_geometry import pose_row
+from voxel_oracle import shared_bounds, voxelize
 
 
 def report(num, name, ok, detail, seconds, budget):
@@ -298,7 +299,7 @@ def test_criterion_07_metric_units():
     motion = pose_row(skel, trans=(0.0, 0.0, 0.9))[None]
     caps = geo.motion_capsules(skel, motion).frame(0)
     vs = 0.02
-    body_volume = geo.voxelize(caps, vs, geo.shared_bounds(caps, caps, vs)).volume
+    body_volume = voxelize(caps, vs, shared_bounds(caps, caps, vs)).volume
     iv_super = mx.intersection_volume([(motion, motion.copy())], skel, vs)
     superposed_exact = iv_super == pytest.approx(body_volume * mx.M3_TO_CM3)
 
@@ -306,7 +307,7 @@ def test_criterion_07_metric_units():
     capsule = geo.CapsuleSet(np.array([[0.0, 0, 0]]),
                              np.array([[length, 0, 0]]), np.array([r]))
     analytic = np.pi * r ** 2 * length + 4.0 / 3.0 * np.pi * r ** 3
-    vox_err = abs(geo.voxelize(capsule, r / 10.0).volume - analytic) / analytic
+    vox_err = abs(voxelize(capsule, r / 10.0).volume - analytic) / analytic
 
     chain = dt.default_skeleton()
     def at(p):

@@ -313,6 +313,19 @@ def test_eval_latent_features_need_model_exits_2(small_data, capsys):
     assert "--feature-model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("contact", [1.0, 0.0], ids=["contact", "far-apart"])
+@pytest.mark.parametrize("voxel", ["0", "-0.02", "nan", "inf"])
+def test_eval_bad_voxel_size_exits_2(voxel, contact, tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    dt.save_samples(str(data), dt.generate_mixed(4, frames=4, contact_fraction=contact,
+                                                 seed=2), dt.default_skeleton())
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
+               f"--voxel={voxel}", "--out", str(out)) == 2
+    assert "voxel_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_empty_input_exits_5(tmp_path):
     empty = tmp_path / "empty.jsonl"
     dt.save_samples(str(empty), [], dt.default_skeleton())
@@ -333,6 +346,32 @@ def test_guided_iv_not_worse_than_unguided(small_model, small_data, tmp_path):
                       for line in report.read_text().splitlines())
         results[guidance] = float(values["iv_cm3"])
     assert results["improved"] <= results["none"]
+
+
+# ---------------------------------------------------------------------------
+# manifests
+# ---------------------------------------------------------------------------
+
+def test_manifests_record_phase_seconds(small_model, small_data, tmp_path):
+    data = tmp_path / "data.jsonl"
+    model = tmp_path / "model.json"
+    sampled = tmp_path / "sampled.jsonl"
+    report = tmp_path / "report.txt"
+    assert run("gen-data", "--pairs", "12", "--frames", "4", "--seed", "1",
+               "--out", str(data)) == 0
+    assert run("train", "--data", str(data), "--out", str(model), "--steps", "2",
+               "--batch", "4", "--width", "16", "--layers", "1") == 0
+    assert run("sample", "--model", str(small_model), "--data", str(small_data),
+               "--out", str(sampled), "--limit", "2") == 0
+    assert run("eval", "--inputs", str(sampled), "--out", str(report)) == 0
+    for path, command in ((data, "gen-data"), (model, "train"),
+                          (sampled, "sample"), (report, "eval")):
+        manifest = json.loads(path.with_name(path.name + ".manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["wall_clock_s"] >= 0.0
+        assert set(manifest["phase_s"]) == {"load", "compute", "write"}
+        assert all(v >= 0.0 for v in manifest["phase_s"].values())
+        assert sum(manifest["phase_s"].values()) <= manifest["wall_clock_s"] + 0.01
 
 
 # ---------------------------------------------------------------------------

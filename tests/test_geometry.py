@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arflow import geometry as geo
 from arflow.errors import (
     DegenerateRotation,
-    GridMismatch,
     GridTooLarge,
     InvalidConfig,
     NotARotation,
+)
+
+from voxel_oracle import (
+    GridMismatch,
+    full_grid_intersection_volume,
+    intersection_volume_frame,
+    shared_bounds,
+    voxelize,
+    window_intersection_volume,
 )
 
 
@@ -266,7 +276,7 @@ def test_sdf_gradient_matches_finite_differences():
 def test_sdf_gradient_radial_invariance():
     body = one_capsule()
     p = np.array([0.5, 0.6, 0.3])
-    nearest = geo._segment_closest(p.reshape(1, 3), body)[0, 0]
+    nearest = geo._segment_closest(p.reshape(1, 3), body.seg_a, body.seg_b)[0, 0]
     g1 = geo.body_sdf_gradient(p, body)
     g2 = geo.body_sdf_gradient(nearest + 3.0 * (p - nearest), body)
     assert np.allclose(g1, g2, atol=1e-12)
@@ -334,7 +344,7 @@ def capsule_volume(length, r):
 def test_voxel_volume_close_to_analytic():
     r, length = 0.1, 0.6
     body = one_capsule(a=(0, 0, 0), b=(length, 0, 0), r=r)
-    grid = geo.voxelize(body, voxel_size=r / 10.0)
+    grid = voxelize(body, voxel_size=r / 10.0)
     expected = capsule_volume(length, r)
     assert abs(grid.volume - expected) / expected < 0.05
     assert grid.volume == grid.occupied_count * grid.voxel_size ** 3
@@ -344,7 +354,7 @@ def test_voxel_refinement_converges():
     r, length = 0.1, 0.4
     body = one_capsule(a=(0, 0, 0), b=(length, 0, 0), r=r)
     expected = capsule_volume(length, r)
-    errs = [abs(geo.voxelize(body, vs).volume - expected)
+    errs = [abs(voxelize(body, vs).volume - expected)
             for vs in (r / 2.0, r / 4.0, r / 8.0)]
     assert errs[2] < errs[0]
     assert errs[2] / expected < 0.05
@@ -352,7 +362,7 @@ def test_voxel_refinement_converges():
 
 def test_voxel_centers_can_all_miss_a_thin_body():
     body = one_capsule(a=(0.0, 0.0, 0.0), b=(0.05, 0.0, 0.0), r=0.01)
-    grid = geo.voxelize(body, voxel_size=1.0, bounds=(np.full(3, -5.0), np.full(3, 5.0)))
+    grid = voxelize(body, voxel_size=1.0, bounds=(np.full(3, -5.0), np.full(3, 5.0)))
     assert grid.occupied_count == 0
 
 
@@ -364,14 +374,14 @@ def test_voxel_additivity_of_disjoint_bodies():
                           np.vstack([a.seg_b, b.seg_b]),
                           np.concatenate([a.radius, b.radius]))
     vs = r / 8.0
-    v_both = geo.voxelize(both, vs).volume
-    v_sum = geo.voxelize(a, vs).volume + geo.voxelize(b, vs).volume
+    v_both = voxelize(both, vs).volume
+    v_sum = voxelize(a, vs).volume + voxelize(b, vs).volume
     assert abs(v_both - v_sum) <= 2 * vs ** 3
 
 
 def test_voxel_bounds_enclose_body():
     body = one_capsule()
-    grid = geo.voxelize(body, 0.05)
+    grid = voxelize(body, 0.05)
     lo, hi = body.aabb()
     assert np.all(grid.origin <= lo)
     assert np.all(grid.origin + np.array(grid.dims) * grid.voxel_size >= hi)
@@ -379,12 +389,12 @@ def test_voxel_bounds_enclose_body():
 
 def test_voxelize_grid_too_large():
     with pytest.raises(GridTooLarge):
-        geo.voxelize(one_capsule(), voxel_size=1e-5, max_voxels=10 ** 6)
+        voxelize(one_capsule(), voxel_size=1e-5, max_voxels=10 ** 6)
 
 
 def test_voxelize_rejects_non_enclosing_bounds():
     with pytest.raises(InvalidConfig):
-        geo.voxelize(one_capsule(), 0.05, bounds=(np.zeros(3), np.full(3, 0.2)))
+        voxelize(one_capsule(), 0.05, bounds=(np.zeros(3), np.full(3, 0.2)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,26 +403,26 @@ def test_voxelize_rejects_non_enclosing_bounds():
 
 def test_intersection_identical_grids():
     body = one_capsule()
-    g = geo.voxelize(body, 0.02)
-    assert geo.intersection_volume_frame(g, g) == pytest.approx(g.volume)
+    g = voxelize(body, 0.02)
+    assert intersection_volume_frame(g, g) == pytest.approx(g.volume)
 
 
 def test_intersection_disjoint_and_symmetry():
     a = one_capsule(a=(0, 0, 0), b=(0.4, 0, 0), r=0.1)
     b = one_capsule(a=(3, 0, 0), b=(3.4, 0, 0), r=0.1)
     vs = 0.02
-    bounds = geo.shared_bounds(a, b, vs)
-    ga = geo.voxelize(a, vs, bounds)
-    gb = geo.voxelize(b, vs, bounds)
-    assert geo.intersection_volume_frame(ga, gb) == 0.0
-    assert (geo.intersection_volume_frame(ga, gb)
-            == geo.intersection_volume_frame(gb, ga))
+    bounds = shared_bounds(a, b, vs)
+    ga = voxelize(a, vs, bounds)
+    gb = voxelize(b, vs, bounds)
+    assert intersection_volume_frame(ga, gb) == 0.0
+    assert (intersection_volume_frame(ga, gb)
+            == intersection_volume_frame(gb, ga))
 
 
 def test_intersection_grid_mismatch():
     a = one_capsule()
     with pytest.raises(GridMismatch):
-        geo.intersection_volume_frame(geo.voxelize(a, 0.02), geo.voxelize(a, 0.04))
+        intersection_volume_frame(voxelize(a, 0.02), voxelize(a, 0.04))
 
 
 def test_intersection_offset_capsules_vs_monte_carlo():
@@ -420,9 +430,9 @@ def test_intersection_offset_capsules_vs_monte_carlo():
     a = one_capsule(a=(0, 0, 0), b=(0.4, 0, 0), r=r)
     b = one_capsule(a=(0, r, 0), b=(0.4, r, 0), r=r)
     vs = 0.01
-    bounds = geo.shared_bounds(a, b, vs)
-    vol = geo.intersection_volume_frame(geo.voxelize(a, vs, bounds),
-                                        geo.voxelize(b, vs, bounds))
+    bounds = shared_bounds(a, b, vs)
+    vol = intersection_volume_frame(voxelize(a, vs, bounds),
+                                    voxelize(b, vs, bounds))
     # Monte-Carlo oracle over the overlap bounding box, 10^6 samples
     rng = np.random.default_rng(123)
     lo = np.array([-r, 0.0, -r])
@@ -445,15 +455,95 @@ def test_fast_intersection_matches_full_grid():
                            rng.uniform(-0.4, 0.4, (3, 3)) + 0.15,
                            rng.uniform(0.05, 0.15, 3))
         vs = 0.02
-        bounds = geo.shared_bounds(a, b, vs)
-        full = geo.intersection_volume_frame(geo.voxelize(a, vs, bounds),
-                                             geo.voxelize(b, vs, bounds))
+        bounds = shared_bounds(a, b, vs)
+        full = intersection_volume_frame(voxelize(a, vs, bounds),
+                                         voxelize(b, vs, bounds))
         assert geo.capsule_intersection_volume(a, b, vs) == full
 
 
 def test_superposed_bodies_intersection_equals_volume():
     body = one_capsule(a=(0, 0, 0), b=(0.3, 0, 0), r=0.08)
     vs = 0.02
-    bounds = geo.shared_bounds(body, body, vs)
-    g = geo.voxelize(body, vs, bounds)
+    bounds = shared_bounds(body, body, vs)
+    g = voxelize(body, vs, bounds)
     assert geo.capsule_intersection_volume(body, body, vs) == g.volume
+
+
+# dyadic coordinates, radii and voxel sizes make the grid arithmetic exact:
+# voxel centers then land exactly on capsule surfaces, and capsule boxes on
+# the faces of the overlap window
+DYADIC = 1.0 / 16.0
+
+
+@st.composite
+def capsule_bodies(draw, dyadic: bool):
+    n = draw(st.integers(1, 4))
+    if dyadic:
+        coord = st.integers(-8, 8).map(lambda k: k * DYADIC)
+        radius = st.integers(1, 5).map(lambda k: k * DYADIC)
+    else:
+        coord = st.floats(-0.4, 0.4)
+        radius = st.floats(0.01, 0.2)
+    seg_a = np.array([[draw(coord) for _ in range(3)] for _ in range(n)])
+    seg_b = np.array([[draw(coord) for _ in range(3)] for _ in range(n)])
+    zero_length = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    seg_b[zero_length] = seg_a[zero_length]
+    return geo.CapsuleSet(seg_a, seg_b, np.array([draw(radius) for _ in range(n)]))
+
+
+@st.composite
+def capsule_pairs(draw):
+    """Two bodies and a voxel size: unrelated, identical, or the second a
+    copy of the first moved along one axis, by whole voxels or until the two
+    boxes touch."""
+    dyadic = draw(st.booleans())
+    if dyadic:
+        vs = draw(st.sampled_from([DYADIC, 2 * DYADIC, 4 * DYADIC]))
+    else:
+        vs = draw(st.floats(0.03, 0.1))
+    a = draw(capsule_bodies(dyadic))
+    kind = draw(st.sampled_from(["random", "identical", "shifted", "touching"]))
+    if kind == "random":
+        b = draw(capsule_bodies(dyadic))
+    elif kind == "identical":
+        b = a
+    else:
+        axis = draw(st.integers(0, 2))
+        lo, hi = a.aabb()
+        step = hi[axis] - lo[axis] if kind == "touching" else vs * draw(st.integers(-6, 6))
+        shift = np.zeros(3)
+        shift[axis] = step
+        b = geo.CapsuleSet(a.seg_a + shift, a.seg_b + shift, a.radius)
+    return a, b, vs
+
+
+@settings(deadline=None, max_examples=120, database=None)
+@given(capsule_pairs())
+def test_intersection_volume_equals_full_grid_oracle(case):
+    a, b, vs = case
+    full = full_grid_intersection_volume(a, b, vs)
+    assert window_intersection_volume(a, b, vs) == full
+    assert geo.capsule_intersection_volume(a, b, vs) == full
+    assert geo.capsule_intersection_volume(b, a, vs) == full
+
+
+def test_intersection_volume_counts_no_center_on_a_surface():
+    # the grid origin is -0.4375 on every axis, so the centers are the
+    # multiples of 0.125; the six at distance 0.25 from the sphere's center
+    # lie exactly on its surface, inside the capsule, and do not count
+    sphere = one_capsule(a=(0.0, 0.0, 0.0), b=(0.0, 0.0, 0.0), r=0.25)
+    capsule = one_capsule(a=(0.0, 0.0, 0.0), b=(0.5, 0.0, 0.0), r=0.3125)
+    vs = 0.125
+    assert geo.body_sdf([0.25, 0.0, 0.0], sphere) == 0.0
+    assert geo.body_sdf([0.25, 0.0, 0.0], capsule) < 0.0
+    inside = 27 * vs ** 3   # integer points (i, j, k) with i² + j² + k² < 4
+    assert full_grid_intersection_volume(sphere, capsule, vs) == inside
+    assert geo.capsule_intersection_volume(sphere, capsule, vs) == inside
+    assert geo.capsule_intersection_volume(capsule, sphere, vs) == inside
+
+
+@pytest.mark.parametrize("voxel_size", [0.0, -0.02, float("nan"), float("inf")])
+def test_intersection_volume_rejects_bad_voxel_size(voxel_size):
+    body = one_capsule()
+    with pytest.raises(InvalidConfig):
+        geo.capsule_intersection_volume(body, body, voxel_size)

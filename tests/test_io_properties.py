@@ -2,7 +2,9 @@
 
 ``save_samples`` followed by ``load_samples`` returns finite motions bit
 for bit, and a valid file with one record damaged raises ``SchemaError``
-carrying that record's line number, never another exception.
+carrying that record's line number, never another exception.  Damage
+includes values that Python would coerce: a float or boolean label or
+version, and numbers written as strings.
 """
 
 import copy
@@ -88,7 +90,7 @@ def _parent(rec, path):
 def _damage(draw, rec):
     """One damaged copy of a valid record, as the text of its line."""
     kind = draw(st.sampled_from(["not-object", "missing", "wrong-type",
-                                 "bad-parent", "ragged", "non-finite"]))
+                                 "bad-parent", "ragged", "non-finite", "coercible"]))
     if kind == "not-object":
         return draw(st.sampled_from(["[1, 2]", "3", '"text"', "null", "true", "[]"]))
     rec = copy.deepcopy(rec)
@@ -115,18 +117,34 @@ def _damage(draw, rec):
             frame["rot6d"][j] = frame["rot6d"][j][:-1]
         else:
             del frames[-1]
-    else:
-        bad = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
-        where = draw(st.sampled_from(["trans", "root_rot6d", "rot6d", "offsets",
-                                      "radii"]))
-        if where in ("offsets", "radii"):
-            values = rec[person]["skeleton"][where]
+    elif kind == "coercible":
+        # a value of the wrong JSON type that int() or float() would accept
+        where = draw(st.sampled_from(["label", "version", "number"]))
+        if where == "label":
+            rec["label"] = draw(st.sampled_from([1.7, 1.0, True, "1"]))
+        elif where == "version":
+            rec["version"] = draw(st.sampled_from([True, 1.0, "1"]))
         else:
-            values = frame[where]
-        if where in ("rot6d", "offsets"):
-            values = values[draw(st.integers(0, len(values) - 1))]
-        values[draw(st.integers(0, len(values) - 1))] = bad
+            values = _numbers(draw, rec, person, frame)
+            i = draw(st.integers(0, len(values) - 1))
+            values[i] = str(values[i])
+    else:
+        values = _numbers(draw, rec, person, frame)
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]))
     return json.dumps(rec)
+
+
+def _numbers(draw, rec, person, frame):
+    """One list of numbers in a person record: frame fields or skeleton arrays."""
+    where = draw(st.sampled_from(["trans", "root_rot6d", "rot6d", "offsets", "radii"]))
+    if where in ("offsets", "radii"):
+        values = rec[person]["skeleton"][where]
+    else:
+        values = frame[where]
+    if where in ("rot6d", "offsets"):
+        values = values[draw(st.integers(0, len(values) - 1))]
+    return values
 
 
 @SETTINGS

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arflow import data as dt
 from arflow import geometry as geo
 from arflow import metrics as mx
 from arflow.errors import (
@@ -8,10 +9,12 @@ from arflow.errors import (
     DimensionMismatch,
     EmptyInput,
     InsufficientSamples,
+    InvalidConfig,
 )
 
 from test_geometry import chain_skeleton
 from test_sampler import still_actor
+from voxel_oracle import shared_bounds, voxelize, window_intersection_volume
 
 
 def pair(skel, h, actor_at, reactor_at_pt):
@@ -35,7 +38,7 @@ def test_iv_superposed_bodies_equals_body_volume():
     vs = 0.02
     actor = still_actor(skel, 1)
     caps = geo.motion_capsules(skel, actor).frame(0)
-    grid = geo.voxelize(caps, vs, geo.shared_bounds(caps, caps, vs))
+    grid = voxelize(caps, vs, shared_bounds(caps, caps, vs))
     iv = mx.intersection_volume([(actor, actor.copy())], skel, vs)
     assert iv == pytest.approx(grid.volume * mx.M3_TO_CM3)
 
@@ -97,6 +100,77 @@ def test_penetration_stats_empty_input():
     skel = chain_skeleton(3)
     with pytest.raises(EmptyInput):
         mx.intersection_volume([], skel, 0.02)
+
+
+@pytest.mark.parametrize("chunk", [mx.EVAL_CHUNK, 7])
+def test_penetration_stats_equals_per_frame_oracle(chunk, tmp_path, monkeypatch):
+    # 30 contact pairs of 16 frames, read back from a motion file; the
+    # expected tuple sums the full-window oracle frame by frame, in order
+    monkeypatch.setattr(mx, "EVAL_CHUNK", chunk)
+    path = str(tmp_path / "contact.jsonl")
+    dt.save_samples(path, dt.generate_mixed(30, frames=16, contact_fraction=1.0, seed=11),
+                    dt.default_skeleton())
+    samples, skel = dt.load_samples(path)
+    pairs = [(s.actor, s.reactor) for s in samples]
+    vs = 0.02
+    volume, f_pene, f_total = 0.0, 0, 0
+    for actor, reactor in pairs:
+        caps_a = geo.motion_capsules(skel, actor)
+        caps_b = geo.motion_capsules(skel, reactor)
+        for f in range(len(actor)):
+            vol = window_intersection_volume(caps_a.frame(f), caps_b.frame(f), vs)
+            volume += vol
+            f_total += 1
+            f_pene += vol > 0.0
+    assert f_total >= 480 and 0 < f_pene < f_total
+    assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene, f_total, len(pairs))
+
+
+def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
+    skel = chain_skeleton(3, radius=0.08)
+    near = still_actor(skel, 3, (0.05, 0.0, 0.0))
+    far = still_actor(skel, 2, (5.0, 0.0, 0.0))
+    samples = [(still_actor(skel, 5), np.concatenate([near, far])),
+               pair(skel, 4, (0, 0, 0), (0, 6.0, 0))]
+    swept, framed = [], []
+    sweep = geo.capsule_intersection_volume
+    frame = geo.CapsuleSet.frame
+
+    def recording_sweep(a, b, voxel_size):
+        swept.append((a.aabb(), b.aabb()))
+        return sweep(a, b, voxel_size)
+
+    def recording_frame(self, f):
+        framed.append(f)
+        return frame(self, f)
+
+    monkeypatch.setattr(geo, "capsule_intersection_volume", recording_sweep)
+    monkeypatch.setattr(geo.CapsuleSet, "frame", recording_frame)
+    volume, f_pene, f_total, n = mx.penetration_stats(samples, skel, 0.02)
+    assert (f_pene, f_total, n) == (3, 9, 2) and volume > 0.0
+    assert len(swept) == 3 and len(framed) == 2 * 3
+    for (lo_a, hi_a), (lo_b, hi_b) in swept:
+        assert np.all(np.maximum(lo_a, lo_b) < np.minimum(hi_a, hi_b))
+
+
+@pytest.mark.parametrize("voxel_size", [0.0, -0.02, float("nan"), float("inf")])
+def test_penetration_stats_rejects_bad_voxel_size_before_any_frame(voxel_size):
+    skel = chain_skeleton(3)
+    far_apart = [pair(skel, 2, (0, 0, 0), (5, 0, 0))]
+    with pytest.raises(InvalidConfig):
+        mx.penetration_stats(far_apart, skel, voxel_size)
+    with pytest.raises(InvalidConfig):
+        mx.penetration_stats([], skel, voxel_size)
+
+
+def test_penetration_stats_frame_count_mismatch():
+    skel = chain_skeleton(3)
+    with pytest.raises(DimensionMismatch):
+        mx.penetration_stats([(still_actor(skel, 3), still_actor(skel, 2))], skel, 0.02)
+    narrow = np.zeros((3, skel.motion_dim - 1))
+    with pytest.raises(DimensionMismatch):
+        mx.penetration_stats([(still_actor(skel, 3), still_actor(skel, 3)),
+                              (narrow, narrow)], skel, 0.02)
 
 
 # ---------------------------------------------------------------------------

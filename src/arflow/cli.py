@@ -45,6 +45,11 @@ EXIT_SCHEMA = 4
 EXIT_EMPTY = 5
 EXIT_NONFINITE_SAMPLE = 6
 
+# exit codes of the errors that are not configuration errors (exit 2); a
+# SchemaError is exit 4 from ``sample`` (model/data mismatch), 2 elsewhere
+_EXIT_CODES = ((NonFiniteLoss, EXIT_NONFINITE), (EmptyInput, EXIT_EMPTY),
+               (NonFiniteSample, EXIT_NONFINITE_SAMPLE))
+
 # most actors one batched ``arflow sample`` call drives at once
 SAMPLE_CHUNK = 64
 
@@ -126,12 +131,9 @@ def cmd_train(args) -> int:
     cond_vocab = 0 if args.unconditioned else len(dt.SCENARIOS)
     dataset = [(s.actor, s.reactor, None if args.unconditioned else s.label)
                for s in train_split]
-    counts = sorted({s[0].shape[0] for s in dataset})
-    if len(counts) > 1:
-        raise InvalidConfig(f"training records differ in frame count {counts}; "
-                            f"train needs one frame count")
-    h = counts[0]
-    pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=h,
+    # mdl.train rejects records of another frame count
+    pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim,
+                               max_frames=dataset[0][0].shape[0],
                                layers=args.layers, width=args.width,
                                heads=args.heads, causal=args.causal,
                                cond_vocab=cond_vocab,
@@ -165,25 +167,22 @@ def cmd_sample(args) -> int:
     phases = _Phases()
     if args.limit < 0:
         raise InvalidConfig(f"--limit must be >= 0, got {args.limit}")
+    # every load or model/data mismatch is a SchemaError: exit 4 for sample
     try:
         params = mdl.load_params(args.model)
         samples, skel = dt.load_samples(args.data)
-    except (OSError, InvalidConfig, SchemaError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
+    except (OSError, InvalidConfig) as err:
+        raise SchemaError(str(err)) from err
     phases.end("load")
     if not samples:
-        print("error: no samples to drive sampling", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError("no samples to drive sampling")
     if skel.motion_dim != params.config.frame_dim:
-        print(f"error: data dimension {skel.motion_dim} does not match model "
-              f"frame_dim {params.config.frame_dim}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError(f"data dimension {skel.motion_dim} does not match model "
+                          f"frame_dim {params.config.frame_dim}")
     frames = max(s.actor.shape[0] for s in samples)
     if frames > params.config.max_frames:
-        print(f"error: data has {frames} frames, model max_frames is "
-              f"{params.config.max_frames}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise SchemaError(f"data has {frames} frames, model max_frames is "
+                          f"{params.config.max_frames}")
 
     if args.split == "test":
         _, subset = dt.train_test_split(samples)
@@ -253,8 +252,7 @@ def cmd_eval(args) -> int:
     samples, skel = dt.load_samples(args.inputs)
     phases.end("load")
     if not samples:
-        print("error: empty evaluation input", file=sys.stderr)
-        return EXIT_EMPTY
+        raise EmptyInput("empty evaluation input")
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = set(wanted) - {"iv", "if", "fid", "div", "multimod"}
     if unknown:
@@ -283,8 +281,7 @@ def cmd_eval(args) -> int:
             ref_samples, ref_skel = dt.load_samples(args.ref)
             phases.end("load")
             if not ref_samples:
-                print("error: empty reference input", file=sys.stderr)
-                return EXIT_EMPTY
+                raise EmptyInput("empty reference input")
             ref_feats = mx.extract_features([s.reactor for s in ref_samples],
                                             extractor, ref_skel)
             report.fid = mx.fid(feats, ref_feats)
@@ -425,21 +422,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteLoss as err:
+    except (ArflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA if args.command == "sample" else EXIT_CONFIG
-    except EmptyInput as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_EMPTY
-    except NonFiniteSample as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONFINITE_SAMPLE
-    except (InvalidConfig, OSError, ArflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(err, SchemaError) and args.command == "sample":
+            return EXIT_SCHEMA
+        return next((code for cls, code in _EXIT_CODES if isinstance(err, cls)),
+                    EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -311,37 +311,6 @@ def train_test_split(samples: list[InteractionSample]
 
 
 # ---------------------------------------------------------------------------
-# Scenario response properties (construction guarantees, re-checkable)
-# ---------------------------------------------------------------------------
-
-def approach_direction(sample: InteractionSample) -> np.ndarray:
-    """Unit vector from the reactor's start toward the actor's start."""
-    a0 = sample.actor[0, -3:]
-    r0 = sample.reactor[0, -3:]
-    v = a0 - r0
-    return v / np.linalg.norm(v)
-
-
-def response_property(sample: InteractionSample, skel: geo.Skeleton) -> bool:
-    """Check the per-scenario reactor response on a generated sample."""
-    d = approach_direction(sample)
-    disp = sample.reactor[-1, -3:] - sample.reactor[0, -3:]
-    if sample.label == 0:       # push_retreat: move away from the actor
-        return float(disp @ d) < 0.0
-    if sample.label == 2:       # kick_dodge: move sideways, not along the line
-        e = np.array([-d[1], d[0], 0.0])
-        return abs(float(disp @ e)) > abs(float(disp @ d))
-    # wave_mirror: shoulder swing series of both bodies strongly correlated
-    jid = _pose_joints(skel)[_SHOULDER]
-    def shoulder_angle(motion):
-        rots = geo.rot6d_decode(motion[:, 6 * jid: 6 * jid + 6])
-        return np.arctan2(rots[:, 0, 2], rots[:, 0, 0])  # rotation about +y
-    a = shoulder_angle(sample.actor)
-    r = shoulder_angle(sample.reactor)
-    return float(np.corrcoef(a, r)[0, 1]) > 0.95
-
-
-# ---------------------------------------------------------------------------
 # Motion file I/O (line-delimited JSON; schema in README)
 # ---------------------------------------------------------------------------
 
@@ -366,28 +335,35 @@ def _person_record(skel: geo.Skeleton, motion: np.ndarray, fps: float) -> dict:
     }
 
 
-def _numbers(values, line: int) -> np.ndarray:
+def _numbers(values, line: int, has_bools: bool) -> np.ndarray:
     """``values`` as an array, rejected unless it holds JSON numbers only.
 
     One dtype-kind check over the whole array: strings, nulls and objects
-    give a non-numeric dtype instead of being parsed or coerced.
+    give a non-numeric dtype instead of being parsed or coerced.  numpy
+    promotes a boolean among numbers to a number, so when the record's
+    line holds a ``true`` or ``false`` (``has_bools``) the elements are
+    also checked one by one.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise SchemaError(f"non-numeric values (dtype {arr.dtype})", line=line)
+    if has_bools and any(type(v) is bool for v in np.asarray(values, dtype=object).flat):
+        raise SchemaError("boolean among numeric values", line=line)
     return arr
 
 
-def _person_motion(rec: dict, line: int) -> tuple[geo.Skeleton, np.ndarray]:
+def _person_motion(rec: dict, line: int,
+                   has_bools: bool) -> tuple[geo.Skeleton, np.ndarray]:
     try:
         sk = rec["skeleton"]
-        skel = geo.Skeleton(tuple(sk["parents"]), _numbers(sk["offsets"], line),
-                            _numbers(sk["radii"], line))
+        skel = geo.Skeleton(tuple(sk["parents"]),
+                            _numbers(sk["offsets"], line, has_bools),
+                            _numbers(sk["radii"], line, has_bools))
         frames = rec["frames"]
         h = len(frames)
         # one parse per field over all frames; ragged frames raise ValueError
         motion = np.concatenate([
-            _numbers([f[key] for f in frames], line).reshape(h, -1)
+            _numbers([f[key] for f in frames], line, has_bools).reshape(h, -1)
             for key in ("rot6d", "root_rot6d", "trans")], axis=1, dtype=np.float64)
     except (KeyError, TypeError, ValueError, InvalidConfig) as err:
         raise SchemaError(f"bad person record ({err})", line=line) from err
@@ -456,14 +432,19 @@ def load_samples(path: str) -> tuple[list[InteractionSample], geo.Skeleton | Non
             label = rec.get("label")
             if type(label) is not int:
                 raise SchemaError("missing or non-integer label", line=line_no)
+            seed = rec.get("seed", [])
+            if type(seed) is not list or any(type(v) is not int for v in seed):
+                raise SchemaError("seed is not a list of integers", line=line_no)
             try:
-                seed = tuple(rec.get("seed", ()))
                 actor_rec, reactor_rec = rec["actor"], rec["reactor"]
-            except (KeyError, TypeError) as err:
-                raise SchemaError(f"missing or malformed field ({err})",
+            except KeyError as err:
+                raise SchemaError(f"missing field ({err})",
                                   line=line_no) from err
-            skel_a, actor = _person_motion(actor_rec, line_no)
-            skel_b, reactor = _person_motion(reactor_rec, line_no)
+            # a valid record holds no JSON boolean: only a line with one
+            # pays for the per-element check
+            has_bools = b"true" in line or b"false" in line
+            skel_a, actor = _person_motion(actor_rec, line_no, has_bools)
+            skel_b, reactor = _person_motion(reactor_rec, line_no, has_bools)
             if skel is None:
                 skel = skel_a
             for cand in (skel_a, skel_b):
@@ -475,5 +456,5 @@ def load_samples(path: str) -> tuple[list[InteractionSample], geo.Skeleton | Non
             if actor.shape[0] != reactor.shape[0]:
                 raise SchemaError("actor and reactor frame counts differ",
                                   line=line_no)
-            samples.append(InteractionSample(actor, reactor, label, seed))
+            samples.append(InteractionSample(actor, reactor, label, tuple(seed)))
     return samples, skel

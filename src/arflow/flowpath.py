@@ -40,8 +40,9 @@ def _denom(t: float, sigma_min: float) -> float:
     return d
 
 
-def interpolate(x0: np.ndarray, x1: np.ndarray, t: float, sigma_min: float) -> np.ndarray:
-    """Point on the linear path at time t; t = 0 gives x0 exactly."""
+def interpolate(x0: np.ndarray, x1: np.ndarray, t, sigma_min: float) -> np.ndarray:
+    """Point on the linear path at time t; t = 0 gives x0 exactly.  ``t`` may
+    be per-sample times that broadcast against ``x0``."""
     x0, x1 = _check_pair(x0, x1)
     return t * x1 + (1.0 - (1.0 - sigma_min) * t) * x0
 
@@ -96,30 +97,32 @@ def fm_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 @dataclass
 class InteractionTargets:
-    """Constant side of the interaction loss for one (x0, gt_x1) pair.
+    """Constant side of the interaction loss, one row per frame.
 
-    Holds the actor FK/rotation/translation terms and the ground-truth
-    relative quantities so they are computed once per sample, not per
-    training step.  ``concat`` merges per-sample targets frame-wise so one
-    flattened prediction covers a whole batch.
+    Built once by :func:`interaction_targets` over any stack of frames (a
+    batch, or a whole training set); ``rows`` takes the frames of one
+    batch.  Positions and translations are stored re-based as
+    ``(gt - actor) + actor`` rather than as ``gt``: that sum rounds like
+    the relative target ``gt - actor`` with the actor added back, which
+    keeps trained models and loss histories bit-equal to the relative
+    form of the loss.
     """
 
-    a_pos: np.ndarray      # (H, K, 3)
-    a_rot_t: np.ndarray    # (H, K+1, 3, 3), transposed actor rotations
-    a_trans: np.ndarray    # (H, 3)
-    gt_pos: np.ndarray     # ground-truth-relative FK positions
-    gt_rot: np.ndarray     # ground-truth-relative rotation matrices
-    gt_trans: np.ndarray   # ground-truth-relative root translations
+    pos: np.ndarray        # (N, K, 3) ground-truth FK positions, re-based
+    rot: np.ndarray        # (N, K+1, 3, 3) ground truth times a_rot_t
+    trans: np.ndarray      # (N, 3) ground-truth root translations, re-based
+    a_rot_t: np.ndarray    # (N, K+1, 3, 3) transposed actor rotations
 
-    @staticmethod
-    def concat(targets: list["InteractionTargets"]) -> "InteractionTargets":
-        return InteractionTargets(*(np.concatenate([getattr(t, f) for t in targets])
-                                    for f in ("a_pos", "a_rot_t", "a_trans",
-                                              "gt_pos", "gt_rot", "gt_trans")))
+    def rows(self, idx: np.ndarray) -> "InteractionTargets":
+        return InteractionTargets(self.pos[idx], self.rot[idx], self.trans[idx],
+                                  self.a_rot_t[idx])
 
 
 def interaction_targets(skel: geo.Skeleton, x0: np.ndarray,
                         gt_x1: np.ndarray) -> InteractionTargets:
+    """Interaction-loss targets for the (N, D) frame rows of an actor ``x0``
+    and its ground-truth reaction ``gt_x1``.  Every term is per frame, so a
+    frame's row does not depend on the other frames of the stack."""
     k = skel.joint_count
     h = x0.shape[0]
 
@@ -131,13 +134,13 @@ def interaction_targets(skel: geo.Skeleton, x0: np.ndarray,
     a_pos, a_rot, a_trans = parts(np.asarray(x0, dtype=np.float64))
     g_pos, g_rot, g_trans = parts(np.asarray(gt_x1, dtype=np.float64))
     a_rot_t = np.swapaxes(a_rot, -1, -2)
-    return InteractionTargets(a_pos, a_rot_t, a_trans, g_pos - a_pos,
-                              g_rot @ a_rot_t, g_trans - a_trans)
+    return InteractionTargets((g_pos - a_pos) + a_pos, g_rot @ a_rot_t,
+                              (g_trans - a_trans) + a_trans, a_rot_t)
 
 
-def interaction_loss(pred_x1: np.ndarray, gt_x1: np.ndarray, x0: np.ndarray,
-                     skel: geo.Skeleton) -> float:
-    """Interaction loss between predicted and ground-truth reactions.
+def interaction_loss_t(pred_x1: ad.Tensor, targets: InteractionTargets,
+                       skel: geo.Skeleton) -> ad.Tensor:
+    """Interaction loss of predicted reaction frames, on the tape.
 
     Three terms, each (1/H) * sum of squared differences between the
     ground-truth-relative and prediction-relative quantities against the
@@ -145,30 +148,11 @@ def interaction_loss(pred_x1: np.ndarray, gt_x1: np.ndarray, x0: np.ndarray,
     (all K joint rotations plus the root orientation, each times the
     transposed actor matrix), and root translations.
     """
-    pred_x1, gt_x1 = _check_pair(pred_x1, gt_x1)
-    _check_pair(pred_x1, x0)
     h = pred_x1.shape[0]
     k = skel.joint_count
-    t = interaction_targets(skel, x0, gt_x1)
-    pos = geo.motion_joint_positions(skel, pred_x1)
-    rot = geo.rot6d_decode(pred_x1[:, :6 * (k + 1)].reshape(h, k + 1, 6))
-    loss = (np.sum((t.gt_pos - (pos - t.a_pos)) ** 2)
-            + np.sum((t.gt_rot - rot @ t.a_rot_t) ** 2)
-            + np.sum((t.gt_trans - (pred_x1[:, 6 * (k + 1):] - t.a_trans)) ** 2))
-    return float(loss / h)
-
-
-def interaction_loss_t(pred_x1: ad.Tensor, gt_x1: np.ndarray, x0: np.ndarray,
-                       skel: geo.Skeleton,
-                       targets: InteractionTargets | None = None) -> ad.Tensor:
-    """Tape variant of :func:`interaction_loss`, differentiable in pred_x1."""
-    h = pred_x1.shape[0]
-    k = skel.joint_count
-    t = targets if targets is not None else interaction_targets(skel, x0, gt_x1)
-
     pos, rot = geo.fk_positions_t(skel, pred_x1)
-    d_pos = ad.constant(t.gt_pos + t.a_pos) - pos
-    d_rot = ad.constant(t.gt_rot) - rot @ ad.constant(t.a_rot_t)
-    d_trans = ad.constant(t.gt_trans + t.a_trans) - pred_x1[:, 6 * (k + 1):]
+    d_pos = ad.constant(targets.pos) - pos
+    d_rot = ad.constant(targets.rot) - rot @ ad.constant(targets.a_rot_t)
+    d_trans = ad.constant(targets.trans) - pred_x1[:, 6 * (k + 1):]
     total = (d_pos * d_pos).sum() + (d_rot * d_rot).sum() + (d_trans * d_trans).sum()
     return total * (1.0 / h)

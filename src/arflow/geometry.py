@@ -390,8 +390,7 @@ def _inside(points: np.ndarray, body: CapsuleSet, c: int) -> np.ndarray:
     return inside
 
 
-def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float,
-                                max_voxels: int = MAX_VOXELS) -> float:
+def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float) -> float:
     """Intersection volume of two bodies on their shared grid (cubic meters).
 
     The grid is the union of both bodies' boxes padded by one voxel, and a
@@ -402,7 +401,8 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float,
     ``b`` on the centers ``a`` occupies, again only inside its padded box.
     Every tested center gets the same coordinates and the same per-capsule
     arithmetic as on the full grid, so the result equals the full-grid
-    count bit for bit.
+    count bit for bit.  Raises ``GridTooLarge`` when the overlap window
+    holds more than ``MAX_VOXELS`` voxels.
     """
     check_voxel_size(voxel_size)
     lo_a, hi_a = a.aabb()
@@ -417,7 +417,7 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float,
     i_hi = np.minimum(np.ceil((hi_i - origin) / voxel_size).astype(int), dims)
     if np.any(i_lo >= i_hi):
         return 0.0
-    if int(np.prod(i_hi - i_lo)) > max_voxels:
+    if int(np.prod(i_hi - i_lo)) > MAX_VOXELS:
         raise GridTooLarge("overlap window exceeds the voxel cap")
     axes = [origin[i] + (np.arange(i_lo[i], i_hi[i], dtype=np.float64) + 0.5) * voxel_size
             for i in range(3)]

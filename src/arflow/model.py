@@ -312,21 +312,23 @@ def as_x1_predictor(params: PredictorParams, sigma_min: float):
 def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
                 skel: geo.Skeleton, cfg: TrainConfig, ts: np.ndarray,
                 conds: list[int | None],
-                targets: list[fp.InteractionTargets] | None = None):
+                targets: fp.InteractionTargets | None = None):
     """Training loss on the tape: ``(total, fm, inter value)``.
 
     Shared by :func:`grad_loss` and :func:`loss_value`, so the gradient
-    checks differentiate exactly the forward they check.
+    checks differentiate exactly the forward they check.  ``targets`` holds
+    the interaction targets of the batch's b*h frames in order; without
+    it they are built here with the same one call.
     """
     rows = _cond_rows(pcfg, conds)
     b = len(batch)
     x0 = np.stack([np.asarray(s[0], dtype=np.float64) for s in batch])
     x1 = np.stack([np.asarray(s[1], dtype=np.float64) for s in batch])
     h = x0.shape[1]
-    x_t = np.stack([fp.interpolate(x0[i], x1[i], float(ts[i]), cfg.sigma_min)
-                    for i in range(b)])
+    ts = np.asarray(ts, dtype=np.float64)
+    x_t = fp.interpolate(x0, x1, ts[:, None, None], cfg.sigma_min)
 
-    hidden = _forward(tensors, pcfg, x_t, np.asarray(ts, dtype=np.float64), rows)
+    hidden = _forward(tensors, pcfg, x_t, ts, rows)
     raw = (hidden.reshape(b * h, pcfg.width) @ tensors["out_proj_w"]
            + tensors["out_proj_b"]).reshape(b, h, pcfg.frame_dim)
 
@@ -334,9 +336,8 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
         target = x1
         x1_hat = raw
     else:
-        target = np.stack([fp.target_velocity(x0[i], x1[i], cfg.sigma_min)
-                           for i in range(b)])
-        x1_hat = fp.x1_from_v_t(raw, ad.constant(x_t), np.asarray(ts)[:, None, None],
+        target = fp.target_velocity(x0, x1, cfg.sigma_min)
+        x1_hat = fp.x1_from_v_t(raw, ad.constant(x_t), ts[:, None, None],
                                 cfg.sigma_min)
 
     diff = raw - ad.constant(target)
@@ -347,11 +348,11 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
     if cfg.lambda_inter != 0.0:
         # flattening the batch into b*h frames makes the 1/(b*h) inside the
         # interaction loss exactly the batch mean of per-sample losses
-        flat_pred = x1_hat.reshape(b * h, pcfg.frame_dim)
-        merged = fp.InteractionTargets.concat(targets) if targets else None
-        loss_inter = fp.interaction_loss_t(
-            flat_pred, x1.reshape(b * h, -1), x0.reshape(b * h, -1), skel,
-            targets=merged)
+        if targets is None:
+            targets = fp.interaction_targets(skel, x0.reshape(b * h, -1),
+                                             x1.reshape(b * h, -1))
+        loss_inter = fp.interaction_loss_t(x1_hat.reshape(b * h, pcfg.frame_dim),
+                                           targets, skel)
         inter_val = float(loss_inter.data)
         loss = loss + loss_inter * cfg.lambda_inter
     return loss, loss_fm, inter_val
@@ -361,13 +362,14 @@ def grad_loss(params: PredictorParams, batch, skel: geo.Skeleton,
               cfg: TrainConfig, *, ts: np.ndarray | None = None,
               conds: list[int | None] | None = None,
               rng: np.random.Generator | None = None,
-              targets: list[fp.InteractionTargets] | None = None):
+              targets: fp.InteractionTargets | None = None):
     """Loss and parameter gradients on a batch of (x0, x1, c) triples.
 
     ``ts``/``conds`` override the per-sample flow times and condition ids;
     otherwise they are drawn from ``rng`` (times from the uniform t_grid,
     conditions from the batch with classifier-free dropout).  ``targets``
-    optionally carries per-sample precomputed interaction constants.
+    optionally carries the batch's precomputed interaction targets, one
+    row per frame, sample after sample.
     Returns ``(total, fm, inter, grads)`` with grads keyed like
     ``params.arrays``.
     """
@@ -411,9 +413,8 @@ def loss_value(params: PredictorParams, batch, skel: geo.Skeleton,
 # ---------------------------------------------------------------------------
 
 def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
-          train_cfg: TrainConfig, *, init_seed: int | None = None,
-          log_every: int = 0):
-    """Train a predictor on (x0, x1, c) triples.
+          train_cfg: TrainConfig, *, log_every: int = 0):
+    """Train a predictor on (x0, x1, c) triples of one frame count.
 
     Returns ``(params, history)`` where history has one
     ``(fm, inter, total)`` row per step.  Bit-reproducible for a fixed
@@ -421,25 +422,32 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     """
     if len(dataset) == 0:
         raise InvalidConfig("dataset must be non-empty")
+    counts = sorted({len(s[i]) for s in dataset for i in (0, 1)})
+    if len(counts) > 1:
+        raise InvalidConfig(f"training records differ in frame count {counts}; "
+                            f"train needs one frame count")
     rng = np.random.default_rng(train_cfg.seed)
-    params = init_params(predictor_cfg,
-                         train_cfg.seed if init_seed is None else init_seed)
+    params = init_params(predictor_cfg, train_cfg.seed)
 
     m = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     v = {k: np.zeros_like(a) for k, a in params.arrays.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = train_cfg.learning_rate
 
-    target_cache = None
+    n, h = len(dataset), counts[0]
+    table = None
     if train_cfg.lambda_inter != 0.0:
-        target_cache = [fp.interaction_targets(skel, s[0], s[1]) for s in dataset]
+        # one call over all n*h frames; a batch takes its frames' rows
+        table = fp.interaction_targets(skel, *(
+            np.stack([np.asarray(s[i], dtype=np.float64) for s in dataset])
+            .reshape(n * h, -1) for i in (0, 1)))
 
     history: list[tuple[float, float, float]] = []
-    n = len(dataset)
     for step in range(train_cfg.steps):
         idx = rng.integers(0, n, size=train_cfg.batch_size)
         batch = [dataset[i] for i in idx]
-        targets = [target_cache[i] for i in idx] if target_cache else None
+        targets = (None if table is None
+                   else table.rows((idx[:, None] * h + np.arange(h)).ravel()))
         try:
             total, fm, inter, grads = grad_loss(params, batch, skel, train_cfg,
                                                 rng=rng, targets=targets)

@@ -1,0 +1,67 @@
+"""Numpy test oracles kept out of the package.
+
+``interaction_loss`` recomputes the training interaction loss from FK
+directly, independently of ``flowpath.interaction_targets`` and the tape;
+``response_property`` re-checks the reactor response each scripted
+scenario is built to show.
+"""
+
+import numpy as np
+
+from arflow import geometry as geo
+from arflow.data import _SHOULDER, _pose_joints
+
+
+def _parts(skel, motion):
+    h, k = motion.shape[0], skel.joint_count
+    rot = geo.rot6d_decode(motion[:, :6 * (k + 1)].reshape(h, k + 1, 6))
+    return geo.motion_joint_positions(skel, motion), rot, motion[:, 6 * (k + 1):]
+
+
+def interaction_loss(pred_x1, gt_x1, x0, skel):
+    """Interaction loss between predicted and ground-truth reactions.
+
+    Three terms, each (1/H) * sum of squared differences between the
+    ground-truth-relative and prediction-relative quantities against the
+    same actor: per-joint FK positions, per-slot relative rotation matrices
+    (all K joint rotations plus the root orientation, each times the
+    transposed actor matrix), and root translations.
+    """
+    pred_x1, gt_x1, x0 = (np.asarray(x, dtype=np.float64) for x in (pred_x1, gt_x1, x0))
+    assert pred_x1.shape == gt_x1.shape == x0.shape
+    a_pos, a_rot, a_trans = _parts(skel, x0)
+    g_pos, g_rot, g_trans = _parts(skel, gt_x1)
+    p_pos, p_rot, p_trans = _parts(skel, pred_x1)
+    a_rot_t = np.swapaxes(a_rot, -1, -2)
+    loss = (np.sum(((g_pos - a_pos) - (p_pos - a_pos)) ** 2)
+            + np.sum((g_rot @ a_rot_t - p_rot @ a_rot_t) ** 2)
+            + np.sum(((g_trans - a_trans) - (p_trans - a_trans)) ** 2))
+    return float(loss / pred_x1.shape[0])
+
+
+def approach_direction(sample):
+    """Unit vector from the reactor's start toward the actor's start."""
+    a0 = sample.actor[0, -3:]
+    r0 = sample.reactor[0, -3:]
+    v = a0 - r0
+    return v / np.linalg.norm(v)
+
+
+def response_property(sample, skel):
+    """Check the per-scenario reactor response on a generated sample."""
+    d = approach_direction(sample)
+    disp = sample.reactor[-1, -3:] - sample.reactor[0, -3:]
+    if sample.label == 0:       # push_retreat: move away from the actor
+        return float(disp @ d) < 0.0
+    if sample.label == 2:       # kick_dodge: move sideways, not along the line
+        e = np.array([-d[1], d[0], 0.0])
+        return abs(float(disp @ e)) > abs(float(disp @ d))
+    # wave_mirror: shoulder swing series of both bodies strongly correlated
+    jid = _pose_joints(skel)[_SHOULDER]
+
+    def shoulder_angle(motion):
+        rots = geo.rot6d_decode(motion[:, 6 * jid: 6 * jid + 6])
+        return np.arctan2(rots[:, 0, 2], rots[:, 0, 0])  # rotation about +y
+    a = shoulder_angle(sample.actor)
+    r = shoulder_angle(sample.reactor)
+    return float(np.corrcoef(a, r)[0, 1]) > 0.95

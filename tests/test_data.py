@@ -8,6 +8,8 @@ from arflow import geometry as geo
 from arflow import metrics as mx
 from arflow.errors import InvalidConfig, SchemaError
 
+from oracles import response_property
+
 
 def test_scenario_config_validation():
     with pytest.raises(InvalidConfig):
@@ -58,7 +60,7 @@ def test_response_property_holds_everywhere(scenario):
     cfg = dt.ScenarioConfig(scenario, frames=12, seed=7, contact_fraction=0.5)
     skel = dt.default_skeleton(cfg.joints)
     samples = dt.generate_dataset(cfg, 40)
-    assert all(dt.response_property(s, skel) for s in samples)
+    assert all(response_property(s, skel) for s in samples)
 
 
 def test_zero_contact_fraction_never_intersects():
@@ -142,15 +144,45 @@ def test_missing_field_raises_schema_error(tmp_path):
     assert err.value.line == 1
 
 
-def test_ragged_rot6d_frames_raise_schema_error(tmp_path):
-    samples = dt.generate_mixed(3, frames=4, seed=13)
+def _edit_second_record(tmp_path, edit):
     path = tmp_path / "motions.jsonl"
-    dt.save_samples(str(path), samples, dt.default_skeleton())
+    dt.save_samples(str(path), dt.generate_mixed(3, frames=4, seed=13),
+                    dt.default_skeleton())
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
-    rec["reactor"]["frames"][2]["rot6d"] = rec["reactor"]["frames"][2]["rot6d"][:-1]
+    edit(rec)
     lines[1] = json.dumps(rec)
-    (tmp_path / "ragged.jsonl").write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_ragged_rot6d_frames_raise_schema_error(tmp_path):
+    def edit(rec):
+        frame = rec["reactor"]["frames"][2]
+        frame["rot6d"] = frame["rot6d"][:-1]
+    path = _edit_second_record(tmp_path, edit)
     with pytest.raises(SchemaError) as err:
-        dt.load_samples(str(tmp_path / "ragged.jsonl"))
+        dt.load_samples(str(path))
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("seed", ["abc", [1.5, None], [1, True], {"a": 1}])
+def test_seed_not_a_list_of_integers_raises_schema_error(tmp_path, seed):
+    path = _edit_second_record(tmp_path, lambda rec: rec.update(seed=seed))
+    with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(path))
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("field", ["trans", "root_rot6d", "rot6d"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_among_numbers_raises_schema_error(tmp_path, field, value):
+    def edit(rec):
+        values = rec["reactor"]["frames"][2][field]
+        if field == "rot6d":
+            values = values[1]
+        values[1] = value
+    path = _edit_second_record(tmp_path, edit)
+    with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(path))
     assert err.value.line == 2

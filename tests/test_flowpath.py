@@ -6,6 +6,7 @@ from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow.errors import ShapeMismatch, SingularTime
 
+from oracles import interaction_loss
 from test_geometry import chain_skeleton, pose_row, random_rotation
 
 
@@ -171,10 +172,10 @@ def test_interaction_loss_zero_on_equal():
     skel = chain_skeleton(3)
     x0 = random_motion(rng, skel)
     gt = random_motion(rng, skel)
-    assert fp.interaction_loss(gt, gt, x0, skel) == 0.0
+    assert interaction_loss(gt, gt, x0, skel) == 0.0
     # invariance of the zero under a different actor
     other = random_motion(rng, skel)
-    assert fp.interaction_loss(gt, gt, other, skel) == 0.0
+    assert interaction_loss(gt, gt, other, skel) == 0.0
 
 
 def test_interaction_loss_pure_translation():
@@ -187,7 +188,7 @@ def test_interaction_loss_pure_translation():
     pred[:, -3:] += v
     k = skel.joint_count
     expected = (k + 1) * float(v @ v)  # K joints shift + root translation term
-    assert fp.interaction_loss(pred, gt, x0, skel) == pytest.approx(expected, rel=1e-12)
+    assert interaction_loss(pred, gt, x0, skel) == pytest.approx(expected, rel=1e-12)
 
 
 def test_interaction_loss_tape_matches_and_differentiates():
@@ -197,8 +198,8 @@ def test_interaction_loss_tape_matches_and_differentiates():
     gt = random_motion(rng, skel)
     pred = random_motion(rng, skel)
     leaf = ad.leaf(pred)
-    loss_t = fp.interaction_loss_t(leaf, gt, x0, skel)
-    assert loss_t.data == pytest.approx(fp.interaction_loss(pred, gt, x0, skel),
+    loss_t = fp.interaction_loss_t(leaf, fp.interaction_targets(skel, x0, gt), skel)
+    assert loss_t.data == pytest.approx(interaction_loss(pred, gt, x0, skel),
                                         rel=1e-10)
     loss_t.backward()
     # central finite differences on a few coordinates
@@ -207,10 +208,25 @@ def test_interaction_loss_tape_matches_and_differentiates():
     for idx in rng.choice(flat.size, size=8, replace=False):
         orig = flat[idx]
         flat[idx] = orig + h
-        hi = fp.interaction_loss(pred, gt, x0, skel)
+        hi = interaction_loss(pred, gt, x0, skel)
         flat[idx] = orig - h
-        lo = fp.interaction_loss(pred, gt, x0, skel)
+        lo = interaction_loss(pred, gt, x0, skel)
         flat[idx] = orig
         fd = (hi - lo) / (2 * h)
         got = leaf.grad.reshape(-1)[idx]
         assert abs(fd - got) / max(abs(fd), 1e-8) < 1e-4
+
+
+def test_interaction_targets_of_a_frame_stack_equal_per_sample_calls():
+    rng = np.random.default_rng(16)
+    skel = chain_skeleton(4)
+    pairs = [(random_motion(rng, skel, 5), random_motion(rng, skel, 5))
+             for _ in range(6)]
+    table = fp.interaction_targets(skel, np.concatenate([p[0] for p in pairs]),
+                                   np.concatenate([p[1] for p in pairs]))
+    rows = np.array([4, 1, 4])  # repeats, out of order, as a batch draws them
+    got = table.rows((rows[:, None] * 5 + np.arange(5)).ravel())
+    want = [fp.interaction_targets(skel, *pairs[i]) for i in rows]
+    for field in ("pos", "rot", "trans", "a_rot_t"):
+        stacked = np.concatenate([getattr(w, field) for w in want])
+        assert getattr(got, field).tobytes() == stacked.tobytes(), field

@@ -542,6 +542,17 @@ def test_intersection_volume_counts_no_center_on_a_surface():
     assert geo.capsule_intersection_volume(capsule, sphere, vs) == inside
 
 
+def test_intersection_volume_grid_too_large(monkeypatch):
+    body = one_capsule()
+    far = one_capsule(a=(5, 0, 0), b=(6, 0, 0))
+    assert geo.capsule_intersection_volume(body, body, 0.05) > 0.0
+    monkeypatch.setattr(geo, "MAX_VOXELS", 383)  # the overlap window holds 384
+    with pytest.raises(GridTooLarge):
+        geo.capsule_intersection_volume(body, body, 0.05)
+    # disjoint boxes exit before the cap is consulted
+    assert geo.capsule_intersection_volume(body, far, 0.05) == 0.0
+
+
 @pytest.mark.parametrize("voxel_size", [0.0, -0.02, float("nan"), float("inf")])
 def test_intersection_volume_rejects_bad_voxel_size(voxel_size):
     body = one_capsule()

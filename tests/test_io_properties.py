@@ -3,8 +3,9 @@
 ``save_samples`` followed by ``load_samples`` returns finite motions bit
 for bit, and a valid file with one record damaged raises ``SchemaError``
 carrying that record's line number, never another exception.  Damage
-includes values that Python would coerce: a float or boolean label or
-version, and numbers written as strings.
+includes values that Python or numpy would coerce: a float or boolean
+label or version, numbers written as strings, a boolean among numbers,
+and a seed that is not a list of integers.
 """
 
 import copy
@@ -90,7 +91,8 @@ def _parent(rec, path):
 def _damage(draw, rec):
     """One damaged copy of a valid record, as the text of its line."""
     kind = draw(st.sampled_from(["not-object", "missing", "wrong-type",
-                                 "bad-parent", "ragged", "non-finite", "coercible"]))
+                                 "bad-parent", "ragged", "non-finite", "coercible",
+                                 "boolean", "seed"]))
     if kind == "not-object":
         return draw(st.sampled_from(["[1, 2]", "3", '"text"', "null", "true", "[]"]))
     rec = copy.deepcopy(rec)
@@ -128,6 +130,13 @@ def _damage(draw, rec):
             values = _numbers(draw, rec, person, frame)
             i = draw(st.integers(0, len(values) - 1))
             values[i] = str(values[i])
+    elif kind == "boolean":
+        # numpy would promote it to 1.0 or 0.0 among the numbers
+        values = _numbers(draw, rec, person, frame)
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.booleans())
+    elif kind == "seed":
+        rec["seed"] = draw(st.sampled_from(["abc", [1.5, None], [1, True], ["1"],
+                                            7, None, {"a": 1}]))
     else:
         values = _numbers(draw, rec, person, frame)
         values[draw(st.integers(0, len(values) - 1))] = draw(

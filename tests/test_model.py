@@ -166,6 +166,28 @@ def test_lambda_zero_reduces_to_fm_gradient():
         assert np.array_equal(g0[k], g1[k])
 
 
+@pytest.mark.parametrize("mode", ["x1", "v"])
+def test_grad_loss_with_table_rows_equals_no_targets(mode):
+    rng = np.random.default_rng(13)
+    skel = chain_skeleton(3)
+    cfg = tiny_config(skel, prediction_mode=mode)
+    params = mdl.init_params(cfg, seed=9)
+    tcfg = mdl.TrainConfig(steps=1, batch_size=3, seed=0)
+    data = tiny_batch(rng, skel, n=5)
+    table = fp.interaction_targets(skel, np.concatenate([s[0] for s in data]),
+                                   np.concatenate([s[1] for s in data]))
+    idx = np.array([3, 0, 3])
+    batch = [data[i] for i in idx]
+    kw = dict(ts=np.array([0.1, 0.5, 0.85]), conds=[0, None, 1])
+    got = mdl.grad_loss(params, batch, skel, tcfg,
+                        targets=table.rows((idx[:, None] * 3 + np.arange(3)).ravel()),
+                        **kw)
+    want = mdl.grad_loss(params, batch, skel, tcfg, **kw)
+    assert got[:3] == want[:3] and want[2] > 0.0
+    for k in want[3]:
+        assert got[3][k].tobytes() == want[3][k].tobytes(), k
+
+
 def test_cond_dropout_prob_one_hides_labels():
     rng_a = np.random.default_rng(42)
     rng_b = np.random.default_rng(42)
@@ -213,6 +235,15 @@ def test_train_memorizes_singleton():
     params, history = mdl.train([(x0, x1, None)], skel, cfg, tcfg)
     assert len(history) == tcfg.steps
     assert min(h[0] for h in history) < 1e-3
+
+
+def test_train_rejects_mixed_frame_counts():
+    rng = np.random.default_rng(12)
+    skel = chain_skeleton(2)
+    data = tiny_batch(rng, skel, n=3, h=3) + tiny_batch(rng, skel, n=2, h=2)
+    tcfg = mdl.TrainConfig(steps=2, batch_size=2, lambda_inter=0.0, seed=0)
+    with pytest.raises(InvalidConfig, match=r"\[2, 3\]"):
+        mdl.train(data, skel, tiny_config(skel), tcfg)
 
 
 def test_train_seed_determinism():

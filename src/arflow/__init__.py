@@ -17,7 +17,6 @@ from .data import (  # noqa: E402
     InteractionSample,
     ScenarioConfig,
     default_skeleton,
-    generate_dataset,
     generate_mixed,
     load_samples,
     save_samples,
@@ -26,22 +25,21 @@ from .data import (  # noqa: E402
 from .geometry import (  # noqa: E402
     CapsuleSet,
     Skeleton,
-    body_sdf,
-    body_sdf_gradient,
     motion_capsules,
     motion_joint_positions,
     rot6d_decode,
     rot6d_encode,
+    sdf_and_gradient,
 )
 from .metrics import (  # noqa: E402
     FeatureExtractor,
     MetricReport,
+    PenetrationStats,
     diversity,
     extract_features,
     fid,
-    intersection_frequency,
-    intersection_volume,
     multimodality,
+    penetration_stats,
 )
 from .model import (  # noqa: E402
     PredictorConfig,

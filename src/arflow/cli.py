@@ -207,19 +207,14 @@ def cmd_sample(args) -> int:
     # one batched sample call per chunk of equal-length actors; a sample's
     # stream index is its position in the subset, so its output does not
     # depend on how the subset is grouped and chunked
-    by_frames: dict[int, list[int]] = {}
-    for index, s in enumerate(subset):
-        by_frames.setdefault(s.actor.shape[0], []).append(index)
     reactions: list[np.ndarray | None] = [None] * len(subset)
-    for group in by_frames.values():
-        for start in range(0, len(group), SAMPLE_CHUNK):
-            chunk = group[start:start + SAMPLE_CHUNK]
-            actors = np.stack([subset[i].actor for i in chunk])
-            ctx = smp.GuidanceContext.from_actor(skel, actors) if guided else None
-            c = [subset[i].label for i in chunk] if args.cond == "label" else None
-            out = smp.sample(predictor, actors, cfg, c, ctx, sample_index=chunk)
-            for i, reaction in zip(chunk, out):
-                reactions[i] = reaction
+    for chunk in dt.equal_shape_chunks([s.actor for s in subset], SAMPLE_CHUNK):
+        actors = np.stack([subset[i].actor for i in chunk])
+        ctx = smp.GuidanceContext.from_actor(skel, actors) if guided else None
+        c = [subset[i].label for i in chunk] if args.cond == "label" else None
+        out = smp.sample(predictor, actors, cfg, c, ctx, sample_index=chunk)
+        for i, reaction in zip(chunk, out):
+            reactions[i] = reaction
     out_samples = [dt.InteractionSample(s.actor, r, s.label, s.seed_used)
                    for s, r in zip(subset, reactions)]
     phases.end("compute")
@@ -261,12 +256,12 @@ def cmd_eval(args) -> int:
     report = mx.MetricReport(n_total=len(samples))
     pairs = [(s.actor, s.reactor) for s in samples]
     if "iv" in wanted or "if" in wanted:
-        vol, f_pene, f_total, _ = mx.penetration_stats(pairs, skel, args.voxel)
-        report.f_total, report.f_pene = f_total, f_pene
+        stats = mx.penetration_stats(pairs, skel, args.voxel)
+        report.f_total, report.f_pene = stats.f_total, stats.f_pene
         if "iv" in wanted:
-            report.iv_cm3 = vol / f_total * mx.M3_TO_CM3
+            report.iv_cm3 = stats.iv_cm3
         if "if" in wanted:
-            report.if_frac = f_pene / f_total
+            report.if_frac = stats.if_frac
     else:
         report.f_total = sum(s.reactor.shape[0] for s in samples)
 
@@ -361,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--lambda-inter", type=float, default=1.0)
-    p.add_argument("--sigma-min", type=float, default=1e-4)
+    p.add_argument("--sigma-min", type=float, default=fp.SIGMA_MIN_DEFAULT)
     p.add_argument("--t-grid", type=int, default=1000)
     p.add_argument("--cond-dropout", type=float, default=0.1)
     p.add_argument("--layers", type=int, default=2)
@@ -375,23 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
+    sdef = smp.SamplerConfig()
     p = sub.add_parser("sample", help="sample reactions for a dataset's actors")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=("test", "train", "all"), default="test")
     p.add_argument("--limit", type=int, default=0)
-    p.add_argument("--guidance", choices=smp.GUIDANCE_MODES, default="none")
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--lambda-pene", type=float, default=2.0)
-    p.add_argument("--zeta", type=float, default=0.5)
-    p.add_argument("--w", type=float, default=0.7)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--mode", choices=("x1", "v"), default="x1")
+    p.add_argument("--guidance", choices=smp.GUIDANCE_MODES, default=sdef.guidance)
+    p.add_argument("--steps", type=int, default=sdef.steps)
+    p.add_argument("--lambda-pene", type=float, default=sdef.lambda_pene)
+    p.add_argument("--zeta", type=float, default=sdef.zeta)
+    p.add_argument("--w", type=float, default=sdef.w)
+    p.add_argument("--beta", type=float, default=sdef.beta)
+    p.add_argument("--mode", choices=("x1", "v"), default=sdef.mode)
     p.add_argument("--cond", choices=("none", "label"), default="none")
     p.add_argument("--sigma-min", type=float, default=None,
                    help="defaults to the model's training value")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=sdef.seed)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="evaluate a motion file")

@@ -265,42 +265,36 @@ _SCRIPTS = {"push_retreat": _push_retreat,
             "kick_dodge": _kick_dodge}
 
 
-def generate_dataset(cfg: ScenarioConfig, count: int) -> list[InteractionSample]:
-    """Seeded samples of one scenario; sample i only depends on (seed, label, i)."""
-    if count < 1:
-        raise InvalidConfig("count must be >= 1")
-    label = SCENARIOS.index(cfg.scenario)
-    script = _SCRIPTS[cfg.scenario]
-    samples = []
-    for i in range(count):
-        rng = np.random.default_rng((cfg.seed, label, i))
-        actor, reactor = script(cfg, rng)
-        samples.append(InteractionSample(actor, reactor, label,
-                                         (cfg.seed, label, i)))
-    return samples
-
-
 def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
                    joints: int = DEFAULT_JOINTS, noise: float = 0.02,
                    contact_fraction: float = 0.5, seed: int = 0,
                    scenario: str = "all") -> list[InteractionSample]:
-    """Round-robin over the scenarios (or a single one when named)."""
+    """Seeded samples round-robin over the scenarios, or of the one named.
+
+    Each sample only depends on its key ``(seed, label, index within label)``.
+    """
     if count < 1:
         raise InvalidConfig("count must be >= 1")
-    if scenario != "all":
-        cfg = ScenarioConfig(scenario, frames, joints, noise, contact_fraction, seed)
-        return generate_dataset(cfg, count)
+    names = SCENARIOS if scenario == "all" else (scenario,)
     cfgs = [ScenarioConfig(s, frames, joints, noise, contact_fraction, seed)
-            for s in SCENARIOS]
+            for s in names]
     samples = []
     for i in range(count):
-        cfg = cfgs[i % len(SCENARIOS)]
-        sub = i // len(SCENARIOS)
-        rng = np.random.default_rng((seed, i % len(SCENARIOS), sub))
-        actor, reactor = _SCRIPTS[cfg.scenario](cfg, rng)
-        samples.append(InteractionSample(actor, reactor, i % len(SCENARIOS),
-                                         (seed, i % len(SCENARIOS), sub)))
+        cfg = cfgs[i % len(cfgs)]
+        key = (seed, SCENARIOS.index(cfg.scenario), i // len(cfgs))
+        actor, reactor = _SCRIPTS[cfg.scenario](cfg, np.random.default_rng(key))
+        samples.append(InteractionSample(actor, reactor, key[1], key))
     return samples
+
+
+def equal_shape_chunks(arrays, size: int) -> list[list[int]]:
+    """Indices of ``arrays`` grouped by shape, groups in order of first
+    appearance, cut into chunks of at most ``size`` indices in input order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(np.shape(a), []).append(i)
+    return [g[start:start + size] for g in groups.values()
+            for start in range(0, len(g), size)]
 
 
 def train_test_split(samples: list[InteractionSample]

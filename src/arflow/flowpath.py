@@ -89,12 +89,6 @@ def x0_hat_expanded(x1_hat: np.ndarray, x_t: np.ndarray, t: float,
     return x1_hat + (x_t - (1.0 + sigma_min * t) * x1_hat) / _denom(t, sigma_min)
 
 
-def fm_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over all entries."""
-    pred, target = _check_pair(pred, target)
-    return float(np.mean((pred - target) ** 2))
-
-
 @dataclass
 class InteractionTargets:
     """Constant side of the interaction loss, one row per frame.

@@ -288,12 +288,6 @@ def _capsule_sdfs(points: np.ndarray, body: CapsuleSet,
     return dist - body.radius[which][None, :]
 
 
-def body_sdf(p: np.ndarray, body: CapsuleSet) -> float:
-    """Signed distance from a point to the body surface (negative inside)."""
-    p = np.asarray(p, dtype=np.float64).reshape(1, 3)
-    return float(_capsule_sdfs(p, body).min())
-
-
 def _tie_direction(d: np.ndarray) -> np.ndarray:
     # Deterministic fallback for a point on a capsule axis ``d``: +x
     # projected perpendicular to the axis (then +y when the axis is along x).
@@ -309,24 +303,17 @@ def _tie_direction(d: np.ndarray) -> np.ndarray:
     return np.array([1.0, 0.0, 0.0])
 
 
-def body_sdf_gradient(p: np.ndarray, body: CapsuleSet) -> np.ndarray:
-    """Unit gradient of :func:`body_sdf` at ``p``.
-
-    Points from the nearest axis point toward ``p``.  On the measure-zero
-    tie set (point on an axis, or equidistant capsules) the first capsule
-    in index order wins and a fixed perpendicular direction is returned.
-    """
-    sdf, grad = sdf_and_gradient(np.asarray(p, dtype=np.float64).reshape(1, 3), body)
-    return grad[0]
-
-
 def sdf_and_gradient(points: np.ndarray, body: CapsuleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized SDF value and unit gradient at many points.
+    """Signed distance to the body surface (negative inside) and its unit
+    gradient, at many points.
 
     A single body takes any points reshaped to (N, 3) and returns (N,),
     (N, 3).  Per-frame bodies (``body.seg_a`` of shape (F, C, 3)) take
     (F, N, 3) points, frame f measured against body f, and return (F, N),
-    (F, N, 3).
+    (F, N, 3).  The gradient points from the nearest axis point toward the
+    query point.  On the measure-zero tie set (a point on an axis, or
+    equidistant capsules) the first capsule in index order wins, and a
+    point on its axis gets a fixed perpendicular direction.
     """
     lead = body.seg_a.shape[:-2]
     points = np.asarray(points, dtype=np.float64).reshape(lead + (-1, 3))

@@ -24,9 +24,11 @@ only comparable within one configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import data as dt
 from . import geometry as geo
 from . import model as mdl
 from .errors import (
@@ -39,8 +41,9 @@ from .errors import (
 
 M3_TO_CM3 = 1e6
 COV_EPS = 1e-6
-# samples per FK pass in penetration_stats: one pass serves many frames,
-# and the chunk bounds the memory its intermediates take
+# samples per FK pass in penetration_stats and per predictor forward in
+# latent features: one pass serves many frames, and the chunk bounds the
+# memory its intermediates take
 EVAL_CHUNK = 64
 DIVERSITY_SUBSET = 200
 MULTIMODALITY_SUBSET = 20
@@ -81,11 +84,28 @@ def _all_frames(skel: geo.Skeleton, motions) -> np.ndarray:
     return np.concatenate(motions)
 
 
-def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
-                      ) -> tuple[float, int, int, int]:
-    """Shared IV/IF accumulation over (actor, reactor) motion pairs.
+class PenetrationStats(NamedTuple):
+    """Voxel-overlap totals over every frame of a set of (actor, reactor) pairs."""
 
-    Returns ``(total_volume_m3, penetrating_frames, total_frames, n_samples)``.
+    volume_m3: float   # both-occupied volume summed over all frames
+    f_pene: int        # frames with a nonzero both-occupied volume
+    f_total: int       # frames evaluated
+
+    @property
+    def iv_cm3(self) -> float:
+        """Intersection Volume: mean per-frame overlap in cubic centimeters."""
+        return self.volume_m3 / self.f_total * M3_TO_CM3
+
+    @property
+    def if_frac(self) -> float:
+        """Intersection Frequency: the fraction of frames that overlap."""
+        return self.f_pene / self.f_total
+
+
+def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
+                      ) -> PenetrationStats:
+    """IV/IF accumulation over (actor, reactor) motion pairs.
+
     Only frames whose two bodies' boxes overlap reach the voxel sweep.
     """
     geo.check_voxel_size(voxel_size)
@@ -108,21 +128,7 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
                                                   voxel_size)
             total_volume += vol
             f_pene += vol > 0.0
-    return total_volume, f_pene, f_total, len(samples)
-
-
-def intersection_volume(samples, skel: geo.Skeleton,
-                        voxel_size: float = geo.DEFAULT_VOXEL_SIZE) -> float:
-    """Mean per-frame intersection volume across all samples, in cm^3."""
-    total, _, f_total, _ = penetration_stats(samples, skel, voxel_size)
-    return total / f_total * M3_TO_CM3
-
-
-def intersection_frequency(samples, skel: geo.Skeleton,
-                           voxel_size: float = geo.DEFAULT_VOXEL_SIZE) -> float:
-    """Fraction of frames (across all samples) with nonzero intersection."""
-    _, f_pene, f_total, _ = penetration_stats(samples, skel, voxel_size)
-    return f_pene / f_total
+    return PenetrationStats(total_volume, f_pene, f_total)
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +243,30 @@ class FeatureExtractor:
 
 
 def _flatten_features(motions, skel: geo.Skeleton) -> np.ndarray:
-    rows = [geo.motion_joint_positions(skel, m).reshape(-1) for m in motions]
-    return np.stack(rows)
+    """FK joint positions of every frame, one row per motion, from one FK pass."""
+    counts = sorted({np.shape(m)[0] for m in motions})
+    if len(counts) > 1:
+        raise DimensionMismatch(f"flattened features need one frame count, got {counts}")
+    pos = geo.motion_joint_positions(skel, _all_frames(skel, motions))
+    return pos.reshape(len(motions), -1)
 
 
 def extract_features(motions, extractor: FeatureExtractor,
                      skel: geo.Skeleton) -> np.ndarray:
-    """Feature matrix (n_motions, d) for a list of motions."""
+    """Feature matrix (n_motions, d); only latent features take mixed frame counts."""
     if len(motions) == 0:
         raise EmptyInput("no motions to featurize")
+    if extractor.kind == "predictor_latent":
+        # one predictor forward per chunk of equal-shape motions
+        feats = np.empty((len(motions), extractor.params.config.width))
+        for chunk in dt.equal_shape_chunks(motions, EVAL_CHUNK):
+            feats[chunk] = mdl.hidden_features(extractor.params,
+                                               np.stack([motions[i] for i in chunk]))
+        return feats
+    flat = _flatten_features(motions, skel)
     if extractor.kind == "flatten":
-        return _flatten_features(motions, skel)
-    if extractor.kind == "random_projection":
-        flat = _flatten_features(motions, skel)
-        rng = np.random.default_rng(extractor.seed)
-        proj = rng.normal(size=(flat.shape[1], extractor.out_dim))
-        proj /= np.sqrt(flat.shape[1])
-        return flat @ proj
-    return np.stack([mdl.hidden_features(extractor.params, m) for m in motions])
+        return flat
+    rng = np.random.default_rng(extractor.seed)
+    proj = rng.normal(size=(flat.shape[1], extractor.out_dim))
+    proj /= np.sqrt(flat.shape[1])
+    return flat @ proj

@@ -233,14 +233,11 @@ def _as_tensors(params: PredictorParams, trainable: bool) -> dict[str, ad.Tensor
     return {name: wrap(arr) for name, arr in params.arrays.items()}
 
 
-def _check_input(cfg: PredictorConfig, x_t: np.ndarray,
-                 batched: bool = False) -> np.ndarray:
+def _check_input(cfg: PredictorConfig, x_t: np.ndarray) -> np.ndarray:
     x_t = np.asarray(x_t, dtype=np.float64)
-    ranks = (2, 3) if batched else (2,)
-    if x_t.ndim not in ranks or x_t.shape[-1] != cfg.frame_dim:
+    if x_t.ndim not in (2, 3) or x_t.shape[-1] != cfg.frame_dim:
         raise DimensionMismatch(
-            f"expected ({'[B,] ' if batched else ''}H, {cfg.frame_dim}) input, "
-            f"got {x_t.shape}")
+            f"expected ([B,] H, {cfg.frame_dim}) input, got {x_t.shape}")
     if x_t.shape[-2] > cfg.max_frames:
         raise DimensionMismatch(
             f"{x_t.shape[-2]} frames exceeds max_frames={cfg.max_frames}")
@@ -257,7 +254,7 @@ def predict(params: PredictorParams, x_t: np.ndarray, t: float,
     on input frames <= h (plus t and c).  Pure and deterministic.
     """
     cfg = params.config
-    x_t = _check_input(cfg, x_t, batched=True)
+    x_t = _check_input(cfg, x_t)
     if x_t.ndim == 2:
         batch, conds = x_t[None], [c]
     else:
@@ -273,15 +270,16 @@ def predict(params: PredictorParams, x_t: np.ndarray, t: float,
     return out if x_t.ndim == 3 else out[0]
 
 
-def hidden_features(params: PredictorParams, motion: np.ndarray, t: float = 1.0,
-                    c: int | None = None) -> np.ndarray:
-    """Mean-pooled final hidden state of a motion: (width,)."""
+def hidden_features(params: PredictorParams, motions: np.ndarray) -> np.ndarray:
+    """Mean-pooled final hidden state, at t = 1 with the null condition, of
+    each motion of a (B, H, D) batch: (B, width), from one forward pass."""
     cfg = params.config
-    motion = _check_input(cfg, motion)
-    rows = _cond_rows(cfg, [c])
-    hidden = _forward(_as_tensors(params, trainable=False), cfg,
-                      motion[None], float(t), rows)
-    return hidden.data[0].mean(axis=0)
+    if np.ndim(motions) != 3:
+        raise DimensionMismatch(f"expected a (B, H, D) batch, got {np.shape(motions)}")
+    motions = _check_input(cfg, motions)
+    hidden = _forward(_as_tensors(params, trainable=False), cfg, motions, 1.0,
+                      _cond_rows(cfg, [None] * len(motions)))
+    return hidden.data.mean(axis=1)
 
 
 def prediction_to_x1(raw: np.ndarray, x_t: np.ndarray, t: float,
@@ -416,6 +414,9 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
           train_cfg: TrainConfig, *, log_every: int = 0):
     """Train a predictor on (x0, x1, c) triples of one frame count.
 
+    ``InvalidConfig`` unless every record fits ``predictor_cfg``: at most
+    ``max_frames`` frames, each ``frame_dim`` wide.
+
     Returns ``(params, history)`` where history has one
     ``(fm, inter, total)`` row per step.  Bit-reproducible for a fixed
     ``train_cfg.seed``.
@@ -426,6 +427,11 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     if len(counts) > 1:
         raise InvalidConfig(f"training records differ in frame count {counts}; "
                             f"train needs one frame count")
+    widths = sorted({np.shape(s[i])[-1] for s in dataset for i in (0, 1)})
+    if counts[0] > predictor_cfg.max_frames or widths != [predictor_cfg.frame_dim]:
+        raise InvalidConfig(
+            f"training records of {counts[0]} frames and widths {widths} do not fit "
+            f"max_frames={predictor_cfg.max_frames}, frame_dim={predictor_cfg.frame_dim}")
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(predictor_cfg, train_cfg.seed)
 

@@ -235,8 +235,8 @@ def test_criterion_05_guidance_efficacy(trained_setup):
         ctx = (smp.GuidanceContext.from_actor(skel, actors)
                if cfg.guidance != "none" else None)
         pairs = list(zip(actors, smp.sample(predictor, actors, cfg, None, ctx)))
-        vol, f_pene, f_total, _ = mx.penetration_stats(pairs, skel, 0.02)
-        results[name] = (vol / f_total * mx.M3_TO_CM3, f_pene / f_total)
+        stats = mx.penetration_stats(pairs, skel, 0.02)
+        results[name] = (stats.iv_cm3, stats.if_frac)
 
     iv_u, if_u = results["unguided"]
     iv_v, if_v = results["vanilla"]
@@ -300,7 +300,7 @@ def test_criterion_07_metric_units():
     caps = geo.motion_capsules(skel, motion).frame(0)
     vs = 0.02
     body_volume = voxelize(caps, vs, shared_bounds(caps, caps, vs)).volume
-    iv_super = mx.intersection_volume([(motion, motion.copy())], skel, vs)
+    iv_super = mx.penetration_stats([(motion, motion.copy())], skel, vs).iv_cm3
     superposed_exact = iv_super == pytest.approx(body_volume * mx.M3_TO_CM3)
 
     r, length = 0.1, 0.6
@@ -315,7 +315,7 @@ def test_criterion_07_metric_units():
     overlapping = (at((0, 0, 0.9)), at((0.05, 0, 0.9)))
     fixtures = [overlapping] + [(at((0, 0, 0.9)), at((4.0 + i, 0, 0.9)))
                                 for i in range(3)]
-    if_frac = mx.intersection_frequency(fixtures, chain, vs)
+    if_frac = mx.penetration_stats(fixtures, chain, vs).if_frac
 
     ok = (fid_self < 1e-6 and fid_gap < 0.05 and superposed_exact
           and vox_err < 0.05 and if_frac == 3 / 12)

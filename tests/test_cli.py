@@ -206,6 +206,16 @@ def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
                "--beta", "0.5") == 2
 
 
+def test_sample_flag_defaults_are_the_sampler_config_defaults():
+    args = cli.build_parser().parse_args(
+        ["sample", "--model", "m", "--data", "d", "--out", "o"])
+    defaults = smp.SamplerConfig()
+    for field in ("steps", "lambda_pene", "zeta", "w", "beta", "mode", "guidance", "seed"):
+        assert getattr(args, field) == getattr(defaults, field), field
+    train = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+    assert train.sigma_min == fp.SIGMA_MIN_DEFAULT == mdl.TrainConfig().sigma_min
+
+
 def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
     # 70 six-frame actors (more than one chunk) interleaved with 12
     # eight-frame ones; output keeps file order and each reaction matches a
@@ -311,6 +321,17 @@ def test_eval_latent_features_need_model_exits_2(small_data, capsys):
     assert run("eval", "--inputs", str(small_data), "--metrics", "div",
                "--features", "latent", "--sd", "10", "--allow-replacement") == 2
     assert "--feature-model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("features", ["flatten", "proj"])
+def test_eval_flattened_features_on_mixed_frame_counts_exit_2(features, tmp_path, capsys):
+    data = tmp_path / "mixed.jsonl"
+    skel = dt.default_skeleton()
+    dt.save_samples(str(data), dt.generate_mixed(4, frames=6, seed=1)
+                    + dt.generate_mixed(4, frames=8, seed=2), skel)
+    assert run("eval", "--inputs", str(data), "--metrics", "div", "--features",
+               features, "--sd", "2", "--allow-replacement") == 2
+    assert "[6, 8]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("contact", [1.0, 0.0], ids=["contact", "far-apart"])

@@ -30,9 +30,8 @@ def test_default_skeleton_shapes():
 
 
 def test_generation_is_seed_deterministic():
-    cfg = dt.ScenarioConfig("push_retreat", frames=8, seed=42)
-    a = dt.generate_dataset(cfg, 5)
-    b = dt.generate_dataset(cfg, 5)
+    a = dt.generate_mixed(5, frames=8, scenario="push_retreat", seed=42)
+    b = dt.generate_mixed(5, frames=8, scenario="push_retreat", seed=42)
     for s, t in zip(a, b):
         assert np.array_equal(s.actor, t.actor)
         assert np.array_equal(s.reactor, t.reactor)
@@ -40,15 +39,14 @@ def test_generation_is_seed_deterministic():
 
 
 def test_distinct_seeds_differ():
-    a = dt.generate_dataset(dt.ScenarioConfig("wave_mirror", seed=1), 3)
-    b = dt.generate_dataset(dt.ScenarioConfig("wave_mirror", seed=2), 3)
+    a = dt.generate_mixed(3, scenario="wave_mirror", seed=1)
+    b = dt.generate_mixed(3, scenario="wave_mirror", seed=2)
     assert max(np.max(np.abs(x.actor - y.actor)) for x, y in zip(a, b)) > 0.0
 
 
 def test_samples_decode_under_skeleton():
-    cfg = dt.ScenarioConfig("kick_dodge", frames=6, seed=3)
-    skel = dt.default_skeleton(cfg.joints)
-    for s in dt.generate_dataset(cfg, 4):
+    skel = dt.default_skeleton()
+    for s in dt.generate_mixed(4, frames=6, scenario="kick_dodge", seed=3):
         assert s.actor.shape == s.reactor.shape == (6, skel.motion_dim)
         geo.motion_joint_positions(skel, s.actor)
         geo.motion_joint_positions(skel, s.reactor)
@@ -57,9 +55,9 @@ def test_samples_decode_under_skeleton():
 
 @pytest.mark.parametrize("scenario", dt.SCENARIOS)
 def test_response_property_holds_everywhere(scenario):
-    cfg = dt.ScenarioConfig(scenario, frames=12, seed=7, contact_fraction=0.5)
-    skel = dt.default_skeleton(cfg.joints)
-    samples = dt.generate_dataset(cfg, 40)
+    skel = dt.default_skeleton()
+    samples = dt.generate_mixed(40, frames=12, contact_fraction=0.5, seed=7,
+                                scenario=scenario)
     assert all(response_property(s, skel) for s in samples)
 
 
@@ -67,19 +65,33 @@ def test_zero_contact_fraction_never_intersects():
     samples = dt.generate_mixed(30, frames=8, contact_fraction=0.0, seed=5)
     skel = dt.default_skeleton()
     pairs = [(s.actor, s.reactor) for s in samples]
-    assert mx.intersection_frequency(pairs, skel, geo.DEFAULT_VOXEL_SIZE) == 0.0
+    assert mx.penetration_stats(pairs, skel, geo.DEFAULT_VOXEL_SIZE).if_frac == 0.0
 
 
 def test_full_contact_fraction_produces_intersections():
     samples = dt.generate_mixed(30, frames=12, contact_fraction=1.0, seed=6)
     skel = dt.default_skeleton()
     pairs = [(s.actor, s.reactor) for s in samples]
-    assert mx.intersection_frequency(pairs, skel, geo.DEFAULT_VOXEL_SIZE) > 0.0
+    assert mx.penetration_stats(pairs, skel, geo.DEFAULT_VOXEL_SIZE).if_frac > 0.0
 
 
 def test_mixed_round_robin_labels():
     samples = dt.generate_mixed(9, frames=4, seed=1)
     assert [s.label for s in samples] == [0, 1, 2] * 3
+
+
+def test_single_scenario_keys_count_within_the_label():
+    samples = dt.generate_mixed(4, frames=4, seed=5, scenario="kick_dodge")
+    label = dt.SCENARIOS.index("kick_dodge")
+    assert [s.seed_used for s in samples] == [(5, label, i) for i in range(4)]
+    mixed = dt.generate_mixed(9, frames=4, seed=5)
+    assert np.array_equal(mixed[label + 3].actor, samples[1].actor)
+
+
+def test_equal_shape_chunks_group_in_input_order():
+    arrays = [np.zeros((h, 2)) for h in (3, 5, 3, 3, 5, 3)] + [np.zeros((3, 4))]
+    assert dt.equal_shape_chunks(arrays, 2) == [[0, 2], [3, 5], [1, 4], [6]]
+    assert dt.equal_shape_chunks(arrays, 64) == [[0, 2, 3, 5], [1, 4], [6]]
 
 
 def test_train_test_split_sizes():

@@ -147,19 +147,6 @@ def test_one_step_update_equals_reinterpolation():
 # losses
 # ---------------------------------------------------------------------------
 
-def test_fm_loss_values():
-    x = np.random.default_rng(11).normal(size=(4, 6))
-    assert fp.fm_loss(x, x) == 0.0
-    assert fp.fm_loss(np.array([[1.0]]), np.array([[3.0]])) == 4.0
-    assert fp.fm_loss(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 12.5
-
-
-def test_fm_loss_symmetric_nonnegative():
-    rng = np.random.default_rng(12)
-    a, b = rand_pair(rng)
-    assert fp.fm_loss(a, b) == fp.fm_loss(b, a) > 0.0
-
-
 def random_motion(rng, skel, h=4):
     k = skel.joint_count
     return np.stack([pose_row(skel, [random_rotation(rng) for _ in range(k)],

@@ -230,8 +230,9 @@ def one_capsule(a=(0, 0, 0), b=(1, 0, 0), r=0.1):
 
 def test_sdf_on_surface_and_axis():
     body = one_capsule()
-    assert geo.body_sdf([0.5, 0.1, 0.0], body) == pytest.approx(0.0, abs=1e-12)
-    assert geo.body_sdf([0.5, 0.0, 0.0], body) == pytest.approx(-0.1, abs=1e-12)
+    sdf, _ = geo.sdf_and_gradient([[0.5, 0.1, 0.0], [0.5, 0.0, 0.0]], body)
+    assert sdf[0] == pytest.approx(0.0, abs=1e-12)
+    assert sdf[1] == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_sdf_two_capsules_hand_value():
@@ -241,12 +242,13 @@ def test_sdf_two_capsules_hand_value():
         np.array([0.1, 0.1]),
     )
     # point 0.5 above the near capsule's axis end: distance 0.5, minus radius
-    assert geo.body_sdf([1.0, 0.5, 0.0], body) == pytest.approx(0.4, abs=1e-12)
+    sdf, _ = geo.sdf_and_gradient([1.0, 0.5, 0.0], body)
+    assert sdf[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_sdf_gradient_above_midpoint():
     body = one_capsule()
-    g = geo.body_sdf_gradient([0.5, 0.0, 0.7], body)
+    _, g = geo.sdf_and_gradient([0.5, 0.0, 0.7], body)
     assert np.allclose(g, [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -262,12 +264,12 @@ def test_sdf_gradient_matches_finite_differences():
         order = np.sort(sdfs)
         if len(order) > 1 and order[1] - order[0] < 1e-3:
             continue  # too close to a capsule-switch kink for FD
-        if abs(geo.body_sdf(p, body)) < 1e-3:
+        sdf, g = geo.sdf_and_gradient(p, body)
+        if abs(sdf[0]) < 1e-3:
             continue
-        g = geo.body_sdf_gradient(p, body)
-        fd = np.array([
-            (geo.body_sdf(p + h * e, body) - geo.body_sdf(p - h * e, body)) / (2 * h)
-            for e in np.eye(3)])
+        sdf_pm, _ = geo.sdf_and_gradient(
+            p + h * np.concatenate([np.eye(3), -np.eye(3)]), body)
+        fd = (sdf_pm[:3] - sdf_pm[3:]) / (2 * h)
         assert np.linalg.norm(fd - g) / np.linalg.norm(fd) < 1e-5
         checked += 1
     assert checked >= 50
@@ -277,14 +279,13 @@ def test_sdf_gradient_radial_invariance():
     body = one_capsule()
     p = np.array([0.5, 0.6, 0.3])
     nearest = geo._segment_closest(p.reshape(1, 3), body.seg_a, body.seg_b)[0, 0]
-    g1 = geo.body_sdf_gradient(p, body)
-    g2 = geo.body_sdf_gradient(nearest + 3.0 * (p - nearest), body)
+    _, (g1, g2) = geo.sdf_and_gradient([p, nearest + 3.0 * (p - nearest)], body)
     assert np.allclose(g1, g2, atol=1e-12)
 
 
 def test_sdf_gradient_tie_rule_on_axis():
     body = one_capsule(a=(0, 0, 0), b=(0, 0, 1), r=0.1)
-    g = geo.body_sdf_gradient([0.0, 0.0, 0.5], body)
+    _, g = geo.sdf_and_gradient([0.0, 0.0, 0.5], body)
     assert np.allclose(g, [1.0, 0.0, 0.0], atol=1e-12)  # +x projected
 
 
@@ -534,8 +535,8 @@ def test_intersection_volume_counts_no_center_on_a_surface():
     sphere = one_capsule(a=(0.0, 0.0, 0.0), b=(0.0, 0.0, 0.0), r=0.25)
     capsule = one_capsule(a=(0.0, 0.0, 0.0), b=(0.5, 0.0, 0.0), r=0.3125)
     vs = 0.125
-    assert geo.body_sdf([0.25, 0.0, 0.0], sphere) == 0.0
-    assert geo.body_sdf([0.25, 0.0, 0.0], capsule) < 0.0
+    assert geo.sdf_and_gradient([0.25, 0.0, 0.0], sphere)[0][0] == 0.0
+    assert geo.sdf_and_gradient([0.25, 0.0, 0.0], capsule)[0][0] < 0.0
     inside = 27 * vs ** 3   # integer points (i, j, k) with i² + j² + k² < 4
     assert full_grid_intersection_volume(sphere, capsule, vs) == inside
     assert geo.capsule_intersection_volume(sphere, capsule, vs) == inside

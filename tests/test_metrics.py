@@ -29,8 +29,9 @@ def test_iv_zero_for_disjoint_pairs():
     skel = chain_skeleton(3)
     samples = [pair(skel, 2, (0, 0, 0), (5, 0, 0)),
                pair(skel, 2, (0, 0, 0), (0, 7, 0))]
-    assert mx.intersection_volume(samples, skel, 0.02) == 0.0
-    assert mx.intersection_frequency(samples, skel, 0.02) == 0.0
+    stats = mx.penetration_stats(samples, skel, 0.02)
+    assert stats.iv_cm3 == 0.0
+    assert stats.if_frac == 0.0
 
 
 def test_iv_superposed_bodies_equals_body_volume():
@@ -39,7 +40,7 @@ def test_iv_superposed_bodies_equals_body_volume():
     actor = still_actor(skel, 1)
     caps = geo.motion_capsules(skel, actor).frame(0)
     grid = voxelize(caps, vs, shared_bounds(caps, caps, vs))
-    iv = mx.intersection_volume([(actor, actor.copy())], skel, vs)
+    iv = mx.penetration_stats([(actor, actor.copy())], skel, vs).iv_cm3
     assert iv == pytest.approx(grid.volume * mx.M3_TO_CM3)
 
 
@@ -52,13 +53,13 @@ def test_iv_hand_average_over_samples():
     samples = [(actor, far), (actor, actor.copy())]
     caps = geo.motion_capsules(skel, actor).frame(0)
     body_vol = geo.capsule_intersection_volume(caps, caps, vs) * mx.M3_TO_CM3
-    assert mx.intersection_volume(samples, skel, vs) == pytest.approx(body_vol / 2)
+    assert mx.penetration_stats(samples, skel, vs).iv_cm3 == pytest.approx(body_vol / 2)
 
 
 def test_if_one_when_every_frame_penetrates():
     skel = chain_skeleton(3, radius=0.08)
     actor = still_actor(skel, 4)
-    assert mx.intersection_frequency([(actor, actor.copy())], skel, 0.02) == 1.0
+    assert mx.penetration_stats([(actor, actor.copy())], skel, 0.02).if_frac == 1.0
 
 
 def test_if_counts_penetrating_frames():
@@ -68,7 +69,7 @@ def test_if_counts_penetrating_frames():
     overlapping = pair(skel, h, (0, 0, 0), (0.05, 0, 0))
     samples = [overlapping] + [pair(skel, h, (0, 0, 0), (4.0 + i, 0, 0))
                                for i in range(3)]
-    assert mx.intersection_frequency(samples, skel, 0.02) == pytest.approx(3 / 12)
+    assert mx.penetration_stats(samples, skel, 0.02).if_frac == pytest.approx(3 / 12)
 
 
 def test_iv_additivity_over_sample_lists():
@@ -77,9 +78,9 @@ def test_iv_additivity_over_sample_lists():
     a = [pair(skel, 2, (0, 0, 0), (0.03, 0, 0))]
     b = [pair(skel, 2, (0, 0, 0), (5.0, 0, 0)),
          pair(skel, 2, (0, 0, 0), (0.1, 0, 0))]
-    iv_a = mx.intersection_volume(a, skel, vs)
-    iv_b = mx.intersection_volume(b, skel, vs)
-    iv_all = mx.intersection_volume(a + b, skel, vs)
+    iv_a = mx.penetration_stats(a, skel, vs).iv_cm3
+    iv_b = mx.penetration_stats(b, skel, vs).iv_cm3
+    iv_all = mx.penetration_stats(a + b, skel, vs).iv_cm3
     frames_a, frames_b = 2 * len(a), 2 * len(b)
     expected = (iv_a * frames_a + iv_b * frames_b) / (frames_a + frames_b)
     assert iv_all == pytest.approx(expected, rel=1e-12)
@@ -91,15 +92,15 @@ def test_if_zero_iff_iv_zero():
     for trial in range(4):
         offset = (0.05 + 0.1 * trial, 0.0, 0.0) if trial % 2 == 0 else (5.0, 0, 0)
         samples = [pair(skel, 2, (0, 0, 0), offset)]
-        iv = mx.intersection_volume(samples, skel, 0.02)
-        f = mx.intersection_frequency(samples, skel, 0.02)
+        stats = mx.penetration_stats(samples, skel, 0.02)
+        iv, f = stats.iv_cm3, stats.if_frac
         assert (iv == 0.0) == (f == 0.0)
 
 
 def test_penetration_stats_empty_input():
     skel = chain_skeleton(3)
     with pytest.raises(EmptyInput):
-        mx.intersection_volume([], skel, 0.02)
+        mx.penetration_stats([], skel, 0.02)
 
 
 @pytest.mark.parametrize("chunk", [mx.EVAL_CHUNK, 7])
@@ -123,7 +124,7 @@ def test_penetration_stats_equals_per_frame_oracle(chunk, tmp_path, monkeypatch)
             f_total += 1
             f_pene += vol > 0.0
     assert f_total >= 480 and 0 < f_pene < f_total
-    assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene, f_total, len(pairs))
+    assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene, f_total)
 
 
 def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
@@ -146,8 +147,8 @@ def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
 
     monkeypatch.setattr(geo, "capsule_intersection_volume", recording_sweep)
     monkeypatch.setattr(geo.CapsuleSet, "frame", recording_frame)
-    volume, f_pene, f_total, n = mx.penetration_stats(samples, skel, 0.02)
-    assert (f_pene, f_total, n) == (3, 9, 2) and volume > 0.0
+    volume, f_pene, f_total = mx.penetration_stats(samples, skel, 0.02)
+    assert (f_pene, f_total) == (3, 9) and volume > 0.0
     assert len(swept) == 3 and len(framed) == 2 * 3
     for (lo_a, hi_a), (lo_b, hi_b) in swept:
         assert np.all(np.maximum(lo_a, lo_b) < np.minimum(hi_a, hi_b))
@@ -321,3 +322,34 @@ def test_predictor_latent_features():
         motions, mx.FeatureExtractor("predictor_latent", params=params), skel)
     assert feats.shape == (2, 8)
     assert np.max(np.abs(feats[0] - feats[1])) > 0.0
+
+
+@pytest.mark.parametrize("chunk", [mx.EVAL_CHUNK, 3])
+def test_predictor_latent_features_chunked_over_mixed_lengths(chunk, monkeypatch):
+    # 11 motions of 3, 5 and 2 frames, interleaved; each row is bit-equal
+    # to the features of its motion alone and stays at its input position
+    from arflow import model as mdl
+    monkeypatch.setattr(mx, "EVAL_CHUNK", chunk)
+    skel = chain_skeleton(2)
+    cfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=5, layers=1,
+                              width=8, heads=2)
+    params = mdl.init_params(cfg, seed=0)
+    rng = np.random.default_rng(10)
+    motions = [rng.normal(size=(h, skel.motion_dim))
+               for h in (3, 5, 3, 3, 2, 5, 3, 3, 5, 2, 3)]
+    feats = mx.extract_features(
+        motions, mx.FeatureExtractor("predictor_latent", params=params), skel)
+    assert feats.shape == (11, 8)
+    for m, row in zip(motions, feats):
+        assert np.array_equal(row, mdl.hidden_features(params, m[None])[0])
+    with pytest.raises(DimensionMismatch):
+        mx.extract_features(motions + [np.zeros((3, skel.motion_dim + 1))],
+                            mx.FeatureExtractor("predictor_latent", params=params), skel)
+
+
+@pytest.mark.parametrize("kind", ["flatten", "random_projection"])
+def test_flattened_features_reject_mixed_frame_counts(kind):
+    skel = chain_skeleton(2)
+    motions = [still_actor(skel, 3), still_actor(skel, 2)]
+    with pytest.raises(DimensionMismatch, match=r"\[2, 3\]"):
+        mx.extract_features(motions, mx.FeatureExtractor(kind), skel)

@@ -246,6 +246,24 @@ def test_train_rejects_mixed_frame_counts():
         mdl.train(data, skel, tiny_config(skel), tcfg)
 
 
+@pytest.mark.parametrize("h,extra_cols", [(5, 0), (3, 1), (3, -1)],
+                         ids=["too-long", "too-wide", "too-narrow"])
+def test_train_rejects_records_that_do_not_fit_the_config(h, extra_cols):
+    rng = np.random.default_rng(14)
+    skel = chain_skeleton(2)
+    cols = skel.motion_dim + extra_cols
+    data = [(np.resize(x0, (h, cols)), np.resize(x1, (h, cols)), c)
+            for x0, x1, c in tiny_batch(rng, skel, n=3, h=h)]
+    tcfg = mdl.TrainConfig(steps=2, batch_size=2, lambda_inter=0.0, seed=0)
+    with pytest.raises(InvalidConfig) as err:
+        mdl.train(data, skel, tiny_config(skel, h=3), tcfg)
+    if extra_cols:
+        named = (f"[{cols}]", f"frame_dim={skel.motion_dim}")
+    else:
+        named = ("5 frames", "max_frames=3")
+    assert all(part in str(err.value) for part in named)
+
+
 def test_train_seed_determinism():
     rng = np.random.default_rng(10)
     skel = chain_skeleton(2)
@@ -337,3 +355,19 @@ def test_predict_batch_matches_single_calls():
     assert np.array_equal(nulls[1], out[1])
     with pytest.raises(DimensionMismatch):
         mdl.predict(params, x, 0.3, [0, 1])
+
+
+def test_hidden_features_batch_matches_single_calls():
+    # one forward over the batch; each row is bit-equal to the features of
+    # a batch of that motion alone
+    rng = np.random.default_rng(15)
+    skel = chain_skeleton(2)
+    cfg = tiny_config(skel, h=4, width=16, layers=2)
+    params = mdl.init_params(cfg, seed=6)
+    x = rng.normal(size=(7, 4, cfg.frame_dim))
+    feats = mdl.hidden_features(params, x)
+    assert feats.shape == (7, 16)
+    for i in range(7):
+        assert np.array_equal(feats[i], mdl.hidden_features(params, x[i:i + 1])[0])
+    with pytest.raises(DimensionMismatch):
+        mdl.hidden_features(params, x[0])

@@ -138,7 +138,7 @@ def test_penetration_grad_translation_direction():
     ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
     reaction = reactor_at(skel, 1, (0.5, 0.1, 0.2))
     pos = geo.motion_joint_positions(skel, reaction)
-    sdf_dir = geo.body_sdf_gradient(pos[0, 0], ctx.capsules.frame(0))
+    _, sdf_dir = geo.sdf_and_gradient(pos[0, 0], ctx.capsules.frame(0))
     grad = smp.penetration_grad(reaction, ctx, zeta=0.5)
     assert np.allclose(grad[0, -3:], -sdf_dir, atol=1e-12)
 

@@ -164,34 +164,28 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
+    """Sample reactions for the actors of ``--split``, the first ``--limit``
+    of them when it is > 0.  Only those records are read and validated, and
+    the frame width and ``max_frames`` checks apply to them alone."""
     phases = _Phases()
     if args.limit < 0:
         raise InvalidConfig(f"--limit must be >= 0, got {args.limit}")
     # every load or model/data mismatch is a SchemaError: exit 4 for sample
     try:
         params = mdl.load_params(args.model)
-        samples, skel = dt.load_samples(args.data)
+        subset, skel = dt.load_samples(args.data, args.split, args.limit)
     except (OSError, InvalidConfig) as err:
         raise SchemaError(str(err)) from err
     phases.end("load")
-    if not samples:
+    if not subset:
         raise SchemaError("no samples to drive sampling")
     if skel.motion_dim != params.config.frame_dim:
         raise SchemaError(f"data dimension {skel.motion_dim} does not match model "
                           f"frame_dim {params.config.frame_dim}")
-    frames = max(s.actor.shape[0] for s in samples)
+    frames = max(s.actor.shape[0] for s in subset)
     if frames > params.config.max_frames:
         raise SchemaError(f"data has {frames} frames, model max_frames is "
                           f"{params.config.max_frames}")
-
-    if args.split == "test":
-        _, subset = dt.train_test_split(samples)
-    elif args.split == "train":
-        subset, _ = dt.train_test_split(samples)
-    else:
-        subset = samples
-    if args.limit:
-        subset = subset[: args.limit]
 
     if args.sigma_min is not None:
         sigma_min = args.sigma_min

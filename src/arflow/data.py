@@ -22,9 +22,11 @@ Motion files are line-delimited JSON; see README "Motion interchange file".
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,9 +299,9 @@ def equal_shape_chunks(arrays, size: int) -> list[list[int]]:
             for start in range(0, len(g), size)]
 
 
-def train_test_split(samples: list[InteractionSample]
-                     ) -> tuple[list[InteractionSample], list[InteractionSample]]:
-    """Deterministic 90/10 split by sample index."""
+def train_test_split(samples: Sequence) -> tuple[Sequence, Sequence]:
+    """Deterministic 90/10 split by index: of samples, or of the range of
+    record indices :func:`load_samples` selects from."""
     cut = int(round(len(samples) * (1.0 - TEST_FRACTION)))
     return samples[:cut], samples[cut:]
 
@@ -346,13 +348,26 @@ def _numbers(values, line: int, has_bools: bool) -> np.ndarray:
     return arr
 
 
-def _person_motion(rec: dict, line: int,
-                   has_bools: bool) -> tuple[geo.Skeleton, np.ndarray]:
+def _person_motion(rec: dict, line: int, has_bools: bool,
+                   first: tuple[dict, geo.Skeleton] | None
+                   ) -> tuple[geo.Skeleton, np.ndarray]:
+    """A person record's skeleton and motion.
+
+    ``first`` holds the first record's raw skeleton block and ``Skeleton``.
+    An equal block reuses it, but Python equates ``True`` and ``1.0`` with
+    1: reuse needs a line without booleans, and parents must be integers.
+    """
     try:
         sk = rec["skeleton"]
-        skel = geo.Skeleton(tuple(sk["parents"]),
-                            _numbers(sk["offsets"], line, has_bools),
-                            _numbers(sk["radii"], line, has_bools))
+        parents = sk["parents"]
+        if type(parents) is not list or any(type(p) is not int for p in parents):
+            raise SchemaError("skeleton parents are not a list of integers", line=line)
+        if first is not None and not has_bools and sk == first[0]:
+            skel = first[1]
+        else:
+            skel = geo.Skeleton(tuple(parents),
+                                _numbers(sk["offsets"], line, has_bools),
+                                _numbers(sk["radii"], line, has_bools))
         frames = rec["frames"]
         h = len(frames)
         # one parse per field over all frames; ragged frames raise ValueError
@@ -361,6 +376,11 @@ def _person_motion(rec: dict, line: int,
             for key in ("rot6d", "root_rot6d", "trans")], axis=1, dtype=np.float64)
     except (KeyError, TypeError, ValueError, InvalidConfig) as err:
         raise SchemaError(f"bad person record ({err})", line=line) from err
+    if first is not None and skel is not first[1] and (
+            skel.parents != first[1].parents
+            or not np.array_equal(skel.offsets, first[1].offsets)
+            or not np.array_equal(skel.radii, first[1].radii)):
+        raise SchemaError("skeleton differs from first record", line=line)
     if motion.shape[1] != skel.motion_dim:
         raise SchemaError("frame width does not match skeleton", line=line)
     if not np.all(np.isfinite(motion)):
@@ -402,19 +422,26 @@ def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_samples(path: str) -> tuple[list[InteractionSample], geo.Skeleton | None]:
-    """Read a motion file back; returns (samples, skeleton).
+def load_samples(path: str, split: str = "all", limit: int = 0
+                 ) -> tuple[list[InteractionSample], geo.Skeleton | None]:
+    """Read the records of ``split`` ("train", "test" or "all"), only the
+    first ``limit`` of them when ``limit`` > 0; returns (samples, skeleton).
 
-    The skeleton is None only for an empty file.  Raises ``SchemaError``
-    with the offending line number on malformed or inconsistent records.
+    Only the selected records are decoded and validated.  The skeleton is
+    None only when nothing is selected.  Raises ``SchemaError`` with the
+    offending file line number on malformed or inconsistent records.
     """
     samples: list[InteractionSample] = []
-    skel: geo.Skeleton | None = None
+    first: tuple[dict, geo.Skeleton] | None = None
     # bytes: json.loads decodes each line, so bad UTF-8 is reported with its line
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        # a first pass counts the records, a second decodes the selected ones
+        count = sum(not line.isspace() for line in fh)
+        train, test = train_test_split(range(count))
+        wanted = {"train": train, "test": test, "all": range(count)}[split][:limit or None]
+        fh.seek(0)
+        records = ((no, line) for no, line in enumerate(fh, start=1) if not line.isspace())
+        for line_no, line in itertools.islice(records, wanted.start, wanted.stop):
             try:
                 rec = json.loads(line)
             except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
@@ -437,18 +464,11 @@ def load_samples(path: str) -> tuple[list[InteractionSample], geo.Skeleton | Non
             # a valid record holds no JSON boolean: only a line with one
             # pays for the per-element check
             has_bools = b"true" in line or b"false" in line
-            skel_a, actor = _person_motion(actor_rec, line_no, has_bools)
-            skel_b, reactor = _person_motion(reactor_rec, line_no, has_bools)
-            if skel is None:
-                skel = skel_a
-            for cand in (skel_a, skel_b):
-                if (cand.parents != skel.parents
-                        or not np.array_equal(cand.offsets, skel.offsets)
-                        or not np.array_equal(cand.radii, skel.radii)):
-                    raise SchemaError("skeleton differs from first record",
-                                      line=line_no)
+            skel, actor = _person_motion(actor_rec, line_no, has_bools, first)
+            first = first or (actor_rec["skeleton"], skel)
+            _, reactor = _person_motion(reactor_rec, line_no, has_bools, first)
             if actor.shape[0] != reactor.shape[0]:
                 raise SchemaError("actor and reactor frame counts differ",
                                   line=line_no)
             samples.append(InteractionSample(actor, reactor, label, tuple(seed)))
-    return samples, skel
+    return samples, first[1] if first else None

@@ -140,10 +140,11 @@ def test_malformed_record_exits_with_schema_code(damage, command, code, small_da
     data = tmp_path / "malformed.jsonl"
     data.write_text("\n".join(lines) + "\n")
     out = str(tmp_path / "out")
+    # sample reads only its split: line 3 is in the train split, not in "test"
     argv = {"eval": ["eval", "--inputs", str(data)],
             "train": ["train", "--data", str(data), "--out", out, "--steps", "1"],
             "sample": ["sample", "--model", str(small_model), "--data", str(data),
-                       "--out", out]}[command]
+                       "--out", out, "--split", "all"]}[command]
     assert run(*argv) == code
     assert "line 3" in capsys.readouterr().err
 
@@ -151,6 +152,48 @@ def test_malformed_record_exits_with_schema_code(damage, command, code, small_da
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
+
+def test_sample_empty_selection_exits_4(small_model, tmp_path, capsys):
+    # three records: the 90/10 cut leaves the test split empty
+    data = tmp_path / "three.jsonl"
+    assert run("gen-data", "--pairs", "3", "--frames", "8", "--seed", "3",
+               "--out", str(data)) == 0
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(small_model), "--data", str(data),
+               "--out", str(out), "--split", "test") == 4
+    assert "no samples to drive sampling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _damaged_copy(small_data, tmp_path, index):
+    """small_data behind a blank first line, with record ``index`` not JSON."""
+    lines = small_data.read_text().splitlines()
+    lines[index] = "{not json"
+    path = tmp_path / "damaged.jsonl"
+    path.write_text("\n" + "\n".join(lines) + "\n")
+    return path
+
+
+def test_sample_ignores_damage_outside_its_selection(small_model, small_data,
+                                                     tmp_path):
+    outs = []
+    for data in (small_data, _damaged_copy(small_data, tmp_path, 2)):
+        outs.append(tmp_path / f"s{len(outs)}.jsonl")
+        assert run("sample", "--model", str(small_model), "--data", str(data),
+                   "--out", str(outs[-1]), "--guidance", "improved") == 0
+    assert sha(outs[0]) == sha(outs[1])
+
+
+def test_sample_damage_inside_its_selection_exits_4(small_model, small_data,
+                                                    tmp_path, capsys):
+    # record 57 of 60 is in the test split; the blank first line makes it line 58
+    data = _damaged_copy(small_data, tmp_path, 56)
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(small_model), "--data", str(data),
+               "--out", str(out)) == 4
+    assert "line 58" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_sample_negative_limit_exits_2(small_model, small_data, tmp_path):
     out = tmp_path / "s.jsonl"

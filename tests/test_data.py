@@ -198,3 +198,74 @@ def test_boolean_among_numbers_raises_schema_error(tmp_path, field, value):
     with pytest.raises(SchemaError) as err:
         dt.load_samples(str(path))
     assert err.value.line == 2
+
+
+def _with_blank_lines(tmp_path, count):
+    """A motion file of ``count`` records with blank lines among them."""
+    path = tmp_path / "motions.jsonl"
+    dt.save_samples(str(path), dt.generate_mixed(count, frames=4, seed=17),
+                    dt.default_skeleton())
+    lines = path.read_text().splitlines()
+    path.write_text("\n" + "".join(line + ("\n \n\n" if i % 4 == 1 else "\n")
+                                   for i, line in enumerate(lines)))
+    return path
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3])
+@pytest.mark.parametrize("split", ["test", "train", "all"])
+def test_selected_records_equal_split_then_slice(tmp_path, split, limit):
+    path = _with_blank_lines(tmp_path, 23)
+    everything, skel = dt.load_samples(str(path))
+    train, test = dt.train_test_split(everything)
+    want = {"test": test, "train": train, "all": everything}[split]
+    want = want[:limit] if limit else want
+    got, got_skel = dt.load_samples(str(path), split, limit)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g.actor.tobytes() == w.actor.tobytes()
+        assert g.reactor.tobytes() == w.reactor.tobytes()
+        assert g.label == w.label and g.seed_used == w.seed_used
+    assert got_skel.parents == skel.parents
+    assert np.array_equal(got_skel.offsets, skel.offsets)
+    assert np.array_equal(got_skel.radii, skel.radii)
+
+
+def test_only_the_selected_records_are_decoded(tmp_path):
+    path = _with_blank_lines(tmp_path, 10)
+    lines = path.read_text().split("\n")
+    records = [i for i, line in enumerate(lines) if line.strip()]
+    lines[records[0]] = "not json"
+    path.write_text("\n".join(lines))
+    assert len(dt.load_samples(str(path), "test")[0]) == 1
+    with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(path), "train", 1)
+    assert err.value.line == records[0] + 1  # a file line, blank lines counted
+
+
+def test_one_skeleton_per_file_of_equal_skeleton_blocks(tmp_path, monkeypatch):
+    path = tmp_path / "motions.jsonl"
+    dt.save_samples(str(path), dt.generate_mixed(5, frames=4, seed=13),
+                    dt.default_skeleton())
+    built, skeleton = [], geo.Skeleton
+    monkeypatch.setattr(geo, "Skeleton", lambda *a: built.append(a) or skeleton(*a))
+    assert len(dt.load_samples(str(path))[0]) == 5
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("parent", [1.0, True])
+def test_non_integer_parent_equal_to_the_first_raises_schema_error(tmp_path, parent):
+    def edit(rec):
+        rec["actor"]["skeleton"]["parents"][2] = parent  # == 1 in Python
+    path = _edit_second_record(tmp_path, edit)
+    with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(path))
+    assert err.value.line == 2
+
+
+def test_boolean_equal_to_the_first_skeleton_value_raises_schema_error(tmp_path):
+    def edit(rec):
+        rec["reactor"]["skeleton"]["offsets"][0][0] = False  # == 0.0 in Python
+    path = _edit_second_record(tmp_path, edit)
+    with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(path))
+    assert err.value.line == 2

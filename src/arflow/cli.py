@@ -196,7 +196,6 @@ def cmd_sample(args) -> int:
                             lambda_pene=args.lambda_pene, zeta=args.zeta,
                             w=args.w, beta=args.beta, seed=args.seed)
     predictor = mdl.as_x1_predictor(params, cfg.sigma_min)
-    guided = cfg.guidance != "none" and cfg.lambda_pene > 0.0
 
     # one batched sample call per chunk of equal-length actors; a sample's
     # stream index is its position in the subset, so its output does not
@@ -204,7 +203,7 @@ def cmd_sample(args) -> int:
     reactions: list[np.ndarray | None] = [None] * len(subset)
     for chunk in dt.equal_shape_chunks([s.actor for s in subset], SAMPLE_CHUNK):
         actors = np.stack([subset[i].actor for i in chunk])
-        ctx = smp.GuidanceContext.from_actor(skel, actors) if guided else None
+        ctx = smp.GuidanceContext.from_actor(skel, actors) if cfg.guided else None
         c = [subset[i].label for i in chunk] if args.cond == "label" else None
         out = smp.sample(predictor, actors, cfg, c, ctx, sample_index=chunk)
         for i, reaction in zip(chunk, out):

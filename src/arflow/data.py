@@ -61,8 +61,8 @@ class ScenarioConfig:
             raise InvalidConfig("need at least 3 joints (root, torso, limb)")
         if not 0.0 <= self.contact_fraction <= 1.0:
             raise InvalidConfig("contact_fraction must be in [0, 1]")
-        if self.noise < 0.0:
-            raise InvalidConfig("noise must be >= 0")
+        if not 0.0 <= self.noise < np.inf:
+            raise InvalidConfig("noise must be finite and >= 0")
 
 
 @dataclass
@@ -410,6 +410,8 @@ def atomic_open(path: str):
 def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton,
                  fps: float = DEFAULT_FPS) -> None:
     """Write samples as one JSON record per line (atomic, diffable)."""
+    if not 0.0 < fps < np.inf:
+        raise InvalidConfig(f"fps must be positive and finite, got {fps}")
     with atomic_open(path) as fh:
         for s in samples:
             rec = {

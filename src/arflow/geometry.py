@@ -83,7 +83,7 @@ def rot6d_encode(m: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected (..., 3, 3), got {m.shape}")
     eye = np.eye(3)
     gram = np.einsum("...ji,...jk->...ik", m, m)
-    if np.any(np.abs(gram - eye) > 1e-6):
+    if not np.all(np.abs(gram - eye) <= 1e-6):  # NaN fails this test too
         raise NotARotation("matrix is not orthonormal within 1e-6")
     if np.any(np.linalg.det(m) < 0.0):
         raise NotARotation("matrix has determinant -1")

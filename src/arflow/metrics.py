@@ -177,6 +177,8 @@ def fid(features_a, features_b) -> float:
 
 def _two_subsets(n: int, size: int, rng: np.random.Generator,
                  with_replacement: bool) -> tuple[np.ndarray, np.ndarray]:
+    if size < 1:
+        raise InvalidConfig(f"subset size must be >= 1, got {size}")
     if with_replacement:
         return rng.integers(0, n, size), rng.integers(0, n, size)
     if n < 2 * size:
@@ -189,7 +191,8 @@ def _two_subsets(n: int, size: int, rng: np.random.Generator,
 
 def diversity(features, subset_size: int = DIVERSITY_SUBSET, *, seed: int = 0,
               with_replacement: bool = False) -> float:
-    """Mean distance between two seeded disjoint subsets of the features."""
+    """Mean distance between two seeded disjoint subsets of the features;
+    ``InvalidConfig`` when ``subset_size`` < 1."""
     feats = _feature_matrix(features)
     rng = np.random.default_rng(seed)
     ia, ib = _two_subsets(len(feats), subset_size, rng, with_replacement)
@@ -202,7 +205,7 @@ def multimodality(features_by_class: dict, subset_size: int = MULTIMODALITY_SUBS
 
     For each class two seeded subsets of ``subset_size`` are drawn and the
     paired distances accumulated; the sum is divided by
-    (num_classes * subset_size).
+    (num_classes * subset_size).  ``InvalidConfig`` when ``subset_size`` < 1.
     """
     if not features_by_class:
         raise EmptyInput("no classes given")

@@ -89,6 +89,8 @@ class TrainConfig:
             raise InvalidConfig("cond_dropout_prob must be in [0, 1]")
         if self.t_grid < 1:
             raise InvalidConfig("t_grid must be >= 1")
+        if not (0.0 <= self.sigma_min < 1.0 and 0.0 < self.learning_rate < np.inf):
+            raise InvalidConfig("need sigma_min in [0, 1), finite learning_rate > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +161,18 @@ def _layer_norm(x: ad.Tensor, g: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return xc / (var + _LN_EPS).sqrt() * g + b
 
 
-def _cond_rows(cfg: PredictorConfig, conds) -> np.ndarray:
-    """Map per-sample condition ids (None = null token) to embedding rows."""
-    rows = np.empty(len(conds), dtype=np.int64)
-    for i, c in enumerate(conds):
-        if c is None:
-            rows[i] = cfg.cond_vocab
-        else:
-            c = int(c)
-            if not 0 <= c < cfg.cond_vocab:
-                raise UnknownCondition(
-                    f"condition {c} outside vocabulary of {cfg.cond_vocab}")
-            rows[i] = c
-    return rows
+def _cond_rows(cfg: PredictorConfig, conds, b: int) -> np.ndarray:
+    """Map a batch's condition ids (None = null token; ``conds`` None for
+    the null token throughout) to embedding rows."""
+    conds = [None] * b if conds is None else conds
+    if len(conds) != b:
+        raise DimensionMismatch(f"{len(conds)} conditions for a batch of {b}")
+    for c in conds:
+        if c is not None and not 0 <= int(c) < cfg.cond_vocab:
+            raise UnknownCondition(
+                f"condition {int(c)} outside vocabulary of {cfg.cond_vocab}")
+    return np.array([cfg.cond_vocab if c is None else int(c) for c in conds],
+                    dtype=np.int64)
 
 
 def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
@@ -235,50 +236,40 @@ def _as_tensors(params: PredictorParams, trainable: bool) -> dict[str, ad.Tensor
 
 def _check_input(cfg: PredictorConfig, x_t: np.ndarray) -> np.ndarray:
     x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.ndim not in (2, 3) or x_t.shape[-1] != cfg.frame_dim:
+    if x_t.ndim != 3 or x_t.shape[-1] != cfg.frame_dim:
         raise DimensionMismatch(
-            f"expected ([B,] H, {cfg.frame_dim}) input, got {x_t.shape}")
-    if x_t.shape[-2] > cfg.max_frames:
+            f"expected a (B, H, {cfg.frame_dim}) batch, got {x_t.shape}")
+    if x_t.shape[1] > cfg.max_frames:
         raise DimensionMismatch(
-            f"{x_t.shape[-2]} frames exceeds max_frames={cfg.max_frames}")
+            f"{x_t.shape[1]} frames exceeds max_frames={cfg.max_frames}")
     return x_t
 
 
 def predict(params: PredictorParams, x_t: np.ndarray, t: float,
             c=None) -> np.ndarray:
-    """Raw network output for one motion state (H, D), or a batch (B, H, D).
+    """Raw network output (B, H, D) for a (B, H, D) batch of motion states.
 
-    For a batch, ``c`` is a length-B sequence of condition ids (None entries
-    take the null token) or None for the null token throughout; one forward
-    pass covers the whole batch.  In causal mode output frame h depends only
-    on input frames <= h (plus t and c).  Pure and deterministic.
+    ``c`` is a length-B sequence of condition ids (None entries take the
+    null token) or None for the null token throughout; one forward pass
+    covers the whole batch.  In causal mode output frame h depends only on
+    input frames <= h (plus t and c).  Pure and deterministic.
     """
     cfg = params.config
     x_t = _check_input(cfg, x_t)
-    if x_t.ndim == 2:
-        batch, conds = x_t[None], [c]
-    else:
-        batch, conds = x_t, ([None] * len(x_t) if c is None else list(c))
-        if len(conds) != len(batch):
-            raise DimensionMismatch(
-                f"{len(conds)} conditions for a batch of {len(batch)}")
-    hidden = _forward(_as_tensors(params, trainable=False), cfg, batch, float(t),
-                      _cond_rows(cfg, conds)).data
-    # one (H, width) x (width, D) product per sample, the shape of a single
-    # call, so a sample's output does not depend on the batch it is in
-    out = hidden @ params.arrays["out_proj_w"] + params.arrays["out_proj_b"]
-    return out if x_t.ndim == 3 else out[0]
+    hidden = _forward(_as_tensors(params, trainable=False), cfg, x_t, float(t),
+                      _cond_rows(cfg, c, len(x_t))).data
+    # one (H, width) x (width, D) product per sample, so a sample's output
+    # does not depend on the batch it is in
+    return hidden @ params.arrays["out_proj_w"] + params.arrays["out_proj_b"]
 
 
 def hidden_features(params: PredictorParams, motions: np.ndarray) -> np.ndarray:
     """Mean-pooled final hidden state, at t = 1 with the null condition, of
     each motion of a (B, H, D) batch: (B, width), from one forward pass."""
     cfg = params.config
-    if np.ndim(motions) != 3:
-        raise DimensionMismatch(f"expected a (B, H, D) batch, got {np.shape(motions)}")
     motions = _check_input(cfg, motions)
     hidden = _forward(_as_tensors(params, trainable=False), cfg, motions, 1.0,
-                      _cond_rows(cfg, [None] * len(motions)))
+                      _cond_rows(cfg, None, len(motions)))
     return hidden.data.mean(axis=1)
 
 
@@ -293,7 +284,8 @@ def prediction_to_x1(raw: np.ndarray, x_t: np.ndarray, t: float,
 
 
 def as_x1_predictor(params: PredictorParams, sigma_min: float):
-    """Wrap trained params as a sampler-facing callable (x_t, t, c) -> x1_hat."""
+    """Wrap trained params as a sampler-facing callable (x_t, t, c) -> x1_hat
+    on (B, H, D) batches, ``c`` as in :func:`predict`."""
     mode = params.config.prediction_mode
 
     def predictor(x_t: np.ndarray, t: float, c) -> np.ndarray:
@@ -307,9 +299,9 @@ def as_x1_predictor(params: PredictorParams, sigma_min: float):
 # Loss and gradients
 # ---------------------------------------------------------------------------
 
-def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
-                skel: geo.Skeleton, cfg: TrainConfig, ts: np.ndarray,
-                conds: list[int | None],
+def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
+                x0: np.ndarray, x1: np.ndarray, conds, skel: geo.Skeleton,
+                cfg: TrainConfig, ts: np.ndarray,
                 targets: fp.InteractionTargets | None = None):
     """Training loss on the tape: ``(total, fm, inter value)``.
 
@@ -318,11 +310,12 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
     the interaction targets of the batch's b*h frames in order; without
     it they are built here with the same one call.
     """
-    rows = _cond_rows(pcfg, conds)
-    b = len(batch)
-    x0 = np.stack([np.asarray(s[0], dtype=np.float64) for s in batch])
-    x1 = np.stack([np.asarray(s[1], dtype=np.float64) for s in batch])
-    h = x0.shape[1]
+    x0, x1 = (np.asarray(x, dtype=np.float64) for x in (x0, x1))
+    if x0.ndim != 3 or x0.shape != x1.shape or len(x0) == 0:
+        raise DimensionMismatch(f"x0 {x0.shape} and x1 {x1.shape} must be one "
+                                f"non-empty (B, H, D) shape")
+    b, h, _ = x0.shape
+    rows = _cond_rows(pcfg, conds, b)
     ts = np.asarray(ts, dtype=np.float64)
     x_t = fp.interpolate(x0, x1, ts[:, None, None], cfg.sigma_min)
 
@@ -356,38 +349,35 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig, batch,
     return loss, loss_fm, inter_val
 
 
-def grad_loss(params: PredictorParams, batch, skel: geo.Skeleton,
-              cfg: TrainConfig, *, ts: np.ndarray | None = None,
-              conds: list[int | None] | None = None,
+def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
+              skel: geo.Skeleton, cfg: TrainConfig, *,
+              ts: np.ndarray | None = None,
               rng: np.random.Generator | None = None,
               targets: fp.InteractionTargets | None = None):
-    """Loss and parameter gradients on a batch of (x0, x1, c) triples.
+    """Loss and parameter gradients on a batch of (B, H, D) pairs x0 -> x1.
 
-    ``ts``/``conds`` override the per-sample flow times and condition ids;
-    otherwise they are drawn from ``rng`` (times from the uniform t_grid,
-    conditions from the batch with classifier-free dropout).  ``targets``
-    optionally carries the batch's precomputed interaction targets, one
-    row per frame, sample after sample.
+    ``conds`` is the batch's length-B sequence of condition ids (None
+    entries take the null token).  ``ts`` gives the per-sample flow times;
+    otherwise they are drawn from ``rng`` on the uniform t_grid.  With
+    ``rng`` each condition is then dropped to the null token with
+    probability ``cond_dropout_prob`` (classifier-free dropout), one draw
+    per non-None condition in batch order; without it the conditions are
+    used as given.  ``targets`` optionally carries the batch's precomputed
+    interaction targets, one row per frame, sample after sample.
     Returns ``(total, fm, inter, grads)`` with grads keyed like
     ``params.arrays``.
     """
-    if len(batch) == 0:
-        raise InvalidConfig("batch must be non-empty")
     if ts is None:
         if rng is None:
             raise InvalidConfig("either ts or rng must be given")
-        ts = rng.integers(0, cfg.t_grid, size=len(batch)) / cfg.t_grid
-    if conds is None:
-        conds = []
-        for _, _, c in batch:
-            if c is not None and rng is not None and cfg.cond_dropout_prob > 0.0 \
-                    and rng.random() < cfg.cond_dropout_prob:
-                c = None
-            conds.append(c)
+        ts = rng.integers(0, cfg.t_grid, size=len(x0)) / cfg.t_grid
+    if rng is not None and cfg.cond_dropout_prob > 0.0:
+        conds = [None if c is None or rng.random() < cfg.cond_dropout_prob else c
+                 for c in conds]
 
     tensors = _as_tensors(params, trainable=True)
-    loss, loss_fm, inter_val = _loss_graph(tensors, params.config, batch, skel,
-                                           cfg, ts, conds, targets)
+    loss, loss_fm, inter_val = _loss_graph(tensors, params.config, x0, x1, conds,
+                                           skel, cfg, ts, targets)
     total = float(loss.data)
     if not np.isfinite(total):
         raise NonFiniteLoss("non-finite training loss")
@@ -397,12 +387,11 @@ def grad_loss(params: PredictorParams, batch, skel: geo.Skeleton,
     return total, float(loss_fm.data), inter_val, grads
 
 
-def loss_value(params: PredictorParams, batch, skel: geo.Skeleton,
-               cfg: TrainConfig, *, ts: np.ndarray,
-               conds: list[int | None]) -> float:
+def loss_value(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
+               skel: geo.Skeleton, cfg: TrainConfig, *, ts: np.ndarray) -> float:
     """Forward-only total loss at fixed (ts, conds); used by gradient checks."""
     loss, _, _ = _loss_graph(_as_tensors(params, trainable=False), params.config,
-                             batch, skel, cfg, ts, conds)
+                             x0, x1, conds, skel, cfg, ts)
     return float(loss.data)
 
 
@@ -415,7 +404,8 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     """Train a predictor on (x0, x1, c) triples of one frame count.
 
     ``InvalidConfig`` unless every record fits ``predictor_cfg``: at most
-    ``max_frames`` frames, each ``frame_dim`` wide.
+    ``max_frames`` frames, each ``frame_dim`` wide.  The triples are stacked
+    once into (N, H, D) arrays; each step's batch is rows of those.
 
     Returns ``(params, history)`` where history has one
     ``(fm, inter, total)`` row per step.  Bit-reproducible for a fixed
@@ -440,23 +430,25 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = train_cfg.learning_rate
 
-    n, h = len(dataset), counts[0]
+    x0s, x1s = (np.stack([np.asarray(s[i], dtype=np.float64) for s in dataset])
+                for i in (0, 1))
+    labels = [s[2] for s in dataset]
+    n, h, _ = x0s.shape
     table = None
     if train_cfg.lambda_inter != 0.0:
         # one call over all n*h frames; a batch takes its frames' rows
-        table = fp.interaction_targets(skel, *(
-            np.stack([np.asarray(s[i], dtype=np.float64) for s in dataset])
-            .reshape(n * h, -1) for i in (0, 1)))
+        table = fp.interaction_targets(skel, x0s.reshape(n * h, -1),
+                                       x1s.reshape(n * h, -1))
 
     history: list[tuple[float, float, float]] = []
     for step in range(train_cfg.steps):
         idx = rng.integers(0, n, size=train_cfg.batch_size)
-        batch = [dataset[i] for i in idx]
         targets = (None if table is None
                    else table.rows((idx[:, None] * h + np.arange(h)).ravel()))
         try:
-            total, fm, inter, grads = grad_loss(params, batch, skel, train_cfg,
-                                                rng=rng, targets=targets)
+            total, fm, inter, grads = grad_loss(
+                params, x0s[idx], x1s[idx], [labels[i] for i in idx], skel,
+                train_cfg, rng=rng, targets=targets)
         except NonFiniteLoss as err:
             raise NonFiniteLoss(f"non-finite loss at step {step}", step=step) from err
         t_adam = step + 1

@@ -1,10 +1,10 @@
 """Sampling: one Euler walk with optional guidance and stochastic mixing.
 
 A predictor here is any callable ``(x_t, t, c) -> x1_hat`` returning the
-endpoint estimate for the current state (see
-:func:`arflow.model.as_x1_predictor`); the state is one motion (H, D) or a
-batch (B, H, D).  :func:`sample` walks the uniform time grid
-``t_n = (n - 1) / (N - 1)`` and is pure given its inputs and seed.
+endpoint estimate for a (B, H, D) batch of states, ``c`` a length-B
+sequence of condition ids or None (see :func:`arflow.model.as_x1_predictor`).
+:func:`sample` walks the uniform time grid ``t_n = (n - 1) / (N - 1)`` and
+is pure given its inputs and seed.
 
 Guidance evaluates the penetration gradient at the endpoint estimate, never
 through the network.  Vanilla guidance subtracts the scaled gradient from
@@ -52,12 +52,18 @@ class SamplerConfig:
             raise InvalidConfig("mode must be 'x1' or 'v'")
         if self.guidance not in GUIDANCE_MODES:
             raise InvalidConfig(f"guidance must be one of {GUIDANCE_MODES}")
-        if self.lambda_pene < 0.0 or self.zeta <= 0.0:
-            raise InvalidConfig("lambda_pene must be >= 0 and zeta > 0")
+        if not 0.0 <= self.sigma_min < 1.0:
+            raise InvalidConfig("sigma_min must be in [0, 1)")
+        if not (0.0 <= self.lambda_pene < np.inf and 0.0 < self.zeta < np.inf):
+            raise InvalidConfig("lambda_pene must be >= 0, zeta > 0, both finite")
         if not 0.0 <= self.w <= 1.0 or not 0.0 <= self.beta <= 1.0:
             raise InvalidConfig("w and beta must lie in [0, 1]")
         if self.guidance == "vanilla" and self.beta > 0.0:
             raise InvalidConfig("stochastic sampling composes with improved or none")
+
+    @property
+    def guided(self) -> bool:  # whether sampling takes the penetration gradient
+        return self.guidance != "none" and self.lambda_pene > 0.0
 
 
 def time_grid(steps: int) -> np.ndarray:
@@ -68,8 +74,9 @@ def time_grid(steps: int) -> np.ndarray:
 class GuidanceContext:
     """Per-frame actor geometry the penetration terms are evaluated against.
 
-    ``actor`` is (H, D) or a batch (B, H, D); ``capsules`` holds one actor
-    body per frame, its leading frame axes flattened to ``B * H``.
+    ``actor`` is the (B, H, D) batch of actors :func:`sample` drives;
+    ``capsules`` holds one actor body per frame, flattened to ``B * H``.  A
+    reaction must have the actor's leading axes.
     """
 
     skel: geo.Skeleton
@@ -92,13 +99,10 @@ class GuidanceContext:
 
 def _check_reaction(ctx: GuidanceContext, reaction: np.ndarray) -> np.ndarray:
     reaction = np.asarray(reaction, dtype=np.float64)
-    if reaction.ndim not in (2, 3) or reaction.shape[-1] != ctx.skel.motion_dim:
+    if reaction.shape != ctx.actor.shape[:-1] + (ctx.skel.motion_dim,):
         raise DimensionMismatch(
-            f"reaction must be ([B,] H, {ctx.skel.motion_dim}), got {reaction.shape}")
-    if reaction.shape[:-1] != ctx.actor.shape[:-1]:
-        raise DimensionMismatch(
-            f"reaction frames {reaction.shape[:-1]} do not match the context's "
-            f"{ctx.actor.shape[:-1]}")
+            f"reaction of shape {reaction.shape} for an actor of shape "
+            f"{ctx.actor.shape} needs {ctx.skel.motion_dim} values per frame")
     return reaction
 
 
@@ -167,9 +171,9 @@ def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
                        rngs: list[np.random.Generator] | None) -> np.ndarray:
     """Recover the path start, correct and blend (improved), re-interpolate.
 
-    ``rngs`` is given only when beta > 0, one generator per sample in batch
-    order; each draws its sample's random direction, norm-matched to that
-    sample's projection direction and mixed in by beta.  With
+    ``rngs`` is given only when beta > 0, one generator per sample of the
+    (B, H, D) batch; each draws its sample's random direction, norm-matched
+    to that sample's projection direction and mixed in by beta.  With
     lambda_pene = 0, w = 1 and beta = 0 this reduces to the Euler step
     (path-start recovery and re-interpolation compose to it).
     """
@@ -183,8 +187,7 @@ def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
         return fp.interpolate(x0_star, x1_corr, tn1, cfg.sigma_min)
     d_base = x0_star - x1_corr
     d_rand = np.empty_like(d_base)
-    per_sample = (d.reshape((-1,) + d.shape[-2:]) for d in (d_base, d_rand))
-    for gen, base, rand in zip(rngs, *per_sample):
+    for gen, base, rand in zip(rngs, d_base, d_rand):
         rand[...] = gen.standard_normal(size=base.shape)
         rand_norm = np.linalg.norm(rand)
         if rand_norm > 0.0:
@@ -195,13 +198,12 @@ def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
 
 def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
            ctx: GuidanceContext | None = None, sample_index=None) -> np.ndarray:
-    """Integrate from the action to the reaction along the uniform time grid.
+    """Integrate a (B, H, D) batch of actions along the uniform time grid.
 
-    ``x0`` is one action (H, D) or a batch (B, H, D); the predictor and the
-    guidance context get states of the same rank.  For one action ``c`` is a
-    condition id or None and ``sample_index`` an int (default 0); for a
-    batch ``c`` is a length-B sequence (or None for no condition) and
-    ``sample_index`` a length-B sequence (default ``range(B)``).
+    ``c`` is a length-B sequence of condition ids (None entries take the
+    null token) or None, and ``sample_index`` a length-B sequence (default
+    ``range(B)``).  The predictor gets (B, H, D) states and ``c``; guidance
+    needs ``ctx`` built from the same (B, H, D) actors.
 
     Each step calls the predictor once.  With guidance none or vanilla and
     beta = 0 the state takes the Euler step; vanilla then subtracts the
@@ -212,19 +214,15 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
     on the batch it runs in; the streams are only consulted when beta > 0.
     Raises ``NonFiniteSample`` when the predictor returns NaN or Inf.
     """
-    guided = cfg.guidance != "none" and cfg.lambda_pene != 0.0
-    if guided and ctx is None:
+    if cfg.guided and ctx is None:
         raise InvalidConfig("guided sampling needs a GuidanceContext")
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim == 2:
-        indices = [0 if sample_index is None else sample_index]
-    elif x0.ndim == 3:
-        indices = list(range(len(x0)) if sample_index is None else sample_index)
-        if len(indices) != len(x0):
-            raise DimensionMismatch(
-                f"{len(indices)} sample indices for a batch of {len(x0)}")
-    else:
-        raise DimensionMismatch(f"x0 must be (H, D) or (B, H, D), got {x0.shape}")
+    if x0.ndim != 3:
+        raise DimensionMismatch(f"x0 must be a (B, H, D) batch, got {x0.shape}")
+    indices = list(range(len(x0)) if sample_index is None else sample_index)
+    if len(indices) != len(x0):
+        raise DimensionMismatch(
+            f"{len(indices)} sample indices for a batch of {len(x0)}")
     reproject = cfg.guidance == "improved" or cfg.beta > 0.0
     rngs = ([np.random.default_rng((cfg.seed, i)) for i in indices]
             if cfg.beta > 0.0 else None)
@@ -238,11 +236,11 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
                 f"predictor returned {x1_hat.shape}, expected {x.shape}")
         if not np.isfinite(x1_hat).all():
             raise NonFiniteSample(f"predictor output is not finite at t={tn:g}")
-        grad = penetration_grad(x1_hat, ctx, cfg.zeta) if guided else None
+        grad = penetration_grad(x1_hat, ctx, cfg.zeta) if cfg.guided else None
         if reproject:
             x = _reprojection_step(x, x1_hat, x0, grad, tn, tn1, cfg, rngs)
         else:
             x = _euler_step(x, x1_hat, tn, tn1, cfg)
-            if guided:
+            if cfg.guided:
                 x = x - cfg.lambda_pene * grad
     return x

@@ -111,7 +111,7 @@ def check_step_reinterpolation(rng) -> CheckResult:
 
 
 def check_mode_duality(rng) -> CheckResult:
-    x0 = rng.normal(size=(5, 9))
+    x0 = rng.normal(size=(1, 5, 9))
     predictor = _nonlinear_predictor(rng, x0.shape)
     worst = 0.0
     for s in (0.0, 1e-4, 0.05):
@@ -125,7 +125,7 @@ def check_mode_duality(rng) -> CheckResult:
 
 
 def check_oracle_exactness(rng) -> CheckResult:
-    x0, x1 = _motions(rng, 2)
+    x0, x1 = np.stack(_motions(rng, 2))[:, None]
     worst = 0.0
     for n in (2, 5, 100):
         out = smp.sample(lambda x, t, c: x1, x0,
@@ -139,7 +139,7 @@ def check_oracle_exactness(rng) -> CheckResult:
 
 
 def check_guidance_reductions(rng) -> CheckResult:
-    x0 = rng.normal(size=(4, 9))
+    x0 = rng.normal(size=(1, 4, 9))
     predictor = _nonlinear_predictor(rng, x0.shape)
     euler = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=1e-4))
     van = smp.sample(
@@ -150,7 +150,7 @@ def check_guidance_reductions(rng) -> CheckResult:
     imp = smp.sample(predictor, x0, imp_cfg)
     # at beta = 0 the (seed, sample_index) stream must not be consulted
     other = smp.sample(predictor, x0, replace(imp_cfg, seed=imp_cfg.seed + 1),
-                       sample_index=3)
+                       sample_index=[3])
     err_v = np.max(np.abs(van - euler))
     err_i = np.max(np.abs(imp - euler))
     bit_equal = np.array_equal(other, imp)
@@ -218,9 +218,9 @@ def _penetrating_scene(rng):
                               np.array([[0.0, 0, 0], [0.6, 0, 0], [0.0, 0.6, 0]]),
                               np.array([0.25, 0.2]))
     actor = np.tile(np.r_[np.tile(geo.IDENTITY_ROT6D, 4), 0.0, 0.0, 0.0], (3, 1))
-    ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
-    reaction = rng.normal(scale=0.5, size=(3, skel.motion_dim))
-    reaction[:, -3:] = rng.normal(scale=0.15, size=(3, 3))
+    ctx = smp.GuidanceContext(skel, actor[None], geo.motion_capsules(actor_skel, actor))
+    reaction = rng.normal(scale=0.5, size=(1, 3, skel.motion_dim))
+    reaction[..., -3:] = rng.normal(scale=0.15, size=(1, 3, 3))
     return ctx, reaction
 
 
@@ -257,11 +257,12 @@ def check_predictor_grad_fd(rng) -> CheckResult:
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, sigma_min=1e-4, seed=0)
-    batch = [(rng.normal(size=(3, cfg.frame_dim)), rng.normal(size=(3, cfg.frame_dim)),
-              i % 2) for i in range(2)]
+    pairs = [(rng.normal(size=(3, cfg.frame_dim)), rng.normal(size=(3, cfg.frame_dim)))
+             for _ in range(2)]
+    x0, x1 = (np.stack(m) for m in zip(*pairs))
     ts = np.array([0.2, 0.7])
     conds = [0, 1]
-    _, _, _, grads = mdl.grad_loss(params, batch, skel, tcfg, ts=ts, conds=conds)
+    _, _, _, grads = mdl.grad_loss(params, x0, x1, conds, skel, tcfg, ts=ts)
     names = sorted(params.arrays)
     h = 1e-5
     checked, worst = 0, 0.0
@@ -271,9 +272,9 @@ def check_predictor_grad_fd(rng) -> CheckResult:
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.loss_value(params, batch, skel, tcfg, ts=ts, conds=conds)
+        hi = mdl.loss_value(params, x0, x1, conds, skel, tcfg, ts=ts)
         arr[idx] = orig - h
-        lo = mdl.loss_value(params, batch, skel, tcfg, ts=ts, conds=conds)
+        lo = mdl.loss_value(params, x0, x1, conds, skel, tcfg, ts=ts)
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:
@@ -287,24 +288,24 @@ def check_causal_mask(rng) -> CheckResult:
     cfg = mdl.PredictorConfig(frame_dim=10, max_frames=6, layers=2, width=16,
                               heads=2, causal=True)
     params = mdl.init_params(cfg, seed=int(rng.integers(1 << 30)))
-    x = rng.normal(size=(6, 10))
-    base = mdl.predict(params, x, 0.4, None)
+    x = rng.normal(size=(1, 6, 10))
+    base = mdl.predict(params, x, 0.4)
     worst = 0.0
     for h in range(5):
         perturbed = x.copy()
-        perturbed[h + 1:] += rng.normal(size=perturbed[h + 1:].shape)
-        out = mdl.predict(params, perturbed, 0.4, None)
-        worst = max(worst, np.max(np.abs(out[: h + 1] - base[: h + 1])))
+        perturbed[:, h + 1:] += rng.normal(size=perturbed[:, h + 1:].shape)
+        out = mdl.predict(params, perturbed, 0.4)
+        worst = max(worst, np.max(np.abs(out[:, : h + 1] - base[:, : h + 1])))
     return CheckResult("causal-mask", worst < 1e-10, f"max abs leak {worst:.2e}")
 
 
 def check_seed_determinism(rng) -> CheckResult:
-    x0 = rng.normal(size=(4, 9))
+    x0 = rng.normal(size=(1, 4, 9))
     predictor = _nonlinear_predictor(rng, x0.shape)
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="none", beta=0.02,
                             seed=11)
-    a = smp.sample(predictor, x0, cfg, sample_index=2)
-    b = smp.sample(predictor, x0, cfg, sample_index=2)
+    a = smp.sample(predictor, x0, cfg, sample_index=[2])
+    b = smp.sample(predictor, x0, cfg, sample_index=[2])
     sampler_ok = np.array_equal(a, b)
     skel = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [0.0, 0, 1.0]]),
                         np.array([0.1]))

@@ -62,9 +62,9 @@ def test_criterion_01_algebraic_equivalence():
         a = rng.normal(scale=0.3, size=x0.shape)
         predictor = lambda x, t, c: np.tanh(x + a) * (1.0 + 0.5 * t)
         s = float(rng.uniform(0.0, 0.1))
-        xa = smp.sample(predictor, x0,
+        xa = smp.sample(predictor, x0[None],
                         smp.SamplerConfig(steps=5, sigma_min=s, mode="x1"))
-        xb = smp.sample(predictor, x0,
+        xb = smp.sample(predictor, x0[None],
                         smp.SamplerConfig(steps=5, sigma_min=s, mode="v"))
         worst_mode = max(worst_mode, np.max(np.abs(xa - xb)))
     ok = worst_step < 1e-10 and worst_round < 1e-10 and worst_mode < 1e-10
@@ -84,12 +84,12 @@ def test_criterion_02_oracle_exactness():
     x1 = rng.normal(size=(8, 13))
     worst = 0.0
     for n in (2, 5, 100):
-        out = smp.sample(lambda x, t, c: x1, x0,
+        out = smp.sample(lambda x, t, c: x1[None], x0[None],
                          smp.SamplerConfig(steps=n, sigma_min=0.0))
         worst = max(worst, np.max(np.abs(out - x1)))
     s = 0.05
     for n in (2, 5, 100):
-        out = smp.sample(lambda x, t, c: x1, x0,
+        out = smp.sample(lambda x, t, c: x1[None], x0[None],
                          smp.SamplerConfig(steps=n, sigma_min=s))
         worst = max(worst, np.max(np.abs(out - (x1 + s * x0))))
     report(2, "oracle-exactness", worst < 1e-12, f"max abs err {worst:.1e}",
@@ -110,17 +110,17 @@ def test_criterion_03_reduction_chain():
         a = rng.normal(scale=0.3, size=x0.shape)
         predictor = lambda x, t, c: np.tanh(x + a) * (1.0 + 0.5 * t)
         s = float(rng.uniform(0.0, 0.1))
-        euler = smp.sample(predictor, x0,
+        euler = smp.sample(predictor, x0[None],
                            smp.SamplerConfig(steps=5, sigma_min=s))
         vanilla = smp.sample(
-            predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
-                                             guidance="vanilla", lambda_pene=0.0))
+            predictor, x0[None], smp.SamplerConfig(steps=5, sigma_min=s,
+                                                   guidance="vanilla", lambda_pene=0.0))
         icfg = smp.SamplerConfig(steps=5, sigma_min=s, guidance="improved",
                                  lambda_pene=0.0, w=1.0, seed=3)
-        improved = smp.sample(predictor, x0, icfg)
+        improved = smp.sample(predictor, x0[None], icfg)
         # beta = 0 never consults the (seed, sample_index) stream
-        reseeded = smp.sample(predictor, x0, replace(icfg, seed=4),
-                              sample_index=7)
+        reseeded = smp.sample(predictor, x0[None], replace(icfg, seed=4),
+                              sample_index=[7])
         worst_vanilla = max(worst_vanilla, np.max(np.abs(vanilla - euler)))
         worst_improved = max(worst_improved, np.max(np.abs(improved - euler)))
         bit_equal = bit_equal and np.array_equal(reseeded, improved)
@@ -146,11 +146,11 @@ def test_criterion_04_gradient_correctness():
                               np.array([[0.0, 0, 0], [0.6, 0, 0], [0.0, 0.6, 0]]),
                               np.array([0.25, 0.2]))
     actor = np.tile(pose_row(actor_skel), (3, 1))
-    ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
+    ctx = smp.GuidanceContext(skel, actor[None], geo.motion_capsules(actor_skel, actor))
     reaction = rng.normal(scale=0.5, size=(3, skel.motion_dim))
     reaction[:, -3:] = rng.normal(scale=0.15, size=(3, 3))
     zeta = 0.5
-    grad = smp.penetration_grad(reaction, ctx, zeta).reshape(-1)
+    grad = smp.penetration_grad(reaction[None], ctx, zeta).reshape(-1)
     flat = reaction.reshape(-1)
     h = 1e-6
     checked_p, worst_p = 0, 0.0
@@ -158,9 +158,9 @@ def test_criterion_04_gradient_correctness():
         idx = int(rng.integers(flat.size))
         orig = flat[idx]
         flat[idx] = orig + h
-        hi = smp.penetration_loss(reaction, ctx, zeta)
+        hi = smp.penetration_loss(reaction[None], ctx, zeta)
         flat[idx] = orig - h
-        lo = smp.penetration_loss(reaction, ctx, zeta)
+        lo = smp.penetration_loss(reaction[None], ctx, zeta)
         flat[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-6:
@@ -183,7 +183,8 @@ def test_criterion_04_gradient_correctness():
               rng.normal(size=(3, cfg.frame_dim)), i % 2) for i in range(2)]
     ts = np.array([0.17, 0.71])
     conds = [0, 1]
-    _, _, _, grads = mdl.grad_loss(params, batch, skel2, tcfg, ts=ts, conds=conds)
+    x0, x1 = (np.stack([b[i] for b in batch]) for i in (0, 1))
+    _, _, _, grads = mdl.grad_loss(params, x0, x1, conds, skel2, tcfg, ts=ts)
     names = sorted(params.arrays)
     h = 1e-5
     checked_g, worst_g = 0, 0.0
@@ -193,9 +194,9 @@ def test_criterion_04_gradient_correctness():
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.loss_value(params, batch, skel2, tcfg, ts=ts, conds=conds)
+        hi = mdl.loss_value(params, x0, x1, conds, skel2, tcfg, ts=ts)
         arr[idx] = orig - h
-        lo = mdl.loss_value(params, batch, skel2, tcfg, ts=ts, conds=conds)
+        lo = mdl.loss_value(params, x0, x1, conds, skel2, tcfg, ts=ts)
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:
@@ -268,7 +269,7 @@ def test_criterion_06_trainability(trained_setup):
     cfg = smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min)
     errs, base = [], []
     for s in trained_setup["test"]:
-        out = smp.sample(predictor, s.actor, cfg, None)
+        out = smp.sample(predictor, s.actor[None], cfg, None)[0]
         errs.append(np.sqrt(np.mean((out - s.reactor) ** 2)))
         base.append(np.sqrt(np.mean((s.actor - s.reactor) ** 2)))
     ratio = float(np.mean(errs) / np.mean(base))
@@ -339,11 +340,11 @@ def test_criterion_08_causality():
     worst = 0.0
     for trial in range(5):
         x = rng.normal(size=(8, 12))
-        base = mdl.predict(params, x, 0.3, trial % 2)
+        base = mdl.predict(params, x[None], 0.3, [trial % 2])[0]
         for h in range(7):
             perturbed = x.copy()
             perturbed[h + 1:] += rng.normal(size=perturbed[h + 1:].shape)
-            out = mdl.predict(params, perturbed, 0.3, trial % 2)
+            out = mdl.predict(params, perturbed[None], 0.3, [trial % 2])[0]
             worst = max(worst, np.max(np.abs(out[: h + 1] - base[: h + 1])))
     report(8, "causality", worst < 1e-10, f"max leak {worst:.1e}",
            time.time() - started, 5.0)
@@ -403,7 +404,7 @@ def test_criterion_10_stochastic_diversity(trained_setup):
             for seed in range(20):
                 cfg = smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min,
                                         guidance="none", beta=beta, seed=seed)
-                outs.append(smp.sample(predictor, actor, cfg))
+                outs.append(smp.sample(predictor, actor[None], cfg)[0])
             spreads.append(float(np.var(np.stack(outs), axis=0).mean()))
         variances.append(float(np.mean(spreads)))
     ok = variances[0] < variances[1] < variances[2]

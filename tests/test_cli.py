@@ -60,6 +60,14 @@ def test_gen_data_zero_pairs_exits_2(tmp_path):
                "--out", str(tmp_path / "x.jsonl")) == 2
 
 
+@pytest.mark.parametrize("flag", ["--noise=nan", "--noise=inf", "--fps=nan", "--fps=-1"])
+def test_gen_data_bad_value_exits_2(flag, tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert run("gen-data", "--pairs", "3", "--frames", "4", flag, "--out", str(out)) == 2
+    assert flag[2:flag.index("=")] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_an_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("gen-data", "--pairs", "2", "--out", str(tmp_path / "x.jsonl"),
@@ -102,6 +110,14 @@ def test_train_seed_reproducible_checksum(small_data, tmp_path):
                    "--layers", "1", "--seed", "7") == 0
         sums.append(sha(out))
     assert sums[0] == sums[1]
+
+
+@pytest.mark.parametrize("flag", ["--sigma-min=-3", "--lr=-1", "--lr=nan"])
+def test_train_bad_value_exits_2(flag, small_data, tmp_path):
+    out = tmp_path / "m.json"
+    assert run("train", "--data", str(small_data), "--out", str(out), "--steps", "2",
+               flag) == 2
+    assert not out.exists()
 
 
 def test_train_missing_data_exits_2(tmp_path):
@@ -249,6 +265,15 @@ def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
                "--beta", "0.5") == 2
 
 
+@pytest.mark.parametrize("flags", [["--lambda-pene", "inf"], ["--zeta", "nan"],
+                                   ["--sigma-min=-5"], ["--sigma-min", "1.5"]])
+def test_sample_bad_sampler_value_exits_2(flags, small_model, small_data, tmp_path):
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(small_model), "--data", str(small_data),
+               "--out", str(out), "--guidance", "improved", "--steps", "2", *flags) == 2
+    assert not out.exists()
+
+
 def test_sample_flag_defaults_are_the_sampler_config_defaults():
     args = cli.build_parser().parse_args(
         ["sample", "--model", "m", "--data", "d", "--out", "o"])
@@ -262,7 +287,7 @@ def test_sample_flag_defaults_are_the_sampler_config_defaults():
 def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
     # 70 six-frame actors (more than one chunk) interleaved with 12
     # eight-frame ones; output keeps file order and each reaction matches a
-    # single-actor call with the actor's position as its stream index
+    # batch-of-one call with the actor's position as its stream index
     short, long_ = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
     assert run("gen-data", "--pairs", "70", "--frames", "6", "--seed", "4",
                "--contact-fraction", "1.0", "--out", str(short)) == 0
@@ -288,9 +313,10 @@ def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
     predictor = mdl.as_x1_predictor(params, cfg.sigma_min)
     for index, (s, g) in enumerate(zip(subset, got)):
         assert np.array_equal(s.actor, g.actor) and s.label == g.label
-        ctx = smp.GuidanceContext.from_actor(skel, s.actor)
-        ref = smp.sample(predictor, s.actor, cfg, s.label, ctx, sample_index=index)
-        assert np.max(np.abs(g.reactor - ref)) <= 1e-12
+        ctx = smp.GuidanceContext.from_actor(skel, s.actor[None])
+        ref = smp.sample(predictor, s.actor[None], cfg, [s.label], ctx,
+                         sample_index=[index])
+        assert np.max(np.abs(g.reactor - ref[0])) <= 1e-12
 
 
 def _edited_model(small_model, tmp_path, name, edit):
@@ -358,6 +384,16 @@ def test_eval_div_multimod(small_data, tmp_path):
     values = dict(line.split(": ") for line in out.read_text().splitlines())
     assert float(values["diversity"]) > 0.0
     assert float(values["multimodality"]) > 0.0
+
+
+@pytest.mark.parametrize("metric,flag", [("div", "--sd=0"), ("div", "--sd=-3"),
+                                         ("multimod", "--sl=0")])
+def test_eval_subset_size_below_one_exits_2(metric, flag, small_data, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(small_data), "--metrics", metric, flag,
+               "--out", str(out)) == 2
+    assert "subset size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_latent_features_need_model_exits_2(small_data, capsys):

@@ -18,6 +18,18 @@ def test_scenario_config_validation():
         dt.ScenarioConfig("push_retreat", frames=1)
     with pytest.raises(InvalidConfig):
         dt.ScenarioConfig("push_retreat", contact_fraction=1.5)
+    for noise in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(InvalidConfig, match="noise"):
+            dt.ScenarioConfig("push_retreat", noise=noise)
+
+
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -1.0])
+def test_save_samples_rejects_bad_fps(fps, tmp_path):
+    path = tmp_path / "s.jsonl"
+    with pytest.raises(InvalidConfig, match="fps"):
+        dt.save_samples(str(path), dt.generate_mixed(1, frames=2), dt.default_skeleton(),
+                        fps=fps)
+    assert not path.exists()
 
 
 def test_default_skeleton_shapes():

@@ -134,6 +134,13 @@ def test_encode_rejects_non_rotation():
         geo.rot6d_encode(2.0 * np.eye(3))
     with pytest.raises(NotARotation):
         geo.rot6d_encode(np.diag([1.0, 1.0, -1.0]))
+    for value in (np.nan, np.inf):
+        with pytest.raises(NotARotation):
+            geo.rot6d_encode(np.full((3, 3), value))
+        m = np.tile(np.eye(3), (2, 1, 1))
+        m[1, 0, 0] = value
+        with pytest.raises(NotARotation):
+            geo.rot6d_encode(m)
 
 
 def test_decode_tape_matches_strict():

@@ -250,6 +250,16 @@ def test_diversity_insufficient_without_replacement():
     assert mx.diversity(np.zeros((5, 2)), 3, seed=0, with_replacement=True) == 0.0
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_subset_size_below_one_is_invalid(size):
+    feats = np.arange(12.0).reshape(6, 2)
+    for replace in (False, True):
+        with pytest.raises(InvalidConfig, match="subset size"):
+            mx.diversity(feats, size, with_replacement=replace)
+        with pytest.raises(InvalidConfig, match="subset size"):
+            mx.multimodality({0: feats}, size, with_replacement=replace)
+
+
 def test_multimodality_constant_classes_and_c1_reduction():
     by_class = {0: np.ones((10, 3)), 1: np.zeros((10, 3))}
     assert mx.multimodality(by_class, 4, seed=0) == 0.0

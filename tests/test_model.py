@@ -23,6 +23,11 @@ def tiny_batch(rng, skel, n=2, h=3, labels=(0, 1)):
              labels[i % len(labels)]) for i in range(n)]
 
 
+def stacked(batch):
+    """The (B, H, D) arrays x0 and x1 of a list of (x0, x1, c) triples."""
+    return np.stack([s[0] for s in batch]), np.stack([s[1] for s in batch])
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -33,11 +38,11 @@ def test_predict_causality():
     cfg = tiny_config(skel, h=6, width=16, layers=2)
     params = mdl.init_params(cfg, seed=1)
     x = rng.normal(size=(6, cfg.frame_dim))
-    base = mdl.predict(params, x, 0.4, 1)
+    base = mdl.predict(params, x[None], 0.4, [1])[0]
     for h in range(5):
         perturbed = x.copy()
         perturbed[h + 1:] += rng.normal(size=perturbed[h + 1:].shape)
-        out = mdl.predict(params, perturbed, 0.4, 1)
+        out = mdl.predict(params, perturbed[None], 0.4, [1])[0]
         assert np.max(np.abs(out[: h + 1] - base[: h + 1])) < 1e-10
 
 
@@ -47,10 +52,10 @@ def test_predict_noncausal_sees_future():
     cfg = tiny_config(skel, h=4, causal=False)
     params = mdl.init_params(cfg, seed=2)
     x = rng.normal(size=(4, cfg.frame_dim))
-    base = mdl.predict(params, x, 0.3, None)
+    base = mdl.predict(params, x[None], 0.3)[0]
     perturbed = x.copy()
     perturbed[-1] += 1.0
-    assert np.max(np.abs(mdl.predict(params, perturbed, 0.3, None)[0] - base[0])) > 0
+    assert np.max(np.abs(mdl.predict(params, perturbed[None], 0.3)[0, 0] - base[0])) > 0
 
 
 def test_zero_output_projection_gives_zero():
@@ -61,7 +66,7 @@ def test_zero_output_projection_gives_zero():
     params.arrays["out_proj_w"][:] = 0.0
     params.arrays["out_proj_b"][:] = 0.0
     x = rng.normal(size=(3, cfg.frame_dim))
-    assert np.all(mdl.predict(params, x, 0.7, 2) == 0.0)
+    assert np.all(mdl.predict(params, x[None], 0.7, [2]) == 0.0)
 
 
 def test_predict_deterministic():
@@ -70,8 +75,8 @@ def test_predict_deterministic():
     cfg = tiny_config(skel)
     params = mdl.init_params(cfg, seed=4)
     x = rng.normal(size=(3, cfg.frame_dim))
-    a = mdl.predict(params, x, 0.5, 0)
-    b = mdl.predict(params, x, 0.5, 0)
+    a = mdl.predict(params, x[None], 0.5, [0])
+    b = mdl.predict(params, x[None], 0.5, [0])
     assert np.array_equal(a, b)
 
 
@@ -80,11 +85,35 @@ def test_predict_input_validation():
     cfg = tiny_config(skel)
     params = mdl.init_params(cfg, seed=0)
     with pytest.raises(DimensionMismatch):
-        mdl.predict(params, np.zeros((3, cfg.frame_dim + 1)), 0.5, None)
+        mdl.predict(params, np.zeros((1, 3, cfg.frame_dim + 1)), 0.5)
     with pytest.raises(DimensionMismatch):
-        mdl.predict(params, np.zeros((cfg.max_frames + 1, cfg.frame_dim)), 0.5, None)
+        mdl.predict(params, np.zeros((1, cfg.max_frames + 1, cfg.frame_dim)), 0.5)
     with pytest.raises(UnknownCondition):
-        mdl.predict(params, np.zeros((2, cfg.frame_dim)), 0.5, cfg.cond_vocab)
+        mdl.predict(params, np.zeros((1, 2, cfg.frame_dim)), 0.5, [cfg.cond_vocab])
+    with pytest.raises(DimensionMismatch, match=r"\(B, H, "):  # one (H, D) motion
+        mdl.predict(params, np.zeros((3, cfg.frame_dim)), 0.5)
+
+
+@pytest.mark.parametrize("kw", [dict(sigma_min=-3.0), dict(sigma_min=1.0),
+                                dict(sigma_min=float("nan")), dict(learning_rate=-1.0),
+                                dict(learning_rate=0.0), dict(learning_rate=float("inf")),
+                                dict(learning_rate=float("nan"))])
+def test_train_config_rejects_bad_sigma_min_and_learning_rate(kw):
+    with pytest.raises(InvalidConfig):
+        mdl.TrainConfig(**kw)
+
+
+def test_grad_loss_rejects_mismatched_pairs():
+    rng = np.random.default_rng(16)
+    skel = chain_skeleton(2)
+    params = mdl.init_params(tiny_config(skel), seed=0)
+    x0, x1 = stacked(tiny_batch(rng, skel))
+    tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
+    for a, b in ((x0[0], x1[0]), (x0, x1[:1]), (x0[:0], x1[:0])):
+        with pytest.raises(DimensionMismatch):
+            mdl.grad_loss(params, a, b, [0] * len(a), skel, tcfg, ts=np.zeros(len(a)))
+    with pytest.raises(DimensionMismatch, match="2 conditions for a batch of 1"):
+        mdl.loss_value(params, x0[:1], x1[:1], [0, 1], skel, tcfg, ts=np.zeros(1))
 
 
 def test_config_validation():
@@ -107,8 +136,9 @@ def test_grad_loss_value_consistency():
     batch = tiny_batch(rng, skel)
     ts = np.array([0.2, 0.7])
     conds = [0, None]
-    total, fm, inter, _ = mdl.grad_loss(params, batch, skel, tcfg, ts=ts, conds=conds)
-    again = mdl.loss_value(params, batch, skel, tcfg, ts=ts, conds=conds)
+    total, fm, inter, _ = mdl.grad_loss(params, *stacked(batch), conds, skel, tcfg,
+                                        ts=ts)
+    again = mdl.loss_value(params, *stacked(batch), conds, skel, tcfg, ts=ts)
     assert total == pytest.approx(again, rel=1e-12)
     assert total == pytest.approx(fm + tcfg.lambda_inter * inter, rel=1e-12)
 
@@ -127,7 +157,8 @@ def test_grad_loss_matches_finite_differences(mode):
     batch = tiny_batch(rng, skel)
     ts = np.array([0.13, 0.61])
     conds = [1, 2]
-    _, _, _, grads = mdl.grad_loss(params, batch, skel, tcfg, ts=ts, conds=conds)
+    x0, x1 = stacked(batch)
+    _, _, _, grads = mdl.grad_loss(params, x0, x1, conds, skel, tcfg, ts=ts)
 
     names = sorted(params.arrays)
     h = 1e-5
@@ -138,9 +169,9 @@ def test_grad_loss_matches_finite_differences(mode):
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.loss_value(params, batch, skel, tcfg, ts=ts, conds=conds)
+        hi = mdl.loss_value(params, x0, x1, conds, skel, tcfg, ts=ts)
         arr[idx] = orig - h
-        lo = mdl.loss_value(params, batch, skel, tcfg, ts=ts, conds=conds)
+        lo = mdl.loss_value(params, x0, x1, conds, skel, tcfg, ts=ts)
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:
@@ -158,10 +189,11 @@ def test_lambda_zero_reduces_to_fm_gradient():
     ts = np.array([0.4, 0.9])
     conds = [None, 0]
     base = mdl.TrainConfig(steps=1, batch_size=2, lambda_inter=0.0, seed=0)
-    t0, fm0, inter0, g0 = mdl.grad_loss(params, batch, skel, base, ts=ts, conds=conds)
+    t0, fm0, inter0, g0 = mdl.grad_loss(params, *stacked(batch), conds, skel, base,
+                                        ts=ts)
     assert inter0 == 0.0 and t0 == fm0
     # fm-only gradient computed separately must match exactly
-    _, _, _, g1 = mdl.grad_loss(params, batch, skel, base, ts=ts, conds=conds)
+    _, _, _, g1 = mdl.grad_loss(params, *stacked(batch), conds, skel, base, ts=ts)
     for k in g0:
         assert np.array_equal(g0[k], g1[k])
 
@@ -177,12 +209,11 @@ def test_grad_loss_with_table_rows_equals_no_targets(mode):
     table = fp.interaction_targets(skel, np.concatenate([s[0] for s in data]),
                                    np.concatenate([s[1] for s in data]))
     idx = np.array([3, 0, 3])
-    batch = [data[i] for i in idx]
-    kw = dict(ts=np.array([0.1, 0.5, 0.85]), conds=[0, None, 1])
-    got = mdl.grad_loss(params, batch, skel, tcfg,
-                        targets=table.rows((idx[:, None] * 3 + np.arange(3)).ravel()),
-                        **kw)
-    want = mdl.grad_loss(params, batch, skel, tcfg, **kw)
+    args = (*stacked([data[i] for i in idx]), [0, None, 1], skel, tcfg)
+    ts = np.array([0.1, 0.5, 0.85])
+    got = mdl.grad_loss(params, *args, ts=ts,
+                        targets=table.rows((idx[:, None] * 3 + np.arange(3)).ravel()))
+    want = mdl.grad_loss(params, *args, ts=ts)
     assert got[:3] == want[:3] and want[2] > 0.0
     for k in want[3]:
         assert got[3][k].tobytes() == want[3][k].tobytes(), k
@@ -196,11 +227,10 @@ def test_cond_dropout_prob_one_hides_labels():
     params = mdl.init_params(cfg, seed=8)
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, cond_dropout_prob=1.0, seed=0)
     data_rng = np.random.default_rng(7)
-    batch_a = tiny_batch(data_rng, skel, labels=(0, 1))
-    batch_b = [(x0, x1, 2) for x0, x1, _ in batch_a]
+    x0, x1 = stacked(tiny_batch(data_rng, skel, labels=(0, 1)))
     ts = np.array([0.3, 0.8])
-    ta, *_ = mdl.grad_loss(params, batch_a, skel, tcfg, ts=ts, rng=rng_a)
-    tb, *_ = mdl.grad_loss(params, batch_b, skel, tcfg, ts=ts, rng=rng_b)
+    ta, *_ = mdl.grad_loss(params, x0, x1, [0, 1], skel, tcfg, ts=ts, rng=rng_a)
+    tb, *_ = mdl.grad_loss(params, x0, x1, [2, 2], skel, tcfg, ts=ts, rng=rng_b)
     assert ta == tb
 
 
@@ -340,7 +370,7 @@ def test_params_file_rejects_data_shape_disagreement(tmp_path):
 
 def test_predict_batch_matches_single_calls():
     # one forward over the batch, one condition per sample; each sample's
-    # output is bit-equal to its own single-motion call
+    # output is bit-equal to its own batch-of-one call
     rng = np.random.default_rng(13)
     skel = chain_skeleton(2)
     cfg = tiny_config(skel, h=4, width=16)
@@ -350,7 +380,8 @@ def test_predict_batch_matches_single_calls():
     conds = [0, None, 2, 1, None]
     out = mdl.predict(params, x, 0.3, conds)
     for i in range(5):
-        assert np.array_equal(out[i], mdl.predict(params, x[i], 0.3, conds[i]))
+        assert np.array_equal(out[i], mdl.predict(params, x[i:i + 1], 0.3,
+                                                  conds[i:i + 1])[0])
     nulls = mdl.predict(params, x, 0.3, None)
     assert np.array_equal(nulls[1], out[1])
     with pytest.raises(DimensionMismatch):

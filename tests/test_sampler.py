@@ -22,7 +22,14 @@ def still_actor(skel, h, at=(0.0, 0.0, 0.0)):
 
 
 def reactor_at(skel, h, at):
-    return still_actor(skel, h, at)
+    """A batch of one reactor standing still at a point: (1, h, D)."""
+    return still_actor(skel, h, at)[None]
+
+
+def context(skel, actor_skel, actor):
+    """Guidance context of one (H, D) actor, posed on its own skeleton, as a
+    batch of one."""
+    return smp.GuidanceContext(skel, actor[None], geo.motion_capsules(actor_skel, actor))
 
 
 def oracle(x1_true):
@@ -46,7 +53,7 @@ def nonlinear_predictor(seed, shape):
 def test_penetration_loss_saturates_when_far():
     skel = chain_skeleton(3)
     h, zeta = 4, 0.5
-    ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, h))
+    ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, h)[None])
     reaction = reactor_at(skel, h, (10.0, 0.0, 0.0))
     loss = smp.penetration_loss(reaction, ctx, zeta)
     assert loss == pytest.approx(-(3 * h * zeta), abs=1e-12)
@@ -58,11 +65,9 @@ def test_penetration_loss_single_penetrating_joint():
     skel_a = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                           np.array([0.2]))
     actor = still_actor(skel_a, 1)
-    ctx = smp.GuidanceContext.from_actor(skel_a, actor)
     # reactor: vertical chain whose root sits 0.1 above the actor axis
     skel_r = chain_skeleton(3)
-    ctx = smp.GuidanceContext(skel_r, actor,
-                              geo.motion_capsules(skel_a, actor))
+    ctx = context(skel_r, skel_a, actor)
     reaction = reactor_at(skel_r, 1, (0.5, 0.0, 0.1))
     # joint 0 at z=0.1 -> sdf -0.1; joints at z=1.1, 2.1 -> saturated
     zeta = 0.5
@@ -75,8 +80,7 @@ def test_penetration_loss_monotone_in_depth():
     skel = chain_skeleton(2)
     actor_skel = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                               np.array([0.3]))
-    actor = still_actor(actor_skel, 1)
-    ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
+    ctx = context(skel, actor_skel, still_actor(actor_skel, 1))
     zeta = 0.5
     losses = []
     for z in (0.05, 0.15, 0.3, 0.5, 0.81):
@@ -90,16 +94,16 @@ def test_penetration_loss_monotone_in_depth():
 
 
 def penetrating_scene(seed=0, h=3, k=3):
-    """Reactor posed randomly, overlapping a capsule actor; returns (ctx, reaction)."""
+    """Reactor posed randomly, overlapping a capsule actor; returns (ctx, reaction),
+    both batches of one."""
     rng = np.random.default_rng(seed)
     skel = chain_skeleton(k, offset=(0.25, 0.1, 0.3))
     actor_skel = geo.Skeleton(
         (-1, 0, 1), np.array([[0.0, 0, 0], [0.6, 0, 0], [0.0, 0.6, 0]]),
         np.array([0.25, 0.2]))
-    actor = still_actor(actor_skel, h)
-    ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
-    reaction = random_motion(rng, skel, h)
-    reaction[:, -3:] = rng.normal(scale=0.15, size=(h, 3))  # root near the actor
+    ctx = context(skel, actor_skel, still_actor(actor_skel, h))
+    reaction = random_motion(rng, skel, h)[None]
+    reaction[0, :, -3:] = rng.normal(scale=0.15, size=(h, 3))  # root near the actor
     return ctx, reaction
 
 
@@ -107,7 +111,7 @@ def test_penetration_grad_matches_finite_differences():
     ctx, reaction = penetrating_scene(seed=3)
     zeta = 0.5
     grad = smp.penetration_grad(reaction, ctx, zeta)
-    assert smp.penetration_loss(reaction, ctx, zeta) > -reaction.shape[0] * ctx.skel.joint_count * zeta
+    assert smp.penetration_loss(reaction, ctx, zeta) > -reaction.shape[1] * ctx.skel.joint_count * zeta
     rng = np.random.default_rng(11)
     flat = reaction.reshape(-1)
     gflat = grad.reshape(-1)
@@ -134,20 +138,19 @@ def test_penetration_grad_translation_direction():
     skel = chain_skeleton(2)
     actor_skel = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [1.0, 0, 0]]),
                               np.array([0.3]))
-    actor = still_actor(actor_skel, 1)
-    ctx = smp.GuidanceContext(skel, actor, geo.motion_capsules(actor_skel, actor))
+    ctx = context(skel, actor_skel, still_actor(actor_skel, 1))
     reaction = reactor_at(skel, 1, (0.5, 0.1, 0.2))
-    pos = geo.motion_joint_positions(skel, reaction)
+    pos = geo.motion_joint_positions(skel, reaction[0])
     _, sdf_dir = geo.sdf_and_gradient(pos[0, 0], ctx.capsules.frame(0))
     grad = smp.penetration_grad(reaction, ctx, zeta=0.5)
-    assert np.allclose(grad[0, -3:], -sdf_dir, atol=1e-12)
+    assert np.allclose(grad[0, 0, -3:], -sdf_dir, atol=1e-12)
 
 
 def test_penetration_frame_count_mismatch():
     skel = chain_skeleton(2)
-    ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, 4))
+    ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, 4)[None])
     with pytest.raises(DimensionMismatch):
-        smp.penetration_loss(still_actor(skel, 3), ctx, 0.5)
+        smp.penetration_loss(reactor_at(skel, 3, (0.0, 0.0, 0.0)), ctx, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +160,8 @@ def test_penetration_frame_count_mismatch():
 @pytest.mark.parametrize("steps", [2, 5, 100])
 def test_oracle_predictor_exact(steps):
     rng = np.random.default_rng(4)
-    x0 = rng.normal(size=(6, 11))
-    x1 = rng.normal(size=(6, 11))
+    x0 = rng.normal(size=(6, 11))[None]
+    x1 = rng.normal(size=(6, 11))[None]
     cfg = smp.SamplerConfig(steps=steps, sigma_min=0.0)
     out = smp.sample(oracle(x1), x0, cfg)
     assert np.max(np.abs(out - x1)) < 1e-12
@@ -166,8 +169,8 @@ def test_oracle_predictor_exact(steps):
 
 def test_oracle_predictor_sigma_coupling():
     rng = np.random.default_rng(5)
-    x0 = rng.normal(size=(4, 7))
-    x1 = rng.normal(size=(4, 7))
+    x0 = rng.normal(size=(4, 7))[None]
+    x1 = rng.normal(size=(4, 7))[None]
     s = 0.03
     cfg = smp.SamplerConfig(steps=5, sigma_min=s)
     out = smp.sample(oracle(x1), x0, cfg)
@@ -176,7 +179,7 @@ def test_oracle_predictor_sigma_coupling():
 
 def test_v_mode_equals_x1_mode():
     rng = np.random.default_rng(6)
-    x0 = rng.normal(size=(5, 9))
+    x0 = rng.normal(size=(5, 9))[None]
     predictor = nonlinear_predictor(7, x0.shape)
     for s in (0.0, 1e-4, 0.05):
         a = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
@@ -192,7 +195,7 @@ def test_v_mode_equals_x1_mode():
 
 def test_vanilla_lambda_zero_is_euler_bit_exact():
     rng = np.random.default_rng(8)
-    x0 = rng.normal(size=(4, 8))
+    x0 = rng.normal(size=(4, 8))[None]
     predictor = nonlinear_predictor(9, x0.shape)
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="vanilla",
                             lambda_pene=0.0)
@@ -203,7 +206,7 @@ def test_vanilla_lambda_zero_is_euler_bit_exact():
 
 def test_improved_lambda0_w1_is_euler():
     rng = np.random.default_rng(10)
-    x0 = rng.normal(size=(4, 8))
+    x0 = rng.normal(size=(4, 8))[None]
     predictor = nonlinear_predictor(11, x0.shape)
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="improved",
                             lambda_pene=0.0, w=1.0)
@@ -215,7 +218,7 @@ def test_improved_lambda0_w1_is_euler():
 def test_saturated_scene_guidance_is_noop():
     skel = chain_skeleton(2)
     h = 3
-    ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, h))
+    ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, h)[None])
     x0 = reactor_at(skel, h, (20.0, 0.0, 0.0))
     x1 = reactor_at(skel, h, (21.0, 0.0, 0.0))
     for guidance in ("vanilla", "improved"):
@@ -229,7 +232,7 @@ def test_saturated_scene_guidance_is_noop():
 
 def test_vanilla_guidance_reduces_penetration():
     ctx, gt_penetrating = penetrating_scene(seed=13)
-    h = gt_penetrating.shape[0]
+    h = gt_penetrating.shape[1]
     skel = ctx.skel
     x0 = reactor_at(skel, h, (1.5, 0.8, 0.2))
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="vanilla",
@@ -243,7 +246,7 @@ def test_vanilla_guidance_reduces_penetration():
 
 def test_improved_guidance_reduces_penetration():
     ctx, gt_penetrating = penetrating_scene(seed=14)
-    h = gt_penetrating.shape[0]
+    h = gt_penetrating.shape[1]
     x0 = reactor_at(ctx.skel, h, (1.5, 0.8, 0.2))
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, guidance="improved",
                             lambda_pene=2.0, w=0.7)
@@ -256,8 +259,8 @@ def test_improved_guidance_reduces_penetration():
 
 def test_improved_oracle_exact_path_independent_of_w():
     rng = np.random.default_rng(15)
-    x0 = rng.normal(size=(4, 8))
-    x1 = rng.normal(size=(4, 8))
+    x0 = rng.normal(size=(4, 8))[None]
+    x1 = rng.normal(size=(4, 8))[None]
     outs = []
     for w in (0.0, 0.3, 1.0):
         cfg = smp.SamplerConfig(steps=5, sigma_min=0.0, guidance="improved",
@@ -273,20 +276,20 @@ def test_improved_oracle_exact_path_independent_of_w():
 
 def test_beta_zero_ignores_seed_stream():
     rng = np.random.default_rng(16)
-    x0 = rng.normal(size=(4, 8))
+    x0 = rng.normal(size=(4, 8))[None]
     predictor = nonlinear_predictor(17, x0.shape)
     base = dict(steps=5, sigma_min=1e-4, guidance="improved", lambda_pene=0.0,
                 w=0.6, beta=0.0)
     a = smp.sample(predictor, x0, smp.SamplerConfig(seed=5, **base))
     for seed, index in ((5, 1), (6, 0), (9, 4)):
         b = smp.sample(predictor, x0, smp.SamplerConfig(seed=seed, **base),
-                       sample_index=index)
+                       sample_index=[index])
         assert np.array_equal(a, b)
 
 
 def test_stochastic_seed_determinism_and_diversity():
     rng = np.random.default_rng(18)
-    x0 = rng.normal(size=(4, 8))
+    x0 = rng.normal(size=(4, 8))[None]
     predictor = nonlinear_predictor(19, x0.shape)
     base = dict(steps=5, sigma_min=1e-4, guidance="none", beta=0.02)
     a1 = smp.sample(predictor, x0, smp.SamplerConfig(seed=1, **base))
@@ -296,7 +299,7 @@ def test_stochastic_seed_determinism_and_diversity():
     assert np.max(np.abs(a1 - b)) > 0.0
     # distinct per-sample streams from the same seed
     c = smp.sample(predictor, x0, smp.SamplerConfig(seed=1, **base),
-                   sample_index=1)
+                   sample_index=[1])
     assert np.max(np.abs(a1 - c)) > 0.0
 
 
@@ -308,7 +311,7 @@ def test_stochastic_beta_one_uses_random_direction():
     s = 0.01
     cfg = smp.SamplerConfig(steps=3, sigma_min=s, guidance="none", beta=1.0,
                             seed=7)
-    out = smp.sample(oracle(x1), x0, cfg, sample_index=3)
+    out = smp.sample(oracle(x1[None]), x0[None], cfg, sample_index=[3])[0]
     # replicate the two updates by hand with the derived stream
     gen = np.random.default_rng((7, 3))
     x = x0.copy()
@@ -330,13 +333,13 @@ def test_sampler_config_rejects_stochastic_vanilla():
 def test_guided_sampling_needs_context(guidance):
     cfg = smp.SamplerConfig(guidance=guidance, lambda_pene=1.0)
     with pytest.raises(InvalidConfig):
-        smp.sample(oracle(np.zeros((2, 4))), np.zeros((2, 4)), cfg)
+        smp.sample(oracle(np.zeros((1, 2, 4))), np.zeros((1, 2, 4)), cfg)
 
 
 def test_predictor_shape_mismatch_rejected():
     cfg = smp.SamplerConfig(guidance="improved", lambda_pene=0.0)
     with pytest.raises(ShapeMismatch):
-        smp.sample(oracle(np.zeros((3, 4))), np.zeros((2, 4)), cfg)
+        smp.sample(oracle(np.zeros((1, 3, 4))), np.zeros((1, 2, 4)), cfg)
 
 
 def test_sampler_config_validation():
@@ -346,12 +349,26 @@ def test_sampler_config_validation():
         smp.SamplerConfig(guidance="both")
     with pytest.raises(InvalidConfig):
         smp.SamplerConfig(w=1.5)
+    for kw in (dict(lambda_pene=np.inf), dict(lambda_pene=np.nan), dict(zeta=np.nan),
+               dict(zeta=np.inf), dict(sigma_min=-5.0), dict(sigma_min=1.0),
+               dict(sigma_min=np.nan)):
+        with pytest.raises(InvalidConfig):
+            smp.SamplerConfig(guidance="improved", **kw)
+
+
+@pytest.mark.parametrize("guidance,lam,guided", [("none", 2.0, False),
+                                                 ("vanilla", 0.0, False),
+                                                 ("improved", 0.0, False),
+                                                 ("vanilla", 0.02, True),
+                                                 ("improved", 2.0, True)])
+def test_sampler_config_decides_guidance(guidance, lam, guided):
+    assert smp.SamplerConfig(guidance=guidance, lambda_pene=lam).guided is guided
 
 
 def test_non_finite_prediction_raises():
     cfg = smp.SamplerConfig(steps=3)
     with pytest.raises(NonFiniteSample):
-        smp.sample(oracle(np.full((2, 4), np.inf)), np.zeros((2, 4)), cfg)
+        smp.sample(oracle(np.full((1, 2, 4), np.inf)), np.zeros((1, 2, 4)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +412,10 @@ def test_batch_matches_single_calls(kw):
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
     indices = [4, 0, 9, 2, 7, 1]
     out = run_batch(predictor, skel, actors, conds, cfg, indices)
-    for i, actor in enumerate(actors):
-        ctx = smp.GuidanceContext.from_actor(skel, actor)
-        single = smp.sample(predictor, actor, cfg, conds[i], ctx,
-                            sample_index=indices[i])
-        assert np.max(np.abs(out[i] - single)) <= 1e-12
+    for i in range(len(actors)):
+        one = slice(i, i + 1)
+        single = run_batch(predictor, skel, actors[one], conds[one], cfg, indices[one])
+        assert np.max(np.abs(out[i] - single[0])) <= 1e-12
     if cfg.guidance != "none":
         unguided = run_batch(predictor, skel, actors, conds,
                              smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3,
@@ -420,14 +436,14 @@ def test_batch_output_independent_of_size_and_order(kw):
 
 
 def test_batch_of_one_equals_single_call():
+    # a batch of one runs on stream index 0 unless told otherwise
     skel, actors, predictor, conds = batch_scene(b=1)
     for kw in BATCH_CONFIGS:
         cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
-        ctx1 = smp.GuidanceContext.from_actor(skel, actors[0])
-        one = smp.sample(predictor, actors[0], cfg, conds[0], ctx1)
+        one = run_batch(predictor, skel, actors, conds, cfg, [0])
         batch = run_batch(predictor, skel, actors, conds, cfg, None)
-        assert batch.shape == (1,) + one.shape
-        assert np.array_equal(batch[0], one)
+        assert batch.shape == one.shape == actors.shape
+        assert np.array_equal(batch, one)
 
 
 def test_batch_stochastic_streams_per_sample():
@@ -484,19 +500,22 @@ def test_batched_penetration_grad_matches_per_sample():
     assert np.any(grad != 0.0)
     loss = 0.0
     for i in range(len(actors)):
-        ctx_i = smp.GuidanceContext.from_actor(skel, actors[i])
-        single = smp.penetration_grad(reactions[i], ctx_i, 0.5)
-        assert np.max(np.abs(grad[i] - single)) <= 1e-12
-        loss += smp.penetration_loss(reactions[i], ctx_i, 0.5)
+        one = slice(i, i + 1)
+        ctx_i = smp.GuidanceContext.from_actor(skel, actors[one])
+        single = smp.penetration_grad(reactions[one], ctx_i, 0.5)
+        assert np.max(np.abs(grad[i] - single[0])) <= 1e-12
+        loss += smp.penetration_loss(reactions[one], ctx_i, 0.5)
     assert smp.penetration_loss(reactions, ctx, 0.5) == pytest.approx(loss, abs=1e-9)
 
 
 def test_batch_shape_checks():
     skel, actors, predictor, conds = batch_scene(b=3)
     cfg = smp.SamplerConfig(steps=3, guidance="vanilla", lambda_pene=1.0)
-    single_ctx = smp.GuidanceContext.from_actor(skel, actors[0])
+    single_ctx = smp.GuidanceContext.from_actor(skel, actors[:1])
     with pytest.raises(DimensionMismatch):
         smp.sample(predictor, actors, cfg, conds, single_ctx)
+    with pytest.raises(DimensionMismatch, match=r"\(B, H, D\)"):  # one (H, D) motion
+        smp.sample(predictor, actors[0], smp.SamplerConfig(steps=3), conds[:1])
     with pytest.raises(DimensionMismatch):
         smp.GuidanceContext(skel, actors, single_ctx.capsules)
     with pytest.raises(DimensionMismatch):

@@ -7,9 +7,17 @@ leaf created with ``requires_grad=True``.
 
 The op set is what the predictor, the interaction loss and the penetration
 gradient record: broadcasting ``+ - * /`` (Tensor on the left), negation,
-batched ``@`` (operands at least 2-D), ``sum``/``mean``, ``sqrt``, shape ops,
-basic slicing, ``concat``/``stack``, ``softmax``, ``gelu``, and the norm and
-cross product along the last axis.
+batched ``@`` (operands at least 2-D), ``sum``/``mean``, ``sqrt``,
+``reshape``, basic slicing, ``concat``/``stack``, ``gelu``, and the norm and
+cross product along the last axis.  The predictor's dense layers, layer
+norms and attention blocks are each one node (``linear``, ``layer_norm``,
+``attention``) with a closed-form backward; their forwards repeat the
+arithmetic of the composed ops operation for operation, so they give the
+same bits.
+
+A node's backward returns one gradient per parent, in parent order, and
+``None`` for a parent that needs none; binary ops and the fused nodes
+compute only the gradients some parent needs.
 """
 
 from __future__ import annotations
@@ -56,10 +64,12 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
         return out
 
     def backward(self, grad: np.ndarray | None = None) -> None:
@@ -75,37 +85,37 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise ValueError("seed gradient shape mismatch")
 
+        # depth-first post-order over the nodes that need a gradient; tensors
+        # hash by identity, so they key the sets and dicts directly
         order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)] if self.requires_grad else []
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen or not node.requires_grad:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                stack.append((p, False))
+                if p.requires_grad and p not in seen:
+                    stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[Tensor, np.ndarray] = {self: grad}
         for node in reversed(order):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node._backward is None:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in node._backward(g):
-                if not parent.requires_grad:
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                prev = grads.get(parent)
+                grads[parent] = pg if prev is None else prev + pg
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -114,14 +124,14 @@ class Tensor:
         out = self.data + other.data
 
         def bw(g):
-            return ((self, _unbroadcast(g, self.data.shape)),
-                    (other, _unbroadcast(g, other.data.shape)))
+            return (_unbroadcast(g, self.data.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.data.shape) if other.requires_grad else None)
 
         return Tensor._make(out, (self, other), bw)
 
     def __neg__(self):
         def bw(g):
-            return ((self, -g),)
+            return (-g,)
 
         return Tensor._make(-self.data, (self,), bw)
 
@@ -133,8 +143,10 @@ class Tensor:
         out = self.data * other.data
 
         def bw(g):
-            return ((self, _unbroadcast(g * other.data, self.data.shape)),
-                    (other, _unbroadcast(g * self.data, other.data.shape)))
+            return (_unbroadcast(g * other.data, self.data.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(g * self.data, other.data.shape)
+                    if other.requires_grad else None)
 
         return Tensor._make(out, (self, other), bw)
 
@@ -143,9 +155,10 @@ class Tensor:
         out = self.data / other.data
 
         def bw(g):
-            return ((self, _unbroadcast(g / other.data, self.data.shape)),
-                    (other, _unbroadcast(-g * self.data / other.data ** 2,
-                                         other.data.shape)))
+            return (_unbroadcast(g / other.data, self.data.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(-g * self.data / other.data ** 2, other.data.shape)
+                    if other.requires_grad else None)
 
         return Tensor._make(out, (self, other), bw)
 
@@ -156,10 +169,10 @@ class Tensor:
         out = self.data @ other.data
 
         def bw(g):
-            ga = g @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ g
-            return ((self, _unbroadcast(ga, self.data.shape)),
-                    (other, _unbroadcast(gb, other.data.shape)))
+            return (_unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.data.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.data.shape)
+                    if other.requires_grad else None)
 
         return Tensor._make(out, (self, other), bw)
 
@@ -169,7 +182,7 @@ class Tensor:
         out = np.sqrt(self.data)
 
         def bw(g):
-            return ((self, g * 0.5 / out),)
+            return (g * 0.5 / out,)
 
         return Tensor._make(out, (self,), bw)
 
@@ -182,7 +195,7 @@ class Tensor:
             g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return ((self, np.broadcast_to(g, self.data.shape).copy()),)
+            return (np.broadcast_to(g, self.data.shape).copy(),)
 
         return Tensor._make(out, (self,), bw)
 
@@ -203,15 +216,7 @@ class Tensor:
         old = self.data.shape
 
         def bw(g):
-            return ((self, g.reshape(old)),)
-
-        return Tensor._make(out, (self,), bw)
-
-    def swapaxes(self, a: int, b: int):
-        out = np.swapaxes(self.data, a, b)
-
-        def bw(g):
-            return ((self, np.swapaxes(g, a, b)),)
+            return (g.reshape(old),)
 
         return Tensor._make(out, (self,), bw)
 
@@ -223,7 +228,7 @@ class Tensor:
         def bw(g):
             full = np.zeros(shape)
             full[idx] += g
-            return ((self, full),)
+            return (full,)
 
         return Tensor._make(out, (self,), bw)
 
@@ -247,8 +252,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
-        pieces = np.split(g, splits, axis=axis)
-        return tuple(zip(tensors, pieces))
+        return tuple(np.split(g, splits, axis=axis))
 
     return Tensor._make(out, tuple(tensors), bw)
 
@@ -264,33 +268,139 @@ def stack(tensors: list[Tensor], axis: int) -> Tensor:
     return concat(expanded, axis)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((x, out * (g - inner)),)
-
-    return Tensor._make(out, (x,), bw)
+_GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU as a single tape node."""
+    """tanh-approximation GELU ``0.5 x (1 + tanh(c (x + 0.044715 x^3)))``
+    as one tape node.  In-place steps keep the number of full-size
+    temporaries down."""
     x = as_tensor(x)
-    c = 0.7978845608028654  # sqrt(2/pi)
-    sq = x.data * x.data
-    th = np.tanh(c * (x.data + 0.044715 * sq * x.data))
-    out = 0.5 * x.data * (1.0 + th)
+    xd = x.data
+    th = np.multiply(xd, xd)
+    th *= 0.044715
+    th *= xd
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    one_th = np.add(1.0, th)
+    out = np.multiply(0.5, xd)
+    out *= one_th
 
     def bw(g):
-        du = c * (1.0 + 0.134145 * sq)
-        local = 0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th * th) * du
-        return ((x, g * local),)
+        # d out / dx = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 0.134145 x^2)
+        #            = 0.5 (1 + th) + out (1 - th) c (1 + 0.134145 x^2)
+        local = np.multiply(xd, xd)
+        local *= 0.134145 * _GELU_C
+        local += _GELU_C
+        local *= out
+        tmp = np.subtract(1.0, th)
+        local *= tmp
+        np.multiply(0.5, one_th, out=tmp)
+        local += tmp
+        local *= g
+        return (local,)
 
     return Tensor._make(out, (x,), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w + b`` over the last axis as one tape node.
+
+    The leading axes of ``x`` are flattened into the rows of one GEMM, so
+    the weight gradient is a single product as well.
+    """
+    x = as_tensor(x)
+    n_in, n_out = w.data.shape
+    rows = x.data.reshape(-1, n_in)
+    out = rows @ w.data
+    out += b.data
+
+    def bw(g):
+        g = g.reshape(-1, n_out)
+        return ((g @ w.data.T).reshape(x.data.shape) if x.requires_grad else None,
+                rows.T @ g if w.requires_grad else None,
+                np.ones(len(g)) @ g if b.requires_grad else None)
+
+    return Tensor._make(out.reshape(*x.data.shape[:-1], n_out), (x, w, b), bw)
+
+
+def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
+    """Layer normalization over the last axis, scaled by ``g`` and shifted
+    by ``b``, as one tape node."""
+    x = as_tensor(x)
+    n = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    xhat = x.data + (-mu)
+    out = np.multiply(xhat, xhat)
+    var = out.sum(axis=-1, keepdims=True) * (1.0 / n)
+    s = np.sqrt(var + eps)
+    xhat /= s
+    np.multiply(xhat, g.data, out=out)
+    out += b.data
+
+    def bw(gy):
+        # row sums as matrix-vector products over (rows, n) views
+        gy2 = gy.reshape(-1, n)
+        xh2 = xhat.reshape(-1, n)
+        gxh = gy2 * xh2
+        ones = np.ones(len(gy2))
+        gg = ones @ gxh if g.requires_grad else None
+        gb = ones @ gy2 if b.requires_grad else None
+        if not x.requires_grad:
+            return None, gg, gb
+        # dx = (gy g - mean(gy g) - xhat mean(gy g xhat)) / s
+        m2 = gxh @ (g.data * (1.0 / n))
+        m1 = gy2 @ (g.data * (1.0 / n))
+        gx = gy2 * g.data
+        gx -= m1[:, None]
+        np.multiply(xh2, m2[:, None], out=gxh)
+        gx -= gxh
+        gx /= s.reshape(-1, 1)
+        return gx.reshape(x.data.shape), gg, gb
+
+    return Tensor._make(out, (x, g, b), bw)
+
+
+def attention(qkv: Tensor, heads: int, mask: np.ndarray) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    ``qkv`` is (B, S, 3W): per token, the queries, keys and values of all
+    heads side by side.  ``mask`` (S, S) is added to the scaled scores
+    before the softmax.  Returns the heads' weighted values, concatenated
+    per token: (B, S, W).
+    """
+    qkv = as_tensor(qkv)
+    b, s, w3 = qkv.data.shape
+    w = w3 // 3
+    hd = w // heads
+    scale = 1.0 / np.sqrt(hd)
+    split = qkv.data.reshape(b, s, 3, heads, hd)
+    q, k, v = (np.swapaxes(split[:, :, i], 1, 2) for i in range(3))
+    # p = softmax((q @ k^T) * scale + mask) over the keys, computed in place
+    p = q @ np.swapaxes(k, 2, 3)
+    p *= scale
+    p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.swapaxes(p @ v, 1, 2).reshape(b, s, w)
+
+    def bw(g):
+        go = np.swapaxes(g.reshape(b, s, heads, hd), 1, 2)
+        gp = go @ np.swapaxes(v, 2, 3)
+        # softmax backward, then the scale: ds = scale p (gp - sum(gp p))
+        gs = p * gp
+        gp -= gs.sum(axis=-1, keepdims=True)
+        gp *= p
+        gp *= scale
+        grad = np.empty((b, s, 3, heads, hd))
+        np.swapaxes(grad[:, :, 0], 1, 2)[...] = gp @ k
+        np.swapaxes(grad[:, :, 1], 1, 2)[...] = np.swapaxes(gp, 2, 3) @ q
+        np.swapaxes(grad[:, :, 2], 1, 2)[...] = np.swapaxes(p, 2, 3) @ go
+        return (grad.reshape(b, s, w3),)
+
+    return Tensor._make(out, (qkv,), bw)
 
 
 def norm_last(x: Tensor, eps: float = 0.0) -> Tensor:

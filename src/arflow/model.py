@@ -52,6 +52,18 @@ class PredictorConfig:
     prediction_mode: str = "x1"  # "x1" or "v"
 
     def __post_init__(self):
+        # a model file is JSON: a float, bool or string here would pass the
+        # range checks below and fail later, or load as the wrong model
+        for name in ("frame_dim", "max_frames", "layers", "width", "heads",
+                     "cond_vocab"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.causal, bool):
+            raise InvalidConfig(f"causal must be true or false, got {self.causal!r}")
+        if not isinstance(self.prediction_mode, str):
+            raise InvalidConfig(f"prediction_mode must be a string, "
+                                f"got {self.prediction_mode!r}")
         if self.layers < 1 or self.width < 2 or self.heads < 1:
             raise InvalidConfig("layers, width, heads must be positive")
         if self.width % self.heads != 0 or self.width % 2 != 0:
@@ -91,6 +103,9 @@ class TrainConfig:
             raise InvalidConfig("t_grid must be >= 1")
         if not (0.0 <= self.sigma_min < 1.0 and 0.0 < self.learning_rate < np.inf):
             raise InvalidConfig("need sigma_min in [0, 1), finite learning_rate > 0")
+        if not 0.0 <= self.lambda_inter < np.inf:
+            raise InvalidConfig(f"lambda_inter must be finite and >= 0, "
+                                f"got {self.lambda_inter}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +169,6 @@ def _positional(seq_len: int, width: int) -> np.ndarray:
     return pe
 
 
-def _layer_norm(x: ad.Tensor, g: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / (var + _LN_EPS).sqrt() * g + b
-
-
 def _cond_rows(cfg: PredictorConfig, conds, b: int) -> np.ndarray:
     """Map a batch's condition ids (None = null token; ``conds`` None for
     the null token throughout) to embedding rows."""
@@ -180,19 +188,24 @@ def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
     """Batched forward pass up to the final hidden state (B, H, width).
 
     ``t`` is one flow time per sample, or a scalar shared by the batch
-    (embedded once).  Dense projections run on (B*S, .) matrices so their
-    parameter gradients are single GEMMs instead of broadcast reductions.
+    (embedded once).  Every dense layer, layer norm and attention block is
+    one tape node; dense layers run on (B*S, .) matrices so their parameter
+    gradients are single GEMMs instead of broadcast reductions.
     """
     b, h, _ = x_t.shape
     w = cfg.width
     seq = h + 1
 
-    frames = (ad.constant(x_t.reshape(b * h, -1)) @ tensors["in_proj_w"]
-              + tensors["in_proj_b"]).reshape(b, h, w)
+    def dense(x, name, suffix=""):
+        return ad.linear(x, tensors[f"{name}_w{suffix}"], tensors[f"{name}_b{suffix}"])
+
+    def norm(x, name):
+        return ad.layer_norm(x, tensors[f"{name}_g"], tensors[f"{name}_b"], _LN_EPS)
+
+    frames = dense(ad.constant(x_t), "in_proj")
 
     tfeat = ad.constant(_timestep_features(np.atleast_1d(t), w))
-    temb = ad.gelu(tfeat @ tensors["t_mlp_w1"] + tensors["t_mlp_b1"])
-    temb = temb @ tensors["t_mlp_w2"] + tensors["t_mlp_b2"]
+    temb = dense(ad.gelu(dense(tfeat, "t_mlp", "1")), "t_mlp", "2")
     onehot = np.zeros((b, cfg.cond_vocab + 1))
     onehot[np.arange(b), cond_rows] = 1.0
     cemb = ad.constant(onehot) @ tensors["cond_embed"]
@@ -204,29 +217,14 @@ def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
         mask = np.triu(np.full((seq, seq), _MASK_VALUE), k=1)
     else:
         mask = np.zeros((seq, seq))
-    mask_t = ad.constant(mask)
 
-    head_dim = w // cfg.heads
-    scale = 1.0 / np.sqrt(head_dim)
     for i in range(cfg.layers):
-        ln = _layer_norm(x, tensors[f"l{i}_ln1_g"], tensors[f"l{i}_ln1_b"])
-        qkv = (ln.reshape(b * seq, w) @ tensors[f"l{i}_qkv_w"]
-               + tensors[f"l{i}_qkv_b"]).reshape(b, seq, 3, cfg.heads, head_dim)
-        q = qkv[:, :, 0].swapaxes(1, 2)
-        k = qkv[:, :, 1].swapaxes(1, 2)
-        v = qkv[:, :, 2].swapaxes(1, 2)
-        scores = (q @ k.swapaxes(2, 3)) * scale + mask_t
-        att = ad.softmax(scores, axis=-1) @ v
-        att = att.swapaxes(1, 2).reshape(b * seq, w)
-        x = x + (att @ tensors[f"l{i}_att_w"]
-                 + tensors[f"l{i}_att_b"]).reshape(b, seq, w)
-        ln = _layer_norm(x, tensors[f"l{i}_ln2_g"], tensors[f"l{i}_ln2_b"])
-        ff = ad.gelu(ln.reshape(b * seq, w) @ tensors[f"l{i}_ff_w1"]
-                     + tensors[f"l{i}_ff_b1"])
-        x = x + (ff @ tensors[f"l{i}_ff_w2"]
-                 + tensors[f"l{i}_ff_b2"]).reshape(b, seq, w)
+        qkv = dense(norm(x, f"l{i}_ln1"), f"l{i}_qkv")
+        x = x + dense(ad.attention(qkv, cfg.heads, mask), f"l{i}_att")
+        ff = ad.gelu(dense(norm(x, f"l{i}_ln2"), f"l{i}_ff", "1"))
+        x = x + dense(ff, f"l{i}_ff", "2")
 
-    return _layer_norm(x, tensors["final_ln_g"], tensors["final_ln_b"])[:, 1:, :]
+    return norm(x, "final_ln")[:, 1:, :]
 
 
 def _as_tensors(params: PredictorParams, trainable: bool) -> dict[str, ad.Tensor]:
@@ -320,8 +318,7 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
     x_t = fp.interpolate(x0, x1, ts[:, None, None], cfg.sigma_min)
 
     hidden = _forward(tensors, pcfg, x_t, ts, rows)
-    raw = (hidden.reshape(b * h, pcfg.width) @ tensors["out_proj_w"]
-           + tensors["out_proj_b"]).reshape(b, h, pcfg.frame_dim)
+    raw = ad.linear(hidden, tensors["out_proj_w"], tensors["out_proj_b"])
 
     if pcfg.prediction_mode == "x1":
         target = x1
@@ -424,9 +421,13 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
             f"max_frames={predictor_cfg.max_frames}, frame_dim={predictor_cfg.frame_dim}")
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(predictor_cfg, train_cfg.seed)
-
-    m = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    v = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+    # Adam runs over one flat buffer; the parameter arrays are views into it
+    names = list(params.arrays)
+    flat = np.concatenate([params.arrays[k].ravel() for k in names])
+    ends = np.cumsum([params.arrays[k].size for k in names])[:-1]
+    for k, part in zip(names, np.split(flat, ends)):
+        params.arrays[k] = part.reshape(params.arrays[k].shape)
+    grad, m, v, tmp = (np.zeros_like(flat) for _ in range(4))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = train_cfg.learning_rate
 
@@ -452,12 +453,22 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
         except NonFiniteLoss as err:
             raise NonFiniteLoss(f"non-finite loss at step {step}", step=step) from err
         t_adam = step + 1
-        for key, g in grads.items():
-            m[key] = beta1 * m[key] + (1 - beta1) * g
-            v[key] = beta2 * v[key] + (1 - beta2) * g * g
-            m_hat = m[key] / (1 - beta1 ** t_adam)
-            v_hat = v[key] / (1 - beta2 ** t_adam)
-            params.arrays[key] = params.arrays[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.concatenate([grads[k].ravel() for k in names], out=grad)
+        # per element: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        # p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+        m *= beta1
+        m += np.multiply(1 - beta1, grad, out=tmp)
+        v *= beta2
+        np.multiply(1 - beta2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
+        np.divide(v, 1 - beta2 ** t_adam, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, 1 - beta1 ** t_adam, out=grad)
+        grad *= lr
+        grad /= tmp
+        flat -= grad
         history.append((fm, inter, total))
         if log_every and (step + 1) % log_every == 0:
             print(f"step {step + 1}/{train_cfg.steps} "

@@ -3,7 +3,10 @@
 ``interaction_loss`` recomputes the training interaction loss from FK
 directly, independently of ``flowpath.interaction_targets`` and the tape;
 ``response_property`` re-checks the reactor response each scripted
-scenario is built to show.
+scenario is built to show.  ``linear``, ``layer_norm``, ``attention`` and
+``gelu`` are the predictor's blocks written as the chains of elementary ops
+(q/k/v slices, transposes, a separate softmax) that the fused tape nodes
+must reproduce bit for bit.
 """
 
 import numpy as np
@@ -65,3 +68,39 @@ def response_property(sample, skel):
     a = shoulder_angle(sample.actor)
     r = shoulder_angle(sample.reactor)
     return float(np.corrcoef(a, r)[0, 1]) > 0.95
+
+
+def linear(x, w, b):
+    """Dense layer on the (rows, n_in) matrix of ``x``: ``x @ w + b``."""
+    return (x.reshape(-1, w.shape[0]) @ w + b).reshape(*x.shape[:-1], w.shape[1])
+
+
+def layer_norm(x, g, b, eps):
+    """Layer norm as mean, centring, variance and scaling ops in turn."""
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    xc = x + (-mu)
+    var = (xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n)
+    return xc / np.sqrt(var + eps) * g + b
+
+
+def attention(qkv, heads, mask):
+    """Multi-head attention from q, k, v slices of a (B, S, 3, heads, hd)
+    view, each moved to (B, heads, S, hd)."""
+    b, s, w3 = qkv.shape
+    hd = w3 // 3 // heads
+    split = qkv.reshape(b, s, 3, heads, hd)
+    q = np.swapaxes(split[:, :, 0], 1, 2)
+    k = np.swapaxes(split[:, :, 1], 1, 2)
+    v = np.swapaxes(split[:, :, 2], 1, 2)
+    scores = (q @ np.swapaxes(k, 2, 3)) * (1.0 / np.sqrt(hd)) + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = (e / e.sum(axis=-1, keepdims=True)) @ v
+    return np.swapaxes(att, 1, 2).reshape(b, s, w3 // 3)
+
+
+def gelu(x):
+    """tanh-approximation GELU in one expression."""
+    c = 0.7978845608028654
+    th = np.tanh(c * (x + 0.044715 * (x * x) * x))
+    return 0.5 * x * (1.0 + th)

@@ -11,6 +11,7 @@ import pytest
 from arflow import autodiff as ad
 
 H = 1e-6
+CAUSAL = np.triu(np.full((3, 3), -1e9), k=1)
 # (inputs' shapes, op, inputs must be positive)
 CASES = {
     "add-broadcast": ([(3, 4), (4,)], lambda a, b: a + b, False),
@@ -31,14 +32,17 @@ CASES = {
     "mean-axes": ([(2, 3, 4)], lambda a: a.mean(axis=(0, 2)), False),
     "reshape": ([(2, 3, 4)], lambda a: a.reshape(6, 4), False),
     "reshape-tuple": ([(2, 3, 4)], lambda a: a.reshape((4, 6)), False),
-    "swapaxes": ([(2, 3, 4)], lambda a: a.swapaxes(-1, -2), False),
     "getitem-slices": ([(4, 5)], lambda a: a[1:3, ::2], False),
     "getitem-int-ellipsis": ([(2, 3, 4)], lambda a: a[..., 1], False),
     "concat": ([(2, 3), (2, 2)], lambda a, b: ad.concat([a, b], axis=1), False),
     "stack": ([(2, 3), (2, 3)], lambda a, b: ad.stack([a, b], axis=-1), False),
-    "softmax": ([(3, 5)], lambda a: ad.softmax(a, axis=-1), False),
-    "softmax-axis0": ([(3, 5)], lambda a: ad.softmax(a, axis=0), False),
     "gelu": ([(3, 4)], ad.gelu, False),
+    "linear": ([(2, 3, 4), (4, 5), (5,)], ad.linear, False),
+    "layer-norm": ([(2, 3, 5), (5,), (5,)],
+                   lambda x, g, b: ad.layer_norm(x, g, b, 1e-5), False),
+    "attention-causal": ([(2, 3, 12)], lambda a: ad.attention(a, 2, CAUSAL), False),
+    "attention-full": ([(2, 3, 12)], lambda a: ad.attention(a, 2, np.zeros((3, 3))),
+                       False),
     "sqrt": ([(3, 4)], lambda a: a.sqrt(), True),
     "norm-last": ([(4, 3)], ad.norm_last, False),
     "norm-last-eps": ([(4, 3)], lambda a: ad.norm_last(a, eps=1e-3), False),

@@ -112,7 +112,8 @@ def test_train_seed_reproducible_checksum(small_data, tmp_path):
     assert sums[0] == sums[1]
 
 
-@pytest.mark.parametrize("flag", ["--sigma-min=-3", "--lr=-1", "--lr=nan"])
+@pytest.mark.parametrize("flag", ["--sigma-min=-3", "--lr=-1", "--lr=nan",
+                                  "--lambda-inter=-1"])
 def test_train_bad_value_exits_2(flag, small_data, tmp_path):
     out = tmp_path / "m.json"
     assert run("train", "--data", str(small_data), "--out", str(out), "--steps", "2",
@@ -347,6 +348,21 @@ def test_sample_invalid_model_exits_4(small_model, small_data, tmp_path, defect)
         else:
             arrays["out_proj_b"] = {"shape": [1], "data": [0.0]}
     model = _edited_model(small_model, tmp_path, f"{defect}.json", edit)
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out)) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("layers", 1.0), ("width", 32.0),
+                                          ("heads", True), ("causal", "no")])
+def test_sample_mistyped_model_config_exits_4(field, value, small_model, small_data,
+                                              tmp_path):
+    # a float or bool for an integer field, or a string for the causal flag
+    doc = json.loads(small_model.read_text())
+    doc["config"][field] = value
+    model = tmp_path / "typed.json"
+    model.write_text(json.dumps(doc))
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--data", str(small_data),
                "--out", str(out)) == 4

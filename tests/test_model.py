@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import model as mdl
 from arflow.errors import DimensionMismatch, InvalidConfig, UnknownCondition
@@ -97,7 +99,9 @@ def test_predict_input_validation():
 @pytest.mark.parametrize("kw", [dict(sigma_min=-3.0), dict(sigma_min=1.0),
                                 dict(sigma_min=float("nan")), dict(learning_rate=-1.0),
                                 dict(learning_rate=0.0), dict(learning_rate=float("inf")),
-                                dict(learning_rate=float("nan"))])
+                                dict(learning_rate=float("nan")), dict(lambda_inter=-1.0),
+                                dict(lambda_inter=float("nan")),
+                                dict(lambda_inter=float("inf"))])
 def test_train_config_rejects_bad_sigma_min_and_learning_rate(kw):
     with pytest.raises(InvalidConfig):
         mdl.TrainConfig(**kw)
@@ -121,6 +125,19 @@ def test_config_validation():
         mdl.PredictorConfig(frame_dim=10, max_frames=4, width=6, heads=4)
     with pytest.raises(InvalidConfig):
         mdl.PredictorConfig(frame_dim=10, max_frames=4, prediction_mode="eps")
+
+
+@pytest.mark.parametrize("kw", [dict(frame_dim=10.0), dict(max_frames=4.0),
+                                dict(layers=2.0), dict(width=64.0), dict(heads=True),
+                                dict(cond_vocab="3"), dict(causal="no"), dict(causal=1),
+                                dict(prediction_mode=None)])
+def test_config_rejects_mistyped_fields(kw):
+    # a model file is JSON: floats, bools and strings must not pass for
+    # integers, nor a string for the causal flag
+    fields = dict(frame_dim=10, max_frames=4)
+    fields.update(kw)
+    with pytest.raises(InvalidConfig):
+        mdl.PredictorConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +419,30 @@ def test_hidden_features_batch_matches_single_calls():
         assert np.array_equal(feats[i], mdl.hidden_features(params, x[i:i + 1])[0])
     with pytest.raises(DimensionMismatch):
         mdl.hidden_features(params, x[0])
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_fused_forward_is_bit_equal_to_the_composed_ops(causal, monkeypatch):
+    # predict and hidden_features with the fused tape nodes give the same
+    # bits as the same forward built from the composed oracle blocks, for
+    # initial parameters and for parameters moved by a few Adam steps
+    rng = np.random.default_rng(21)
+    skel = chain_skeleton(2)
+    cfg = tiny_config(skel, h=5, width=16, layers=2, heads=2, causal=causal)
+    trained, _ = mdl.train(tiny_batch(rng, skel, n=6, h=5), skel, cfg,
+                           mdl.TrainConfig(steps=4, batch_size=3, learning_rate=0.05,
+                                           seed=2))
+    x = rng.normal(size=(4, 5, cfg.frame_dim))
+    conds = [0, None, 2, 1]
+    sets = [mdl.init_params(cfg, seed=8), trained]
+    fused = [(mdl.predict(p, x, 0.6, conds), mdl.hidden_features(p, x)) for p in sets]
+
+    def composed(fn):
+        return lambda *args: ad.constant(fn(*(a.data if isinstance(a, ad.Tensor) else a
+                                              for a in args)))
+
+    for name in ("linear", "layer_norm", "attention", "gelu"):
+        monkeypatch.setattr(ad, name, composed(getattr(oracles, name)))
+    for p, (pred, feats) in zip(sets, fused):
+        assert np.array_equal(pred, mdl.predict(p, x, 0.6, conds))
+        assert np.array_equal(feats, mdl.hidden_features(p, x))

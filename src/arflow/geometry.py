@@ -4,7 +4,9 @@ A body is a capsule-skinned kinematic tree.  Joint 0 is the root; every
 other joint hangs off a parent with a constant offset expressed in the
 parent frame.  One capsule per (parent, child) bone gives the body an exact
 signed distance field, which the penetration loss and the intersection
-metrics are built on.
+metrics are built on.  The intersection volume sweeps each capsule over
+broadcast grid axes or the occupancy grid, with the SDF's own per-point
+arithmetic, so it equals the full-grid voxel count bit for bit.
 
 Motion layout: a motion is an (H, D) float array with
 ``D = 6 * (K + 1) + 3`` per frame — K joint rotations in 6D, the root
@@ -13,6 +15,7 @@ orientation in 6D, then the 3 root-translation coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +237,8 @@ class CapsuleSet:
                 f"match {len(self.radius)} radii")
         if np.any(self.radius <= 0.0):
             raise InvalidConfig("capsule radii must be positive")
+        if not (np.isfinite(self.seg_a).all() and np.isfinite(self.seg_b).all()):
+            raise InvalidConfig("capsule endpoints must be finite")
 
     def __len__(self) -> int:
         return len(self.radius)
@@ -354,27 +359,56 @@ def _grid_dims(lo: np.ndarray, hi: np.ndarray, voxel_size: float) -> tuple[int, 
     return tuple(int(max(v, 1)) for v in n)
 
 
-def _capsule_windows(body: CapsuleSet, origin: np.ndarray, voxel_size: float,
-                     i_lo: np.ndarray, i_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-capsule voxel index windows ``[lo, hi)``, (C, 3) each, clipped to
-    the grid window ``[i_lo, i_hi)`` and counted from ``i_lo``.
+def _capsule_blocks(body: CapsuleSet, origin: np.ndarray, voxel_size: float,
+                    i_lo: np.ndarray, i_hi: np.ndarray
+                    ) -> Iterator[tuple[tuple[slice, slice, slice], tuple]]:
+    """Each capsule's voxel index window that holds centers of the grid
+    window ``[i_lo, i_hi)``, counted from ``i_lo``, with the arguments
+    :func:`_one_capsule_sdf` takes for that capsule.
 
     Each window covers the capsule's box padded by one voxel, so every
     center it leaves out lies more than a voxel outside the capsule.
     """
     lo, hi = body.capsule_aabbs()
-    w_lo = np.floor((lo - origin) / voxel_size).astype(int) - 1
-    w_hi = np.ceil((hi - origin) / voxel_size).astype(int) + 1
-    return np.maximum(w_lo, i_lo) - i_lo, np.minimum(w_hi, i_hi) - i_lo
+    w_lo = np.maximum(np.floor((lo - origin) / voxel_size).astype(int) - 1, i_lo) - i_lo
+    w_hi = np.minimum(np.ceil((hi - origin) / voxel_size).astype(int) + 1, i_hi) - i_lo
+    d = body.seg_b - body.seg_a
+    dd = np.einsum("...ci,...ci->...c", d, d)
+    for c, (lo_c, hi_c) in enumerate(zip(w_lo.tolist(), w_hi.tolist())):
+        if all(lo < hi for lo, hi in zip(lo_c, hi_c)):
+            yield (tuple(slice(lo, hi) for lo, hi in zip(lo_c, hi_c)),
+                   (body.seg_a[c], d[c], dd[c], body.radius[c]))
 
 
-def _inside(points: np.ndarray, body: CapsuleSet, c: int) -> np.ndarray:
-    """Whether each of the (N, 3) points lies inside capsule ``c`` (SDF < 0)."""
-    inside = np.empty(len(points), dtype=bool)
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start:start + _CHUNK]
-        inside[start:start + _CHUNK] = _capsule_sdfs(chunk, body, slice(c, c + 1))[:, 0] < 0.0
-    return inside
+def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, slice, slice]]:
+    """Cut an (nx, ny, nz) index block into sub-blocks of at most ``_CHUNK``
+    centers each: whole x slabs when a y-z plane fits, finer cuts otherwise."""
+    nx, ny, nz = shape
+    sz = min(nz, _CHUNK)
+    sy = min(ny, max(_CHUNK // sz, 1))
+    sx = max(_CHUNK // (sy * sz), 1)
+    for i in range(0, nx, sx):
+        for j in range(0, ny, sy):
+            for k in range(0, nz, sz):
+                yield slice(i, i + sx), slice(j, j + sy), slice(k, k + sz)
+
+
+def _one_capsule_sdf(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                     a: np.ndarray, d: np.ndarray, dd: float, r: float) -> np.ndarray:
+    """Signed distance of the points ``(x, y, z)`` to the capsule ``a -> a + d``
+    of radius ``r``, where ``dd`` is ``d``'s squared length.
+
+    The coordinates broadcast against each other: three axes of a grid
+    block, or three columns of scattered points.  Each point gets the
+    operations of :func:`_capsule_sdfs` in the same order, so the result is
+    bit-equal to it; numpy's length-3 ``einsum`` adds the middle product
+    last, hence ``t``'s ``(0 + 2) + 1`` order.
+    """
+    px, py, pz = x - a[0], y - a[1], z - a[2]
+    t = (px * d[0] + pz * d[2]) + py * d[1]
+    t = np.clip(t / dd if dd > 0.0 else np.zeros_like(t), 0.0, 1.0)
+    cx, cy, cz = x - (a[0] + t * d[0]), y - (a[1] + t * d[1]), z - (a[2] + t * d[2])
+    return np.sqrt((cx * cx + cy * cy) + cz * cz) - r
 
 
 def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float) -> float:
@@ -384,12 +418,14 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float)
     voxel counts when its center lies inside both bodies (signed distance
     below zero).  Only voxels that can hold such a center are tested: the
     window around the two boxes' overlap; in it, each capsule of ``a`` on
-    the centers of its own box padded by one voxel; then each capsule of
-    ``b`` on the centers ``a`` occupies, again only inside its padded box.
-    Every tested center gets the same coordinates and the same per-capsule
-    arithmetic as on the full grid, so the result equals the full-grid
-    count bit for bit.  Raises ``GridTooLarge`` when the overlap window
-    holds more than ``MAX_VOXELS`` voxels.
+    the centers of its own box padded by one voxel, as three grid axes
+    broadcast against each other; then each capsule of ``b`` on the
+    centers of its padded box that ``a`` occupies and no earlier capsule of
+    ``b`` holds.  Every tested center gets the same coordinates and the
+    same per-capsule arithmetic as on the full grid, so the result equals
+    the full-grid count bit for bit.  The arithmetic runs on at most
+    ``_CHUNK`` centers at a time.  Raises ``GridTooLarge`` when the overlap
+    window holds more than ``MAX_VOXELS`` voxels.
     """
     check_voxel_size(voxel_size)
     lo_a, hi_a = a.aabb()
@@ -409,22 +445,18 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float)
     axes = [origin[i] + (np.arange(i_lo[i], i_hi[i], dtype=np.float64) + 0.5) * voxel_size
             for i in range(3)]
 
-    occ_a = np.zeros(tuple(i_hi - i_lo), dtype=bool)
-    w_lo, w_hi = _capsule_windows(a, origin, voxel_size, i_lo, i_hi)
-    for c in range(len(a)):
-        if np.any(w_lo[c] >= w_hi[c]):
-            continue
-        block = tuple(slice(lo, hi) for lo, hi in zip(w_lo[c], w_hi[c]))
-        grids = np.meshgrid(*(ax[s] for ax, s in zip(axes, block)), indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=1)
-        occ_a[block] |= _inside(points, a, c).reshape(grids[0].shape)
+    occ = np.zeros(tuple(i_hi - i_lo), dtype=bool)
+    for block, capsule in _capsule_blocks(a, origin, voxel_size, i_lo, i_hi):
+        for sub in _blocks(occ[block].shape):
+            x, y, z = (ax[s][sl] for ax, s, sl in zip(axes, block, sub))
+            occ[block][sub] |= _one_capsule_sdf(x[:, None, None], y[None, :, None],
+                                                z[None, None, :], *capsule) < 0.0
 
-    cells = np.argwhere(occ_a)                 # (P, 3) window indices of a's centers
-    points = np.stack([axes[i][cells[:, i]] for i in range(3)], axis=1)
-    in_b = np.zeros(len(cells), dtype=bool)
-    w_lo, w_hi = _capsule_windows(b, origin, voxel_size, i_lo, i_hi)
-    for c in range(len(b)):
-        todo = np.flatnonzero(~in_b & np.all((cells >= w_lo[c]) & (cells < w_hi[c]), axis=1))
-        if len(todo):
-            in_b[todo] = _inside(points[todo], b, c)
-    return int(in_b.sum()) * voxel_size ** 3
+    hit = np.zeros_like(occ)
+    for block, capsule in _capsule_blocks(b, origin, voxel_size, i_lo, i_hi):
+        todo = np.nonzero(occ[block] & ~hit[block])
+        for start in range(0, len(todo[0]), _CHUNK):
+            idx = tuple(i[start:start + _CHUNK] for i in todo)
+            x, y, z = (ax[s][i] for ax, s, i in zip(axes, block, idx))
+            hit[block][idx] = _one_capsule_sdf(x, y, z, *capsule) < 0.0
+    return int(np.count_nonzero(hit)) * voxel_size ** 3

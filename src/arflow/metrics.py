@@ -10,11 +10,14 @@ The sweep is pruned, never approximated.  One FK pass per side builds the
 capsules of every frame of up to ``EVAL_CHUNK`` samples, and one
 vectorized box test finds the frames whose two bodies' bounding boxes
 overlap; only those reach :func:`geometry.capsule_intersection_volume`,
-every other frame adds an exact zero.  Inside a frame, a capsule is tested only on the voxel
-centers of its own padded box, and the reactor only on the centers the
-actor occupies.  Each tested center gets the full-grid coordinates and
-arithmetic, so IV, IF and the penetrating-frame count equal the full-grid
-computation bit for bit.
+every other frame adds an exact zero.  Inside a frame, an actor capsule
+is tested only on the voxel centers of its own padded box, as three grid
+axes broadcast against each other, and a reactor capsule only on the
+centers of the actor's occupancy grid in its padded box.  Each tested
+center gets the full-grid coordinates and the same per-capsule arithmetic,
+so IV, IF and the penetrating-frame count equal the full-grid computation
+bit for bit.  A NaN or infinite motion has no capsules: it raises
+``InvalidConfig``.
 
 The feature-space scores (FID, diversity, multimodality) run on a pluggable
 extractor; absolute values depend entirely on the extractor choice and are

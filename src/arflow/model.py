@@ -112,41 +112,52 @@ class TrainConfig:
 # Parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_params(cfg: PredictorConfig, seed: int = 0) -> PredictorParams:
-    """Seeded fan-in initialization; the output projection starts small."""
-    rng = np.random.default_rng(seed)
+def _param_specs(cfg: PredictorConfig) -> dict[str, tuple[tuple[int, ...], float | str]]:
+    """Every parameter array in file and draw order: name -> (shape, init),
+    where ``init`` is the standard deviation of a normal draw, or "zeros"
+    or "ones"."""
     w = cfg.width
     d = cfg.frame_dim
 
     def dense(fan_in, fan_out, scale=1.0):
-        return rng.normal(scale=scale / np.sqrt(fan_in), size=(fan_in, fan_out))
+        return (fan_in, fan_out), scale / np.sqrt(fan_in)
 
-    arrays: dict[str, np.ndarray] = {
+    specs: dict[str, tuple[tuple[int, ...], float | str]] = {
         "in_proj_w": dense(d, w),
-        "in_proj_b": np.zeros(w),
+        "in_proj_b": ((w,), "zeros"),
         "t_mlp_w1": dense(w, w),
-        "t_mlp_b1": np.zeros(w),
+        "t_mlp_b1": ((w,), "zeros"),
         "t_mlp_w2": dense(w, w),
-        "t_mlp_b2": np.zeros(w),
-        "cond_embed": rng.normal(scale=0.02, size=(cfg.cond_vocab + 1, w)),
-        "final_ln_g": np.ones(w),
-        "final_ln_b": np.zeros(w),
-        "out_proj_w": rng.normal(scale=1e-3 / np.sqrt(w), size=(w, d)),
-        "out_proj_b": np.zeros(d),
+        "t_mlp_b2": ((w,), "zeros"),
+        "cond_embed": ((cfg.cond_vocab + 1, w), 0.02),
+        "final_ln_g": ((w,), "ones"),
+        "final_ln_b": ((w,), "zeros"),
+        "out_proj_w": ((w, d), 1e-3 / np.sqrt(w)),
+        "out_proj_b": ((d,), "zeros"),
     }
     for i in range(cfg.layers):
-        arrays[f"l{i}_ln1_g"] = np.ones(w)
-        arrays[f"l{i}_ln1_b"] = np.zeros(w)
-        arrays[f"l{i}_qkv_w"] = dense(w, 3 * w)
-        arrays[f"l{i}_qkv_b"] = np.zeros(3 * w)
-        arrays[f"l{i}_att_w"] = dense(w, w, scale=1.0 / np.sqrt(2 * cfg.layers))
-        arrays[f"l{i}_att_b"] = np.zeros(w)
-        arrays[f"l{i}_ln2_g"] = np.ones(w)
-        arrays[f"l{i}_ln2_b"] = np.zeros(w)
-        arrays[f"l{i}_ff_w1"] = dense(w, 4 * w)
-        arrays[f"l{i}_ff_b1"] = np.zeros(4 * w)
-        arrays[f"l{i}_ff_w2"] = dense(4 * w, w, scale=1.0 / np.sqrt(2 * cfg.layers))
-        arrays[f"l{i}_ff_b2"] = np.zeros(w)
+        specs[f"l{i}_ln1_g"] = ((w,), "ones")
+        specs[f"l{i}_ln1_b"] = ((w,), "zeros")
+        specs[f"l{i}_qkv_w"] = dense(w, 3 * w)
+        specs[f"l{i}_qkv_b"] = ((3 * w,), "zeros")
+        specs[f"l{i}_att_w"] = dense(w, w, scale=1.0 / np.sqrt(2 * cfg.layers))
+        specs[f"l{i}_att_b"] = ((w,), "zeros")
+        specs[f"l{i}_ln2_g"] = ((w,), "ones")
+        specs[f"l{i}_ln2_b"] = ((w,), "zeros")
+        specs[f"l{i}_ff_w1"] = dense(w, 4 * w)
+        specs[f"l{i}_ff_b1"] = ((4 * w,), "zeros")
+        specs[f"l{i}_ff_w2"] = dense(4 * w, w, scale=1.0 / np.sqrt(2 * cfg.layers))
+        specs[f"l{i}_ff_b2"] = ((w,), "zeros")
+    return specs
+
+
+def init_params(cfg: PredictorConfig, seed: int = 0) -> PredictorParams:
+    """Seeded fan-in initialization; the output projection starts small."""
+    rng = np.random.default_rng(seed)
+    fills = {"zeros": np.zeros, "ones": np.ones}
+    arrays = {name: fills[init](shape) if isinstance(init, str)
+              else rng.normal(scale=init, size=shape)
+              for name, (shape, init) in _param_specs(cfg).items()}
     return PredictorParams(cfg, arrays)
 
 
@@ -496,7 +507,8 @@ def save_params(path: str, params: PredictorParams) -> None:
 
 def load_params(path: str) -> PredictorParams:
     """Read a parameter file; ``InvalidConfig`` unless every array has the
-    shape :func:`init_params` gives its config and only finite values."""
+    shape its config gives it (as :func:`init_params` does) and only finite
+    values."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -511,13 +523,13 @@ def load_params(path: str) -> PredictorParams:
                   for name, rec in doc["arrays"].items()}
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidConfig(f"malformed parameter file {path}: {err}") from err
-    expected = init_params(cfg, 0).arrays
+    expected = {name: shape for name, (shape, _) in _param_specs(cfg).items()}
     if set(arrays) != set(expected):
         raise InvalidConfig("parameter file is missing arrays")
     for name, arr in arrays.items():
-        if arr.shape != expected[name].shape:
+        if arr.shape != expected[name]:
             raise InvalidConfig(f"array {name} has shape {arr.shape}, "
-                                f"config needs {expected[name].shape}")
+                                f"config needs {expected[name]}")
         if not np.all(np.isfinite(arr)):
             raise InvalidConfig(f"array {name} has non-finite values")
     return PredictorParams(cfg, arrays, meta=doc.get("meta", {}))

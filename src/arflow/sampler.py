@@ -172,8 +172,10 @@ def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
     """Recover the path start, correct and blend (improved), re-interpolate.
 
     ``rngs`` is given only when beta > 0, one generator per sample of the
-    (B, H, D) batch; each draws its sample's random direction, norm-matched
-    to that sample's projection direction and mixed in by beta.  With
+    (B, H, D) batch; each draws its sample's random direction.  Every frame
+    of it is norm-matched to the same frame of the projection direction
+    (the norm over D) and mixed in by beta, so a frame's step depends on no
+    other frame and a causal predictor's reaction stays causal.  With
     lambda_pene = 0, w = 1 and beta = 0 this reduces to the Euler step
     (path-start recovery and re-interpolation compose to it).
     """
@@ -186,12 +188,10 @@ def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
     if rngs is None:
         return fp.interpolate(x0_star, x1_corr, tn1, cfg.sigma_min)
     d_base = x0_star - x1_corr
-    d_rand = np.empty_like(d_base)
-    for gen, base, rand in zip(rngs, d_base, d_rand):
-        rand[...] = gen.standard_normal(size=base.shape)
-        rand_norm = np.linalg.norm(rand)
-        if rand_norm > 0.0:
-            rand *= np.linalg.norm(base) / rand_norm
+    d_rand = np.stack([gen.standard_normal(size=base.shape) for gen, base in zip(rngs, d_base)])
+    rand_norm = np.linalg.norm(d_rand, axis=-1, keepdims=True)
+    d_rand *= np.divide(np.linalg.norm(d_base, axis=-1, keepdims=True), rand_norm,
+                        out=np.ones_like(rand_norm), where=rand_norm > 0.0)
     d_mix = d_base + cfg.beta * (d_rand - d_base)
     return x1_corr + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_star
 

@@ -330,6 +330,26 @@ def test_motion_capsules_match_single_frame_bodies():
         geo.CapsuleSet(np.zeros((2, 3)), np.zeros((3, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_capsule_set_rejects_non_finite_endpoints(bad):
+    # a NaN body used to read as "no penetration": IV 0.0 and a NaN SDF
+    for end in range(2):
+        ends = [np.zeros((2, 3)), np.full((2, 3), 0.5)]
+        ends[end][1, 2] = bad
+        with pytest.raises(InvalidConfig, match="finite"):
+            geo.CapsuleSet(ends[0], ends[1], np.full(2, 0.1))
+
+
+@pytest.mark.parametrize("column", [0, -1])  # a rotation slot, the root translation
+def test_nan_motion_has_no_capsules(column):
+    # every body the IV sweep and the guidance SDF see comes from here
+    skel = chain_skeleton(3)
+    motion = np.tile(pose_row(skel), (3, 1))
+    motion[1, column] = np.nan
+    with pytest.raises(InvalidConfig, match="finite"):
+        geo.motion_capsules(skel, motion)
+
+
 def test_sdf_is_lipschitz():
     rng = np.random.default_rng(31)
     body = geo.CapsuleSet(
@@ -533,6 +553,91 @@ def test_intersection_volume_equals_full_grid_oracle(case):
     assert window_intersection_volume(a, b, vs) == full
     assert geo.capsule_intersection_volume(a, b, vs) == full
     assert geo.capsule_intersection_volume(b, a, vs) == full
+
+
+def test_one_capsule_sdf_is_bit_equal_to_capsule_sdfs():
+    # the sweep's per-capsule arithmetic, on broadcast grid axes and on
+    # scattered points, against the batched SDF every oracle uses
+    rng = np.random.default_rng(43)
+    seg_a = rng.uniform(-0.3, 0.3, (6, 3))
+    seg_b = rng.uniform(-0.3, 0.3, (6, 3))
+    seg_b[1] = seg_a[1]                      # zero length
+    seg_b[2] = seg_a[2] + [0.0, 0.0, 0.25]   # axis-parallel
+    body = geo.CapsuleSet(seg_a, seg_b, rng.uniform(0.02, 0.2, 6))
+    axes = [rng.uniform(-0.5, 0.5, n) for n in (7, 5, 9)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    scattered = rng.uniform(-0.5, 0.5, (500, 3))
+    on_grid = geo._capsule_sdfs(grid, body)
+    on_points = geo._capsule_sdfs(scattered, body)
+    d = body.seg_b - body.seg_a
+    dd = np.einsum("ci,ci->c", d, d)         # as the sweep and _segment_closest take it
+    for c in range(len(body)):
+        args = (body.seg_a[c], d[c], dd[c], body.radius[c])
+        got = geo._one_capsule_sdf(axes[0][:, None, None], axes[1][None, :, None],
+                                   axes[2][None, None, :], *args)
+        assert np.array_equal(got.ravel(), on_grid[:, c])
+        assert np.array_equal(geo._one_capsule_sdf(*scattered.T, *args), on_points[:, c])
+
+
+@st.composite
+def mixed_capsule_bodies(draw):
+    """Free, zero-length and axis-parallel capsules with arbitrary floats."""
+    n = draw(st.integers(1, 4))
+    coord = st.floats(-0.15, 0.15)
+    seg_a = np.array([[draw(coord) for _ in range(3)] for _ in range(n)])
+    seg_b = seg_a.copy()
+    for c in range(n):
+        kind = draw(st.sampled_from(["free", "point", 0, 1, 2]))
+        if kind == "free":
+            seg_b[c] = [draw(coord) for _ in range(3)]
+        elif kind != "point":
+            seg_b[c, kind] = draw(coord)
+    return geo.CapsuleSet(seg_a, seg_b, np.array([draw(st.floats(0.01, 0.08))
+                                                   for _ in range(n)]))
+
+
+@settings(deadline=None, max_examples=40, database=None)
+@given(mixed_capsule_bodies(), mixed_capsule_bodies(),
+       st.sampled_from([0.013, 0.0071]), st.floats(-0.1, 0.1))
+def test_intersection_volume_exact_on_non_dyadic_grids(a, b, vs, shift):
+    b = geo.CapsuleSet(b.seg_a + shift, b.seg_b + shift, b.radius)
+    full = full_grid_intersection_volume(a, b, vs)
+    assert geo.capsule_intersection_volume(a, b, vs) == full
+    assert geo.capsule_intersection_volume(b, a, vs) == full
+
+
+@pytest.mark.parametrize("chunk", [5, 37])
+def test_intersection_volume_chunked_sweep_is_exact(chunk, monkeypatch):
+    # a small chunk cuts every capsule window into slabs and the reactor's
+    # centers into runs; the count must not change, and no test may take
+    # more than a chunk of centers
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(4):
+        a = geo.CapsuleSet(rng.uniform(-0.2, 0.2, (3, 3)), rng.uniform(-0.2, 0.2, (3, 3)),
+                           rng.uniform(0.04, 0.1, 3))
+        b = geo.CapsuleSet(rng.uniform(-0.2, 0.2, (3, 3)) + 0.05,
+                           rng.uniform(-0.2, 0.2, (3, 3)) + 0.05, rng.uniform(0.04, 0.1, 3))
+        cases.append((a, b, 0.023))
+    expected = [geo.capsule_intersection_volume(a, b, vs) for a, b, vs in cases]
+    assert all(vol > 0.0 for vol in expected)
+
+    sizes = []
+    sdf = geo._one_capsule_sdf
+
+    def recording_sdf(x, y, z, *args):
+        sizes.append((np.ndim(x), np.broadcast(x, y, z).size))
+        return sdf(x, y, z, *args)
+
+    monkeypatch.setattr(geo, "_CHUNK", chunk)
+    monkeypatch.setattr(geo, "_one_capsule_sdf", recording_sdf)
+    for (a, b, vs), vol in zip(cases, expected):
+        assert geo.capsule_intersection_volume(a, b, vs) == vol
+        assert window_intersection_volume(a, b, vs) == vol
+    assert max(size for _, size in sizes) <= chunk
+    grid_calls = sum(ndim == 3 for ndim, _ in sizes)
+    point_calls = sum(ndim == 1 for ndim, _ in sizes)
+    assert grid_calls > 4 * 3 and point_calls > 4 * 3
 
 
 def test_intersection_volume_counts_no_center_on_a_surface():

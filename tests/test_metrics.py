@@ -164,6 +164,16 @@ def test_penetration_stats_rejects_bad_voxel_size_before_any_frame(voxel_size):
         mx.penetration_stats([], skel, voxel_size)
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_penetration_stats_rejects_a_nan_motion(side):
+    # the NaN frame overlaps its partner's box test and used to add IV 0.0
+    skel = chain_skeleton(3)
+    motions = [still_actor(skel, 2), still_actor(skel, 2)]
+    motions[side][1, -2] = np.nan
+    with pytest.raises(InvalidConfig, match="finite"):
+        mx.penetration_stats([tuple(motions)], skel, 0.02)
+
+
 def test_penetration_stats_frame_count_mismatch():
     skel = chain_skeleton(3)
     with pytest.raises(DimensionMismatch):

@@ -319,7 +319,8 @@ def test_stochastic_beta_one_uses_random_direction():
         x0_rec = fp.x0_hat(x1, x, tn, s)
         d_base = x0_rec - x1
         d_rand = gen.standard_normal(size=d_base.shape)
-        d_rand *= np.linalg.norm(d_base) / np.linalg.norm(d_rand)
+        d_rand *= (np.linalg.norm(d_base, axis=-1, keepdims=True)
+                   / np.linalg.norm(d_rand, axis=-1, keepdims=True))
         x = x1 + (1.0 - tn1) * d_rand + s * tn1 * x0_rec
     assert np.allclose(out, x, atol=1e-12)
 
@@ -334,6 +335,15 @@ def test_guided_sampling_needs_context(guidance):
     cfg = smp.SamplerConfig(guidance=guidance, lambda_pene=1.0)
     with pytest.raises(InvalidConfig):
         smp.sample(oracle(np.zeros((1, 2, 4))), np.zeros((1, 2, 4)), cfg)
+
+
+def test_guidance_rejects_a_nan_actor():
+    # the actor SDF of a NaN body used to be NaN
+    skel = chain_skeleton(3)
+    actor = still_actor(skel, 3)
+    actor[2, -1] = np.nan
+    with pytest.raises(InvalidConfig, match="finite"):
+        smp.GuidanceContext.from_actor(skel, actor[None])
 
 
 def test_predictor_shape_mismatch_rejected():
@@ -448,11 +458,13 @@ def test_batch_of_one_equals_single_call():
 
 def test_batch_stochastic_streams_per_sample():
     # each sample draws from its own (seed, sample_index) stream, in batch
-    # order, and its random direction is norm-matched to its own projection
+    # order, and each frame of its random direction is norm-matched to the
+    # same frame of its own projection
     rng = np.random.default_rng(22)
     x0 = rng.normal(size=(3, 3, 6))
     x1 = rng.normal(size=(3, 3, 6))
     x1[1] *= 10.0  # per-sample norms differ widely
+    x1[:, 2] *= 0.1  # and per-frame norms
     s, indices = 0.01, [5, 0, 9]
     cfg = smp.SamplerConfig(steps=3, sigma_min=s, guidance="none", beta=0.4,
                             seed=7)
@@ -464,10 +476,29 @@ def test_batch_stochastic_streams_per_sample():
             x0_rec = fp.x0_hat(x1[i], x, tn, s)
             d_base = x0_rec - x1[i]
             d_rand = gen.standard_normal(size=d_base.shape)
-            d_rand *= np.linalg.norm(d_base) / np.linalg.norm(d_rand)
+            d_rand *= (np.linalg.norm(d_base, axis=-1, keepdims=True)
+                       / np.linalg.norm(d_rand, axis=-1, keepdims=True))
             d_mix = d_base + 0.4 * (d_rand - d_base)
             x = x1[i] + (1.0 - tn1) * d_mix + s * tn1 * x0_rec
         assert np.array_equal(out[i], x)
+
+
+@pytest.mark.parametrize("kw", BATCH_CONFIGS)
+def test_causal_predictor_reaction_ignores_later_actor_frames(kw):
+    # with a causal predictor, reaction frame h depends on actor frames <= h
+    # only: guidance and the random direction act frame by frame
+    skel, actors, predictor, conds = batch_scene()
+    cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
+    indices = list(range(len(actors)))
+    out = run_batch(predictor, skel, actors, conds, cfg, indices)
+    rng = np.random.default_rng(23)
+    h = actors.shape[1]
+    for cut in range(1, h):
+        moved = actors.copy()
+        moved[:, cut:] = np.stack([random_motion(rng, skel, h - cut) for _ in actors])
+        again = run_batch(predictor, skel, moved, conds, cfg, indices)
+        assert np.max(np.abs(again[:, cut:] - out[:, cut:])) > 1e-6
+        assert np.max(np.abs(again[:, :cut] - out[:, :cut])) <= 1e-12
 
 
 def test_batch_reduction_identities_bit_exact():

@@ -63,6 +63,8 @@ class ScenarioConfig:
             raise InvalidConfig("contact_fraction must be in [0, 1]")
         if not 0.0 <= self.noise < np.inf:
             raise InvalidConfig("noise must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -104,21 +106,29 @@ def default_skeleton(joints: int = DEFAULT_JOINTS) -> geo.Skeleton:
 # Pose construction helpers
 # ---------------------------------------------------------------------------
 
-def _rotation_about(axis: np.ndarray, angle) -> np.ndarray:
-    """Rotation(s) about ``axis``: (3, 3) for a scalar angle, (H, 3, 3) for H angles."""
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
-    kx = np.array([[0.0, -axis[2], axis[1]],
-                   [axis[2], 0.0, -axis[0]],
-                   [-axis[1], axis[0], 0.0]])
+_Y_AXIS = np.array([0.0, 1.0, 0.0])
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def _unit_rows(axes: np.ndarray) -> np.ndarray:
+    """Each row of (P, 3) ``axes`` divided by its own 1-D ``np.linalg.norm``.
+
+    A batched ``norm(axis=-1)`` sums in another order and can differ in the
+    last bit, so the norm is taken one row at a time.
+    """
+    return np.stack([a / np.linalg.norm(a) for a in axes])
+
+
+def _rotation_about(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Rotations by ``angle`` (any shape S) about unit ``axis``, whose shape
+    broadcasts to S + (3,): (3,) for one axis, (P, 1, 3) for one per pair
+    of (P, H) angles.  Returns S + (3, 3)."""
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
+    zero = np.zeros_like(x)
+    kx = np.stack([zero, -z, y, z, zero, -x, -y, x, zero],
+                  axis=-1).reshape(axis.shape[:-1] + (3, 3))
+    angle = angle[..., None, None]
     return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
-
-
-def _yaw_facing(direction: np.ndarray) -> np.ndarray:
-    """Rotation about z mapping the local +x axis onto a horizontal direction."""
-    return _rotation_about(np.array([0.0, 0.0, 1.0]),
-                           float(np.arctan2(direction[1], direction[0])))
 
 
 _CHEST, _SHOULDER, _LIMB = "chest", "shoulder", "limb"
@@ -129,142 +139,184 @@ def _pose_joints(skel: geo.Skeleton) -> dict[str, int]:
     return {_CHEST: 1, _SHOULDER: k - 2, _LIMB: k - 1}
 
 
-def _build_motion(skel: geo.Skeleton, root_pos: np.ndarray, facing: np.ndarray,
-                  joint_angles: dict[int, tuple[np.ndarray, np.ndarray]]
-                  ) -> np.ndarray:
-    """Assemble an (H, D) motion from root positions, a facing direction,
-    and per-joint (axis, angle-series) rotations; other joints stay at
-    identity."""
+def _build_motions(skel: geo.Skeleton, root_pos: np.ndarray, facing: np.ndarray,
+                   joint_angles: dict[str, tuple[np.ndarray, np.ndarray]]
+                   ) -> np.ndarray:
+    """Assemble (P, H, D) motions from root positions (P, H, 3), facing
+    directions (P, 3), and per-joint (unit axis, (P, H) angle series)
+    rotations; other joints stay at identity.
+
+    ``joint_angles`` is keyed by pose joint name.  On a skeleton where two
+    names share a joint (3 joints: chest and shoulder), the later entry
+    sets it.
+    """
     k = skel.joint_count
-    motion = np.zeros((root_pos.shape[0], skel.motion_dim))
-    motion[:, : 6 * (k + 1)] = np.tile(geo.IDENTITY_ROT6D, k + 1)
-    motion[:, 6 * k: 6 * k + 6] = geo.rot6d_encode(_yaw_facing(facing))
-    motion[:, 6 * k + 6:] = root_pos
-    for j, (axis, series) in joint_angles.items():
-        motion[:, 6 * j: 6 * j + 6] = geo.rot6d_encode(_rotation_about(axis, series))
+    jid = _pose_joints(skel)
+    motion = np.zeros(root_pos.shape[:2] + (skel.motion_dim,))
+    motion[..., : 6 * (k + 1)] = np.tile(geo.IDENTITY_ROT6D, k + 1)
+    yaw = np.arctan2(facing[:, 1], facing[:, 0])
+    motion[..., 6 * k: 6 * k + 6] = geo.rot6d_encode(_rotation_about(_Z_AXIS, yaw))[:, None]
+    motion[..., 6 * k + 6:] = root_pos
+    for name, (axis, series) in joint_angles.items():
+        j = jid[name]
+        motion[..., 6 * j: 6 * j + 6] = geo.rot6d_encode(_rotation_about(axis, series))
     return motion
 
 
-def _bump(tau: np.ndarray, center: float = 0.5, width: float = 0.18) -> np.ndarray:
+def _bump(tau: np.ndarray, center, width: float = 0.18) -> np.ndarray:
     return np.exp(-(((tau - center) / width) ** 2))
 
 
 # ---------------------------------------------------------------------------
 # Scenario scripts
+#
+# Each scenario has a draw step and a build step.  The draw step takes one
+# pair's generator and returns its scalars and noise series; the build step
+# takes those draws stacked over all pairs of the scenario (scalars (P,),
+# series (P, H)) and returns the (P, H, D) actors and reactors.  Every
+# operation of the build acts on each pair's values alone, so a pair's
+# motions depend only on its draws, whatever pairs share the batch.
 # ---------------------------------------------------------------------------
 
 _ARM_REST = np.pi / 2  # arms hang down; raising swings them toward the other body
-_Y_AXIS = np.array([0.0, 1.0, 0.0])
 
 
-def _scenario_frame(cfg: ScenarioConfig, rng: np.random.Generator,
-                    near_range: tuple[float, float]):
-    """Geometry shared by all scenarios: where the two bodies start."""
+def _frame_draws(cfg: ScenarioConfig, rng: np.random.Generator,
+                 near_range: tuple[float, float]) -> dict:
+    """Draws shared by all scenarios: where the two bodies start."""
     near = rng.random() < cfg.contact_fraction
     angle = rng.uniform(0.0, 2.0 * np.pi)
-    d = np.array([np.cos(angle), np.sin(angle), 0.0])   # reactor -> actor
-    e = np.array([-d[1], d[0], 0.0])                    # horizontal perpendicular
-    r0 = np.array([0.0, 0.0, 0.9]) + np.concatenate([rng.uniform(-0.05, 0.05, 2),
-                                                     [0.0]])
+    root_xy = rng.uniform(-0.05, 0.05, 2)
     sep = rng.uniform(*near_range) if near else rng.uniform(3.5, 4.5)
-    a0 = r0 + sep * d
+    return {"near": near, "angle": angle, "root_xy": root_xy, "sep": sep}
+
+
+def _frame(cfg: ScenarioConfig, v: dict):
+    """Start geometry of stacked frame draws: the reactor -> actor direction
+    ``d``, its horizontal perpendicular ``e``, the two start positions, and
+    the normalized time ``tau``."""
+    zero = np.zeros_like(v["angle"])
+    d = np.stack([np.cos(v["angle"]), np.sin(v["angle"]), zero], axis=-1)
+    e = np.stack([-d[:, 1], d[:, 0], zero], axis=-1)
+    r0 = np.array([0.0, 0.0, 0.9]) + np.concatenate([v["root_xy"], zero[:, None]], axis=1)
+    a0 = r0 + v["sep"][:, None] * d
     tau = np.linspace(0.0, 1.0, cfg.frames)
-    return near, d, e, r0, a0, sep, tau
+    return d, e, r0, a0, tau
 
 
-def _noise_series(rng: np.random.Generator, cfg: ScenarioConfig, h: int) -> np.ndarray:
-    return rng.normal(scale=cfg.noise, size=h)
+def _noise_series(rng: np.random.Generator, cfg: ScenarioConfig) -> np.ndarray:
+    return rng.normal(scale=cfg.noise, size=cfg.frames)
 
 
-def _push_retreat(cfg: ScenarioConfig, rng: np.random.Generator):
-    near, d, e, r0, a0, sep, tau = _scenario_frame(cfg, rng, (0.45, 0.65))
-    skel = default_skeleton(cfg.joints)
-    jid = _pose_joints(skel)
-    h = cfg.frames
+def _push_retreat_draws(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
+    v = _frame_draws(cfg, rng, (0.45, 0.65))
+    v["amp"] = v["sep"] + rng.uniform(0.0, 0.1) if v["near"] else rng.uniform(0.5, 1.0)
+    v["raise_amp"] = rng.uniform(0.9, 1.4)
+    v["raise_center"] = rng.uniform(0.5, 0.7)
+    v["k_push"] = rng.uniform(0.45, 0.6)
+    v["lean_k"] = rng.uniform(0.2, 0.4)
+    for name in (_CHEST, _SHOULDER, _LIMB):
+        v["noise_" + name] = _noise_series(rng, cfg)
+    return v
 
-    amp = sep + rng.uniform(0.0, 0.1) if near else rng.uniform(0.5, 1.0)
-    raise_arm = rng.uniform(0.9, 1.4) * _bump(tau, center=rng.uniform(0.5, 0.7),
-                                              width=0.3)
-    actor_pos = a0[None, :] - (amp * tau)[:, None] * d[None, :]
-    actor = _build_motion(skel, actor_pos, -d, {
-        jid[_SHOULDER]: (_Y_AXIS, _ARM_REST - raise_arm),
-        jid[_LIMB]: (_Y_AXIS, 0.3 * raise_arm),
+
+def _push_retreat(cfg: ScenarioConfig, skel: geo.Skeleton, v: dict):
+    d, e, r0, a0, tau = _frame(cfg, v)
+    amp = v["amp"][:, None]
+    raise_arm = v["raise_amp"][:, None] * _bump(tau, center=v["raise_center"][:, None],
+                                                width=0.3)
+    closure = amp * tau                       # how far the actor has closed in
+    actor_pos = a0[:, None] - closure[..., None] * d[:, None]
+    actor = _build_motions(skel, actor_pos, -d, {
+        _SHOULDER: (_Y_AXIS, _ARM_REST - raise_arm),
+        _LIMB: (_Y_AXIS, 0.3 * raise_arm),
     })
 
-    k_push = rng.uniform(0.45, 0.6)
-    lean_k = rng.uniform(0.2, 0.4)
-    closure = amp * tau                       # how far the actor has closed in
-    reactor_pos = r0[None, :] - (k_push * closure)[:, None] * d[None, :]
-    reactor = _build_motion(skel, reactor_pos, d, {
-        jid[_CHEST]: (e, lean_k * closure / max(amp, 1e-9)
-                      + _noise_series(rng, cfg, h)),
-        jid[_SHOULDER]: (_Y_AXIS, _ARM_REST + _noise_series(rng, cfg, h)),
-        jid[_LIMB]: (_Y_AXIS, _noise_series(rng, cfg, h)),
+    reactor_pos = r0[:, None] - (v["k_push"][:, None] * closure)[..., None] * d[:, None]
+    reactor = _build_motions(skel, reactor_pos, d, {
+        _CHEST: (_unit_rows(e)[:, None], v["lean_k"][:, None] * closure
+                 / np.maximum(amp, 1e-9) + v["noise_chest"]),
+        _SHOULDER: (_Y_AXIS, _ARM_REST + v["noise_shoulder"]),
+        _LIMB: (_Y_AXIS, v["noise_limb"]),
     })
     return actor, reactor
 
 
-def _wave_mirror(cfg: ScenarioConfig, rng: np.random.Generator):
-    near, d, e, r0, a0, sep, tau = _scenario_frame(cfg, rng, (0.60, 0.80))
-    skel = default_skeleton(cfg.joints)
-    jid = _pose_joints(skel)
-    h = cfg.frames
+def _wave_mirror_draws(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
+    v = _frame_draws(cfg, rng, (0.60, 0.80))
+    v["amp"] = rng.uniform(1.0, 1.5)
+    v["freq"] = rng.integers(1, 3)
+    v["phase"] = rng.uniform(0.0, 2.0 * np.pi)
+    for name in (_SHOULDER, _LIMB, _CHEST):
+        v["noise_" + name] = _noise_series(rng, cfg)
+    return v
 
-    amp = rng.uniform(1.0, 1.5)
-    freq = rng.integers(1, 3)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    raise_arm = amp * (0.5 + 0.5 * np.sin(2.0 * np.pi * freq * tau + phase))
+
+def _wave_mirror(cfg: ScenarioConfig, skel: geo.Skeleton, v: dict):
+    d, e, r0, a0, tau = _frame(cfg, v)
+    phase = v["phase"][:, None]
+    raise_arm = v["amp"][:, None] * (
+        0.5 + 0.5 * np.sin((2.0 * np.pi * v["freq"])[:, None] * tau + phase))
     sway = 0.03 * np.sin(2.0 * np.pi * tau + phase)
 
-    actor_pos = a0[None, :] + sway[:, None] * e[None, :]
-    actor = _build_motion(skel, actor_pos, -d, {
-        jid[_SHOULDER]: (_Y_AXIS, _ARM_REST - raise_arm),
-        jid[_LIMB]: (_Y_AXIS, 0.25 * raise_arm),
+    actor_pos = a0[:, None] + sway[..., None] * e[:, None]
+    actor = _build_motions(skel, actor_pos, -d, {
+        _SHOULDER: (_Y_AXIS, _ARM_REST - raise_arm),
+        _LIMB: (_Y_AXIS, 0.25 * raise_arm),
     })
 
-    reactor_pos = np.tile(r0, (h, 1))
-    reactor = _build_motion(skel, reactor_pos, d, {
-        jid[_SHOULDER]: (_Y_AXIS, _ARM_REST - raise_arm + _noise_series(rng, cfg, h)),
-        jid[_LIMB]: (_Y_AXIS, 0.25 * raise_arm + _noise_series(rng, cfg, h)),
-        jid[_CHEST]: (e, _noise_series(rng, cfg, h)),
+    reactor_pos = np.broadcast_to(r0[:, None], actor_pos.shape)
+    reactor = _build_motions(skel, reactor_pos, d, {
+        _SHOULDER: (_Y_AXIS, _ARM_REST - raise_arm + v["noise_shoulder"]),
+        _LIMB: (_Y_AXIS, 0.25 * raise_arm + v["noise_limb"]),
+        _CHEST: (_unit_rows(e)[:, None], v["noise_chest"]),
     })
     return actor, reactor
 
 
-def _kick_dodge(cfg: ScenarioConfig, rng: np.random.Generator):
-    near, d, e, r0, a0, sep, tau = _scenario_frame(cfg, rng, (0.5, 0.7))
-    skel = default_skeleton(cfg.joints)
-    jid = _pose_joints(skel)
-    h = cfg.frames
+def _kick_dodge_draws(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
+    v = _frame_draws(cfg, rng, (0.5, 0.7))
+    v["lunge_amp"] = (v["sep"] - rng.uniform(0.05, 0.25) if v["near"]
+                      else rng.uniform(0.5, 0.8))
+    v["kick_center"] = rng.uniform(0.45, 0.55)
+    v["kick_amp"] = rng.uniform(1.0, 1.5)
+    v["dodge_amp"] = rng.uniform(0.25, 0.45)
+    v["side"] = 1.0 if rng.random() < 0.5 else -1.0
+    v["lag"] = int(rng.integers(2, 4))
+    for name in (_CHEST, _SHOULDER, _LIMB):
+        v["noise_" + name] = _noise_series(rng, cfg)
+    return v
 
-    lunge_amp = sep - rng.uniform(0.05, 0.25) if near else rng.uniform(0.5, 0.8)
-    bump = _bump(tau, center=rng.uniform(0.45, 0.55))
-    kick = rng.uniform(1.0, 1.5) * bump
-    actor_pos = a0[None, :] - (lunge_amp * bump)[:, None] * d[None, :]
-    actor = _build_motion(skel, actor_pos, -d, {
-        jid[_SHOULDER]: (_Y_AXIS, _ARM_REST - kick),
-        jid[_LIMB]: (_Y_AXIS, 0.4 * kick),
+
+def _kick_dodge(cfg: ScenarioConfig, skel: geo.Skeleton, v: dict):
+    d, e, r0, a0, tau = _frame(cfg, v)
+    bump = _bump(tau, center=v["kick_center"][:, None])
+    kick = v["kick_amp"][:, None] * bump
+    actor_pos = a0[:, None] - (v["lunge_amp"][:, None] * bump)[..., None] * d[:, None]
+    actor = _build_motions(skel, actor_pos, -d, {
+        _SHOULDER: (_Y_AXIS, _ARM_REST - kick),
+        _LIMB: (_Y_AXIS, 0.4 * kick),
     })
 
-    dodge_amp = rng.uniform(0.25, 0.45)
-    side = 1.0 if rng.random() < 0.5 else -1.0
-    # dodge trails the kick by a couple of frames and stays displaced; the
+    # dodge trails the kick by ``lag`` frames and stays displaced; the
     # lagged cumulative max is still causal in the actor frames
-    lag = int(rng.integers(2, 4))
-    delayed = np.concatenate([np.zeros(lag), bump[:-lag]]) if lag else bump
-    follow = np.maximum.accumulate(delayed)
-    reactor_pos = r0[None, :] + (side * dodge_amp * follow)[:, None] * e[None, :]
-    reactor = _build_motion(skel, reactor_pos, d, {
-        jid[_CHEST]: (d, side * 0.2 * follow + _noise_series(rng, cfg, h)),
-        jid[_SHOULDER]: (_Y_AXIS, _ARM_REST + _noise_series(rng, cfg, h)),
-        jid[_LIMB]: (_Y_AXIS, _noise_series(rng, cfg, h)),
+    src = np.arange(cfg.frames) - v["lag"][:, None]
+    delayed = np.where(src >= 0, np.take_along_axis(bump, np.maximum(src, 0), axis=1), 0.0)
+    follow = np.maximum.accumulate(delayed, axis=1)
+    side = v["side"][:, None]
+    reactor_pos = r0[:, None] + (side * v["dodge_amp"][:, None] * follow)[..., None] * e[:, None]
+    reactor = _build_motions(skel, reactor_pos, d, {
+        _CHEST: (_unit_rows(d)[:, None], side * 0.2 * follow + v["noise_chest"]),
+        _SHOULDER: (_Y_AXIS, _ARM_REST + v["noise_shoulder"]),
+        _LIMB: (_Y_AXIS, v["noise_limb"]),
     })
     return actor, reactor
 
 
-_SCRIPTS = {"push_retreat": _push_retreat,
-            "wave_mirror": _wave_mirror,
-            "kick_dodge": _kick_dodge}
+# scenario -> (per-pair draw step, batched build step)
+_SCRIPTS = {"push_retreat": (_push_retreat_draws, _push_retreat),
+            "wave_mirror": (_wave_mirror_draws, _wave_mirror),
+            "kick_dodge": (_kick_dodge_draws, _kick_dodge)}
 
 
 def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
@@ -273,19 +325,27 @@ def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
                    scenario: str = "all") -> list[InteractionSample]:
     """Seeded samples round-robin over the scenarios, or of the one named.
 
-    Each sample only depends on its key ``(seed, label, index within label)``.
+    Each sample only depends on its key ``(seed, label, index within label)``:
+    one draw step per pair from ``np.random.default_rng(key)``, then one
+    build over all pairs of its scenario.
     """
     if count < 1:
         raise InvalidConfig("count must be >= 1")
     names = SCENARIOS if scenario == "all" else (scenario,)
     cfgs = [ScenarioConfig(s, frames, joints, noise, contact_fraction, seed)
             for s in names]
-    samples = []
-    for i in range(count):
-        cfg = cfgs[i % len(cfgs)]
-        key = (seed, SCENARIOS.index(cfg.scenario), i // len(cfgs))
-        actor, reactor = _SCRIPTS[cfg.scenario](cfg, np.random.default_rng(key))
-        samples.append(InteractionSample(actor, reactor, key[1], key))
+    skel = default_skeleton(joints)
+    samples: list[InteractionSample] = [None] * count
+    for first, cfg in enumerate(cfgs[:count]):
+        draw, build = _SCRIPTS[cfg.scenario]
+        label = SCENARIOS.index(cfg.scenario)
+        slots = range(first, count, len(cfgs))
+        keys = [(seed, label, n) for n in range(len(slots))]
+        draws = [draw(cfg, np.random.default_rng(key)) for key in keys]
+        stacked = {name: np.array([v[name] for v in draws]) for name in draws[0]}
+        actors, reactors = build(cfg, skel, stacked)
+        for i, key, actor, reactor in zip(slots, keys, actors, reactors):
+            samples[i] = InteractionSample(actor, reactor, label, key)
     return samples
 
 

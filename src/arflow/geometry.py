@@ -269,6 +269,16 @@ def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
     return CapsuleSet(pos[:, parents], pos[:, 1:], skel.radii)
 
 
+def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products over a last axis of length 3, added as ``(0 + 2) + 1``.
+
+    Every capsule distance (:func:`_capsule_sdfs`, :func:`sdf_and_gradient`
+    and the voxel sweep) takes its projections from this one written-out
+    order, so they agree bit for bit on any numpy build or CPU.
+    """
+    return (u[..., 0] * v[..., 0] + u[..., 2] * v[..., 2]) + u[..., 1] * v[..., 1]
+
+
 def _segment_closest(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
                      ) -> np.ndarray:
     """Closest points on every capsule axis ``seg_a -> seg_b`` for every query point.
@@ -277,9 +287,9 @@ def _segment_closest(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
     returns (..., N, C, 3).
     """
     d = seg_b - seg_a                                          # (..., C, 3)
-    dd = np.einsum("...ci,...ci->...c", d, d)[..., None, :]    # (..., 1, C)
+    dd = _dot3(d, d)[..., None, :]                             # (..., 1, C)
     ap = points[..., :, None, :] - seg_a[..., None, :, :]      # (..., N, C, 3)
-    t = np.einsum("...nci,...ci->...nc", ap, d)
+    t = _dot3(ap, d[..., None, :, :])
     t = np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0)
     t = np.clip(t, 0.0, 1.0)
     return seg_a[..., None, :, :] + t[..., None] * d[..., None, :, :]
@@ -373,7 +383,7 @@ def _capsule_blocks(body: CapsuleSet, origin: np.ndarray, voxel_size: float,
     w_lo = np.maximum(np.floor((lo - origin) / voxel_size).astype(int) - 1, i_lo) - i_lo
     w_hi = np.minimum(np.ceil((hi - origin) / voxel_size).astype(int) + 1, i_hi) - i_lo
     d = body.seg_b - body.seg_a
-    dd = np.einsum("...ci,...ci->...c", d, d)
+    dd = _dot3(d, d)
     for c, (lo_c, hi_c) in enumerate(zip(w_lo.tolist(), w_hi.tolist())):
         if all(lo < hi for lo, hi in zip(lo_c, hi_c)):
             yield (tuple(slice(lo, hi) for lo, hi in zip(lo_c, hi_c)),
@@ -400,9 +410,8 @@ def _one_capsule_sdf(x: np.ndarray, y: np.ndarray, z: np.ndarray,
 
     The coordinates broadcast against each other: three axes of a grid
     block, or three columns of scattered points.  Each point gets the
-    operations of :func:`_capsule_sdfs` in the same order, so the result is
-    bit-equal to it; numpy's length-3 ``einsum`` adds the middle product
-    last, hence ``t``'s ``(0 + 2) + 1`` order.
+    operations of :func:`_capsule_sdfs` in the same order, ``t`` summed as
+    :func:`_dot3` sums, so the result is bit-equal to it.
     """
     px, py, pz = x - a[0], y - a[1], z - a[2]
     t = (px * d[0] + pz * d[2]) + py * d[1]

@@ -178,6 +178,12 @@ def fid(features_a, features_b) -> float:
     return max(value, 0.0)
 
 
+def _subset_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidConfig(f"metric seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _two_subsets(n: int, size: int, rng: np.random.Generator,
                  with_replacement: bool) -> tuple[np.ndarray, np.ndarray]:
     if size < 1:
@@ -197,7 +203,7 @@ def diversity(features, subset_size: int = DIVERSITY_SUBSET, *, seed: int = 0,
     """Mean distance between two seeded disjoint subsets of the features;
     ``InvalidConfig`` when ``subset_size`` < 1."""
     feats = _feature_matrix(features)
-    rng = np.random.default_rng(seed)
+    rng = _subset_rng(seed)
     ia, ib = _two_subsets(len(feats), subset_size, rng, with_replacement)
     return float(np.linalg.norm(feats[ia] - feats[ib], axis=1).mean())
 
@@ -212,7 +218,7 @@ def multimodality(features_by_class: dict, subset_size: int = MULTIMODALITY_SUBS
     """
     if not features_by_class:
         raise EmptyInput("no classes given")
-    rng = np.random.default_rng(seed)
+    rng = _subset_rng(seed)
     total = 0.0
     for label in sorted(features_by_class):
         feats = _feature_matrix(features_by_class[label])
@@ -246,6 +252,8 @@ class FeatureExtractor:
             raise InvalidConfig("out_dim must be positive")
         if self.kind == "predictor_latent" and self.params is None:
             raise InvalidConfig("predictor_latent needs trained params")
+        if self.seed < 0:
+            raise InvalidConfig(f"feature seed must be >= 0, got {self.seed}")
 
 
 def _flatten_features(motions, skel: geo.Skeleton) -> np.ndarray:

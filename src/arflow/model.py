@@ -106,6 +106,8 @@ class TrainConfig:
         if not 0.0 <= self.lambda_inter < np.inf:
             raise InvalidConfig(f"lambda_inter must be finite and >= 0, "
                                 f"got {self.lambda_inter}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ class SamplerConfig:
             raise InvalidConfig("w and beta must lie in [0, 1]")
         if self.guidance == "vanilla" and self.beta > 0.0:
             raise InvalidConfig("stochastic sampling composes with improved or none")
+        if self.seed < 0:  # checked at any beta, though only beta > 0 draws from it
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
     @property
     def guided(self) -> bool:  # whether sampling takes the penetration gradient

@@ -18,6 +18,7 @@ from . import flowpath as fp
 from . import geometry as geo
 from . import model as mdl
 from . import sampler as smp
+from .errors import InvalidConfig
 
 
 @dataclass
@@ -341,6 +342,8 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     results = []
     for index, check in enumerate(ALL_CHECKS):
         rng = np.random.default_rng((seed, index))

@@ -55,6 +55,28 @@ def test_gen_data_record_count_and_checksum(tmp_path):
     assert str(a) in manifest["outputs"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--pairs", "3", "--seed", "-1", "--out", "{out}"],
+    ["train", "--data", "{data}", "--steps", "1", "--seed", "-1", "--out", "{out}"],
+    ["sample", "--model", "{model}", "--data", "{data}", "--limit", "1", "--seed", "-1",
+     "--out", "{out}"],
+    ["sample", "--model", "{model}", "--data", "{data}", "--limit", "1", "--beta", "0.3",
+     "--seed", "-1", "--out", "{out}"],
+    ["eval", "--inputs", "{data}", "--metrics", "div", "--sd", "5", "--metric-seed", "-1",
+     "--out", "{out}"],
+    ["eval", "--inputs", "{data}", "--metrics", "div", "--sd", "5", "--features", "proj",
+     "--feature-seed", "-1", "--out", "{out}"],
+    ["verify", "--seed", "-1"],
+], ids=["gen-data", "train", "sample", "sample-beta", "eval-metric", "eval-feature",
+        "verify"])
+def test_negative_seed_exits_2(argv, small_data, small_model, tmp_path, capsys):
+    out = tmp_path / "out"
+    paths = {"data": small_data, "model": small_model, "out": out}
+    assert run(*(a.format(**paths) for a in argv)) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_zero_pairs_exits_2(tmp_path):
     assert run("gen-data", "--pairs", "0",
                "--out", str(tmp_path / "x.jsonl")) == 2

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from arflow import cli
 from arflow import data as dt
 from arflow import geometry as geo
 from arflow import metrics as mx
@@ -98,6 +100,134 @@ def test_single_scenario_keys_count_within_the_label():
     assert [s.seed_used for s in samples] == [(5, label, i) for i in range(4)]
     mixed = dt.generate_mixed(9, frames=4, seed=5)
     assert np.array_equal(mixed[label + 3].actor, samples[1].actor)
+
+
+def _near(sample) -> bool:
+    """Whether the pair starts within interaction range (under 1 m apart)."""
+    return float(np.linalg.norm(sample.actor[0, -3:] - sample.reactor[0, -3:])) < 1.0
+
+
+def test_samples_depend_only_on_their_keys():
+    kw = dict(frames=7, joints=5, contact_fraction=0.5, seed=8)
+    mixed = dt.generate_mixed(60, **kw)
+    # near and far pairs of every scenario share the batch
+    assert {(s.label, _near(s)) for s in mixed} == {(label, near) for label in range(3)
+                                                   for near in (False, True)}
+    for m in (1, 2, 4, 31):
+        for s, t in zip(dt.generate_mixed(m, **kw), mixed[:m], strict=True):
+            assert s.actor.tobytes() == t.actor.tobytes()
+            assert s.reactor.tobytes() == t.reactor.tobytes()
+            assert (s.label, s.seed_used) == (t.label, t.seed_used)
+    label = dt.SCENARIOS.index("kick_dodge")
+    alone = dt.generate_mixed(20, scenario="kick_dodge", **kw)
+    for s, t in zip(alone, [s for s in mixed if s.label == label], strict=True):
+        assert s.actor.tobytes() == t.actor.tobytes()
+        assert s.reactor.tobytes() == t.reactor.tobytes()
+        assert s.seed_used == t.seed_used
+
+
+def test_kick_dodge_lag_longer_than_the_clip():
+    # lags of 2 or 3 frames on 2-frame clips: the dodge has not started
+    skel = dt.default_skeleton()
+    for s in dt.generate_mixed(9, frames=2, scenario="kick_dodge", seed=5):
+        assert s.actor.shape == s.reactor.shape == (2, skel.motion_dim)
+        assert np.array_equal(s.reactor[0, -3:], s.reactor[1, -3:])
+
+
+# SHA-256 of the file `arflow gen-data --pairs 9 --seed 5` writes, by
+# (--scenario, --joints, --frames, --contact-fraction).  Generation output
+# is pinned byte for byte: a change to the draws, their order or the build
+# arithmetic shows here.  The 2-frame files with kick_dodge pairs date from
+# the fix of lags longer than the clip (those commands raised before it).
+GEN_DATA_DIGESTS = {
+    ("all", 3, 2, 0): "0fd6dedbc00819c337357b06d6f7a343c4c667995b241f467d0bbc86af485719",
+    ("all", 3, 2, 0.5): "1606e4254278c2b6b13098c21e6806987f30358049d6ae8ba251cdff7f0c01c0",
+    ("all", 3, 2, 1): "7141c146938b8eb61b16655e3b31cb839935eb32abee358d56f90db064998292",
+    ("all", 3, 16, 0): "ca13437f2695f4acf90f427bf0d77b49c1dbce97992703e8b3c6a84ac643ccee",
+    ("all", 3, 16, 0.5): "f132b2aa1f27b733b2601c24066da650fd91336ebc705a7d3a7c3413b83cf886",
+    ("all", 3, 16, 1): "a4a8d77b47736c60f1d1f4b1750a4bd2b08f1b4c2e6615195b688e00378e14ad",
+    ("all", 5, 2, 0): "43ecaa6147553d89386aa13336f0dd7ee49354d88749668f4524fae86204658d",
+    ("all", 5, 2, 0.5): "20fe2a92be686ec371408721d135bc1c95f1b3e9e82f3598024cc737eb16407b",
+    ("all", 5, 2, 1): "958645db010530e797aeba7c2f1f7bd7d9497601e3fbf28b24cdc6b5c0f4d982",
+    ("all", 5, 16, 0): "caac73b16842f7733693ce388a6aed3c61277e39e37fa7253ddd30b2688240ca",
+    ("all", 5, 16, 0.5): "71ba78982943eb238c5edf447377a9a191749ba860147d48acb1db0ce0dd24db",
+    ("all", 5, 16, 1): "38e4d7da2cb5c4c4b61f1811ea47126f71280f559c45df188a96382002ef1104",
+    ("all", 7, 2, 0): "d76e2844a0f8b660599e32242877c6e4f52e0ea642afafa2aae6e0edfd6d2056",
+    ("all", 7, 2, 0.5): "e069d092e29becf0ca685e85c4818a0328f6561a8dd2be8903b60e7177303e06",
+    ("all", 7, 2, 1): "40054b5edd72b851a46e3bd05b5206d96cb27f885e517427d82c67eceb8c6e76",
+    ("all", 7, 16, 0): "6a38a1eb056296be9b1d52b90edbd3fa01e9bb96b7eb7de3ce625ff0e7c68812",
+    ("all", 7, 16, 0.5): "c42e573bdd6fc5e5fc07022293453dd894d433a02961a5b3e548bfed1a20d624",
+    ("all", 7, 16, 1): "1460474c15c03905c224cc70b027d603a4681138fe8b7791c5ab0999dbcb1e6d",
+    ("push_retreat", 3, 2, 0): "ef5f01b65e458af19533967f6ffe929ed82ac35549743a5b93cd236d08613046",
+    ("push_retreat", 3, 2, 0.5): "f121ea15662de60d8acfcf79578a760502e47d9ceb2d18110a95dfa2790aa535",
+    ("push_retreat", 3, 2, 1): "7ab8bd3782094b0520ed861c33a7fbd8c69a915e97b47852434d109b69b8165f",
+    ("push_retreat", 3, 16, 0): "8aa005c6d9994b188adc4d25303d2e17273b77e1b826414788460f74dd2d434f",
+    ("push_retreat", 3, 16, 0.5): "c7b6da3e1e698080201444ae69fd4b5ba46d26854aad666999dedf9d29cee9b5",
+    ("push_retreat", 3, 16, 1): "fa8176b7ffcef2cfb01c25c1b9502cf216087e054ad4151b8697cd26a8bef30c",
+    ("push_retreat", 5, 2, 0): "0ca132683e8a4c08772ead4be1dbe604b29646403bbd2238ef964baaefe2515b",
+    ("push_retreat", 5, 2, 0.5): "ff9e4116df4e682bcd58cd3384cf2ccc33337b6c90096600ceb3d339aa2ad3b3",
+    ("push_retreat", 5, 2, 1): "ab0cbbcc088da705da26e5155fe7af921b2d0c81f65833e718acb9311a599640",
+    ("push_retreat", 5, 16, 0): "0066f751035ab3a3caae994712265b16e00a3d888e552e5dedbfe07badb6a2ff",
+    ("push_retreat", 5, 16, 0.5): "4a9c469a7e8a57179ff974f55cf94dd9f2be6504fe74e24c0c3a84de2f168d31",
+    ("push_retreat", 5, 16, 1): "39db5470e7a90875d8a781ad6f66d3b110d3ce8af3e76a81e74dc7dd9763822d",
+    ("push_retreat", 7, 2, 0): "9f3d954bec31c9ead0188cf25743619872e6280d627cea1ad740a93da99cad26",
+    ("push_retreat", 7, 2, 0.5): "93555e106a70dd38bd66787062a8d66ae9bc4cebd8eac5643225e6e3f89797c4",
+    ("push_retreat", 7, 2, 1): "ea49ae48319b050259368762814009fba91f336910b06b561d2c439c78474fca",
+    ("push_retreat", 7, 16, 0): "bfe0b4c4a51f4c044e1e764311559a91308fbe81bc7362d8be6663ca8e79e14b",
+    ("push_retreat", 7, 16, 0.5): "d750724f1cb85b042e536b8a196a3a3cca256e72c4c25708d65fab5e28bce703",
+    ("push_retreat", 7, 16, 1): "3d3179f444d2708e8a83ae481a57c57a0ae1b2960e12d6a7937ab8a9face1cec",
+    ("wave_mirror", 3, 2, 0): "1af9260267c54723a61c48f959ba2cb22bd139386bd1a5a45e04b51062f0607a",
+    ("wave_mirror", 3, 2, 0.5): "74cb9ebbc30fc1d19514ad530862c13f95f8199df670270d877334c83c1cb189",
+    ("wave_mirror", 3, 2, 1): "fca8774d0f97062d41d98f119288bfa8700be9b44f0497ee1d24b31862303485",
+    ("wave_mirror", 3, 16, 0): "1a14f5c16cf8a18d830488f97c47e60857ecc0df4bf942116926b0390c0ad1b2",
+    ("wave_mirror", 3, 16, 0.5): "01db28a2bcbffbdeac69f2cb0524692c1481b43a4c3f843d512d381995bb3a5b",
+    ("wave_mirror", 3, 16, 1): "2dfe79c55d73125b35dc6a921e7f2efc5d9303bd5713804f8c2bcfcb5dbac24a",
+    ("wave_mirror", 5, 2, 0): "adcff41023658b27372bec984448f428df1aa489f5734e3e52db833e510666a1",
+    ("wave_mirror", 5, 2, 0.5): "c8115413844fb8830ea864abff69c5faf218cc5a33764120d126c1e555b41416",
+    ("wave_mirror", 5, 2, 1): "ab048ffbaaaecab889c9f6c4f7a3950e2e404355f3269e3603db5a6481557764",
+    ("wave_mirror", 5, 16, 0): "7f8fe40b0346bf940dc2578853f9b1ffc8e9d679f0b08752427b23a505a8de94",
+    ("wave_mirror", 5, 16, 0.5): "863d9975f531d777715564c4fdcb67636067760ebc75235703f8e30e49569095",
+    ("wave_mirror", 5, 16, 1): "97a2becc55c2a377c8dd615c014a8e001b5203849c78921c77e783dd46c32130",
+    ("wave_mirror", 7, 2, 0): "b1272f56853888499c81340675a1205bf442c159a79e7130fff15c205bb1f80c",
+    ("wave_mirror", 7, 2, 0.5): "1e9df28ca6357a3fbc7d2a655cda324363f1ca27d836370510a3fedadf165ea6",
+    ("wave_mirror", 7, 2, 1): "4de1c7733ea44cbfea1b947dbaca38f1227913ec3c0c10a37b059d0d23c103a0",
+    ("wave_mirror", 7, 16, 0): "51f204ae44a48d3c2f053128105428f6902e311c8404d8aca167ccfa5bbc95a3",
+    ("wave_mirror", 7, 16, 0.5): "3e473f0ef2270896403ec71fa81292215ba7fd145079eacf346bd3639c240848",
+    ("wave_mirror", 7, 16, 1): "d2858375212c458a7c12cc941f9b33b4b633faae9f9edcded5a86ab15de49deb",
+    ("kick_dodge", 3, 2, 0): "db9409386612e2bbca372097391b0297270b6b68219a2f0ce7aa1deddec5eb23",
+    ("kick_dodge", 3, 2, 0.5): "02e863af0ac823c38f21ada82e4006b5704e5aa01f29aa25df467687b6d8a0ee",
+    ("kick_dodge", 3, 2, 1): "e8371cc45cbb5a395e7dbe4ad4c4a3dcfeda03517114e38309aad39da16d4d4b",
+    ("kick_dodge", 3, 16, 0): "b152f2e7e5850bb05f6d9c457daae5728f305649849fda7016e2b4a378645413",
+    ("kick_dodge", 3, 16, 0.5): "8a0818e9f7c935167eb6b14ce2fc6557b12371a34e8276fa2c70f46e7cb7e07b",
+    ("kick_dodge", 3, 16, 1): "287d885e71ea5149c3c595fbf5879c7a193eb9684e330d9485e77a71d25568bd",
+    ("kick_dodge", 5, 2, 0): "d36fe9e41baf576935801ec80a88091c37a30937f843d1e08990e964f34f6757",
+    ("kick_dodge", 5, 2, 0.5): "890ff70e1dc760b89a31af7c2d0da6b0693dece3f7e296fdcd86bbc587a33721",
+    ("kick_dodge", 5, 2, 1): "799f3112a9636330138e4cf7826c3254000f7421a8d1f7381c8911ebe416696d",
+    ("kick_dodge", 5, 16, 0): "bf1b71569c8901655e32dae4bb187c256513dd4c12e1438f6b9f0f6587004564",
+    ("kick_dodge", 5, 16, 0.5): "b658b0a477763a5dd093914e3f8f7f50838cc72ec0ef4325d3977618c47a10c7",
+    ("kick_dodge", 5, 16, 1): "8ece8c72e65a457c0fef542e6582de8202525ff124893c67bf408e01968e85cd",
+    ("kick_dodge", 7, 2, 0): "ca42d3439f1e928be8a20acd0840bed2f87d35633db10588d35b41525ba7052a",
+    ("kick_dodge", 7, 2, 0.5): "e09df9961ac6b250c815b4c559f709ac80efe14bda0b041a3d7c6172897eb92b",
+    ("kick_dodge", 7, 2, 1): "56309bb486972b562c60046c4e6e98a57d04dc043bd244f1f97191789a109d6e",
+    ("kick_dodge", 7, 16, 0): "ca63066709f2cf38c0961a1e975ead376f770d57295a1a0ef4aee87779c0fd68",
+    ("kick_dodge", 7, 16, 0.5): "f87575cb57480f4f25270f7296c53048197f9ff976aea029d1c6060c1124f130",
+    ("kick_dodge", 7, 16, 1): "a728cee0a37340e54bc9441b45497b4941aa3595e0138ea390c21f3e25a51bbf",
+}
+
+
+@pytest.mark.parametrize("scenario", ("all",) + dt.SCENARIOS)
+def test_gen_data_bytes_are_pinned(scenario, tmp_path, capsys):
+    changed = []
+    for (name, joints, frames, contact), digest in GEN_DATA_DIGESTS.items():
+        if name != scenario:
+            continue
+        out = tmp_path / f"{joints}-{frames}-{contact}.jsonl"
+        assert cli.main(["gen-data", "--pairs", "9", "--seed", "5", "--scenario", name,
+                         "--joints", str(joints), "--frames", str(frames),
+                         "--contact-fraction", str(contact), "--out", str(out)]) == 0
+        if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+            changed.append((joints, frames, contact))
+    assert changed == []
 
 
 def test_equal_shape_chunks_group_in_input_order():

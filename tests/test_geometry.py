@@ -570,7 +570,7 @@ def test_one_capsule_sdf_is_bit_equal_to_capsule_sdfs():
     on_grid = geo._capsule_sdfs(grid, body)
     on_points = geo._capsule_sdfs(scattered, body)
     d = body.seg_b - body.seg_a
-    dd = np.einsum("ci,ci->c", d, d)         # as the sweep and _segment_closest take it
+    dd = geo._dot3(d, d)                     # as the sweep and _segment_closest take it
     for c in range(len(body)):
         args = (body.seg_a[c], d[c], dd[c], body.radius[c])
         got = geo._one_capsule_sdf(axes[0][:, None, None], axes[1][None, :, None],

@@ -4,9 +4,11 @@ A body is a capsule-skinned kinematic tree.  Joint 0 is the root; every
 other joint hangs off a parent with a constant offset expressed in the
 parent frame.  One capsule per (parent, child) bone gives the body an exact
 signed distance field, which the penetration loss and the intersection
-metrics are built on.  The intersection volume sweeps each capsule over
-broadcast grid axes or the occupancy grid, with the SDF's own per-point
-arithmetic, so it equals the full-grid voxel count bit for bit.
+metrics are built on.  One kernel, :func:`_capsule_distance`, holds the
+capsule-distance arithmetic: the SDF, its gradient and the intersection
+volume's sweep over broadcast grid axes or the occupancy grid all take
+their distances from it, so the sweep equals the full-grid voxel count
+bit for bit.
 
 Motion layout: a motion is an (H, D) float array with
 ``D = 6 * (K + 1) + 3`` per frame — K joint rotations in 6D, the root
@@ -269,50 +271,69 @@ def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
     return CapsuleSet(pos[:, parents], pos[:, 1:], skel.radii)
 
 
-def _dot3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products over a last axis of length 3, added as ``(0 + 2) + 1``.
+def _dot3(u, v):
+    """Dot products over a first axis of length 3, added as ``(0 + 2) + 1``.
 
-    Every capsule distance (:func:`_capsule_sdfs`, :func:`sdf_and_gradient`
-    and the voxel sweep) takes its projections from this one written-out
-    order, so they agree bit for bit on any numpy build or CPU.
+    ``u`` and ``v`` are coordinate-first: (3, ...) arrays or triples of
+    arrays.  The sum is written out, so no numpy reduction or contraction
+    order enters it.
     """
-    return (u[..., 0] * v[..., 0] + u[..., 2] * v[..., 2]) + u[..., 1] * v[..., 1]
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
 
 
-def _segment_closest(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
-                     ) -> np.ndarray:
-    """Closest points on every capsule axis ``seg_a -> seg_b`` for every query point.
+def _coords(x: np.ndarray) -> np.ndarray:
+    """Coordinate-first view, (3, ...), of an (..., 3) array."""
+    return x.transpose(-1, *range(x.ndim - 1))
 
-    ``points`` is (..., N, 3) with the capsules' leading frame axes, if any;
-    returns (..., N, C, 3).
+
+def _segments(seg_a: np.ndarray, seg_b: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capsule axes ``seg_a -> seg_b`` as :func:`_capsule_distance` takes them.
+
+    Returns the coordinate-first start ``a`` and direction ``d``, each
+    (3, ..., C), and ``d``'s squared length ``dd``, (..., C).  A zero-length
+    capsule has ``d = 0`` and gets ``dd = 1``, so its closest point is ``a``.
     """
-    d = seg_b - seg_a                                          # (..., C, 3)
-    dd = _dot3(d, d)[..., None, :]                             # (..., 1, C)
-    ap = points[..., :, None, :] - seg_a[..., None, :, :]      # (..., N, C, 3)
-    t = _dot3(ap, d[..., None, :, :])
-    t = np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return seg_a[..., None, :, :] + t[..., None] * d[..., None, :, :]
+    a = _coords(seg_a)
+    d = _coords(seg_b) - a
+    dd = _dot3(d, d)
+    return a, d, np.where(dd > 0.0, dd, 1.0)
 
 
-def _capsule_sdfs(points: np.ndarray, body: CapsuleSet,
-                  which: slice = slice(None)) -> np.ndarray:
-    """Signed distances to the capsules ``which`` of the body: (N, C)."""
-    closest = _segment_closest(points, body.seg_a[which], body.seg_b[which])
-    dist = np.linalg.norm(points[:, None, :] - closest, axis=-1)
-    return dist - body.radius[which][None, :]
+def _capsule_distance(p, a, d, dd):
+    """Offsets of points ``p`` from their closest points on the capsule axes
+    ``a -> a + d``, and the offsets' lengths.
+
+    Every argument is coordinate-first (see :func:`_segments`), and they
+    broadcast against each other: three axes of a grid block, three columns
+    of scattered points, or (..., N, 1) points against (..., 1, C) axes.
+    Returns ``(offset, dist)``, the offset a triple.  This is the one copy
+    of the capsule-distance arithmetic: the SDF, the guidance gradient and
+    both phases of the voxel sweep take every distance from it.
+    """
+    (px, py, pz), (ax, ay, az), (dx, dy, dz) = p, a, d
+    t = np.clip(_dot3((px - ax, py - ay, pz - az), d) / dd, 0.0, 1.0)
+    ox, oy, oz = px - (ax + t * dx), py - (ay + t * dy), pz - (az + t * dz)
+    return (ox, oy, oz), np.sqrt((ox * ox + oy * oy) + oz * oz)
+
+
+def _capsule_sdfs(points: np.ndarray, body: CapsuleSet) -> np.ndarray:
+    """Signed distances of (N, 3) points to every capsule of the body: (N, C)."""
+    a, d, dd = _segments(body.seg_a, body.seg_b)
+    _, dist = _capsule_distance(points.T[..., None], a[:, None], d[:, None], dd)
+    return dist - body.radius
 
 
 def _tie_direction(d: np.ndarray) -> np.ndarray:
     # Deterministic fallback for a point on a capsule axis ``d``: +x
     # projected perpendicular to the axis (then +y when the axis is along x).
-    n = np.linalg.norm(d)
+    n = np.sqrt(_dot3(d, d))
     if n < 1e-12:
         return np.array([1.0, 0.0, 0.0])
     dhat = d / n
-    for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        u = basis - np.dot(basis, dhat) * dhat
-        nu = np.linalg.norm(u)
+    for basis in np.eye(3)[:2]:
+        u = basis - _dot3(basis, dhat) * dhat
+        nu = np.sqrt(_dot3(u, u))
         if nu > 1e-8:
             return u / nu
     return np.array([1.0, 0.0, 0.0])
@@ -332,13 +353,13 @@ def sdf_and_gradient(points: np.ndarray, body: CapsuleSet) -> tuple[np.ndarray, 
     """
     lead = body.seg_a.shape[:-2]
     points = np.asarray(points, dtype=np.float64).reshape(lead + (-1, 3))
-    closest = _segment_closest(points, body.seg_a, body.seg_b)
-    diff = points[..., :, None, :] - closest
-    dist = np.linalg.norm(diff, axis=-1)
+    a, d, dd = _segments(body.seg_a, body.seg_b)
+    off, dist = _capsule_distance(_coords(points)[..., None],
+                                  a[..., None, :], d[..., None, :], dd[..., None, :])
     sdfs = dist - body.radius
     idx = np.argmin(sdfs, axis=-1)[..., None]
     sdf = np.take_along_axis(sdfs, idx, axis=-1)[..., 0]
-    v = np.take_along_axis(diff, idx[..., None], axis=-2)[..., 0, :]
+    v = np.stack([np.take_along_axis(o, idx, axis=-1)[..., 0] for o in off], axis=-1)
     n = np.take_along_axis(dist, idx, axis=-1)
     grad = np.empty_like(v)
     ok = n[..., 0] > 1e-12
@@ -371,10 +392,10 @@ def _grid_dims(lo: np.ndarray, hi: np.ndarray, voxel_size: float) -> tuple[int, 
 
 def _capsule_blocks(body: CapsuleSet, origin: np.ndarray, voxel_size: float,
                     i_lo: np.ndarray, i_hi: np.ndarray
-                    ) -> Iterator[tuple[tuple[slice, slice, slice], tuple]]:
+                    ) -> Iterator[tuple[tuple[slice, slice, slice], tuple, float]]:
     """Each capsule's voxel index window that holds centers of the grid
-    window ``[i_lo, i_hi)``, counted from ``i_lo``, with the arguments
-    :func:`_one_capsule_sdf` takes for that capsule.
+    window ``[i_lo, i_hi)``, counted from ``i_lo``, with the capsule's axis
+    ``(a, d, dd)`` as :func:`_capsule_distance` takes it, and its radius.
 
     Each window covers the capsule's box padded by one voxel, so every
     center it leaves out lies more than a voxel outside the capsule.
@@ -382,12 +403,11 @@ def _capsule_blocks(body: CapsuleSet, origin: np.ndarray, voxel_size: float,
     lo, hi = body.capsule_aabbs()
     w_lo = np.maximum(np.floor((lo - origin) / voxel_size).astype(int) - 1, i_lo) - i_lo
     w_hi = np.minimum(np.ceil((hi - origin) / voxel_size).astype(int) + 1, i_hi) - i_lo
-    d = body.seg_b - body.seg_a
-    dd = _dot3(d, d)
+    a, d, dd = _segments(body.seg_a, body.seg_b)
     for c, (lo_c, hi_c) in enumerate(zip(w_lo.tolist(), w_hi.tolist())):
         if all(lo < hi for lo, hi in zip(lo_c, hi_c)):
             yield (tuple(slice(lo, hi) for lo, hi in zip(lo_c, hi_c)),
-                   (body.seg_a[c], d[c], dd[c], body.radius[c]))
+                   (a[:, c], d[:, c], dd[c]), body.radius[c])
 
 
 def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, slice, slice]]:
@@ -403,23 +423,6 @@ def _blocks(shape: tuple[int, ...]) -> Iterator[tuple[slice, slice, slice]]:
                 yield slice(i, i + sx), slice(j, j + sy), slice(k, k + sz)
 
 
-def _one_capsule_sdf(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     a: np.ndarray, d: np.ndarray, dd: float, r: float) -> np.ndarray:
-    """Signed distance of the points ``(x, y, z)`` to the capsule ``a -> a + d``
-    of radius ``r``, where ``dd`` is ``d``'s squared length.
-
-    The coordinates broadcast against each other: three axes of a grid
-    block, or three columns of scattered points.  Each point gets the
-    operations of :func:`_capsule_sdfs` in the same order, ``t`` summed as
-    :func:`_dot3` sums, so the result is bit-equal to it.
-    """
-    px, py, pz = x - a[0], y - a[1], z - a[2]
-    t = (px * d[0] + pz * d[2]) + py * d[1]
-    t = np.clip(t / dd if dd > 0.0 else np.zeros_like(t), 0.0, 1.0)
-    cx, cy, cz = x - (a[0] + t * d[0]), y - (a[1] + t * d[1]), z - (a[2] + t * d[2])
-    return np.sqrt((cx * cx + cy * cy) + cz * cz) - r
-
-
 def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float) -> float:
     """Intersection volume of two bodies on their shared grid (cubic meters).
 
@@ -430,9 +433,9 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float)
     the centers of its own box padded by one voxel, as three grid axes
     broadcast against each other; then each capsule of ``b`` on the
     centers of its padded box that ``a`` occupies and no earlier capsule of
-    ``b`` holds.  Every tested center gets the same coordinates and the
-    same per-capsule arithmetic as on the full grid, so the result equals
-    the full-grid count bit for bit.  The arithmetic runs on at most
+    ``b`` holds.  Every tested center gets the same coordinates as on the
+    full grid and its distance from :func:`_capsule_distance`, so the result
+    equals the full-grid count bit for bit.  The arithmetic runs on at most
     ``_CHUNK`` centers at a time.  Raises ``GridTooLarge`` when the overlap
     window holds more than ``MAX_VOXELS`` voxels.
     """
@@ -455,17 +458,18 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float)
             for i in range(3)]
 
     occ = np.zeros(tuple(i_hi - i_lo), dtype=bool)
-    for block, capsule in _capsule_blocks(a, origin, voxel_size, i_lo, i_hi):
+    for block, axis, r in _capsule_blocks(a, origin, voxel_size, i_lo, i_hi):
         for sub in _blocks(occ[block].shape):
             x, y, z = (ax[s][sl] for ax, s, sl in zip(axes, block, sub))
-            occ[block][sub] |= _one_capsule_sdf(x[:, None, None], y[None, :, None],
-                                                z[None, None, :], *capsule) < 0.0
+            _, dist = _capsule_distance((x[:, None, None], y[None, :, None], z[None, None, :]),
+                                        *axis)
+            occ[block][sub] |= dist - r < 0.0
 
     hit = np.zeros_like(occ)
-    for block, capsule in _capsule_blocks(b, origin, voxel_size, i_lo, i_hi):
+    for block, axis, r in _capsule_blocks(b, origin, voxel_size, i_lo, i_hi):
         todo = np.nonzero(occ[block] & ~hit[block])
         for start in range(0, len(todo[0]), _CHUNK):
             idx = tuple(i[start:start + _CHUNK] for i in todo)
-            x, y, z = (ax[s][i] for ax, s, i in zip(axes, block, idx))
-            hit[block][idx] = _one_capsule_sdf(x, y, z, *capsule) < 0.0
+            _, dist = _capsule_distance([ax[s][i] for ax, s, i in zip(axes, block, idx)], *axis)
+            hit[block][idx] = dist - r < 0.0
     return int(np.count_nonzero(hit)) * voxel_size ** 3

@@ -285,7 +285,9 @@ def test_sdf_gradient_matches_finite_differences():
 def test_sdf_gradient_radial_invariance():
     body = one_capsule()
     p = np.array([0.5, 0.6, 0.3])
-    nearest = geo._segment_closest(p.reshape(1, 3), body.seg_a, body.seg_b)[0, 0]
+    a, d, dd = geo._segments(body.seg_a, body.seg_b)
+    offset, _ = geo._capsule_distance(p, a[:, 0], d[:, 0], dd[0])
+    nearest = p - np.array(offset)
     _, (g1, g2) = geo.sdf_and_gradient([p, nearest + 3.0 * (p - nearest)], body)
     assert np.allclose(g1, g2, atol=1e-12)
 
@@ -555,28 +557,33 @@ def test_intersection_volume_equals_full_grid_oracle(case):
     assert geo.capsule_intersection_volume(b, a, vs) == full
 
 
-def test_one_capsule_sdf_is_bit_equal_to_capsule_sdfs():
-    # the sweep's per-capsule arithmetic, on broadcast grid axes and on
-    # scattered points, against the batched SDF every oracle uses
+def test_sdf_distances_equal_the_sweeps_bit_for_bit():
+    # the guidance SDF of one-capsule bodies against the capsule kernel as
+    # the voxel sweep calls it: on three broadcast grid axes, and on scattered
+    # points as three columns; single and per-frame bodies
     rng = np.random.default_rng(43)
-    seg_a = rng.uniform(-0.3, 0.3, (6, 3))
-    seg_b = rng.uniform(-0.3, 0.3, (6, 3))
-    seg_b[1] = seg_a[1]                      # zero length
-    seg_b[2] = seg_a[2] + [0.0, 0.0, 0.25]   # axis-parallel
-    body = geo.CapsuleSet(seg_a, seg_b, rng.uniform(0.02, 0.2, 6))
+    seg_a = rng.uniform(-0.3, 0.3, (2, 6, 3))
+    seg_b = rng.uniform(-0.3, 0.3, (2, 6, 3))
+    seg_b[:, 1] = seg_a[:, 1]                      # zero length
+    seg_b[:, 2] = seg_a[:, 2] + [0.0, 0.0, 0.25]   # axis-parallel
+    radius = rng.uniform(0.02, 0.2, 6)
     axes = [rng.uniform(-0.5, 0.5, n) for n in (7, 5, 9)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    scattered = rng.uniform(-0.5, 0.5, (500, 3))
-    on_grid = geo._capsule_sdfs(grid, body)
-    on_points = geo._capsule_sdfs(scattered, body)
-    d = body.seg_b - body.seg_a
-    dd = geo._dot3(d, d)                     # as the sweep and _segment_closest take it
-    for c in range(len(body)):
-        args = (body.seg_a[c], d[c], dd[c], body.radius[c])
-        got = geo._one_capsule_sdf(axes[0][:, None, None], axes[1][None, :, None],
-                                   axes[2][None, None, :], *args)
-        assert np.array_equal(got.ravel(), on_grid[:, c])
-        assert np.array_equal(geo._one_capsule_sdf(*scattered.T, *args), on_points[:, c])
+    scattered = rng.uniform(-0.5, 0.5, (2, 500, 3))
+    a, d, dd = geo._segments(seg_a, seg_b)
+    for c in range(6):
+        frames = geo.CapsuleSet(seg_a[:, c:c + 1], seg_b[:, c:c + 1], radius[c:c + 1])
+        per_frame, _ = geo.sdf_and_gradient(scattered, frames)
+        for f in range(2):
+            axis = (a[:, f, c], d[:, f, c], dd[f, c])
+            _, on_grid = geo._capsule_distance(
+                (axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]),
+                *axis)
+            _, on_points = geo._capsule_distance(scattered[f].T, *axis)
+            single, _ = geo.sdf_and_gradient(grid, frames.frame(f))
+            assert np.array_equal(single, (on_grid - radius[c]).ravel())
+            assert np.array_equal(per_frame[f], on_points - radius[c])
+            assert np.array_equal(geo._capsule_sdfs(grid, frames.frame(f))[:, 0], single)
 
 
 @st.composite
@@ -623,17 +630,18 @@ def test_intersection_volume_chunked_sweep_is_exact(chunk, monkeypatch):
     assert all(vol > 0.0 for vol in expected)
 
     sizes = []
-    sdf = geo._one_capsule_sdf
+    kernel = geo._capsule_distance
 
-    def recording_sdf(x, y, z, *args):
-        sizes.append((np.ndim(x), np.broadcast(x, y, z).size))
-        return sdf(x, y, z, *args)
+    def recording_kernel(p, *axis):
+        sizes.append((np.ndim(p[0]), np.broadcast(*p).size))
+        return kernel(p, *axis)
 
     monkeypatch.setattr(geo, "_CHUNK", chunk)
-    monkeypatch.setattr(geo, "_one_capsule_sdf", recording_sdf)
+    for (a, b, vs), vol in zip(cases, expected):
+        assert window_intersection_volume(a, b, vs) == vol
+    monkeypatch.setattr(geo, "_capsule_distance", recording_kernel)
     for (a, b, vs), vol in zip(cases, expected):
         assert geo.capsule_intersection_volume(a, b, vs) == vol
-        assert window_intersection_volume(a, b, vs) == vol
     assert max(size for _, size in sizes) <= chunk
     grid_calls = sum(ndim == 3 for ndim, _ in sizes)
     point_calls = sum(ndim == 1 for ndim, _ in sizes)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import data as dt
 from . import flowpath as fp
+from . import geometry as geo
 from . import metrics as mx
 from . import model as mdl
 from . import sampler as smp
@@ -329,38 +330,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "sampling, and penetration metrics")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    gdef = dt.ScenarioConfig
     p = sub.add_parser("gen-data", help="generate a synthetic paired dataset")
     p.add_argument("--pairs", type=int, default=dt.DEFAULT_PAIRS)
     p.add_argument("--frames", type=int, default=dt.DEFAULT_FRAMES)
     p.add_argument("--joints", type=int, default=dt.DEFAULT_JOINTS)
     p.add_argument("--scenario", default="all",
                    choices=("all",) + dt.SCENARIOS)
-    p.add_argument("--contact-fraction", type=float, default=0.5)
-    p.add_argument("--noise", type=float, default=0.02)
+    p.add_argument("--contact-fraction", type=float, default=gdef.contact_fraction)
+    p.add_argument("--noise", type=float, default=gdef.noise)
     p.add_argument("--fps", type=float, default=dt.DEFAULT_FPS)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
+    tdef, pdef = mdl.TrainConfig(), mdl.PredictorConfig
     p = sub.add_parser("train", help="train the reaction predictor")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lambda-inter", type=float, default=1.0)
-    p.add_argument("--sigma-min", type=float, default=fp.SIGMA_MIN_DEFAULT)
-    p.add_argument("--t-grid", type=int, default=1000)
-    p.add_argument("--cond-dropout", type=float, default=0.1)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--prediction", choices=("x1", "v"), default="x1")
-    p.add_argument("--causal", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--lr", type=float, default=tdef.learning_rate)
+    p.add_argument("--lambda-inter", type=float, default=tdef.lambda_inter)
+    p.add_argument("--sigma-min", type=float, default=tdef.sigma_min)
+    p.add_argument("--t-grid", type=int, default=tdef.t_grid)
+    p.add_argument("--cond-dropout", type=float, default=tdef.cond_dropout_prob)
+    p.add_argument("--layers", type=int, default=pdef.layers)
+    p.add_argument("--width", type=int, default=pdef.width)
+    p.add_argument("--heads", type=int, default=pdef.heads)
+    p.add_argument("--prediction", choices=("x1", "v"), default=pdef.prediction_mode)
+    p.add_argument("--causal", action=argparse.BooleanOptionalAction, default=pdef.causal)
     p.add_argument("--unconditioned", action="store_true",
                    help="hide scenario labels from the model")
     p.add_argument("--log-every", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=tdef.seed)
     p.set_defaults(func=cmd_train)
 
     sdef = smp.SamplerConfig()
@@ -386,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a motion file")
     p.add_argument("--inputs", required=True)
     p.add_argument("--metrics", default="iv,if")
-    p.add_argument("--voxel", type=float, default=0.02)
+    p.add_argument("--voxel", type=float, default=geo.DEFAULT_VOXEL_SIZE)
     p.add_argument("--ref", default=None, help="reference motions for fid")
     p.add_argument("--features", choices=("flatten", "proj", "latent"),
                    default="flatten")
-    p.add_argument("--proj-dim", type=int, default=32)
-    p.add_argument("--feature-seed", type=int, default=0)
+    p.add_argument("--proj-dim", type=int, default=mx.FeatureExtractor.out_dim)
+    p.add_argument("--feature-seed", type=int, default=mx.FeatureExtractor.seed)
     p.add_argument("--feature-model", default=None)
     p.add_argument("--sd", type=int, default=mx.DIVERSITY_SUBSET)
     p.add_argument("--sl", type=int, default=mx.MULTIMODALITY_SUBSET)

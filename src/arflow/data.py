@@ -490,9 +490,14 @@ def load_samples(path: str, split: str = "all", limit: int = 0
     first ``limit`` of them when ``limit`` > 0; returns (samples, skeleton).
 
     Only the selected records are decoded and validated.  The skeleton is
-    None only when nothing is selected.  Raises ``SchemaError`` with the
-    offending file line number on malformed or inconsistent records.
+    None only when nothing is selected.  Raises ``InvalidConfig`` on another
+    split or a negative limit, and ``SchemaError`` with the offending file
+    line number on malformed or inconsistent records.
     """
+    if split not in ("train", "test", "all"):
+        raise InvalidConfig(f"split must be train, test or all, got {split!r}")
+    if limit < 0:
+        raise InvalidConfig(f"limit must be >= 0, got {limit}")
     samples: list[InteractionSample] = []
     first: tuple[dict, geo.Skeleton] | None = None
     # bytes: json.loads decodes each line, so bad UTF-8 is reported with its line

@@ -41,27 +41,9 @@ _COS_EPS = 1e-8
 # 6D rotation representation
 # ---------------------------------------------------------------------------
 
-def rot6d_decode(r: np.ndarray) -> np.ndarray:
-    """Decode 6D rotation(s) into orthonormal matrices via Gram-Schmidt.
-
-    Parameters
-    ----------
-    r : array, shape (..., 6)
-        First two columns of a rotation matrix, one column after the other.
-
-    Returns
-    -------
-    array, shape (..., 3, 3)
-        Rotation matrices with determinant +1.
-
-    Raises
-    ------
-    DegenerateRotation
-        If either column is near zero or the columns are near parallel.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape[-1] != 6:
-        raise DimensionMismatch(f"expected trailing dimension 6, got {r.shape}")
+def _check_rot6d(r: np.ndarray) -> None:
+    """Raise ``DegenerateRotation`` if a 6D block of ``r`` (..., 6) has a
+    near-zero column or near-parallel columns."""
     a, b = r[..., :3], r[..., 3:]
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
@@ -70,11 +52,21 @@ def rot6d_decode(r: np.ndarray) -> np.ndarray:
     cos = np.einsum("...i,...i->...", a, b) / (na * nb)
     if np.any(np.abs(cos) >= 1.0 - _COS_EPS):
         raise DegenerateRotation("6D block has near-parallel columns")
-    b1 = a / na[..., None]
-    u = b - np.einsum("...i,...i->...", b, b1)[..., None] * b1
-    b2 = u / np.linalg.norm(u, axis=-1)[..., None]
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=-1)
+
+
+def rot6d_decode(r: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3), det +1, of 6D blocks ``r`` (..., 6):
+    the first two columns, one after the other.
+
+    Raises ``DegenerateRotation`` if a column is near zero or the columns
+    are near parallel; valid blocks go through :func:`decode_rot6d_t` with
+    exact norms (``eps=0``).
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape[-1] != 6:
+        raise DimensionMismatch(f"expected trailing dimension 6, got {r.shape}")
+    _check_rot6d(r)
+    return decode_rot6d_t(ad.constant(r), eps=0.0).data
 
 
 def rot6d_encode(m: np.ndarray) -> np.ndarray:
@@ -96,11 +88,13 @@ def rot6d_encode(m: np.ndarray) -> np.ndarray:
 
 
 def decode_rot6d_t(r: ad.Tensor, eps: float = 1e-12) -> ad.Tensor:
-    """Differentiable 6D decode on the tape.
+    """Differentiable 6D decode on the tape, by Gram-Schmidt.
 
-    Uses smoothed norms (``eps`` inside the square roots) so gradients stay
-    finite on degenerate in-flight predictions; for valid rotations it
-    matches :func:`rot6d_decode` to ~1e-12.
+    ``eps`` goes inside the square roots of the norms, so gradients stay
+    finite on degenerate in-flight predictions.  It also bends blocks with
+    short columns: at the default, ``[1e-7, 0, 0, 0, 1e-7, 0]`` decodes far
+    from orthonormal.  :func:`rot6d_decode` checks the blocks and decodes
+    with ``eps=0``.
     """
     a, b = r[..., 0:3], r[..., 3:6]
     b1 = a / ad.norm_last(a, eps=eps)
@@ -162,41 +156,30 @@ class Skeleton:
 # ---------------------------------------------------------------------------
 
 def motion_joint_positions(skel: Skeleton, motion: np.ndarray) -> np.ndarray:
-    """World positions of all K joints in every frame; returns (H, K, 3).
-
-    Joint 0 sits at the root translation; each child sits at its parent
-    plus the parent's world rotation applied to the child's offset.  The
-    root world rotation is the root orientation times joint rotation 0.
-    """
+    """World positions (H, K, 3) of all K joints in every frame: the checks
+    of :func:`rot6d_decode`, then :func:`fk_positions_t` on a constant with
+    exact norms (``eps=0``)."""
     motion = np.asarray(motion, dtype=np.float64)
     if motion.ndim != 2 or motion.shape[1] != skel.motion_dim:
         raise DimensionMismatch(
             f"motion must be (H, {skel.motion_dim}), got {motion.shape}")
-    k = skel.joint_count
-    h = motion.shape[0]
-    rots = rot6d_decode(motion[:, : 6 * (k + 1)].reshape(h, k + 1, 6))
-    trans = motion[:, 6 * (k + 1):]
-    world_rot = np.empty((h, k, 3, 3))
-    pos = np.empty((h, k, 3))
-    world_rot[:, 0] = rots[:, k] @ rots[:, 0]
-    pos[:, 0] = trans
-    for j in range(1, k):
-        p = skel.parents[j]
-        pos[:, j] = pos[:, p] + np.einsum("hij,j->hi", world_rot[:, p], skel.offsets[j])
-        world_rot[:, j] = world_rot[:, p] @ rots[:, j]
-    return pos
+    _check_rot6d(motion[:, : 6 * (skel.joint_count + 1)].reshape(-1, 6))
+    return fk_positions_t(skel, ad.constant(motion), eps=0.0)[0].data
 
 
-def fk_positions_t(skel: Skeleton, motion: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    """Differentiable FK over a motion tensor on the tape.
+def fk_positions_t(skel: Skeleton, motion: ad.Tensor,
+                   eps: float = 1e-12) -> tuple[ad.Tensor, ad.Tensor]:
+    """Forward kinematics of an (H, D) motion tensor on the tape.
 
-    Returns ``(positions, rotations)`` where positions is (H, K, 3) and
-    rotations is the (H, K + 1, 3, 3) decode of all rotation slots (K joint
-    rotations followed by the root orientation).
+    Joint 0 sits at the root translation; each child sits at its parent
+    plus the parent's world rotation applied to the child's offset.  The
+    root world rotation is the root orientation times joint rotation 0.
+    Returns positions (H, K, 3) and the (H, K + 1, 3, 3) decode, with
+    ``eps``, of every rotation slot (K joints, then the root orientation).
     """
     k = skel.joint_count
     h = motion.shape[0]
-    rots = decode_rot6d_t(motion[:, : 6 * (k + 1)].reshape(h, k + 1, 6))
+    rots = decode_rot6d_t(motion[:, : 6 * (k + 1)].reshape(h, k + 1, 6), eps=eps)
     trans = motion[:, 6 * (k + 1):]
     world_rot: list[ad.Tensor] = [rots[:, k] @ rots[:, 0]]
     pos: list[ad.Tensor] = [trans.reshape(h, 1, 3)]
@@ -272,12 +255,8 @@ def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
 
 
 def _dot3(u, v):
-    """Dot products over a first axis of length 3, added as ``(0 + 2) + 1``.
-
-    ``u`` and ``v`` are coordinate-first: (3, ...) arrays or triples of
-    arrays.  The sum is written out, so no numpy reduction or contraction
-    order enters it.
-    """
+    """Dot products of coordinate-first vectors ((3, ...) arrays or triples),
+    added as ``(0 + 2) + 1``: written out, so no numpy summation order enters."""
     return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
 
 
@@ -288,12 +267,10 @@ def _coords(x: np.ndarray) -> np.ndarray:
 
 def _segments(seg_a: np.ndarray, seg_b: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Capsule axes ``seg_a -> seg_b`` as :func:`_capsule_distance` takes them.
-
-    Returns the coordinate-first start ``a`` and direction ``d``, each
-    (3, ..., C), and ``d``'s squared length ``dd``, (..., C).  A zero-length
-    capsule has ``d = 0`` and gets ``dd = 1``, so its closest point is ``a``.
-    """
+    """Capsule axes ``seg_a -> seg_b`` (..., C, 3) as :func:`_capsule_distance`
+    takes them: start ``a`` and direction ``d``, each (3, ..., C), and ``d``'s
+    squared length ``dd``.  A zero-length capsule (``d = 0``) gets ``dd = 1``,
+    so its closest point is ``a``."""
     a = _coords(seg_a)
     d = _coords(seg_b) - a
     dd = _dot3(d, d)
@@ -301,15 +278,13 @@ def _segments(seg_a: np.ndarray, seg_b: np.ndarray
 
 
 def _capsule_distance(p, a, d, dd):
-    """Offsets of points ``p`` from their closest points on the capsule axes
-    ``a -> a + d``, and the offsets' lengths.
+    """Offsets ``(ox, oy, oz)`` of points ``p`` from their closest points on
+    the capsule axes ``a -> a + d``, and the offsets' lengths.
 
-    Every argument is coordinate-first (see :func:`_segments`), and they
-    broadcast against each other: three axes of a grid block, three columns
-    of scattered points, or (..., N, 1) points against (..., 1, C) axes.
-    Returns ``(offset, dist)``, the offset a triple.  This is the one copy
-    of the capsule-distance arithmetic: the SDF, the guidance gradient and
-    both phases of the voxel sweep take every distance from it.
+    The one copy of the capsule-distance arithmetic: the SDF, its gradient
+    and both phases of the voxel sweep take every distance from it.  The
+    coordinate-first arguments (see :func:`_segments`) broadcast: three axes
+    of a grid block, scattered points, or (..., N, 1) points on (..., 1, C).
     """
     (px, py, pz), (ax, ay, az), (dx, dy, dz) = p, a, d
     t = np.clip(_dot3((px - ax, py - ay, pz - az), d) / dd, 0.0, 1.0)

@@ -14,10 +14,11 @@ every other frame adds an exact zero.  Inside a frame, an actor capsule
 is tested only on the voxel centers of its own padded box, as three grid
 axes broadcast against each other, and a reactor capsule only on the
 centers of the actor's occupancy grid in its padded box.  Each tested
-center gets the full-grid coordinates and the same per-capsule arithmetic,
-so IV, IF and the penetrating-frame count equal the full-grid computation
-bit for bit.  A NaN or infinite motion has no capsules: it raises
-``InvalidConfig``.
+center gets the full-grid coordinates, and its distance comes from the
+geometry's one capsule-distance kernel, which the guidance SDF and the
+full-grid test oracle use too, so IV, IF and the penetrating-frame count
+equal the full-grid computation bit for bit.  A NaN or infinite motion
+has no capsules: it raises ``InvalidConfig``.
 
 The feature-space scores (FID, diversity, multimodality) run on a pluggable
 extractor; absolute values depend entirely on the extractor choice and are

@@ -510,7 +510,8 @@ def save_params(path: str, params: PredictorParams) -> None:
 def load_params(path: str) -> PredictorParams:
     """Read a parameter file; ``InvalidConfig`` unless every array has the
     shape its config gives it (as :func:`init_params` does) and only finite
-    values."""
+    numbers, and ``meta`` is an object whose ``sigma_min``, if given, is a
+    number in [0, 1)."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -521,10 +522,15 @@ def load_params(path: str) -> PredictorParams:
         raise InvalidConfig(f"not a {PARAMS_FORMAT} v{PARAMS_VERSION} file: {path}")
     try:
         cfg = PredictorConfig(**doc["config"])
-        arrays = {name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+        arrays = {name: np.asarray(rec["data"]).reshape(rec["shape"])
                   for name, rec in doc["arrays"].items()}
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidConfig(f"malformed parameter file {path}: {err}") from err
+    meta = doc.get("meta", {})
+    sigma_min = meta.get("sigma_min", 0.0) if isinstance(meta, dict) else None
+    if type(sigma_min) not in (int, float) or not 0.0 <= sigma_min < 1.0:
+        raise InvalidConfig(f"meta must be an object whose sigma_min, if given, is a "
+                            f"number in [0, 1); got {meta!r}")
     expected = {name: shape for name, (shape, _) in _param_specs(cfg).items()}
     if set(arrays) != set(expected):
         raise InvalidConfig("parameter file is missing arrays")
@@ -532,6 +538,8 @@ def load_params(path: str) -> PredictorParams:
         if arr.shape != expected[name]:
             raise InvalidConfig(f"array {name} has shape {arr.shape}, "
                                 f"config needs {expected[name]}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidConfig(f"array {name} has non-finite values")
-    return PredictorParams(cfg, arrays, meta=doc.get("meta", {}))
+        # strings and nulls give a non-numeric dtype instead of being coerced
+        if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+            raise InvalidConfig(f"array {name} has non-numeric or non-finite values")
+        arrays[name] = arr.astype(np.float64, copy=False)
+    return PredictorParams(cfg, arrays, meta=meta)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -7,6 +8,8 @@ import pytest
 from arflow import cli
 from arflow import data as dt
 from arflow import flowpath as fp
+from arflow import geometry as geo
+from arflow import metrics as mx
 from arflow import model as mdl
 from arflow import sampler as smp
 from arflow import selfcheck
@@ -35,6 +38,51 @@ def small_model(small_data, tmp_path_factory):
                "--steps", "150", "--batch", "8", "--width", "32", "--layers", "1",
                "--seed", "5") == 0
     return path
+
+
+# ---------------------------------------------------------------------------
+# parser defaults
+# ---------------------------------------------------------------------------
+
+def _field_default(cls, name):
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
+_REQUIRED = {"gen-data": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
+             "sample": ["--model", "m", "--data", "d", "--out", "o"],
+             "eval": ["--inputs", "i"]}
+
+
+@pytest.mark.parametrize("command, dest, expected", [
+    ("gen-data", "noise", _field_default(dt.ScenarioConfig, "noise")),
+    ("gen-data", "contact_fraction", _field_default(dt.ScenarioConfig, "contact_fraction")),
+    ("train", "lr", _field_default(mdl.TrainConfig, "learning_rate")),
+    ("train", "lambda_inter", _field_default(mdl.TrainConfig, "lambda_inter")),
+    ("train", "sigma_min", _field_default(mdl.TrainConfig, "sigma_min")),
+    ("train", "t_grid", _field_default(mdl.TrainConfig, "t_grid")),
+    ("train", "cond_dropout", _field_default(mdl.TrainConfig, "cond_dropout_prob")),
+    ("train", "seed", _field_default(mdl.TrainConfig, "seed")),
+    ("train", "layers", _field_default(mdl.PredictorConfig, "layers")),
+    ("train", "width", _field_default(mdl.PredictorConfig, "width")),
+    ("train", "heads", _field_default(mdl.PredictorConfig, "heads")),
+    ("train", "prediction", _field_default(mdl.PredictorConfig, "prediction_mode")),
+    ("train", "causal", _field_default(mdl.PredictorConfig, "causal")),
+    ("sample", "guidance", _field_default(smp.SamplerConfig, "guidance")),
+    ("sample", "steps", _field_default(smp.SamplerConfig, "steps")),
+    ("sample", "lambda_pene", _field_default(smp.SamplerConfig, "lambda_pene")),
+    ("sample", "zeta", _field_default(smp.SamplerConfig, "zeta")),
+    ("sample", "w", _field_default(smp.SamplerConfig, "w")),
+    ("sample", "beta", _field_default(smp.SamplerConfig, "beta")),
+    ("sample", "mode", _field_default(smp.SamplerConfig, "mode")),
+    ("sample", "seed", _field_default(smp.SamplerConfig, "seed")),
+    ("eval", "proj_dim", _field_default(mx.FeatureExtractor, "out_dim")),
+    ("eval", "feature_seed", _field_default(mx.FeatureExtractor, "seed")),
+    ("eval", "voxel", geo.DEFAULT_VOXEL_SIZE),
+])
+def test_parser_defaults_equal_config_defaults(command, dest, expected):
+    # a CLI default that equals a config value is read from that config
+    args = cli.build_parser().parse_args([command] + _REQUIRED[command])
+    assert getattr(args, dest) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +433,31 @@ def test_sample_mistyped_model_config_exits_4(field, value, small_model, small_d
     doc["config"][field] = value
     model = tmp_path / "typed.json"
     model.write_text(json.dumps(doc))
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out)) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("meta", [[], {"sigma_min": "abc"}, {"sigma_min": None},
+                                  {"sigma_min": 2.0}],
+                         ids=["list", "string", "null", "out-of-range"])
+def test_sample_bad_model_meta_exits_4(meta, small_model, small_data, tmp_path, capsys):
+    doc = json.loads(small_model.read_text())
+    doc["meta"] = meta
+    model = tmp_path / "meta.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out)) == 4
+    assert "meta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_string_array_data_exits_4(small_model, small_data, tmp_path):
+    def stringify(arrays):
+        arrays["out_proj_b"]["data"][0] = str(arrays["out_proj_b"]["data"][0])
+    model = _edited_model(small_model, tmp_path, "strings.json", stringify)
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--data", str(small_data),
                "--out", str(out)) == 4

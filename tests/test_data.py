@@ -372,6 +372,19 @@ def test_selected_records_equal_split_then_slice(tmp_path, split, limit):
     assert np.array_equal(got_skel.radii, skel.radii)
 
 
+def test_negative_limit_is_rejected(tmp_path):
+    # a limit of -1 used to drop the last record silently
+    path = _with_blank_lines(tmp_path, 5)
+    with pytest.raises(InvalidConfig, match="limit"):
+        dt.load_samples(str(path), limit=-1)
+
+
+def test_unknown_split_is_rejected(tmp_path):
+    path = _with_blank_lines(tmp_path, 5)
+    with pytest.raises(InvalidConfig, match="split"):
+        dt.load_samples(str(path), split="val")
+
+
 def test_only_the_selected_records_are_decoded(tmp_path):
     path = _with_blank_lines(tmp_path, 10)
     lines = path.read_text().split("\n")

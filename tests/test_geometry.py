@@ -105,6 +105,23 @@ def test_decode_is_special_orthogonal():
     assert np.allclose(np.linalg.det(m), 1.0, atol=1e-9)
 
 
+def test_decode_of_short_valid_columns_is_orthonormal():
+    # column norms of 1e-7 pass the strict checks; a smoothed decode
+    # (eps=1e-12 inside the norms) would bend these blocks far from rotations
+    rng = np.random.default_rng(17)
+    m = np.stack([np.eye(3)] + [random_rotation(rng) for _ in range(3)])
+    short = 1e-7 * geo.rot6d_encode(m)
+    assert np.array_equal(short[0], [1e-7, 0, 0, 0, 1e-7, 0])
+    got = geo.rot6d_decode(short)
+    assert np.allclose(np.einsum("nji,njk->nik", got, got), np.eye(3), atol=1e-12)
+    assert np.allclose(got, m, atol=1e-12)
+    skel = chain_skeleton(3, offset=(0.3, 0.1, 0.5))
+    row = pose_row(skel, m[:3], m[3], trans=(0.1, 0.2, 0.3))
+    scaled = row.copy()
+    scaled[:-3] *= 1e-7
+    assert np.allclose(fk_row(skel, scaled), fk_row(skel, row), atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [
     [0, 0, 0, 0, 1, 0],           # zero first column
     [1, 0, 0, 1e-12, 0, 0],       # zero second column

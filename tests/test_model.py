@@ -416,6 +416,38 @@ def test_params_file_rejects_data_shape_disagreement(tmp_path):
         mdl.load_params(_write_doc(tmp_path / "long.json", doc))
 
 
+@pytest.mark.parametrize("meta", [[], "x", None], ids=["list", "string", "null"])
+def test_params_file_rejects_meta_that_is_not_an_object(tmp_path, meta):
+    doc = _saved_doc(tmp_path)
+    doc["meta"] = meta
+    with pytest.raises(InvalidConfig, match="meta"):
+        mdl.load_params(_write_doc(tmp_path / "meta.json", doc))
+
+
+@pytest.mark.parametrize("sigma_min", ["abc", None, True, 2.0, 1.0, -0.1, float("nan")])
+def test_params_file_rejects_bad_sigma_min(tmp_path, sigma_min):
+    doc = _saved_doc(tmp_path)
+    doc["meta"] = {"sigma_min": sigma_min}
+    with pytest.raises(InvalidConfig, match="sigma_min"):
+        mdl.load_params(_write_doc(tmp_path / "sigma.json", doc))
+
+
+@pytest.mark.parametrize("sigma_min", [0, 0.0, 1e-4, 0.5])
+def test_params_file_accepts_sigma_min_in_range(tmp_path, sigma_min):
+    doc = _saved_doc(tmp_path)
+    doc["meta"] = {"sigma_min": sigma_min}
+    assert mdl.load_params(_write_doc(tmp_path / "sigma.json", doc)).meta == doc["meta"]
+
+
+@pytest.mark.parametrize("value", ["0.5", None, "abc"])
+def test_params_file_rejects_non_numeric_array_data(tmp_path, value):
+    # numpy would coerce "0.5" to a float; a model file holds numbers only
+    doc = _saved_doc(tmp_path)
+    doc["arrays"]["l0_qkv_w"]["data"][3] = value
+    with pytest.raises(InvalidConfig, match="l0_qkv_w"):
+        mdl.load_params(_write_doc(tmp_path / "typed.json", doc))
+
+
 def test_predict_batch_matches_single_calls():
     # one forward over the batch, one condition per sample; each sample's
     # output is bit-equal to its own batch-of-one call

@@ -306,7 +306,7 @@ def _tie_direction(d: np.ndarray) -> np.ndarray:
     if n < 1e-12:
         return np.array([1.0, 0.0, 0.0])
     dhat = d / n
-    for basis in np.eye(3)[:2]:
+    for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
         u = basis - _dot3(basis, dhat) * dhat
         nu = np.sqrt(_dot3(u, u))
         if nu > 1e-8:

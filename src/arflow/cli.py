@@ -243,9 +243,12 @@ def cmd_eval(args) -> int:
     if not samples:
         raise EmptyInput("empty evaluation input")
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not wanted:
+        raise InvalidConfig(f"no metric named in --metrics {args.metrics!r}")
     unknown = set(wanted) - {"iv", "if", "fid", "div", "multimod"}
     if unknown:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
+    geo.check_voxel_size(args.voxel)  # every report records it
 
     report = mx.MetricReport(n_total=len(samples))
     pairs = [(s.actor, s.reactor) for s in samples]

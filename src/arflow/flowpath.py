@@ -95,58 +95,43 @@ class InteractionTargets:
 
     Built once by :func:`interaction_targets` over any stack of frames (a
     batch, or a whole training set); ``rows`` takes the frames of one
-    batch.  Positions and translations are stored re-based as
-    ``(gt - actor) + actor`` rather than as ``gt``: that sum rounds like
-    the relative target ``gt - actor`` with the actor added back, which
-    keeps trained models and loss histories bit-equal to the relative
-    form of the loss.
+    batch.  It holds no actor term: those cancel in the loss.
     """
 
-    pos: np.ndarray        # (N, K, 3) ground-truth FK positions, re-based
-    rot: np.ndarray        # (N, K+1, 3, 3) ground truth times a_rot_t
-    trans: np.ndarray      # (N, 3) ground-truth root translations, re-based
-    a_rot_t: np.ndarray    # (N, K+1, 3, 3) transposed actor rotations
+    pos: np.ndarray        # (N, K, 3) ground-truth FK positions
+    rot: np.ndarray        # (N, K+1, 3, 3) ground-truth rotation matrices
+    trans: np.ndarray      # (N, 3) ground-truth root translations
 
     def rows(self, idx: np.ndarray) -> "InteractionTargets":
-        return InteractionTargets(self.pos[idx], self.rot[idx], self.trans[idx],
-                                  self.a_rot_t[idx])
+        return InteractionTargets(self.pos[idx], self.rot[idx], self.trans[idx])
 
 
-def interaction_targets(skel: geo.Skeleton, x0: np.ndarray,
-                        gt_x1: np.ndarray) -> InteractionTargets:
-    """Interaction-loss targets for the (N, D) frame rows of an actor ``x0``
-    and its ground-truth reaction ``gt_x1``.  Every term is per frame, so a
-    frame's row does not depend on the other frames of the stack."""
-    k = skel.joint_count
-    h = x0.shape[0]
-
-    def parts(x):
-        pos = geo.motion_joint_positions(skel, x)
-        rot = geo.rot6d_decode(x[:, :6 * (k + 1)].reshape(h, k + 1, 6))
-        return pos, rot, x[:, 6 * (k + 1):]
-
-    a_pos, a_rot, a_trans = parts(np.asarray(x0, dtype=np.float64))
-    g_pos, g_rot, g_trans = parts(np.asarray(gt_x1, dtype=np.float64))
-    a_rot_t = np.swapaxes(a_rot, -1, -2)
-    return InteractionTargets((g_pos - a_pos) + a_pos, g_rot @ a_rot_t,
-                              (g_trans - a_trans) + a_trans, a_rot_t)
+def interaction_targets(skel: geo.Skeleton, gt_x1: np.ndarray) -> InteractionTargets:
+    """Interaction-loss targets for the (N, D) frame rows of a ground-truth
+    reaction ``gt_x1``, from one strict FK pass (``DegenerateRotation`` on a
+    degenerate 6D block).  Every term is per frame, so a frame's row does
+    not depend on the other frames of the stack."""
+    gt_x1 = np.asarray(gt_x1, dtype=np.float64)
+    pos, rot = geo._strict_fk(skel, gt_x1)
+    return InteractionTargets(pos, rot, gt_x1[:, 6 * (skel.joint_count + 1):].copy())
 
 
 def interaction_loss_t(pred_x1: ad.Tensor, targets: InteractionTargets,
                        skel: geo.Skeleton) -> ad.Tensor:
     """Interaction loss of predicted reaction frames, on the tape.
 
-    Three terms, each (1/H) * sum of squared differences between the
-    ground-truth-relative and prediction-relative quantities against the
-    same actor: per-joint FK positions, per-slot relative rotation matrices
-    (all K joint rotations plus the root orientation, each times the
-    transposed actor matrix), and root translations.
+    Three terms, each (1/H) * sum of squared differences between ground
+    truth and prediction: per-joint FK positions, per-slot rotation matrices
+    (K joint rotations plus the root orientation), and root translations.
+    It equals the actor-relative form (``tests/oracles.interaction_loss``):
+    actor terms cancel in (g - a) - (p - a), and |(G - P) A^T| = |G - P|
+    for an orthonormal actor rotation A.
     """
     h = pred_x1.shape[0]
     k = skel.joint_count
     pos, rot = geo.fk_positions_t(skel, pred_x1)
     d_pos = ad.constant(targets.pos) - pos
-    d_rot = ad.constant(targets.rot) - rot @ ad.constant(targets.a_rot_t)
+    d_rot = ad.constant(targets.rot) - rot
     d_trans = ad.constant(targets.trans) - pred_x1[:, 6 * (k + 1):]
     total = (d_pos * d_pos).sum() + (d_rot * d_rot).sum() + (d_trans * d_trans).sum()
     return total * (1.0 / h)

@@ -42,13 +42,16 @@ _COS_EPS = 1e-8
 # ---------------------------------------------------------------------------
 
 def _check_rot6d(r: np.ndarray) -> None:
-    """Raise ``DegenerateRotation`` if a 6D block of ``r`` (..., 6) has a
-    near-zero column or near-parallel columns."""
+    """Raise ``DegenerateRotation`` if a 6D block of ``r`` (..., 6) has a near-zero
+    column, one whose squared norm overflows, or near-parallel columns."""
     a, b = r[..., :3], r[..., 3:]
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
+    with np.errstate(over="ignore"):
+        na = np.linalg.norm(a, axis=-1)
+        nb = np.linalg.norm(b, axis=-1)
     if np.any(na <= _NORM_EPS) or np.any(nb <= _NORM_EPS):
         raise DegenerateRotation("6D block has a near-zero column")
+    if np.any(np.isinf(na) | np.isinf(nb)):
+        raise DegenerateRotation("6D block has a column too long to normalize")
     cos = np.einsum("...i,...i->...", a, b) / (na * nb)
     if np.any(np.abs(cos) >= 1.0 - _COS_EPS):
         raise DegenerateRotation("6D block has near-parallel columns")
@@ -155,16 +158,22 @@ class Skeleton:
 # Forward kinematics
 # ---------------------------------------------------------------------------
 
-def motion_joint_positions(skel: Skeleton, motion: np.ndarray) -> np.ndarray:
-    """World positions (H, K, 3) of all K joints in every frame: the checks
-    of :func:`rot6d_decode`, then :func:`fk_positions_t` on a constant with
-    exact norms (``eps=0``)."""
+def _strict_fk(skel: Skeleton, motion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (H, K, 3) and rotations (H, K + 1, 3, 3) of an (H, D)
+    motion: the checks of :func:`rot6d_decode`, then :func:`fk_positions_t`
+    on a constant with exact norms (``eps=0``)."""
     motion = np.asarray(motion, dtype=np.float64)
     if motion.ndim != 2 or motion.shape[1] != skel.motion_dim:
         raise DimensionMismatch(
             f"motion must be (H, {skel.motion_dim}), got {motion.shape}")
     _check_rot6d(motion[:, : 6 * (skel.joint_count + 1)].reshape(-1, 6))
-    return fk_positions_t(skel, ad.constant(motion), eps=0.0)[0].data
+    pos, rots = fk_positions_t(skel, ad.constant(motion), eps=0.0)
+    return pos.data, rots.data
+
+
+def motion_joint_positions(skel: Skeleton, motion: np.ndarray) -> np.ndarray:
+    """World positions (H, K, 3) of all K joints in every frame (strict FK)."""
+    return _strict_fk(skel, motion)[0]
 
 
 def fk_positions_t(skel: Skeleton, motion: ad.Tensor,

@@ -350,8 +350,7 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
         # flattening the batch into b*h frames makes the 1/(b*h) inside the
         # interaction loss exactly the batch mean of per-sample losses
         if targets is None:
-            targets = fp.interaction_targets(skel, x0.reshape(b * h, -1),
-                                             x1.reshape(b * h, -1))
+            targets = fp.interaction_targets(skel, x1.reshape(b * h, -1))
         loss_inter = fp.interaction_loss_t(x1_hat.reshape(b * h, pcfg.frame_dim),
                                            targets, skel)
         inter_val = float(loss_inter.data)
@@ -419,10 +418,12 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
 
     Returns ``(params, history)`` where history has one
     ``(fm, inter, total)`` row per step.  Bit-reproducible for a fixed
-    ``train_cfg.seed``.
+    ``train_cfg.seed``.  A negative ``log_every`` is an ``InvalidConfig``.
     """
     if len(dataset) == 0:
         raise InvalidConfig("dataset must be non-empty")
+    if log_every < 0:
+        raise InvalidConfig(f"log_every must be >= 0, got {log_every}")
     counts = sorted({len(s[i]) for s in dataset for i in (0, 1)})
     if len(counts) > 1:
         raise InvalidConfig(f"training records differ in frame count {counts}; "
@@ -451,8 +452,7 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     table = None
     if train_cfg.lambda_inter != 0.0:
         # one call over all n*h frames; a batch takes its frames' rows
-        table = fp.interaction_targets(skel, x0s.reshape(n * h, -1),
-                                       x1s.reshape(n * h, -1))
+        table = fp.interaction_targets(skel, x1s.reshape(n * h, -1))
 
     history: list[tuple[float, float, float]] = []
     for step in range(train_cfg.steps):

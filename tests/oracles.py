@@ -1,7 +1,9 @@
 """Numpy test oracles kept out of the package.
 
 ``interaction_loss`` recomputes the training interaction loss from FK
-directly, independently of ``flowpath.interaction_targets`` and the tape;
+directly, independently of ``flowpath.interaction_targets`` and the tape.
+It keeps the paper's actor-relative form, which the package drops because
+the actor terms cancel; the oracle is the reference that shows they do.
 ``response_property`` re-checks the reactor response each scripted
 scenario is built to show.  ``linear``, ``layer_norm``, ``attention`` and
 ``gelu`` are the predictor's blocks written as the chains of elementary ops

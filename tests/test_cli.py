@@ -183,7 +183,7 @@ def test_train_seed_reproducible_checksum(small_data, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--sigma-min=-3", "--lr=-1", "--lr=nan",
-                                  "--lambda-inter=-1"])
+                                  "--lambda-inter=-1", "--log-every=-1"])
 def test_train_bad_value_exits_2(flag, small_data, tmp_path):
     out = tmp_path / "m.json"
     assert run("train", "--data", str(small_data), "--out", str(out), "--steps", "2",
@@ -534,6 +534,39 @@ def test_eval_bad_voxel_size_exits_2(voxel, contact, tmp_path, capsys):
     assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
                f"--voxel={voxel}", "--out", str(out)) == 2
     assert "voxel_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("voxel", ["nan", "0"])
+def test_eval_bad_voxel_size_without_iv_exits_2(voxel, small_data, tmp_path, capsys):
+    # no voxel sweep runs, but every report records the voxel size
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(small_data), "--metrics", "div", "--sd", "10",
+               f"--voxel={voxel}", "--out", str(out)) == 2
+    assert "voxel_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metrics", [",", "", " , "])
+def test_eval_empty_metric_list_exits_2(metrics, small_data, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(small_data), f"--metrics={metrics}",
+               "--out", str(out)) == 2
+    assert "no metric" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_huge_rotation_block_exits_2(tmp_path, capsys):
+    # the block used to decode to a zero matrix: exit 0 with a made-up IV
+    skel = dt.default_skeleton()
+    samples = dt.generate_mixed(12, frames=4, contact_fraction=1.0, seed=2)
+    samples[3].reactor[1, 6:12] = [1e200, 0, 0, 0, 1e200, 0]
+    data = tmp_path / "huge.jsonl"
+    dt.save_samples(str(data), samples, skel)
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
+               "--out", str(out)) == 2
+    assert "too long" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import pytest
 from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import geometry as geo
-from arflow.errors import ShapeMismatch, SingularTime
+from arflow.errors import DegenerateRotation, ShapeMismatch, SingularTime
 
 from oracles import interaction_loss
 from test_geometry import chain_skeleton, pose_row, random_rotation
@@ -181,13 +181,18 @@ def test_interaction_loss_pure_translation():
 def test_interaction_loss_tape_matches_and_differentiates():
     rng = np.random.default_rng(15)
     skel = chain_skeleton(3)
-    x0 = random_motion(rng, skel)
     gt = random_motion(rng, skel)
     pred = random_motion(rng, skel)
     leaf = ad.leaf(pred)
-    loss_t = fp.interaction_loss_t(leaf, fp.interaction_targets(skel, x0, gt), skel)
-    assert loss_t.data == pytest.approx(interaction_loss(pred, gt, x0, skel),
-                                        rel=1e-10)
+    loss_t = fp.interaction_loss_t(leaf, fp.interaction_targets(skel, gt), skel)
+    # the actor terms of the relative form cancel: any actor gives the same
+    # loss, here one with a turned root and one with identity rotations
+    x0 = random_motion(rng, skel)
+    assert not np.allclose(geo.rot6d_decode(x0[:, 18:24]), np.eye(3))
+    still = np.tile(pose_row(skel, trans=(2.0, -1.0, 0.5)), (len(gt), 1))
+    for actor in (x0, still):
+        assert loss_t.data == pytest.approx(interaction_loss(pred, gt, actor, skel),
+                                            rel=1e-10)
     loss_t.backward()
     # central finite differences on a few coordinates
     h = 1e-6
@@ -207,13 +212,35 @@ def test_interaction_loss_tape_matches_and_differentiates():
 def test_interaction_targets_of_a_frame_stack_equal_per_sample_calls():
     rng = np.random.default_rng(16)
     skel = chain_skeleton(4)
-    pairs = [(random_motion(rng, skel, 5), random_motion(rng, skel, 5))
-             for _ in range(6)]
-    table = fp.interaction_targets(skel, np.concatenate([p[0] for p in pairs]),
-                                   np.concatenate([p[1] for p in pairs]))
+    motions = [random_motion(rng, skel, 5) for _ in range(6)]
+    table = fp.interaction_targets(skel, np.concatenate(motions))
     rows = np.array([4, 1, 4])  # repeats, out of order, as a batch draws them
     got = table.rows((rows[:, None] * 5 + np.arange(5)).ravel())
-    want = [fp.interaction_targets(skel, *pairs[i]) for i in rows]
-    for field in ("pos", "rot", "trans", "a_rot_t"):
+    want = [fp.interaction_targets(skel, motions[i]) for i in rows]
+    for field in ("pos", "rot", "trans"):
         stacked = np.concatenate([getattr(w, field) for w in want])
         assert getattr(got, field).tobytes() == stacked.tobytes(), field
+
+
+def test_interaction_targets_decode_each_block_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    skel = chain_skeleton(3)
+    gt = random_motion(rng, skel, 6)
+    calls = []
+    decode = geo.decode_rot6d_t
+    monkeypatch.setattr(geo, "decode_rot6d_t",
+                        lambda r, eps=1e-12: calls.append(r.shape) or decode(r, eps))
+    targets = fp.interaction_targets(skel, gt)
+    assert calls == [(6, 4, 6)]
+    assert targets.rot.tobytes() == geo.rot6d_decode(
+        gt[:, :24].reshape(6, 4, 6)).tobytes()
+    assert targets.pos.tobytes() == geo.motion_joint_positions(skel, gt).tobytes()
+    assert np.array_equal(targets.trans, gt[:, 24:])
+
+
+def test_interaction_targets_reject_a_huge_block():
+    skel = chain_skeleton(3)
+    gt = np.tile(pose_row(skel), (2, 1))
+    gt[0, 18:24] = [1e200, 0, 0, 0, 1e200, 0]
+    with pytest.raises(DegenerateRotation):
+        fp.interaction_targets(skel, gt)

@@ -127,10 +127,22 @@ def test_decode_of_short_valid_columns_is_orthonormal():
     [1, 0, 0, 1e-12, 0, 0],       # zero second column
     [1, 0, 0, 2, 0, 0],           # parallel columns
     [1, 0, 0, -3, 0, 0],          # anti-parallel columns
+    [1e200, 0, 0, 0, 1e200, 0],   # squared column norms overflow
+    [1, 0, 0, 0, 1e160, 0],       # second column's squared norm overflows
 ])
 def test_decode_degenerate(bad):
+    # a RuntimeWarning from the check would fail the test too
     with pytest.raises(DegenerateRotation):
         geo.rot6d_decode(bad)
+
+
+def test_motion_with_a_huge_block_is_degenerate():
+    # the exact decode of such a block divides by inf and returns zeros
+    skel = chain_skeleton(3)
+    motion = np.tile(pose_row(skel), (2, 1))
+    motion[1, 6:12] = [1e200, 0, 0, 0, 1e200, 0]
+    with pytest.raises(DegenerateRotation, match="too long"):
+        geo.motion_joint_positions(skel, motion)
 
 
 def test_encode_identity_and_quarter_turn():

@@ -224,8 +224,7 @@ def test_grad_loss_with_table_rows_equals_no_targets(mode):
     params = mdl.init_params(cfg, seed=9)
     tcfg = mdl.TrainConfig(steps=1, batch_size=3, seed=0)
     data = tiny_batch(rng, skel, n=5)
-    table = fp.interaction_targets(skel, np.concatenate([s[0] for s in data]),
-                                   np.concatenate([s[1] for s in data]))
+    table = fp.interaction_targets(skel, np.concatenate([s[1] for s in data]))
     idx = np.array([3, 0, 3])
     args = (*stacked([data[i] for i in idx]), [0, None, 1], skel, tcfg)
     ts = np.array([0.1, 0.5, 0.85])

@@ -100,10 +100,9 @@ class InteractionTargets:
 
     pos: np.ndarray        # (N, K, 3) ground-truth FK positions
     rot: np.ndarray        # (N, K+1, 3, 3) ground-truth rotation matrices
-    trans: np.ndarray      # (N, 3) ground-truth root translations
 
     def rows(self, idx: np.ndarray) -> "InteractionTargets":
-        return InteractionTargets(self.pos[idx], self.rot[idx], self.trans[idx])
+        return InteractionTargets(self.pos[idx], self.rot[idx])
 
 
 def interaction_targets(skel: geo.Skeleton, gt_x1: np.ndarray) -> InteractionTargets:
@@ -111,9 +110,7 @@ def interaction_targets(skel: geo.Skeleton, gt_x1: np.ndarray) -> InteractionTar
     reaction ``gt_x1``, from one strict FK pass (``DegenerateRotation`` on a
     degenerate 6D block).  Every term is per frame, so a frame's row does
     not depend on the other frames of the stack."""
-    gt_x1 = np.asarray(gt_x1, dtype=np.float64)
-    pos, rot = geo._strict_fk(skel, gt_x1)
-    return InteractionTargets(pos, rot, gt_x1[:, 6 * (skel.joint_count + 1):].copy())
+    return InteractionTargets(*geo._strict_fk(skel, gt_x1))
 
 
 def interaction_loss_t(pred_x1: ad.Tensor, targets: InteractionTargets,
@@ -122,16 +119,16 @@ def interaction_loss_t(pred_x1: ad.Tensor, targets: InteractionTargets,
 
     Three terms, each (1/H) * sum of squared differences between ground
     truth and prediction: per-joint FK positions, per-slot rotation matrices
-    (K joint rotations plus the root orientation), and root translations.
+    (K joint rotations plus the root orientation), and root translations,
+    which FK places at joint 0.
     It equals the actor-relative form (``tests/oracles.interaction_loss``):
     actor terms cancel in (g - a) - (p - a), and |(G - P) A^T| = |G - P|
     for an orthonormal actor rotation A.
     """
     h = pred_x1.shape[0]
-    k = skel.joint_count
     pos, rot = geo.fk_positions_t(skel, pred_x1)
     d_pos = ad.constant(targets.pos) - pos
     d_rot = ad.constant(targets.rot) - rot
-    d_trans = ad.constant(targets.trans) - pred_x1[:, 6 * (k + 1):]
+    d_trans = d_pos[:, 0]
     total = (d_pos * d_pos).sum() + (d_rot * d_rot).sum() + (d_trans * d_trans).sum()
     return total * (1.0 / h)

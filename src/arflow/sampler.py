@@ -6,12 +6,14 @@ sequence of condition ids or None (see :func:`arflow.model.as_x1_predictor`).
 :func:`sample` walks the uniform time grid ``t_n = (n - 1) / (N - 1)`` and
 is pure given its inputs and seed.
 
-Guidance evaluates the penetration gradient at the endpoint estimate, never
-through the network.  Vanilla guidance subtracts the scaled gradient from
-the stepped state; improved guidance corrects the endpoint first, blends
-the recovered path start with the true action through the weight factor,
-and re-interpolates back onto the path.  Stochastic sampling (beta > 0)
-mixes the projection direction with a norm-matched random direction.
+Every step recovers the path start from the endpoint estimate and
+re-interpolates it at the next time (the Euler step of the path), or, with
+``mode="v"`` (guidance none or vanilla, beta = 0), integrates the velocity.
+Guidance takes the penetration gradient at the endpoint estimate, never
+through the network: vanilla subtracts it from the new state; improved
+corrects the endpoint and blends the recovered start with the true action
+by the weight factor.  Stochastic sampling (beta > 0) mixes the projection
+direction with a norm-matched random direction.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ GUIDANCE_MODES = ("none", "vanilla", "improved")
 class SamplerConfig:
     steps: int = 5
     sigma_min: float = fp.SIGMA_MIN_DEFAULT
-    mode: str = "x1"            # Euler update route: "x1" or "v"
+    mode: str = "x1"            # "x1" reprojection | "v" velocity (none/vanilla, beta 0)
     guidance: str = "none"      # "none" | "vanilla" | "improved"
     lambda_pene: float = 2.0
     zeta: float = 0.5
@@ -60,6 +62,8 @@ class SamplerConfig:
             raise InvalidConfig("w and beta must lie in [0, 1]")
         if self.guidance == "vanilla" and self.beta > 0.0:
             raise InvalidConfig("stochastic sampling composes with improved or none")
+        if self.mode == "v" and (self.guidance == "improved" or self.beta > 0.0):
+            raise InvalidConfig("mode 'v' serves guidance none or vanilla at beta = 0")
         if self.seed < 0:  # checked at any beta, though only beta > 0 draws from it
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
@@ -157,45 +161,42 @@ def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
     return leaf.grad.reshape(reaction.shape)
 
 
-def _euler_step(x: np.ndarray, x1_hat: np.ndarray, tn: float, tn1: float,
-                cfg: SamplerConfig) -> np.ndarray:
-    if cfg.mode == "v":
-        v = fp.v_from_x1(x1_hat, x, tn, cfg.sigma_min)
-        return x + (tn1 - tn) * v
-    denom = 1.0 - (1.0 - cfg.sigma_min) * tn
-    return ((1.0 - (1.0 - cfg.sigma_min) * tn1) / denom * x
-            + (tn1 - tn) / denom * x1_hat)
+def _step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
+          grad: np.ndarray | None, tn: float, tn1: float, cfg: SamplerConfig,
+          rngs: list[np.random.Generator] | None) -> np.ndarray:
+    """Move the state from ``tn`` to ``tn1``, for every guidance mode.
 
-
-def _reprojection_step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
-                       grad: np.ndarray | None, tn: float, tn1: float,
-                       cfg: SamplerConfig,
-                       rngs: list[np.random.Generator] | None) -> np.ndarray:
-    """Recover the path start, correct and blend (improved), re-interpolate.
-
-    ``rngs`` is given only when beta > 0, one generator per sample of the
-    (B, H, D) batch; each draws its sample's random direction.  Every frame
-    of it is norm-matched to the same frame of the projection direction
-    (the norm over D) and mixed in by beta, so a frame's step depends on no
-    other frame and a causal predictor's reaction stays causal.  With
-    lambda_pene = 0, w = 1 and beta = 0 this reduces to the Euler step
-    (path-start recovery and re-interpolation compose to it).
+    Recover the path start from the endpoint estimate (``improved`` first
+    corrects the endpoint and blends the start with the true action by
+    ``w``) and re-interpolate at ``tn1``: uncorrected, the Euler step.
+    With ``rngs`` (beta > 0, one generator per sample) each frame of the
+    projection direction is mixed with a random direction norm-matched to
+    it over D, so no frame's step depends on another frame.  ``mode="v"``
+    integrates the velocity instead.  ``vanilla`` subtracts the scaled
+    gradient from the new state.
     """
-    x0_rec = fp.x0_hat(x1_hat, x, tn, cfg.sigma_min)
-    x1_corr = x1_hat - cfg.lambda_pene * grad if grad is not None else x1_hat
-    if cfg.guidance == "improved":
-        x0_star = cfg.w * x0_rec + (1.0 - cfg.w) * x0
+    if cfg.mode == "v":
+        x_next = x + (tn1 - tn) * fp.v_from_x1(x1_hat, x, tn, cfg.sigma_min)
     else:
-        x0_star = x0_rec
-    if rngs is None:
-        return fp.interpolate(x0_star, x1_corr, tn1, cfg.sigma_min)
-    d_base = x0_star - x1_corr
-    d_rand = np.stack([gen.standard_normal(size=base.shape) for gen, base in zip(rngs, d_base)])
-    rand_norm = np.linalg.norm(d_rand, axis=-1, keepdims=True)
-    d_rand *= np.divide(np.linalg.norm(d_base, axis=-1, keepdims=True), rand_norm,
-                        out=np.ones_like(rand_norm), where=rand_norm > 0.0)
-    d_mix = d_base + cfg.beta * (d_rand - d_base)
-    return x1_corr + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_star
+        x0_rec = fp.x0_hat(x1_hat, x, tn, cfg.sigma_min)
+        if cfg.guidance == "improved":
+            if grad is not None:
+                x1_hat = x1_hat - cfg.lambda_pene * grad
+            x0_rec = cfg.w * x0_rec + (1.0 - cfg.w) * x0
+        if rngs is None:
+            x_next = fp.interpolate(x0_rec, x1_hat, tn1, cfg.sigma_min)
+        else:
+            d_base = x0_rec - x1_hat
+            d_rand = np.stack([gen.standard_normal(size=base.shape)
+                               for gen, base in zip(rngs, d_base)])
+            rand_norm = np.linalg.norm(d_rand, axis=-1, keepdims=True)
+            d_rand *= np.divide(np.linalg.norm(d_base, axis=-1, keepdims=True), rand_norm,
+                                out=np.ones_like(rand_norm), where=rand_norm > 0.0)
+            d_mix = d_base + cfg.beta * (d_rand - d_base)
+            x_next = x1_hat + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_rec
+    if cfg.guidance == "vanilla" and grad is not None:
+        x_next = x_next - cfg.lambda_pene * grad
+    return x_next
 
 
 def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
@@ -207,13 +208,11 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
     ``range(B)``).  The predictor gets (B, H, D) states and ``c``; guidance
     needs ``ctx`` built from the same (B, H, D) actors.
 
-    Each step calls the predictor once.  With guidance none or vanilla and
-    beta = 0 the state takes the Euler step; vanilla then subtracts the
-    scaled penetration gradient taken at the endpoint estimate.  With
-    improved guidance or beta > 0 the state is re-projected instead (see
-    :func:`_reprojection_step`).  Each sample's random stream is derived
-    from (cfg.seed, its sample_index), so a sample's output does not depend
-    on the batch it runs in; the streams are only consulted when beta > 0.
+    Each step calls the predictor once and moves the state with
+    :func:`_step`, the one step of every guidance mode (``mode="v"``
+    serves none and vanilla at beta = 0).  Each sample's random stream is
+    derived from (cfg.seed, its sample_index), so a sample's output does
+    not depend on the batch it runs in; it is only consulted when beta > 0.
     Raises ``NonFiniteSample`` when the predictor returns NaN or Inf.
     """
     if cfg.guided and ctx is None:
@@ -225,7 +224,6 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
     if len(indices) != len(x0):
         raise DimensionMismatch(
             f"{len(indices)} sample indices for a batch of {len(x0)}")
-    reproject = cfg.guidance == "improved" or cfg.beta > 0.0
     rngs = ([np.random.default_rng((cfg.seed, i)) for i in indices]
             if cfg.beta > 0.0 else None)
     x = np.array(x0)
@@ -239,10 +237,5 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
         if not np.isfinite(x1_hat).all():
             raise NonFiniteSample(f"predictor output is not finite at t={tn:g}")
         grad = penetration_grad(x1_hat, ctx, cfg.zeta) if cfg.guided else None
-        if reproject:
-            x = _reprojection_step(x, x1_hat, x0, grad, tn, tn1, cfg, rngs)
-        else:
-            x = _euler_step(x, x1_hat, tn, tn1, cfg)
-            if cfg.guided:
-                x = x - cfg.lambda_pene * grad
+        x = _step(x, x1_hat, x0, grad, tn, tn1, cfg, rngs)
     return x

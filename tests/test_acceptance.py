@@ -215,6 +215,7 @@ def test_criterion_04_gradient_correctness():
 # 5. guidance efficacy on the near-contact suite
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_05_guidance_efficacy(trained_setup):
     started = time.time()
     skel = trained_setup["skel"]
@@ -257,6 +258,7 @@ def test_criterion_05_guidance_efficacy(trained_setup):
 # 6. trainability smoke test
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_06_trainability(trained_setup):
     started = time.time()
     history = trained_setup["history"]
@@ -389,6 +391,7 @@ def test_criterion_09_cli_determinism(tmp_path):
 # 10. stochastic diversity
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_10_stochastic_diversity(trained_setup):
     started = time.time()
     skel = trained_setup["skel"]

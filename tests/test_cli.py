@@ -337,7 +337,8 @@ def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--lambda-pene", "inf"], ["--zeta", "nan"],
-                                   ["--sigma-min=-5"], ["--sigma-min", "1.5"]])
+                                   ["--sigma-min=-5"], ["--sigma-min", "1.5"],
+                                   ["--mode", "v"]])
 def test_sample_bad_sampler_value_exits_2(flags, small_model, small_data, tmp_path):
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(small_model), "--data", str(small_data),

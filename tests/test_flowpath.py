@@ -217,7 +217,7 @@ def test_interaction_targets_of_a_frame_stack_equal_per_sample_calls():
     rows = np.array([4, 1, 4])  # repeats, out of order, as a batch draws them
     got = table.rows((rows[:, None] * 5 + np.arange(5)).ravel())
     want = [fp.interaction_targets(skel, motions[i]) for i in rows]
-    for field in ("pos", "rot", "trans"):
+    for field in ("pos", "rot"):
         stacked = np.concatenate([getattr(w, field) for w in want])
         assert getattr(got, field).tobytes() == stacked.tobytes(), field
 
@@ -235,7 +235,7 @@ def test_interaction_targets_decode_each_block_once(monkeypatch):
     assert targets.rot.tobytes() == geo.rot6d_decode(
         gt[:, :24].reshape(6, 4, 6)).tobytes()
     assert targets.pos.tobytes() == geo.motion_joint_positions(skel, gt).tobytes()
-    assert np.array_equal(targets.trans, gt[:, 24:])
+    assert np.array_equal(targets.pos[:, 0], gt[:, 24:])
 
 
 def test_interaction_targets_reject_a_huge_block():

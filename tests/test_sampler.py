@@ -215,6 +215,34 @@ def test_improved_lambda0_w1_is_euler():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_improved_lambda0_w1_beta0_is_unguided_bit_exact():
+    # one step function: with nothing to correct or blend, improved guidance
+    # takes the very operations of the unguided step
+    rng = np.random.default_rng(24)
+    x0 = rng.normal(size=(2, 4, 8))
+    predictor = nonlinear_predictor(25, x0.shape)
+    for s in (0.0, 1e-4, 0.05):
+        a = smp.sample(predictor, x0, smp.SamplerConfig(
+            steps=5, sigma_min=s, guidance="improved", lambda_pene=0.0, w=1.0, beta=0.0))
+        b = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s))
+        assert np.array_equal(a, b)
+
+
+def test_unguided_step_is_reinterpolation_bit_exact():
+    # an x1-mode unguided step recovers the path start and re-interpolates
+    rng = np.random.default_rng(26)
+    x0 = rng.normal(size=(2, 4, 8))
+    predictor = nonlinear_predictor(27, x0.shape)
+    for s in (0.0, 1e-4, 0.05):
+        out = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s))
+        x = x0
+        grid = smp.time_grid(5)
+        for tn, tn1 in zip(grid[:-1], grid[1:]):
+            x1_hat = predictor(x, float(tn), None)
+            x = fp.interpolate(fp.x0_hat(x1_hat, x, float(tn), s), x1_hat, float(tn1), s)
+        assert np.array_equal(out, x)
+
+
 def test_saturated_scene_guidance_is_noop():
     skel = chain_skeleton(2)
     h = 3
@@ -364,6 +392,10 @@ def test_sampler_config_validation():
                dict(sigma_min=np.nan)):
         with pytest.raises(InvalidConfig):
             smp.SamplerConfig(guidance="improved", **kw)
+    # the velocity form has no endpoint to correct and no direction to mix
+    for kw in (dict(guidance="improved"), dict(guidance="none", beta=0.3)):
+        with pytest.raises(InvalidConfig, match="mode 'v'"):
+            smp.SamplerConfig(mode="v", **kw)
 
 
 @pytest.mark.parametrize("guidance,lam,guided", [("none", 2.0, False),

@@ -2,9 +2,12 @@
 
 Every command that writes artifacts also writes ``<out>.manifest.json``
 recording the resolved configuration, seeds, input/output checksums,
-wall-clock time and ``time.perf_counter`` seconds per phase (``load``,
-``compute``, ``write``); re-running with the same flags reproduces the
-artifact checksums exactly (the manifest's timing fields aside).
+wall-clock time, ``time.perf_counter`` seconds per phase (``load``,
+``compute``, ``write``; ``train`` splits ``compute`` into ``targets`` and
+``steps``) and the environment (Python, numpy and BLAS versions, the
+thread variables, a SHA-256 of the package sources); re-running with the
+same flags reproduces the artifact checksums exactly (the manifest's
+timing fields aside).
 
 Exit codes: 0 success; 1 verify found failing properties; 2 configuration
 error; 3 non-finite training loss; 4 model/data mismatch while sampling
@@ -15,8 +18,11 @@ predictor output while sampling.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 
@@ -53,6 +59,8 @@ _EXIT_CODES = ((NonFiniteLoss, EXIT_NONFINITE), (EmptyInput, EXIT_EMPTY),
 
 # most actors one batched ``arflow sample`` call drives at once
 SAMPLE_CHUNK = 64
+# the thread-pool variables a manifest records (see ``arflow/__init__.py``)
+THREAD_VARS = ("ARFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path: str) -> str:
@@ -68,15 +76,44 @@ def _atomic_write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _tree_sha256(top: str) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file under
+    ``top``, in sorted order."""
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in sorted(os.walk(top)):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, top).encode())
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+    return digest.hexdigest()
+
+
+@functools.cache
+def _environment() -> dict:
+    """The environment block of every manifest, built once per process;
+    callers must not change it."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{deps.get('name')} {deps.get('version')}"
+    except (TypeError, KeyError):
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            "src_sha256": _tree_sha256(os.path.dirname(os.path.abspath(__file__)))}
+
+
 class _Phases:
     """Wall-clock start and ``time.perf_counter`` seconds per phase of a command.
 
     :meth:`end` charges the time since the previous call to one phase.
     """
 
-    def __init__(self):
+    def __init__(self, *names: str):
         self.started = time.time()
-        self.seconds = {"load": 0.0, "compute": 0.0, "write": 0.0}
+        self.seconds = dict.fromkeys(names or ("load", "compute", "write"), 0.0)
         self._mark = time.perf_counter()
 
     def end(self, phase: str) -> None:
@@ -96,6 +133,7 @@ def _write_manifest(out_path: str, command: str, config: dict,
         **checksums,
         "wall_clock_s": round(time.time() - phases.started, 3),
         "phase_s": {k: round(v, 6) for k, v in phases.seconds.items()},
+        "environment": _environment(),
     }
     _atomic_write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -123,7 +161,7 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    phases = _Phases()
+    phases = _Phases("load", "targets", "steps", "write")
     samples, skel = dt.load_samples(args.data)
     phases.end("load")
     if not samples:
@@ -144,10 +182,10 @@ def cmd_train(args) -> int:
                            sigma_min=args.sigma_min, t_grid=args.t_grid,
                            cond_dropout_prob=args.cond_dropout, seed=args.seed)
     params, history = mdl.train(dataset, skel, pcfg, tcfg,
-                                log_every=args.log_every)
+                                log_every=args.log_every, phase_end=phases.end)
     params.meta = {"sigma_min": tcfg.sigma_min, "steps": tcfg.steps,
                    "seed": tcfg.seed, "train_samples": len(dataset)}
-    phases.end("compute")
+    phases.end("steps")
     mdl.save_params(args.out, params)
     loss_path = args.out + ".loss.csv"
     _atomic_write(loss_path, "".join(

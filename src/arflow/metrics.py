@@ -9,16 +9,21 @@ IF = 0 exactly when IV = 0 under the same voxelization.
 The sweep is pruned, never approximated.  One FK pass per side builds the
 capsules of every frame of up to ``EVAL_CHUNK`` samples, and one
 vectorized box test finds the frames whose two bodies' bounding boxes
-overlap; only those reach :func:`geometry.capsule_intersection_volume`,
-every other frame adds an exact zero.  Inside a frame, an actor capsule
-is tested only on the voxel centers of its own padded box, as three grid
-axes broadcast against each other, and a reactor capsule only on the
-centers of the actor's occupancy grid in its padded box.  Each tested
-center gets the full-grid coordinates, and its distance comes from the
-geometry's one capsule-distance kernel, which the guidance SDF and the
-full-grid test oracle use too, so IV, IF and the penetrating-frame count
-equal the full-grid computation bit for bit.  A NaN or infinite motion
-has no capsules: it raises ``InvalidConfig``.
+overlap; only those reach :func:`geometry.intersection_volumes`, all in
+one call, and every other frame adds an exact zero.  The sweep lays the
+windows around the frames' box overlaps out flat and takes them in
+groups of at most ``geometry._CHUNK`` voxels, so its memory does not grow
+with the frame count.  A capsule is convex, so it meets each (x, y)
+column of voxel centers in one z-interval, which has a closed form (two
+end spheres and a finite cylinder).  Centers well inside that interval
+count without a distance test, centers well outside it are skipped, and
+only those within a margin of its ends (2^-20 of the frame's coordinate
+scale, far above the rounding of the interval arithmetic and of the
+kernel) take their distance from the geometry's one capsule-distance
+kernel, which the guidance SDF and the full-grid test oracle use too.  So
+IV, IF and the penetrating-frame count equal the full-grid computation
+bit for bit; the per-frame volumes are added in frame order.  A NaN or
+infinite motion has no capsules: it raises ``InvalidConfig``.
 
 The feature-space scores (FID, diversity, multimodality) run on a pluggable
 extractor; absolute values depend entirely on the extractor choice and are
@@ -110,7 +115,8 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
                       ) -> PenetrationStats:
     """IV/IF accumulation over (actor, reactor) motion pairs.
 
-    Only frames whose two bodies' boxes overlap reach the voxel sweep.
+    Only frames whose two bodies' boxes overlap reach the voxel sweep, one
+    :func:`geometry.intersection_volumes` call per chunk of samples.
     """
     geo.check_voxel_size(voxel_size)
     if len(samples) == 0:
@@ -127,9 +133,9 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
         lo_b, hi_b = caps_b.aabb()
         apart = np.any(np.maximum(lo_a, lo_b) >= np.minimum(hi_a, hi_b), axis=1)
         f_total += len(apart)
-        for f in np.flatnonzero(~apart):
-            vol = geo.capsule_intersection_volume(caps_a.frame(f), caps_b.frame(f),
-                                                  voxel_size)
+        near = np.flatnonzero(~apart)
+        for vol in geo.intersection_volumes(caps_a.frame(near), caps_b.frame(near),
+                                            voxel_size):
             total_volume += vol
             f_pene += vol > 0.0
     return PenetrationStats(total_volume, f_pene, f_total)

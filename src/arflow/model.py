@@ -17,6 +17,7 @@ Everything is seeded and bit-reproducible.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -409,7 +410,8 @@ def loss_value(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
 # ---------------------------------------------------------------------------
 
 def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
-          train_cfg: TrainConfig, *, log_every: int = 0):
+          train_cfg: TrainConfig, *, log_every: int = 0,
+          phase_end: Callable[[str], None] | None = None):
     """Train a predictor on (x0, x1, c) triples of one frame count.
 
     ``InvalidConfig`` unless every record fits ``predictor_cfg``: at most
@@ -419,6 +421,8 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     Returns ``(params, history)`` where history has one
     ``(fm, inter, total)`` row per step.  Bit-reproducible for a fixed
     ``train_cfg.seed``.  A negative ``log_every`` is an ``InvalidConfig``.
+    ``phase_end``, when given, is called with ``"targets"`` once the set-up
+    and the interaction-target table are done, before the first step.
     """
     if len(dataset) == 0:
         raise InvalidConfig("dataset must be non-empty")
@@ -453,6 +457,8 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     if train_cfg.lambda_inter != 0.0:
         # one call over all n*h frames; a batch takes its frames' rows
         table = fp.interaction_targets(skel, x1s.reshape(n * h, -1))
+    if phase_end is not None:
+        phase_end("targets")
 
     history: list[tuple[float, float, float]] = []
     for step in range(train_cfg.steps):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -538,6 +539,20 @@ def test_eval_bad_voxel_size_exits_2(voxel, contact, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("voxel", ["3e-8", "1e-300"])
+def test_eval_voxel_too_fine_for_its_grid_exits_2(voxel, tmp_path, capsys):
+    # contact frames whose windows hold too many voxels, or whose grid size
+    # overflows, exit 2; they do not read as "no penetration"
+    data = tmp_path / "data.jsonl"
+    dt.save_samples(str(data), dt.generate_mixed(2, frames=2, contact_fraction=1.0,
+                                                 seed=2), dt.default_skeleton())
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
+               f"--voxel={voxel}", "--out", str(out)) == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("voxel", ["nan", "0"])
 def test_eval_bad_voxel_size_without_iv_exits_2(voxel, small_data, tmp_path, capsys):
     # no voxel sweep runs, but every report records the voxel size
@@ -609,14 +624,27 @@ def test_manifests_record_phase_seconds(small_model, small_data, tmp_path):
     assert run("sample", "--model", str(small_model), "--data", str(small_data),
                "--out", str(sampled), "--limit", "2") == 0
     assert run("eval", "--inputs", str(sampled), "--out", str(report)) == 0
+    environments = []
     for path, command in ((data, "gen-data"), (model, "train"),
                           (sampled, "sample"), (report, "eval")):
         manifest = json.loads(path.with_name(path.name + ".manifest.json").read_text())
         assert manifest["command"] == command
         assert manifest["wall_clock_s"] >= 0.0
-        assert set(manifest["phase_s"]) == {"load", "compute", "write"}
+        phases = ({"load", "targets", "steps", "write"} if command == "train"
+                  else {"load", "compute", "write"})
+        assert set(manifest["phase_s"]) == phases
         assert all(v >= 0.0 for v in manifest["phase_s"].values())
         assert sum(manifest["phase_s"].values()) <= manifest["wall_clock_s"] + 0.01
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "blas", "threads", "src_sha256"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["threads"]) == set(cli.THREAD_VARS)
+        assert len(env["src_sha256"]) == 64
+        environments.append(env)
+    # one block per process, the same in every manifest
+    assert all(env == environments[0] for env in environments)
+    assert cli._environment.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

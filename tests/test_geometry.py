@@ -644,9 +644,10 @@ def test_intersection_volume_exact_on_non_dyadic_grids(a, b, vs, shift):
 
 @pytest.mark.parametrize("chunk", [5, 37])
 def test_intersection_volume_chunked_sweep_is_exact(chunk, monkeypatch):
-    # a small chunk cuts every capsule window into slabs and the reactor's
-    # centers into runs; the count must not change, and no test may take
-    # more than a chunk of centers
+    # a small chunk cuts every window into groups of at most a chunk of
+    # voxels, and the kernel's centers into runs; the count must not change,
+    # and no kernel call may take more than a chunk of centers.  The last
+    # case puts six centers exactly on a sphere, so the kernel must test them
     rng = np.random.default_rng(41)
     cases = []
     for _ in range(4):
@@ -655,26 +656,33 @@ def test_intersection_volume_chunked_sweep_is_exact(chunk, monkeypatch):
         b = geo.CapsuleSet(rng.uniform(-0.2, 0.2, (3, 3)) + 0.05,
                            rng.uniform(-0.2, 0.2, (3, 3)) + 0.05, rng.uniform(0.04, 0.1, 3))
         cases.append((a, b, 0.023))
+    cases.append((one_capsule(a=(0, 0, 0), b=(0, 0, 0), r=0.25),
+                  one_capsule(a=(0, 0, 0), b=(0.5, 0, 0), r=0.3125), 0.125))
     expected = [geo.capsule_intersection_volume(a, b, vs) for a, b, vs in cases]
     assert all(vol > 0.0 for vol in expected)
 
-    sizes = []
-    kernel = geo._capsule_distance
+    sizes, groups = [], []
+    kernel, occupancy = geo._capsule_distance, geo._occupancy
 
     def recording_kernel(p, *axis):
-        sizes.append((np.ndim(p[0]), np.broadcast(*p).size))
+        sizes.append(np.broadcast(*p).size)
         return kernel(p, *axis)
+
+    def recording_occupancy(model, win, cols, length, voxel_size):
+        groups.append(length)
+        return occupancy(model, win, cols, length, voxel_size)
 
     monkeypatch.setattr(geo, "_CHUNK", chunk)
     for (a, b, vs), vol in zip(cases, expected):
         assert window_intersection_volume(a, b, vs) == vol
     monkeypatch.setattr(geo, "_capsule_distance", recording_kernel)
+    monkeypatch.setattr(geo, "_occupancy", recording_occupancy)
     for (a, b, vs), vol in zip(cases, expected):
         assert geo.capsule_intersection_volume(a, b, vs) == vol
-    assert max(size for _, size in sizes) <= chunk
-    grid_calls = sum(ndim == 3 for ndim, _ in sizes)
-    point_calls = sum(ndim == 1 for ndim, _ in sizes)
-    assert grid_calls > 4 * 3 and point_calls > 4 * 3
+    assert sizes and max(sizes) <= chunk
+    # one occupancy per body and group: every frame splits into several
+    # groups, none over a chunk of voxels
+    assert max(groups) <= chunk and len(groups) > 2 * 2 * len(cases)
 
 
 def test_intersection_volume_counts_no_center_on_a_surface():
@@ -692,6 +700,64 @@ def test_intersection_volume_counts_no_center_on_a_surface():
     assert geo.capsule_intersection_volume(capsule, sphere, vs) == inside
 
 
+def test_intersection_volume_of_an_axis_whose_square_underflows():
+    # |d|² underflows to 0, so the kernel measures from ``a``: the capsule is
+    # the sphere of radius 0.03125 inside the larger sphere, 54 centers
+    sphere = one_capsule(a=(0, 0, 0), b=(0, 0, 0), r=0.0625)
+    capsule = one_capsule(a=(0, 0, 0), b=(0, 0, 1.45e-205), r=0.03125)
+    vs = 0.013
+    assert geo._segments(capsule.seg_a, capsule.seg_b)[2][0] == 1.0
+    full = full_grid_intersection_volume(sphere, capsule, vs)
+    assert full == 54 * vs ** 3
+    assert geo.capsule_intersection_volume(sphere, capsule, vs) == full
+    assert geo.capsule_intersection_volume(capsule, sphere, vs) == full
+
+
+def test_intersection_volume_of_a_vertical_side_through_a_column():
+    # the sphere puts the grid origin at -0.5625 in x and y, so the columns
+    # stand at multiples of 0.125; the columns at distance 0.25 from the z
+    # axis run exactly along the vertical capsule's side, outside it
+    capsule = one_capsule(a=(0, 0, -0.25), b=(0, 0, 0.25), r=0.25)
+    sphere = one_capsule(a=(0, 0, 0), b=(0, 0, 0), r=0.4375)
+    vs = 0.125
+    side = [[0.25, 0.0, z] for z in (-0.1875, 0.0625, 0.1875)]
+    assert np.all(geo.sdf_and_gradient(side, capsule)[0] == 0.0)
+    full = full_grid_intersection_volume(capsule, sphere, vs)
+    assert full > 0.0
+    assert geo.capsule_intersection_volume(capsule, sphere, vs) == full
+    assert geo.capsule_intersection_volume(sphere, capsule, vs) == full
+
+
+@pytest.mark.parametrize("vs", [0.0625, 0.013])
+def test_intersection_volume_of_a_horizontal_capsule(vs):
+    # dz = 0: the axis parameter does not change along a column
+    level = one_capsule(a=(-0.2, 0.05, 0.1), b=(0.3, -0.1, 0.1), r=0.09)
+    along_x = one_capsule(a=(-0.25, 0.0, 0.0), b=(0.25, 0.0, 0.0), r=0.125)
+    other = geo.CapsuleSet([[0.0, 0.0, 0.0], [0.05, -0.02, -0.1]],
+                           [[0.1, 0.1, 0.2], [0.05, -0.02, 0.3]], [0.08, 0.06])
+    for a in (level, along_x):
+        full = full_grid_intersection_volume(a, other, vs)
+        assert full > 0.0
+        assert geo.capsule_intersection_volume(a, other, vs) == full
+        assert geo.capsule_intersection_volume(other, a, vs) == full
+
+
+@pytest.mark.parametrize("offset", [1e6, -1e6])
+def test_intersection_volume_far_from_the_origin(offset):
+    # rounding grows with the coordinates; the margins grow with them
+    rng = np.random.default_rng(5)
+    shift = np.array([1.0, -1.0, 0.5]) * offset
+    for vs in (0.02, 0.0071):
+        a = geo.CapsuleSet(rng.uniform(-0.15, 0.15, (3, 3)) + shift,
+                           rng.uniform(-0.15, 0.15, (3, 3)) + shift, rng.uniform(0.04, 0.1, 3))
+        b = geo.CapsuleSet(rng.uniform(-0.15, 0.15, (3, 3)) + shift,
+                           rng.uniform(-0.15, 0.15, (3, 3)) + shift, rng.uniform(0.04, 0.1, 3))
+        full = full_grid_intersection_volume(a, b, vs)
+        assert full > 0.0
+        assert geo.capsule_intersection_volume(a, b, vs) == full
+        assert geo.capsule_intersection_volume(b, a, vs) == full
+
+
 def test_intersection_volume_grid_too_large(monkeypatch):
     body = one_capsule()
     far = one_capsule(a=(5, 0, 0), b=(6, 0, 0))
@@ -701,6 +767,15 @@ def test_intersection_volume_grid_too_large(monkeypatch):
         geo.capsule_intersection_volume(body, body, 0.05)
     # disjoint boxes exit before the cap is consulted
     assert geo.capsule_intersection_volume(body, far, 0.05) == 0.0
+
+
+@pytest.mark.parametrize("voxel_size", [3e-8, 1e-300])
+def test_intersection_volume_voxel_cap_does_not_wrap(voxel_size):
+    # about 7e22 voxels, a count that wraps in int64, and a grid whose size
+    # overflows to inf: both over the cap, neither an empty window
+    body = one_capsule(a=(0, 0, 0), b=(1, 0, 0), r=0.5)
+    with pytest.raises(GridTooLarge):
+        geo.capsule_intersection_volume(body, body, voxel_size)
 
 
 @pytest.mark.parametrize("voxel_size", [0.0, -0.02, float("nan"), float("inf")])

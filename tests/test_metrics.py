@@ -127,29 +127,44 @@ def test_penetration_stats_equals_per_frame_oracle(chunk, tmp_path, monkeypatch)
     assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene, f_total)
 
 
+@pytest.mark.parametrize("chunk", [997, 1 << 12])
+def test_penetration_stats_in_small_groups_equals_per_frame_oracle(chunk, monkeypatch):
+    # groups of a few hundred or thousand voxels cut the frames' windows,
+    # and their columns, wherever the chunk ends
+    pairs = [(s.actor, s.reactor)
+             for s in dt.generate_mixed(6, frames=8, contact_fraction=1.0, seed=4)]
+    skel = dt.default_skeleton()
+    vs = 0.02
+    volume, f_pene = 0.0, 0
+    for actor, reactor in pairs:
+        caps_a = geo.motion_capsules(skel, actor)
+        caps_b = geo.motion_capsules(skel, reactor)
+        for f in range(len(actor)):
+            vol = window_intersection_volume(caps_a.frame(f), caps_b.frame(f), vs)
+            volume += vol
+            f_pene += vol > 0.0
+    assert f_pene > 0
+    monkeypatch.setattr(geo, "_CHUNK", chunk)
+    assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene, 6 * 8)
+
+
 def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
     skel = chain_skeleton(3, radius=0.08)
     near = still_actor(skel, 3, (0.05, 0.0, 0.0))
     far = still_actor(skel, 2, (5.0, 0.0, 0.0))
     samples = [(still_actor(skel, 5), np.concatenate([near, far])),
                pair(skel, 4, (0, 0, 0), (0, 6.0, 0))]
-    swept, framed = [], []
-    sweep = geo.capsule_intersection_volume
-    frame = geo.CapsuleSet.frame
+    swept = []
+    sweep = geo.intersection_volumes
 
     def recording_sweep(a, b, voxel_size):
-        swept.append((a.aabb(), b.aabb()))
+        swept.extend(zip(zip(*a.aabb()), zip(*b.aabb())))
         return sweep(a, b, voxel_size)
 
-    def recording_frame(self, f):
-        framed.append(f)
-        return frame(self, f)
-
-    monkeypatch.setattr(geo, "capsule_intersection_volume", recording_sweep)
-    monkeypatch.setattr(geo.CapsuleSet, "frame", recording_frame)
+    monkeypatch.setattr(geo, "intersection_volumes", recording_sweep)
     volume, f_pene, f_total = mx.penetration_stats(samples, skel, 0.02)
     assert (f_pene, f_total) == (3, 9) and volume > 0.0
-    assert len(swept) == 3 and len(framed) == 2 * 3
+    assert len(swept) == 3
     for (lo_a, hi_a), (lo_b, hi_b) in swept:
         assert np.all(np.maximum(lo_a, lo_b) < np.minimum(hi_a, hi_b))
 

@@ -74,7 +74,7 @@ def voxelize(body: geo.CapsuleSet, voxel_size: float,
         hi = np.asarray(bounds[1], dtype=np.float64)
         if np.any(lo > lo_body) or np.any(hi < hi_body):
             raise InvalidConfig("bounds do not enclose the body")
-    dims = geo._grid_dims(lo, hi, voxel_size)
+    dims = tuple(geo._grid_dims(lo, hi, voxel_size).tolist())
     if int(np.prod(dims)) > max_voxels:
         raise GridTooLarge(f"grid {dims} exceeds {max_voxels} voxels")
     ranges = tuple(np.arange(n, dtype=np.float64) for n in dims)

@@ -265,13 +265,8 @@ def cmd_sample(args) -> int:
 def _extractor_from_args(args) -> mx.FeatureExtractor:
     if args.features == "flatten":
         return mx.FeatureExtractor("flatten")
-    if args.features == "proj":
-        return mx.FeatureExtractor("random_projection", seed=args.feature_seed,
-                                   out_dim=args.proj_dim)
-    if not args.feature_model:
-        raise InvalidConfig("--features latent needs --feature-model")
-    return mx.FeatureExtractor("predictor_latent",
-                               params=mdl.load_params(args.feature_model))
+    return mx.FeatureExtractor("random_projection", seed=args.feature_seed,
+                               out_dim=args.proj_dim)
 
 
 def cmd_eval(args) -> int:
@@ -432,11 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="iv,if")
     p.add_argument("--voxel", type=float, default=geo.DEFAULT_VOXEL_SIZE)
     p.add_argument("--ref", default=None, help="reference motions for fid")
-    p.add_argument("--features", choices=("flatten", "proj", "latent"),
-                   default="flatten")
+    p.add_argument("--features", choices=("flatten", "proj"), default="flatten")
     p.add_argument("--proj-dim", type=int, default=mx.FeatureExtractor.out_dim)
     p.add_argument("--feature-seed", type=int, default=mx.FeatureExtractor.seed)
-    p.add_argument("--feature-model", default=None)
     p.add_argument("--sd", type=int, default=mx.DIVERSITY_SUBSET)
     p.add_argument("--sl", type=int, default=mx.MULTIMODALITY_SUBSET)
     p.add_argument("--metric-seed", type=int, default=0)

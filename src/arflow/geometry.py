@@ -367,6 +367,8 @@ MAX_VOXELS = 10 ** 8
 _CHUNK = 1 << 16
 # margin of the column intervals per meter of a frame's coordinate scale
 _TAU = 2.0 ** -20
+# smallest voxel size or radius per meter of a frame's coordinate scale
+_RESOLUTION = 2.0 ** -40
 
 
 def check_voxel_size(voxel_size: float) -> None:
@@ -589,7 +591,16 @@ def intersection_volumes(a: CapsuleSet, b: CapsuleSet, voxel_size: float) -> lis
     Only the window around the two boxes' overlap can hold such centers.
     The result equals the full-grid count bit for bit.  Raises
     ``GridTooLarge`` when a frame's window holds more than ``MAX_VOXELS``
-    voxels or its grid more than 2^53 along an axis.
+    voxels or its grid more than 2^53 along an axis, and, before any box
+    test, when the voxel size or a radius is below 2^-40·S, where S is one
+    meter plus the largest coordinate magnitude of the frame's capsule
+    endpoints.  Why k = 40: a box, a center and the kernel's distance are
+    each off by up to about 40u·S < 2^-47·S (u = 2^-53, see below), so
+    above 2^-40·S those errors stay under 1/128 of every radius and voxel.
+    Below 2^-53·S a box loses its radius altogether and the sweep and the
+    full-grid count part ways; at 1e15 m the float spacing is 0.125 m and
+    the limit about 900 m.  The ±1e6 m cases (S ≈ 2^20 m, radii down to
+    0.01 m and voxels down to 0.0071 m) need k ≥ 28.
 
     The windows of all frames are laid out flat, one after the other, each
     x-major with z fastest, and swept in groups of at most ``_CHUNK``
@@ -635,6 +646,12 @@ def intersection_volumes(a: CapsuleSet, b: CapsuleSet, voxel_size: float) -> lis
     if a.seg_a.ndim != 3 or b.seg_a.ndim != 3 or len(a.seg_a) != len(b.seg_a):
         raise DimensionMismatch(
             f"expected two (F, C, 3) capsule sets, got {a.seg_a.shape} and {b.seg_a.shape}")
+    scale = 1.0 + np.max([np.abs(x).max(axis=(1, 2))
+                          for x in (a.seg_a, a.seg_b, b.seg_a, b.seg_b)], axis=0)
+    finest = min(voxel_size, a.radius.min(), b.radius.min())
+    if np.any(finest < _RESOLUTION * scale):
+        raise GridTooLarge(f"coordinate scale {scale.max():.3g} m exceeds 2^40 times "
+                           f"the voxel size or radius {finest!r} m")
     win = _windows(a, b, voxel_size)
     model_a, model_b = (_capsule_model(body, win, voxel_size) for body in (a, b))
     counts = np.zeros(len(a.seg_a), dtype=np.int64)

@@ -6,28 +6,23 @@ sample; it is reported in cubic centimeters per frame.  Intersection
 Frequency (IF) is the fraction of frames with any both-occupied voxel, so
 IF = 0 exactly when IV = 0 under the same voxelization.
 
-The sweep is pruned, never approximated.  One FK pass per side builds the
-capsules of every frame of up to ``EVAL_CHUNK`` samples, and one
-vectorized box test finds the frames whose two bodies' bounding boxes
-overlap; only those reach :func:`geometry.intersection_volumes`, all in
-one call, and every other frame adds an exact zero.  The sweep lays the
-windows around the frames' box overlaps out flat and takes them in
-groups of at most ``geometry._CHUNK`` voxels, so its memory does not grow
-with the frame count.  A capsule is convex, so it meets each (x, y)
-column of voxel centers in one z-interval, which has a closed form (two
-end spheres and a finite cylinder).  Centers well inside that interval
-count without a distance test, centers well outside it are skipped, and
-only those within a margin of its ends (2^-20 of the frame's coordinate
-scale, far above the rounding of the interval arithmetic and of the
-kernel) take their distance from the geometry's one capsule-distance
-kernel, which the guidance SDF and the full-grid test oracle use too.  So
-IV, IF and the penetrating-frame count equal the full-grid computation
-bit for bit; the per-frame volumes are added in frame order.  A NaN or
-infinite motion has no capsules: it raises ``InvalidConfig``.
+One FK pass per side builds the capsules of every frame of up to
+``EVAL_CHUNK`` samples, and every frame of the chunk goes to one
+:func:`geometry.intersection_volumes` call.  The geometry owns the voxel
+sweep and its box test: a frame whose two bodies' bounding boxes do not
+overlap adds an exact zero, and IV, IF and the penetrating-frame count
+equal the full-grid count bit for bit (its docstring gives the column
+intervals, the margin argument and the voxel budget).  The per-frame
+volumes are added in frame order.  A NaN or infinite motion has no
+capsules: it raises ``InvalidConfig``; a frame so far from the origin
+that float64 cannot resolve the voxel or a radius there raises
+``GridTooLarge``.
 
-The feature-space scores (FID, diversity, multimodality) run on a pluggable
-extractor; absolute values depend entirely on the extractor choice and are
-only comparable within one configuration.
+The feature-space scores (FID, diversity, multimodality) run on features
+computed from the motions alone (FK joint positions, flattened or randomly
+projected), never from the model under test; absolute values depend
+entirely on the extractor choice and are only comparable within one
+configuration.
 """
 
 from __future__ import annotations
@@ -37,9 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import data as dt
 from . import geometry as geo
-from . import model as mdl
 from .errors import (
     DegenerateCovariance,
     DimensionMismatch,
@@ -50,9 +43,8 @@ from .errors import (
 
 M3_TO_CM3 = 1e6
 COV_EPS = 1e-6
-# samples per FK pass in penetration_stats and per predictor forward in
-# latent features: one pass serves many frames, and the chunk bounds the
-# memory its intermediates take
+# samples per FK pass and per sweep call in penetration_stats: one pass
+# serves many frames, and the chunk bounds the memory its intermediates take
 EVAL_CHUNK = 64
 DIVERSITY_SUBSET = 200
 MULTIMODALITY_SUBSET = 20
@@ -115,8 +107,8 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
                       ) -> PenetrationStats:
     """IV/IF accumulation over (actor, reactor) motion pairs.
 
-    Only frames whose two bodies' boxes overlap reach the voxel sweep, one
-    :func:`geometry.intersection_volumes` call per chunk of samples.
+    One :func:`geometry.intersection_volumes` call per chunk of samples
+    takes every frame of the chunk.
     """
     geo.check_voxel_size(voxel_size)
     if len(samples) == 0:
@@ -129,13 +121,9 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
         chunk = samples[start:start + EVAL_CHUNK]
         caps_a = geo.motion_capsules(skel, _all_frames(skel, [a for a, _ in chunk]))
         caps_b = geo.motion_capsules(skel, _all_frames(skel, [b for _, b in chunk]))
-        lo_a, hi_a = caps_a.aabb()
-        lo_b, hi_b = caps_b.aabb()
-        apart = np.any(np.maximum(lo_a, lo_b) >= np.minimum(hi_a, hi_b), axis=1)
-        f_total += len(apart)
-        near = np.flatnonzero(~apart)
-        for vol in geo.intersection_volumes(caps_a.frame(near), caps_b.frame(near),
-                                            voxel_size):
+        volumes = geo.intersection_volumes(caps_a, caps_b, voxel_size)
+        f_total += len(volumes)
+        for vol in volumes:
             total_volume += vol
             f_pene += vol > 0.0
     return PenetrationStats(total_volume, f_pene, f_total)
@@ -240,25 +228,23 @@ def multimodality(features_by_class: dict, subset_size: int = MULTIMODALITY_SUBS
 
 @dataclass(frozen=True)
 class FeatureExtractor:
-    """Deterministic motion-to-vector map for the feature-space metrics.
+    """Deterministic motion-to-vector map for the feature-space metrics,
+    computed from the motions alone.
 
     kinds: ``flatten`` concatenates FK joint positions; ``random_projection``
-    applies a seeded fixed linear map to the flattened vector;
-    ``predictor_latent`` mean-pools the hidden state of a trained predictor.
+    applies a seeded fixed linear map to the flattened vector.  Both take
+    motions of one frame count.
     """
 
     kind: str = "flatten"
     seed: int = 0
     out_dim: int = 32
-    params: "mdl.PredictorParams | None" = None
 
     def __post_init__(self):
-        if self.kind not in ("flatten", "random_projection", "predictor_latent"):
+        if self.kind not in ("flatten", "random_projection"):
             raise InvalidConfig(f"unknown extractor kind {self.kind!r}")
         if self.kind == "random_projection" and self.out_dim < 1:
             raise InvalidConfig("out_dim must be positive")
-        if self.kind == "predictor_latent" and self.params is None:
-            raise InvalidConfig("predictor_latent needs trained params")
         if self.seed < 0:
             raise InvalidConfig(f"feature seed must be >= 0, got {self.seed}")
 
@@ -274,16 +260,9 @@ def _flatten_features(motions, skel: geo.Skeleton) -> np.ndarray:
 
 def extract_features(motions, extractor: FeatureExtractor,
                      skel: geo.Skeleton) -> np.ndarray:
-    """Feature matrix (n_motions, d); only latent features take mixed frame counts."""
+    """Feature matrix (n_motions, d) of motions of one frame count."""
     if len(motions) == 0:
         raise EmptyInput("no motions to featurize")
-    if extractor.kind == "predictor_latent":
-        # one predictor forward per chunk of equal-shape motions
-        feats = np.empty((len(motions), extractor.params.config.width))
-        for chunk in dt.equal_shape_chunks(motions, EVAL_CHUNK):
-            feats[chunk] = mdl.hidden_features(extractor.params,
-                                               np.stack([motions[i] for i in chunk]))
-        return feats
     flat = _flatten_features(motions, skel)
     if extractor.kind == "flatten":
         return flat

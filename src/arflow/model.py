@@ -275,16 +275,6 @@ def predict(params: PredictorParams, x_t: np.ndarray, t: float,
     return hidden @ params.arrays["out_proj_w"] + params.arrays["out_proj_b"]
 
 
-def hidden_features(params: PredictorParams, motions: np.ndarray) -> np.ndarray:
-    """Mean-pooled final hidden state, at t = 1 with the null condition, of
-    each motion of a (B, H, D) batch: (B, width), from one forward pass."""
-    cfg = params.config
-    motions = _check_input(cfg, motions)
-    hidden = _forward(_as_tensors(params, trainable=False), cfg, motions, 1.0,
-                      _cond_rows(cfg, None, len(motions)))
-    return hidden.data.mean(axis=1)
-
-
 def prediction_to_x1(raw: np.ndarray, x_t: np.ndarray, t: float,
                      sigma_min: float, mode: str) -> np.ndarray:
     """Unify a raw prediction into an endpoint estimate regardless of mode."""

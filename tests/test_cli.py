@@ -1,7 +1,10 @@
+import argparse
 import dataclasses
 import hashlib
 import json
+import pathlib
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +147,20 @@ def test_unknown_flag_is_an_error(capsys, tmp_path):
         run("gen-data", "--pairs", "2", "--out", str(tmp_path / "x.jsonl"),
             "--frobnicate")
     assert exc.value.code == 2
+
+
+def test_readme_command_line_flags_are_parser_options():
+    # every flag the README's "Command line" section names is an option of
+    # some subcommand, so a removed flag cannot stay in the docs
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings}
+    assert {"--no-causal", "--voxel"} <= flags
+    assert sorted(flags - options) == []
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +526,15 @@ def test_eval_subset_size_below_one_exits_2(metric, flag, small_data, tmp_path, 
     assert not out.exists()
 
 
-def test_eval_latent_features_need_model_exits_2(small_data, capsys):
-    assert run("eval", "--inputs", str(small_data), "--metrics", "div",
-               "--features", "latent", "--sd", "10", "--allow-replacement") == 2
-    assert "--feature-model" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["--features", "latent"], ["--feature-model", "m.json"]],
+                         ids=["features-latent", "feature-model"])
+def test_eval_latent_features_are_rejected_by_the_parser(argv, small_data, capsys):
+    # features come from the motions alone, never from a model
+    with pytest.raises(SystemExit) as exc:
+        run("eval", "--inputs", str(small_data), "--metrics", "div", "--sd", "10",
+            "--allow-replacement", *argv)
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("features", ["flatten", "proj"])
@@ -541,8 +563,9 @@ def test_eval_bad_voxel_size_exits_2(voxel, contact, tmp_path, capsys):
 
 @pytest.mark.parametrize("voxel", ["3e-8", "1e-300"])
 def test_eval_voxel_too_fine_for_its_grid_exits_2(voxel, tmp_path, capsys):
-    # contact frames whose windows hold too many voxels, or whose grid size
-    # overflows, exit 2; they do not read as "no penetration"
+    # contact frames whose windows hold too many voxels, or whose voxel is
+    # finer than their coordinates resolve, exit 2; they do not read as
+    # "no penetration"
     data = tmp_path / "data.jsonl"
     dt.save_samples(str(data), dt.generate_mixed(2, frames=2, contact_fraction=1.0,
                                                  seed=2), dt.default_skeleton())
@@ -583,6 +606,23 @@ def test_eval_huge_rotation_block_exits_2(tmp_path, capsys):
     assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
                "--out", str(out)) == 2
     assert "too long" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_far_from_the_origin_exits_2(tmp_path, capsys):
+    # at 1e15 m the float spacing is 0.125 m: a capsule's box loses its
+    # radius, so the sweep refuses the frame instead of reporting IV 0
+    skel = dt.default_skeleton()
+    samples = dt.generate_mixed(4, frames=4, contact_fraction=1.0, seed=2)
+    for s in samples:
+        s.actor[:, -3:] += [1e15, 0.0, 0.0]
+        s.reactor[:, -3:] += [1e15, 0.0, 0.0]
+    data = tmp_path / "far.jsonl"
+    dt.save_samples(str(data), samples, skel)
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
+               "--out", str(out)) == 2
+    assert "2^40" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -758,6 +758,21 @@ def test_intersection_volume_far_from_the_origin(offset):
         assert geo.capsule_intersection_volume(b, a, vs) == full
 
 
+@pytest.mark.parametrize("offset", [1e15, -1e17])
+def test_intersection_volume_refuses_coordinates_that_swallow_the_radius(offset):
+    # at 1e15 m a box loses a 0.05 m radius to rounding, and the sweep would
+    # read 0 where the full grid counts voxels; it raises before the box test
+    body = one_capsule(a=(offset, 0, 0), b=(offset, 0, 0), r=0.05)
+    far = one_capsule(a=(offset, 9, 0), b=(offset, 9, 0), r=0.05)
+    for other in (body, far):
+        with pytest.raises(GridTooLarge, match="2\\^40"):
+            geo.capsule_intersection_volume(body, other, 0.02)
+    frames = geo.CapsuleSet(np.zeros((2, 1, 3)), np.zeros((2, 1, 3)), [0.05])
+    frames.seg_a[1] = frames.seg_b[1] = [offset, 0, 0]
+    with pytest.raises(GridTooLarge):
+        geo.intersection_volumes(frames, frames, 0.02)
+
+
 def test_intersection_volume_grid_too_large(monkeypatch):
     body = one_capsule()
     far = one_capsule(a=(5, 0, 0), b=(6, 0, 0))
@@ -771,11 +786,19 @@ def test_intersection_volume_grid_too_large(monkeypatch):
 
 @pytest.mark.parametrize("voxel_size", [3e-8, 1e-300])
 def test_intersection_volume_voxel_cap_does_not_wrap(voxel_size):
-    # about 7e22 voxels, a count that wraps in int64, and a grid whose size
-    # overflows to inf: both over the cap, neither an empty window
+    # about 7e22 voxels, a count that wraps in int64, and a voxel below
+    # 2^-40 of the coordinate scale: both refused, neither an empty window
     body = one_capsule(a=(0, 0, 0), b=(1, 0, 0), r=0.5)
     with pytest.raises(GridTooLarge):
         geo.capsule_intersection_volume(body, body, voxel_size)
+
+
+def test_intersection_volume_grid_past_2_53_voxels_on_an_axis():
+    # a 1e200 m radius near the origin passes the scale check, but its grid
+    # holds about 1e202 voxels along each axis
+    body = one_capsule(r=1e200)
+    with pytest.raises(GridTooLarge, match="2\\^53"):
+        geo.capsule_intersection_volume(body, body, 0.02)
 
 
 @pytest.mark.parametrize("voxel_size", [0.0, -0.02, float("nan"), float("inf")])

@@ -149,23 +149,26 @@ def test_penetration_stats_in_small_groups_equals_per_frame_oracle(chunk, monkey
 
 
 def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
+    # every frame goes to the sweep, whose box test gives a window only to
+    # the frames whose two bodies' boxes overlap
     skel = chain_skeleton(3, radius=0.08)
     near = still_actor(skel, 3, (0.05, 0.0, 0.0))
     far = still_actor(skel, 2, (5.0, 0.0, 0.0))
     samples = [(still_actor(skel, 5), np.concatenate([near, far])),
                pair(skel, 4, (0, 0, 0), (0, 6.0, 0))]
-    swept = []
-    sweep = geo.intersection_volumes
+    windowed = []
+    windows = geo._windows
 
-    def recording_sweep(a, b, voxel_size):
-        swept.extend(zip(zip(*a.aabb()), zip(*b.aabb())))
-        return sweep(a, b, voxel_size)
+    def recording_windows(a, b, voxel_size):
+        win = windows(a, b, voxel_size)
+        windowed.extend((a.frame(f).aabb(), b.frame(f).aabb()) for f in win.frame)
+        return win
 
-    monkeypatch.setattr(geo, "intersection_volumes", recording_sweep)
+    monkeypatch.setattr(geo, "_windows", recording_windows)
     volume, f_pene, f_total = mx.penetration_stats(samples, skel, 0.02)
     assert (f_pene, f_total) == (3, 9) and volume > 0.0
-    assert len(swept) == 3
-    for (lo_a, hi_a), (lo_b, hi_b) in swept:
+    assert len(windowed) == 3
+    for (lo_a, hi_a), (lo_b, hi_b) in windowed:
         assert np.all(np.maximum(lo_a, lo_b) < np.minimum(hi_a, hi_b))
 
 
@@ -346,40 +349,10 @@ def test_random_projection_deterministic_and_linear():
     assert np.allclose((alpha * flat) @ p, alpha * proj, atol=1e-12)
 
 
-def test_predictor_latent_features():
-    from arflow import model as mdl
-    skel = chain_skeleton(2)
-    cfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=4, layers=1,
-                              width=8, heads=2)
-    params = mdl.init_params(cfg, seed=0)
-    motions = [still_actor(skel, 3), still_actor(skel, 3, (1.0, 0, 0))]
-    feats = mx.extract_features(
-        motions, mx.FeatureExtractor("predictor_latent", params=params), skel)
-    assert feats.shape == (2, 8)
-    assert np.max(np.abs(feats[0] - feats[1])) > 0.0
-
-
-@pytest.mark.parametrize("chunk", [mx.EVAL_CHUNK, 3])
-def test_predictor_latent_features_chunked_over_mixed_lengths(chunk, monkeypatch):
-    # 11 motions of 3, 5 and 2 frames, interleaved; each row is bit-equal
-    # to the features of its motion alone and stays at its input position
-    from arflow import model as mdl
-    monkeypatch.setattr(mx, "EVAL_CHUNK", chunk)
-    skel = chain_skeleton(2)
-    cfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=5, layers=1,
-                              width=8, heads=2)
-    params = mdl.init_params(cfg, seed=0)
-    rng = np.random.default_rng(10)
-    motions = [rng.normal(size=(h, skel.motion_dim))
-               for h in (3, 5, 3, 3, 2, 5, 3, 3, 5, 2, 3)]
-    feats = mx.extract_features(
-        motions, mx.FeatureExtractor("predictor_latent", params=params), skel)
-    assert feats.shape == (11, 8)
-    for m, row in zip(motions, feats):
-        assert np.array_equal(row, mdl.hidden_features(params, m[None])[0])
-    with pytest.raises(DimensionMismatch):
-        mx.extract_features(motions + [np.zeros((3, skel.motion_dim + 1))],
-                            mx.FeatureExtractor("predictor_latent", params=params), skel)
+@pytest.mark.parametrize("kind", ["predictor_latent", "latent", "pca", ""])
+def test_feature_extractor_rejects_unknown_kind(kind):
+    with pytest.raises(InvalidConfig, match="unknown extractor kind"):
+        mx.FeatureExtractor(kind)
 
 
 @pytest.mark.parametrize("kind", ["flatten", "random_projection"])

@@ -467,27 +467,11 @@ def test_predict_batch_matches_single_calls():
         mdl.predict(params, x, 0.3, [0, 1])
 
 
-def test_hidden_features_batch_matches_single_calls():
-    # one forward over the batch; each row is bit-equal to the features of
-    # a batch of that motion alone
-    rng = np.random.default_rng(15)
-    skel = chain_skeleton(2)
-    cfg = tiny_config(skel, h=4, width=16, layers=2)
-    params = mdl.init_params(cfg, seed=6)
-    x = rng.normal(size=(7, 4, cfg.frame_dim))
-    feats = mdl.hidden_features(params, x)
-    assert feats.shape == (7, 16)
-    for i in range(7):
-        assert np.array_equal(feats[i], mdl.hidden_features(params, x[i:i + 1])[0])
-    with pytest.raises(DimensionMismatch):
-        mdl.hidden_features(params, x[0])
-
-
 @pytest.mark.parametrize("causal", [True, False])
 def test_fused_forward_is_bit_equal_to_the_composed_ops(causal, monkeypatch):
-    # predict and hidden_features with the fused tape nodes give the same
-    # bits as the same forward built from the composed oracle blocks, for
-    # initial parameters and for parameters moved by a few Adam steps
+    # predict with the fused tape nodes gives the same bits as the same
+    # forward built from the composed oracle blocks, for initial parameters
+    # and for parameters moved by a few Adam steps
     rng = np.random.default_rng(21)
     skel = chain_skeleton(2)
     cfg = tiny_config(skel, h=5, width=16, layers=2, heads=2, causal=causal)
@@ -497,7 +481,7 @@ def test_fused_forward_is_bit_equal_to_the_composed_ops(causal, monkeypatch):
     x = rng.normal(size=(4, 5, cfg.frame_dim))
     conds = [0, None, 2, 1]
     sets = [mdl.init_params(cfg, seed=8), trained]
-    fused = [(mdl.predict(p, x, 0.6, conds), mdl.hidden_features(p, x)) for p in sets]
+    fused = [mdl.predict(p, x, 0.6, conds) for p in sets]
 
     def composed(fn):
         return lambda *args: ad.constant(fn(*(a.data if isinstance(a, ad.Tensor) else a
@@ -505,6 +489,5 @@ def test_fused_forward_is_bit_equal_to_the_composed_ops(causal, monkeypatch):
 
     for name in ("linear", "layer_norm", "attention", "gelu"):
         monkeypatch.setattr(ad, name, composed(getattr(oracles, name)))
-    for p, (pred, feats) in zip(sets, fused):
+    for p, pred in zip(sets, fused):
         assert np.array_equal(pred, mdl.predict(p, x, 0.6, conds))
-        assert np.array_equal(feats, mdl.hidden_features(p, x))

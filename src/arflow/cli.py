@@ -18,6 +18,7 @@ predictor output while sampling.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -29,7 +30,6 @@ import time
 import numpy as np
 
 from . import data as dt
-from . import flowpath as fp
 from . import geometry as geo
 from . import metrics as mx
 from . import model as mdl
@@ -148,9 +148,11 @@ def cmd_gen_data(args) -> int:
                                 noise=args.noise,
                                 contact_fraction=args.contact_fraction,
                                 seed=args.seed, scenario=args.scenario)
+    for s in samples:
+        s.fps = args.fps
     skel = dt.default_skeleton(args.joints)
     phases.end("compute")
-    dt.save_samples(args.out, samples, skel, fps=args.fps)
+    dt.save_samples(args.out, samples, skel)
     _write_manifest(args.out, "gen-data", vars(args), [], [args.out], phases)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
@@ -176,15 +178,14 @@ def cmd_train(args) -> int:
                                layers=args.layers, width=args.width,
                                heads=args.heads, causal=args.causal,
                                cond_vocab=cond_vocab,
-                               prediction_mode=args.prediction)
+                               prediction_mode=args.prediction,
+                               sigma_min=args.sigma_min)
     tcfg = mdl.TrainConfig(steps=args.steps, batch_size=args.batch,
                            learning_rate=args.lr, lambda_inter=args.lambda_inter,
-                           sigma_min=args.sigma_min, t_grid=args.t_grid,
-                           cond_dropout_prob=args.cond_dropout, seed=args.seed)
+                           t_grid=args.t_grid, cond_dropout_prob=args.cond_dropout,
+                           seed=args.seed)
     params, history = mdl.train(dataset, skel, pcfg, tcfg,
                                 log_every=args.log_every, phase_end=phases.end)
-    params.meta = {"sigma_min": tcfg.sigma_min, "steps": tcfg.steps,
-                   "seed": tcfg.seed, "train_samples": len(dataset)}
     phases.end("steps")
     mdl.save_params(args.out, params)
     loss_path = args.out + ".loss.csv"
@@ -226,15 +227,11 @@ def cmd_sample(args) -> int:
         raise SchemaError(f"data has {frames} frames, model max_frames is "
                           f"{params.config.max_frames}")
 
-    if args.sigma_min is not None:
-        sigma_min = args.sigma_min
-    else:
-        sigma_min = params.meta.get("sigma_min", fp.SIGMA_MIN_DEFAULT)
-    cfg = smp.SamplerConfig(steps=args.steps, sigma_min=float(sigma_min),
+    cfg = smp.SamplerConfig(steps=args.steps, sigma_min=params.config.sigma_min,
                             mode=args.mode, guidance=args.guidance,
                             lambda_pene=args.lambda_pene, zeta=args.zeta,
                             w=args.w, beta=args.beta, seed=args.seed)
-    predictor = mdl.as_x1_predictor(params, cfg.sigma_min)
+    predictor = mdl.as_x1_predictor(params)
 
     # one batched sample call per chunk of equal-length actors; a sample's
     # stream index is its position in the subset, so its output does not
@@ -247,8 +244,7 @@ def cmd_sample(args) -> int:
         out = smp.sample(predictor, actors, cfg, c, ctx, sample_index=chunk)
         for i, reaction in zip(chunk, out):
             reactions[i] = reaction
-    out_samples = [dt.InteractionSample(s.actor, r, s.label, s.seed_used)
-                   for s, r in zip(subset, reactions)]
+    out_samples = [dataclasses.replace(s, reactor=r) for s, r in zip(subset, reactions)]
     phases.end("compute")
     dt.save_samples(args.out, out_samples, skel)
     _write_manifest(args.out, "sample", vars(args), [args.model, args.data],
@@ -388,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=16)
     p.add_argument("--lr", type=float, default=tdef.learning_rate)
     p.add_argument("--lambda-inter", type=float, default=tdef.lambda_inter)
-    p.add_argument("--sigma-min", type=float, default=tdef.sigma_min)
+    p.add_argument("--sigma-min", type=float, default=pdef.sigma_min)
     p.add_argument("--t-grid", type=int, default=tdef.t_grid)
     p.add_argument("--cond-dropout", type=float, default=tdef.cond_dropout_prob)
     p.add_argument("--layers", type=int, default=pdef.layers)
@@ -417,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=sdef.beta)
     p.add_argument("--mode", choices=("x1", "v"), default=sdef.mode)
     p.add_argument("--cond", choices=("none", "label"), default="none")
-    p.add_argument("--sigma-min", type=float, default=None,
-                   help="defaults to the model's training value")
     p.add_argument("--seed", type=int, default=sdef.seed)
     p.set_defaults(func=cmd_sample)
 

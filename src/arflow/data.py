@@ -25,6 +25,7 @@ import contextlib
 import itertools
 import json
 import os
+import sys
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -73,6 +74,7 @@ class InteractionSample:
     reactor: np.ndarray
     label: int
     seed_used: tuple[int, int, int]
+    fps: float = DEFAULT_FPS
 
 
 def default_skeleton(joints: int = DEFAULT_JOINTS) -> geo.Skeleton:
@@ -131,6 +133,12 @@ def _rotation_about(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
 
 
+def _rot6d_about(axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """6D blocks of :func:`_rotation_about`: rotations by construction, not re-checked."""
+    m = _rotation_about(axis, angle)
+    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
+
+
 _CHEST, _SHOULDER, _LIMB = "chest", "shoulder", "limb"
 
 
@@ -155,11 +163,11 @@ def _build_motions(skel: geo.Skeleton, root_pos: np.ndarray, facing: np.ndarray,
     motion = np.zeros(root_pos.shape[:2] + (skel.motion_dim,))
     motion[..., : 6 * (k + 1)] = np.tile(geo.IDENTITY_ROT6D, k + 1)
     yaw = np.arctan2(facing[:, 1], facing[:, 0])
-    motion[..., 6 * k: 6 * k + 6] = geo.rot6d_encode(_rotation_about(_Z_AXIS, yaw))[:, None]
+    motion[..., 6 * k: 6 * k + 6] = _rot6d_about(_Z_AXIS, yaw)[:, None]
     motion[..., 6 * k + 6:] = root_pos
     for name, (axis, series) in joint_angles.items():
         j = jid[name]
-        motion[..., 6 * j: 6 * j + 6] = geo.rot6d_encode(_rotation_about(axis, series))
+        motion[..., 6 * j: 6 * j + 6] = _rot6d_about(axis, series)
     return motion
 
 
@@ -410,8 +418,8 @@ def _numbers(values, line: int, has_bools: bool) -> np.ndarray:
 
 def _person_motion(rec: dict, line: int, has_bools: bool,
                    first: tuple[dict, geo.Skeleton] | None
-                   ) -> tuple[geo.Skeleton, np.ndarray]:
-    """A person record's skeleton and motion.
+                   ) -> tuple[geo.Skeleton, np.ndarray, float]:
+    """A person record's skeleton, motion and frame rate.
 
     ``first`` holds the first record's raw skeleton block and ``Skeleton``.
     An equal block reuses it, but Python equates ``True`` and ``1.0`` with
@@ -445,7 +453,11 @@ def _person_motion(rec: dict, line: int, has_bools: bool,
         raise SchemaError("frame width does not match skeleton", line=line)
     if not np.all(np.isfinite(motion)):
         raise SchemaError("non-finite motion values", line=line)
-    return skel, motion
+    fps = rec.get("fps")
+    # an exact comparison: an integer too large for a float fails it too
+    if type(fps) not in (int, float) or not 0.0 < fps <= sys.float_info.max:
+        raise SchemaError(f"fps is not a positive finite number: {fps!r}", line=line)
+    return skel, motion, float(fps)
 
 
 @contextlib.contextmanager
@@ -467,19 +479,19 @@ def atomic_open(path: str):
         raise
 
 
-def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton,
-                 fps: float = DEFAULT_FPS) -> None:
+def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton) -> None:
     """Write samples as one JSON record per line (atomic, diffable)."""
-    if not 0.0 < fps < np.inf:
-        raise InvalidConfig(f"fps must be positive and finite, got {fps}")
+    for s in samples:
+        if isinstance(s.fps, bool) or not 0.0 < s.fps < np.inf:  # as load_samples
+            raise InvalidConfig(f"fps must be positive and finite, got {s.fps}")
     with atomic_open(path) as fh:
         for s in samples:
             rec = {
                 "version": FILE_VERSION,
                 "label": int(s.label),
                 "seed": list(s.seed_used),
-                "actor": _person_record(skel, s.actor, fps),
-                "reactor": _person_record(skel, s.reactor, fps),
+                "actor": _person_record(skel, s.actor, s.fps),
+                "reactor": _person_record(skel, s.reactor, s.fps),
             }
             fh.write(json.dumps(rec) + "\n")
 
@@ -531,11 +543,11 @@ def load_samples(path: str, split: str = "all", limit: int = 0
             # a valid record holds no JSON boolean: only a line with one
             # pays for the per-element check
             has_bools = b"true" in line or b"false" in line
-            skel, actor = _person_motion(actor_rec, line_no, has_bools, first)
+            skel, actor, fps = _person_motion(actor_rec, line_no, has_bools, first)
             first = first or (actor_rec["skeleton"], skel)
-            _, reactor = _person_motion(reactor_rec, line_no, has_bools, first)
-            if actor.shape[0] != reactor.shape[0]:
-                raise SchemaError("actor and reactor frame counts differ",
+            _, reactor, reactor_fps = _person_motion(reactor_rec, line_no, has_bools, first)
+            if actor.shape[0] != reactor.shape[0] or fps != reactor_fps:
+                raise SchemaError("actor and reactor differ in frame count or fps",
                                   line=line_no)
-            samples.append(InteractionSample(actor, reactor, label, tuple(seed)))
+            samples.append(InteractionSample(actor, reactor, label, tuple(seed), fps))
     return samples, first[1] if first else None

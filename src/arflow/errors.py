@@ -14,11 +14,7 @@ class NotARotation(ArflowError):
 
 
 class DimensionMismatch(ArflowError):
-    """Array dimensions do not match the skeleton / model configuration."""
-
-
-class ShapeMismatch(ArflowError):
-    """Two tensors that must share a shape do not."""
+    """Array shapes disagree with each other or with the skeleton / model config."""
 
 
 class SingularTime(ArflowError):

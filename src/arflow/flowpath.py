@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
-from .errors import ShapeMismatch, SingularTime
+from .errors import DimensionMismatch, SingularTime
 
 SIGMA_MIN_DEFAULT = 1e-4
 _SINGULAR_GUARD = 1e-9
@@ -29,7 +29,7 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
+        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     return a, b
 
 

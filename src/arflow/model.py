@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
 )
 
 PARAMS_FORMAT = "arflow-predictor"
-PARAMS_VERSION = 1
+PARAMS_VERSION = 2
 
 _LN_EPS = 1e-5
 _MASK_VALUE = -1e9
@@ -51,6 +51,7 @@ class PredictorConfig:
     causal: bool = True
     cond_vocab: int = 0
     prediction_mode: str = "x1"  # "x1" or "v"
+    sigma_min: float = fp.SIGMA_MIN_DEFAULT  # of the path the model is trained on
 
     def __post_init__(self):
         # a model file is JSON: a float, bool or string here would pass the
@@ -65,6 +66,9 @@ class PredictorConfig:
         if not isinstance(self.prediction_mode, str):
             raise InvalidConfig(f"prediction_mode must be a string, "
                                 f"got {self.prediction_mode!r}")
+        if (isinstance(self.sigma_min, bool) or not isinstance(self.sigma_min, (int, float))
+                or not 0.0 <= self.sigma_min < 1.0):  # NaN fails too
+            raise InvalidConfig(f"sigma_min must be a number in [0, 1), got {self.sigma_min!r}")
         if self.layers < 1 or self.width < 2 or self.heads < 1:
             raise InvalidConfig("layers, width, heads must be positive")
         if self.width % self.heads != 0 or self.width % 2 != 0:
@@ -81,7 +85,6 @@ class PredictorConfig:
 class PredictorParams:
     config: PredictorConfig
     arrays: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)  # free-form training provenance
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     lambda_inter: float = 1.0
-    sigma_min: float = fp.SIGMA_MIN_DEFAULT
     t_grid: int = 1000
     cond_dropout_prob: float = 0.1
     seed: int = 0
@@ -102,8 +104,8 @@ class TrainConfig:
             raise InvalidConfig("cond_dropout_prob must be in [0, 1]")
         if self.t_grid < 1:
             raise InvalidConfig("t_grid must be >= 1")
-        if not (0.0 <= self.sigma_min < 1.0 and 0.0 < self.learning_rate < np.inf):
-            raise InvalidConfig("need sigma_min in [0, 1), finite learning_rate > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.lambda_inter < np.inf:
             raise InvalidConfig(f"lambda_inter must be finite and >= 0, "
                                 f"got {self.lambda_inter}")
@@ -285,14 +287,14 @@ def prediction_to_x1(raw: np.ndarray, x_t: np.ndarray, t: float,
     raise InvalidConfig(f"unknown prediction mode {mode!r}")
 
 
-def as_x1_predictor(params: PredictorParams, sigma_min: float):
+def as_x1_predictor(params: PredictorParams):
     """Wrap trained params as a sampler-facing callable (x_t, t, c) -> x1_hat
-    on (B, H, D) batches, ``c`` as in :func:`predict`."""
-    mode = params.config.prediction_mode
+    on (B, H, D) batches at the model's ``sigma_min``, ``c`` as in :func:`predict`."""
+    cfg = params.config
 
     def predictor(x_t: np.ndarray, t: float, c) -> np.ndarray:
         raw = predict(params, x_t, t, c)
-        return prediction_to_x1(raw, x_t, t, sigma_min, mode)
+        return prediction_to_x1(raw, x_t, t, cfg.sigma_min, cfg.prediction_mode)
 
     return predictor
 
@@ -319,7 +321,7 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
     b, h, _ = x0.shape
     rows = _cond_rows(pcfg, conds, b)
     ts = np.asarray(ts, dtype=np.float64)
-    x_t = fp.interpolate(x0, x1, ts[:, None, None], cfg.sigma_min)
+    x_t = fp.interpolate(x0, x1, ts[:, None, None], pcfg.sigma_min)
 
     hidden = _forward(tensors, pcfg, x_t, ts, rows)
     raw = ad.linear(hidden, tensors["out_proj_w"], tensors["out_proj_b"])
@@ -328,9 +330,9 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
         target = x1
         x1_hat = raw
     else:
-        target = fp.target_velocity(x0, x1, cfg.sigma_min)
+        target = fp.target_velocity(x0, x1, pcfg.sigma_min)
         x1_hat = fp.x1_from_v_t(raw, ad.constant(x_t), ts[:, None, None],
-                                cfg.sigma_min)
+                                pcfg.sigma_min)
 
     diff = raw - ad.constant(target)
     loss_fm = (diff * diff).mean()
@@ -405,7 +407,8 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     """Train a predictor on (x0, x1, c) triples of one frame count.
 
     ``InvalidConfig`` unless every record fits ``predictor_cfg``: at most
-    ``max_frames`` frames, each ``frame_dim`` wide.  The triples are stacked
+    ``max_frames`` frames, each ``frame_dim`` wide, and ``UnknownCondition``
+    for a label outside ``cond_vocab``.  The triples are stacked
     once into (N, H, D) arrays; each step's batch is rows of those.
 
     Returns ``(params, history)`` where history has one
@@ -427,6 +430,8 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
         raise InvalidConfig(
             f"training records of {counts[0]} frames and widths {widths} do not fit "
             f"max_frames={predictor_cfg.max_frames}, frame_dim={predictor_cfg.frame_dim}")
+    labels = [s[2] for s in dataset]
+    _cond_rows(predictor_cfg, labels, len(labels))  # a bad label fails before any step
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(predictor_cfg, train_cfg.seed)
     # Adam runs over one flat buffer; the parameter arrays are views into it
@@ -441,7 +446,6 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
 
     x0s, x1s = (np.stack([np.asarray(s[i], dtype=np.float64) for s in dataset])
                 for i in (0, 1))
-    labels = [s[2] for s in dataset]
     n, h, _ = x0s.shape
     table = None
     if train_cfg.lambda_inter != 0.0:
@@ -491,7 +495,7 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
 
 def save_params(path: str, params: PredictorParams) -> None:
     head = json.dumps({"format": PARAMS_FORMAT, "version": PARAMS_VERSION,
-                       "config": asdict(params.config), "meta": params.meta})
+                       "config": asdict(params.config)})
     # the bytes json.dumps gives the whole document, written one array at a
     # time: the C encoder's speed without holding every array's text at once
     with atomic_open(path) as fh:
@@ -506,8 +510,7 @@ def save_params(path: str, params: PredictorParams) -> None:
 def load_params(path: str) -> PredictorParams:
     """Read a parameter file; ``InvalidConfig`` unless every array has the
     shape its config gives it (as :func:`init_params` does) and only finite
-    numbers, and ``meta`` is an object whose ``sigma_min``, if given, is a
-    number in [0, 1)."""
+    numbers.  Other top-level keys are ignored."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -522,11 +525,6 @@ def load_params(path: str) -> PredictorParams:
                   for name, rec in doc["arrays"].items()}
     except (KeyError, TypeError, ValueError) as err:
         raise InvalidConfig(f"malformed parameter file {path}: {err}") from err
-    meta = doc.get("meta", {})
-    sigma_min = meta.get("sigma_min", 0.0) if isinstance(meta, dict) else None
-    if type(sigma_min) not in (int, float) or not 0.0 <= sigma_min < 1.0:
-        raise InvalidConfig(f"meta must be an object whose sigma_min, if given, is a "
-                            f"number in [0, 1); got {meta!r}")
     expected = {name: shape for name, (shape, _) in _param_specs(cfg).items()}
     if set(arrays) != set(expected):
         raise InvalidConfig("parameter file is missing arrays")
@@ -538,4 +536,4 @@ def load_params(path: str) -> PredictorParams:
         if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
             raise InvalidConfig(f"array {name} has non-numeric or non-finite values")
         arrays[name] = arr.astype(np.float64, copy=False)
-    return PredictorParams(cfg, arrays, meta=meta)
+    return PredictorParams(cfg, arrays)

@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     NonFiniteSample,
-    ShapeMismatch,
 )
 
 GUIDANCE_MODES = ("none", "vanilla", "improved")
@@ -232,7 +231,7 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
         tn, tn1 = float(grid[n]), float(grid[n + 1])
         x1_hat = predictor(x, tn, c)
         if x1_hat.shape != x.shape:
-            raise ShapeMismatch(
+            raise DimensionMismatch(
                 f"predictor returned {x1_hat.shape}, expected {x.shape}")
         if not np.isfinite(x1_hat).all():
             raise NonFiniteSample(f"predictor output is not finite at t={tn:g}")

@@ -252,12 +252,12 @@ def check_predictor_grad_fd(rng) -> CheckResult:
     skel = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [0.0, 0, 1.0]]),
                         np.array([0.1]))
     cfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=3, layers=1,
-                              width=8, heads=2, cond_vocab=2)
+                              width=8, heads=2, cond_vocab=2, sigma_min=1e-4)
     params = mdl.init_params(cfg, seed=int(rng.integers(1 << 30)))
     # keep predicted rotation blocks away from the decode singularity
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
-    tcfg = mdl.TrainConfig(steps=1, batch_size=2, sigma_min=1e-4, seed=0)
+    tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     pairs = [(rng.normal(size=(3, cfg.frame_dim)), rng.normal(size=(3, cfg.frame_dim)))
              for _ in range(2)]
     x0, x1 = (np.stack(m) for m in zip(*pairs))

@@ -22,9 +22,9 @@ def trained_setup():
     dataset = [(s.actor, s.reactor, s.label) for s in train_split]
     pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=16,
                                layers=2, width=64, heads=2, causal=True,
-                               cond_vocab=3)
+                               cond_vocab=3, sigma_min=1e-4)
     tcfg = mdl.TrainConfig(steps=10000, batch_size=16, learning_rate=1e-3,
-                           lambda_inter=1.0, sigma_min=1e-4, seed=7)
+                           lambda_inter=1.0, seed=7)
     started = time.time()
     params, history = mdl.train(dataset, skel, pcfg, tcfg)
     return {
@@ -33,6 +33,5 @@ def trained_setup():
         "test": test_split,
         "params": params,
         "history": history,
-        "train_cfg": tcfg,
         "train_seconds": time.time() - started,
     }

@@ -174,11 +174,11 @@ def test_criterion_04_gradient_correctness():
     skel2 = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [0.0, 0, 1.0]]),
                          np.array([0.1]))
     cfg = mdl.PredictorConfig(frame_dim=skel2.motion_dim, max_frames=3, layers=1,
-                              width=8, heads=2, cond_vocab=2)
+                              width=8, heads=2, cond_vocab=2, sigma_min=1e-4)
     params = mdl.init_params(cfg, seed=11)
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
-    tcfg = mdl.TrainConfig(steps=1, batch_size=2, sigma_min=1e-4, seed=0)
+    tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     batch = [(rng.normal(size=(3, cfg.frame_dim)),
               rng.normal(size=(3, cfg.frame_dim)), i % 2) for i in range(2)]
     ts = np.array([0.17, 0.71])
@@ -219,18 +219,18 @@ def test_criterion_04_gradient_correctness():
 def test_criterion_05_guidance_efficacy(trained_setup):
     started = time.time()
     skel = trained_setup["skel"]
-    tcfg = trained_setup["train_cfg"]
-    predictor = mdl.as_x1_predictor(trained_setup["params"], tcfg.sigma_min)
+    sigma_min = trained_setup["params"].config.sigma_min
+    predictor = mdl.as_x1_predictor(trained_setup["params"])
     suite = dt.generate_mixed(200, frames=16, contact_fraction=1.0, seed=99)
     actors = np.stack([s.actor for s in suite])
 
     results = {}
     for name, cfg in [
-        ("unguided", smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min)),
-        ("vanilla", smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min,
+        ("unguided", smp.SamplerConfig(steps=5, sigma_min=sigma_min)),
+        ("vanilla", smp.SamplerConfig(steps=5, sigma_min=sigma_min,
                                       guidance="vanilla", lambda_pene=2.0,
                                       zeta=0.5)),
-        ("improved", smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min,
+        ("improved", smp.SamplerConfig(steps=5, sigma_min=sigma_min,
                                        guidance="improved", lambda_pene=2.0,
                                        zeta=0.5, w=0.7)),
     ]:
@@ -266,9 +266,9 @@ def test_criterion_06_trainability(trained_setup):
     final_epoch = float(np.mean([h[0] for h in history[-500:]]))
     loss_ok = final_epoch < 0.1 * initial_fm
 
-    tcfg = trained_setup["train_cfg"]
-    predictor = mdl.as_x1_predictor(trained_setup["params"], tcfg.sigma_min)
-    cfg = smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min)
+    sigma_min = trained_setup["params"].config.sigma_min
+    predictor = mdl.as_x1_predictor(trained_setup["params"])
+    cfg = smp.SamplerConfig(steps=5, sigma_min=sigma_min)
     errs, base = [], []
     for s in trained_setup["test"]:
         out = smp.sample(predictor, s.actor[None], cfg, None)[0]
@@ -395,8 +395,8 @@ def test_criterion_09_cli_determinism(tmp_path):
 def test_criterion_10_stochastic_diversity(trained_setup):
     started = time.time()
     skel = trained_setup["skel"]
-    tcfg = trained_setup["train_cfg"]
-    predictor = mdl.as_x1_predictor(trained_setup["params"], tcfg.sigma_min)
+    sigma_min = trained_setup["params"].config.sigma_min
+    predictor = mdl.as_x1_predictor(trained_setup["params"])
     actors = [s.actor for s in trained_setup["test"][:10]]
 
     variances = []
@@ -405,7 +405,7 @@ def test_criterion_10_stochastic_diversity(trained_setup):
         for actor in actors:
             outs = []
             for seed in range(20):
-                cfg = smp.SamplerConfig(steps=5, sigma_min=tcfg.sigma_min,
+                cfg = smp.SamplerConfig(steps=5, sigma_min=sigma_min,
                                         guidance="none", beta=beta, seed=seed)
                 outs.append(smp.sample(predictor, actor[None], cfg)[0])
             spreads.append(float(np.var(np.stack(outs), axis=0).mean()))

@@ -62,7 +62,7 @@ _REQUIRED = {"gen-data": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
     ("gen-data", "contact_fraction", _field_default(dt.ScenarioConfig, "contact_fraction")),
     ("train", "lr", _field_default(mdl.TrainConfig, "learning_rate")),
     ("train", "lambda_inter", _field_default(mdl.TrainConfig, "lambda_inter")),
-    ("train", "sigma_min", _field_default(mdl.TrainConfig, "sigma_min")),
+    ("train", "sigma_min", _field_default(mdl.PredictorConfig, "sigma_min")),
     ("train", "t_grid", _field_default(mdl.TrainConfig, "t_grid")),
     ("train", "cond_dropout", _field_default(mdl.TrainConfig, "cond_dropout_prob")),
     ("train", "seed", _field_default(mdl.TrainConfig, "seed")),
@@ -229,6 +229,20 @@ def test_train_mixed_frame_counts_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_label_outside_vocabulary_exits_2(small_data, tmp_path, capsys):
+    # one training record's label is 7; the check runs before any batch is drawn
+    lines = small_data.read_text().splitlines()
+    rec = json.loads(lines[5])
+    rec["label"] = 7
+    lines[5] = json.dumps(rec)
+    data, out = tmp_path / "label7.jsonl", tmp_path / "m.json"
+    data.write_text("\n".join(lines) + "\n")
+    assert run("train", "--data", str(data), "--out", str(out), "--steps", "1",
+               "--width", "16", "--layers", "1") == 2
+    assert "condition 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _label_x(line):
     rec = json.loads(line)
     rec["label"] = "x"
@@ -300,6 +314,18 @@ def test_sample_damage_inside_its_selection_exits_4(small_model, small_data,
     assert not out.exists()
 
 
+def test_sample_keeps_the_input_fps(small_model, tmp_path):
+    data, out = tmp_path / "data30.jsonl", tmp_path / "s.jsonl"
+    assert run("gen-data", "--pairs", "12", "--frames", "8", "--seed", "3",
+               "--fps", "30", "--out", str(data)) == 0
+    assert run("sample", "--model", str(small_model), "--data", str(data),
+               "--out", str(out), "--split", "all") == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 12
+    fps = [rec[person]["fps"] for rec in records for person in ("actor", "reactor")]
+    assert all(type(f) is float and f == 30.0 for f in fps)
+
+
 def test_sample_negative_limit_exits_2(small_model, small_data, tmp_path):
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(small_model), "--data", str(small_data),
@@ -355,7 +381,6 @@ def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--lambda-pene", "inf"], ["--zeta", "nan"],
-                                   ["--sigma-min=-5"], ["--sigma-min", "1.5"],
                                    ["--mode", "v"]])
 def test_sample_bad_sampler_value_exits_2(flags, small_model, small_data, tmp_path):
     out = tmp_path / "s.jsonl"
@@ -371,7 +396,8 @@ def test_sample_flag_defaults_are_the_sampler_config_defaults():
     for field in ("steps", "lambda_pene", "zeta", "w", "beta", "mode", "guidance", "seed"):
         assert getattr(args, field) == getattr(defaults, field), field
     train = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o"])
-    assert train.sigma_min == fp.SIGMA_MIN_DEFAULT == mdl.TrainConfig().sigma_min
+    assert train.sigma_min == fp.SIGMA_MIN_DEFAULT == _field_default(mdl.PredictorConfig,
+                                                                     "sigma_min")
 
 
 def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
@@ -398,9 +424,9 @@ def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
     got, _ = dt.load_samples(str(out))
     assert len(got) == len(subset) == 82
     params = mdl.load_params(str(small_model))
-    cfg = smp.SamplerConfig(steps=5, sigma_min=params.meta["sigma_min"],
+    cfg = smp.SamplerConfig(steps=5, sigma_min=params.config.sigma_min,
                             guidance="improved", beta=0.2, seed=6)
-    predictor = mdl.as_x1_predictor(params, cfg.sigma_min)
+    predictor = mdl.as_x1_predictor(params)
     for index, (s, g) in enumerate(zip(subset, got)):
         assert np.array_equal(s.actor, g.actor) and s.label == g.label
         ctx = smp.GuidanceContext.from_actor(skel, s.actor[None])
@@ -444,10 +470,13 @@ def test_sample_invalid_model_exits_4(small_model, small_data, tmp_path, defect)
 
 
 @pytest.mark.parametrize("field, value", [("layers", 1.0), ("width", 32.0),
-                                          ("heads", True), ("causal", "no")])
+                                          ("heads", True), ("causal", "no"),
+                                          ("sigma_min", "abc"), ("sigma_min", None),
+                                          ("sigma_min", 2.0)])
 def test_sample_mistyped_model_config_exits_4(field, value, small_model, small_data,
-                                              tmp_path):
-    # a float or bool for an integer field, or a string for the causal flag
+                                              tmp_path, capsys):
+    # a float or bool for an integer field, a string for the causal flag, or
+    # a sigma_min that is not a number in [0, 1)
     doc = json.loads(small_model.read_text())
     doc["config"][field] = value
     model = tmp_path / "typed.json"
@@ -455,22 +484,56 @@ def test_sample_mistyped_model_config_exits_4(field, value, small_model, small_d
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--data", str(small_data),
                "--out", str(out)) == 4
+    assert field in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("meta", [[], {"sigma_min": "abc"}, {"sigma_min": None},
-                                  {"sigma_min": 2.0}],
-                         ids=["list", "string", "null", "out-of-range"])
-def test_sample_bad_model_meta_exits_4(meta, small_model, small_data, tmp_path, capsys):
+def test_sample_version_1_model_exits_4(small_model, small_data, tmp_path, capsys):
+    # version 1 kept sigma_min outside the config; it is not read at the default
     doc = json.loads(small_model.read_text())
-    doc["meta"] = meta
-    model = tmp_path / "meta.json"
+    doc["version"] = 1
+    del doc["config"]["sigma_min"]
+    doc["meta"] = {"sigma_min": 0.05}
+    model = tmp_path / "v1.json"
     model.write_text(json.dumps(doc))
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--data", str(small_data),
                "--out", str(out)) == 4
-    assert "meta" in capsys.readouterr().err
+    assert f"v{mdl.PARAMS_VERSION}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_has_no_sigma_min_flag(small_model, small_data, tmp_path):
+    # sample reads sigma_min from the model; the parser rejects the flag
+    out = tmp_path / "s.jsonl"
+    with pytest.raises(SystemExit) as err:
+        run("sample", "--model", str(small_model), "--data", str(small_data),
+            "--out", str(out), "--sigma-min", "0.05")
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_sample_uses_the_sigma_min_the_model_was_trained_at(small_data, tmp_path):
+    samples, skel = dt.load_samples(str(small_data))
+    dataset = [(s.actor, s.reactor, s.label) for s in samples]
+    pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=8, layers=1,
+                               width=16, cond_vocab=len(dt.SCENARIOS), sigma_min=0.05)
+    params, _ = mdl.train(dataset, skel, pcfg,
+                          mdl.TrainConfig(steps=3, batch_size=4, seed=2))
+    model, out = tmp_path / "m.json", tmp_path / "s.jsonl"
+    mdl.save_params(str(model), params)
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out), "--split", "all", "--limit", "5") == 0
+    got = np.stack([s.reactor for s in dt.load_samples(str(out))[0]])
+    actors = np.stack([s.actor for s in samples[:5]])
+    predictor = mdl.as_x1_predictor(params)
+    ref = smp.sample(predictor, actors, smp.SamplerConfig(sigma_min=0.05),
+                     sample_index=range(5))
+    assert np.array_equal(got, ref)
+    # at the default sigma_min the same model walks another path
+    other = smp.sample(predictor, actors, smp.SamplerConfig(), sample_index=range(5))
+    assert smp.SamplerConfig().sigma_min == 1e-4
+    assert np.max(np.abs(got - other)) > 1e-3
 
 
 def test_sample_string_array_data_exits_4(small_model, small_data, tmp_path):

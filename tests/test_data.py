@@ -25,13 +25,59 @@ def test_scenario_config_validation():
             dt.ScenarioConfig("push_retreat", noise=noise)
 
 
-@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -1.0, True])
 def test_save_samples_rejects_bad_fps(fps, tmp_path):
     path = tmp_path / "s.jsonl"
+    samples = dt.generate_mixed(2, frames=2)
+    samples[1].fps = fps
     with pytest.raises(InvalidConfig, match="fps"):
-        dt.save_samples(str(path), dt.generate_mixed(1, frames=2), dt.default_skeleton(),
-                        fps=fps)
+        dt.save_samples(str(path), samples, dt.default_skeleton())
     assert not path.exists()
+
+
+@pytest.mark.parametrize("fps", ["30", True, None, 0, -1.0, 1e400, 10 ** 400],
+                         ids=["string", "bool", "null", "zero", "negative", "inf",
+                              "huge-int"])
+def test_load_rejects_bad_fps_with_its_line(fps, tmp_path):
+    path = tmp_path / "s.jsonl"
+    dt.save_samples(str(path), dt.generate_mixed(3, frames=2), dt.default_skeleton())
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["reactor"]["fps"] = fps
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="fps") as err:
+        dt.load_samples(str(path))
+    assert err.value.line == 2
+
+
+def test_load_keeps_fps_and_rejects_a_record_whose_persons_differ(tmp_path):
+    path = tmp_path / "s.jsonl"
+    samples = dt.generate_mixed(2, frames=2)
+    samples[0].fps = 30
+    dt.save_samples(str(path), samples, dt.default_skeleton())
+    assert [s.fps for s in dt.load_samples(str(path))[0]] == [30.0, dt.DEFAULT_FPS]
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["actor"]["fps"] = 25.0
+    path.write_text(json.dumps(rec) + "\n" + lines[1] + "\n")
+    with pytest.raises(SchemaError, match="frame count or fps") as err:
+        dt.load_samples(str(path))
+    assert err.value.line == 1
+
+
+def test_rotation_about_builds_rotations():
+    # synthesis takes the 6D columns of these matrices without re-checking them
+    rng = np.random.default_rng(4)
+    angles = rng.uniform(-np.pi, np.pi, size=(5, 7))
+    horizontal = np.concatenate([rng.normal(size=(5, 2)), np.zeros((5, 1))], axis=1)
+    for axis in (dt._Y_AXIS, dt._Z_AXIS, dt._unit_rows(horizontal)[:, None]):
+        m = dt._rotation_about(axis, angles)
+        assert m.shape == (5, 7, 3, 3)
+        gram = np.einsum("...ji,...jk->...ik", m, m)
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(np.linalg.det(m) - 1.0)) <= 1e-12
+        assert np.array_equal(dt._rot6d_about(axis, angles), geo.rot6d_encode(m))
 
 
 def test_default_skeleton_shapes():

@@ -4,7 +4,7 @@ import pytest
 from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import geometry as geo
-from arflow.errors import DegenerateRotation, ShapeMismatch, SingularTime
+from arflow.errors import DegenerateRotation, DimensionMismatch, SingularTime
 
 from oracles import interaction_loss
 from test_geometry import chain_skeleton, pose_row, random_rotation
@@ -47,7 +47,7 @@ def test_target_velocity():
 
 
 def test_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         fp.interpolate(np.zeros((2, 3)), np.zeros((3, 2)), 0.5, 0.0)
 
 

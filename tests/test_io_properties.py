@@ -77,7 +77,7 @@ def _required_paths(draw):
     person = draw(st.sampled_from(PERSONS))
     frame = (person, "frames", draw(st.integers(0, BASE_FRAMES - 1)))
     return [("version",), ("label",), ("actor",), ("reactor",),
-            (person, "skeleton"), (person, "frames"), frame,
+            (person, "fps"), (person, "skeleton"), (person, "frames"), frame,
             *((person, "skeleton", key) for key in ("parents", "offsets", "radii")),
             *(frame + (key,) for key in FRAME_KEYS)]
 

@@ -104,8 +104,12 @@ def test_predict_input_validation():
                                 dict(lambda_inter=float("nan")),
                                 dict(lambda_inter=float("inf"))])
 def test_train_config_rejects_bad_sigma_min_and_learning_rate(kw):
+    # sigma_min is a field of the predictor config, the others of TrainConfig
     with pytest.raises(InvalidConfig):
-        mdl.TrainConfig(**kw)
+        if "sigma_min" in kw:
+            tiny_config(chain_skeleton(2), **kw)
+        else:
+            mdl.TrainConfig(**kw)
 
 
 def test_grad_loss_rejects_mismatched_pairs():
@@ -165,13 +169,13 @@ def test_grad_loss_value_consistency():
 def test_grad_loss_matches_finite_differences(mode):
     rng = np.random.default_rng(5)
     skel = chain_skeleton(2)
-    cfg = tiny_config(skel, prediction_mode=mode)
+    cfg = tiny_config(skel, prediction_mode=mode, sigma_min=1e-4)
     params = mdl.init_params(cfg, seed=6)
     # healthy output scale keeps the decode inside the interaction loss far
     # from its singularity, where finite differences at h=1e-5 are accurate
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
-    tcfg = mdl.TrainConfig(steps=1, batch_size=2, sigma_min=1e-4, seed=0)
+    tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     batch = tiny_batch(rng, skel)
     ts = np.array([0.13, 0.61])
     conds = [1, 2]
@@ -415,18 +419,10 @@ def test_params_file_rejects_data_shape_disagreement(tmp_path):
         mdl.load_params(_write_doc(tmp_path / "long.json", doc))
 
 
-@pytest.mark.parametrize("meta", [[], "x", None], ids=["list", "string", "null"])
-def test_params_file_rejects_meta_that_is_not_an_object(tmp_path, meta):
-    doc = _saved_doc(tmp_path)
-    doc["meta"] = meta
-    with pytest.raises(InvalidConfig, match="meta"):
-        mdl.load_params(_write_doc(tmp_path / "meta.json", doc))
-
-
 @pytest.mark.parametrize("sigma_min", ["abc", None, True, 2.0, 1.0, -0.1, float("nan")])
 def test_params_file_rejects_bad_sigma_min(tmp_path, sigma_min):
     doc = _saved_doc(tmp_path)
-    doc["meta"] = {"sigma_min": sigma_min}
+    doc["config"]["sigma_min"] = sigma_min
     with pytest.raises(InvalidConfig, match="sigma_min"):
         mdl.load_params(_write_doc(tmp_path / "sigma.json", doc))
 
@@ -434,8 +430,9 @@ def test_params_file_rejects_bad_sigma_min(tmp_path, sigma_min):
 @pytest.mark.parametrize("sigma_min", [0, 0.0, 1e-4, 0.5])
 def test_params_file_accepts_sigma_min_in_range(tmp_path, sigma_min):
     doc = _saved_doc(tmp_path)
-    doc["meta"] = {"sigma_min": sigma_min}
-    assert mdl.load_params(_write_doc(tmp_path / "sigma.json", doc)).meta == doc["meta"]
+    doc["config"]["sigma_min"] = sigma_min
+    loaded = mdl.load_params(_write_doc(tmp_path / "sigma.json", doc))
+    assert loaded.config.sigma_min == sigma_min
 
 
 @pytest.mark.parametrize("value", ["0.5", None, "abc"])

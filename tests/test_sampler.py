@@ -9,7 +9,6 @@ from arflow.errors import (
     DimensionMismatch,
     InvalidConfig,
     NonFiniteSample,
-    ShapeMismatch,
 )
 
 from test_geometry import chain_skeleton, pose_row
@@ -376,7 +375,7 @@ def test_guidance_rejects_a_nan_actor():
 
 def test_predictor_shape_mismatch_rejected():
     cfg = smp.SamplerConfig(guidance="improved", lambda_pene=0.0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         smp.sample(oracle(np.zeros((1, 3, 4))), np.zeros((1, 2, 4)), cfg)
 
 
@@ -425,12 +424,12 @@ def batch_scene(b=6, h=4, seed=21):
     actors = np.stack([random_motion(rng, skel, h) for _ in range(b)])
     actors[..., -3:] = rng.normal(scale=0.15, size=(b, h, 3))
     cfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=h, layers=1,
-                              width=16, heads=2, cond_vocab=2)
+                              width=16, heads=2, cond_vocab=2, sigma_min=1e-4)
     params = mdl.init_params(cfg, seed=seed)
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
     conds = [i % 3 if i % 3 < 2 else None for i in range(b)]
-    return skel, actors, mdl.as_x1_predictor(params, 1e-4), conds
+    return skel, actors, mdl.as_x1_predictor(params), conds
 
 
 BATCH_CONFIGS = [

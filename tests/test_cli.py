@@ -381,6 +381,7 @@ def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--lambda-pene", "inf"], ["--zeta", "nan"],
+                                   ["--w", "1.5"], ["--beta=-0.5"],
                                    ["--mode", "v"]])
 def test_sample_bad_sampler_value_exits_2(flags, small_model, small_data, tmp_path):
     out = tmp_path / "s.jsonl"

@@ -1,4 +1,4 @@
-"""Command-line surface: gen-data, train, sample, eval, verify.
+"""Command-line surface: gen-data, train, sample, eval.
 
 Every command that writes artifacts also writes ``<out>.manifest.json``
 recording the resolved configuration, seeds, input/output checksums,
@@ -9,10 +9,10 @@ thread variables, a SHA-256 of the package sources); re-running with the
 same flags reproduces the artifact checksums exactly (the manifest's
 timing fields aside).
 
-Exit codes: 0 success; 1 verify found failing properties; 2 configuration
-error; 3 non-finite training loss; 4 model/data mismatch while sampling
-(including an invalid model file); 5 empty evaluation input; 6 non-finite
-predictor output while sampling.
+Exit codes: 0 success; 2 configuration error; 3 non-finite training loss;
+4 model/data mismatch while sampling (including an invalid model file); 5
+empty evaluation input; 6 non-finite predictor output while sampling.  Exit
+1 is unused.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from . import geometry as geo
 from . import metrics as mx
 from . import model as mdl
 from . import sampler as smp
-from . import selfcheck
 from .errors import (
     ArflowError,
     EmptyInput,
@@ -45,7 +44,6 @@ from .errors import (
 )
 
 EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NONFINITE = 3
 EXIT_SCHEMA = 4
@@ -226,6 +224,12 @@ def cmd_sample(args) -> int:
     if frames > params.config.max_frames:
         raise SchemaError(f"data has {frames} frames, model max_frames is "
                           f"{params.config.max_frames}")
+    if args.cond == "label":
+        vocab = params.config.cond_vocab
+        outside = sorted({s.label for s in subset} - set(range(vocab)))
+        if outside:
+            raise SchemaError(f"labels {outside} outside the model's condition "
+                              f"vocabulary of {vocab}")
 
     cfg = smp.SamplerConfig(steps=args.steps, sigma_min=params.config.sigma_min,
                             mode=args.mode, guidance=args.guidance,
@@ -277,7 +281,15 @@ def cmd_eval(args) -> int:
     unknown = set(wanted) - {"iv", "if", "fid", "div", "multimod"}
     if unknown:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
+    # the options are checked whichever metrics are asked for
     geo.check_voxel_size(args.voxel)  # every report records it
+    for what, flag, value, least in (
+            ("subset size", "--sd", args.sd, 1), ("subset size", "--sl", args.sl, 1),
+            ("projection dimension", "--proj-dim", args.proj_dim, 1),
+            ("metric seed", "--metric-seed", args.metric_seed, 0),
+            ("feature seed", "--feature-seed", args.feature_seed, 0)):
+        if value < least:
+            raise InvalidConfig(f"{what} must be >= {least}, got {value} ({flag})")
 
     report = mx.MetricReport(n_total=len(samples))
     pairs = [(s.actor, s.reactor) for s in samples]
@@ -327,27 +339,6 @@ def cmd_eval(args) -> int:
                         [args.inputs] + ([args.ref] if args.ref else []),
                         [args.out], phases)
     print(text, end="")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-def cmd_verify(args) -> int:
-    results = selfcheck.run_all(seed=args.seed)
-    width = max(len(r.name) for r in results)
-    failed = []
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.detail}")
-        if not r.ok:
-            failed.append(r.name)
-    if failed:
-        print(f"{len(failed)} of {len(results)} properties failed: "
-              f"{', '.join(failed)}")
-        return EXIT_VERIFY_FAILED
-    print(f"all {len(results)} properties passed")
     return EXIT_OK
 
 
@@ -430,10 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-replacement", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("verify", help="run the algebraic/gradient oracle suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -304,13 +304,6 @@ def _capsule_distance(p, a, d, dd):
     return (ox, oy, oz), np.sqrt((ox * ox + oy * oy) + oz * oz)
 
 
-def _capsule_sdfs(points: np.ndarray, body: CapsuleSet) -> np.ndarray:
-    """Signed distances of (N, 3) points to every capsule of the body: (N, C)."""
-    a, d, dd = _segments(body.seg_a, body.seg_b)
-    _, dist = _capsule_distance(points.T[..., None], a[:, None], d[:, None], dd)
-    return dist - body.radius
-
-
 def _tie_direction(d: np.ndarray) -> np.ndarray:
     # Deterministic fallback for a point on a capsule axis ``d``: +x
     # projected perpendicular to the axis (then +y when the axis is along x).

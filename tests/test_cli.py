@@ -16,7 +16,6 @@ from arflow import geometry as geo
 from arflow import metrics as mx
 from arflow import model as mdl
 from arflow import sampler as smp
-from arflow import selfcheck
 
 
 def sha(path):
@@ -118,9 +117,7 @@ def test_gen_data_record_count_and_checksum(tmp_path):
      "--out", "{out}"],
     ["eval", "--inputs", "{data}", "--metrics", "div", "--sd", "5", "--features", "proj",
      "--feature-seed", "-1", "--out", "{out}"],
-    ["verify", "--seed", "-1"],
-], ids=["gen-data", "train", "sample", "sample-beta", "eval-metric", "eval-feature",
-        "verify"])
+], ids=["gen-data", "train", "sample", "sample-beta", "eval-metric", "eval-feature"])
 def test_negative_seed_exits_2(argv, small_data, small_model, tmp_path, capsys):
     out = tmp_path / "out"
     paths = {"data": small_data, "model": small_model, "out": out}
@@ -151,7 +148,8 @@ def test_unknown_flag_is_an_error(capsys, tmp_path):
 
 def test_readme_command_line_flags_are_parser_options():
     # every flag the README's "Command line" section names is an option of
-    # some subcommand, so a removed flag cannot stay in the docs
+    # some subcommand, and its command block names every subcommand once, so
+    # a removed flag or command cannot stay in the docs
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
@@ -161,6 +159,15 @@ def test_readme_command_line_flags_are_parser_options():
                for opt in a.option_strings}
     assert {"--no-causal", "--voxel"} <= flags
     assert sorted(flags - options) == []
+    assert sorted(re.findall(r"^arflow ([\w-]+)", section, re.M)) == sorted(sub.choices)
+
+
+def test_verify_is_rejected_by_the_parser(capsys):
+    # the algebra, reduction, gradient and causality checks live in tests/
+    with pytest.raises(SystemExit) as exc:
+        run("verify")
+    assert exc.value.code == 2
+    assert "verify" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +378,28 @@ def test_sample_too_many_frames_exits_4(small_model, tmp_path):
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(small_model), "--data", str(long_data),
                "--out", str(out), "--split", "all") == 4
+    assert not out.exists()
+
+
+def test_sample_label_outside_vocabulary_exits_4(small_data, tmp_path, monkeypatch,
+                                                 capsys):
+    # an unconditioned model has a vocabulary of 0; the labels are checked
+    # with the other model/data checks, before any sampling
+    model = tmp_path / "m.json"
+    assert run("train", "--data", str(small_data), "--out", str(model), "--steps", "2",
+               "--batch", "4", "--width", "16", "--layers", "1", "--unconditioned") == 0
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out), "--limit", "2") == 0
+    out.unlink()
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the label check")
+
+    monkeypatch.setattr(smp, "sample", no_sampling)
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out), "--cond", "label") == 4
+    assert "vocabulary of 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -590,6 +619,23 @@ def test_eval_subset_size_below_one_exits_2(metric, flag, small_data, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--metrics", "iv", "--sd", "0"],
+    ["--metrics", "iv", "--sl", "0"],
+    ["--metrics", "iv", "--metric-seed", "-1"],
+    ["--metrics", "div", "--sd", "5", "--feature-seed", "-1"],
+    ["--metrics", "div", "--sd", "5", "--proj-dim", "0"],
+], ids=["iv-sd", "iv-sl", "iv-metric-seed", "div-feature-seed", "div-proj-dim"])
+def test_eval_options_are_checked_whatever_the_metrics(argv, small_data, tmp_path,
+                                                       capsys):
+    # like --voxel, an option the asked-for metrics do not read still exits 2
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(small_data), *argv, "--out", str(out)) == 2
+    assert f"({argv[-2]})" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "report.txt.manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["--features", "latent"], ["--feature-model", "m.json"]],
                          ids=["features-latent", "feature-model"])
 def test_eval_latent_features_are_rejected_by_the_parser(argv, small_data, capsys):
@@ -749,29 +795,3 @@ def test_manifests_record_phase_seconds(small_model, small_data, tmp_path):
     # one block per process, the same in every manifest
     assert all(env == environments[0] for env in environments)
     assert cli._environment.cache_info().misses == 1
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-def test_verify_passes_on_fresh_checkout(capsys):
-    import time
-    started = time.time()
-    assert run("verify") == 0
-    assert time.time() - started < 60.0
-    out = capsys.readouterr().out
-    assert "all 15 properties passed" in out
-
-
-def test_verify_catches_corrupted_duality(monkeypatch, capsys):
-    # mutation harness: break x1_from_v and confirm the suite names the
-    # duality property
-    real = fp.x1_from_v
-    monkeypatch.setattr(fp, "x1_from_v",
-                        lambda v, x_t, t, s: real(v, x_t, t, s) + 1e-6)
-    results = selfcheck.run_all(seed=0)
-    by_name = {r.name: r.ok for r in results}
-    assert by_name["x1-v-duality"] is False
-    assert run("verify") == 1
-    assert "x1-v-duality" in capsys.readouterr().out

@@ -22,7 +22,7 @@ def test_interpolate_endpoints():
     rng = np.random.default_rng(0)
     x0, x1 = rand_pair(rng)
     assert np.array_equal(fp.interpolate(x0, x1, 0.0, 0.1), x0)
-    assert np.allclose(fp.interpolate(x0, x1, 1.0, 0.0), x1, atol=1e-15)
+    assert np.allclose(fp.interpolate(x0, x1, 1.0, 0.0), x1, rtol=0, atol=1e-15)
 
 
 def test_interpolate_scalar_hand_value():
@@ -34,7 +34,7 @@ def test_interpolate_at_one_keeps_sigma_coupling():
     rng = np.random.default_rng(1)
     x0, x1 = rand_pair(rng)
     s = 0.07
-    assert np.allclose(fp.interpolate(x0, x1, 1.0, s), x1 + s * x0, atol=1e-15)
+    assert np.allclose(fp.interpolate(x0, x1, 1.0, s), x1 + s * x0, rtol=0, atol=1e-15)
 
 
 def test_target_velocity():
@@ -62,7 +62,7 @@ def test_v_from_x1_recovers_path_velocity():
             x0, x1 = rand_pair(rng)
             x_t = fp.interpolate(x0, x1, t, s)
             v = fp.v_from_x1(x1, x_t, t, s)
-            assert np.allclose(v, fp.target_velocity(x0, x1, s), atol=1e-12)
+            assert np.allclose(v, fp.target_velocity(x0, x1, s), rtol=0, atol=1e-12)
 
 
 def test_v_from_x1_hand_value_and_t0():
@@ -83,7 +83,7 @@ def test_x1_from_v_round_trip():
     for t in (0.0, 0.3, 0.75):
         y, xt = rand_pair(rng)
         v = fp.v_from_x1(y, xt, t, 0.05)
-        assert np.allclose(fp.x1_from_v(v, xt, t, 0.05), y, atol=1e-12)
+        assert np.allclose(fp.x1_from_v(v, xt, t, 0.05), y, rtol=0, atol=1e-12)
 
 
 def test_x1_from_v_hand_values():
@@ -108,7 +108,7 @@ def test_x0_hat_recovers_path_start():
     rng = np.random.default_rng(7)
     x0, x1 = rand_pair(rng)
     x_t = fp.interpolate(x0, x1, 0.3, 1e-4)
-    assert np.allclose(fp.x0_hat(x1, x_t, 0.3, 1e-4), x0, atol=1e-12)
+    assert np.allclose(fp.x0_hat(x1, x_t, 0.3, 1e-4), x0, rtol=0, atol=1e-12)
 
 
 def test_x0_hat_t0_and_hand_value():

@@ -13,6 +13,7 @@ from arflow.errors import (
 
 from voxel_oracle import (
     GridMismatch,
+    capsule_sdfs,
     full_grid_intersection_volume,
     intersection_volume_frame,
     shared_bounds,
@@ -155,7 +156,7 @@ def test_encode_decode_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(25):
         m = random_rotation(rng)
-        assert np.allclose(geo.rot6d_decode(geo.rot6d_encode(m)), m, atol=1e-9)
+        assert np.allclose(geo.rot6d_decode(geo.rot6d_encode(m)), m, rtol=0, atol=1e-9)
 
 
 def test_encode_rejects_non_rotation():
@@ -194,7 +195,7 @@ def test_fk_translation_equivariance():
     skel = chain_skeleton(4)
     base = fk_row(skel, pose_row(skel))
     moved = fk_row(skel, pose_row(skel, trans=(5.0, 0.0, 0.0)))
-    assert np.allclose(moved, base + np.array([5.0, 0.0, 0.0]), atol=1e-12)
+    assert np.allclose(moved, base + np.array([5.0, 0.0, 0.0]), rtol=0, atol=1e-12)
 
 
 def test_fk_root_rotation_turns_bone():
@@ -211,7 +212,7 @@ def test_fk_rotation_equivariance():
     base = fk_row(skel, pose_row(skel, joint_rots, trans=trans))
     r = random_rotation(rng)
     rotated = fk_row(skel, pose_row(skel, joint_rots, root_rot=r, trans=r @ trans))
-    assert np.allclose(rotated, base @ r.T, atol=1e-10)
+    assert np.allclose(rotated, base @ r.T, rtol=0, atol=1e-10)
 
 
 def test_motion_fk_matches_per_frame():
@@ -296,7 +297,7 @@ def test_sdf_gradient_matches_finite_differences():
     checked = 0
     for _ in range(100):
         p = rng.normal(scale=1.5, size=3)
-        sdfs = geo._capsule_sdfs(p.reshape(1, 3), body)[0]
+        sdfs = capsule_sdfs(p.reshape(1, 3), body)[0]
         order = np.sort(sdfs)
         if len(order) > 1 and order[1] - order[0] < 1e-3:
             continue  # too close to a capsule-switch kink for FD
@@ -387,8 +388,8 @@ def test_sdf_is_lipschitz():
         rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), np.full(4, 0.2))
     p = rng.normal(scale=2.0, size=(200, 3))
     q = rng.normal(scale=2.0, size=(200, 3))
-    sp = geo._capsule_sdfs(p, body).min(axis=1)
-    sq = geo._capsule_sdfs(q, body).min(axis=1)
+    sp = capsule_sdfs(p, body).min(axis=1)
+    sq = capsule_sdfs(q, body).min(axis=1)
     assert np.all(np.abs(sp - sq) <= np.linalg.norm(p - q, axis=1) + 1e-12)
 
 
@@ -497,8 +498,8 @@ def test_intersection_offset_capsules_vs_monte_carlo():
     lo = np.array([-r, 0.0, -r])
     hi = np.array([0.4 + r, r + r, r])
     pts = rng.uniform(lo, hi, size=(10 ** 6, 3))
-    inside = ((geo._capsule_sdfs(pts, a).min(axis=1) < 0)
-              & (geo._capsule_sdfs(pts, b).min(axis=1) < 0))
+    inside = ((capsule_sdfs(pts, a).min(axis=1) < 0)
+              & (capsule_sdfs(pts, b).min(axis=1) < 0))
     mc = inside.mean() * np.prod(hi - lo)
     assert vol > 0
     assert abs(vol - mc) / mc < 0.05
@@ -612,7 +613,7 @@ def test_sdf_distances_equal_the_sweeps_bit_for_bit():
             single, _ = geo.sdf_and_gradient(grid, frames.frame(f))
             assert np.array_equal(single, (on_grid - radius[c]).ravel())
             assert np.array_equal(per_frame[f], on_points - radius[c])
-            assert np.array_equal(geo._capsule_sdfs(grid, frames.frame(f))[:, 0], single)
+            assert np.array_equal(capsule_sdfs(grid, frames.frame(f))[:, 0], single)
 
 
 @st.composite

@@ -40,6 +40,14 @@ class VoxelGrid:
         return self.occupied_count * self.voxel_size ** 3
 
 
+def capsule_sdfs(points: np.ndarray, body: geo.CapsuleSet) -> np.ndarray:
+    """Signed distances of (N, 3) points to every capsule of the body: (N, C),
+    from the package's capsule-distance kernel."""
+    a, d, dd = geo._segments(body.seg_a, body.seg_b)
+    _, dist = geo._capsule_distance(points.T[..., None], a[:, None], d[:, None], dd)
+    return dist - body.radius
+
+
 def _occupancy(body: geo.CapsuleSet, origin: np.ndarray, voxel_size: float,
                index_ranges: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Center-in-solid occupancy over a grid-aligned index window."""
@@ -50,7 +58,7 @@ def _occupancy(body: geo.CapsuleSet, origin: np.ndarray, voxel_size: float,
     occ = np.empty(points.shape[0], dtype=bool)
     for start in range(0, points.shape[0], geo._CHUNK):
         chunk = points[start:start + geo._CHUNK]
-        occ[start:start + geo._CHUNK] = geo._capsule_sdfs(chunk, body).min(axis=1) < 0.0
+        occ[start:start + geo._CHUNK] = capsule_sdfs(chunk, body).min(axis=1) < 0.0
     return occ.reshape(shape)
 
 

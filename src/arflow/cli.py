@@ -180,8 +180,7 @@ def cmd_train(args) -> int:
                                sigma_min=args.sigma_min)
     tcfg = mdl.TrainConfig(steps=args.steps, batch_size=args.batch,
                            learning_rate=args.lr, lambda_inter=args.lambda_inter,
-                           t_grid=args.t_grid, cond_dropout_prob=args.cond_dropout,
-                           seed=args.seed)
+                           cond_dropout_prob=args.cond_dropout, seed=args.seed)
     params, history = mdl.train(dataset, skel, pcfg, tcfg,
                                 log_every=args.log_every, phase_end=phases.end)
     phases.end("steps")
@@ -232,9 +231,8 @@ def cmd_sample(args) -> int:
                               f"vocabulary of {vocab}")
 
     cfg = smp.SamplerConfig(steps=args.steps, sigma_min=params.config.sigma_min,
-                            mode=args.mode, guidance=args.guidance,
-                            lambda_pene=args.lambda_pene, zeta=args.zeta,
-                            w=args.w, beta=args.beta, seed=args.seed)
+                            guidance=args.guidance, lambda_pene=args.lambda_pene,
+                            zeta=args.zeta, w=args.w, beta=args.beta, seed=args.seed)
     predictor = mdl.as_x1_predictor(params)
 
     # one batched sample call per chunk of equal-length actors; a sample's
@@ -352,9 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="action-reaction flow matching: data, training, guided "
                     "sampling, and penetration metrics")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a removed flag must not read as a longer one
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     gdef = dt.ScenarioConfig
-    p = sub.add_parser("gen-data", help="generate a synthetic paired dataset")
+    p = add("gen-data", help="generate a synthetic paired dataset")
     p.add_argument("--pairs", type=int, default=dt.DEFAULT_PAIRS)
     p.add_argument("--frames", type=int, default=dt.DEFAULT_FRAMES)
     p.add_argument("--joints", type=int, default=dt.DEFAULT_JOINTS)
@@ -368,15 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     tdef, pdef = mdl.TrainConfig(), mdl.PredictorConfig
-    p = sub.add_parser("train", help="train the reaction predictor")
+    p = add("train", help="train the reaction predictor")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--steps", type=int, default=tdef.steps)
+    p.add_argument("--batch", type=int, default=tdef.batch_size)
     p.add_argument("--lr", type=float, default=tdef.learning_rate)
     p.add_argument("--lambda-inter", type=float, default=tdef.lambda_inter)
     p.add_argument("--sigma-min", type=float, default=pdef.sigma_min)
-    p.add_argument("--t-grid", type=int, default=tdef.t_grid)
     p.add_argument("--cond-dropout", type=float, default=tdef.cond_dropout_prob)
     p.add_argument("--layers", type=int, default=pdef.layers)
     p.add_argument("--width", type=int, default=pdef.width)
@@ -390,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     sdef = smp.SamplerConfig()
-    p = sub.add_parser("sample", help="sample reactions for a dataset's actors")
+    p = add("sample", help="sample reactions for a dataset's actors")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -402,12 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=sdef.zeta)
     p.add_argument("--w", type=float, default=sdef.w)
     p.add_argument("--beta", type=float, default=sdef.beta)
-    p.add_argument("--mode", choices=("x1", "v"), default=sdef.mode)
     p.add_argument("--cond", choices=("none", "label"), default="none")
     p.add_argument("--seed", type=int, default=sdef.seed)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("eval", help="evaluate a motion file")
+    p = add("eval", help="evaluate a motion file")
     p.add_argument("--inputs", required=True)
     p.add_argument("--metrics", default="iv,if")
     p.add_argument("--voxel", type=float, default=geo.DEFAULT_VOXEL_SIZE)

@@ -480,15 +480,27 @@ def atomic_open(path: str):
 
 
 def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton) -> None:
-    """Write samples as one JSON record per line (atomic, diffable)."""
-    for s in samples:
-        if isinstance(s.fps, bool) or not 0.0 < s.fps < np.inf:  # as load_samples
-            raise InvalidConfig(f"fps must be positive and finite, got {s.fps}")
+    """Write samples as one JSON record per line (atomic, diffable); a sample
+    that :func:`load_samples` would refuse raises ``InvalidConfig`` first."""
+    for n, s in enumerate(samples):
+        if isinstance(s.fps, bool) or not 0.0 < s.fps <= sys.float_info.max:
+            raise InvalidConfig(f"sample {n}: fps must be positive and finite, got {s.fps}")
+        if type(s.label) is not int or any(type(v) is not int for v in s.seed_used):
+            raise InvalidConfig(f"sample {n}: label {s.label!r} and seed {s.seed_used!r} "
+                                "must be ints")
+        shape = np.shape(s.actor)[:1] + (skel.motion_dim,)
+        for who, motion in (("actor", s.actor), ("reactor", s.reactor)):
+            motion = np.asarray(motion)
+            if motion.dtype.kind not in "iuf" or motion.shape != shape or not motion.size:
+                raise InvalidConfig(f"sample {n}: {who} of shape {motion.shape} and "
+                                    f"dtype {motion.dtype}, expected {shape} numbers")
+            if not np.isfinite(motion).all():
+                raise InvalidConfig(f"sample {n}: {who} holds non-finite values")
     with atomic_open(path) as fh:
         for s in samples:
             rec = {
                 "version": FILE_VERSION,
-                "label": int(s.label),
+                "label": s.label,
                 "seed": list(s.seed_used),
                 "actor": _person_record(skel, s.actor, s.fps),
                 "reactor": _person_record(skel, s.reactor, s.fps),

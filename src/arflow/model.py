@@ -39,6 +39,7 @@ PARAMS_VERSION = 2
 _LN_EPS = 1e-5
 _MASK_VALUE = -1e9
 _T_SCALE = 1000.0
+_T_GRID = 1000
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,10 @@ class PredictorParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 1000
-    batch_size: int = 32
+    steps: int = 10000
+    batch_size: int = 16
     learning_rate: float = 1e-3
     lambda_inter: float = 1.0
-    t_grid: int = 1000
     cond_dropout_prob: float = 0.1
     seed: int = 0
 
@@ -102,8 +102,6 @@ class TrainConfig:
             raise InvalidConfig("steps and batch_size must be >= 1")
         if not 0.0 <= self.cond_dropout_prob <= 1.0:
             raise InvalidConfig("cond_dropout_prob must be in [0, 1]")
-        if self.t_grid < 1:
-            raise InvalidConfig("t_grid must be >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.lambda_inter < np.inf:
@@ -360,7 +358,7 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
 
     ``conds`` is the batch's length-B sequence of condition ids (None
     entries take the null token).  ``ts`` gives the per-sample flow times;
-    otherwise they are drawn from ``rng`` on the uniform t_grid.  With
+    otherwise they are drawn from ``rng`` on the grid ``k / 1000``.  With
     ``rng`` each condition is then dropped to the null token with
     probability ``cond_dropout_prob`` (classifier-free dropout), one draw
     per non-None condition in batch order; without it the conditions are
@@ -372,7 +370,7 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
     if ts is None:
         if rng is None:
             raise InvalidConfig("either ts or rng must be given")
-        ts = rng.integers(0, cfg.t_grid, size=len(x0)) / cfg.t_grid
+        ts = rng.integers(0, _T_GRID, size=len(x0)) / _T_GRID
     if rng is not None and cfg.cond_dropout_prob > 0.0:
         conds = [None if c is None or rng.random() < cfg.cond_dropout_prob else c
                  for c in conds]

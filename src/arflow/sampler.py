@@ -7,8 +7,7 @@ sequence of condition ids or None (see :func:`arflow.model.as_x1_predictor`).
 is pure given its inputs and seed.
 
 Every step recovers the path start from the endpoint estimate and
-re-interpolates it at the next time (the Euler step of the path), or, with
-``mode="v"`` (guidance none or vanilla, beta = 0), integrates the velocity.
+re-interpolates it at the next time (the Euler step of the path).
 Guidance takes the penetration gradient at the endpoint estimate, never
 through the network: vanilla subtracts it from the new state; improved
 corrects the endpoint and blends the recovered start with the true action
@@ -38,7 +37,6 @@ GUIDANCE_MODES = ("none", "vanilla", "improved")
 class SamplerConfig:
     steps: int = 5
     sigma_min: float = fp.SIGMA_MIN_DEFAULT
-    mode: str = "x1"            # "x1" reprojection | "v" velocity (none/vanilla, beta 0)
     guidance: str = "none"      # "none" | "vanilla" | "improved"
     lambda_pene: float = 2.0
     zeta: float = 0.5
@@ -49,8 +47,6 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 2:
             raise InvalidConfig("steps must be >= 2 (grid endpoints 0 and 1)")
-        if self.mode not in ("x1", "v"):
-            raise InvalidConfig("mode must be 'x1' or 'v'")
         if self.guidance not in GUIDANCE_MODES:
             raise InvalidConfig(f"guidance must be one of {GUIDANCE_MODES}")
         if not 0.0 <= self.sigma_min < 1.0:
@@ -61,8 +57,6 @@ class SamplerConfig:
             raise InvalidConfig("w and beta must lie in [0, 1]")
         if self.guidance == "vanilla" and self.beta > 0.0:
             raise InvalidConfig("stochastic sampling composes with improved or none")
-        if self.mode == "v" and (self.guidance == "improved" or self.beta > 0.0):
-            raise InvalidConfig("mode 'v' serves guidance none or vanilla at beta = 0")
         if self.seed < 0:  # checked at any beta, though only beta > 0 draws from it
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
@@ -134,8 +128,8 @@ def penetration_loss(reaction: np.ndarray, ctx: GuidanceContext,
     Fully separated bodies saturate every term at -zeta; each penetrating
     joint adds its (positive) penetration depth.  A batch sums over samples.
     """
-    if zeta <= 0.0:
-        raise InvalidConfig("zeta must be positive")
+    if not 0.0 < zeta < np.inf:
+        raise InvalidConfig(f"zeta must be positive and finite, got {zeta}")
     reaction = _check_reaction(ctx, reaction)
     sdf, _, _, _ = _joint_sdfs(ctx, reaction, for_grad=False)
     return float(-np.minimum(sdf, zeta).sum())
@@ -149,8 +143,8 @@ def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
     decode in one backward over all frames; saturated joints (SDF >= zeta)
     contribute nothing.
     """
-    if zeta <= 0.0:
-        raise InvalidConfig("zeta must be positive")
+    if not 0.0 < zeta < np.inf:
+        raise InvalidConfig(f"zeta must be positive and finite, got {zeta}")
     reaction = _check_reaction(ctx, reaction)
     sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, for_grad=True)
     seed = np.where((sdf < zeta)[..., None], -sdf_grad, 0.0)
@@ -170,29 +164,25 @@ def _step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
     ``w``) and re-interpolate at ``tn1``: uncorrected, the Euler step.
     With ``rngs`` (beta > 0, one generator per sample) each frame of the
     projection direction is mixed with a random direction norm-matched to
-    it over D, so no frame's step depends on another frame.  ``mode="v"``
-    integrates the velocity instead.  ``vanilla`` subtracts the scaled
-    gradient from the new state.
+    it over D, so no frame's step depends on another frame.  ``vanilla``
+    subtracts the scaled gradient from the new state.
     """
-    if cfg.mode == "v":
-        x_next = x + (tn1 - tn) * fp.v_from_x1(x1_hat, x, tn, cfg.sigma_min)
+    x0_rec = fp.x0_hat(x1_hat, x, tn, cfg.sigma_min)
+    if cfg.guidance == "improved":
+        if grad is not None:
+            x1_hat = x1_hat - cfg.lambda_pene * grad
+        x0_rec = cfg.w * x0_rec + (1.0 - cfg.w) * x0
+    if rngs is None:
+        x_next = fp.interpolate(x0_rec, x1_hat, tn1, cfg.sigma_min)
     else:
-        x0_rec = fp.x0_hat(x1_hat, x, tn, cfg.sigma_min)
-        if cfg.guidance == "improved":
-            if grad is not None:
-                x1_hat = x1_hat - cfg.lambda_pene * grad
-            x0_rec = cfg.w * x0_rec + (1.0 - cfg.w) * x0
-        if rngs is None:
-            x_next = fp.interpolate(x0_rec, x1_hat, tn1, cfg.sigma_min)
-        else:
-            d_base = x0_rec - x1_hat
-            d_rand = np.stack([gen.standard_normal(size=base.shape)
-                               for gen, base in zip(rngs, d_base)])
-            rand_norm = np.linalg.norm(d_rand, axis=-1, keepdims=True)
-            d_rand *= np.divide(np.linalg.norm(d_base, axis=-1, keepdims=True), rand_norm,
-                                out=np.ones_like(rand_norm), where=rand_norm > 0.0)
-            d_mix = d_base + cfg.beta * (d_rand - d_base)
-            x_next = x1_hat + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_rec
+        d_base = x0_rec - x1_hat
+        d_rand = np.stack([gen.standard_normal(size=base.shape)
+                           for gen, base in zip(rngs, d_base)])
+        rand_norm = np.linalg.norm(d_rand, axis=-1, keepdims=True)
+        d_rand *= np.divide(np.linalg.norm(d_base, axis=-1, keepdims=True), rand_norm,
+                            out=np.ones_like(rand_norm), where=rand_norm > 0.0)
+        d_mix = d_base + cfg.beta * (d_rand - d_base)
+        x_next = x1_hat + (1.0 - tn1) * d_mix + cfg.sigma_min * tn1 * x0_rec
     if cfg.guidance == "vanilla" and grad is not None:
         x_next = x_next - cfg.lambda_pene * grad
     return x_next
@@ -208,10 +198,10 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
     needs ``ctx`` built from the same (B, H, D) actors.
 
     Each step calls the predictor once and moves the state with
-    :func:`_step`, the one step of every guidance mode (``mode="v"``
-    serves none and vanilla at beta = 0).  Each sample's random stream is
-    derived from (cfg.seed, its sample_index), so a sample's output does
-    not depend on the batch it runs in; it is only consulted when beta > 0.
+    :func:`_step`, the one step of every guidance mode.  Each sample's
+    random stream is derived from (cfg.seed, its sample_index), so a
+    sample's output does not depend on the batch it runs in; it is only
+    consulted when beta > 0.
     Raises ``NonFiniteSample`` when the predictor returns NaN or Inf.
     """
     if cfg.guided and ctx is None:

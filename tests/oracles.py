@@ -8,11 +8,14 @@ the actor terms cancel; the oracle is the reference that shows they do.
 scenario is built to show.  ``linear``, ``layer_norm``, ``attention`` and
 ``gelu`` are the predictor's blocks written as the chains of elementary ops
 (q/k/v slices, transposes, a separate softmax) that the fused tape nodes
-must reproduce bit for bit.
+must reproduce bit for bit.  ``velocity_walk`` is unguided sampling in
+the velocity form of traditional flow matching, which the sampler's
+reprojection step equals.
 """
 
 import numpy as np
 
+from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow.data import _SHOULDER, _pose_joints
 
@@ -70,6 +73,17 @@ def response_property(sample, skel):
     a = shoulder_angle(sample.actor)
     r = shoulder_angle(sample.reactor)
     return float(np.corrcoef(a, r)[0, 1]) > 0.95
+
+
+def velocity_walk(predictor, x0, steps, sigma_min):
+    """Walk the uniform grid of ``steps`` times from the (B, H, D) actions
+    ``x0`` by ``x <- x + (t_{n+1} - t_n) * v``, the velocity recovered from
+    the predictor's endpoint estimate."""
+    x = np.array(x0, dtype=np.float64)
+    grid = np.linspace(0.0, 1.0, steps)
+    for tn, tn1 in zip(grid[:-1].tolist(), grid[1:].tolist()):
+        x = x + (tn1 - tn) * fp.v_from_x1(predictor(x, tn, None), x, tn, sigma_min)
+    return x
 
 
 def linear(x, w, b):

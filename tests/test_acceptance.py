@@ -21,6 +21,7 @@ from arflow import metrics as mx
 from arflow import model as mdl
 from arflow import sampler as smp
 
+from oracles import velocity_walk
 from test_geometry import pose_row
 from voxel_oracle import shared_bounds, voxelize
 
@@ -62,10 +63,8 @@ def test_criterion_01_algebraic_equivalence():
         a = rng.normal(scale=0.3, size=x0.shape)
         predictor = lambda x, t, c: np.tanh(x + a) * (1.0 + 0.5 * t)
         s = float(rng.uniform(0.0, 0.1))
-        xa = smp.sample(predictor, x0[None],
-                        smp.SamplerConfig(steps=5, sigma_min=s, mode="x1"))
-        xb = smp.sample(predictor, x0[None],
-                        smp.SamplerConfig(steps=5, sigma_min=s, mode="v"))
+        xa = smp.sample(predictor, x0[None], smp.SamplerConfig(steps=5, sigma_min=s))
+        xb = velocity_walk(predictor, x0[None], 5, s)
         worst_mode = max(worst_mode, np.max(np.abs(xa - xb)))
     ok = worst_step < 1e-10 and worst_round < 1e-10 and worst_mode < 1e-10
     report(1, "algebraic-equivalence", ok,

@@ -59,10 +59,11 @@ _REQUIRED = {"gen-data": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
 @pytest.mark.parametrize("command, dest, expected", [
     ("gen-data", "noise", _field_default(dt.ScenarioConfig, "noise")),
     ("gen-data", "contact_fraction", _field_default(dt.ScenarioConfig, "contact_fraction")),
+    ("train", "steps", _field_default(mdl.TrainConfig, "steps")),
+    ("train", "batch", _field_default(mdl.TrainConfig, "batch_size")),
     ("train", "lr", _field_default(mdl.TrainConfig, "learning_rate")),
     ("train", "lambda_inter", _field_default(mdl.TrainConfig, "lambda_inter")),
     ("train", "sigma_min", _field_default(mdl.PredictorConfig, "sigma_min")),
-    ("train", "t_grid", _field_default(mdl.TrainConfig, "t_grid")),
     ("train", "cond_dropout", _field_default(mdl.TrainConfig, "cond_dropout_prob")),
     ("train", "seed", _field_default(mdl.TrainConfig, "seed")),
     ("train", "layers", _field_default(mdl.PredictorConfig, "layers")),
@@ -76,7 +77,6 @@ _REQUIRED = {"gen-data": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
     ("sample", "zeta", _field_default(smp.SamplerConfig, "zeta")),
     ("sample", "w", _field_default(smp.SamplerConfig, "w")),
     ("sample", "beta", _field_default(smp.SamplerConfig, "beta")),
-    ("sample", "mode", _field_default(smp.SamplerConfig, "mode")),
     ("sample", "seed", _field_default(smp.SamplerConfig, "seed")),
     ("eval", "proj_dim", _field_default(mx.FeatureExtractor, "out_dim")),
     ("eval", "feature_seed", _field_default(mx.FeatureExtractor, "seed")),
@@ -147,9 +147,9 @@ def test_unknown_flag_is_an_error(capsys, tmp_path):
 
 
 def test_readme_command_line_flags_are_parser_options():
-    # every flag the README's "Command line" section names is an option of
-    # some subcommand, and its command block names every subcommand once, so
-    # a removed flag or command cannot stay in the docs
+    # the README's "Command line" section names exactly the options of the
+    # subcommands, and its command block names every subcommand once, so a
+    # removed flag or command cannot stay in the docs, nor a new one be left out
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
@@ -159,6 +159,7 @@ def test_readme_command_line_flags_are_parser_options():
                for opt in a.option_strings}
     assert {"--no-causal", "--voxel"} <= flags
     assert sorted(flags - options) == []
+    assert sorted(options - flags - {"-h", "--help"}) == []
     assert sorted(re.findall(r"^arflow ([\w-]+)", section, re.M)) == sorted(sub.choices)
 
 
@@ -168,6 +169,20 @@ def test_verify_is_rejected_by_the_parser(capsys):
         run("verify")
     assert exc.value.code == 2
     assert "verify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sample", "--model", "m", "--mode", "v"],
+                                  ["train", "--t-grid", "10"]],
+                         ids=["sample-mode", "train-t-grid"])
+def test_removed_options_are_rejected_by_the_parser(argv, tmp_path, capsys):
+    # sampling has one step form (the velocity form is the test oracle
+    # tests/oracles.py:velocity_walk), and training one grid of flow times
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--data", str(tmp_path / "d.jsonl"), "--out", str(out))
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +426,7 @@ def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
 
 @pytest.mark.parametrize("flags", [["--lambda-pene", "inf"], ["--zeta", "nan"],
                                    ["--w", "1.5"], ["--beta=-0.5"],
-                                   ["--mode", "v"]])
+                                   ["--zeta", "0"]])
 def test_sample_bad_sampler_value_exits_2(flags, small_model, small_data, tmp_path):
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(small_model), "--data", str(small_data),
@@ -423,7 +438,7 @@ def test_sample_flag_defaults_are_the_sampler_config_defaults():
     args = cli.build_parser().parse_args(
         ["sample", "--model", "m", "--data", "d", "--out", "o"])
     defaults = smp.SamplerConfig()
-    for field in ("steps", "lambda_pene", "zeta", "w", "beta", "mode", "guidance", "seed"):
+    for field in ("steps", "lambda_pene", "zeta", "w", "beta", "guidance", "seed"):
         assert getattr(args, field) == getattr(defaults, field), field
     train = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o"])
     assert train.sigma_min == fp.SIGMA_MIN_DEFAULT == _field_default(mdl.PredictorConfig,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ def test_scenario_config_validation():
             dt.ScenarioConfig("push_retreat", noise=noise)
 
 
-@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -1.0, True])
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -1.0, True,
+                                 pytest.param(10 ** 400, id="huge-int")])
 def test_save_samples_rejects_bad_fps(fps, tmp_path):
     path = tmp_path / "s.jsonl"
     samples = dt.generate_mixed(2, frames=2)
@@ -33,6 +35,38 @@ def test_save_samples_rejects_bad_fps(fps, tmp_path):
     with pytest.raises(InvalidConfig, match="fps"):
         dt.save_samples(str(path), samples, dt.default_skeleton())
     assert not path.exists()
+
+
+def _poked(motion, value):
+    motion = motion.copy()
+    motion[3, 5] = value
+    return motion
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"reactor": lambda s: _poked(s.reactor, np.nan)}, id="reactor-nan"),
+    pytest.param({"reactor": lambda s: _poked(s.reactor, np.inf)}, id="reactor-inf"),
+    pytest.param({"reactor": lambda s: np.pad(s.reactor, ((0, 0), (0, 3)))},
+                 id="reactor-42-wide"),
+    pytest.param({"actor": lambda s: np.pad(s.actor, ((0, 0), (0, 3)))},
+                 id="actor-42-wide"),
+    pytest.param({"reactor": lambda s: s.reactor[:10]}, id="reactor-10-of-16-frames"),
+    pytest.param({"actor": lambda s: s.actor[:0], "reactor": lambda s: s.reactor[:0]},
+                 id="no-frames"),
+    pytest.param({"label": lambda s: 1.5}, id="label-float"),
+    pytest.param({"label": lambda s: True}, id="label-bool"),
+    pytest.param({"seed_used": lambda s: (42, 0, 1.0)}, id="seed-float"),
+])
+def test_save_samples_refuses_what_load_samples_refuses(edit, tmp_path):
+    # load_samples refuses each of these; an existing file stays as it was
+    path = tmp_path / "s.jsonl"
+    path.write_text("old\n")
+    samples = dt.generate_mixed(2, frames=16)
+    samples[1] = replace(samples[1], **{k: f(samples[1]) for k, f in edit.items()})
+    with pytest.raises(InvalidConfig, match="sample 1"):
+        dt.save_samples(str(path), samples, dt.default_skeleton())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
 
 
 @pytest.mark.parametrize("fps", ["30", True, None, 0, -1.0, 1e400, 10 ** 400],

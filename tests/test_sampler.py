@@ -11,6 +11,7 @@ from arflow.errors import (
     NonFiniteSample,
 )
 
+from oracles import velocity_walk
 from test_geometry import chain_skeleton, pose_row
 from test_flowpath import random_motion
 
@@ -145,6 +146,17 @@ def test_penetration_grad_translation_direction():
     assert np.allclose(grad[0, 0, -3:], -sdf_dir, atol=1e-12)
 
 
+@pytest.mark.parametrize("zeta", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("term", [smp.penetration_loss, smp.penetration_grad],
+                         ids=["loss", "grad"])
+def test_penetration_terms_reject_bad_zeta(term, zeta):
+    # refused as SamplerConfig refuses them, on a pair in contact
+    skel = chain_skeleton(2)
+    ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, 1)[None])
+    with pytest.raises(InvalidConfig, match="zeta"):
+        term(reactor_at(skel, 1, (0.05, 0.0, 0.1)), ctx, zeta)
+
+
 def test_penetration_frame_count_mismatch():
     skel = chain_skeleton(2)
     ctx = smp.GuidanceContext.from_actor(skel, still_actor(skel, 4)[None])
@@ -177,14 +189,13 @@ def test_oracle_predictor_sigma_coupling():
 
 
 def test_v_mode_equals_x1_mode():
+    # reprojection walks the same path as the velocity form
     rng = np.random.default_rng(6)
     x0 = rng.normal(size=(5, 9))[None]
     predictor = nonlinear_predictor(7, x0.shape)
     for s in (0.0, 1e-4, 0.05):
-        a = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
-                                                        mode="x1"))
-        b = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s,
-                                                        mode="v"))
+        a = smp.sample(predictor, x0, smp.SamplerConfig(steps=5, sigma_min=s))
+        b = velocity_walk(predictor, x0, 5, s)
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -391,10 +402,6 @@ def test_sampler_config_validation():
                dict(sigma_min=np.nan)):
         with pytest.raises(InvalidConfig):
             smp.SamplerConfig(guidance="improved", **kw)
-    # the velocity form has no endpoint to correct and no direction to mix
-    for kw in (dict(guidance="improved"), dict(guidance="none", beta=0.3)):
-        with pytest.raises(InvalidConfig, match="mode 'v'"):
-            smp.SamplerConfig(mode="v", **kw)
 
 
 @pytest.mark.parametrize("guidance,lam,guided", [("none", 2.0, False),
@@ -438,7 +445,6 @@ BATCH_CONFIGS = [
     dict(guidance="improved", lambda_pene=2.0, w=0.7),
     dict(guidance="improved", lambda_pene=2.0, w=0.7, beta=0.3),
     dict(guidance="none", beta=0.5),
-    dict(guidance="none", mode="v"),
 ]
 
 

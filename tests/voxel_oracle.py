@@ -5,8 +5,9 @@ capsule; two bodies on one shared grid give the intersection volume by
 counting both-occupied voxels.  :func:`window_intersection_volume` is the
 same count over the window around the two boxes' overlap, with every
 capsule tested on every center of the window.  The package computes the
-same count with fewer tests (``geometry.capsule_intersection_volume``);
-both must match it bit for bit.
+same count with fewer tests, for many frames at once
+(``geometry.intersection_volumes``; ``capsule_intersection_volume`` is its
+one-frame call); both must match it bit for bit.
 """
 
 from __future__ import annotations

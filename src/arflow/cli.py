@@ -207,6 +207,10 @@ def cmd_sample(args) -> int:
     phases = _Phases()
     if args.limit < 0:
         raise InvalidConfig(f"--limit must be >= 0, got {args.limit}")
+    # every sampler option is checked before any file is read; the model gives sigma_min
+    cfg = smp.SamplerConfig(steps=args.steps, guidance=args.guidance,
+                            lambda_pene=args.lambda_pene, zeta=args.zeta, w=args.w,
+                            beta=args.beta, seed=args.seed)
     # every load or model/data mismatch is a SchemaError: exit 4 for sample
     try:
         params = mdl.load_params(args.model)
@@ -230,9 +234,7 @@ def cmd_sample(args) -> int:
             raise SchemaError(f"labels {outside} outside the model's condition "
                               f"vocabulary of {vocab}")
 
-    cfg = smp.SamplerConfig(steps=args.steps, sigma_min=params.config.sigma_min,
-                            guidance=args.guidance, lambda_pene=args.lambda_pene,
-                            zeta=args.zeta, w=args.w, beta=args.beta, seed=args.seed)
+    cfg = dataclasses.replace(cfg, sigma_min=params.config.sigma_min)
     predictor = mdl.as_x1_predictor(params)
 
     # one batched sample call per chunk of equal-length actors; a sample's
@@ -288,6 +290,9 @@ def cmd_eval(args) -> int:
             ("feature seed", "--feature-seed", args.feature_seed, 0)):
         if value < least:
             raise InvalidConfig(f"{what} must be >= {least}, got {value} ({flag})")
+    if max(args.sd, args.sl) > mx.MAX_SUBSET:
+        raise InvalidConfig(f"subset size must be <= {mx.MAX_SUBSET}, got --sd {args.sd} "
+                            f"and --sl {args.sl}")
 
     report = mx.MetricReport(n_total=len(samples))
     pairs = [(s.actor, s.reactor) for s in samples]

@@ -64,6 +64,7 @@ class ScenarioConfig:
             raise InvalidConfig("contact_fraction must be in [0, 1]")
         if not 0.0 <= self.noise < np.inf:
             raise InvalidConfig("noise must be finite and >= 0")
+        object.__setattr__(self, "noise", self.noise + 0.0)  # numpy refuses a scale of -0.0
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
@@ -380,84 +381,85 @@ def train_test_split(samples: Sequence) -> tuple[Sequence, Sequence]:
 
 def _person_record(skel: geo.Skeleton, motion: np.ndarray, fps: float) -> dict:
     k = skel.joint_count
-    frames = []
-    for row in motion:
-        frames.append({
-            "rot6d": row[: 6 * k].reshape(k, 6).tolist(),
-            "root_rot6d": row[6 * k: 6 * k + 6].tolist(),
-            "trans": row[6 * k + 6:].tolist(),
-        })
-    return {
-        "version": FILE_VERSION,
-        "fps": fps,
-        "skeleton": {
-            "parents": list(skel.parents),
-            "offsets": skel.offsets.tolist(),
-            "radii": skel.radii.tolist(),
-        },
-        "frames": frames,
-    }
+    frames = [{"rot6d": row[: 6 * k].reshape(k, 6).tolist(),
+               "root_rot6d": row[6 * k: 6 * k + 6].tolist(),
+               "trans": row[6 * k + 6:].tolist()} for row in motion]
+    skeleton = {"parents": list(skel.parents), "offsets": skel.offsets.tolist(),
+                "radii": skel.radii.tolist()}
+    return {"version": FILE_VERSION, "fps": fps, "skeleton": skeleton, "frames": frames}
 
 
-def _numbers(values, line: int, has_bools: bool) -> np.ndarray:
-    """``values`` as an array, rejected unless it holds JSON numbers only.
-
-    One dtype-kind check over the whole array: strings, nulls and objects
-    give a non-numeric dtype instead of being parsed or coerced.  numpy
-    promotes a boolean among numbers to a number, so when the record's
-    line holds a ``true`` or ``false`` (``has_bools``) the elements are
-    also checked one by one.
-    """
+def _numbers(values, has_bools: bool) -> np.ndarray:
+    """``values`` of a motion or model file as an array; ``ValueError``
+    unless it holds JSON numbers only.  Strings, nulls and objects give a
+    non-numeric dtype instead of being parsed or coerced.  numpy promotes a
+    boolean among numbers to 0 or 1, so when the document may hold one
+    (``has_bools``) and the array a 0 or 1, the elements are checked too."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
-        raise SchemaError(f"non-numeric values (dtype {arr.dtype})", line=line)
-    if has_bools and any(type(v) is bool for v in np.asarray(values, dtype=object).flat):
-        raise SchemaError("boolean among numeric values", line=line)
+        raise ValueError(f"non-numeric values (dtype {arr.dtype})")
+    if (has_bools and ((arr == 0) | (arr == 1)).any()
+            and any(type(v) is bool for v in np.asarray(values, dtype=object).flat)):
+        raise ValueError("boolean among numeric values")
     return arr
 
 
-def _person_motion(rec: dict, line: int, has_bools: bool,
+def _record_fault(label, seed, fps, actor, reactor, motion_dim: int) -> str | None:
+    """Why a sample cannot be a motion-file record, or None: the one rule
+    that :func:`save_samples` checks before writing and :func:`load_samples`
+    after decoding.  Label and seeds are ints (a bool is not), ``fps`` is
+    positive and finite, actor and reactor are (H >= 1, ``motion_dim``)
+    finite numbers."""
+    if type(label) is not int or type(seed) not in (list, tuple) or any(
+            type(v) is not int for v in seed):
+        return f"label must be an int and seed a list of ints, got {label!r} and {seed!r}"
+    # an exact comparison: an integer too large for a float fails it too
+    if (isinstance(fps, bool) or not isinstance(fps, (int, float))
+            or not 0.0 < fps <= sys.float_info.max):
+        return f"fps is not a positive finite number: {fps!r}"
+    shape = np.shape(actor)[:1] + (motion_dim,)
+    for who, motion in (("actor", actor), ("reactor", reactor)):
+        motion = np.asarray(motion)
+        if (motion.dtype.kind not in "iuf" or motion.shape != shape or not motion.size
+                or not np.isfinite(motion).all()):
+            return f"{who} of shape {motion.shape} is not {shape} finite numbers"
+    return None
+
+
+def _person_motion(rec: dict, who: str, line: int, has_bools: bool,
                    first: tuple[dict, geo.Skeleton] | None
-                   ) -> tuple[geo.Skeleton, np.ndarray, float]:
-    """A person record's skeleton, motion and frame rate.
+                   ) -> tuple[geo.Skeleton, np.ndarray, object]:
+    """Skeleton, motion and ``fps`` value of person ``who`` of ``rec``, as decoded.
 
     ``first`` holds the first record's raw skeleton block and ``Skeleton``.
     An equal block reuses it, but Python equates ``True`` and ``1.0`` with
     1: reuse needs a line without booleans, and parents must be integers.
     """
     try:
+        rec = rec[who]
         sk = rec["skeleton"]
         parents = sk["parents"]
         if type(parents) is not list or any(type(p) is not int for p in parents):
-            raise SchemaError("skeleton parents are not a list of integers", line=line)
+            raise TypeError("skeleton parents are not a list of integers")
         if first is not None and not has_bools and sk == first[0]:
             skel = first[1]
         else:
-            skel = geo.Skeleton(tuple(parents),
-                                _numbers(sk["offsets"], line, has_bools),
-                                _numbers(sk["radii"], line, has_bools))
+            skel = geo.Skeleton(tuple(parents), _numbers(sk["offsets"], has_bools),
+                                _numbers(sk["radii"], has_bools))
         frames = rec["frames"]
         h = len(frames)
         # one parse per field over all frames; ragged frames raise ValueError
         motion = np.concatenate([
-            _numbers([f[key] for f in frames], line, has_bools).reshape(h, -1)
+            _numbers([f[key] for f in frames], has_bools).reshape(h, -1)
             for key in ("rot6d", "root_rot6d", "trans")], axis=1, dtype=np.float64)
     except (KeyError, TypeError, ValueError, InvalidConfig) as err:
-        raise SchemaError(f"bad person record ({err})", line=line) from err
+        raise SchemaError(f"bad {who} record ({err})", line=line) from err
     if first is not None and skel is not first[1] and (
             skel.parents != first[1].parents
             or not np.array_equal(skel.offsets, first[1].offsets)
             or not np.array_equal(skel.radii, first[1].radii)):
         raise SchemaError("skeleton differs from first record", line=line)
-    if motion.shape[1] != skel.motion_dim:
-        raise SchemaError("frame width does not match skeleton", line=line)
-    if not np.all(np.isfinite(motion)):
-        raise SchemaError("non-finite motion values", line=line)
-    fps = rec.get("fps")
-    # an exact comparison: an integer too large for a float fails it too
-    if type(fps) not in (int, float) or not 0.0 < fps <= sys.float_info.max:
-        raise SchemaError(f"fps is not a positive finite number: {fps!r}", line=line)
-    return skel, motion, float(fps)
+    return skel, motion, rec.get("fps")
 
 
 @contextlib.contextmanager
@@ -481,31 +483,17 @@ def atomic_open(path: str):
 
 def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton) -> None:
     """Write samples as one JSON record per line (atomic, diffable); a sample
-    that :func:`load_samples` would refuse raises ``InvalidConfig`` first."""
+    that breaks :func:`_record_fault` raises ``InvalidConfig`` first."""
     for n, s in enumerate(samples):
-        if isinstance(s.fps, bool) or not 0.0 < s.fps <= sys.float_info.max:
-            raise InvalidConfig(f"sample {n}: fps must be positive and finite, got {s.fps}")
-        if type(s.label) is not int or any(type(v) is not int for v in s.seed_used):
-            raise InvalidConfig(f"sample {n}: label {s.label!r} and seed {s.seed_used!r} "
-                                "must be ints")
-        shape = np.shape(s.actor)[:1] + (skel.motion_dim,)
-        for who, motion in (("actor", s.actor), ("reactor", s.reactor)):
-            motion = np.asarray(motion)
-            if motion.dtype.kind not in "iuf" or motion.shape != shape or not motion.size:
-                raise InvalidConfig(f"sample {n}: {who} of shape {motion.shape} and "
-                                    f"dtype {motion.dtype}, expected {shape} numbers")
-            if not np.isfinite(motion).all():
-                raise InvalidConfig(f"sample {n}: {who} holds non-finite values")
+        if fault := _record_fault(s.label, s.seed_used, s.fps, s.actor, s.reactor,
+                                  skel.motion_dim):
+            raise InvalidConfig(f"sample {n}: {fault}")
     with atomic_open(path) as fh:
         for s in samples:
-            rec = {
-                "version": FILE_VERSION,
-                "label": s.label,
-                "seed": list(s.seed_used),
-                "actor": _person_record(skel, s.actor, s.fps),
-                "reactor": _person_record(skel, s.reactor, s.fps),
-            }
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps({"version": FILE_VERSION, "label": s.label,
+                                 "seed": list(s.seed_used),
+                                 "actor": _person_record(skel, s.actor, s.fps),
+                                 "reactor": _person_record(skel, s.reactor, s.fps)}) + "\n")
 
 
 def load_samples(path: str, split: str = "all", limit: int = 0
@@ -537,29 +525,21 @@ def load_samples(path: str, split: str = "all", limit: int = 0
                 rec = json.loads(line)
             except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
                 raise SchemaError(f"invalid JSON ({err})", line=line_no) from err
-            if not isinstance(rec, dict):
-                raise SchemaError("record is not a JSON object", line=line_no)
-            if type(rec.get("version")) is not int or rec["version"] != FILE_VERSION:
-                raise SchemaError("missing or unsupported version", line=line_no)
-            label = rec.get("label")
-            if type(label) is not int:
-                raise SchemaError("missing or non-integer label", line=line_no)
-            seed = rec.get("seed", [])
-            if type(seed) is not list or any(type(v) is not int for v in seed):
-                raise SchemaError("seed is not a list of integers", line=line_no)
-            try:
-                actor_rec, reactor_rec = rec["actor"], rec["reactor"]
-            except KeyError as err:
-                raise SchemaError(f"missing field ({err})",
-                                  line=line_no) from err
+            if (not isinstance(rec, dict) or type(rec.get("version")) is not int
+                    or rec["version"] != FILE_VERSION):
+                raise SchemaError(f"not a JSON object of version {FILE_VERSION}", line=line_no)
             # a valid record holds no JSON boolean: only a line with one
             # pays for the per-element check
             has_bools = b"true" in line or b"false" in line
-            skel, actor, fps = _person_motion(actor_rec, line_no, has_bools, first)
-            first = first or (actor_rec["skeleton"], skel)
-            _, reactor, reactor_fps = _person_motion(reactor_rec, line_no, has_bools, first)
-            if actor.shape[0] != reactor.shape[0] or fps != reactor_fps:
-                raise SchemaError("actor and reactor differ in frame count or fps",
-                                  line=line_no)
-            samples.append(InteractionSample(actor, reactor, label, tuple(seed), fps))
+            skel, actor, fps = _person_motion(rec, "actor", line_no, has_bools, first)
+            first = first or (rec["actor"]["skeleton"], skel)
+            _, reactor, reactor_fps = _person_motion(rec, "reactor", line_no, has_bools, first)
+            label, seed = rec.get("label"), rec.get("seed", [])
+            if fault := _record_fault(label, seed, fps, actor, reactor, skel.motion_dim):
+                raise SchemaError(fault, line=line_no)
+            # a valid fps equal to a bool is 1 (Python equates True with 1)
+            if reactor_fps != fps or isinstance(reactor_fps, bool):
+                raise SchemaError(f"actor and reactor differ in frame count or fps "
+                                  f"({fps!r}, {reactor_fps!r})", line=line_no)
+            samples.append(InteractionSample(actor, reactor, label, tuple(seed), float(fps)))
     return samples, first[1] if first else None

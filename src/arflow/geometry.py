@@ -362,12 +362,14 @@ _CHUNK = 1 << 16
 _TAU = 2.0 ** -20
 # smallest voxel size or radius per meter of a frame's coordinate scale
 _RESOLUTION = 2.0 ** -40
+# largest voxel size whose volume is a finite float (about 5.6e102 m)
+MAX_VOXEL_SIZE = float(np.finfo(np.float64).max) ** (1.0 / 3.0)
 
 
 def check_voxel_size(voxel_size: float) -> None:
-    """Raise ``InvalidConfig`` unless the voxel size is positive and finite."""
-    if not (np.isfinite(voxel_size) and voxel_size > 0.0):
-        raise InvalidConfig(f"voxel_size must be positive and finite, got {voxel_size!r}")
+    """Raise ``InvalidConfig`` unless 0 < voxel size <= ``MAX_VOXEL_SIZE``."""
+    if not 0.0 < voxel_size <= MAX_VOXEL_SIZE:  # NaN fails too
+        raise InvalidConfig(f"voxel_size must be positive with a finite volume, got {voxel_size!r}")
 
 
 def _grid_dims(lo: np.ndarray, hi: np.ndarray, voxel_size: float) -> np.ndarray:

@@ -48,6 +48,7 @@ COV_EPS = 1e-6
 EVAL_CHUNK = 64
 DIVERSITY_SUBSET = 200
 MULTIMODALITY_SUBSET = 20
+MAX_SUBSET = 10 ** 4  # largest subset of the diversity and multimodality draws
 
 
 @dataclass
@@ -62,14 +63,9 @@ class MetricReport:
     f_pene: int = 0
 
     def items(self):
-        out = []
-        for key in ("iv_cm3", "if_frac", "fid", "diversity", "multimodality"):
-            val = getattr(self, key)
-            if val is not None:
-                out.append((key, val))
-        out += [("n_total", self.n_total), ("f_total", self.f_total),
-                ("f_pene", self.f_pene)]
-        return out
+        keys = ("iv_cm3", "if_frac", "fid", "diversity", "multimodality")
+        return ([(k, getattr(self, k)) for k in keys if getattr(self, k) is not None]
+                + [(k, getattr(self, k)) for k in ("n_total", "f_total", "f_pene")])
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +177,8 @@ def _subset_rng(seed: int) -> np.random.Generator:
 
 def _two_subsets(n: int, size: int, rng: np.random.Generator,
                  with_replacement: bool) -> tuple[np.ndarray, np.ndarray]:
-    if size < 1:
-        raise InvalidConfig(f"subset size must be >= 1, got {size}")
+    if not 1 <= size <= MAX_SUBSET:
+        raise InvalidConfig(f"subset size must be in [1, {MAX_SUBSET}], got {size}")
     if with_replacement:
         return rng.integers(0, n, size), rng.integers(0, n, size)
     if n < 2 * size:

@@ -17,6 +17,7 @@ Everything is seeded and bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import flowpath as fp
 from . import geometry as geo
-from .data import atomic_open
+from .data import _numbers, atomic_open
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -64,9 +65,6 @@ class PredictorConfig:
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.causal, bool):
             raise InvalidConfig(f"causal must be true or false, got {self.causal!r}")
-        if not isinstance(self.prediction_mode, str):
-            raise InvalidConfig(f"prediction_mode must be a string, "
-                                f"got {self.prediction_mode!r}")
         if (isinstance(self.sigma_min, bool) or not isinstance(self.sigma_min, (int, float))
                 or not 0.0 <= self.sigma_min < 1.0):  # NaN fails too
             raise InvalidConfig(f"sigma_min must be a number in [0, 1), got {self.sigma_min!r}")
@@ -491,7 +489,22 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
 # Serialization (documented in README: "Model parameter file")
 # ---------------------------------------------------------------------------
 
+def _check_arrays(cfg: PredictorConfig, arrays: dict) -> None:
+    """``InvalidConfig`` unless ``arrays`` has the names and shapes that
+    :func:`init_params` gives ``cfg``, each of finite numbers: the one rule
+    :func:`save_params` checks before writing and :func:`load_params` after."""
+    specs = _param_specs(cfg)
+    if set(arrays) != set(specs):
+        raise InvalidConfig(f"arrays {sorted(set(arrays) ^ set(specs))} missing or unknown")
+    for name, (shape, _) in specs.items():
+        arr = np.asarray(arrays[name])
+        if arr.shape != shape or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise InvalidConfig(f"array {name} of shape {arr.shape} is not {shape} finite numbers")
+
+
 def save_params(path: str, params: PredictorParams) -> None:
+    """Write a parameter file; ``InvalidConfig`` first if :func:`_check_arrays` fails."""
+    _check_arrays(params.config, params.arrays)
     head = json.dumps({"format": PARAMS_FORMAT, "version": PARAMS_VERSION,
                        "config": asdict(params.config)})
     # the bytes json.dumps gives the whole document, written one array at a
@@ -506,32 +519,35 @@ def save_params(path: str, params: PredictorParams) -> None:
 
 
 def load_params(path: str) -> PredictorParams:
-    """Read a parameter file; ``InvalidConfig`` unless every array has the
-    shape its config gives it (as :func:`init_params` does) and only finite
-    numbers.  Other top-level keys are ignored."""
+    """Read a parameter file; ``InvalidConfig`` unless it has this format and
+    version, a valid config and arrays that pass :func:`_check_arrays`, each
+    a flat ``data`` list of as many numbers as its ``shape`` of integers
+    asks for.  Other top-level keys are ignored."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as err:
             raise InvalidConfig(f"{path} is not JSON: {err}") from err
     if (not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT
-            or doc.get("version") != PARAMS_VERSION):
-        raise InvalidConfig(f"not a {PARAMS_FORMAT} v{PARAMS_VERSION} file: {path}")
+            or type(doc.get("version")) is not int or doc["version"] != PARAMS_VERSION
+            or type(doc.get("arrays")) is not dict):
+        raise InvalidConfig(f"not a {PARAMS_FORMAT} v{PARAMS_VERSION} file with arrays: {path}")
     try:
         cfg = PredictorConfig(**doc["config"])
-        arrays = {name: np.asarray(rec["data"]).reshape(rec["shape"])
-                  for name, rec in doc["arrays"].items()}
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError) as err:
         raise InvalidConfig(f"malformed parameter file {path}: {err}") from err
-    expected = {name: shape for name, (shape, _) in _param_specs(cfg).items()}
-    if set(arrays) != set(expected):
-        raise InvalidConfig("parameter file is missing arrays")
-    for name, arr in arrays.items():
-        if arr.shape != expected[name]:
-            raise InvalidConfig(f"array {name} has shape {arr.shape}, "
-                                f"config needs {expected[name]}")
-        # strings and nulls give a non-numeric dtype instead of being coerced
-        if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
-            raise InvalidConfig(f"array {name} has non-numeric or non-finite values")
-        arrays[name] = arr.astype(np.float64, copy=False)
+    arrays = {}
+    for name, rec in doc["arrays"].items():
+        try:
+            shape, values = rec["shape"], rec["data"]
+            if type(shape) is not list or any(type(n) is not int for n in shape):
+                raise TypeError(f"shape {shape!r} is not a list of integers")
+            # a model file always holds a boolean (causal): check each array for one
+            arr = _numbers(values, has_bools=True)
+            if arr.shape != (math.prod(shape),):
+                raise ValueError(f"data is not a flat list of {math.prod(shape)} numbers")
+            arrays[name] = arr.reshape(shape).astype(np.float64, copy=False)
+        except (KeyError, TypeError, ValueError) as err:
+            raise InvalidConfig(f"array {name}: {err}") from err
+    _check_arrays(cfg, arrays)
     return PredictorParams(cfg, arrays)

@@ -31,6 +31,7 @@ from .errors import (
 )
 
 GUIDANCE_MODES = ("none", "vanilla", "improved")
+MAX_STEPS = 10 ** 6  # most timesteps of one sampling grid
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise InvalidConfig("steps must be >= 2 (grid endpoints 0 and 1)")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise InvalidConfig(f"steps must be in [2, {MAX_STEPS}], got {self.steps}")
         if self.guidance not in GUIDANCE_MODES:
             raise InvalidConfig(f"guidance must be one of {GUIDANCE_MODES}")
         if not 0.0 <= self.sigma_min < 1.0:
@@ -105,8 +106,9 @@ def _check_reaction(ctx: GuidanceContext, reaction: np.ndarray) -> np.ndarray:
     return reaction
 
 
-def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, for_grad: bool):
-    """Per-joint SDF values and unit gradients against the per-frame actor.
+def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, zeta: float, for_grad: bool):
+    """Per-joint SDF values and unit gradients against the per-frame actor;
+    ``InvalidConfig`` unless ``zeta`` is positive and finite.
 
     One tape FK over all frames, via the tolerant decode, so the loss value
     and the gradient share one forward computation and the
@@ -114,6 +116,9 @@ def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, for_grad: bool):
     ``(sdf (F, K), grad (F, K, 3), positions node, leaf)`` over the
     ``F = B * H`` flattened frames.
     """
+    if not 0.0 < zeta < np.inf:
+        raise InvalidConfig(f"zeta must be positive and finite, got {zeta}")
+    reaction = _check_reaction(ctx, reaction)
     flat = reaction.reshape(-1, reaction.shape[-1])
     leaf = ad.leaf(flat) if for_grad else ad.constant(flat)
     pos, _ = geo.fk_positions_t(ctx.skel, leaf)
@@ -128,10 +133,7 @@ def penetration_loss(reaction: np.ndarray, ctx: GuidanceContext,
     Fully separated bodies saturate every term at -zeta; each penetrating
     joint adds its (positive) penetration depth.  A batch sums over samples.
     """
-    if not 0.0 < zeta < np.inf:
-        raise InvalidConfig(f"zeta must be positive and finite, got {zeta}")
-    reaction = _check_reaction(ctx, reaction)
-    sdf, _, _, _ = _joint_sdfs(ctx, reaction, for_grad=False)
+    sdf, _, _, _ = _joint_sdfs(ctx, reaction, zeta, for_grad=False)
     return float(-np.minimum(sdf, zeta).sum())
 
 
@@ -143,15 +145,12 @@ def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
     decode in one backward over all frames; saturated joints (SDF >= zeta)
     contribute nothing.
     """
-    if not 0.0 < zeta < np.inf:
-        raise InvalidConfig(f"zeta must be positive and finite, got {zeta}")
-    reaction = _check_reaction(ctx, reaction)
-    sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, for_grad=True)
+    sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, zeta, for_grad=True)
     seed = np.where((sdf < zeta)[..., None], -sdf_grad, 0.0)
     if not seed.any():
-        return np.zeros_like(reaction)
+        return np.zeros(np.shape(reaction))
     pos.backward(seed)
-    return leaf.grad.reshape(reaction.shape)
+    return leaf.grad.reshape(np.shape(reaction))
 
 
 def _step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,

@@ -131,6 +131,17 @@ def test_gen_data_zero_pairs_exits_2(tmp_path):
                "--out", str(tmp_path / "x.jsonl")) == 2
 
 
+def test_gen_data_negative_zero_noise_writes_the_zero_noise_bytes(tmp_path, capsys):
+    # numpy's normal refused a scale of -0.0: a traceback and exit 1
+    minus, plus = tmp_path / "minus.jsonl", tmp_path / "plus.jsonl"
+    assert run("gen-data", "--pairs", "6", "--frames", "4", "--noise=-0",
+               "--out", str(minus)) == 0
+    assert run("gen-data", "--pairs", "6", "--frames", "4", "--noise", "0",
+               "--out", str(plus)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert minus.read_bytes() == plus.read_bytes()
+
+
 @pytest.mark.parametrize("flag", ["--noise=nan", "--noise=inf", "--fps=nan", "--fps=-1"])
 def test_gen_data_bad_value_exits_2(flag, tmp_path, capsys):
     out = tmp_path / "x.jsonl"
@@ -434,6 +445,19 @@ def test_sample_bad_sampler_value_exits_2(flags, small_model, small_data, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["small", "missing"])
+def test_sample_steps_above_the_limit_exit_2_before_any_file_is_read(
+        model, small_model, small_data, tmp_path, capsys):
+    # 10^29 steps used to fail in numpy's linspace: a traceback and exit 1
+    out = tmp_path / "s.jsonl"
+    path = small_model if model == "small" else tmp_path / "missing.json"
+    assert run("sample", "--model", str(path), "--data", str(small_data),
+               "--out", str(out), "--steps", str(10 ** 29)) == 2
+    err = capsys.readouterr().err
+    assert "steps must be in [2, " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_flag_defaults_are_the_sampler_config_defaults():
     args = cli.build_parser().parse_args(
         ["sample", "--model", "m", "--data", "d", "--out", "o"])
@@ -500,13 +524,18 @@ def test_sample_huge_weights_exit_6(small_model, small_data, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("defect", ["nan", "shape"])
+@pytest.mark.parametrize("defect", ["nan", "shape", "bool", "nested"])
 def test_sample_invalid_model_exits_4(small_model, small_data, tmp_path, defect):
     def edit(arrays):
         if defect == "nan":
             arrays["l0_ff_w1"]["data"][0] = float("nan")
-        else:
+        elif defect == "shape":
             arrays["out_proj_b"] = {"shape": [1], "data": [0.0]}
+        elif defect == "bool":  # used to be read as 1.0
+            arrays["l0_ff_w1"]["data"][0] = True
+        else:  # nested rows of the right shape used to load
+            rec = arrays["in_proj_w"]
+            rec["data"] = np.reshape(rec["data"], rec["shape"]).tolist()
     model = _edited_model(small_model, tmp_path, f"{defect}.json", edit)
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--data", str(small_data),
@@ -579,6 +608,26 @@ def test_sample_uses_the_sigma_min_the_model_was_trained_at(small_data, tmp_path
     other = smp.sample(predictor, actors, smp.SamplerConfig(), sample_index=range(5))
     assert smp.SamplerConfig().sigma_min == 1e-4
     assert np.max(np.abs(got - other)) > 1e-3
+
+
+def test_trained_model_round_trips_byte_for_byte(small_model, tmp_path):
+    # save_params(load_params(m)) writes the very bytes train wrote
+    again = tmp_path / "again.json"
+    mdl.save_params(str(again), mdl.load_params(str(small_model)))
+    assert again.read_bytes() == small_model.read_bytes()
+
+
+@pytest.mark.parametrize("guidance", ["none", "improved"])
+def test_sample_output_round_trips_byte_for_byte(guidance, small_model, small_data,
+                                                 tmp_path):
+    # save_samples(load_samples(f)) writes the very bytes sample wrote
+    out, again = tmp_path / "s.jsonl", tmp_path / "again.jsonl"
+    assert run("sample", "--model", str(small_model), "--data", str(small_data),
+               "--out", str(out), "--guidance", guidance, "--lambda-pene", "0.02",
+               "--cond", "label") == 0
+    samples, skel = dt.load_samples(str(out))
+    dt.save_samples(str(again), samples, skel)
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_sample_string_array_data_exits_4(small_model, small_data, tmp_path):
@@ -684,6 +733,36 @@ def test_eval_bad_voxel_size_exits_2(voxel, contact, tmp_path, capsys):
                f"--voxel={voxel}", "--out", str(out)) == 2
     assert "voxel_size" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("contact", [1.0, 0.0], ids=["contact", "far-apart"])
+@pytest.mark.parametrize("voxel", ["1e308", "1e103"])
+def test_eval_voxel_of_infinite_volume_exits_2(voxel, contact, tmp_path, capsys):
+    # far-apart bodies used to overflow the voxel's cube: a traceback and exit 1
+    data = tmp_path / "data.jsonl"
+    dt.save_samples(str(data), dt.generate_mixed(4, frames=4, contact_fraction=contact,
+                                                 seed=2), dt.default_skeleton())
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
+               f"--voxel={voxel}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "finite volume" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--metrics", "div", "--sd", str(10 ** 29), "--allow-replacement"],
+    ["--metrics", "multimod", "--sl", str(10 ** 29), "--allow-replacement"],
+    ["--metrics", "iv", "--sd", str(10 ** 29)],
+    ["--metrics", "div", "--sd", str(mx.MAX_SUBSET + 1), "--allow-replacement"],
+], ids=["div-sd", "multimod-sl", "iv-sd", "div-sd-limit-plus-one"])
+def test_eval_subset_size_above_the_limit_exits_2(argv, small_data, tmp_path, capsys):
+    # with replacement, 10^29 draws used to fail inside numpy: exit 1
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(small_data), *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"subset size must be <= {mx.MAX_SUBSET}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("voxel", ["3e-8", "1e-300"])

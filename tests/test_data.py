@@ -26,6 +26,15 @@ def test_scenario_config_validation():
             dt.ScenarioConfig("push_retreat", noise=noise)
 
 
+def test_negative_zero_noise_is_zero_noise():
+    # numpy's normal refuses a scale of -0.0; the config stores +0.0
+    assert str(dt.ScenarioConfig("push_retreat", noise=-0.0).noise) == "0.0"
+    a, b = dt.generate_mixed(6, frames=4, noise=-0.0), dt.generate_mixed(6, frames=4, noise=0.0)
+    for s, t in zip(a, b):
+        assert s.actor.tobytes() == t.actor.tobytes()
+        assert s.reactor.tobytes() == t.reactor.tobytes()
+
+
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -1.0, True,
                                  pytest.param(10 ** 400, id="huge-int")])
 def test_save_samples_rejects_bad_fps(fps, tmp_path):
@@ -308,6 +317,20 @@ def test_gen_data_bytes_are_pinned(scenario, tmp_path, capsys):
         if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
             changed.append((joints, frames, contact))
     assert changed == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "all", "--contact-fraction", "0.5"],
+    ["--scenario", "kick_dodge", "--joints", "3", "--frames", "2", "--fps", "30"],
+], ids=["mixed", "kick-dodge-30fps"])
+def test_gen_data_file_round_trips_byte_for_byte(argv, tmp_path, capsys):
+    # save_samples(load_samples(f)) writes the very bytes gen-data wrote
+    path, again = tmp_path / "data.jsonl", tmp_path / "again.jsonl"
+    assert cli.main(["gen-data", "--pairs", "9", "--seed", "5", *argv,
+                     "--out", str(path)]) == 0
+    samples, skel = dt.load_samples(str(path))
+    dt.save_samples(str(again), samples, skel)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_equal_shape_chunks_group_in_input_order():

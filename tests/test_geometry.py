@@ -372,6 +372,15 @@ def test_capsule_set_rejects_non_finite_endpoints(bad):
             geo.CapsuleSet(ends[0], ends[1], np.full(2, 0.1))
 
 
+def test_voxel_size_needs_a_finite_volume():
+    # a voxel of 1e308 m used to overflow its cube: OverflowError, exit 1
+    geo.check_voxel_size(geo.MAX_VOXEL_SIZE)
+    assert np.isfinite(geo.MAX_VOXEL_SIZE ** 3)
+    for voxel in (np.nextafter(geo.MAX_VOXEL_SIZE, np.inf), 1e103, 1e308):
+        with pytest.raises(InvalidConfig, match="finite volume"):
+            geo.check_voxel_size(voxel)
+
+
 @pytest.mark.parametrize("column", [0, -1])  # a rotation slot, the root translation
 def test_nan_motion_has_no_capsules(column):
     # every body the IV sweep and the guidance SDF see comes from here

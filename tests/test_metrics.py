@@ -288,6 +288,17 @@ def test_subset_size_below_one_is_invalid(size):
             mx.multimodality({0: feats}, size, with_replacement=replace)
 
 
+def test_subset_size_above_the_limit_is_invalid():
+    # with replacement, 10^29 draws used to fail inside numpy, exit 1
+    feats = np.arange(12.0).reshape(6, 2)
+    assert mx.diversity(feats, mx.MAX_SUBSET, with_replacement=True) > 0.0
+    for size in (mx.MAX_SUBSET + 1, 10 ** 29):
+        with pytest.raises(InvalidConfig, match="subset size"):
+            mx.diversity(feats, size, with_replacement=True)
+        with pytest.raises(InvalidConfig, match="subset size"):
+            mx.multimodality({0: feats}, size, with_replacement=True)
+
+
 def test_multimodality_constant_classes_and_c1_reduction():
     by_class = {0: np.ones((10, 3)), 1: np.zeros((10, 3))}
     assert mx.multimodality(by_class, 4, seed=0) == 0.0

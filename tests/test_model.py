@@ -444,6 +444,76 @@ def test_params_file_rejects_non_numeric_array_data(tmp_path, value):
         mdl.load_params(_write_doc(tmp_path / "typed.json", doc))
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_params_file_rejects_a_boolean_among_numbers(tmp_path, value):
+    # numpy read a JSON true among the weights as 1.0
+    doc = _saved_doc(tmp_path)
+    doc["arrays"]["l0_qkv_w"]["data"][3] = value
+    with pytest.raises(InvalidConfig, match="l0_qkv_w.*boolean"):
+        mdl.load_params(_write_doc(tmp_path / "bool.json", doc))
+
+
+@pytest.mark.parametrize("version", [2.0, "2"])
+def test_params_file_rejects_a_version_that_is_not_the_integer_2(tmp_path, version):
+    # a float version used to pass the version check (2.0 == 2)
+    doc = _saved_doc(tmp_path)
+    doc["version"] = version
+    with pytest.raises(InvalidConfig, match="not a arflow-predictor v2 file"):
+        mdl.load_params(_write_doc(tmp_path / "version.json", doc))
+
+
+def test_params_file_rejects_nested_data(tmp_path):
+    # data is one flat list; nested rows of the right shape used to load
+    doc = _saved_doc(tmp_path)
+    rec = doc["arrays"]["in_proj_w"]
+    rec["data"] = np.reshape(rec["data"], rec["shape"]).tolist()
+    with pytest.raises(InvalidConfig, match="in_proj_w.*flat"):
+        mdl.load_params(_write_doc(tmp_path / "nested.json", doc))
+
+
+@pytest.mark.parametrize("data", [0.5, {"a": 1.0}, "1.0", None, True],
+                         ids=["number", "object", "string", "null", "bool"])
+def test_params_file_rejects_data_that_is_not_a_list(tmp_path, data):
+    doc = _saved_doc(tmp_path)
+    doc["arrays"]["final_ln_b"]["data"] = data
+    with pytest.raises(InvalidConfig, match="final_ln_b"):
+        mdl.load_params(_write_doc(tmp_path / "data.json", doc))
+
+
+@pytest.mark.parametrize("shape", [[2, 4], [8, True], [8.0], [-1], "8", None],
+                         ids=["2x4", "bool", "float", "minus-one", "string", "null"])
+def test_params_file_rejects_a_shape_that_is_not_its_list_of_integers(tmp_path, shape):
+    doc = _saved_doc(tmp_path)  # l0_ln1_g is (8,)
+    doc["arrays"]["l0_ln1_g"]["shape"] = shape
+    with pytest.raises(InvalidConfig, match="l0_ln1_g"):
+        mdl.load_params(_write_doc(tmp_path / "shape.json", doc))
+
+
+def _nan_weight(arrays):
+    arrays["l0_qkv_w"][0, 3] = np.nan
+
+
+@pytest.mark.parametrize("defect", [
+    pytest.param(_nan_weight, id="nan-weight"),
+    pytest.param(lambda arrays: arrays.update(out_proj_b=np.zeros(1)), id="wrong-shape"),
+    pytest.param(lambda arrays: arrays.pop("final_ln_g"), id="missing-array"),
+    pytest.param(lambda arrays: arrays.update(extra=np.zeros(2)), id="unknown-array"),
+    pytest.param(lambda arrays: arrays.update(out_proj_b=np.array(["0"] * 6)), id="strings"),
+])
+def test_save_params_refuses_what_load_params_refuses(tmp_path, defect):
+    # a NaN weight used to be written as a bare NaN token, a wrong shape as
+    # written; load_params refuses both.  An existing file stays as it was
+    skel = chain_skeleton(2)
+    params = mdl.init_params(tiny_config(skel), seed=12)
+    defect(params.arrays)
+    path = tmp_path / "model.json"
+    path.write_text("old")
+    with pytest.raises(InvalidConfig, match="array"):
+        mdl.save_params(str(path), params)
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
 def test_predict_batch_matches_single_calls():
     # one forward over the batch, one condition per sample; each sample's
     # output is bit-equal to its own batch-of-one call

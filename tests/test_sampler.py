@@ -404,6 +404,14 @@ def test_sampler_config_validation():
             smp.SamplerConfig(guidance="improved", **kw)
 
 
+def test_sampler_config_steps_have_an_upper_limit():
+    # a grid of 10^29 points used to fail in numpy's linspace, exit 1
+    assert smp.SamplerConfig(steps=smp.MAX_STEPS).steps == smp.MAX_STEPS
+    for steps in (smp.MAX_STEPS + 1, 10 ** 29):
+        with pytest.raises(InvalidConfig, match="steps"):
+            smp.SamplerConfig(steps=steps)
+
+
 @pytest.mark.parametrize("guidance,lam,guided", [("none", 2.0, False),
                                                  ("vanilla", 0.0, False),
                                                  ("improved", 0.0, False),

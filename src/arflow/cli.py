@@ -162,25 +162,22 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     phases = _Phases("load", "targets", "steps", "write")
+    tcfg = mdl.TrainConfig(steps=args.steps, batch_size=args.batch,
+                           learning_rate=args.lr, lambda_inter=args.lambda_inter,
+                           seed=args.seed)
     samples, skel = dt.load_samples(args.data)
     phases.end("load")
     if not samples:
         raise InvalidConfig(f"no samples in {args.data}")
     train_split, _ = dt.train_test_split(samples)
-    cond_vocab = 0 if args.unconditioned else len(dt.SCENARIOS)
-    dataset = [(s.actor, s.reactor, None if args.unconditioned else s.label)
-               for s in train_split]
+    dataset = [(s.actor, s.reactor) for s in train_split]
     # mdl.train rejects records of another frame count
     pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim,
                                max_frames=dataset[0][0].shape[0],
                                layers=args.layers, width=args.width,
                                heads=args.heads, causal=args.causal,
-                               cond_vocab=cond_vocab,
                                prediction_mode=args.prediction,
                                sigma_min=args.sigma_min)
-    tcfg = mdl.TrainConfig(steps=args.steps, batch_size=args.batch,
-                           learning_rate=args.lr, lambda_inter=args.lambda_inter,
-                           cond_dropout_prob=args.cond_dropout, seed=args.seed)
     params, history = mdl.train(dataset, skel, pcfg, tcfg,
                                 log_every=args.log_every, phase_end=phases.end)
     phases.end("steps")
@@ -227,12 +224,6 @@ def cmd_sample(args) -> int:
     if frames > params.config.max_frames:
         raise SchemaError(f"data has {frames} frames, model max_frames is "
                           f"{params.config.max_frames}")
-    if args.cond == "label":
-        vocab = params.config.cond_vocab
-        outside = sorted({s.label for s in subset} - set(range(vocab)))
-        if outside:
-            raise SchemaError(f"labels {outside} outside the model's condition "
-                              f"vocabulary of {vocab}")
 
     cfg = dataclasses.replace(cfg, sigma_min=params.config.sigma_min)
     predictor = mdl.as_x1_predictor(params)
@@ -244,8 +235,7 @@ def cmd_sample(args) -> int:
     for chunk in dt.equal_shape_chunks([s.actor for s in subset], SAMPLE_CHUNK):
         actors = np.stack([subset[i].actor for i in chunk])
         ctx = smp.GuidanceContext.from_actor(skel, actors) if cfg.guided else None
-        c = [subset[i].label for i in chunk] if args.cond == "label" else None
-        out = smp.sample(predictor, actors, cfg, c, ctx, sample_index=chunk)
+        out = smp.sample(predictor, actors, cfg, ctx, sample_index=chunk)
         for i, reaction in zip(chunk, out):
             reactions[i] = reaction
     out_samples = [dataclasses.replace(s, reactor=r) for s, r in zip(subset, reactions)]
@@ -283,16 +273,16 @@ def cmd_eval(args) -> int:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
     # the options are checked whichever metrics are asked for
     geo.check_voxel_size(args.voxel)  # every report records it
-    for what, flag, value, least in (
-            ("subset size", "--sd", args.sd, 1), ("subset size", "--sl", args.sl, 1),
-            ("projection dimension", "--proj-dim", args.proj_dim, 1),
-            ("metric seed", "--metric-seed", args.metric_seed, 0),
-            ("feature seed", "--feature-seed", args.feature_seed, 0)):
+    for what, flag, value, least, most in (
+            ("subset size", "--sd", args.sd, 1, mx.MAX_SUBSET),
+            ("subset size", "--sl", args.sl, 1, mx.MAX_SUBSET),
+            ("projection dimension", "--proj-dim", args.proj_dim, 1, mx.MAX_PROJ_DIM),
+            ("metric seed", "--metric-seed", args.metric_seed, 0, np.inf),
+            ("feature seed", "--feature-seed", args.feature_seed, 0, np.inf)):
         if value < least:
             raise InvalidConfig(f"{what} must be >= {least}, got {value} ({flag})")
-    if max(args.sd, args.sl) > mx.MAX_SUBSET:
-        raise InvalidConfig(f"subset size must be <= {mx.MAX_SUBSET}, got --sd {args.sd} "
-                            f"and --sl {args.sl}")
+        if value > most:
+            raise InvalidConfig(f"{what} must be <= {most}, got {value} ({flag})")
 
     report = mx.MetricReport(n_total=len(samples))
     pairs = [(s.actor, s.reactor) for s in samples]
@@ -381,14 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=tdef.learning_rate)
     p.add_argument("--lambda-inter", type=float, default=tdef.lambda_inter)
     p.add_argument("--sigma-min", type=float, default=pdef.sigma_min)
-    p.add_argument("--cond-dropout", type=float, default=tdef.cond_dropout_prob)
     p.add_argument("--layers", type=int, default=pdef.layers)
     p.add_argument("--width", type=int, default=pdef.width)
     p.add_argument("--heads", type=int, default=pdef.heads)
     p.add_argument("--prediction", choices=("x1", "v"), default=pdef.prediction_mode)
     p.add_argument("--causal", action=argparse.BooleanOptionalAction, default=pdef.causal)
-    p.add_argument("--unconditioned", action="store_true",
-                   help="hide scenario labels from the model")
     p.add_argument("--log-every", type=int, default=0)
     p.add_argument("--seed", type=int, default=tdef.seed)
     p.set_defaults(func=cmd_train)
@@ -406,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=sdef.zeta)
     p.add_argument("--w", type=float, default=sdef.w)
     p.add_argument("--beta", type=float, default=sdef.beta)
-    p.add_argument("--cond", choices=("none", "label"), default="none")
     p.add_argument("--seed", type=int, default=sdef.seed)
     p.set_defaults(func=cmd_sample)
 

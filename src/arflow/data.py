@@ -41,6 +41,11 @@ DEFAULT_FPS = 20.0
 DEFAULT_FRAMES = 16
 DEFAULT_JOINTS = 5
 DEFAULT_PAIRS = 2000
+# most pairs, frames per motion and joints per body that one generation
+# makes; checked before any draw
+MAX_PAIRS = 10 ** 6
+MAX_FRAMES = 10 ** 4
+MAX_JOINTS = 100
 TEST_FRACTION = 0.1
 
 
@@ -56,10 +61,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise InvalidConfig(f"scenario must be one of {SCENARIOS}")
-        if self.frames < 2:
-            raise InvalidConfig("frames must be >= 2")
-        if self.joints < 3:
-            raise InvalidConfig("need at least 3 joints (root, torso, limb)")
+        if not 2 <= self.frames <= MAX_FRAMES:
+            raise InvalidConfig(f"frames must be in [2, {MAX_FRAMES}], got {self.frames}")
+        if not 3 <= self.joints <= MAX_JOINTS:  # at least root, torso, limb
+            raise InvalidConfig(f"joints must be in [3, {MAX_JOINTS}], got {self.joints}")
         if not 0.0 <= self.contact_fraction <= 1.0:
             raise InvalidConfig("contact_fraction must be in [0, 1]")
         if not 0.0 <= self.noise < np.inf:
@@ -338,8 +343,8 @@ def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
     one draw step per pair from ``np.random.default_rng(key)``, then one
     build over all pairs of its scenario.
     """
-    if count < 1:
-        raise InvalidConfig("count must be >= 1")
+    if not 1 <= count <= MAX_PAIRS:
+        raise InvalidConfig(f"count of pairs must be in [1, {MAX_PAIRS}], got {count}")
     names = SCENARIOS if scenario == "all" else (scenario,)
     cfgs = [ScenarioConfig(s, frames, joints, noise, contact_fraction, seed)
             for s in names]

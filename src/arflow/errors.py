@@ -37,10 +37,6 @@ class DegenerateCovariance(ArflowError):
     """Feature covariance is unusable (too few vectors or non-finite)."""
 
 
-class UnknownCondition(ArflowError):
-    """Condition id is outside the configured vocabulary."""
-
-
 class NonFiniteLoss(ArflowError):
     """A forward pass produced NaN or Inf.
 

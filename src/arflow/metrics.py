@@ -49,6 +49,7 @@ EVAL_CHUNK = 64
 DIVERSITY_SUBSET = 200
 MULTIMODALITY_SUBSET = 20
 MAX_SUBSET = 10 ** 4  # largest subset of the diversity and multimodality draws
+MAX_PROJ_DIM = 10 ** 4  # widest random projection of the features
 
 
 @dataclass
@@ -239,8 +240,8 @@ class FeatureExtractor:
     def __post_init__(self):
         if self.kind not in ("flatten", "random_projection"):
             raise InvalidConfig(f"unknown extractor kind {self.kind!r}")
-        if self.kind == "random_projection" and self.out_dim < 1:
-            raise InvalidConfig("out_dim must be positive")
+        if self.kind == "random_projection" and not 1 <= self.out_dim <= MAX_PROJ_DIM:
+            raise InvalidConfig(f"out_dim must be in [1, {MAX_PROJ_DIM}], got {self.out_dim}")
         if self.seed < 0:
             raise InvalidConfig(f"feature seed must be >= 0, got {self.seed}")
 

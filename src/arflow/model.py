@@ -1,17 +1,18 @@
 """Trainable causal sequence predictor and its training loop.
 
-The predictor maps an interpolated motion state ``x_t`` plus a flow time
-``t`` and an optional condition id to either the clean reaction endpoint
-(``x1`` mode) or the path velocity (``v`` mode).  It is a small
-pre-normalization transformer built on the package's own reverse-mode tape:
-frame rows are projected to ``width``-dimensional tokens, a summary token
-formed from the timestep features and the condition embedding is prepended,
-sinusoidal positions are added, and a directional (lower-triangular)
-attention mask keeps the computation causal when configured.
+The predictor maps an interpolated motion state ``x_t`` and a flow time
+``t`` to either the clean reaction endpoint (``x1`` mode) or the path
+velocity (``v`` mode); the actor enters only as the path's source, so there
+is no condition input.  It is a small pre-normalization transformer built on
+the package's own reverse-mode tape: frame rows are projected to
+``width``-dimensional tokens, a summary token formed from the timestep
+features is prepended, sinusoidal positions are added, and a directional
+(lower-triangular) attention mask keeps the computation causal when
+configured.
 
 Training minimizes the endpoint / velocity regression loss plus a weighted
-interaction loss, with classifier-free condition dropout and Adam updates.
-Everything is seeded and bit-reproducible.
+interaction loss with Adam updates.  Everything is seeded and
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from . import autodiff as ad
 from . import flowpath as fp
 from . import geometry as geo
 from .data import _numbers, atomic_open
-from .errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    NonFiniteLoss,
-    UnknownCondition,
-)
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 PARAMS_FORMAT = "arflow-predictor"
-PARAMS_VERSION = 2
+PARAMS_VERSION = 3
+MAX_LAYERS = 64     # most transformer blocks of a predictor
+MAX_WIDTH = 1024    # widest token; heads divide it, so at most this many heads
+MAX_BATCH = 4096    # most pairs in one training batch
 
 _LN_EPS = 1e-5
 _MASK_VALUE = -1e9
@@ -51,15 +50,13 @@ class PredictorConfig:
     width: int = 64
     heads: int = 2
     causal: bool = True
-    cond_vocab: int = 0
     prediction_mode: str = "x1"  # "x1" or "v"
     sigma_min: float = fp.SIGMA_MIN_DEFAULT  # of the path the model is trained on
 
     def __post_init__(self):
         # a model file is JSON: a float, bool or string here would pass the
         # range checks below and fail later, or load as the wrong model
-        for name in ("frame_dim", "max_frames", "layers", "width", "heads",
-                     "cond_vocab"):
+        for name in ("frame_dim", "max_frames", "layers", "width", "heads"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
@@ -68,16 +65,18 @@ class PredictorConfig:
         if (isinstance(self.sigma_min, bool) or not isinstance(self.sigma_min, (int, float))
                 or not 0.0 <= self.sigma_min < 1.0):  # NaN fails too
             raise InvalidConfig(f"sigma_min must be a number in [0, 1), got {self.sigma_min!r}")
-        if self.layers < 1 or self.width < 2 or self.heads < 1:
-            raise InvalidConfig("layers, width, heads must be positive")
+        # checked before any array is sized from them
+        if not (1 <= self.layers <= MAX_LAYERS and 2 <= self.width <= MAX_WIDTH
+                and 1 <= self.heads <= self.width):
+            raise InvalidConfig(f"layers must be in [1, {MAX_LAYERS}], width in "
+                                f"[2, {MAX_WIDTH}] and heads in [1, width], got "
+                                f"{self.layers}, {self.width} and {self.heads}")
         if self.width % self.heads != 0 or self.width % 2 != 0:
             raise InvalidConfig("width must be even and divisible by heads")
         if self.max_frames < 1 or self.frame_dim < 1:
             raise InvalidConfig("frame_dim and max_frames must be >= 1")
         if self.prediction_mode not in ("x1", "v"):
             raise InvalidConfig("prediction_mode must be 'x1' or 'v'")
-        if self.cond_vocab < 0:
-            raise InvalidConfig("cond_vocab must be >= 0")
 
 
 @dataclass
@@ -92,14 +91,12 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     lambda_inter: float = 1.0
-    cond_dropout_prob: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise InvalidConfig("steps and batch_size must be >= 1")
-        if not 0.0 <= self.cond_dropout_prob <= 1.0:
-            raise InvalidConfig("cond_dropout_prob must be in [0, 1]")
+        if self.steps < 1 or not 1 <= self.batch_size <= MAX_BATCH:
+            raise InvalidConfig(f"steps must be >= 1 and batch_size in [1, {MAX_BATCH}], "
+                                f"got {self.steps} and {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.lambda_inter < np.inf:
@@ -120,8 +117,10 @@ def _param_specs(cfg: PredictorConfig) -> dict[str, tuple[tuple[int, ...], float
     w = cfg.width
     d = cfg.frame_dim
 
+    # math.sqrt takes any int; np.sqrt raises TypeError beyond int64 (a model
+    # file's frame_dim is not bounded, and its arrays' shapes refuse it later)
     def dense(fan_in, fan_out, scale=1.0):
-        return (fan_in, fan_out), scale / np.sqrt(fan_in)
+        return (fan_in, fan_out), scale / math.sqrt(fan_in)
 
     specs: dict[str, tuple[tuple[int, ...], float | str]] = {
         "in_proj_w": dense(d, w),
@@ -130,7 +129,6 @@ def _param_specs(cfg: PredictorConfig) -> dict[str, tuple[tuple[int, ...], float
         "t_mlp_b1": ((w,), "zeros"),
         "t_mlp_w2": dense(w, w),
         "t_mlp_b2": ((w,), "zeros"),
-        "cond_embed": ((cfg.cond_vocab + 1, w), 0.02),
         "final_ln_g": ((w,), "ones"),
         "final_ln_b": ((w,), "zeros"),
         "out_proj_w": ((w, d), 1e-3 / np.sqrt(w)),
@@ -181,22 +179,8 @@ def _positional(seq_len: int, width: int) -> np.ndarray:
     return pe
 
 
-def _cond_rows(cfg: PredictorConfig, conds, b: int) -> np.ndarray:
-    """Map a batch's condition ids (None = null token; ``conds`` None for
-    the null token throughout) to embedding rows."""
-    conds = [None] * b if conds is None else conds
-    if len(conds) != b:
-        raise DimensionMismatch(f"{len(conds)} conditions for a batch of {b}")
-    for c in conds:
-        if c is not None and not 0 <= int(c) < cfg.cond_vocab:
-            raise UnknownCondition(
-                f"condition {int(c)} outside vocabulary of {cfg.cond_vocab}")
-    return np.array([cfg.cond_vocab if c is None else int(c) for c in conds],
-                    dtype=np.int64)
-
-
 def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
-             x_t: np.ndarray, t, cond_rows: np.ndarray) -> ad.Tensor:
+             x_t: np.ndarray, t) -> ad.Tensor:
     """Batched forward pass up to the final hidden state (B, H, width).
 
     ``t`` is one flow time per sample, or a scalar shared by the batch
@@ -218,10 +202,9 @@ def _forward(tensors: dict[str, ad.Tensor], cfg: PredictorConfig,
 
     tfeat = ad.constant(_timestep_features(np.atleast_1d(t), w))
     temb = dense(ad.gelu(dense(tfeat, "t_mlp", "1")), "t_mlp", "2")
-    onehot = np.zeros((b, cfg.cond_vocab + 1))
-    onehot[np.arange(b), cond_rows] = 1.0
-    cemb = ad.constant(onehot) @ tensors["cond_embed"]
-    z = (temb + cemb).reshape(b, 1, w)
+    if temb.shape[0] != b:  # a scalar t: one embedded row, copied to every sample
+        temb = ad.concat([temb] * b, axis=0)
+    z = temb.reshape(b, 1, w)
 
     x = ad.concat([z, frames], axis=1) + ad.constant(_positional(seq, w))
 
@@ -255,19 +238,15 @@ def _check_input(cfg: PredictorConfig, x_t: np.ndarray) -> np.ndarray:
     return x_t
 
 
-def predict(params: PredictorParams, x_t: np.ndarray, t: float,
-            c=None) -> np.ndarray:
+def predict(params: PredictorParams, x_t: np.ndarray, t: float) -> np.ndarray:
     """Raw network output (B, H, D) for a (B, H, D) batch of motion states.
 
-    ``c`` is a length-B sequence of condition ids (None entries take the
-    null token) or None for the null token throughout; one forward pass
-    covers the whole batch.  In causal mode output frame h depends only on
-    input frames <= h (plus t and c).  Pure and deterministic.
+    One forward pass covers the whole batch.  In causal mode output frame h
+    depends only on input frames <= h (plus t).  Pure and deterministic.
     """
     cfg = params.config
     x_t = _check_input(cfg, x_t)
-    hidden = _forward(_as_tensors(params, trainable=False), cfg, x_t, float(t),
-                      _cond_rows(cfg, c, len(x_t))).data
+    hidden = _forward(_as_tensors(params, trainable=False), cfg, x_t, float(t)).data
     # one (H, width) x (width, D) product per sample, so a sample's output
     # does not depend on the batch it is in
     return hidden @ params.arrays["out_proj_w"] + params.arrays["out_proj_b"]
@@ -284,12 +263,12 @@ def prediction_to_x1(raw: np.ndarray, x_t: np.ndarray, t: float,
 
 
 def as_x1_predictor(params: PredictorParams):
-    """Wrap trained params as a sampler-facing callable (x_t, t, c) -> x1_hat
-    on (B, H, D) batches at the model's ``sigma_min``, ``c`` as in :func:`predict`."""
+    """Wrap trained params as a sampler-facing callable (x_t, t) -> x1_hat
+    on (B, H, D) batches at the model's ``sigma_min``."""
     cfg = params.config
 
-    def predictor(x_t: np.ndarray, t: float, c) -> np.ndarray:
-        raw = predict(params, x_t, t, c)
+    def predictor(x_t: np.ndarray, t: float) -> np.ndarray:
+        raw = predict(params, x_t, t)
         return prediction_to_x1(raw, x_t, t, cfg.sigma_min, cfg.prediction_mode)
 
     return predictor
@@ -300,7 +279,7 @@ def as_x1_predictor(params: PredictorParams):
 # ---------------------------------------------------------------------------
 
 def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
-                x0: np.ndarray, x1: np.ndarray, conds, skel: geo.Skeleton,
+                x0: np.ndarray, x1: np.ndarray, skel: geo.Skeleton,
                 cfg: TrainConfig, ts: np.ndarray,
                 targets: fp.InteractionTargets | None = None):
     """Training loss on the tape: ``(total, fm, inter value)``.
@@ -315,11 +294,10 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
         raise DimensionMismatch(f"x0 {x0.shape} and x1 {x1.shape} must be one "
                                 f"non-empty (B, H, D) shape")
     b, h, _ = x0.shape
-    rows = _cond_rows(pcfg, conds, b)
     ts = np.asarray(ts, dtype=np.float64)
     x_t = fp.interpolate(x0, x1, ts[:, None, None], pcfg.sigma_min)
 
-    hidden = _forward(tensors, pcfg, x_t, ts, rows)
+    hidden = _forward(tensors, pcfg, x_t, ts)
     raw = ad.linear(hidden, tensors["out_proj_w"], tensors["out_proj_b"])
 
     if pcfg.prediction_mode == "x1":
@@ -347,21 +325,17 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
     return loss, loss_fm, inter_val
 
 
-def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
+def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
               skel: geo.Skeleton, cfg: TrainConfig, *,
               ts: np.ndarray | None = None,
               rng: np.random.Generator | None = None,
               targets: fp.InteractionTargets | None = None):
     """Loss and parameter gradients on a batch of (B, H, D) pairs x0 -> x1.
 
-    ``conds`` is the batch's length-B sequence of condition ids (None
-    entries take the null token).  ``ts`` gives the per-sample flow times;
-    otherwise they are drawn from ``rng`` on the grid ``k / 1000``.  With
-    ``rng`` each condition is then dropped to the null token with
-    probability ``cond_dropout_prob`` (classifier-free dropout), one draw
-    per non-None condition in batch order; without it the conditions are
-    used as given.  ``targets`` optionally carries the batch's precomputed
-    interaction targets, one row per frame, sample after sample.
+    ``ts`` gives the per-sample flow times; otherwise they are drawn from
+    ``rng`` on the grid ``k / 1000``.  ``targets`` optionally carries the
+    batch's precomputed interaction targets, one row per frame, sample
+    after sample.
     Returns ``(total, fm, inter, grads)`` with grads keyed like
     ``params.arrays``.
     """
@@ -369,13 +343,10 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
         if rng is None:
             raise InvalidConfig("either ts or rng must be given")
         ts = rng.integers(0, _T_GRID, size=len(x0)) / _T_GRID
-    if rng is not None and cfg.cond_dropout_prob > 0.0:
-        conds = [None if c is None or rng.random() < cfg.cond_dropout_prob else c
-                 for c in conds]
 
     tensors = _as_tensors(params, trainable=True)
-    loss, loss_fm, inter_val = _loss_graph(tensors, params.config, x0, x1, conds,
-                                           skel, cfg, ts, targets)
+    loss, loss_fm, inter_val = _loss_graph(tensors, params.config, x0, x1, skel, cfg,
+                                           ts, targets)
     total = float(loss.data)
     if not np.isfinite(total):
         raise NonFiniteLoss("non-finite training loss")
@@ -385,11 +356,11 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
     return total, float(loss_fm.data), inter_val, grads
 
 
-def loss_value(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
+def loss_value(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
                skel: geo.Skeleton, cfg: TrainConfig, *, ts: np.ndarray) -> float:
-    """Forward-only total loss at fixed (ts, conds); used by gradient checks."""
+    """Forward-only total loss at fixed ts; used by gradient checks."""
     loss, _, _ = _loss_graph(_as_tensors(params, trainable=False), params.config,
-                             x0, x1, conds, skel, cfg, ts)
+                             x0, x1, skel, cfg, ts)
     return float(loss.data)
 
 
@@ -400,11 +371,10 @@ def loss_value(params: PredictorParams, x0: np.ndarray, x1: np.ndarray, conds,
 def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
           train_cfg: TrainConfig, *, log_every: int = 0,
           phase_end: Callable[[str], None] | None = None):
-    """Train a predictor on (x0, x1, c) triples of one frame count.
+    """Train a predictor on (x0, x1) pairs of one frame count.
 
     ``InvalidConfig`` unless every record fits ``predictor_cfg``: at most
-    ``max_frames`` frames, each ``frame_dim`` wide, and ``UnknownCondition``
-    for a label outside ``cond_vocab``.  The triples are stacked
+    ``max_frames`` frames, each ``frame_dim`` wide.  The pairs are stacked
     once into (N, H, D) arrays; each step's batch is rows of those.
 
     Returns ``(params, history)`` where history has one
@@ -426,8 +396,6 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
         raise InvalidConfig(
             f"training records of {counts[0]} frames and widths {widths} do not fit "
             f"max_frames={predictor_cfg.max_frames}, frame_dim={predictor_cfg.frame_dim}")
-    labels = [s[2] for s in dataset]
-    _cond_rows(predictor_cfg, labels, len(labels))  # a bad label fails before any step
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(predictor_cfg, train_cfg.seed)
     # Adam runs over one flat buffer; the parameter arrays are views into it
@@ -456,9 +424,8 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
         targets = (None if table is None
                    else table.rows((idx[:, None] * h + np.arange(h)).ravel()))
         try:
-            total, fm, inter, grads = grad_loss(
-                params, x0s[idx], x1s[idx], [labels[i] for i in idx], skel,
-                train_cfg, rng=rng, targets=targets)
+            total, fm, inter, grads = grad_loss(params, x0s[idx], x1s[idx], skel,
+                                                train_cfg, rng=rng, targets=targets)
         except NonFiniteLoss as err:
             raise NonFiniteLoss(f"non-finite loss at step {step}", step=step) from err
         t_adam = step + 1
@@ -528,10 +495,12 @@ def load_params(path: str) -> PredictorParams:
             doc = json.load(fh)
         except ValueError as err:
             raise InvalidConfig(f"{path} is not JSON: {err}") from err
+    version = doc.get("version") if isinstance(doc, dict) else None
     if (not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT
-            or type(doc.get("version")) is not int or doc["version"] != PARAMS_VERSION
+            or type(version) is not int or version != PARAMS_VERSION
             or type(doc.get("arrays")) is not dict):
-        raise InvalidConfig(f"not a {PARAMS_FORMAT} v{PARAMS_VERSION} file with arrays: {path}")
+        raise InvalidConfig(f"not a {PARAMS_FORMAT} v{PARAMS_VERSION} file with arrays "
+                            f"(version {version!r}): {path}")
     try:
         cfg = PredictorConfig(**doc["config"])
     except (KeyError, TypeError) as err:

@@ -1,8 +1,9 @@
 """Sampling: one Euler walk with optional guidance and stochastic mixing.
 
-A predictor here is any callable ``(x_t, t, c) -> x1_hat`` returning the
-endpoint estimate for a (B, H, D) batch of states, ``c`` a length-B
-sequence of condition ids or None (see :func:`arflow.model.as_x1_predictor`).
+A predictor here is any callable ``(x_t, t) -> x1_hat`` returning the
+endpoint estimate for a (B, H, D) batch of states (see
+:func:`arflow.model.as_x1_predictor`); it sees the action only through the
+state, whose walk starts at the action.
 :func:`sample` walks the uniform time grid ``t_n = (n - 1) / (N - 1)`` and
 is pure given its inputs and seed.
 
@@ -187,14 +188,13 @@ def _step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,
     return x_next
 
 
-def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
+def sample(predictor, x0: np.ndarray, cfg: SamplerConfig,
            ctx: GuidanceContext | None = None, sample_index=None) -> np.ndarray:
     """Integrate a (B, H, D) batch of actions along the uniform time grid.
 
-    ``c`` is a length-B sequence of condition ids (None entries take the
-    null token) or None, and ``sample_index`` a length-B sequence (default
-    ``range(B)``).  The predictor gets (B, H, D) states and ``c``; guidance
-    needs ``ctx`` built from the same (B, H, D) actors.
+    ``sample_index`` is a length-B sequence (default ``range(B)``).  The
+    predictor gets (B, H, D) states; guidance needs ``ctx`` built from the
+    same (B, H, D) actors.
 
     Each step calls the predictor once and moves the state with
     :func:`_step`, the one step of every guidance mode.  Each sample's
@@ -218,7 +218,7 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig, c=None,
     grid = time_grid(cfg.steps)
     for n in range(cfg.steps - 1):
         tn, tn1 = float(grid[n]), float(grid[n + 1])
-        x1_hat = predictor(x, tn, c)
+        x1_hat = predictor(x, tn)
         if x1_hat.shape != x.shape:
             raise DimensionMismatch(
                 f"predictor returned {x1_hat.shape}, expected {x.shape}")

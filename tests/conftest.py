@@ -19,10 +19,10 @@ def trained_setup():
     samples = dt.generate_mixed(2000, frames=16, contact_fraction=0.5, seed=0)
     skel = dt.default_skeleton()
     train_split, test_split = dt.train_test_split(samples)
-    dataset = [(s.actor, s.reactor, s.label) for s in train_split]
+    dataset = [(s.actor, s.reactor) for s in train_split]
     pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=16,
                                layers=2, width=64, heads=2, causal=True,
-                               cond_vocab=3, sigma_min=1e-4)
+                               sigma_min=1e-4)
     tcfg = mdl.TrainConfig(steps=10000, batch_size=16, learning_rate=1e-3,
                            lambda_inter=1.0, seed=7)
     started = time.time()

@@ -82,7 +82,7 @@ def velocity_walk(predictor, x0, steps, sigma_min):
     x = np.array(x0, dtype=np.float64)
     grid = np.linspace(0.0, 1.0, steps)
     for tn, tn1 in zip(grid[:-1].tolist(), grid[1:].tolist()):
-        x = x + (tn1 - tn) * fp.v_from_x1(predictor(x, tn, None), x, tn, sigma_min)
+        x = x + (tn1 - tn) * fp.v_from_x1(predictor(x, tn), x, tn, sigma_min)
     return x
 
 

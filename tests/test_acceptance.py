@@ -61,7 +61,7 @@ def test_criterion_01_algebraic_equivalence():
     for k in range(100):
         x0 = rng.normal(size=(4, 9))
         a = rng.normal(scale=0.3, size=x0.shape)
-        predictor = lambda x, t, c: np.tanh(x + a) * (1.0 + 0.5 * t)
+        predictor = lambda x, t: np.tanh(x + a) * (1.0 + 0.5 * t)
         s = float(rng.uniform(0.0, 0.1))
         xa = smp.sample(predictor, x0[None], smp.SamplerConfig(steps=5, sigma_min=s))
         xb = velocity_walk(predictor, x0[None], 5, s)
@@ -83,12 +83,12 @@ def test_criterion_02_oracle_exactness():
     x1 = rng.normal(size=(8, 13))
     worst = 0.0
     for n in (2, 5, 100):
-        out = smp.sample(lambda x, t, c: x1[None], x0[None],
+        out = smp.sample(lambda x, t: x1[None], x0[None],
                          smp.SamplerConfig(steps=n, sigma_min=0.0))
         worst = max(worst, np.max(np.abs(out - x1)))
     s = 0.05
     for n in (2, 5, 100):
-        out = smp.sample(lambda x, t, c: x1[None], x0[None],
+        out = smp.sample(lambda x, t: x1[None], x0[None],
                          smp.SamplerConfig(steps=n, sigma_min=s))
         worst = max(worst, np.max(np.abs(out - (x1 + s * x0))))
     report(2, "oracle-exactness", worst < 1e-12, f"max abs err {worst:.1e}",
@@ -107,7 +107,7 @@ def test_criterion_03_reduction_chain():
     for _ in range(50):
         x0 = rng.normal(size=(6, 11))
         a = rng.normal(scale=0.3, size=x0.shape)
-        predictor = lambda x, t, c: np.tanh(x + a) * (1.0 + 0.5 * t)
+        predictor = lambda x, t: np.tanh(x + a) * (1.0 + 0.5 * t)
         s = float(rng.uniform(0.0, 0.1))
         euler = smp.sample(predictor, x0[None],
                            smp.SamplerConfig(steps=5, sigma_min=s))
@@ -173,17 +173,16 @@ def test_criterion_04_gradient_correctness():
     skel2 = geo.Skeleton((-1, 0), np.array([[0.0, 0, 0], [0.0, 0, 1.0]]),
                          np.array([0.1]))
     cfg = mdl.PredictorConfig(frame_dim=skel2.motion_dim, max_frames=3, layers=1,
-                              width=8, heads=2, cond_vocab=2, sigma_min=1e-4)
+                              width=8, heads=2, sigma_min=1e-4)
     params = mdl.init_params(cfg, seed=11)
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     batch = [(rng.normal(size=(3, cfg.frame_dim)),
-              rng.normal(size=(3, cfg.frame_dim)), i % 2) for i in range(2)]
+              rng.normal(size=(3, cfg.frame_dim))) for _ in range(2)]
     ts = np.array([0.17, 0.71])
-    conds = [0, 1]
     x0, x1 = (np.stack([b[i] for b in batch]) for i in (0, 1))
-    _, _, _, grads = mdl.grad_loss(params, x0, x1, conds, skel2, tcfg, ts=ts)
+    _, _, _, grads = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts)
     names = sorted(params.arrays)
     h = 1e-5
     checked_g, worst_g = 0, 0.0
@@ -193,9 +192,9 @@ def test_criterion_04_gradient_correctness():
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.loss_value(params, x0, x1, conds, skel2, tcfg, ts=ts)
+        hi = mdl.loss_value(params, x0, x1, skel2, tcfg, ts=ts)
         arr[idx] = orig - h
-        lo = mdl.loss_value(params, x0, x1, conds, skel2, tcfg, ts=ts)
+        lo = mdl.loss_value(params, x0, x1, skel2, tcfg, ts=ts)
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:
@@ -235,7 +234,7 @@ def test_criterion_05_guidance_efficacy(trained_setup):
     ]:
         ctx = (smp.GuidanceContext.from_actor(skel, actors)
                if cfg.guidance != "none" else None)
-        pairs = list(zip(actors, smp.sample(predictor, actors, cfg, None, ctx)))
+        pairs = list(zip(actors, smp.sample(predictor, actors, cfg, ctx)))
         stats = mx.penetration_stats(pairs, skel, 0.02)
         results[name] = (stats.iv_cm3, stats.if_frac)
 
@@ -270,7 +269,7 @@ def test_criterion_06_trainability(trained_setup):
     cfg = smp.SamplerConfig(steps=5, sigma_min=sigma_min)
     errs, base = [], []
     for s in trained_setup["test"]:
-        out = smp.sample(predictor, s.actor[None], cfg, None)[0]
+        out = smp.sample(predictor, s.actor[None], cfg)[0]
         errs.append(np.sqrt(np.mean((out - s.reactor) ** 2)))
         base.append(np.sqrt(np.mean((s.actor - s.reactor) ** 2)))
     ratio = float(np.mean(errs) / np.mean(base))
@@ -336,16 +335,16 @@ def test_criterion_08_causality():
     started = time.time()
     rng = np.random.default_rng(1008)
     cfg = mdl.PredictorConfig(frame_dim=12, max_frames=8, layers=2, width=32,
-                              heads=2, causal=True, cond_vocab=2)
+                              heads=2, causal=True)
     params = mdl.init_params(cfg, seed=3)
     worst = 0.0
     for trial in range(5):
         x = rng.normal(size=(8, 12))
-        base = mdl.predict(params, x[None], 0.3, [trial % 2])[0]
+        base = mdl.predict(params, x[None], 0.3)[0]
         for h in range(7):
             perturbed = x.copy()
             perturbed[h + 1:] += rng.normal(size=perturbed[h + 1:].shape)
-            out = mdl.predict(params, perturbed[None], 0.3, [trial % 2])[0]
+            out = mdl.predict(params, perturbed[None], 0.3)[0]
             worst = max(worst, np.max(np.abs(out[: h + 1] - base[: h + 1])))
     report(8, "causality", worst < 1e-10, f"max leak {worst:.1e}",
            time.time() - started, 5.0)

@@ -64,7 +64,6 @@ _REQUIRED = {"gen-data": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
     ("train", "lr", _field_default(mdl.TrainConfig, "learning_rate")),
     ("train", "lambda_inter", _field_default(mdl.TrainConfig, "lambda_inter")),
     ("train", "sigma_min", _field_default(mdl.PredictorConfig, "sigma_min")),
-    ("train", "cond_dropout", _field_default(mdl.TrainConfig, "cond_dropout_prob")),
     ("train", "seed", _field_default(mdl.TrainConfig, "seed")),
     ("train", "layers", _field_default(mdl.PredictorConfig, "layers")),
     ("train", "width", _field_default(mdl.PredictorConfig, "width")),
@@ -142,12 +141,18 @@ def test_gen_data_negative_zero_noise_writes_the_zero_noise_bytes(tmp_path, caps
     assert minus.read_bytes() == plus.read_bytes()
 
 
-@pytest.mark.parametrize("flag", ["--noise=nan", "--noise=inf", "--fps=nan", "--fps=-1"])
+@pytest.mark.parametrize("flag", ["--noise=nan", "--noise=inf", "--fps=nan", "--fps=-1",
+                                  f"--pairs={10 ** 29}", f"--frames={10 ** 29}",
+                                  f"--joints={10 ** 29}", f"--pairs={dt.MAX_PAIRS + 1}",
+                                  f"--frames={dt.MAX_FRAMES + 1}",
+                                  f"--joints={dt.MAX_JOINTS + 1}"])
 def test_gen_data_bad_value_exits_2(flag, tmp_path, capsys):
+    # sizes above their limits used to fail inside numpy: a traceback and exit 1
     out = tmp_path / "x.jsonl"
     assert run("gen-data", "--pairs", "3", "--frames", "4", flag, "--out", str(out)) == 2
-    assert flag[2:flag.index("=")] in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert flag[2:flag.index("=")] in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_is_an_error(capsys, tmp_path):
@@ -183,16 +188,22 @@ def test_verify_is_rejected_by_the_parser(capsys):
 
 
 @pytest.mark.parametrize("argv", [["sample", "--model", "m", "--mode", "v"],
-                                  ["train", "--t-grid", "10"]],
-                         ids=["sample-mode", "train-t-grid"])
+                                  ["train", "--t-grid", "10"],
+                                  ["train", "--cond-dropout", "0.1"],
+                                  ["train", "--unconditioned"],
+                                  ["sample", "--model", "m", "--cond", "label"]],
+                         ids=["sample-mode", "train-t-grid", "train-cond-dropout",
+                              "train-unconditioned", "sample-cond"])
 def test_removed_options_are_rejected_by_the_parser(argv, tmp_path, capsys):
     # sampling has one step form (the velocity form is the test oracle
-    # tests/oracles.py:velocity_walk), and training one grid of flow times
+    # tests/oracles.py:velocity_walk), training one grid of flow times, and
+    # the predictor sees no scenario label: the actor is the path's source
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--data", str(tmp_path / "d.jsonl"), "--out", str(out))
     assert exc.value.code == 2
-    assert argv[-2] in capsys.readouterr().err
+    flag = next(a for a in reversed(argv) if a.startswith("--"))
+    assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -234,12 +245,19 @@ def test_train_seed_reproducible_checksum(small_data, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--sigma-min=-3", "--lr=-1", "--lr=nan",
-                                  "--lambda-inter=-1", "--log-every=-1"])
-def test_train_bad_value_exits_2(flag, small_data, tmp_path):
+                                  "--lambda-inter=-1", "--log-every=-1",
+                                  f"--batch={10 ** 29}", f"--layers={10 ** 29}",
+                                  f"--width={10 ** 29}", f"--heads={10 ** 29}",
+                                  f"--batch={mdl.MAX_BATCH + 1}",
+                                  f"--layers={mdl.MAX_LAYERS + 1}",
+                                  f"--width={mdl.MAX_WIDTH + 2}", "--heads=128"])
+def test_train_bad_value_exits_2(flag, small_data, tmp_path, capsys):
+    # sizes above their limits used to fail in numpy: a traceback and exit 1
     out = tmp_path / "m.json"
     assert run("train", "--data", str(small_data), "--out", str(out), "--steps", "2",
                flag) == 2
-    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_missing_data_exits_2(tmp_path):
@@ -259,20 +277,6 @@ def test_train_mixed_frame_counts_exits_2(tmp_path, capsys):
     assert run("train", "--data", str(mixed), "--out", str(out),
                "--steps", "3") == 2
     assert "[6, 16]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_train_label_outside_vocabulary_exits_2(small_data, tmp_path, capsys):
-    # one training record's label is 7; the check runs before any batch is drawn
-    lines = small_data.read_text().splitlines()
-    rec = json.loads(lines[5])
-    rec["label"] = 7
-    lines[5] = json.dumps(rec)
-    data, out = tmp_path / "label7.jsonl", tmp_path / "m.json"
-    data.write_text("\n".join(lines) + "\n")
-    assert run("train", "--data", str(data), "--out", str(out), "--steps", "1",
-               "--width", "16", "--layers", "1") == 2
-    assert "condition 7" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -407,28 +411,6 @@ def test_sample_too_many_frames_exits_4(small_model, tmp_path):
     assert not out.exists()
 
 
-def test_sample_label_outside_vocabulary_exits_4(small_data, tmp_path, monkeypatch,
-                                                 capsys):
-    # an unconditioned model has a vocabulary of 0; the labels are checked
-    # with the other model/data checks, before any sampling
-    model = tmp_path / "m.json"
-    assert run("train", "--data", str(small_data), "--out", str(model), "--steps", "2",
-               "--batch", "4", "--width", "16", "--layers", "1", "--unconditioned") == 0
-    out = tmp_path / "s.jsonl"
-    assert run("sample", "--model", str(model), "--data", str(small_data),
-               "--out", str(out), "--limit", "2") == 0
-    out.unlink()
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the label check")
-
-    monkeypatch.setattr(smp, "sample", no_sampling)
-    assert run("sample", "--model", str(model), "--data", str(small_data),
-               "--out", str(out), "--cond", "label") == 4
-    assert "vocabulary of 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_sample_stochastic_vanilla_exits_2(small_model, small_data, tmp_path):
     assert run("sample", "--model", str(small_model), "--data", str(small_data),
                "--out", str(tmp_path / "s.jsonl"), "--guidance", "vanilla",
@@ -485,8 +467,7 @@ def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
                                + lines_l[6:]) + "\n")
     assert len(lines_s) > cli.SAMPLE_CHUNK
     out = tmp_path / "s.jsonl"
-    flags = ["--guidance", "improved", "--beta", "0.2", "--cond", "label",
-             "--seed", "6"]
+    flags = ["--guidance", "improved", "--beta", "0.2", "--seed", "6"]
     assert run("sample", "--model", str(small_model), "--data", str(mixed),
                "--out", str(out), "--split", "all", *flags) == 0
     subset, skel = dt.load_samples(str(mixed))
@@ -499,8 +480,7 @@ def test_sample_mixed_frames_and_chunks_match_per_actor(small_model, tmp_path):
     for index, (s, g) in enumerate(zip(subset, got)):
         assert np.array_equal(s.actor, g.actor) and s.label == g.label
         ctx = smp.GuidanceContext.from_actor(skel, s.actor[None])
-        ref = smp.sample(predictor, s.actor[None], cfg, [s.label], ctx,
-                         sample_index=[index])
+        ref = smp.sample(predictor, s.actor[None], cfg, ctx, sample_index=[index])
         assert np.max(np.abs(g.reactor - ref[0])) <= 1e-12
 
 
@@ -577,6 +557,22 @@ def test_sample_version_1_model_exits_4(small_model, small_data, tmp_path, capsy
     assert not out.exists()
 
 
+def test_sample_version_2_model_exits_4(small_model, small_data, tmp_path, capsys):
+    # version 2 embedded a scenario label (config cond_vocab, array cond_embed)
+    doc = json.loads(small_model.read_text())
+    doc["version"] = 2
+    doc["config"]["cond_vocab"] = 3
+    doc["arrays"]["cond_embed"] = {"shape": [4, 32], "data": [0.0] * 128}
+    model = tmp_path / "v2.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "s.jsonl"
+    assert run("sample", "--model", str(model), "--data", str(small_data),
+               "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert "(version 2)" in err and f"v{mdl.PARAMS_VERSION}" in err
+    assert not out.exists()
+
+
 def test_sample_has_no_sigma_min_flag(small_model, small_data, tmp_path):
     # sample reads sigma_min from the model; the parser rejects the flag
     out = tmp_path / "s.jsonl"
@@ -589,9 +585,9 @@ def test_sample_has_no_sigma_min_flag(small_model, small_data, tmp_path):
 
 def test_sample_uses_the_sigma_min_the_model_was_trained_at(small_data, tmp_path):
     samples, skel = dt.load_samples(str(small_data))
-    dataset = [(s.actor, s.reactor, s.label) for s in samples]
+    dataset = [(s.actor, s.reactor) for s in samples]
     pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=8, layers=1,
-                               width=16, cond_vocab=len(dt.SCENARIOS), sigma_min=0.05)
+                               width=16, sigma_min=0.05)
     params, _ = mdl.train(dataset, skel, pcfg,
                           mdl.TrainConfig(steps=3, batch_size=4, seed=2))
     model, out = tmp_path / "m.json", tmp_path / "s.jsonl"
@@ -623,8 +619,7 @@ def test_sample_output_round_trips_byte_for_byte(guidance, small_model, small_da
     # save_samples(load_samples(f)) writes the very bytes sample wrote
     out, again = tmp_path / "s.jsonl", tmp_path / "again.jsonl"
     assert run("sample", "--model", str(small_model), "--data", str(small_data),
-               "--out", str(out), "--guidance", guidance, "--lambda-pene", "0.02",
-               "--cond", "label") == 0
+               "--out", str(out), "--guidance", guidance, "--lambda-pene", "0.02") == 0
     samples, skel = dt.load_samples(str(out))
     dt.save_samples(str(again), samples, skel)
     assert again.read_bytes() == out.read_bytes()
@@ -689,7 +684,11 @@ def test_eval_subset_size_below_one_exits_2(metric, flag, small_data, tmp_path, 
     ["--metrics", "iv", "--metric-seed", "-1"],
     ["--metrics", "div", "--sd", "5", "--feature-seed", "-1"],
     ["--metrics", "div", "--sd", "5", "--proj-dim", "0"],
-], ids=["iv-sd", "iv-sl", "iv-metric-seed", "div-feature-seed", "div-proj-dim"])
+    ["--metrics", "div", "--sd", "3", "--allow-replacement", "--features", "proj",
+     "--proj-dim", str(10 ** 29)],
+    ["--metrics", "iv", "--proj-dim", str(mx.MAX_PROJ_DIM + 1)],
+], ids=["iv-sd", "iv-sl", "iv-metric-seed", "div-feature-seed", "div-proj-dim",
+        "div-proj-dim-huge", "iv-proj-dim-limit-plus-one"])
 def test_eval_options_are_checked_whatever_the_metrics(argv, small_data, tmp_path,
                                                        capsys):
     # like --voxel, an option the asked-for metrics do not read still exits 2

@@ -366,6 +366,13 @@ def test_feature_extractor_rejects_unknown_kind(kind):
         mx.FeatureExtractor(kind)
 
 
+@pytest.mark.parametrize("out_dim", [0, mx.MAX_PROJ_DIM + 1, 10 ** 29])
+def test_random_projection_width_has_limits(out_dim):
+    # 10^29 columns used to fail inside numpy's normal draw
+    with pytest.raises(InvalidConfig, match="out_dim"):
+        mx.FeatureExtractor("random_projection", out_dim=out_dim)
+
+
 @pytest.mark.parametrize("kind", ["flatten", "random_projection"])
 def test_flattened_features_reject_mixed_frame_counts(kind):
     skel = chain_skeleton(2)

@@ -8,7 +8,7 @@ import oracles
 from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import model as mdl
-from arflow.errors import DimensionMismatch, InvalidConfig, UnknownCondition
+from arflow.errors import DimensionMismatch, InvalidConfig
 
 from test_geometry import chain_skeleton
 from test_flowpath import random_motion
@@ -16,18 +16,17 @@ from test_flowpath import random_motion
 
 def tiny_config(skel, h=3, **kw):
     defaults = dict(frame_dim=skel.motion_dim, max_frames=h, layers=1, width=8,
-                    heads=2, causal=True, cond_vocab=3)
+                    heads=2, causal=True)
     defaults.update(kw)
     return mdl.PredictorConfig(**defaults)
 
 
-def tiny_batch(rng, skel, n=2, h=3, labels=(0, 1)):
-    return [(random_motion(rng, skel, h), random_motion(rng, skel, h),
-             labels[i % len(labels)]) for i in range(n)]
+def tiny_batch(rng, skel, n=2, h=3):
+    return [(random_motion(rng, skel, h), random_motion(rng, skel, h)) for _ in range(n)]
 
 
 def stacked(batch):
-    """The (B, H, D) arrays x0 and x1 of a list of (x0, x1, c) triples."""
+    """The (B, H, D) arrays x0 and x1 of a list of (x0, x1) pairs."""
     return np.stack([s[0] for s in batch]), np.stack([s[1] for s in batch])
 
 
@@ -41,11 +40,11 @@ def test_predict_causality():
     cfg = tiny_config(skel, h=6, width=16, layers=2)
     params = mdl.init_params(cfg, seed=1)
     x = rng.normal(size=(6, cfg.frame_dim))
-    base = mdl.predict(params, x[None], 0.4, [1])[0]
+    base = mdl.predict(params, x[None], 0.4)[0]
     for h in range(5):
         perturbed = x.copy()
         perturbed[h + 1:] += rng.normal(size=perturbed[h + 1:].shape)
-        out = mdl.predict(params, perturbed[None], 0.4, [1])[0]
+        out = mdl.predict(params, perturbed[None], 0.4)[0]
         assert np.max(np.abs(out[: h + 1] - base[: h + 1])) < 1e-10
 
 
@@ -69,7 +68,7 @@ def test_zero_output_projection_gives_zero():
     params.arrays["out_proj_w"][:] = 0.0
     params.arrays["out_proj_b"][:] = 0.0
     x = rng.normal(size=(3, cfg.frame_dim))
-    assert np.all(mdl.predict(params, x[None], 0.7, [2]) == 0.0)
+    assert np.all(mdl.predict(params, x[None], 0.7) == 0.0)
 
 
 def test_predict_deterministic():
@@ -78,8 +77,8 @@ def test_predict_deterministic():
     cfg = tiny_config(skel)
     params = mdl.init_params(cfg, seed=4)
     x = rng.normal(size=(3, cfg.frame_dim))
-    a = mdl.predict(params, x[None], 0.5, [0])
-    b = mdl.predict(params, x[None], 0.5, [0])
+    a = mdl.predict(params, x[None], 0.5)
+    b = mdl.predict(params, x[None], 0.5)
     assert np.array_equal(a, b)
 
 
@@ -91,8 +90,6 @@ def test_predict_input_validation():
         mdl.predict(params, np.zeros((1, 3, cfg.frame_dim + 1)), 0.5)
     with pytest.raises(DimensionMismatch):
         mdl.predict(params, np.zeros((1, cfg.max_frames + 1, cfg.frame_dim)), 0.5)
-    with pytest.raises(UnknownCondition):
-        mdl.predict(params, np.zeros((1, 2, cfg.frame_dim)), 0.5, [cfg.cond_vocab])
     with pytest.raises(DimensionMismatch, match=r"\(B, H, "):  # one (H, D) motion
         mdl.predict(params, np.zeros((3, cfg.frame_dim)), 0.5)
 
@@ -120,9 +117,7 @@ def test_grad_loss_rejects_mismatched_pairs():
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     for a, b in ((x0[0], x1[0]), (x0, x1[:1]), (x0[:0], x1[:0])):
         with pytest.raises(DimensionMismatch):
-            mdl.grad_loss(params, a, b, [0] * len(a), skel, tcfg, ts=np.zeros(len(a)))
-    with pytest.raises(DimensionMismatch, match="2 conditions for a batch of 1"):
-        mdl.loss_value(params, x0[:1], x1[:1], [0, 1], skel, tcfg, ts=np.zeros(1))
+            mdl.grad_loss(params, a, b, skel, tcfg, ts=np.zeros(len(a)))
 
 
 def test_config_validation():
@@ -134,7 +129,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("kw", [dict(frame_dim=10.0), dict(max_frames=4.0),
                                 dict(layers=2.0), dict(width=64.0), dict(heads=True),
-                                dict(cond_vocab="3"), dict(causal="no"), dict(causal=1),
+                                dict(heads="2"), dict(causal="no"), dict(causal=1),
                                 dict(prediction_mode=None)])
 def test_config_rejects_mistyped_fields(kw):
     # a model file is JSON: floats, bools and strings must not pass for
@@ -157,10 +152,8 @@ def test_grad_loss_value_consistency():
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     batch = tiny_batch(rng, skel)
     ts = np.array([0.2, 0.7])
-    conds = [0, None]
-    total, fm, inter, _ = mdl.grad_loss(params, *stacked(batch), conds, skel, tcfg,
-                                        ts=ts)
-    again = mdl.loss_value(params, *stacked(batch), conds, skel, tcfg, ts=ts)
+    total, fm, inter, _ = mdl.grad_loss(params, *stacked(batch), skel, tcfg, ts=ts)
+    again = mdl.loss_value(params, *stacked(batch), skel, tcfg, ts=ts)
     assert total == pytest.approx(again, rel=1e-12)
     assert total == pytest.approx(fm + tcfg.lambda_inter * inter, rel=1e-12)
 
@@ -178,9 +171,8 @@ def test_grad_loss_matches_finite_differences(mode):
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     batch = tiny_batch(rng, skel)
     ts = np.array([0.13, 0.61])
-    conds = [1, 2]
     x0, x1 = stacked(batch)
-    _, _, _, grads = mdl.grad_loss(params, x0, x1, conds, skel, tcfg, ts=ts)
+    _, _, _, grads = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts)
 
     names = sorted(params.arrays)
     h = 1e-5
@@ -191,13 +183,13 @@ def test_grad_loss_matches_finite_differences(mode):
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.loss_value(params, x0, x1, conds, skel, tcfg, ts=ts)
+        hi = mdl.loss_value(params, x0, x1, skel, tcfg, ts=ts)
         arr[idx] = orig - h
-        lo = mdl.loss_value(params, x0, x1, conds, skel, tcfg, ts=ts)
+        lo = mdl.loss_value(params, x0, x1, skel, tcfg, ts=ts)
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:
-            continue  # dead coordinate (unused embedding row etc.)
+            continue  # dead coordinate
         assert abs(grads[name][idx] - fd) / abs(fd) < 1e-4, (name, idx)
         checked += 1
 
@@ -209,13 +201,11 @@ def test_lambda_zero_reduces_to_fm_gradient():
     params = mdl.init_params(cfg, seed=7)
     batch = tiny_batch(rng, skel)
     ts = np.array([0.4, 0.9])
-    conds = [None, 0]
     base = mdl.TrainConfig(steps=1, batch_size=2, lambda_inter=0.0, seed=0)
-    t0, fm0, inter0, g0 = mdl.grad_loss(params, *stacked(batch), conds, skel, base,
-                                        ts=ts)
+    t0, fm0, inter0, g0 = mdl.grad_loss(params, *stacked(batch), skel, base, ts=ts)
     assert inter0 == 0.0 and t0 == fm0
     # fm-only gradient computed separately must match exactly
-    _, _, _, g1 = mdl.grad_loss(params, *stacked(batch), conds, skel, base, ts=ts)
+    _, _, _, g1 = mdl.grad_loss(params, *stacked(batch), skel, base, ts=ts)
     for k in g0:
         assert np.array_equal(g0[k], g1[k])
 
@@ -230,7 +220,7 @@ def test_grad_loss_with_table_rows_equals_no_targets(mode):
     data = tiny_batch(rng, skel, n=5)
     table = fp.interaction_targets(skel, np.concatenate([s[1] for s in data]))
     idx = np.array([3, 0, 3])
-    args = (*stacked([data[i] for i in idx]), [0, None, 1], skel, tcfg)
+    args = (*stacked([data[i] for i in idx]), skel, tcfg)
     ts = np.array([0.1, 0.5, 0.85])
     got = mdl.grad_loss(params, *args, ts=ts,
                         targets=table.rows((idx[:, None] * 3 + np.arange(3)).ravel()))
@@ -238,21 +228,6 @@ def test_grad_loss_with_table_rows_equals_no_targets(mode):
     assert got[:3] == want[:3] and want[2] > 0.0
     for k in want[3]:
         assert got[3][k].tobytes() == want[3][k].tobytes(), k
-
-
-def test_cond_dropout_prob_one_hides_labels():
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
-    skel = chain_skeleton(2)
-    cfg = tiny_config(skel)
-    params = mdl.init_params(cfg, seed=8)
-    tcfg = mdl.TrainConfig(steps=1, batch_size=2, cond_dropout_prob=1.0, seed=0)
-    data_rng = np.random.default_rng(7)
-    x0, x1 = stacked(tiny_batch(data_rng, skel, labels=(0, 1)))
-    ts = np.array([0.3, 0.8])
-    ta, *_ = mdl.grad_loss(params, x0, x1, [0, 1], skel, tcfg, ts=ts, rng=rng_a)
-    tb, *_ = mdl.grad_loss(params, x0, x1, [2, 2], skel, tcfg, ts=ts, rng=rng_b)
-    assert ta == tb
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +257,8 @@ def test_train_memorizes_singleton():
     x0 = random_motion(rng, skel, 3)
     x1 = random_motion(rng, skel, 3)
     tcfg = mdl.TrainConfig(steps=1200, batch_size=4, learning_rate=3e-3,
-                           lambda_inter=0.0, cond_dropout_prob=0.0, seed=11)
-    params, history = mdl.train([(x0, x1, None)], skel, cfg, tcfg)
+                           lambda_inter=0.0, seed=11)
+    params, history = mdl.train([(x0, x1)], skel, cfg, tcfg)
     assert len(history) == tcfg.steps
     assert min(h[0] for h in history) < 1e-3
 
@@ -303,8 +278,8 @@ def test_train_rejects_records_that_do_not_fit_the_config(h, extra_cols):
     rng = np.random.default_rng(14)
     skel = chain_skeleton(2)
     cols = skel.motion_dim + extra_cols
-    data = [(np.resize(x0, (h, cols)), np.resize(x1, (h, cols)), c)
-            for x0, x1, c in tiny_batch(rng, skel, n=3, h=h)]
+    data = [(np.resize(x0, (h, cols)), np.resize(x1, (h, cols)))
+            for x0, x1 in tiny_batch(rng, skel, n=3, h=h)]
     tcfg = mdl.TrainConfig(steps=2, batch_size=2, lambda_inter=0.0, seed=0)
     with pytest.raises(InvalidConfig) as err:
         mdl.train(data, skel, tiny_config(skel, h=3), tcfg)
@@ -347,15 +322,14 @@ def test_params_round_trip(tmp_path):
 def test_init_params_draw_order_is_pinned():
     # names, shapes, fills and the order of the normal draws all feed the
     # digest: a model file of a given seed keeps its bytes
-    cfg = mdl.PredictorConfig(frame_dim=21, max_frames=3, layers=2, width=8, heads=2,
-                              cond_vocab=3)
+    cfg = mdl.PredictorConfig(frame_dim=21, max_frames=3, layers=2, width=8, heads=2)
     digest = hashlib.sha256()
     for name, arr in mdl.init_params(cfg, seed=5).arrays.items():
         digest.update(name.encode())
         digest.update(repr(arr.shape).encode())
         digest.update(arr.tobytes())
     assert digest.hexdigest() == (
-        "64992bdc16203abf47baaa835e3dd1b2ba4a1b232dcaef114ddde8529fe66ce5")
+        "5abd9b1bdc78d93282868ddc42c3075950fbf37014b44e5b54ff14a040bd1ca7")
 
 
 def test_load_params_draws_no_random_numbers(tmp_path, monkeypatch):
@@ -453,13 +427,21 @@ def test_params_file_rejects_a_boolean_among_numbers(tmp_path, value):
         mdl.load_params(_write_doc(tmp_path / "bool.json", doc))
 
 
-@pytest.mark.parametrize("version", [2.0, "2"])
-def test_params_file_rejects_a_version_that_is_not_the_integer_2(tmp_path, version):
-    # a float version used to pass the version check (2.0 == 2)
+@pytest.mark.parametrize("version", [3.0, "3"])
+def test_params_file_rejects_a_version_that_is_not_the_integer_3(tmp_path, version):
+    # a float version used to pass the version check (3.0 == 3)
     doc = _saved_doc(tmp_path)
     doc["version"] = version
-    with pytest.raises(InvalidConfig, match="not a arflow-predictor v2 file"):
+    with pytest.raises(InvalidConfig, match="not a arflow-predictor v3 file"):
         mdl.load_params(_write_doc(tmp_path / "version.json", doc))
+
+
+def test_params_file_with_a_huge_frame_dim_is_refused(tmp_path):
+    # np.sqrt of a 10^29 fan-in raised TypeError: a traceback and exit 1
+    doc = _saved_doc(tmp_path)
+    doc["config"]["frame_dim"] = 10 ** 29
+    with pytest.raises(InvalidConfig, match="in_proj_w"):
+        mdl.load_params(_write_doc(tmp_path / "huge.json", doc))
 
 
 def test_params_file_rejects_nested_data(tmp_path):
@@ -515,23 +497,18 @@ def test_save_params_refuses_what_load_params_refuses(tmp_path, defect):
 
 
 def test_predict_batch_matches_single_calls():
-    # one forward over the batch, one condition per sample; each sample's
-    # output is bit-equal to its own batch-of-one call
+    # one forward over the batch, the scalar t embedded once for all of it;
+    # each sample's output is bit-equal to its own batch-of-one call
     rng = np.random.default_rng(13)
     skel = chain_skeleton(2)
     cfg = tiny_config(skel, h=4, width=16)
     params = mdl.init_params(cfg, seed=5)
     params.arrays["out_proj_w"] = rng.normal(size=params.arrays["out_proj_w"].shape)
     x = rng.normal(size=(5, 4, cfg.frame_dim))
-    conds = [0, None, 2, 1, None]
-    out = mdl.predict(params, x, 0.3, conds)
+    out = mdl.predict(params, x, 0.3)
     for i in range(5):
-        assert np.array_equal(out[i], mdl.predict(params, x[i:i + 1], 0.3,
-                                                  conds[i:i + 1])[0])
-    nulls = mdl.predict(params, x, 0.3, None)
-    assert np.array_equal(nulls[1], out[1])
-    with pytest.raises(DimensionMismatch):
-        mdl.predict(params, x, 0.3, [0, 1])
+        assert np.array_equal(out[i], mdl.predict(params, x[i:i + 1], 0.3)[0])
+    assert not np.array_equal(out[0], out[1])
 
 
 @pytest.mark.parametrize("causal", [True, False])
@@ -546,9 +523,8 @@ def test_fused_forward_is_bit_equal_to_the_composed_ops(causal, monkeypatch):
                            mdl.TrainConfig(steps=4, batch_size=3, learning_rate=0.05,
                                            seed=2))
     x = rng.normal(size=(4, 5, cfg.frame_dim))
-    conds = [0, None, 2, 1]
     sets = [mdl.init_params(cfg, seed=8), trained]
-    fused = [mdl.predict(p, x, 0.6, conds) for p in sets]
+    fused = [mdl.predict(p, x, 0.6) for p in sets]
 
     def composed(fn):
         return lambda *args: ad.constant(fn(*(a.data if isinstance(a, ad.Tensor) else a
@@ -557,4 +533,4 @@ def test_fused_forward_is_bit_equal_to_the_composed_ops(causal, monkeypatch):
     for name in ("linear", "layer_norm", "attention", "gelu"):
         monkeypatch.setattr(ad, name, composed(getattr(oracles, name)))
     for p, pred in zip(sets, fused):
-        assert np.array_equal(pred, mdl.predict(p, x, 0.6, conds))
+        assert np.array_equal(pred, mdl.predict(p, x, 0.6))

@@ -33,14 +33,14 @@ def context(skel, actor_skel, actor):
 
 
 def oracle(x1_true):
-    return lambda x, t, c: x1_true
+    return lambda x, t: x1_true
 
 
 def nonlinear_predictor(seed, shape):
     rng = np.random.default_rng(seed)
     a = rng.normal(scale=0.3, size=shape)
 
-    def predictor(x, t, c):
+    def predictor(x, t):
         return np.tanh(x + a) * (1.0 + 0.5 * t)
 
     return predictor
@@ -248,7 +248,7 @@ def test_unguided_step_is_reinterpolation_bit_exact():
         x = x0
         grid = smp.time_grid(5)
         for tn, tn1 in zip(grid[:-1], grid[1:]):
-            x1_hat = predictor(x, float(tn), None)
+            x1_hat = predictor(x, float(tn))
             x = fp.interpolate(fp.x0_hat(x1_hat, x, float(tn), s), x1_hat, float(tn1), s)
         assert np.array_equal(out, x)
 
@@ -432,19 +432,18 @@ def test_non_finite_prediction_raises():
 # ---------------------------------------------------------------------------
 
 def batch_scene(b=6, h=4, seed=21):
-    """Overlapping actors, per-sample conditions and a small predictor whose
-    output projection has a healthy scale (its rotations stay decodable)."""
+    """Overlapping actors and a small predictor whose output projection has
+    a healthy scale (its rotations stay decodable)."""
     rng = np.random.default_rng(seed)
     skel = chain_skeleton(3, offset=(0.25, 0.1, 0.3))
     actors = np.stack([random_motion(rng, skel, h) for _ in range(b)])
     actors[..., -3:] = rng.normal(scale=0.15, size=(b, h, 3))
     cfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=h, layers=1,
-                              width=16, heads=2, cond_vocab=2, sigma_min=1e-4)
+                              width=16, heads=2, sigma_min=1e-4)
     params = mdl.init_params(cfg, seed=seed)
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
-    conds = [i % 3 if i % 3 < 2 else None for i in range(b)]
-    return skel, actors, mdl.as_x1_predictor(params), conds
+    return skel, actors, mdl.as_x1_predictor(params)
 
 
 BATCH_CONFIGS = [
@@ -456,23 +455,23 @@ BATCH_CONFIGS = [
 ]
 
 
-def run_batch(predictor, skel, actors, conds, cfg, indices):
+def run_batch(predictor, skel, actors, cfg, indices):
     ctx = smp.GuidanceContext.from_actor(skel, actors)
-    return smp.sample(predictor, actors, cfg, conds, ctx, sample_index=indices)
+    return smp.sample(predictor, actors, cfg, ctx, sample_index=indices)
 
 
 @pytest.mark.parametrize("kw", BATCH_CONFIGS)
 def test_batch_matches_single_calls(kw):
-    skel, actors, predictor, conds = batch_scene()
+    skel, actors, predictor = batch_scene()
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
     indices = [4, 0, 9, 2, 7, 1]
-    out = run_batch(predictor, skel, actors, conds, cfg, indices)
+    out = run_batch(predictor, skel, actors, cfg, indices)
     for i in range(len(actors)):
         one = slice(i, i + 1)
-        single = run_batch(predictor, skel, actors[one], conds[one], cfg, indices[one])
+        single = run_batch(predictor, skel, actors[one], cfg, indices[one])
         assert np.max(np.abs(out[i] - single[0])) <= 1e-12
     if cfg.guidance != "none":
-        unguided = run_batch(predictor, skel, actors, conds,
+        unguided = run_batch(predictor, skel, actors,
                              smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3,
                                                beta=cfg.beta), indices)
         assert np.max(np.abs(out - unguided)) > 1e-6  # guidance was active
@@ -480,23 +479,23 @@ def test_batch_matches_single_calls(kw):
 
 @pytest.mark.parametrize("kw", BATCH_CONFIGS)
 def test_batch_output_independent_of_size_and_order(kw):
-    skel, actors, predictor, conds = batch_scene()
+    skel, actors, predictor = batch_scene()
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
     indices = list(range(len(actors)))
-    out = run_batch(predictor, skel, actors, conds, cfg, indices)
-    rev = run_batch(predictor, skel, actors[::-1], conds[::-1], cfg, indices[::-1])
+    out = run_batch(predictor, skel, actors, cfg, indices)
+    rev = run_batch(predictor, skel, actors[::-1], cfg, indices[::-1])
     assert np.max(np.abs(out - rev[::-1])) <= 1e-12
-    part = run_batch(predictor, skel, actors[2:4], conds[2:4], cfg, indices[2:4])
+    part = run_batch(predictor, skel, actors[2:4], cfg, indices[2:4])
     assert np.max(np.abs(out[2:4] - part)) <= 1e-12
 
 
 def test_batch_of_one_equals_single_call():
     # a batch of one runs on stream index 0 unless told otherwise
-    skel, actors, predictor, conds = batch_scene(b=1)
+    skel, actors, predictor = batch_scene(b=1)
     for kw in BATCH_CONFIGS:
         cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
-        one = run_batch(predictor, skel, actors, conds, cfg, [0])
-        batch = run_batch(predictor, skel, actors, conds, cfg, None)
+        one = run_batch(predictor, skel, actors, cfg, [0])
+        batch = run_batch(predictor, skel, actors, cfg, None)
         assert batch.shape == one.shape == actors.shape
         assert np.array_equal(batch, one)
 
@@ -532,40 +531,39 @@ def test_batch_stochastic_streams_per_sample():
 def test_causal_predictor_reaction_ignores_later_actor_frames(kw):
     # with a causal predictor, reaction frame h depends on actor frames <= h
     # only: guidance and the random direction act frame by frame
-    skel, actors, predictor, conds = batch_scene()
+    skel, actors, predictor = batch_scene()
     cfg = smp.SamplerConfig(steps=5, sigma_min=1e-4, seed=3, **kw)
     indices = list(range(len(actors)))
-    out = run_batch(predictor, skel, actors, conds, cfg, indices)
+    out = run_batch(predictor, skel, actors, cfg, indices)
     rng = np.random.default_rng(23)
     h = actors.shape[1]
     for cut in range(1, h):
         moved = actors.copy()
         moved[:, cut:] = np.stack([random_motion(rng, skel, h - cut) for _ in actors])
-        again = run_batch(predictor, skel, moved, conds, cfg, indices)
+        again = run_batch(predictor, skel, moved, cfg, indices)
         assert np.max(np.abs(again[:, cut:] - out[:, cut:])) > 1e-6
         assert np.max(np.abs(again[:, :cut] - out[:, :cut])) <= 1e-12
 
 
 def test_batch_reduction_identities_bit_exact():
-    skel, actors, predictor, conds = batch_scene()
-    euler = smp.sample(predictor, actors, smp.SamplerConfig(steps=5, sigma_min=1e-4),
-                       conds)
+    skel, actors, predictor = batch_scene()
+    euler = smp.sample(predictor, actors, smp.SamplerConfig(steps=5, sigma_min=1e-4))
     ctx = smp.GuidanceContext.from_actor(skel, actors)
     vanilla0 = smp.sample(predictor, actors,
                           smp.SamplerConfig(steps=5, sigma_min=1e-4,
                                             guidance="vanilla", lambda_pene=0.0),
-                          conds, ctx)
+                          ctx)
     assert np.array_equal(euler, vanilla0)
     base = dict(steps=5, sigma_min=1e-4, guidance="improved", lambda_pene=2.0,
                 w=0.6, beta=0.0)
-    a = smp.sample(predictor, actors, smp.SamplerConfig(seed=5, **base), conds, ctx)
-    b = smp.sample(predictor, actors, smp.SamplerConfig(seed=6, **base), conds, ctx,
+    a = smp.sample(predictor, actors, smp.SamplerConfig(seed=5, **base), ctx)
+    b = smp.sample(predictor, actors, smp.SamplerConfig(seed=6, **base), ctx,
                    sample_index=range(10, 16))
     assert np.array_equal(a, b)
 
 
 def test_batched_penetration_grad_matches_per_sample():
-    skel, actors, _, _ = batch_scene()
+    skel, actors, _ = batch_scene()
     rng = np.random.default_rng(23)
     reactions = np.stack([random_motion(rng, skel, actors.shape[1])
                           for _ in range(len(actors))])
@@ -585,15 +583,14 @@ def test_batched_penetration_grad_matches_per_sample():
 
 
 def test_batch_shape_checks():
-    skel, actors, predictor, conds = batch_scene(b=3)
+    skel, actors, predictor = batch_scene(b=3)
     cfg = smp.SamplerConfig(steps=3, guidance="vanilla", lambda_pene=1.0)
     single_ctx = smp.GuidanceContext.from_actor(skel, actors[:1])
     with pytest.raises(DimensionMismatch):
-        smp.sample(predictor, actors, cfg, conds, single_ctx)
+        smp.sample(predictor, actors, cfg, single_ctx)
     with pytest.raises(DimensionMismatch, match=r"\(B, H, D\)"):  # one (H, D) motion
-        smp.sample(predictor, actors[0], smp.SamplerConfig(steps=3), conds[:1])
+        smp.sample(predictor, actors[0], smp.SamplerConfig(steps=3))
     with pytest.raises(DimensionMismatch):
         smp.GuidanceContext(skel, actors, single_ctx.capsules)
     with pytest.raises(DimensionMismatch):
-        smp.sample(predictor, actors, smp.SamplerConfig(steps=3), conds,
-                   sample_index=[0, 1])
+        smp.sample(predictor, actors, smp.SamplerConfig(steps=3), sample_index=[0, 1])

@@ -33,7 +33,6 @@ from .geometry import (  # noqa: E402
 )
 from .metrics import (  # noqa: E402
     FeatureExtractor,
-    MetricReport,
     PenetrationStats,
     diversity,
     extract_features,
@@ -49,7 +48,6 @@ from .model import (  # noqa: E402
     init_params,
     load_params,
     predict,
-    prediction_to_x1,
     save_params,
     train,
 )

@@ -252,26 +252,18 @@ def cmd_sample(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _extractor_from_args(args) -> mx.FeatureExtractor:
-    if args.features == "flatten":
-        return mx.FeatureExtractor("flatten")
-    return mx.FeatureExtractor("random_projection", seed=args.feature_seed,
-                               out_dim=args.proj_dim)
-
-
 def cmd_eval(args) -> int:
     phases = _Phases()
-    samples, skel = dt.load_samples(args.inputs)
-    phases.end("load")
-    if not samples:
-        raise EmptyInput("empty evaluation input")
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not wanted:
         raise InvalidConfig(f"no metric named in --metrics {args.metrics!r}")
     unknown = set(wanted) - {"iv", "if", "fid", "div", "multimod"}
     if unknown:
         raise InvalidConfig(f"unknown metrics: {sorted(unknown)}")
-    # the options are checked whichever metrics are asked for
+    # every option is checked before any file is read, the ones no asked-for
+    # metric reads too
+    if ("fid" in wanted) != (args.ref is not None):
+        raise InvalidConfig("fid needs --ref, and only fid reads --ref")
     geo.check_voxel_size(args.voxel)  # every report records it
     for what, flag, value, least, most in (
             ("subset size", "--sd", args.sd, 1, mx.MAX_SUBSET),
@@ -283,53 +275,56 @@ def cmd_eval(args) -> int:
             raise InvalidConfig(f"{what} must be >= {least}, got {value} ({flag})")
         if value > most:
             raise InvalidConfig(f"{what} must be <= {most}, got {value} ({flag})")
+    samples, skel = dt.load_samples(args.inputs)
+    if not samples:
+        raise EmptyInput("empty evaluation input")
+    if args.ref is not None:
+        ref_samples, ref_skel = dt.load_samples(args.ref)
+        if not ref_samples:
+            raise EmptyInput("empty reference input")
+    phases.end("load")
 
-    report = mx.MetricReport(n_total=len(samples))
-    pairs = [(s.actor, s.reactor) for s in samples]
+    # the report's values in their printed order
+    values: dict[str, float] = {}
+    f_pene = 0
     if "iv" in wanted or "if" in wanted:
-        stats = mx.penetration_stats(pairs, skel, args.voxel)
-        report.f_total, report.f_pene = stats.f_total, stats.f_pene
+        stats = mx.penetration_stats([(s.actor, s.reactor) for s in samples], skel,
+                                     args.voxel)
+        f_pene = stats.f_pene
         if "iv" in wanted:
-            report.iv_cm3 = stats.iv_cm3
+            values["iv_cm3"] = stats.iv_cm3
         if "if" in wanted:
-            report.if_frac = stats.if_frac
-    else:
-        report.f_total = sum(s.reactor.shape[0] for s in samples)
+            values["if_frac"] = stats.if_frac
 
-    needs_features = {"fid", "div", "multimod"} & set(wanted)
-    if needs_features:
-        extractor = _extractor_from_args(args)
+    if {"fid", "div", "multimod"} & set(wanted):
+        extractor = mx.FeatureExtractor(args.features, seed=args.feature_seed,
+                                        out_dim=args.proj_dim)
         feats = mx.extract_features([s.reactor for s in samples], extractor, skel)
         if "fid" in wanted:
-            if not args.ref:
-                raise InvalidConfig("fid needs --ref")
-            phases.end("compute")
-            ref_samples, ref_skel = dt.load_samples(args.ref)
-            phases.end("load")
-            if not ref_samples:
-                raise EmptyInput("empty reference input")
             ref_feats = mx.extract_features([s.reactor for s in ref_samples],
                                             extractor, ref_skel)
-            report.fid = mx.fid(feats, ref_feats)
+            values["fid"] = mx.fid(feats, ref_feats)
         if "div" in wanted:
-            report.diversity = mx.diversity(feats, args.sd, seed=args.metric_seed,
-                                            with_replacement=args.allow_replacement)
+            values["diversity"] = mx.diversity(feats, args.sd, seed=args.metric_seed,
+                                               with_replacement=args.allow_replacement)
         if "multimod" in wanted:
             by_class = {}
             for s, f in zip(samples, feats):
                 by_class.setdefault(s.label, []).append(f)
-            report.multimodality = mx.multimodality(
+            values["multimodality"] = mx.multimodality(
                 {k: np.stack(v) for k, v in by_class.items()}, args.sl,
                 seed=args.metric_seed, with_replacement=args.allow_replacement)
+    values.update(n_total=len(samples), f_total=sum(len(s.reactor) for s in samples),
+                  f_pene=f_pene)
 
     lines = ["report_version: 1", f"voxel_size_m: {args.voxel!r}"]
-    lines += [f"{key}: {value!r}" for key, value in report.items()]
+    lines += [f"{key}: {value!r}" for key, value in values.items()]
     text = "\n".join(lines) + "\n"
     phases.end("compute")
     if args.out:
         _atomic_write(args.out, text)
         _write_manifest(args.out, "eval", vars(args),
-                        [args.inputs] + ([args.ref] if args.ref else []),
+                        [args.inputs] + ([args.ref] if args.ref is not None else []),
                         [args.out], phases)
     print(text, end="")
     return EXIT_OK

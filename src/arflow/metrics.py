@@ -52,23 +52,6 @@ MAX_SUBSET = 10 ** 4  # largest subset of the diversity and multimodality draws
 MAX_PROJ_DIM = 10 ** 4  # widest random projection of the features
 
 
-@dataclass
-class MetricReport:
-    iv_cm3: float | None = None
-    if_frac: float | None = None
-    fid: float | None = None
-    diversity: float | None = None
-    multimodality: float | None = None
-    n_total: int = 0
-    f_total: int = 0
-    f_pene: int = 0
-
-    def items(self):
-        keys = ("iv_cm3", "if_frac", "fid", "diversity", "multimodality")
-        return ([(k, getattr(self, k)) for k in keys if getattr(self, k) is not None]
-                + [(k, getattr(self, k)) for k in ("n_total", "f_total", "f_pene")])
-
-
 # ---------------------------------------------------------------------------
 # Penetration metrics
 # ---------------------------------------------------------------------------
@@ -228,8 +211,8 @@ class FeatureExtractor:
     """Deterministic motion-to-vector map for the feature-space metrics,
     computed from the motions alone.
 
-    kinds: ``flatten`` concatenates FK joint positions; ``random_projection``
-    applies a seeded fixed linear map to the flattened vector.  Both take
+    kinds: ``flatten`` concatenates FK joint positions; ``proj`` applies a
+    seeded fixed random linear map to the flattened vector.  Both take
     motions of one frame count.
     """
 
@@ -238,9 +221,9 @@ class FeatureExtractor:
     out_dim: int = 32
 
     def __post_init__(self):
-        if self.kind not in ("flatten", "random_projection"):
+        if self.kind not in ("flatten", "proj"):
             raise InvalidConfig(f"unknown extractor kind {self.kind!r}")
-        if self.kind == "random_projection" and not 1 <= self.out_dim <= MAX_PROJ_DIM:
+        if self.kind == "proj" and not 1 <= self.out_dim <= MAX_PROJ_DIM:
             raise InvalidConfig(f"out_dim must be in [1, {MAX_PROJ_DIM}], got {self.out_dim}")
         if self.seed < 0:
             raise InvalidConfig(f"feature seed must be >= 0, got {self.seed}")

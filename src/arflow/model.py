@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import flowpath as fp
 from . import geometry as geo
-from .data import _numbers, atomic_open
+from .data import MAX_FRAMES, _numbers, atomic_open
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 PARAMS_FORMAT = "arflow-predictor"
@@ -35,6 +35,7 @@ PARAMS_VERSION = 3
 MAX_LAYERS = 64     # most transformer blocks of a predictor
 MAX_WIDTH = 1024    # widest token; heads divide it, so at most this many heads
 MAX_BATCH = 4096    # most pairs in one training batch
+MAX_STEPS = 10 ** 6  # most training steps
 
 _LN_EPS = 1e-5
 _MASK_VALUE = -1e9
@@ -73,8 +74,10 @@ class PredictorConfig:
                                 f"{self.layers}, {self.width} and {self.heads}")
         if self.width % self.heads != 0 or self.width % 2 != 0:
             raise InvalidConfig("width must be even and divisible by heads")
-        if self.max_frames < 1 or self.frame_dim < 1:
-            raise InvalidConfig("frame_dim and max_frames must be >= 1")
+        if not 1 <= self.max_frames <= MAX_FRAMES or self.frame_dim < 1:
+            raise InvalidConfig(f"frame_dim must be >= 1 and max_frames in "
+                                f"[1, {MAX_FRAMES}], got {self.frame_dim} and "
+                                f"{self.max_frames}")
         if self.prediction_mode not in ("x1", "v"):
             raise InvalidConfig("prediction_mode must be 'x1' or 'v'")
 
@@ -94,9 +97,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or not 1 <= self.batch_size <= MAX_BATCH:
-            raise InvalidConfig(f"steps must be >= 1 and batch_size in [1, {MAX_BATCH}], "
-                                f"got {self.steps} and {self.batch_size}")
+        if not (1 <= self.steps <= MAX_STEPS and 1 <= self.batch_size <= MAX_BATCH):
+            raise InvalidConfig(f"steps must be in [1, {MAX_STEPS}] and batch_size in "
+                                f"[1, {MAX_BATCH}], got {self.steps} and {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.lambda_inter < np.inf:
@@ -252,24 +255,17 @@ def predict(params: PredictorParams, x_t: np.ndarray, t: float) -> np.ndarray:
     return hidden @ params.arrays["out_proj_w"] + params.arrays["out_proj_b"]
 
 
-def prediction_to_x1(raw: np.ndarray, x_t: np.ndarray, t: float,
-                     sigma_min: float, mode: str) -> np.ndarray:
-    """Unify a raw prediction into an endpoint estimate regardless of mode."""
-    if mode == "x1":
-        return raw
-    if mode == "v":
-        return fp.x1_from_v(raw, x_t, t, sigma_min)
-    raise InvalidConfig(f"unknown prediction mode {mode!r}")
-
-
 def as_x1_predictor(params: PredictorParams):
     """Wrap trained params as a sampler-facing callable (x_t, t) -> x1_hat
-    on (B, H, D) batches at the model's ``sigma_min``."""
+    on (B, H, D) batches; a ``v`` model's velocity becomes an endpoint at
+    the model's ``sigma_min``."""
     cfg = params.config
 
     def predictor(x_t: np.ndarray, t: float) -> np.ndarray:
         raw = predict(params, x_t, t)
-        return prediction_to_x1(raw, x_t, t, cfg.sigma_min, cfg.prediction_mode)
+        if cfg.prediction_mode == "x1":
+            return raw
+        return fp.x1_from_v(raw, x_t, t, cfg.sigma_min)
 
     return predictor
 
@@ -278,17 +274,19 @@ def as_x1_predictor(params: PredictorParams):
 # Loss and gradients
 # ---------------------------------------------------------------------------
 
-def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
-                x0: np.ndarray, x1: np.ndarray, skel: geo.Skeleton,
-                cfg: TrainConfig, ts: np.ndarray,
-                targets: fp.InteractionTargets | None = None):
-    """Training loss on the tape: ``(total, fm, inter value)``.
+def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
+              skel: geo.Skeleton, cfg: TrainConfig, *, ts: np.ndarray,
+              targets: fp.InteractionTargets | None = None):
+    """Training loss and parameter gradients on a batch of (B, H, D) pairs
+    x0 -> x1 at the per-sample flow times ``ts``.
 
-    Shared by :func:`grad_loss` and :func:`loss_value`, so the gradient
-    checks differentiate exactly the forward they check.  ``targets`` holds
-    the interaction targets of the batch's b*h frames in order; without
-    it they are built here with the same one call.
+    ``targets`` optionally carries the batch's precomputed interaction
+    targets, one row per frame, sample after sample; without it they are
+    built here with the same one call.
+    Returns ``(total, fm, inter, grads)`` with grads keyed like
+    ``params.arrays``.
     """
+    pcfg = params.config
     x0, x1 = (np.asarray(x, dtype=np.float64) for x in (x0, x1))
     if x0.ndim != 3 or x0.shape != x1.shape or len(x0) == 0:
         raise DimensionMismatch(f"x0 {x0.shape} and x1 {x1.shape} must be one "
@@ -297,6 +295,7 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
     ts = np.asarray(ts, dtype=np.float64)
     x_t = fp.interpolate(x0, x1, ts[:, None, None], pcfg.sigma_min)
 
+    tensors = _as_tensors(params, trainable=True)
     hidden = _forward(tensors, pcfg, x_t, ts)
     raw = ad.linear(hidden, tensors["out_proj_w"], tensors["out_proj_b"])
 
@@ -322,31 +321,7 @@ def _loss_graph(tensors: dict[str, ad.Tensor], pcfg: PredictorConfig,
                                            targets, skel)
         inter_val = float(loss_inter.data)
         loss = loss + loss_inter * cfg.lambda_inter
-    return loss, loss_fm, inter_val
 
-
-def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
-              skel: geo.Skeleton, cfg: TrainConfig, *,
-              ts: np.ndarray | None = None,
-              rng: np.random.Generator | None = None,
-              targets: fp.InteractionTargets | None = None):
-    """Loss and parameter gradients on a batch of (B, H, D) pairs x0 -> x1.
-
-    ``ts`` gives the per-sample flow times; otherwise they are drawn from
-    ``rng`` on the grid ``k / 1000``.  ``targets`` optionally carries the
-    batch's precomputed interaction targets, one row per frame, sample
-    after sample.
-    Returns ``(total, fm, inter, grads)`` with grads keyed like
-    ``params.arrays``.
-    """
-    if ts is None:
-        if rng is None:
-            raise InvalidConfig("either ts or rng must be given")
-        ts = rng.integers(0, _T_GRID, size=len(x0)) / _T_GRID
-
-    tensors = _as_tensors(params, trainable=True)
-    loss, loss_fm, inter_val = _loss_graph(tensors, params.config, x0, x1, skel, cfg,
-                                           ts, targets)
     total = float(loss.data)
     if not np.isfinite(total):
         raise NonFiniteLoss("non-finite training loss")
@@ -354,14 +329,6 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
              for name, t in tensors.items()}
     return total, float(loss_fm.data), inter_val, grads
-
-
-def loss_value(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
-               skel: geo.Skeleton, cfg: TrainConfig, *, ts: np.ndarray) -> float:
-    """Forward-only total loss at fixed ts; used by gradient checks."""
-    loss, _, _ = _loss_graph(_as_tensors(params, trainable=False), params.config,
-                             x0, x1, skel, cfg, ts)
-    return float(loss.data)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +388,12 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     history: list[tuple[float, float, float]] = []
     for step in range(train_cfg.steps):
         idx = rng.integers(0, n, size=train_cfg.batch_size)
+        ts = rng.integers(0, _T_GRID, size=train_cfg.batch_size) / _T_GRID
         targets = (None if table is None
                    else table.rows((idx[:, None] * h + np.arange(h)).ravel()))
         try:
             total, fm, inter, grads = grad_loss(params, x0s[idx], x1s[idx], skel,
-                                                train_cfg, rng=rng, targets=targets)
+                                                train_cfg, ts=ts, targets=targets)
         except NonFiniteLoss as err:
             raise NonFiniteLoss(f"non-finite loss at step {step}", step=step) from err
         t_adam = step + 1

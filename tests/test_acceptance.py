@@ -192,9 +192,9 @@ def test_criterion_04_gradient_correctness():
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.loss_value(params, x0, x1, skel2, tcfg, ts=ts)
+        hi = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts)[0]
         arr[idx] = orig - h
-        lo = mdl.loss_value(params, x0, x1, skel2, tcfg, ts=ts)
+        lo = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts)[0]
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:

@@ -155,6 +155,12 @@ def test_gen_data_bad_value_exits_2(flag, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _subparsers():
+    """The subcommand parsers of ``cli.build_parser()``, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_unknown_flag_is_an_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("gen-data", "--pairs", "2", "--out", str(tmp_path / "x.jsonl"),
@@ -169,14 +175,12 @@ def test_readme_command_line_flags_are_parser_options():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {opt for p in sub.choices.values() for a in p._actions
+    options = {opt for p in _subparsers().values() for a in p._actions
                for opt in a.option_strings}
     assert {"--no-causal", "--voxel"} <= flags
     assert sorted(flags - options) == []
     assert sorted(options - flags - {"-h", "--help"}) == []
-    assert sorted(re.findall(r"^arflow ([\w-]+)", section, re.M)) == sorted(sub.choices)
+    assert sorted(re.findall(r"^arflow ([\w-]+)", section, re.M)) == sorted(_subparsers())
 
 
 def test_verify_is_rejected_by_the_parser(capsys):
@@ -204,6 +208,100 @@ def test_removed_options_are_rejected_by_the_parser(argv, tmp_path, capsys):
     assert exc.value.code == 2
     flag = next(a for a in reversed(argv) if a.startswith("--"))
     assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# every numeric option
+# ---------------------------------------------------------------------------
+
+def _numeric_options():
+    """(command, option, type) of every int or float option of the parser."""
+    return [(command, a.option_strings[0], a.type) for command, p in _subparsers().items()
+            for a in p._actions if a.type in (int, float)]
+
+
+_HUGE = str(10 ** 29)
+# the out-of-range values of each numeric option; a float option also gets
+# nan, inf and -inf.  Work-size options (--pairs, --frames, --joints, --steps,
+# --batch, --limit) get only values that are refused before any work starts.
+_REFUSED = {
+    ("gen-data", "--pairs"): ["0", "-1", str(dt.MAX_PAIRS + 1), _HUGE],
+    ("gen-data", "--frames"): ["1", "-1", str(dt.MAX_FRAMES + 1), _HUGE],
+    ("gen-data", "--joints"): ["2", "-1", str(dt.MAX_JOINTS + 1), _HUGE],
+    ("gen-data", "--contact-fraction"): ["-0.1", "1.5", "1e308"],
+    ("gen-data", "--noise"): ["-1"],
+    ("gen-data", "--fps"): ["0", "-1"],
+    ("gen-data", "--seed"): ["-1"],
+    ("train", "--steps"): ["0", "-1", str(mdl.MAX_STEPS + 1), _HUGE],
+    ("train", "--batch"): ["0", "-1", str(mdl.MAX_BATCH + 1), _HUGE],
+    ("train", "--lr"): ["0", "-0", "-1"],
+    ("train", "--lambda-inter"): ["-1"],
+    ("train", "--sigma-min"): ["-1", "1", "1e308"],
+    ("train", "--layers"): ["0", "-1", str(mdl.MAX_LAYERS + 1), _HUGE],
+    ("train", "--width"): ["0", "3", str(mdl.MAX_WIDTH + 2), _HUGE],
+    ("train", "--heads"): ["0", "-1", "3", "64", _HUGE],  # --width 32
+    ("train", "--log-every"): ["-1"],
+    ("train", "--seed"): ["-1"],
+    ("sample", "--limit"): ["-1"],
+    ("sample", "--steps"): ["1", "-1", str(smp.MAX_STEPS + 1), _HUGE],
+    ("sample", "--lambda-pene"): ["-1"],
+    ("sample", "--zeta"): ["0", "-0", "-1"],
+    ("sample", "--w"): ["-0.1", "1.5", "1e308"],
+    ("sample", "--beta"): ["-0.1", "1.5", "1e308"],
+    ("sample", "--seed"): ["-1"],
+    ("eval", "--voxel"): ["0", "-0", "-1", "1e103", "1e308"],
+    ("eval", "--proj-dim"): ["0", "-1", str(mx.MAX_PROJ_DIM + 1), _HUGE],
+    ("eval", "--feature-seed"): ["-1"],
+    ("eval", "--sd"): ["0", "-1", str(mx.MAX_SUBSET + 1), _HUGE],
+    ("eval", "--sl"): ["0", "-1", str(mx.MAX_SUBSET + 1), _HUGE],
+    ("eval", "--metric-seed"): ["-1"],
+}
+# extreme values that are legal, so they are left out of the refused cases
+_LEGAL = {
+    ("gen-data", "--noise", "1e308"): "finite; its motions overflow, with numpy "
+                                      "warnings, and are refused on save (exit 2)",
+    ("gen-data", "--fps", "1e308"): "any finite rate > 0 is a frame rate",
+    ("gen-data", "--seed", _HUGE): "numpy seeds take any integer >= 0",
+    ("train", "--steps", str(mdl.MAX_STEPS)): "the limit itself: hours of training",
+    ("train", "--lr", "1e29"): "finite: trains to a finite but absurd model",
+    ("train", "--lr", "1e308"): "finite: the update overflows and train exits 3",
+    ("train", "--lambda-inter", "1e308"): "finite: the loss overflows and train exits 3",
+    ("train", "--log-every", _HUGE): "logs never",
+    ("train", "--seed", _HUGE): "numpy seeds take any integer >= 0",
+    ("sample", "--limit", _HUGE): "more than there are: samples every actor",
+    ("sample", "--lambda-pene", "1e308"): "a finite guidance weight",
+    ("sample", "--zeta", "1e308"): "finite reach: every joint is within it",
+    ("sample", "--seed", _HUGE): "numpy seeds take any integer >= 0",
+    ("eval", "--feature-seed", _HUGE): "numpy seeds take any integer >= 0",
+    ("eval", "--metric-seed", _HUGE): "numpy seeds take any integer >= 0",
+}
+_BASE = {"gen-data": ["--pairs", "3", "--frames", "4"],
+         "train": ["--data", "{data}", "--steps", "2", "--batch", "4", "--width", "32",
+                   "--layers", "1"],
+         "sample": ["--model", "{model}", "--data", "{data}", "--limit", "2"],
+         "eval": ["--inputs", "{data}", "--metrics", "iv,div", "--sd", "2",
+                  "--allow-replacement"]}
+
+
+def test_every_numeric_option_has_refused_values():
+    # a new int or float option must name its out-of-range values here
+    options = [(command, option) for command, option, _ in _numeric_options()]
+    assert sorted(options) == sorted(_REFUSED)
+    assert {key[:2] for key in _LEGAL} <= set(_REFUSED)
+    assert not {key for key in _LEGAL if key[2] in _REFUSED[key[:2]]}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value) for command, option, kind in _numeric_options()
+    for value in (["nan", "inf", "-inf"] if kind is float else [])
+    + _REFUSED.get((command, option), [])])
+def test_numeric_option_out_of_range_exits_2(command, option, value, small_data,
+                                             small_model, tmp_path, capsys):
+    out = tmp_path / "out"
+    base = [a.format(data=small_data, model=small_model) for a in _BASE[command]]
+    assert run(command, *base, f"{option}={value}", "--out", str(out)) == 2
+    assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -257,6 +355,17 @@ def test_train_bad_value_exits_2(flag, small_data, tmp_path, capsys):
     assert run("train", "--data", str(small_data), "--out", str(out), "--steps", "2",
                flag) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps", [mdl.MAX_STEPS + 1, 10 ** 29])
+def test_train_steps_above_the_limit_exit_2_before_the_data_is_read(steps, tmp_path,
+                                                                    capsys):
+    # 10^29 steps used to run until stopped
+    assert run("train", "--data", str(tmp_path / "missing.jsonl"),
+               "--out", str(tmp_path / "m.json"), "--steps", str(steps)) == 2
+    err = capsys.readouterr().err
+    assert f"steps must be in [1, {mdl.MAX_STEPS}]" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -526,11 +635,14 @@ def test_sample_invalid_model_exits_4(small_model, small_data, tmp_path, defect)
 @pytest.mark.parametrize("field, value", [("layers", 1.0), ("width", 32.0),
                                           ("heads", True), ("causal", "no"),
                                           ("sigma_min", "abc"), ("sigma_min", None),
-                                          ("sigma_min", 2.0)])
+                                          ("sigma_min", 2.0),
+                                          ("max_frames", dt.MAX_FRAMES + 1),
+                                          ("max_frames", 10 ** 29)])
 def test_sample_mistyped_model_config_exits_4(field, value, small_model, small_data,
                                               tmp_path, capsys):
-    # a float or bool for an integer field, a string for the causal flag, or
-    # a sigma_min that is not a number in [0, 1)
+    # a float or bool for an integer field, a string for the causal flag, a
+    # sigma_min that is not a number in [0, 1), or a max_frames above its
+    # limit (10^29 used to load and sample with exit 0)
     doc = json.loads(small_model.read_text())
     doc["config"][field] = value
     model = tmp_path / "typed.json"
@@ -697,6 +809,28 @@ def test_eval_options_are_checked_whatever_the_metrics(argv, small_data, tmp_pat
     assert f"({argv[-2]})" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "report.txt.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--metrics", "iv", "--ref", "{missing}"], "--ref"),
+    (["--metrics", "div", "--sd", "5", "--ref", "{data}"], "--ref"),
+    (["--metrics", "iv,fid"], "--ref"),
+    (["--metrics", "iv,fid", "--ref", "{missing}"], "missing.jsonl"),
+], ids=["iv-missing-ref", "div-ref", "fid-without-ref", "fid-missing-ref"])
+def test_eval_ref_without_fid_or_fid_without_ref_exits_2_before_any_metric(
+        argv, named, small_data, tmp_path, capsys, monkeypatch):
+    # an unread --ref used to leave a report and then exit 2 with no manifest,
+    # and a missing or absent --ref was found out only after the IV sweep
+    def never(*args, **kwargs):
+        raise AssertionError("a metric ran")
+    monkeypatch.setattr(mx, "penetration_stats", never)
+    monkeypatch.setattr(mx, "extract_features", never)
+    out = tmp_path / "r.txt"
+    argv = [a.format(missing=tmp_path / "missing.jsonl", data=small_data) for a in argv]
+    assert run("eval", "--inputs", str(small_data), *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["--features", "latent"], ["--feature-model", "m.json"]],

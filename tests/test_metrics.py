@@ -346,7 +346,7 @@ def test_random_projection_deterministic_and_linear():
     skel = chain_skeleton(3)
     rng = np.random.default_rng(9)
     motions = [still_actor(skel, 2, tuple(rng.normal(size=3))) for _ in range(3)]
-    ex = mx.FeatureExtractor("random_projection", seed=4, out_dim=7)
+    ex = mx.FeatureExtractor("proj", seed=4, out_dim=7)
     f1 = mx.extract_features(motions, ex, skel)
     f2 = mx.extract_features(motions, ex, skel)
     assert np.array_equal(f1, f2)
@@ -370,10 +370,10 @@ def test_feature_extractor_rejects_unknown_kind(kind):
 def test_random_projection_width_has_limits(out_dim):
     # 10^29 columns used to fail inside numpy's normal draw
     with pytest.raises(InvalidConfig, match="out_dim"):
-        mx.FeatureExtractor("random_projection", out_dim=out_dim)
+        mx.FeatureExtractor("proj", out_dim=out_dim)
 
 
-@pytest.mark.parametrize("kind", ["flatten", "random_projection"])
+@pytest.mark.parametrize("kind", ["flatten", "proj"])
 def test_flattened_features_reject_mixed_frame_counts(kind):
     skel = chain_skeleton(2)
     motions = [still_actor(skel, 3), still_actor(skel, 2)]

@@ -8,6 +8,7 @@ import oracles
 from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import model as mdl
+from arflow.data import MAX_FRAMES
 from arflow.errors import DimensionMismatch, InvalidConfig
 
 from test_geometry import chain_skeleton
@@ -120,6 +121,21 @@ def test_grad_loss_rejects_mismatched_pairs():
             mdl.grad_loss(params, a, b, skel, tcfg, ts=np.zeros(len(a)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: mdl.TrainConfig(steps=mdl.MAX_STEPS + 1),
+    lambda: mdl.TrainConfig(steps=10 ** 29),
+    lambda: mdl.PredictorConfig(frame_dim=10, max_frames=MAX_FRAMES + 1),
+    lambda: mdl.PredictorConfig(frame_dim=10, max_frames=10 ** 29),
+], ids=["steps-limit-plus-one", "steps-huge", "max-frames-limit-plus-one",
+        "max-frames-huge"])
+def test_step_and_frame_counts_have_limits(make):
+    with pytest.raises(InvalidConfig, match=r"in \[1, "):
+        make()
+    # the limits themselves are legal
+    mdl.TrainConfig(steps=mdl.MAX_STEPS)
+    mdl.PredictorConfig(frame_dim=10, max_frames=MAX_FRAMES)
+
+
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         mdl.PredictorConfig(frame_dim=10, max_frames=4, width=6, heads=4)
@@ -153,8 +169,6 @@ def test_grad_loss_value_consistency():
     batch = tiny_batch(rng, skel)
     ts = np.array([0.2, 0.7])
     total, fm, inter, _ = mdl.grad_loss(params, *stacked(batch), skel, tcfg, ts=ts)
-    again = mdl.loss_value(params, *stacked(batch), skel, tcfg, ts=ts)
-    assert total == pytest.approx(again, rel=1e-12)
     assert total == pytest.approx(fm + tcfg.lambda_inter * inter, rel=1e-12)
 
 
@@ -183,9 +197,9 @@ def test_grad_loss_matches_finite_differences(mode):
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.loss_value(params, x0, x1, skel, tcfg, ts=ts)
+        hi = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts)[0]
         arr[idx] = orig - h
-        lo = mdl.loss_value(params, x0, x1, skel, tcfg, ts=ts)
+        lo = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts)[0]
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:
@@ -231,19 +245,26 @@ def test_grad_loss_with_table_rows_equals_no_targets(mode):
 
 
 # ---------------------------------------------------------------------------
-# prediction_to_x1
+# as_x1_predictor
 # ---------------------------------------------------------------------------
 
-def test_prediction_to_x1_modes():
+def test_as_x1_predictor_modes():
+    # an x1 model's output is the endpoint; a v model's velocity becomes one
+    # on the path of the model's sigma_min
     rng = np.random.default_rng(8)
-    raw = rng.normal(size=(4, 9))
-    x_t = rng.normal(size=(4, 9))
-    assert mdl.prediction_to_x1(raw, x_t, 0.3, 0.0, "x1") is raw
-    y = rng.normal(size=(4, 9))
-    v = fp.v_from_x1(y, x_t, 0.4, 0.01)
-    assert np.allclose(mdl.prediction_to_x1(v, x_t, 0.4, 0.01, "v"), y, atol=1e-12)
-    assert np.allclose(mdl.prediction_to_x1(np.zeros_like(x_t), x_t, 0.6, 0.0, "v"),
-                       x_t, atol=1e-15)
+    skel = chain_skeleton(2)
+    x_t = rng.normal(size=(2, 3, skel.motion_dim))
+    arrays = mdl.init_params(tiny_config(skel), seed=3).arrays
+    raw = mdl.predict(mdl.PredictorParams(tiny_config(skel), arrays), x_t, 0.4)
+    x1_hat = mdl.as_x1_predictor(mdl.PredictorParams(tiny_config(skel), arrays))
+    assert x1_hat(x_t, 0.4).tobytes() == raw.tobytes()
+    v_cfg = tiny_config(skel, prediction_mode="v", sigma_min=0.01)
+    got = mdl.as_x1_predictor(mdl.PredictorParams(v_cfg, arrays))(x_t, 0.4)
+    assert np.allclose(fp.v_from_x1(got, x_t, 0.4, 0.01), raw, rtol=0, atol=1e-12)
+    # a zero velocity at sigma_min 0 leaves the state where it is
+    arrays["out_proj_w"][:] = 0.0
+    still = mdl.PredictorParams(tiny_config(skel, prediction_mode="v", sigma_min=0.0), arrays)
+    assert np.array_equal(mdl.as_x1_predictor(still)(x_t, 0.6), x_t)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +322,23 @@ def test_train_seed_determinism():
     assert h1 == h2
     for k in p1.arrays:
         assert np.array_equal(p1.arrays[k], p2.arrays[k])
+
+
+def test_train_draw_order_is_pinned():
+    # each step draws its batch indices, then its flow times, from the one
+    # stream of TrainConfig.seed: the weights and the losses of a seed keep
+    # their bits, and drawing the times first changes them
+    rng = np.random.default_rng(15)
+    skel = chain_skeleton(2)
+    data = tiny_batch(rng, skel, n=5)
+    tcfg = mdl.TrainConfig(steps=3, batch_size=2, seed=4)
+    params, history = mdl.train(data, skel, tiny_config(skel), tcfg)
+    digest = hashlib.sha256(np.array(history).tobytes())
+    for name, arr in params.arrays.items():
+        digest.update(name.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == (
+        "4d857a71dacbc12177899caa5ee12288d3adfcfcc42ee097ffa66b2ebbfa5c8e")
 
 
 # ---------------------------------------------------------------------------

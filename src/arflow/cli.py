@@ -162,23 +162,29 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     phases = _Phases("load", "targets", "steps", "write")
+    # every option is checked before the data file is read, which gives frame_dim and max_frames
     tcfg = mdl.TrainConfig(steps=args.steps, batch_size=args.batch,
                            learning_rate=args.lr, lambda_inter=args.lambda_inter,
                            seed=args.seed)
+    pcfg = mdl.PredictorConfig(frame_dim=1, max_frames=1, layers=args.layers,
+                               width=args.width, heads=args.heads, causal=args.causal,
+                               prediction_mode=args.prediction, sigma_min=args.sigma_min)
+    if args.log_every < 0:
+        raise InvalidConfig(f"--log-every must be >= 0, got {args.log_every}")
     samples, skel = dt.load_samples(args.data)
-    phases.end("load")
     if not samples:
         raise InvalidConfig(f"no samples in {args.data}")
-    train_split, _ = dt.train_test_split(samples)
-    dataset = [(s.actor, s.reactor) for s in train_split]
-    # mdl.train rejects records of another frame count
-    pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim,
-                               max_frames=dataset[0][0].shape[0],
-                               layers=args.layers, width=args.width,
-                               heads=args.heads, causal=args.causal,
-                               prediction_mode=args.prediction,
-                               sigma_min=args.sigma_min)
-    params, history = mdl.train(dataset, skel, pcfg, tcfg,
+    train_split = dt.train_test_split(samples)[0]
+    counts = sorted({len(s.actor) for s in train_split})  # a reactor's is its actor's
+    if len(counts) > 1:
+        raise InvalidConfig(f"training records differ in frame count {counts}; "
+                            f"train needs one frame count")
+    x0s = np.stack([s.actor for s in train_split])
+    x1s = np.stack([s.reactor for s in train_split])
+    del samples, train_split  # the stacked arrays hold each record once
+    phases.end("load")
+    pcfg = dataclasses.replace(pcfg, frame_dim=skel.motion_dim, max_frames=x0s.shape[1])
+    params, history = mdl.train(x0s, x1s, skel, pcfg, tcfg,
                                 log_every=args.log_every, phase_end=phases.end)
     phases.end("steps")
     mdl.save_params(args.out, params)

@@ -41,11 +41,13 @@ DEFAULT_FPS = 20.0
 DEFAULT_FRAMES = 16
 DEFAULT_JOINTS = 5
 DEFAULT_PAIRS = 2000
-# most pairs, frames per motion and joints per body that one generation
-# makes; checked before any draw
+# most pairs, frames per motion, joints per body and joint-angle noise (a
+# standard deviation in radians, far past a full turn, so every draw stays
+# finite) of one generation; checked before any draw
 MAX_PAIRS = 10 ** 6
 MAX_FRAMES = 10 ** 4
 MAX_JOINTS = 100
+MAX_NOISE = 100.0
 TEST_FRACTION = 0.1
 
 
@@ -67,8 +69,8 @@ class ScenarioConfig:
             raise InvalidConfig(f"joints must be in [3, {MAX_JOINTS}], got {self.joints}")
         if not 0.0 <= self.contact_fraction <= 1.0:
             raise InvalidConfig("contact_fraction must be in [0, 1]")
-        if not 0.0 <= self.noise < np.inf:
-            raise InvalidConfig("noise must be finite and >= 0")
+        if not 0.0 <= self.noise <= MAX_NOISE:  # NaN fails too
+            raise InvalidConfig(f"noise must be in [0, {MAX_NOISE}], got {self.noise}")
         object.__setattr__(self, "noise", self.noise + 0.0)  # numpy refuses a scale of -0.0
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")

@@ -280,10 +280,10 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
     """Training loss and parameter gradients on a batch of (B, H, D) pairs
     x0 -> x1 at the per-sample flow times ``ts``.
 
-    ``targets`` optionally carries the batch's precomputed interaction
-    targets, one row per frame, sample after sample; without it they are
-    built here with the same one call.
-    Returns ``(total, fm, inter, grads)`` with grads keyed like
+    ``targets`` carries the batch's interaction targets, one row per frame,
+    sample after sample (rows of the table :func:`train` builds); it is
+    required unless ``cfg.lambda_inter`` is 0, an ``InvalidConfig`` if
+    missing.  Returns ``(total, fm, inter, grads)`` with grads keyed like
     ``params.arrays``.
     """
     pcfg = params.config
@@ -291,6 +291,8 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
     if x0.ndim != 3 or x0.shape != x1.shape or len(x0) == 0:
         raise DimensionMismatch(f"x0 {x0.shape} and x1 {x1.shape} must be one "
                                 f"non-empty (B, H, D) shape")
+    if cfg.lambda_inter != 0.0 and targets is None:
+        raise InvalidConfig("lambda_inter != 0 needs the batch's interaction targets")
     b, h, _ = x0.shape
     ts = np.asarray(ts, dtype=np.float64)
     x_t = fp.interpolate(x0, x1, ts[:, None, None], pcfg.sigma_min)
@@ -315,8 +317,6 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
     if cfg.lambda_inter != 0.0:
         # flattening the batch into b*h frames makes the 1/(b*h) inside the
         # interaction loss exactly the batch mean of per-sample losses
-        if targets is None:
-            targets = fp.interaction_targets(skel, x1.reshape(b * h, -1))
         loss_inter = fp.interaction_loss_t(x1_hat.reshape(b * h, pcfg.frame_dim),
                                            targets, skel)
         inter_val = float(loss_inter.data)
@@ -335,14 +335,13 @@ def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
 # Training
 # ---------------------------------------------------------------------------
 
-def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
-          train_cfg: TrainConfig, *, log_every: int = 0,
-          phase_end: Callable[[str], None] | None = None):
-    """Train a predictor on (x0, x1) pairs of one frame count.
-
-    ``InvalidConfig`` unless every record fits ``predictor_cfg``: at most
-    ``max_frames`` frames, each ``frame_dim`` wide.  The pairs are stacked
-    once into (N, H, D) arrays; each step's batch is rows of those.
+def train(x0s: np.ndarray, x1s: np.ndarray, skel: geo.Skeleton,
+          predictor_cfg: PredictorConfig, train_cfg: TrainConfig, *,
+          log_every: int = 0, phase_end: Callable[[str], None] | None = None):
+    """Train a predictor on the (N, H, D) actions ``x0s`` and reactions
+    ``x1s``; each step's batch is rows of them.  ``InvalidConfig`` unless
+    both are one non-empty shape that fits ``predictor_cfg`` as
+    :func:`predict` requires: at most ``max_frames`` frames of ``frame_dim``.
 
     Returns ``(params, history)`` where history has one
     ``(fm, inter, total)`` row per step.  Bit-reproducible for a fixed
@@ -350,19 +349,14 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     ``phase_end``, when given, is called with ``"targets"`` once the set-up
     and the interaction-target table are done, before the first step.
     """
-    if len(dataset) == 0:
-        raise InvalidConfig("dataset must be non-empty")
     if log_every < 0:
         raise InvalidConfig(f"log_every must be >= 0, got {log_every}")
-    counts = sorted({len(s[i]) for s in dataset for i in (0, 1)})
-    if len(counts) > 1:
-        raise InvalidConfig(f"training records differ in frame count {counts}; "
-                            f"train needs one frame count")
-    widths = sorted({np.shape(s[i])[-1] for s in dataset for i in (0, 1)})
-    if counts[0] > predictor_cfg.max_frames or widths != [predictor_cfg.frame_dim]:
-        raise InvalidConfig(
-            f"training records of {counts[0]} frames and widths {widths} do not fit "
-            f"max_frames={predictor_cfg.max_frames}, frame_dim={predictor_cfg.frame_dim}")
+    x0s, x1s = (np.asarray(x, dtype=np.float64) for x in (x0s, x1s))
+    if (x0s.ndim != 3 or x0s.shape != x1s.shape or x0s.size == 0
+            or x0s.shape[1] > predictor_cfg.max_frames
+            or x0s.shape[2] != predictor_cfg.frame_dim):
+        raise InvalidConfig(f"training arrays {x0s.shape} and {x1s.shape} are not one non-empty "
+                            f"(N, H <= {predictor_cfg.max_frames}, {predictor_cfg.frame_dim}) shape")
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(predictor_cfg, train_cfg.seed)
     # Adam runs over one flat buffer; the parameter arrays are views into it
@@ -375,8 +369,6 @@ def train(dataset, skel: geo.Skeleton, predictor_cfg: PredictorConfig,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = train_cfg.learning_rate
 
-    x0s, x1s = (np.stack([np.asarray(s[i], dtype=np.float64) for s in dataset])
-                for i in (0, 1))
     n, h, _ = x0s.shape
     table = None
     if train_cfg.lambda_inter != 0.0:

@@ -182,7 +182,8 @@ def test_criterion_04_gradient_correctness():
               rng.normal(size=(3, cfg.frame_dim))) for _ in range(2)]
     ts = np.array([0.17, 0.71])
     x0, x1 = (np.stack([b[i] for b in batch]) for i in (0, 1))
-    _, _, _, grads = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts)
+    targets = fp.interaction_targets(skel2, x1.reshape(-1, cfg.frame_dim))
+    _, _, _, grads = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts, targets=targets)
     names = sorted(params.arrays)
     h = 1e-5
     checked_g, worst_g = 0, 0.0
@@ -192,9 +193,9 @@ def test_criterion_04_gradient_correctness():
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts)[0]
+        hi = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts, targets=targets)[0]
         arr[idx] = orig - h
-        lo = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts)[0]
+        lo = mdl.grad_loss(params, x0, x1, skel2, tcfg, ts=ts, targets=targets)[0]
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:

@@ -230,7 +230,7 @@ _REFUSED = {
     ("gen-data", "--frames"): ["1", "-1", str(dt.MAX_FRAMES + 1), _HUGE],
     ("gen-data", "--joints"): ["2", "-1", str(dt.MAX_JOINTS + 1), _HUGE],
     ("gen-data", "--contact-fraction"): ["-0.1", "1.5", "1e308"],
-    ("gen-data", "--noise"): ["-1"],
+    ("gen-data", "--noise"): ["-1", str(dt.MAX_NOISE + 1), "1e308"],
     ("gen-data", "--fps"): ["0", "-1"],
     ("gen-data", "--seed"): ["-1"],
     ("train", "--steps"): ["0", "-1", str(mdl.MAX_STEPS + 1), _HUGE],
@@ -259,8 +259,6 @@ _REFUSED = {
 }
 # extreme values that are legal, so they are left out of the refused cases
 _LEGAL = {
-    ("gen-data", "--noise", "1e308"): "finite; its motions overflow, with numpy "
-                                      "warnings, and are refused on save (exit 2)",
     ("gen-data", "--fps", "1e308"): "any finite rate > 0 is a frame rate",
     ("gen-data", "--seed", _HUGE): "numpy seeds take any integer >= 0",
     ("train", "--steps", str(mdl.MAX_STEPS)): "the limit itself: hours of training",
@@ -366,6 +364,22 @@ def test_train_steps_above_the_limit_exit_2_before_the_data_is_read(steps, tmp_p
                "--out", str(tmp_path / "m.json"), "--steps", str(steps)) == 2
     err = capsys.readouterr().err
     assert f"steps must be in [1, {mdl.MAX_STEPS}]" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--layers", "0", "layers must be in [1, "), ("--width", "3", "divisible by heads"),
+    ("--heads", "3", "divisible by heads"), ("--sigma-min", "1", "sigma_min must be"),
+    ("--log-every", "-1", "--log-every must be >= 0")],
+    ids=["layers", "width", "heads", "sigma-min", "log-every"])
+def test_train_options_exit_2_before_the_data_is_read(option, value, message, tmp_path,
+                                                      capsys):
+    # the data file gives the predictor's frame_dim and max_frames; no
+    # option check waits for it
+    assert run("train", "--data", str(tmp_path / "missing.jsonl"),
+               "--out", str(tmp_path / "m.json"), f"{option}={value}") == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and "missing.jsonl" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -697,17 +711,17 @@ def test_sample_has_no_sigma_min_flag(small_model, small_data, tmp_path):
 
 def test_sample_uses_the_sigma_min_the_model_was_trained_at(small_data, tmp_path):
     samples, skel = dt.load_samples(str(small_data))
-    dataset = [(s.actor, s.reactor) for s in samples]
+    x0s, x1s = (np.stack([getattr(s, who) for s in samples]) for who in ("actor", "reactor"))
     pcfg = mdl.PredictorConfig(frame_dim=skel.motion_dim, max_frames=8, layers=1,
                                width=16, sigma_min=0.05)
-    params, _ = mdl.train(dataset, skel, pcfg,
+    params, _ = mdl.train(x0s, x1s, skel, pcfg,
                           mdl.TrainConfig(steps=3, batch_size=4, seed=2))
     model, out = tmp_path / "m.json", tmp_path / "s.jsonl"
     mdl.save_params(str(model), params)
     assert run("sample", "--model", str(model), "--data", str(small_data),
                "--out", str(out), "--split", "all", "--limit", "5") == 0
     got = np.stack([s.reactor for s in dt.load_samples(str(out))[0]])
-    actors = np.stack([s.actor for s in samples[:5]])
+    actors = x0s[:5]
     predictor = mdl.as_x1_predictor(params)
     ref = smp.sample(predictor, actors, smp.SamplerConfig(sigma_min=0.05),
                      sample_index=range(5))

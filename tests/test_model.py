@@ -23,12 +23,14 @@ def tiny_config(skel, h=3, **kw):
 
 
 def tiny_batch(rng, skel, n=2, h=3):
-    return [(random_motion(rng, skel, h), random_motion(rng, skel, h)) for _ in range(n)]
+    """(N, H, D) arrays x0 and x1 of random motions, drawn pair after pair."""
+    pairs = [(random_motion(rng, skel, h), random_motion(rng, skel, h)) for _ in range(n)]
+    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
 
-def stacked(batch):
-    """The (B, H, D) arrays x0 and x1 of a list of (x0, x1) pairs."""
-    return np.stack([s[0] for s in batch]), np.stack([s[1] for s in batch])
+def frame_targets(skel, x1):
+    """The interaction targets of a (B, H, D) batch, one row per frame."""
+    return fp.interaction_targets(skel, x1.reshape(-1, skel.motion_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ def test_grad_loss_rejects_mismatched_pairs():
     rng = np.random.default_rng(16)
     skel = chain_skeleton(2)
     params = mdl.init_params(tiny_config(skel), seed=0)
-    x0, x1 = stacked(tiny_batch(rng, skel))
+    x0, x1 = tiny_batch(rng, skel)
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
     for a, b in ((x0[0], x1[0]), (x0, x1[:1]), (x0[:0], x1[:0])):
         with pytest.raises(DimensionMismatch):
@@ -166,9 +168,10 @@ def test_grad_loss_value_consistency():
     cfg = tiny_config(skel)
     params = mdl.init_params(cfg, seed=5)
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
-    batch = tiny_batch(rng, skel)
+    x0, x1 = tiny_batch(rng, skel)
     ts = np.array([0.2, 0.7])
-    total, fm, inter, _ = mdl.grad_loss(params, *stacked(batch), skel, tcfg, ts=ts)
+    total, fm, inter, _ = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts,
+                                        targets=frame_targets(skel, x1))
     assert total == pytest.approx(fm + tcfg.lambda_inter * inter, rel=1e-12)
 
 
@@ -183,10 +186,10 @@ def test_grad_loss_matches_finite_differences(mode):
     params.arrays["out_proj_w"] = rng.normal(
         scale=1.0 / np.sqrt(cfg.width), size=params.arrays["out_proj_w"].shape)
     tcfg = mdl.TrainConfig(steps=1, batch_size=2, seed=0)
-    batch = tiny_batch(rng, skel)
+    x0, x1 = tiny_batch(rng, skel)
     ts = np.array([0.13, 0.61])
-    x0, x1 = stacked(batch)
-    _, _, _, grads = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts)
+    targets = frame_targets(skel, x1)
+    _, _, _, grads = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts, targets=targets)
 
     names = sorted(params.arrays)
     h = 1e-5
@@ -197,9 +200,9 @@ def test_grad_loss_matches_finite_differences(mode):
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         orig = arr[idx]
         arr[idx] = orig + h
-        hi = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts)[0]
+        hi = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts, targets=targets)[0]
         arr[idx] = orig - h
-        lo = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts)[0]
+        lo = mdl.grad_loss(params, x0, x1, skel, tcfg, ts=ts, targets=targets)[0]
         arr[idx] = orig
         fd = (hi - lo) / (2 * h)
         if abs(fd) < 1e-7:
@@ -216,32 +219,48 @@ def test_lambda_zero_reduces_to_fm_gradient():
     batch = tiny_batch(rng, skel)
     ts = np.array([0.4, 0.9])
     base = mdl.TrainConfig(steps=1, batch_size=2, lambda_inter=0.0, seed=0)
-    t0, fm0, inter0, g0 = mdl.grad_loss(params, *stacked(batch), skel, base, ts=ts)
+    t0, fm0, inter0, g0 = mdl.grad_loss(params, *batch, skel, base, ts=ts)
     assert inter0 == 0.0 and t0 == fm0
     # fm-only gradient computed separately must match exactly
-    _, _, _, g1 = mdl.grad_loss(params, *stacked(batch), skel, base, ts=ts)
+    _, _, _, g1 = mdl.grad_loss(params, *batch, skel, base, ts=ts)
     for k in g0:
         assert np.array_equal(g0[k], g1[k])
 
 
 @pytest.mark.parametrize("mode", ["x1", "v"])
 def test_grad_loss_with_table_rows_equals_no_targets(mode):
+    # rows picked from the training set's table, as train passes them, give
+    # the loss of the batch's own targets, which grad_loss built when none
+    # were given
     rng = np.random.default_rng(13)
     skel = chain_skeleton(3)
     cfg = tiny_config(skel, prediction_mode=mode)
     params = mdl.init_params(cfg, seed=9)
     tcfg = mdl.TrainConfig(steps=1, batch_size=3, seed=0)
-    data = tiny_batch(rng, skel, n=5)
-    table = fp.interaction_targets(skel, np.concatenate([s[1] for s in data]))
+    x0s, x1s = tiny_batch(rng, skel, n=5)
+    table = fp.interaction_targets(skel, x1s.reshape(-1, skel.motion_dim))
     idx = np.array([3, 0, 3])
-    args = (*stacked([data[i] for i in idx]), skel, tcfg)
+    args = (x0s[idx], x1s[idx], skel, tcfg)
     ts = np.array([0.1, 0.5, 0.85])
     got = mdl.grad_loss(params, *args, ts=ts,
                         targets=table.rows((idx[:, None] * 3 + np.arange(3)).ravel()))
-    want = mdl.grad_loss(params, *args, ts=ts)
+    want = mdl.grad_loss(params, *args, ts=ts, targets=frame_targets(skel, x1s[idx]))
     assert got[:3] == want[:3] and want[2] > 0.0
     for k in want[3]:
         assert got[3][k].tobytes() == want[3][k].tobytes(), k
+
+
+def test_grad_loss_without_targets_raises():
+    # train builds the interaction-target table; grad_loss takes its rows
+    rng = np.random.default_rng(13)
+    skel = chain_skeleton(3)
+    params = mdl.init_params(tiny_config(skel), seed=9)
+    x0, x1 = tiny_batch(rng, skel, n=3)
+    ts = np.array([0.1, 0.5, 0.85])
+    with pytest.raises(InvalidConfig, match="interaction targets"):
+        mdl.grad_loss(params, x0, x1, skel, mdl.TrainConfig(lambda_inter=0.5), ts=ts)
+    # without the interaction loss no targets are read
+    mdl.grad_loss(params, x0, x1, skel, mdl.TrainConfig(lambda_inter=0.0), ts=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +298,29 @@ def test_train_memorizes_singleton():
     x1 = random_motion(rng, skel, 3)
     tcfg = mdl.TrainConfig(steps=1200, batch_size=4, learning_rate=3e-3,
                            lambda_inter=0.0, seed=11)
-    params, history = mdl.train([(x0, x1)], skel, cfg, tcfg)
+    params, history = mdl.train(x0[None], x1[None], skel, cfg, tcfg)
     assert len(history) == tcfg.steps
     assert min(h[0] for h in history) < 1e-3
 
 
-def test_train_rejects_mixed_frame_counts():
-    rng = np.random.default_rng(12)
-    skel = chain_skeleton(2)
-    data = tiny_batch(rng, skel, n=3, h=3) + tiny_batch(rng, skel, n=2, h=2)
-    tcfg = mdl.TrainConfig(steps=2, batch_size=2, lambda_inter=0.0, seed=0)
-    with pytest.raises(InvalidConfig, match=r"\[2, 3\]"):
-        mdl.train(data, skel, tiny_config(skel), tcfg)
-
-
-@pytest.mark.parametrize("h,extra_cols", [(5, 0), (3, 1), (3, -1)],
-                         ids=["too-long", "too-wide", "too-narrow"])
-def test_train_rejects_records_that_do_not_fit_the_config(h, extra_cols):
+@pytest.mark.parametrize("shape0, shape1", [
+    ((3, 5, 0), (3, 5, 0)), ((3, 3, 1), (3, 3, 1)), ((3, 3, -1), (3, 3, -1)),
+    ((3, 3, 0), (3, 2, 0)), ((3, 3, 0), (2, 3, 0)), ((0, 3, 0), (0, 3, 0)),
+    ((3, 0, 0), (3, 0, 0))],
+    ids=["too-long", "too-wide", "too-narrow", "unequal-frames", "unequal-counts",
+         "empty", "no-frames"])
+def test_train_rejects_records_that_do_not_fit_the_config(shape0, shape1):
+    # one shape check: equal (N >= 1, 1 <= H <= max_frames, frame_dim) arrays;
+    # shapes give (N, H, width - frame_dim)
     rng = np.random.default_rng(14)
     skel = chain_skeleton(2)
-    cols = skel.motion_dim + extra_cols
-    data = [(np.resize(x0, (h, cols)), np.resize(x1, (h, cols)))
-            for x0, x1 in tiny_batch(rng, skel, n=3, h=h)]
+    x0s, x1s = (rng.normal(size=(n, h, skel.motion_dim + extra))
+                for n, h, extra in (shape0, shape1))
     tcfg = mdl.TrainConfig(steps=2, batch_size=2, lambda_inter=0.0, seed=0)
     with pytest.raises(InvalidConfig) as err:
-        mdl.train(data, skel, tiny_config(skel, h=3), tcfg)
-    if extra_cols:
-        named = (f"[{cols}]", f"frame_dim={skel.motion_dim}")
-    else:
-        named = ("5 frames", "max_frames=3")
-    assert all(part in str(err.value) for part in named)
+        mdl.train(x0s, x1s, skel, tiny_config(skel, h=3), tcfg)
+    assert f"{x0s.shape} and {x1s.shape}" in str(err.value)
+    assert f"H <= 3, {skel.motion_dim})" in str(err.value)
 
 
 def test_train_seed_determinism():
@@ -317,8 +329,8 @@ def test_train_seed_determinism():
     cfg = tiny_config(skel)
     data = tiny_batch(rng, skel, n=6)
     tcfg = mdl.TrainConfig(steps=30, batch_size=3, seed=123)
-    p1, h1 = mdl.train(data, skel, cfg, tcfg)
-    p2, h2 = mdl.train(data, skel, cfg, tcfg)
+    p1, h1 = mdl.train(*data, skel, cfg, tcfg)
+    p2, h2 = mdl.train(*data, skel, cfg, tcfg)
     assert h1 == h2
     for k in p1.arrays:
         assert np.array_equal(p1.arrays[k], p2.arrays[k])
@@ -332,7 +344,7 @@ def test_train_draw_order_is_pinned():
     skel = chain_skeleton(2)
     data = tiny_batch(rng, skel, n=5)
     tcfg = mdl.TrainConfig(steps=3, batch_size=2, seed=4)
-    params, history = mdl.train(data, skel, tiny_config(skel), tcfg)
+    params, history = mdl.train(*data, skel, tiny_config(skel), tcfg)
     digest = hashlib.sha256(np.array(history).tobytes())
     for name, arr in params.arrays.items():
         digest.update(name.encode())
@@ -557,7 +569,7 @@ def test_fused_forward_is_bit_equal_to_the_composed_ops(causal, monkeypatch):
     rng = np.random.default_rng(21)
     skel = chain_skeleton(2)
     cfg = tiny_config(skel, h=5, width=16, layers=2, heads=2, causal=causal)
-    trained, _ = mdl.train(tiny_batch(rng, skel, n=6, h=5), skel, cfg,
+    trained, _ = mdl.train(*tiny_batch(rng, skel, n=6, h=5), skel, cfg,
                            mdl.TrainConfig(steps=4, batch_size=3, learning_rate=0.05,
                                            seed=2))
     x = rng.normal(size=(4, 5, cfg.frame_dim))

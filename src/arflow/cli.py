@@ -29,6 +29,7 @@ import time
 
 import numpy as np
 
+from . import cache
 from . import data as dt
 from . import geometry as geo
 from . import metrics as mx
@@ -61,16 +62,8 @@ SAMPLE_CHUNK = 64
 THREAD_VARS = ("ARFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _atomic_write(path: str, text: str) -> None:
-    with dt.atomic_open(path) as fh:
+def _atomic_write(path: str, text: str, digests: dict[str, str] | None = None) -> None:
+    with cache.atomic_open(path, digests) as fh:
         fh.write(text)
 
 
@@ -120,10 +113,12 @@ class _Phases:
         self._mark = now
 
 
-def _write_manifest(out_path: str, command: str, config: dict,
-                    inputs: list[str], outputs: list[str], phases: _Phases) -> None:
-    checksums = {"inputs": {p: _sha256(p) for p in inputs},
-                 "outputs": {p: _sha256(p) for p in outputs}}
+def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str],
+                    outputs: list[str], phases: _Phases, digests: dict[str, str]) -> None:
+    """Write ``out_path.manifest.json``.  A file's checksum is the digest its
+    loader or writer took in this command (``digests``), else it is hashed."""
+    checksums = {"inputs": {p: digests.get(p) or cache.sha256(p) for p in inputs},
+                 "outputs": {p: digests.get(p) or cache.sha256(p) for p in outputs}}
     phases.end("write")
     manifest = {
         "command": command,
@@ -150,8 +145,9 @@ def cmd_gen_data(args) -> int:
         s.fps = args.fps
     skel = dt.default_skeleton(args.joints)
     phases.end("compute")
-    dt.save_samples(args.out, samples, skel)
-    _write_manifest(args.out, "gen-data", vars(args), [], [args.out], phases)
+    digests: dict[str, str] = {}
+    dt.save_samples(args.out, samples, skel, digests)
+    _write_manifest(args.out, "gen-data", vars(args), [], [args.out], phases, digests)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
@@ -171,7 +167,8 @@ def cmd_train(args) -> int:
                                prediction_mode=args.prediction, sigma_min=args.sigma_min)
     if args.log_every < 0:
         raise InvalidConfig(f"--log-every must be >= 0, got {args.log_every}")
-    samples, skel = dt.load_samples(args.data)
+    digests: dict[str, str] = {}
+    samples, skel = dt.load_samples(args.data, digests=digests)
     if not samples:
         raise InvalidConfig(f"no samples in {args.data}")
     train_split = dt.train_test_split(samples)[0]
@@ -187,13 +184,13 @@ def cmd_train(args) -> int:
     params, history = mdl.train(x0s, x1s, skel, pcfg, tcfg,
                                 log_every=args.log_every, phase_end=phases.end)
     phases.end("steps")
-    mdl.save_params(args.out, params)
+    mdl.save_params(args.out, params, digests)
     loss_path = args.out + ".loss.csv"
     _atomic_write(loss_path, "".join(
         f"{i},{fm!r},{inter!r},{total!r}\n"
-        for i, (fm, inter, total) in enumerate(history)))
+        for i, (fm, inter, total) in enumerate(history)), digests)
     _write_manifest(args.out, "train", vars(args), [args.data],
-                    [args.out, loss_path], phases)
+                    [args.out, loss_path], phases, digests)
     print(f"trained {args.steps} steps; final fm loss {history[-1][0]:.6f}; "
           f"model at {args.out}")
     return EXIT_OK
@@ -215,9 +212,10 @@ def cmd_sample(args) -> int:
                             lambda_pene=args.lambda_pene, zeta=args.zeta, w=args.w,
                             beta=args.beta, seed=args.seed)
     # every load or model/data mismatch is a SchemaError: exit 4 for sample
+    digests: dict[str, str] = {}
     try:
-        params = mdl.load_params(args.model)
-        subset, skel = dt.load_samples(args.data, args.split, args.limit)
+        params = mdl.load_params(args.model, digests)
+        subset, skel = dt.load_samples(args.data, args.split, args.limit, digests)
     except (OSError, InvalidConfig) as err:
         raise SchemaError(str(err)) from err
     phases.end("load")
@@ -246,9 +244,9 @@ def cmd_sample(args) -> int:
             reactions[i] = reaction
     out_samples = [dataclasses.replace(s, reactor=r) for s, r in zip(subset, reactions)]
     phases.end("compute")
-    dt.save_samples(args.out, out_samples, skel)
+    dt.save_samples(args.out, out_samples, skel, digests)
     _write_manifest(args.out, "sample", vars(args), [args.model, args.data],
-                    [args.out], phases)
+                    [args.out], phases, digests)
     print(f"sampled {len(out_samples)} reactions ({args.guidance} guidance) "
           f"to {args.out}")
     return EXIT_OK
@@ -281,11 +279,12 @@ def cmd_eval(args) -> int:
             raise InvalidConfig(f"{what} must be >= {least}, got {value} ({flag})")
         if value > most:
             raise InvalidConfig(f"{what} must be <= {most}, got {value} ({flag})")
-    samples, skel = dt.load_samples(args.inputs)
+    digests: dict[str, str] = {}
+    samples, skel = dt.load_samples(args.inputs, digests=digests)
     if not samples:
         raise EmptyInput("empty evaluation input")
     if args.ref is not None:
-        ref_samples, ref_skel = dt.load_samples(args.ref)
+        ref_samples, ref_skel = dt.load_samples(args.ref, digests=digests)
         if not ref_samples:
             raise EmptyInput("empty reference input")
     phases.end("load")
@@ -328,10 +327,10 @@ def cmd_eval(args) -> int:
     text = "\n".join(lines) + "\n"
     phases.end("compute")
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, text, digests)
         _write_manifest(args.out, "eval", vars(args),
                         [args.inputs] + ([args.ref] if args.ref is not None else []),
-                        [args.out], phases)
+                        [args.out], phases, digests)
     print(text, end="")
     return EXIT_OK
 

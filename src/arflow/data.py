@@ -21,17 +21,15 @@ Motion files are line-delimited JSON; see README "Motion interchange file".
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
-import os
 import sys
-import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cache
 from . import geometry as geo
 from .errors import InvalidConfig, SchemaError
 
@@ -386,14 +384,19 @@ def train_test_split(samples: Sequence) -> tuple[Sequence, Sequence]:
 # Motion file I/O (line-delimited JSON; schema in README)
 # ---------------------------------------------------------------------------
 
+def _skeleton_block(skel: geo.Skeleton) -> dict:
+    return {"parents": list(skel.parents), "offsets": skel.offsets.tolist(),
+            "radii": skel.radii.tolist()}
+
+
 def _person_record(skel: geo.Skeleton, motion: np.ndarray, fps: float) -> dict:
     k = skel.joint_count
-    frames = [{"rot6d": row[: 6 * k].reshape(k, 6).tolist(),
-               "root_rot6d": row[6 * k: 6 * k + 6].tolist(),
-               "trans": row[6 * k + 6:].tolist()} for row in motion]
-    skeleton = {"parents": list(skel.parents), "offsets": skel.offsets.tolist(),
-                "radii": skel.radii.tolist()}
-    return {"version": FILE_VERSION, "fps": fps, "skeleton": skeleton, "frames": frames}
+    rot6d = motion[:, : 6 * k].reshape(len(motion), k, 6).tolist()
+    frames = [{"rot6d": rot, "root_rot6d": root, "trans": trans}
+              for rot, root, trans in zip(rot6d, motion[:, 6 * k: 6 * k + 6].tolist(),
+                                          motion[:, 6 * k + 6:].tolist())]
+    return {"version": FILE_VERSION, "fps": fps, "skeleton": _skeleton_block(skel),
+            "frames": frames}
 
 
 def _numbers(values, has_bools: bool) -> np.ndarray:
@@ -409,6 +412,13 @@ def _numbers(values, has_bools: bool) -> np.ndarray:
             and any(type(v) is bool for v in np.asarray(values, dtype=object).flat)):
         raise ValueError("boolean among numeric values")
     return arr
+
+
+def _parents(value) -> tuple:
+    """Skeleton parents as decoded: ``TypeError`` unless a list of integers."""
+    if type(value) is not list or any(type(p) is not int for p in value):
+        raise TypeError("skeleton parents are not a list of integers")
+    return tuple(value)
 
 
 def _record_fault(label, seed, fps, actor, reactor, motion_dim: int) -> str | None:
@@ -445,13 +455,11 @@ def _person_motion(rec: dict, who: str, line: int, has_bools: bool,
     try:
         rec = rec[who]
         sk = rec["skeleton"]
-        parents = sk["parents"]
-        if type(parents) is not list or any(type(p) is not int for p in parents):
-            raise TypeError("skeleton parents are not a list of integers")
+        parents = _parents(sk["parents"])
         if first is not None and not has_bools and sk == first[0]:
             skel = first[1]
         else:
-            skel = geo.Skeleton(tuple(parents), _numbers(sk["offsets"], has_bools),
+            skel = geo.Skeleton(parents, _numbers(sk["offsets"], has_bools),
                                 _numbers(sk["radii"], has_bools))
         frames = rec["frames"]
         h = len(frames)
@@ -469,62 +477,91 @@ def _person_motion(rec: dict, who: str, line: int, has_bools: bool,
     return skel, motion, rec.get("fps")
 
 
-@contextlib.contextmanager
-def atomic_open(path: str):
-    """Text handle on a temporary file next to ``path``.
-
-    A clean exit moves the file onto ``path`` with ``os.replace``; an
-    exception removes it, so readers see the old file or the whole new one.
-    """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton) -> None:
-    """Write samples as one JSON record per line (atomic, diffable); a sample
-    that breaks :func:`_record_fault` raises ``InvalidConfig`` first."""
+def save_samples(path: str, samples: list[InteractionSample], skel: geo.Skeleton,
+                 digests: dict[str, str] | None = None) -> None:
+    """Write samples as one JSON record per line (atomic, diffable), then
+    their binary cache ``path + ".f8"``; a sample that breaks
+    :func:`_record_fault` raises ``InvalidConfig`` before either is written.
+    ``digests[path]`` receives the file's SHA-256 when a dict is given."""
     for n, s in enumerate(samples):
         if fault := _record_fault(s.label, s.seed_used, s.fps, s.actor, s.reactor,
                                   skel.motion_dim):
             raise InvalidConfig(f"sample {n}: {fault}")
-    with atomic_open(path) as fh:
+    digests = {} if digests is None else digests
+    with cache.atomic_open(path, digests) as fh:
         for s in samples:
             fh.write(json.dumps({"version": FILE_VERSION, "label": s.label,
                                  "seed": list(s.seed_used),
                                  "actor": _person_record(skel, s.actor, s.fps),
                                  "reactor": _person_record(skel, s.reactor, s.fps)}) + "\n")
+    meta = {"skeleton": _skeleton_block(skel),
+            "records": [[s.label, list(s.seed_used), s.fps, len(s.actor)] for s in samples]}
+    cache.write(path, digests[path], meta, (m for s in samples for m in (s.actor, s.reactor)))
 
 
-def load_samples(path: str, split: str = "all", limit: int = 0
+def _selected(count: int, split: str, limit: int) -> range:
+    """Indices of the records of ``split`` among ``count``, the first ``limit`` when > 0."""
+    train, test = train_test_split(range(count))
+    return {"train": train, "test": test, "all": range(count)}[split][:limit or None]
+
+
+def _cached_samples(path: str, split: str, limit: int, digests: dict[str, str] | None):
+    """What :func:`load_samples` returns, from the binary cache of ``path``;
+    None when the cache cannot stand in for the file.  The decoded records
+    pass the reader's rules: the skeleton's and :func:`_record_fault`."""
+    def layout(meta):
+        sk, records = meta["skeleton"], meta["records"]
+        skel = geo.Skeleton(_parents(sk["parents"]), _numbers(sk["offsets"], True),
+                            _numbers(sk["radii"], True))
+        frames = [h for _, _, _, h in records]
+        if any(type(h) is not int or h < 1 for h in frames):
+            raise ValueError("frame counts are not positive integers")
+        ends = list(itertools.accumulate((2 * h * skel.motion_dim for h in frames), initial=0))
+        wanted = _selected(len(records), split, limit)
+        return ((skel, records[wanted.start:wanted.stop]), ends[-1],
+                ends[wanted.start], ends[wanted.stop])
+
+    found = cache.read(path, layout, digests)
+    if found is None:
+        return None
+    (skel, records), values = found
+    d = skel.motion_dim
+    samples, start = [], 0
+    for label, seed, fps, h in records:
+        actor, reactor = values[start:start + 2 * h * d].reshape(2, h, d)
+        start += 2 * h * d
+        if _record_fault(label, seed, fps, actor, reactor, d):
+            return None
+        samples.append(InteractionSample(actor, reactor, label, tuple(seed), float(fps)))
+    return samples, skel if samples else None
+
+
+def load_samples(path: str, split: str = "all", limit: int = 0,
+                 digests: dict[str, str] | None = None
                  ) -> tuple[list[InteractionSample], geo.Skeleton | None]:
     """Read the records of ``split`` ("train", "test" or "all"), only the
     first ``limit`` of them when ``limit`` > 0; returns (samples, skeleton).
 
-    Only the selected records are decoded and validated.  The skeleton is
-    None only when nothing is selected.  Raises ``InvalidConfig`` on another
-    split or a negative limit, and ``SchemaError`` with the offending file
-    line number on malformed or inconsistent records.
+    A valid binary cache ``path + ".f8"`` (see :mod:`arflow.cache`) gives
+    the same samples without parsing the file; when the cache lookup hashes
+    the file, ``digests[path]`` receives its SHA-256.  Otherwise only the
+    selected records are decoded and validated.  The skeleton is None only
+    when nothing is selected.  Raises ``InvalidConfig`` on another split or
+    a negative limit, and ``SchemaError`` with the offending file line
+    number on malformed or inconsistent records.
     """
     if split not in ("train", "test", "all"):
         raise InvalidConfig(f"split must be train, test or all, got {split!r}")
     if limit < 0:
         raise InvalidConfig(f"limit must be >= 0, got {limit}")
+    if (found := _cached_samples(path, split, limit, digests)) is not None:
+        return found
     samples: list[InteractionSample] = []
     first: tuple[dict, geo.Skeleton] | None = None
     # bytes: json.loads decodes each line, so bad UTF-8 is reported with its line
     with open(path, "rb") as fh:
         # a first pass counts the records, a second decodes the selected ones
-        count = sum(not line.isspace() for line in fh)
-        train, test = train_test_split(range(count))
-        wanted = {"train": train, "test": test, "all": range(count)}[split][:limit or None]
+        wanted = _selected(sum(not line.isspace() for line in fh), split, limit)
         fh.seek(0)
         records = ((no, line) for no, line in enumerate(fh, start=1) if not line.isspace())
         for line_no, line in itertools.islice(records, wanted.start, wanted.stop):

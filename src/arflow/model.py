@@ -25,9 +25,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import cache
 from . import flowpath as fp
 from . import geometry as geo
-from .data import MAX_FRAMES, _numbers, atomic_open
+from .data import MAX_FRAMES, _numbers
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
 
 PARAMS_FORMAT = "arflow-predictor"
@@ -429,27 +430,70 @@ def _check_arrays(cfg: PredictorConfig, arrays: dict) -> None:
             raise InvalidConfig(f"array {name} of shape {arr.shape} is not {shape} finite numbers")
 
 
-def save_params(path: str, params: PredictorParams) -> None:
-    """Write a parameter file; ``InvalidConfig`` first if :func:`_check_arrays` fails."""
+def save_params(path: str, params: PredictorParams,
+                digests: dict[str, str] | None = None) -> None:
+    """Write a parameter file, then its binary cache ``path + ".f8"``;
+    ``InvalidConfig`` before either is written if :func:`_check_arrays`
+    fails.  ``digests[path]`` receives the file's SHA-256 when a dict is given."""
     _check_arrays(params.config, params.arrays)
+    digests = {} if digests is None else digests
     head = json.dumps({"format": PARAMS_FORMAT, "version": PARAMS_VERSION,
                        "config": asdict(params.config)})
+    items = sorted(params.arrays.items())
     # the bytes json.dumps gives the whole document, written one array at a
     # time: the C encoder's speed without holding every array's text at once
-    with atomic_open(path) as fh:
+    with cache.atomic_open(path, digests) as fh:
         fh.write(head[:-1] + ', "arrays": {')
-        for i, (name, arr) in enumerate(sorted(params.arrays.items())):
+        for i, (name, arr) in enumerate(items):
             rec = json.dumps({"shape": list(arr.shape),
                               "data": arr.reshape(-1).tolist()})
             fh.write(f'{", " if i else ""}{json.dumps(name)}: {rec}')
         fh.write("}}")
+    meta = {"config": asdict(params.config),
+            "arrays": [[name, list(arr.shape)] for name, arr in items]}
+    cache.write(path, digests[path], meta, (arr for _, arr in items))
 
 
-def load_params(path: str) -> PredictorParams:
+def _cached_params(path: str, digests: dict[str, str] | None) -> PredictorParams | None:
+    """What :func:`load_params` returns, from the binary cache of ``path``;
+    None when the cache cannot stand in for the file.  The decoded
+    parameters pass the reader's rules: ``PredictorConfig`` and
+    :func:`_check_arrays`."""
+    def layout(meta):
+        cfg = PredictorConfig(**meta["config"])
+        entries = [(name, shape) for name, shape in meta["arrays"]]
+        if any(type(name) is not str or type(shape) is not list
+               or any(type(n) is not int or n < 0 for n in shape) for name, shape in entries):
+            raise TypeError("array entries are not a name and a list of sizes")
+        total = sum(math.prod(shape) for _, shape in entries)
+        return (cfg, entries), total, 0, total
+
+    found = cache.read(path, layout, digests)
+    if found is None:
+        return None
+    (cfg, entries), values = found
+    arrays, start = {}, 0
+    for name, shape in entries:
+        size = math.prod(shape)
+        arrays[name] = values[start:start + size].reshape(shape)
+        start += size
+    try:
+        _check_arrays(cfg, arrays)
+    except InvalidConfig:
+        return None
+    return PredictorParams(cfg, arrays)
+
+
+def load_params(path: str, digests: dict[str, str] | None = None) -> PredictorParams:
     """Read a parameter file; ``InvalidConfig`` unless it has this format and
     version, a valid config and arrays that pass :func:`_check_arrays`, each
     a flat ``data`` list of as many numbers as its ``shape`` of integers
-    asks for.  Other top-level keys are ignored."""
+    asks for.  Other top-level keys are ignored.  A valid binary cache
+    ``path + ".f8"`` (see :mod:`arflow.cache`) gives the same parameters
+    without parsing the file; when the cache lookup hashes the file,
+    ``digests[path]`` receives its SHA-256."""
+    if (cached := _cached_params(path, digests)) is not None:
+        return cached
     with open(path) as fh:
         try:
             doc = json.load(fh)

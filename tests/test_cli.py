@@ -889,12 +889,13 @@ def test_eval_voxel_of_infinite_volume_exits_2(voxel, contact, tmp_path, capsys)
     data = tmp_path / "data.jsonl"
     dt.save_samples(str(data), dt.generate_mixed(4, frames=4, contact_fraction=contact,
                                                  seed=2), dt.default_skeleton())
+    before = sorted(tmp_path.iterdir())
     out = tmp_path / "report.txt"
     assert run("eval", "--inputs", str(data), "--metrics", "iv,if",
                f"--voxel={voxel}", "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "finite volume" in err and "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+    assert sorted(tmp_path.iterdir()) == before  # eval wrote nothing
 
 
 @pytest.mark.parametrize("argv", [

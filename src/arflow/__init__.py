@@ -27,8 +27,6 @@ from .geometry import (  # noqa: E402
     Skeleton,
     motion_capsules,
     motion_joint_positions,
-    rot6d_decode,
-    rot6d_encode,
     sdf_and_gradient,
 )
 from .metrics import (  # noqa: E402

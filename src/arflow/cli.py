@@ -11,8 +11,8 @@ timing fields aside).
 
 Exit codes: 0 success; 2 configuration error; 3 non-finite training loss;
 4 model/data mismatch while sampling (including an invalid model file); 5
-empty evaluation input; 6 non-finite predictor output while sampling.  Exit
-1 is unused.
+empty evaluation input; 6 non-finite predictor output or sampling state
+(such as a guidance overflow) while sampling.  Exit 1 is unused.
 """
 
 from __future__ import annotations
@@ -137,12 +137,13 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]
 
 def cmd_gen_data(args) -> int:
     phases = _Phases()
+    # the one fps rule of a motion-file record, applied before any generation
+    if fault := dt.fps_fault(args.fps):
+        raise InvalidConfig(f"--fps: {fault}")
     samples = dt.generate_mixed(args.pairs, frames=args.frames, joints=args.joints,
                                 noise=args.noise,
                                 contact_fraction=args.contact_fraction,
-                                seed=args.seed, scenario=args.scenario)
-    for s in samples:
-        s.fps = args.fps
+                                seed=args.seed, scenario=args.scenario, fps=args.fps)
     skel = dt.default_skeleton(args.joints)
     phases.end("compute")
     digests: dict[str, str] = {}

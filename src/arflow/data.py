@@ -336,15 +336,19 @@ _SCRIPTS = {"push_retreat": (_push_retreat_draws, _push_retreat),
 def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
                    joints: int = DEFAULT_JOINTS, noise: float = 0.02,
                    contact_fraction: float = 0.5, seed: int = 0,
-                   scenario: str = "all") -> list[InteractionSample]:
-    """Seeded samples round-robin over the scenarios, or of the one named.
+                   scenario: str = "all", fps: float = DEFAULT_FPS) -> list[InteractionSample]:
+    """Seeded samples round-robin over the scenarios, or of the one named,
+    each recorded at ``fps``.
 
     Each sample only depends on its key ``(seed, label, index within label)``:
     one draw step per pair from ``np.random.default_rng(key)``, then one
-    build over all pairs of its scenario.
+    build over all pairs of its scenario.  Every option is checked before
+    the first draw.
     """
     if not 1 <= count <= MAX_PAIRS:
         raise InvalidConfig(f"count of pairs must be in [1, {MAX_PAIRS}], got {count}")
+    if fault := fps_fault(fps):
+        raise InvalidConfig(fault)
     names = SCENARIOS if scenario == "all" else (scenario,)
     cfgs = [ScenarioConfig(s, frames, joints, noise, contact_fraction, seed)
             for s in names]
@@ -359,7 +363,7 @@ def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
         stacked = {name: np.array([v[name] for v in draws]) for name in draws[0]}
         actors, reactors = build(cfg, skel, stacked)
         for i, key, actor, reactor in zip(slots, keys, actors, reactors):
-            samples[i] = InteractionSample(actor, reactor, label, key)
+            samples[i] = InteractionSample(actor, reactor, label, key, fps)
     return samples
 
 
@@ -421,6 +425,17 @@ def _parents(value) -> tuple:
     return tuple(value)
 
 
+def fps_fault(fps) -> str | None:
+    """Why ``fps`` cannot be a record's frame rate, or None: the one fps rule,
+    of :func:`_record_fault` and :func:`generate_mixed`.  A positive finite
+    int or float (a bool is not)."""
+    # an exact comparison: an integer too large for a float fails it too
+    if (isinstance(fps, bool) or not isinstance(fps, (int, float))
+            or not 0.0 < fps <= sys.float_info.max):
+        return f"fps is not a positive finite number: {fps!r}"
+    return None
+
+
 def _record_fault(label, seed, fps, actor, reactor, motion_dim: int) -> str | None:
     """Why a sample cannot be a motion-file record, or None: the one rule
     that :func:`save_samples` checks before writing and :func:`load_samples`
@@ -430,10 +445,8 @@ def _record_fault(label, seed, fps, actor, reactor, motion_dim: int) -> str | No
     if type(label) is not int or type(seed) not in (list, tuple) or any(
             type(v) is not int for v in seed):
         return f"label must be an int and seed a list of ints, got {label!r} and {seed!r}"
-    # an exact comparison: an integer too large for a float fails it too
-    if (isinstance(fps, bool) or not isinstance(fps, (int, float))
-            or not 0.0 < fps <= sys.float_info.max):
-        return f"fps is not a positive finite number: {fps!r}"
+    if fault := fps_fault(fps):
+        return fault
     shape = np.shape(actor)[:1] + (motion_dim,)
     for who, motion in (("actor", actor), ("reactor", reactor)):
         motion = np.asarray(motion)

@@ -9,10 +9,6 @@ class DegenerateRotation(ArflowError):
     """6D rotation block cannot be orthonormalized (near-zero or parallel columns)."""
 
 
-class NotARotation(ArflowError):
-    """Matrix is not orthonormal with determinant +1 within tolerance."""
-
-
 class DimensionMismatch(ArflowError):
     """Array shapes disagree with each other or with the skeleton / model config."""
 
@@ -49,7 +45,8 @@ class NonFiniteLoss(ArflowError):
 
 
 class NonFiniteSample(ArflowError):
-    """The predictor returned NaN or Inf while sampling."""
+    """The predictor returned NaN or Inf while sampling, or a step (a guidance
+    step too large for float64) left the state non-finite."""
 
 
 class InvalidConfig(ArflowError):

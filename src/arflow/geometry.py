@@ -28,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     GridTooLarge,
     InvalidConfig,
-    NotARotation,
 )
 
 IDENTITY_ROT6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -57,47 +56,14 @@ def _check_rot6d(r: np.ndarray) -> None:
         raise DegenerateRotation("6D block has near-parallel columns")
 
 
-def rot6d_decode(r: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3), det +1, of 6D blocks ``r`` (..., 6):
-    the first two columns, one after the other.
-
-    Raises ``DegenerateRotation`` if a column is near zero or the columns
-    are near parallel; valid blocks go through :func:`decode_rot6d_t` with
-    exact norms (``eps=0``).
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape[-1] != 6:
-        raise DimensionMismatch(f"expected trailing dimension 6, got {r.shape}")
-    _check_rot6d(r)
-    return decode_rot6d_t(ad.constant(r), eps=0.0).data
-
-
-def rot6d_encode(m: np.ndarray) -> np.ndarray:
-    """Encode rotation matrices as 6D vectors (first two columns).
-
-    Raises ``NotARotation`` unless ``m`` is orthonormal with det +1 within
-    1e-6.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape[-2:] != (3, 3):
-        raise DimensionMismatch(f"expected (..., 3, 3), got {m.shape}")
-    eye = np.eye(3)
-    gram = np.einsum("...ji,...jk->...ik", m, m)
-    if not np.all(np.abs(gram - eye) <= 1e-6):  # NaN fails this test too
-        raise NotARotation("matrix is not orthonormal within 1e-6")
-    if np.any(np.linalg.det(m) < 0.0):
-        raise NotARotation("matrix has determinant -1")
-    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
-
-
 def decode_rot6d_t(r: ad.Tensor, eps: float = 1e-12) -> ad.Tensor:
     """Differentiable 6D decode on the tape, by Gram-Schmidt.
 
     ``eps`` goes inside the square roots of the norms, so gradients stay
     finite on degenerate in-flight predictions.  It also bends blocks with
     short columns: at the default, ``[1e-7, 0, 0, 0, 1e-7, 0]`` decodes far
-    from orthonormal.  :func:`rot6d_decode` checks the blocks and decodes
-    with ``eps=0``.
+    from orthonormal.  :func:`motion_joint_positions` checks the blocks and
+    decodes with ``eps=0``.
     """
     a, b = r[..., 0:3], r[..., 3:6]
     b1 = a / ad.norm_last(a, eps=eps)
@@ -160,7 +126,7 @@ class Skeleton:
 
 def _strict_fk(skel: Skeleton, motion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions (H, K, 3) and rotations (H, K + 1, 3, 3) of an (H, D)
-    motion: the checks of :func:`rot6d_decode`, then :func:`fk_positions_t`
+    motion: the checks of :func:`_check_rot6d`, then :func:`fk_positions_t`
     on a constant with exact norms (``eps=0``)."""
     motion = np.asarray(motion, dtype=np.float64)
     if motion.ndim != 2 or motion.shape[1] != skel.motion_dim:
@@ -212,7 +178,8 @@ class CapsuleSet:
     ``seg_a``/``seg_b`` may carry leading frame axes, ``(..., C, 3)``: the
     set then holds one body per frame, all sharing the radii.  Only
     :func:`sdf_and_gradient`, :func:`intersection_volumes` (one frame
-    axis) and :meth:`frame` accept such a set.
+    axis) and :meth:`aabb` accept such a set; frame f's body alone is
+    ``CapsuleSet(seg_a[f], seg_b[f], radius)``.
     """
 
     seg_a: np.ndarray   # (..., C, 3)
@@ -235,30 +202,17 @@ class CapsuleSet:
         if not (np.isfinite(self.seg_a).all() and np.isfinite(self.seg_b).all()):
             raise InvalidConfig("capsule endpoints must be finite")
 
-    def __len__(self) -> int:
-        return len(self.radius)
-
-    def frame(self, f) -> "CapsuleSet":
-        """Body of frame ``f`` in a set with a leading frame axis, or the
-        per-frame set of the frames an index array ``f`` picks."""
-        return CapsuleSet(self.seg_a[f], self.seg_b[f], self.radius)
-
-    def capsule_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-capsule boxes ``(lo, hi)``, each (..., C, 3)."""
-        return (np.minimum(self.seg_a, self.seg_b) - self.radius[:, None],
-                np.maximum(self.seg_a, self.seg_b) + self.radius[:, None])
-
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
         """Body box ``(lo, hi)``, each (..., 3): one per frame in a per-frame set."""
-        lo, hi = self.capsule_aabbs()
+        lo = np.minimum(self.seg_a, self.seg_b) - self.radius[:, None]
+        hi = np.maximum(self.seg_a, self.seg_b) + self.radius[:, None]
         return lo.min(axis=-2), hi.max(axis=-2)
 
 
 def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
     """Per-frame bodies of an (F, D) motion as one (F, C, 3) capsule set.
 
-    One FK pass covers every frame, whichever sample each belongs to;
-    :meth:`CapsuleSet.frame` gives one frame's body.
+    One FK pass covers every frame, whichever sample each belongs to.
     """
     pos = motion_joint_positions(skel, motion)
     parents = np.array(skel.parents[1:])

@@ -201,7 +201,9 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig,
     random stream is derived from (cfg.seed, its sample_index), so a
     sample's output does not depend on the batch it runs in; it is only
     consulted when beta > 0.
-    Raises ``NonFiniteSample`` when the predictor returns NaN or Inf.
+    Raises ``NonFiniteSample`` when the predictor returns NaN or Inf, or
+    when a step leaves the state non-finite (a guidance step too large
+    for float64), naming the step's time and the guidance mode.
     """
     if cfg.guided and ctx is None:
         raise InvalidConfig("guided sampling needs a GuidanceContext")
@@ -225,5 +227,9 @@ def sample(predictor, x0: np.ndarray, cfg: SamplerConfig,
         if not np.isfinite(x1_hat).all():
             raise NonFiniteSample(f"predictor output is not finite at t={tn:g}")
         grad = penetration_grad(x1_hat, ctx, cfg.zeta) if cfg.guided else None
-        x = _step(x, x1_hat, x0, grad, tn, tn1, cfg, rngs)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            x = _step(x, x1_hat, x0, grad, tn, tn1, cfg, rngs)
+        if not np.isfinite(x).all():
+            raise NonFiniteSample(f"state is not finite after the step from t={tn:g} "
+                                  f"({cfg.guidance} guidance)")
     return x

@@ -10,19 +10,34 @@ scenario is built to show.  ``linear``, ``layer_norm``, ``attention`` and
 (q/k/v slices, transposes, a separate softmax) that the fused tape nodes
 must reproduce bit for bit.  ``velocity_walk`` is unguided sampling in
 the velocity form of traditional flow matching, which the sampler's
-reprojection step equals.
+reprojection step equals.  ``rot6d`` writes rotation matrices in the
+motion layout's 6D form, and ``rotations`` reads them back with the
+package's one decode at exact norms.
 """
 
 import numpy as np
 
+from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow.data import _SHOULDER, _pose_joints
 
 
+def rot6d(m):
+    """6D blocks (..., 6) of rotation matrices (..., 3, 3): the first two columns."""
+    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
+
+
+def rotations(r):
+    """Rotation matrices (..., 3, 3) of 6D blocks (..., 6), by the package's
+    tape decode at exact norms (``eps=0``), as ``motion_joint_positions``
+    decodes after its checks."""
+    return geo.decode_rot6d_t(ad.constant(np.asarray(r, dtype=np.float64)), eps=0.0).data
+
+
 def _parts(skel, motion):
     h, k = motion.shape[0], skel.joint_count
-    rot = geo.rot6d_decode(motion[:, :6 * (k + 1)].reshape(h, k + 1, 6))
+    rot = rotations(motion[:, :6 * (k + 1)].reshape(h, k + 1, 6))
     return geo.motion_joint_positions(skel, motion), rot, motion[:, 6 * (k + 1):]
 
 
@@ -68,7 +83,7 @@ def response_property(sample, skel):
     jid = _pose_joints(skel)[_SHOULDER]
 
     def shoulder_angle(motion):
-        rots = geo.rot6d_decode(motion[:, 6 * jid: 6 * jid + 6])
+        rots = rotations(motion[:, 6 * jid: 6 * jid + 6])
         return np.arctan2(rots[:, 0, 2], rots[:, 0, 0])  # rotation about +y
     a = shoulder_angle(sample.actor)
     r = shoulder_angle(sample.reactor)

@@ -299,7 +299,8 @@ def test_criterion_07_metric_units():
 
     skel = dt.default_skeleton()
     motion = pose_row(skel, trans=(0.0, 0.0, 0.9))[None]
-    caps = geo.motion_capsules(skel, motion).frame(0)
+    bodies = geo.motion_capsules(skel, motion)
+    caps = geo.CapsuleSet(bodies.seg_a[0], bodies.seg_b[0], bodies.radius)
     vs = 0.02
     body_volume = voxelize(caps, vs, shared_bounds(caps, caps, vs)).volume
     iv_super = mx.penetration_stats([(motion, motion.copy())], skel, vs).iv_cm3

@@ -155,6 +155,18 @@ def test_gen_data_bad_value_exits_2(flag, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fps", ["0", "-1", "nan", "inf", "1e309"])
+def test_gen_data_bad_fps_exits_2_before_generating(fps, tmp_path, monkeypatch, capsys):
+    # the fps rule used to run only when the generated records were saved
+    def generate_mixed(*args, **kwargs):
+        raise AssertionError("generated before the fps check")
+    monkeypatch.setattr(dt, "generate_mixed", generate_mixed)
+    assert run("gen-data", "--pairs", "200000", f"--fps={fps}",
+               "--out", str(tmp_path / "x.jsonl")) == 2
+    assert "fps" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _subparsers():
     """The subcommand parsers of ``cli.build_parser()``, by name."""
     return next(a for a in cli.build_parser()._actions
@@ -268,7 +280,7 @@ _LEGAL = {
     ("train", "--log-every", _HUGE): "logs never",
     ("train", "--seed", _HUGE): "numpy seeds take any integer >= 0",
     ("sample", "--limit", _HUGE): "more than there are: samples every actor",
-    ("sample", "--lambda-pene", "1e308"): "a finite guidance weight",
+    ("sample", "--lambda-pene", "1e308"): "a finite guidance weight; its overflow exits 6",
     ("sample", "--zeta", "1e308"): "finite reach: every joint is within it",
     ("sample", "--seed", _HUGE): "numpy seeds take any integer >= 0",
     ("eval", "--feature-seed", _HUGE): "numpy seeds take any integer >= 0",
@@ -624,6 +636,22 @@ def test_sample_huge_weights_exit_6(small_model, small_data, tmp_path):
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--data", str(small_data),
                "--out", str(out)) == 6
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("guidance", ["vanilla", "improved"])
+@pytest.mark.parametrize("steps", ["2", "5"])
+def test_sample_guidance_overflow_exits_6(guidance, steps, small_model, tmp_path, capsys):
+    # at 2 steps the overflowed state used to reach save_samples (exit 2),
+    # at 5 the next predictor call, which took the blame (exit 6)
+    data, out = tmp_path / "contact.jsonl", tmp_path / "s.jsonl"
+    assert run("gen-data", "--pairs", "40", "--frames", "8", "--contact-fraction", "1.0",
+               "--seed", "3", "--out", str(data)) == 0
+    assert run("sample", "--model", str(small_model), "--data", str(data),
+               "--out", str(out), "--guidance", guidance, "--lambda-pene", "1e308",
+               "--steps", steps, "--limit", "4") == 6
+    err = capsys.readouterr().err
+    assert f"after the step from t=0 ({guidance} guidance)" in err
     assert not out.exists()
 
 

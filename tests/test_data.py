@@ -11,7 +11,7 @@ from arflow import geometry as geo
 from arflow import metrics as mx
 from arflow.errors import InvalidConfig, SchemaError
 
-from oracles import response_property
+from oracles import response_property, rot6d
 
 
 def test_scenario_config_validation():
@@ -120,7 +120,7 @@ def test_rotation_about_builds_rotations():
         gram = np.einsum("...ji,...jk->...ik", m, m)
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
         assert np.max(np.abs(np.linalg.det(m) - 1.0)) <= 1e-12
-        assert np.array_equal(dt._rot6d_about(axis, angles), geo.rot6d_encode(m))
+        assert np.array_equal(dt._rot6d_about(axis, angles), rot6d(m))
 
 
 def test_default_skeleton_shapes():

@@ -6,7 +6,7 @@ from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow.errors import DegenerateRotation, DimensionMismatch, SingularTime
 
-from oracles import interaction_loss
+from oracles import interaction_loss, rotations
 from test_geometry import chain_skeleton, pose_row, random_rotation
 
 
@@ -188,7 +188,7 @@ def test_interaction_loss_tape_matches_and_differentiates():
     # the actor terms of the relative form cancel: any actor gives the same
     # loss, here one with a turned root and one with identity rotations
     x0 = random_motion(rng, skel)
-    assert not np.allclose(geo.rot6d_decode(x0[:, 18:24]), np.eye(3))
+    assert not np.allclose(rotations(x0[:, 18:24]), np.eye(3))
     still = np.tile(pose_row(skel, trans=(2.0, -1.0, 0.5)), (len(gt), 1))
     for actor in (x0, still):
         assert loss_t.data == pytest.approx(interaction_loss(pred, gt, actor, skel),
@@ -232,8 +232,7 @@ def test_interaction_targets_decode_each_block_once(monkeypatch):
                         lambda r, eps=1e-12: calls.append(r.shape) or decode(r, eps))
     targets = fp.interaction_targets(skel, gt)
     assert calls == [(6, 4, 6)]
-    assert targets.rot.tobytes() == geo.rot6d_decode(
-        gt[:, :24].reshape(6, 4, 6)).tobytes()
+    assert targets.rot.tobytes() == rotations(gt[:, :24].reshape(6, 4, 6)).tobytes()
     assert targets.pos.tobytes() == geo.motion_joint_positions(skel, gt).tobytes()
     assert np.array_equal(targets.pos[:, 0], gt[:, 24:])
 

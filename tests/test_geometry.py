@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arflow import autodiff as ad
 from arflow import geometry as geo
 from arflow.errors import (
     DegenerateRotation,
     GridTooLarge,
     InvalidConfig,
-    NotARotation,
 )
 
+from oracles import rot6d, rotations
 from voxel_oracle import (
     GridMismatch,
     capsule_sdfs,
@@ -39,14 +40,13 @@ def pose_row(skel, joint_rots=None, root_rot=None, trans=(0.0, 0.0, 0.0)):
         rots[:k] = joint_rots
     if root_rot is not None:
         rots[k] = root_rot
-    return np.concatenate([geo.rot6d_encode(rots).reshape(-1),
-                           np.asarray(trans, dtype=float)])
+    return np.concatenate([rot6d(rots).reshape(-1), np.asarray(trans, dtype=float)])
 
 
 def forward_kinematics(skel, row):
     """Reference FK of one motion row, one matrix product at a time: (K, 3)."""
     k = skel.joint_count
-    rots = geo.rot6d_decode(row[:6 * (k + 1)].reshape(k + 1, 6))
+    rots = rotations(row[:6 * (k + 1)].reshape(k + 1, 6))
     world_rot = np.empty((k, 3, 3))
     pos = np.empty((k, 3))
     world_rot[0] = rots[k] @ rots[0]
@@ -80,28 +80,29 @@ def random_rotation(rng):
 
 
 # ---------------------------------------------------------------------------
-# 6D rotations
+# 6D rotations: the decode of every FK is ``decode_rot6d_t``; the strict
+# entry ``motion_joint_positions`` checks the blocks and decodes at eps=0
 # ---------------------------------------------------------------------------
 
 def test_decode_identity():
-    assert np.allclose(geo.rot6d_decode([1, 0, 0, 0, 1, 0]), np.eye(3), atol=1e-12)
+    assert np.allclose(rotations([1, 0, 0, 0, 1, 0]), np.eye(3), atol=1e-12)
 
 
 def test_decode_quarter_turn_about_z():
     # hand Gram-Schmidt: columns (0,1,0), (-1,0,0), cross -> (0,0,1)
-    m = geo.rot6d_decode([0, 1, 0, -1, 0, 0])
+    m = rotations([0, 1, 0, -1, 0, 0])
     assert np.allclose(m, rz(np.pi / 2), atol=1e-12)
 
 
 def test_decode_normalizes_and_orthogonalizes():
-    m = geo.rot6d_decode([2, 0, 0, 1, 1, 0])
+    m = rotations([2, 0, 0, 1, 1, 0])
     assert np.allclose(m, np.eye(3), atol=1e-12)
 
 
 def test_decode_is_special_orthogonal():
     rng = np.random.default_rng(7)
     r = rng.normal(size=(50, 6))
-    m = geo.rot6d_decode(r)
+    m = rotations(r)
     assert np.allclose(np.einsum("nji,njk->nik", m, m), np.eye(3), atol=1e-9)
     assert np.allclose(np.linalg.det(m), 1.0, atol=1e-9)
 
@@ -111,9 +112,9 @@ def test_decode_of_short_valid_columns_is_orthonormal():
     # (eps=1e-12 inside the norms) would bend these blocks far from rotations
     rng = np.random.default_rng(17)
     m = np.stack([np.eye(3)] + [random_rotation(rng) for _ in range(3)])
-    short = 1e-7 * geo.rot6d_encode(m)
+    short = 1e-7 * rot6d(m)
     assert np.array_equal(short[0], [1e-7, 0, 0, 0, 1e-7, 0])
-    got = geo.rot6d_decode(short)
+    got = rotations(short)
     assert np.allclose(np.einsum("nji,njk->nik", got, got), np.eye(3), atol=1e-12)
     assert np.allclose(got, m, atol=1e-12)
     skel = chain_skeleton(3, offset=(0.3, 0.1, 0.5))
@@ -132,9 +133,13 @@ def test_decode_of_short_valid_columns_is_orthonormal():
     [1, 0, 0, 0, 1e160, 0],       # second column's squared norm overflows
 ])
 def test_decode_degenerate(bad):
-    # a RuntimeWarning from the check would fail the test too
+    # the strict FK checks every block of a motion before decoding; a
+    # RuntimeWarning from the check would fail the test too
+    skel = chain_skeleton(3)
+    motion = np.tile(pose_row(skel), (2, 1))
+    motion[1, 6:12] = bad
     with pytest.raises(DegenerateRotation):
-        geo.rot6d_decode(bad)
+        geo.motion_joint_positions(skel, motion)
 
 
 def test_motion_with_a_huge_block_is_degenerate():
@@ -147,38 +152,24 @@ def test_motion_with_a_huge_block_is_degenerate():
 
 
 def test_encode_identity_and_quarter_turn():
-    assert np.allclose(geo.rot6d_encode(np.eye(3)), [1, 0, 0, 0, 1, 0])
-    assert np.allclose(geo.rot6d_encode(rz(np.pi / 2)), [0, 1, 0, -1, 0, 0],
-                       atol=1e-12)
+    # the tests' encode writes the layout the decode reads
+    assert np.array_equal(rot6d(np.eye(3)), geo.IDENTITY_ROT6D)
+    assert np.allclose(rot6d(rz(np.pi / 2)), [0, 1, 0, -1, 0, 0], atol=1e-12)
 
 
 def test_encode_decode_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(25):
         m = random_rotation(rng)
-        assert np.allclose(geo.rot6d_decode(geo.rot6d_encode(m)), m, rtol=0, atol=1e-9)
-
-
-def test_encode_rejects_non_rotation():
-    with pytest.raises(NotARotation):
-        geo.rot6d_encode(2.0 * np.eye(3))
-    with pytest.raises(NotARotation):
-        geo.rot6d_encode(np.diag([1.0, 1.0, -1.0]))
-    for value in (np.nan, np.inf):
-        with pytest.raises(NotARotation):
-            geo.rot6d_encode(np.full((3, 3), value))
-        m = np.tile(np.eye(3), (2, 1, 1))
-        m[1, 0, 0] = value
-        with pytest.raises(NotARotation):
-            geo.rot6d_encode(m)
+        assert np.allclose(rotations(rot6d(m)), m, rtol=0, atol=1e-9)
 
 
 def test_decode_tape_matches_strict():
-    from arflow import autodiff as ad
+    # the default eps of in-flight predictions against exact norms
     rng = np.random.default_rng(3)
     r = rng.normal(size=(20, 6))
     got = geo.decode_rot6d_t(ad.constant(r)).data
-    assert np.allclose(got, geo.rot6d_decode(r), atol=1e-10)
+    assert np.allclose(got, rotations(r), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +218,13 @@ def test_motion_fk_matches_per_frame():
 
 
 def test_fk_tape_matches_numpy():
-    from arflow import autodiff as ad
     rng = np.random.default_rng(13)
     skel = chain_skeleton(4, offset=(0.3, 0.2, 0.1))
     motion = rng.normal(size=(5, skel.motion_dim))
     pos_t, rots_t = geo.fk_positions_t(skel, ad.constant(motion))
     assert np.allclose(pos_t.data, geo.motion_joint_positions(skel, motion), atol=1e-9)
     k = skel.joint_count
-    rots = geo.rot6d_decode(motion[:, :6 * (k + 1)].reshape(5, k + 1, 6))
+    rots = rotations(motion[:, :6 * (k + 1)].reshape(5, k + 1, 6))
     assert np.allclose(rots_t.data, rots, atol=1e-9)
 
 
@@ -244,8 +234,9 @@ def test_fk_tape_matches_numpy():
 
 def test_body_capsules_basic():
     skel = chain_skeleton(2)
-    caps = geo.motion_capsules(skel, pose_row(skel)[None]).frame(0)
-    assert len(caps) == 1
+    bodies = geo.motion_capsules(skel, pose_row(skel)[None])
+    caps = geo.CapsuleSet(bodies.seg_a[0], bodies.seg_b[0], bodies.radius)
+    assert caps.seg_a.shape == (1, 3)
     assert np.allclose(caps.seg_a[0], [0, 0, 0])
     assert np.allclose(caps.seg_b[0], [0, 0, 1])
     assert caps.radius[0] == pytest.approx(0.1)
@@ -255,8 +246,9 @@ def test_body_capsules_count_and_translation():
     skel = chain_skeleton(5)
     motion = np.stack([pose_row(skel), pose_row(skel, trans=(1.0, 2.0, 3.0))])
     bodies = geo.motion_capsules(skel, motion)
-    caps, moved = bodies.frame(0), bodies.frame(1)
-    assert len(caps) == 4
+    caps, moved = (geo.CapsuleSet(bodies.seg_a[f], bodies.seg_b[f], bodies.radius)
+                   for f in (0, 1))
+    assert caps.seg_a.shape == (4, 3)
     assert np.allclose(moved.seg_a, caps.seg_a + np.array([1.0, 2.0, 3.0]))
     assert np.allclose(moved.seg_b, caps.seg_b + np.array([1.0, 2.0, 3.0]))
 
@@ -349,15 +341,15 @@ def test_motion_capsules_match_single_frame_bodies():
     skel = chain_skeleton(4, offset=(0.1, 0.2, 0.3))
     k = skel.joint_count
     rots = np.stack([random_rotation(rng) for _ in range(5 * (k + 1))])
-    motion = np.concatenate([geo.rot6d_encode(rots).reshape(5, -1),
+    motion = np.concatenate([rot6d(rots).reshape(5, -1),
                              rng.normal(size=(5, 3))], axis=1)
     bodies = geo.motion_capsules(skel, motion)
     assert bodies.seg_a.shape == (5, k - 1, 3)
     parents = list(skel.parents[1:])
     for f, row in enumerate(motion):
         pos = forward_kinematics(skel, row)
-        assert np.allclose(bodies.frame(f).seg_a, pos[parents], atol=1e-12)
-        assert np.allclose(bodies.frame(f).seg_b, pos[1:], atol=1e-12)
+        assert np.allclose(bodies.seg_a[f], pos[parents], atol=1e-12)
+        assert np.allclose(bodies.seg_b[f], pos[1:], atol=1e-12)
     with pytest.raises(InvalidConfig):
         geo.CapsuleSet(np.zeros((2, 3)), np.zeros((3, 3)), np.ones(2))
 
@@ -619,10 +611,11 @@ def test_sdf_distances_equal_the_sweeps_bit_for_bit():
                 (axes[0][:, None, None], axes[1][None, :, None], axes[2][None, None, :]),
                 *axis)
             _, on_points = geo._capsule_distance(scattered[f].T, *axis)
-            single, _ = geo.sdf_and_gradient(grid, frames.frame(f))
+            body = geo.CapsuleSet(seg_a[f, c:c + 1], seg_b[f, c:c + 1], radius[c:c + 1])
+            single, _ = geo.sdf_and_gradient(grid, body)
             assert np.array_equal(single, (on_grid - radius[c]).ravel())
             assert np.array_equal(per_frame[f], on_points - radius[c])
-            assert np.array_equal(capsule_sdfs(grid, frames.frame(f))[:, 0], single)
+            assert np.array_equal(capsule_sdfs(grid, body)[:, 0], single)
 
 
 @st.composite

@@ -38,7 +38,8 @@ def test_iv_superposed_bodies_equals_body_volume():
     skel = chain_skeleton(3, radius=0.08)
     vs = 0.02
     actor = still_actor(skel, 1)
-    caps = geo.motion_capsules(skel, actor).frame(0)
+    bodies = geo.motion_capsules(skel, actor)
+    caps = geo.CapsuleSet(bodies.seg_a[0], bodies.seg_b[0], bodies.radius)
     grid = voxelize(caps, vs, shared_bounds(caps, caps, vs))
     iv = mx.penetration_stats([(actor, actor.copy())], skel, vs).iv_cm3
     assert iv == pytest.approx(grid.volume * mx.M3_TO_CM3)
@@ -51,7 +52,8 @@ def test_iv_hand_average_over_samples():
     actor = still_actor(skel, 2)
     far = still_actor(skel, 2, (6.0, 0.0, 0.0))
     samples = [(actor, far), (actor, actor.copy())]
-    caps = geo.motion_capsules(skel, actor).frame(0)
+    bodies = geo.motion_capsules(skel, actor)
+    caps = geo.CapsuleSet(bodies.seg_a[0], bodies.seg_b[0], bodies.radius)
     body_vol = geo.capsule_intersection_volume(caps, caps, vs) * mx.M3_TO_CM3
     assert mx.penetration_stats(samples, skel, vs).iv_cm3 == pytest.approx(body_vol / 2)
 
@@ -119,7 +121,9 @@ def test_penetration_stats_equals_per_frame_oracle(chunk, tmp_path, monkeypatch)
         caps_a = geo.motion_capsules(skel, actor)
         caps_b = geo.motion_capsules(skel, reactor)
         for f in range(len(actor)):
-            vol = window_intersection_volume(caps_a.frame(f), caps_b.frame(f), vs)
+            vol = window_intersection_volume(
+                geo.CapsuleSet(caps_a.seg_a[f], caps_a.seg_b[f], caps_a.radius),
+                geo.CapsuleSet(caps_b.seg_a[f], caps_b.seg_b[f], caps_b.radius), vs)
             volume += vol
             f_total += 1
             f_pene += vol > 0.0
@@ -140,7 +144,9 @@ def test_penetration_stats_in_small_groups_equals_per_frame_oracle(chunk, monkey
         caps_a = geo.motion_capsules(skel, actor)
         caps_b = geo.motion_capsules(skel, reactor)
         for f in range(len(actor)):
-            vol = window_intersection_volume(caps_a.frame(f), caps_b.frame(f), vs)
+            vol = window_intersection_volume(
+                geo.CapsuleSet(caps_a.seg_a[f], caps_a.seg_b[f], caps_a.radius),
+                geo.CapsuleSet(caps_b.seg_a[f], caps_b.seg_b[f], caps_b.radius), vs)
             volume += vol
             f_pene += vol > 0.0
     assert f_pene > 0
@@ -161,7 +167,8 @@ def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
 
     def recording_windows(a, b, voxel_size):
         win = windows(a, b, voxel_size)
-        windowed.extend((a.frame(f).aabb(), b.frame(f).aabb()) for f in win.frame)
+        (lo_a, hi_a), (lo_b, hi_b) = a.aabb(), b.aabb()
+        windowed.extend(((lo_a[f], hi_a[f]), (lo_b[f], hi_b[f])) for f in win.frame)
         return win
 
     monkeypatch.setattr(geo, "_windows", recording_windows)

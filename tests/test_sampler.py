@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arflow import data as dt
 from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow import model as mdl
@@ -141,7 +142,9 @@ def test_penetration_grad_translation_direction():
     ctx = context(skel, actor_skel, still_actor(actor_skel, 1))
     reaction = reactor_at(skel, 1, (0.5, 0.1, 0.2))
     pos = geo.motion_joint_positions(skel, reaction[0])
-    _, sdf_dir = geo.sdf_and_gradient(pos[0, 0], ctx.capsules.frame(0))
+    caps = ctx.capsules
+    _, sdf_dir = geo.sdf_and_gradient(pos[0, 0], geo.CapsuleSet(caps.seg_a[0], caps.seg_b[0],
+                                                                 caps.radius))
     grad = smp.penetration_grad(reaction, ctx, zeta=0.5)
     assert np.allclose(grad[0, 0, -3:], -sdf_dir, atol=1e-12)
 
@@ -309,6 +312,69 @@ def test_improved_oracle_exact_path_independent_of_w():
 
 
 # ---------------------------------------------------------------------------
+# guidance under the exact predictor: the update algebra alone
+# ---------------------------------------------------------------------------
+
+EXACT = dict(steps=5, sigma_min=0.0, zeta=0.5, w=0.7)
+
+
+@pytest.fixture(scope="module")
+def contact_pairs():
+    """Actions, true reactions and the actors' guidance context of the 60
+    pairs of ``generate_mixed(60, contact_fraction=1.0, seed=7)``."""
+    samples = dt.generate_mixed(60, contact_fraction=1.0, seed=7)
+    x0 = np.stack([s.actor for s in samples])
+    x1 = np.stack([s.reactor for s in samples])
+    return x0, x1, smp.GuidanceContext.from_actor(dt.default_skeleton(), x0)
+
+
+@pytest.mark.parametrize("lam", [0.02, 2.0])
+def test_exact_predictor_guidance_keeps_only_the_last_gradient(lam, contact_pairs):
+    # each step re-interpolates toward the exact endpoint and so undoes the
+    # guidance of the earlier ones: both modes end at x1 - lam * grad(x1)
+    x0, x1, ctx = contact_pairs
+    vanilla, improved = (
+        smp.sample(oracle(x1), x0,
+                   smp.SamplerConfig(guidance=g, lambda_pene=lam, **EXACT), ctx)
+        for g in ("vanilla", "improved"))
+    assert np.array_equal(vanilla, improved)
+    want = x1 - lam * smp.penetration_grad(x1, ctx, EXACT["zeta"])
+    assert np.max(np.abs(vanilla - want)) <= 1e-12
+
+
+def test_exact_predictor_recovered_start_error_recurrences(contact_pairs):
+    # e_n = x0_hat - x0 at the state each step starts from, with the same
+    # gradient g = grad(x1) at every step:
+    #   vanilla:  e_{n+1} = e_n - lam g / (1 - t_{n+1})
+    #   improved: e_{n+1} = w e_n - t_{n+1} lam g / (1 - t_{n+1})
+    x0, x1, ctx = contact_pairs
+    lam, w = 0.02, EXACT["w"]
+    g = smp.penetration_grad(x1, ctx, EXACT["zeta"])
+    grid = smp.time_grid(EXACT["steps"]).tolist()
+    rms = {}
+    for guidance in ("vanilla", "improved"):
+        seen = []
+
+        def predictor(x, t):
+            seen.append((t, x.copy()))
+            return x1
+
+        smp.sample(predictor, x0,
+                   smp.SamplerConfig(guidance=guidance, lambda_pene=lam, **EXACT), ctx)
+        assert [t for t, _ in seen] == grid[:-1]
+        e = [fp.x0_hat(x1, x, t, 0.0) - x0 for t, x in seen]
+        assert not e[0].any()
+        for n, t1 in enumerate(grid[1:-1]):
+            step = lam * g / (1.0 - t1)
+            want = e[n] - step if guidance == "vanilla" else w * e[n] - t1 * step
+            assert np.max(np.abs(e[n + 1] - want)) <= 1e-10
+        rms[guidance] = [float(np.sqrt(np.mean(en * en))) for en in e[1:]]
+    # improved stays 4x to 1.9x closer to the action's path
+    assert rms["vanilla"] == pytest.approx([0.018, 0.045, 0.100], abs=5e-4)
+    assert rms["improved"] == pytest.approx([0.0045, 0.017, 0.052], abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
 # stochastic sampling
 # ---------------------------------------------------------------------------
 
@@ -425,6 +491,19 @@ def test_non_finite_prediction_raises():
     cfg = smp.SamplerConfig(steps=3)
     with pytest.raises(NonFiniteSample):
         smp.sample(oracle(np.full((1, 2, 4), np.inf)), np.zeros((1, 2, 4)), cfg)
+
+
+@pytest.mark.parametrize("guidance, beta", [("vanilla", 0.0), ("improved", 0.0),
+                                            ("improved", 0.3)])
+@pytest.mark.parametrize("steps", [2, 5])
+def test_guidance_overflow_raises_at_its_step(guidance, beta, steps):
+    # a finite weight whose guided step overflows float64: the step is
+    # named, not the predictor at the next step or the record at save time
+    ctx, reaction = penetrating_scene(seed=13)
+    x0 = reactor_at(ctx.skel, reaction.shape[1], (1.5, 0.8, 0.2))
+    cfg = smp.SamplerConfig(steps=steps, guidance=guidance, lambda_pene=1e308, beta=beta)
+    with pytest.raises(NonFiniteSample, match=f"after the step from t=0 \\({guidance} "):
+        smp.sample(oracle(reaction), x0, cfg, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------

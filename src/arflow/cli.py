@@ -137,13 +137,8 @@ def _write_manifest(out_path: str, command: str, config: dict, inputs: list[str]
 
 def cmd_gen_data(args) -> int:
     phases = _Phases()
-    # the one fps rule of a motion-file record, applied before any generation
-    if fault := dt.fps_fault(args.fps):
-        raise InvalidConfig(f"--fps: {fault}")
     samples = dt.generate_mixed(args.pairs, frames=args.frames, joints=args.joints,
-                                noise=args.noise,
-                                contact_fraction=args.contact_fraction,
-                                seed=args.seed, scenario=args.scenario, fps=args.fps)
+                                contact_fraction=args.contact_fraction, seed=args.seed)
     skel = dt.default_skeleton(args.joints)
     phases.end("compute")
     digests: dict[str, str] = {}
@@ -349,16 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: a removed flag must not read as a longer one
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    gdef = dt.ScenarioConfig
     p = add("gen-data", help="generate a synthetic paired dataset")
     p.add_argument("--pairs", type=int, default=dt.DEFAULT_PAIRS)
     p.add_argument("--frames", type=int, default=dt.DEFAULT_FRAMES)
     p.add_argument("--joints", type=int, default=dt.DEFAULT_JOINTS)
-    p.add_argument("--scenario", default="all",
-                   choices=("all",) + dt.SCENARIOS)
-    p.add_argument("--contact-fraction", type=float, default=gdef.contact_fraction)
-    p.add_argument("--noise", type=float, default=gdef.noise)
-    p.add_argument("--fps", type=float, default=dt.DEFAULT_FPS)
+    p.add_argument("--contact-fraction", type=float,
+                   default=dt.ScenarioConfig.contact_fraction)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)

@@ -39,37 +39,30 @@ DEFAULT_FPS = 20.0
 DEFAULT_FRAMES = 16
 DEFAULT_JOINTS = 5
 DEFAULT_PAIRS = 2000
-# most pairs, frames per motion, joints per body and joint-angle noise (a
-# standard deviation in radians, far past a full turn, so every draw stays
-# finite) of one generation; checked before any draw
+# standard deviation, in radians, of the reactor's joint-angle noise
+NOISE = 0.02
+# most pairs, frames per motion and joints per body of one generation;
+# checked before any draw
 MAX_PAIRS = 10 ** 6
 MAX_FRAMES = 10 ** 4
 MAX_JOINTS = 100
-MAX_NOISE = 100.0
 TEST_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    scenario: str
     frames: int = DEFAULT_FRAMES
     joints: int = DEFAULT_JOINTS
-    noise: float = 0.02
     contact_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise InvalidConfig(f"scenario must be one of {SCENARIOS}")
         if not 2 <= self.frames <= MAX_FRAMES:
             raise InvalidConfig(f"frames must be in [2, {MAX_FRAMES}], got {self.frames}")
         if not 3 <= self.joints <= MAX_JOINTS:  # at least root, torso, limb
             raise InvalidConfig(f"joints must be in [3, {MAX_JOINTS}], got {self.joints}")
         if not 0.0 <= self.contact_fraction <= 1.0:
             raise InvalidConfig("contact_fraction must be in [0, 1]")
-        if not 0.0 <= self.noise <= MAX_NOISE:  # NaN fails too
-            raise InvalidConfig(f"noise must be in [0, {MAX_NOISE}], got {self.noise}")
-        object.__setattr__(self, "noise", self.noise + 0.0)  # numpy refuses a scale of -0.0
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
@@ -219,7 +212,7 @@ def _frame(cfg: ScenarioConfig, v: dict):
 
 
 def _noise_series(rng: np.random.Generator, cfg: ScenarioConfig) -> np.ndarray:
-    return rng.normal(scale=cfg.noise, size=cfg.frames)
+    return rng.normal(scale=NOISE, size=cfg.frames)
 
 
 def _push_retreat_draws(cfg: ScenarioConfig, rng: np.random.Generator) -> dict:
@@ -327,18 +320,17 @@ def _kick_dodge(cfg: ScenarioConfig, skel: geo.Skeleton, v: dict):
     return actor, reactor
 
 
-# scenario -> (per-pair draw step, batched build step)
-_SCRIPTS = {"push_retreat": (_push_retreat_draws, _push_retreat),
-            "wave_mirror": (_wave_mirror_draws, _wave_mirror),
-            "kick_dodge": (_kick_dodge_draws, _kick_dodge)}
+# (per-pair draw step, batched build step) of each scenario, by label
+_SCRIPTS = ((_push_retreat_draws, _push_retreat),
+            (_wave_mirror_draws, _wave_mirror),
+            (_kick_dodge_draws, _kick_dodge))
 
 
 def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
-                   joints: int = DEFAULT_JOINTS, noise: float = 0.02,
-                   contact_fraction: float = 0.5, seed: int = 0,
-                   scenario: str = "all", fps: float = DEFAULT_FPS) -> list[InteractionSample]:
-    """Seeded samples round-robin over the scenarios, or of the one named,
-    each recorded at ``fps``.
+                   joints: int = DEFAULT_JOINTS, contact_fraction: float = 0.5,
+                   seed: int = 0) -> list[InteractionSample]:
+    """Seeded samples dealt round-robin over the scenarios, each recorded
+    at ``DEFAULT_FPS``.
 
     Each sample only depends on its key ``(seed, label, index within label)``:
     one draw step per pair from ``np.random.default_rng(key)``, then one
@@ -347,23 +339,17 @@ def generate_mixed(count: int, frames: int = DEFAULT_FRAMES,
     """
     if not 1 <= count <= MAX_PAIRS:
         raise InvalidConfig(f"count of pairs must be in [1, {MAX_PAIRS}], got {count}")
-    if fault := fps_fault(fps):
-        raise InvalidConfig(fault)
-    names = SCENARIOS if scenario == "all" else (scenario,)
-    cfgs = [ScenarioConfig(s, frames, joints, noise, contact_fraction, seed)
-            for s in names]
+    cfg = ScenarioConfig(frames, joints, contact_fraction, seed)
     skel = default_skeleton(joints)
     samples: list[InteractionSample] = [None] * count
-    for first, cfg in enumerate(cfgs[:count]):
-        draw, build = _SCRIPTS[cfg.scenario]
-        label = SCENARIOS.index(cfg.scenario)
-        slots = range(first, count, len(cfgs))
+    for label, (draw, build) in enumerate(_SCRIPTS[:count]):
+        slots = range(label, count, len(_SCRIPTS))
         keys = [(seed, label, n) for n in range(len(slots))]
         draws = [draw(cfg, np.random.default_rng(key)) for key in keys]
         stacked = {name: np.array([v[name] for v in draws]) for name in draws[0]}
         actors, reactors = build(cfg, skel, stacked)
         for i, key, actor, reactor in zip(slots, keys, actors, reactors):
-            samples[i] = InteractionSample(actor, reactor, label, key, fps)
+            samples[i] = InteractionSample(actor, reactor, label, key)
     return samples
 
 
@@ -425,28 +411,19 @@ def _parents(value) -> tuple:
     return tuple(value)
 
 
-def fps_fault(fps) -> str | None:
-    """Why ``fps`` cannot be a record's frame rate, or None: the one fps rule,
-    of :func:`_record_fault` and :func:`generate_mixed`.  A positive finite
-    int or float (a bool is not)."""
+def _record_fault(label, seed, fps, actor, reactor, motion_dim: int) -> str | None:
+    """Why a sample cannot be a motion-file record, or None: the one rule
+    that :func:`save_samples` checks before writing and :func:`load_samples`
+    after decoding.  Label and seeds are ints, ``fps`` is a positive finite
+    int or float (a bool is neither), actor and reactor are (H >= 1,
+    ``motion_dim``) finite numbers."""
+    if type(label) is not int or type(seed) not in (list, tuple) or any(
+            type(v) is not int for v in seed):
+        return f"label must be an int and seed a list of ints, got {label!r} and {seed!r}"
     # an exact comparison: an integer too large for a float fails it too
     if (isinstance(fps, bool) or not isinstance(fps, (int, float))
             or not 0.0 < fps <= sys.float_info.max):
         return f"fps is not a positive finite number: {fps!r}"
-    return None
-
-
-def _record_fault(label, seed, fps, actor, reactor, motion_dim: int) -> str | None:
-    """Why a sample cannot be a motion-file record, or None: the one rule
-    that :func:`save_samples` checks before writing and :func:`load_samples`
-    after decoding.  Label and seeds are ints (a bool is not), ``fps`` is
-    positive and finite, actor and reactor are (H >= 1, ``motion_dim``)
-    finite numbers."""
-    if type(label) is not int or type(seed) not in (list, tuple) or any(
-            type(v) is not int for v in seed):
-        return f"label must be an int and seed a list of ints, got {label!r} and {seed!r}"
-    if fault := fps_fault(fps):
-        return fault
     shape = np.shape(actor)[:1] + (motion_dim,)
     for who, motion in (("actor", actor), ("reactor", reactor)):
         motion = np.asarray(motion)

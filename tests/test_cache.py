@@ -220,6 +220,17 @@ def test_a_refused_save_leaves_file_and_cache_as_they_were(kind, tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_an_interrupted_atomic_write_leaves_the_old_bytes(tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with cache.atomic_open(str(path)) as fh:
+            fh.write("new, half written")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
 @pytest.mark.parametrize("kind", ["motion", "model"])
 def test_two_saves_write_identical_cache_bytes(kind, tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"

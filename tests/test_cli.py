@@ -26,6 +26,14 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def exit_code(*argv):
+    """The status ``arflow`` exits with: ``main``'s return, or the parser's exit."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "data.jsonl"
@@ -57,7 +65,6 @@ _REQUIRED = {"gen-data": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
 
 
 @pytest.mark.parametrize("command, dest, expected", [
-    ("gen-data", "noise", _field_default(dt.ScenarioConfig, "noise")),
     ("gen-data", "contact_fraction", _field_default(dt.ScenarioConfig, "contact_fraction")),
     ("train", "steps", _field_default(mdl.TrainConfig, "steps")),
     ("train", "batch", _field_default(mdl.TrainConfig, "batch_size")),
@@ -130,26 +137,17 @@ def test_gen_data_zero_pairs_exits_2(tmp_path):
                "--out", str(tmp_path / "x.jsonl")) == 2
 
 
-def test_gen_data_negative_zero_noise_writes_the_zero_noise_bytes(tmp_path, capsys):
-    # numpy's normal refused a scale of -0.0: a traceback and exit 1
-    minus, plus = tmp_path / "minus.jsonl", tmp_path / "plus.jsonl"
-    assert run("gen-data", "--pairs", "6", "--frames", "4", "--noise=-0",
-               "--out", str(minus)) == 0
-    assert run("gen-data", "--pairs", "6", "--frames", "4", "--noise", "0",
-               "--out", str(plus)) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    assert minus.read_bytes() == plus.read_bytes()
-
-
 @pytest.mark.parametrize("flag", ["--noise=nan", "--noise=inf", "--fps=nan", "--fps=-1",
                                   f"--pairs={10 ** 29}", f"--frames={10 ** 29}",
                                   f"--joints={10 ** 29}", f"--pairs={dt.MAX_PAIRS + 1}",
                                   f"--frames={dt.MAX_FRAMES + 1}",
                                   f"--joints={dt.MAX_JOINTS + 1}"])
 def test_gen_data_bad_value_exits_2(flag, tmp_path, capsys):
-    # sizes above their limits used to fail inside numpy: a traceback and exit 1
+    # sizes above their limits used to fail inside numpy: a traceback and exit 1;
+    # --noise and --fps are deleted options, which the parser refuses
     out = tmp_path / "x.jsonl"
-    assert run("gen-data", "--pairs", "3", "--frames", "4", flag, "--out", str(out)) == 2
+    assert exit_code("gen-data", "--pairs", "3", "--frames", "4", flag,
+                     "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert flag[2:flag.index("=")] in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
@@ -157,12 +155,13 @@ def test_gen_data_bad_value_exits_2(flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("fps", ["0", "-1", "nan", "inf", "1e309"])
 def test_gen_data_bad_fps_exits_2_before_generating(fps, tmp_path, monkeypatch, capsys):
-    # the fps rule used to run only when the generated records were saved
+    # --fps is deleted: every file records DEFAULT_FPS, and the parser refuses
+    # the option before anything is generated
     def generate_mixed(*args, **kwargs):
         raise AssertionError("generated before the fps check")
     monkeypatch.setattr(dt, "generate_mixed", generate_mixed)
-    assert run("gen-data", "--pairs", "200000", f"--fps={fps}",
-               "--out", str(tmp_path / "x.jsonl")) == 2
+    assert exit_code("gen-data", "--pairs", "200000", f"--fps={fps}",
+                     "--out", str(tmp_path / "x.jsonl")) == 2
     assert "fps" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -207,13 +206,18 @@ def test_verify_is_rejected_by_the_parser(capsys):
                                   ["train", "--t-grid", "10"],
                                   ["train", "--cond-dropout", "0.1"],
                                   ["train", "--unconditioned"],
-                                  ["sample", "--model", "m", "--cond", "label"]],
+                                  ["sample", "--model", "m", "--cond", "label"],
+                                  ["gen-data", "--scenario", "all"],
+                                  ["gen-data", "--noise", "0.02"],
+                                  ["gen-data", "--fps", "20"]],
                          ids=["sample-mode", "train-t-grid", "train-cond-dropout",
-                              "train-unconditioned", "sample-cond"])
+                              "train-unconditioned", "sample-cond", "gen-data-scenario",
+                              "gen-data-noise", "gen-data-fps"])
 def test_removed_options_are_rejected_by_the_parser(argv, tmp_path, capsys):
     # sampling has one step form (the velocity form is the test oracle
-    # tests/oracles.py:velocity_walk), training one grid of flow times, and
-    # the predictor sees no scenario label: the actor is the path's source
+    # tests/oracles.py:velocity_walk), training one grid of flow times, the
+    # predictor sees no scenario label: the actor is the path's source, and
+    # gen-data deals every scenario at one noise level and frame rate
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         run(*argv, "--data", str(tmp_path / "d.jsonl"), "--out", str(out))
@@ -242,8 +246,6 @@ _REFUSED = {
     ("gen-data", "--frames"): ["1", "-1", str(dt.MAX_FRAMES + 1), _HUGE],
     ("gen-data", "--joints"): ["2", "-1", str(dt.MAX_JOINTS + 1), _HUGE],
     ("gen-data", "--contact-fraction"): ["-0.1", "1.5", "1e308"],
-    ("gen-data", "--noise"): ["-1", str(dt.MAX_NOISE + 1), "1e308"],
-    ("gen-data", "--fps"): ["0", "-1"],
     ("gen-data", "--seed"): ["-1"],
     ("train", "--steps"): ["0", "-1", str(mdl.MAX_STEPS + 1), _HUGE],
     ("train", "--batch"): ["0", "-1", str(mdl.MAX_BATCH + 1), _HUGE],
@@ -269,9 +271,14 @@ _REFUSED = {
     ("eval", "--sl"): ["0", "-1", str(mx.MAX_SUBSET + 1), _HUGE],
     ("eval", "--metric-seed"): ["-1"],
 }
+# deleted options and the values each once refused: the parser now refuses
+# the option itself
+_DELETED = {
+    ("gen-data", "--noise"): ["nan", "inf", "-inf", "-1", "101.0", "1e308"],
+    ("gen-data", "--fps"): ["nan", "inf", "-inf", "0", "-1"],
+}
 # extreme values that are legal, so they are left out of the refused cases
 _LEGAL = {
-    ("gen-data", "--fps", "1e308"): "any finite rate > 0 is a frame rate",
     ("gen-data", "--seed", _HUGE): "numpy seeds take any integer >= 0",
     ("train", "--steps", str(mdl.MAX_STEPS)): "the limit itself: hours of training",
     ("train", "--lr", "1e29"): "finite: trains to a finite but absurd model",
@@ -300,17 +307,20 @@ def test_every_numeric_option_has_refused_values():
     assert sorted(options) == sorted(_REFUSED)
     assert {key[:2] for key in _LEGAL} <= set(_REFUSED)
     assert not {key for key in _LEGAL if key[2] in _REFUSED[key[:2]]}
+    assert not set(_DELETED) & set(options)
 
 
 @pytest.mark.parametrize("command, option, value", [
     (command, option, value) for command, option, kind in _numeric_options()
     for value in (["nan", "inf", "-inf"] if kind is float else [])
-    + _REFUSED.get((command, option), [])])
+    + _REFUSED.get((command, option), [])] + [
+    (command, option, value) for (command, option), values in _DELETED.items()
+    for value in values])
 def test_numeric_option_out_of_range_exits_2(command, option, value, small_data,
                                              small_model, tmp_path, capsys):
     out = tmp_path / "out"
     base = [a.format(data=small_data, model=small_model) for a in _BASE[command]]
-    assert run(command, *base, f"{option}={value}", "--out", str(out)) == 2
+    assert exit_code(command, *base, f"{option}={value}", "--out", str(out)) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -398,6 +408,23 @@ def test_train_options_exit_2_before_the_data_is_read(option, value, message, tm
 def test_train_missing_data_exits_2(tmp_path):
     assert run("train", "--data", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "m.json"), "--steps", "1") == 2
+
+
+def test_train_file_without_records_exits_2(tmp_path, capsys):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "m.json"
+    empty.write_text("")
+    assert run("train", "--data", str(empty), "--out", str(out), "--steps", "1") == 2
+    assert "no samples in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_log_every_prints_one_line_per_interval(small_data, tmp_path, capsys):
+    assert run("train", "--data", str(small_data), "--out", str(tmp_path / "m.json"),
+               "--steps", "4", "--batch", "4", "--width", "16", "--layers", "1",
+               "--log-every", "2") == 0
+    logged = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("step ")]
+    assert [line.split()[1] for line in logged] == ["2/4", "4/4"]
 
 
 def test_train_mixed_frame_counts_exits_2(tmp_path, capsys):
@@ -488,8 +515,10 @@ def test_sample_damage_inside_its_selection_exits_4(small_model, small_data,
 
 def test_sample_keeps_the_input_fps(small_model, tmp_path):
     data, out = tmp_path / "data30.jsonl", tmp_path / "s.jsonl"
-    assert run("gen-data", "--pairs", "12", "--frames", "8", "--seed", "3",
-               "--fps", "30", "--out", str(data)) == 0
+    samples = dt.generate_mixed(12, frames=8, seed=3)
+    for s in samples:
+        s.fps = 30.0
+    dt.save_samples(str(data), samples, dt.default_skeleton())
     assert run("sample", "--model", str(small_model), "--data", str(data),
                "--out", str(out), "--split", "all") == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
@@ -533,6 +562,17 @@ def test_sample_checksum_reproducible(small_model, small_data, tmp_path):
 def test_sample_missing_model_exits_4(small_data, tmp_path):
     assert run("sample", "--model", str(tmp_path / "missing.json"),
                "--data", str(small_data), "--out", str(tmp_path / "s.jsonl")) == 4
+
+
+def test_sample_data_wider_than_the_model_exits_4(small_model, tmp_path, capsys):
+    # 3-joint bodies have 27-wide frames; small_model reads 39-wide ones
+    narrow, out = tmp_path / "narrow.jsonl", tmp_path / "s.jsonl"
+    assert run("gen-data", "--pairs", "4", "--frames", "8", "--joints", "3",
+               "--out", str(narrow)) == 0
+    assert run("sample", "--model", str(small_model), "--data", str(narrow),
+               "--out", str(out), "--split", "all") == 4
+    assert "does not match model frame_dim" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_too_many_frames_exits_4(small_model, tmp_path):
@@ -975,6 +1015,14 @@ def test_eval_empty_metric_list_exits_2(metrics, small_data, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_unknown_metric_exits_2(small_data, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(small_data), "--metrics", "iv,nope",
+               "--out", str(out)) == 2
+    assert "unknown metrics: ['nope']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_huge_rotation_block_exits_2(tmp_path, capsys):
     # the block used to decode to a zero matrix: exit 0 with a made-up IV
     skel = dt.default_skeleton()
@@ -1010,6 +1058,15 @@ def test_eval_empty_input_exits_5(tmp_path):
     empty = tmp_path / "empty.jsonl"
     dt.save_samples(str(empty), [], dt.default_skeleton())
     assert run("eval", "--inputs", str(empty)) == 5
+
+
+def test_eval_empty_reference_exits_5(small_data, tmp_path, capsys):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "report.txt"
+    empty.write_text("")
+    assert run("eval", "--inputs", str(small_data), "--metrics", "fid",
+               "--ref", str(empty), "--out", str(out)) == 5
+    assert "empty reference input" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_guided_iv_not_worse_than_unguided(small_model, small_data, tmp_path):

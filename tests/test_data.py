@@ -1,11 +1,12 @@
 import hashlib
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from arflow import cli
+from arflow import cache, cli
 from arflow import data as dt
 from arflow import geometry as geo
 from arflow import metrics as mx
@@ -14,25 +15,23 @@ from arflow.errors import InvalidConfig, SchemaError
 from oracles import response_property, rot6d
 
 
+def _one_scenario(name, count, **kw):
+    """The ``count`` pairs of scenario ``name`` among ``3 * count`` mixed
+    ones: a pair depends only on its key (test_samples_depend_only_on_their_keys),
+    so these are the pairs a generator of that scenario alone would draw."""
+    label = dt.SCENARIOS.index(name)
+    return dt.generate_mixed(len(dt.SCENARIOS) * count, **kw)[label::len(dt.SCENARIOS)]
+
+
 def test_scenario_config_validation():
     with pytest.raises(InvalidConfig):
-        dt.ScenarioConfig("shake_hands")
+        dt.ScenarioConfig(frames=1)
     with pytest.raises(InvalidConfig):
-        dt.ScenarioConfig("push_retreat", frames=1)
+        dt.ScenarioConfig(joints=2)
     with pytest.raises(InvalidConfig):
-        dt.ScenarioConfig("push_retreat", contact_fraction=1.5)
-    for noise in (float("nan"), float("inf"), -0.1):
-        with pytest.raises(InvalidConfig, match="noise"):
-            dt.ScenarioConfig("push_retreat", noise=noise)
-
-
-def test_negative_zero_noise_is_zero_noise():
-    # numpy's normal refuses a scale of -0.0; the config stores +0.0
-    assert str(dt.ScenarioConfig("push_retreat", noise=-0.0).noise) == "0.0"
-    a, b = dt.generate_mixed(6, frames=4, noise=-0.0), dt.generate_mixed(6, frames=4, noise=0.0)
-    for s, t in zip(a, b):
-        assert s.actor.tobytes() == t.actor.tobytes()
-        assert s.reactor.tobytes() == t.reactor.tobytes()
+        dt.ScenarioConfig(contact_fraction=1.5)
+    with pytest.raises(InvalidConfig):
+        dt.ScenarioConfig(seed=-1)
 
 
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -1.0, True,
@@ -133,8 +132,8 @@ def test_default_skeleton_shapes():
 
 
 def test_generation_is_seed_deterministic():
-    a = dt.generate_mixed(5, frames=8, scenario="push_retreat", seed=42)
-    b = dt.generate_mixed(5, frames=8, scenario="push_retreat", seed=42)
+    a = _one_scenario("push_retreat", 5, frames=8, seed=42)
+    b = _one_scenario("push_retreat", 5, frames=8, seed=42)
     for s, t in zip(a, b):
         assert np.array_equal(s.actor, t.actor)
         assert np.array_equal(s.reactor, t.reactor)
@@ -142,14 +141,14 @@ def test_generation_is_seed_deterministic():
 
 
 def test_distinct_seeds_differ():
-    a = dt.generate_mixed(3, scenario="wave_mirror", seed=1)
-    b = dt.generate_mixed(3, scenario="wave_mirror", seed=2)
+    a = _one_scenario("wave_mirror", 3, seed=1)
+    b = _one_scenario("wave_mirror", 3, seed=2)
     assert max(np.max(np.abs(x.actor - y.actor)) for x, y in zip(a, b)) > 0.0
 
 
 def test_samples_decode_under_skeleton():
     skel = dt.default_skeleton()
-    for s in dt.generate_mixed(4, frames=6, scenario="kick_dodge", seed=3):
+    for s in _one_scenario("kick_dodge", 4, frames=6, seed=3):
         assert s.actor.shape == s.reactor.shape == (6, skel.motion_dim)
         geo.motion_joint_positions(skel, s.actor)
         geo.motion_joint_positions(skel, s.reactor)
@@ -159,8 +158,7 @@ def test_samples_decode_under_skeleton():
 @pytest.mark.parametrize("scenario", dt.SCENARIOS)
 def test_response_property_holds_everywhere(scenario):
     skel = dt.default_skeleton()
-    samples = dt.generate_mixed(40, frames=12, contact_fraction=0.5, seed=7,
-                                scenario=scenario)
+    samples = _one_scenario(scenario, 40, frames=12, contact_fraction=0.5, seed=7)
     assert all(response_property(s, skel) for s in samples)
 
 
@@ -184,11 +182,9 @@ def test_mixed_round_robin_labels():
 
 
 def test_single_scenario_keys_count_within_the_label():
-    samples = dt.generate_mixed(4, frames=4, seed=5, scenario="kick_dodge")
     label = dt.SCENARIOS.index("kick_dodge")
-    assert [s.seed_used for s in samples] == [(5, label, i) for i in range(4)]
-    mixed = dt.generate_mixed(9, frames=4, seed=5)
-    assert np.array_equal(mixed[label + 3].actor, samples[1].actor)
+    samples = [s for s in dt.generate_mixed(10, frames=4, seed=5) if s.label == label]
+    assert [s.seed_used for s in samples] == [(5, label, i) for i in range(3)]
 
 
 def _near(sample) -> bool:
@@ -207,27 +203,23 @@ def test_samples_depend_only_on_their_keys():
             assert s.actor.tobytes() == t.actor.tobytes()
             assert s.reactor.tobytes() == t.reactor.tobytes()
             assert (s.label, s.seed_used) == (t.label, t.seed_used)
-    label = dt.SCENARIOS.index("kick_dodge")
-    alone = dt.generate_mixed(20, scenario="kick_dodge", **kw)
-    for s, t in zip(alone, [s for s in mixed if s.label == label], strict=True):
-        assert s.actor.tobytes() == t.actor.tobytes()
-        assert s.reactor.tobytes() == t.reactor.tobytes()
-        assert s.seed_used == t.seed_used
 
 
 def test_kick_dodge_lag_longer_than_the_clip():
     # lags of 2 or 3 frames on 2-frame clips: the dodge has not started
     skel = dt.default_skeleton()
-    for s in dt.generate_mixed(9, frames=2, scenario="kick_dodge", seed=5):
+    for s in _one_scenario("kick_dodge", 9, frames=2, seed=5):
         assert s.actor.shape == s.reactor.shape == (2, skel.motion_dim)
         assert np.array_equal(s.reactor[0, -3:], s.reactor[1, -3:])
 
 
-# SHA-256 of the file `arflow gen-data --pairs 9 --seed 5` writes, by
-# (--scenario, --joints, --frames, --contact-fraction).  Generation output
-# is pinned byte for byte: a change to the draws, their order or the build
-# arithmetic shows here.  The 2-frame files with kick_dodge pairs date from
-# the fix of lags longer than the clip (those commands raised before it).
+# SHA-256 of a motion file of 9 pairs at seed 5, by (scenario, joints,
+# frames, contact fraction): for "all" the file `arflow gen-data --pairs 9
+# --seed 5` writes, for one scenario the file of its 9 pairs alone.
+# Generation output is pinned byte for byte: a change to the draws, their
+# order or the build arithmetic shows here.  The 2-frame files with
+# kick_dodge pairs date from the fix of lags longer than the clip (those
+# commands raised before it).
 GEN_DATA_DIGESTS = {
     ("all", 3, 2, 0): "0fd6dedbc00819c337357b06d6f7a343c4c667995b241f467d0bbc86af485719",
     ("all", 3, 2, 0.5): "1606e4254278c2b6b13098c21e6806987f30358049d6ae8ba251cdff7f0c01c0",
@@ -311,26 +303,44 @@ def test_gen_data_bytes_are_pinned(scenario, tmp_path, capsys):
         if name != scenario:
             continue
         out = tmp_path / f"{joints}-{frames}-{contact}.jsonl"
-        assert cli.main(["gen-data", "--pairs", "9", "--seed", "5", "--scenario", name,
-                         "--joints", str(joints), "--frames", str(frames),
-                         "--contact-fraction", str(contact), "--out", str(out)]) == 0
+        if name == "all":
+            assert cli.main(["gen-data", "--pairs", "9", "--seed", "5",
+                             "--joints", str(joints), "--frames", str(frames),
+                             "--contact-fraction", str(contact), "--out", str(out)]) == 0
+        else:
+            samples = _one_scenario(name, 9, frames=frames, joints=joints,
+                                    contact_fraction=contact, seed=5)
+            dt.save_samples(str(out), samples, dt.default_skeleton(joints))
         if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
             changed.append((joints, frames, contact))
     assert changed == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["--scenario", "all", "--contact-fraction", "0.5"],
-    ["--scenario", "kick_dodge", "--joints", "3", "--frames", "2", "--fps", "30"],
-], ids=["mixed", "kick-dodge-30fps"])
-def test_gen_data_file_round_trips_byte_for_byte(argv, tmp_path, capsys):
-    # save_samples(load_samples(f)) writes the very bytes gen-data wrote
-    path, again = tmp_path / "data.jsonl", tmp_path / "again.jsonl"
-    assert cli.main(["gen-data", "--pairs", "9", "--seed", "5", *argv,
+def _write_mixed(path):
+    assert cli.main(["gen-data", "--pairs", "9", "--seed", "5", "--contact-fraction", "0.5",
                      "--out", str(path)]) == 0
-    samples, skel = dt.load_samples(str(path))
-    dt.save_samples(str(again), samples, skel)
-    assert again.read_bytes() == path.read_bytes()
+
+
+def _write_kick_dodge_30fps(path):
+    samples = _one_scenario("kick_dodge", 9, joints=3, frames=2, seed=5)
+    for s in samples:
+        s.fps = 30.0
+    dt.save_samples(str(path), samples, dt.default_skeleton(3))
+
+
+@pytest.mark.parametrize("write", [_write_mixed, _write_kick_dodge_30fps],
+                         ids=["mixed", "kick-dodge-30fps"])
+def test_gen_data_file_round_trips_byte_for_byte(write, tmp_path, capsys):
+    # save_samples(load_samples(f)) writes the very bytes that were written,
+    # read through the binary cache and then through the JSON reader
+    path, again = tmp_path / "data.jsonl", tmp_path / "again.jsonl"
+    write(path)
+    for cached in (True, False):
+        if not cached:
+            os.remove(str(path) + cache.SUFFIX)
+        samples, skel = dt.load_samples(str(path))
+        dt.save_samples(str(again), samples, skel)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_equal_shape_chunks_group_in_input_order():
@@ -355,14 +365,18 @@ def test_save_load_round_trip(tmp_path):
     skel = dt.default_skeleton()
     path = tmp_path / "motions.jsonl"
     dt.save_samples(str(path), samples, skel)
-    loaded, skel2 = dt.load_samples(str(path))
-    assert skel2.parents == skel.parents
-    assert np.array_equal(skel2.offsets, skel.offsets)
-    assert len(loaded) == len(samples)
-    for s, t in zip(samples, loaded):
-        assert np.array_equal(s.actor, t.actor)
-        assert np.array_equal(s.reactor, t.reactor)
-        assert s.label == t.label and tuple(s.seed_used) == tuple(t.seed_used)
+    # through the binary cache, then through the JSON reader
+    for cached in (True, False):
+        if not cached:
+            os.remove(str(path) + cache.SUFFIX)
+        loaded, skel2 = dt.load_samples(str(path))
+        assert skel2.parents == skel.parents
+        assert np.array_equal(skel2.offsets, skel.offsets)
+        assert len(loaded) == len(samples)
+        for s, t in zip(samples, loaded):
+            assert s.actor.tobytes() == t.actor.tobytes()
+            assert s.reactor.tobytes() == t.reactor.tobytes()
+            assert s.label == t.label and tuple(s.seed_used) == tuple(t.seed_used)
 
 
 def test_save_load_empty(tmp_path):
@@ -419,6 +433,15 @@ def test_ragged_rot6d_frames_raise_schema_error(tmp_path):
         frame["rot6d"] = frame["rot6d"][:-1]
     path = _edit_second_record(tmp_path, edit)
     with pytest.raises(SchemaError) as err:
+        dt.load_samples(str(path))
+    assert err.value.line == 2
+
+
+def test_a_second_skeleton_raises_schema_error_with_its_line(tmp_path):
+    def edit(rec):
+        rec["actor"]["skeleton"]["offsets"][1][2] = 0.31
+    path = _edit_second_record(tmp_path, edit)
+    with pytest.raises(SchemaError, match="skeleton differs from first record") as err:
         dt.load_samples(str(path))
     assert err.value.line == 2
 
@@ -504,6 +527,7 @@ def test_one_skeleton_per_file_of_equal_skeleton_blocks(tmp_path, monkeypatch):
     path = tmp_path / "motions.jsonl"
     dt.save_samples(str(path), dt.generate_mixed(5, frames=4, seed=13),
                     dt.default_skeleton())
+    os.remove(str(path) + cache.SUFFIX)  # the JSON reader, not the cache, builds it
     built, skeleton = [], geo.Skeleton
     monkeypatch.setattr(geo, "Skeleton", lambda *a: built.append(a) or skeleton(*a))
     assert len(dt.load_samples(str(path))[0]) == 5

@@ -1,22 +1,25 @@
 """Property tests of the motion file boundary.
 
 ``save_samples`` followed by ``load_samples`` returns finite motions bit
-for bit, and a valid file with one record damaged raises ``SchemaError``
-carrying that record's line number, never another exception.  Damage
-includes values that Python or numpy would coerce: a float or boolean
-label or version, numbers written as strings, a boolean among numbers,
-and a seed that is not a list of integers.
+for bit, from the binary cache and from the JSON text, and a valid file
+with one record damaged raises ``SchemaError`` carrying that record's line
+number, never another exception.  Damage includes values that Python or
+numpy would coerce: a float or boolean label or version, numbers written
+as strings, a boolean among numbers, and a seed that is not a list of
+integers.
 """
 
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from arflow import cache
 from arflow import data as dt
 from arflow.errors import SchemaError
 
@@ -54,22 +57,34 @@ def sample_files(draw):
     return skel, samples
 
 
+# -0.0 and the smallest subnormal, which a reader that rounds tiny values loses
+_SKEL3 = dt.default_skeleton(3)
+SIGNED_ZERO_AND_SUBNORMAL = (_SKEL3, [dt.InteractionSample(
+    np.full((2, _SKEL3.motion_dim), -0.0), np.full((2, _SKEL3.motion_dim), 5e-324),
+    0, (0, 0, 0))])
+
+
 @SETTINGS
 @given(sample_files())
+@example(SIGNED_ZERO_AND_SUBNORMAL)
 def test_save_load_round_trip_is_bit_exact(workdir, case):
     skel, samples = case
     path = workdir / "round_trip.jsonl"
     dt.save_samples(str(path), samples, skel)
-    loaded, loaded_skel = dt.load_samples(str(path))
-    assert loaded_skel.parents == skel.parents
-    assert np.array_equal(loaded_skel.offsets, skel.offsets)
-    assert np.array_equal(loaded_skel.radii, skel.radii)
-    assert len(loaded) == len(samples)
-    for got, want in zip(loaded, samples):
-        for a, b in ((got.actor, want.actor), (got.reactor, want.reactor)):
-            assert a.dtype == np.float64 and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
-        assert got.label == want.label and got.seed_used == want.seed_used
+    # through the binary cache, then through the JSON reader
+    for cached in (True, False):
+        if not cached:
+            os.remove(str(path) + cache.SUFFIX)
+        loaded, loaded_skel = dt.load_samples(str(path))
+        assert loaded_skel.parents == skel.parents
+        assert np.array_equal(loaded_skel.offsets, skel.offsets)
+        assert np.array_equal(loaded_skel.radii, skel.radii)
+        assert len(loaded) == len(samples)
+        for got, want in zip(loaded, samples):
+            for a, b in ((got.actor, want.actor), (got.reactor, want.reactor)):
+                assert a.dtype == np.float64 and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+            assert got.label == want.label and got.seed_used == want.seed_used
 
 
 def _required_paths(draw):

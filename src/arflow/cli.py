@@ -37,6 +37,7 @@ from . import model as mdl
 from . import sampler as smp
 from .errors import (
     ArflowError,
+    DimensionMismatch,
     EmptyInput,
     InvalidConfig,
     NonFiniteLoss,
@@ -283,6 +284,15 @@ def cmd_eval(args) -> int:
         ref_samples, ref_skel = dt.load_samples(args.ref, digests=digests)
         if not ref_samples:
             raise EmptyInput("empty reference input")
+        # a random projection of one width is drawn for each input width, so
+        # features of another skeleton or frame count are not comparable
+        shapes = [(sk.joint_count, sorted({len(s.reactor) for s in ss}))
+                  for sk, ss in ((skel, samples), (ref_skel, ref_samples))]
+        if shapes[0] != shapes[1]:
+            raise DimensionMismatch(
+                f"--ref has {shapes[1][0]} joints and frame counts {shapes[1][1]}, "
+                f"--inputs {shapes[0][0]} joints and {shapes[0][1]}: their features "
+                "are not comparable")
     phases.end("load")
 
     # the report's values in their printed order

@@ -9,7 +9,9 @@ capsule-distance arithmetic: the SDF, its gradient and the intersection
 volume's sweep all take their distances from it.  The sweep tests with it
 only the voxel centers near the ends of each capsule's closed-form
 z-interval in a grid column, so it equals the full-grid voxel count bit
-for bit.
+for bit.  The reach test (:func:`reach_box`, :func:`apart`) bounds a
+frame's joints before any FK, so the callers skip the frames whose
+bodies provably cannot touch.
 
 Motion layout: a motion is an (H, D) float array with
 ``D = 6 * (K + 1) + 3`` per frame — K joint rotations in 6D, the root
@@ -119,20 +121,35 @@ class Skeleton:
     def motion_dim(self) -> int:
         return 6 * (self.joint_count + 1) + 3
 
+    @property
+    def reach(self) -> float:
+        """Longest root-to-joint chain (meters): with orthonormal rotations
+        every joint lies within it of joint 0."""
+        chain = [0.0]
+        for j, p in enumerate(self.parents[1:], start=1):
+            chain.append(chain[p] + float(np.linalg.norm(self.offsets[j])))
+        return max(chain)
+
 
 # ---------------------------------------------------------------------------
 # Forward kinematics
 # ---------------------------------------------------------------------------
 
-def _strict_fk(skel: Skeleton, motion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (H, K, 3) and rotations (H, K + 1, 3, 3) of an (H, D)
-    motion: the checks of :func:`_check_rot6d`, then :func:`fk_positions_t`
-    on a constant with exact norms (``eps=0``)."""
+def _strict_fk(skel: Skeleton, motion: np.ndarray, frames=slice(None)
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (H', K, 3) and rotations (H', K + 1, 3, 3) of the ``frames``
+    (an index, default all) of an (H, D) motion: the checks of
+    :func:`_check_rot6d` on every frame, then :func:`fk_positions_t` on a
+    constant with exact norms (``eps=0``)."""
     motion = np.asarray(motion, dtype=np.float64)
     if motion.ndim != 2 or motion.shape[1] != skel.motion_dim:
         raise DimensionMismatch(
             f"motion must be (H, {skel.motion_dim}), got {motion.shape}")
-    _check_rot6d(motion[:, : 6 * (skel.joint_count + 1)].reshape(-1, 6))
+    k = skel.joint_count
+    _check_rot6d(motion[:, : 6 * (k + 1)].reshape(-1, 6))
+    motion = motion[frames]
+    if not len(motion):
+        return np.zeros((0, k, 3)), np.zeros((0, k + 1, 3, 3))
     pos, rots = fk_positions_t(skel, ad.constant(motion), eps=0.0)
     return pos.data, rots.data
 
@@ -209,12 +226,14 @@ class CapsuleSet:
         return lo.min(axis=-2), hi.max(axis=-2)
 
 
-def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
-    """Per-frame bodies of an (F, D) motion as one (F, C, 3) capsule set.
+def motion_capsules(skel: Skeleton, motion: np.ndarray, frames=slice(None)) -> CapsuleSet:
+    """Per-frame bodies of the ``frames`` (an index, default all) of an
+    (F, D) motion as one (F', C, 3) capsule set.
 
-    One FK pass covers every frame, whichever sample each belongs to.
+    One FK pass covers those frames, whichever sample each belongs to;
+    every frame's 6D blocks are checked.
     """
-    pos = motion_joint_positions(skel, motion)
+    pos = _strict_fk(skel, motion, frames)[0]
     parents = np.array(skel.parents[1:])
     return CapsuleSet(pos[:, parents], pos[:, 1:], skel.radii)
 
@@ -626,3 +645,79 @@ def capsule_intersection_volume(a: CapsuleSet, b: CapsuleSet, voxel_size: float)
     return intersection_volumes(CapsuleSet(a.seg_a[None], a.seg_b[None], a.radius),
                                 CapsuleSet(b.seg_a[None], b.seg_b[None], b.radius),
                                 voxel_size)[0]
+
+
+# ---------------------------------------------------------------------------
+# Reach test
+# ---------------------------------------------------------------------------
+
+# a 6D block the reach bound trusts: the squared sine of its columns' angle
+# is at least _RIGID_SIN2, and the decode's eps at most _RIGID_EPS times
+# its first column's squared length
+_RIGID_SIN2 = 2.0 ** -10
+_RIGID_EPS = 2.0 ** -30
+# largest coordinate scale the reach test trusts: squared differences of
+# coordinates stay finite
+_REACH_SCALE = 2.0 ** 500
+
+
+def reach_box(skel: Skeleton, motion: np.ndarray, eps: float = 1e-12
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame box ``(lo, hi)``, each (F, 3), that holds every joint
+    :func:`fk_positions_t` places, at decode ``eps``, in the frames of an
+    (F, D) motion: the root translation ± the skeleton's reach, widened by
+    a factor (1 + τ) per level of the tree, τ = 2^-20.  A frame for which
+    the bound below does not hold gets the box (-inf, inf).
+
+    The bound holds when the root is finite and every 6D block ``(a, b)``
+    is *rigid*: both columns finite and longer than 1e-8, the squared sine
+    of their angle θ at least 2^-10, and ``eps`` at most 2^-30 |a|².  The
+    decoded columns are then at most unit long, and orthogonal but for the
+    first two, whose dot product is at most eps / (|a|² sin θ) ≤ 2^-25
+    plus a few hundred u of rounding (u = 2^-53); so no decoded block
+    stretches a vector by more than 2^-25.  A world rotation is a product
+    of at most K + 1 blocks, and a joint lies at most the sum of its
+    chain's offsets, each turned by one world rotation, from the root:
+    within ``reach · (1 + τ)^(K + 2)``.  What rounding adds to the
+    positions is absolute, a few K·u times the coordinate scale, and
+    :func:`apart` covers it.  A short column or near-parallel columns bend
+    the tolerant decode (see :func:`decode_rot6d_t`), so such a frame is
+    not trusted.
+    """
+    k = skel.joint_count
+    blocks = motion[:, : 6 * (k + 1)].reshape(-1, 6).T
+    a, b = blocks[:3], blocks[3:]
+    root = motion[:, 6 * (k + 1):]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        na2, nb2, dot = _dot3(a, a), _dot3(b, b), _dot3(a, b)
+        # cos² θ · |b|², which cannot overflow where |a|² and |b|² are finite
+        rigid = ((_NORM_EPS ** 2 < na2) & (na2 < np.inf)
+                 & (_NORM_EPS ** 2 < nb2) & (nb2 < np.inf)
+                 & (eps <= _RIGID_EPS * na2)
+                 & ((dot / na2) * dot <= (1.0 - _RIGID_SIN2) * nb2))
+    trusted = (rigid.reshape(len(motion), k + 1).all(axis=1)
+               & np.isfinite(root).all(axis=1))[:, None]
+    reach = skel.reach * (1.0 + _TAU) ** (k + 2)
+    return np.where(trusted, root - reach, -np.inf), np.where(trusted, root + reach, np.inf)
+
+
+def apart(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray,
+          gap: float, finest: float) -> np.ndarray:
+    """Flags (F,) of the frames whose boxes ``a`` and ``b`` (each (F, 3))
+    are provably more than ``gap`` apart along some axis.
+
+    The separation must exceed ``gap`` by the margin τ·S, τ = 2^-20, where
+    S is one meter plus the largest coordinate magnitude of the frame's two
+    boxes; and the frame must sit where float64 resolves ``finest`` by
+    2^-40·(S + τ·S), the rule of :func:`intersection_volumes`, and below
+    2^500 m, where no squared distance overflows.  Why τ·S suffices: the
+    errors of FK's positions, of the boxes, and of the kernel's distances
+    (:func:`intersection_volumes` bounds them) are each a few hundred u·S
+    at most, u = 2^-53, for any tree of fewer than 2^30 joints.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sep = np.maximum(lo_a - hi_b, lo_b - hi_a).max(axis=1)
+        scale = 1.0 + np.abs(np.concatenate([lo_a, hi_a, lo_b, hi_b], axis=1)).max(axis=1)
+        margin = _TAU * scale
+        return ((sep > gap + margin) & (scale + margin <= _REACH_SCALE)
+                & (_RESOLUTION * (scale + margin) <= finest))

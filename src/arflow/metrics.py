@@ -6,15 +6,23 @@ sample; it is reported in cubic centimeters per frame.  Intersection
 Frequency (IF) is the fraction of frames with any both-occupied voxel, so
 IF = 0 exactly when IV = 0 under the same voxelization.
 
-One FK pass per side builds the capsules of every frame of up to
-``EVAL_CHUNK`` samples, and every frame of the chunk goes to one
-:func:`geometry.intersection_volumes` call.  The geometry owns the voxel
-sweep and its box test: a frame whose two bodies' bounding boxes do not
-overlap adds an exact zero, and IV, IF and the penetrating-frame count
-equal the full-grid count bit for bit (its docstring gives the column
-intervals, the margin argument and the voxel budget).  The per-frame
-volumes are added in frame order.  A NaN or infinite motion has no
-capsules: it raises ``InvalidConfig``; a frame so far from the origin
+Before any FK, a reach test (:func:`geometry.reach_box` and
+:func:`geometry.apart`) boxes each frame's joints around its root
+translation, the skeleton's longest root-to-joint chain wide.  A frame
+whose two boxes lie more than two capsule radii apart along some axis, by
+a float margin of 2^-20 of the frame's coordinate scale, adds an exact
+zero: its bodies' bounding boxes cannot overlap.  The test trusts only
+what it proves.  A frame with a non-finite value, a 6D block that is not
+well conditioned, or a scale that the sweep's 2^-40 rule might refuse
+goes the full way, so its ``InvalidConfig`` or ``GridTooLarge`` is raised
+as before; every frame's 6D blocks are checked.  One FK pass per side
+builds the capsules of the other frames of up to ``EVAL_CHUNK`` samples,
+and they go to one :func:`geometry.intersection_volumes` call, which owns
+the voxel sweep and its own box test.  IV, IF and the penetrating-frame
+count equal the full-grid count bit for bit (its docstring gives the
+column intervals, the margin argument and the voxel budget).  The
+per-frame volumes are added in frame order.  A NaN or infinite motion has
+no capsules: it raises ``InvalidConfig``; a frame so far from the origin
 that float64 cannot resolve the voxel or a radius there raises
 ``GridTooLarge``.
 
@@ -87,8 +95,9 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
                       ) -> PenetrationStats:
     """IV/IF accumulation over (actor, reactor) motion pairs.
 
-    One :func:`geometry.intersection_volumes` call per chunk of samples
-    takes every frame of the chunk.
+    Per chunk of samples, the reach test finds the frames whose bodies
+    cannot touch; they add an exact zero.  One FK pass per side and one
+    :func:`geometry.intersection_volumes` call take the other frames.
     """
     geo.check_voxel_size(voxel_size)
     if len(samples) == 0:
@@ -97,13 +106,23 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
         raise DimensionMismatch("actor and reactor frame counts differ")
     total_volume = 0.0
     f_pene = f_total = 0
+    finest = min(voxel_size, skel.radii.min())
     for start in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[start:start + EVAL_CHUNK]
-        caps_a = geo.motion_capsules(skel, _all_frames(skel, [a for a, _ in chunk]))
-        caps_b = geo.motion_capsules(skel, _all_frames(skel, [b for _, b in chunk]))
-        volumes = geo.intersection_volumes(caps_a, caps_b, voxel_size)
+        actors = _all_frames(skel, [a for a, _ in chunk])
+        reactors = _all_frames(skel, [b for _, b in chunk])
+        # joint boxes more than two radii apart hold capsules whose boxes are apart
+        near = ~geo.apart(*geo.reach_box(skel, actors, eps=0.0),
+                          *geo.reach_box(skel, reactors, eps=0.0),
+                          2.0 * skel.radii.max(), finest)
+        frames = slice(None) if near.all() else np.flatnonzero(near)
+        caps_a = geo.motion_capsules(skel, actors, frames)
+        caps_b = geo.motion_capsules(skel, reactors, frames)
+        volumes = np.zeros(len(actors))
+        if near.any():
+            volumes[frames] = geo.intersection_volumes(caps_a, caps_b, voxel_size)
         f_total += len(volumes)
-        for vol in volumes:
+        for vol in volumes.tolist():
             total_volume += vol
             f_pene += vol > 0.0
     return PenetrationStats(total_volume, f_pene, f_total)

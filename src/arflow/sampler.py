@@ -18,7 +18,7 @@ direction with a norm-matched random direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +76,15 @@ class GuidanceContext:
     """Per-frame actor geometry the penetration terms are evaluated against.
 
     ``actor`` is the (B, H, D) batch of actors :func:`sample` drives;
-    ``capsules`` holds one actor body per frame, flattened to ``B * H``.  A
+    ``capsules`` holds one actor body per frame, flattened to ``B * H``,
+    and ``box`` their per-frame boxes, taken once for the reach test.  A
     reaction must have the actor's leading axes.
     """
 
     skel: geo.Skeleton
     actor: np.ndarray
     capsules: geo.CapsuleSet
+    box: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         frames = int(np.prod(np.shape(self.actor)[:-1]))
@@ -90,6 +92,7 @@ class GuidanceContext:
             raise DimensionMismatch(
                 f"capsules of shape {self.capsules.seg_a.shape} for an actor of "
                 f"shape {np.shape(self.actor)}")
+        self.box = self.capsules.aabb()
 
     @classmethod
     def from_actor(cls, skel: geo.Skeleton, actor: np.ndarray) -> "GuidanceContext":
@@ -108,23 +111,51 @@ def _check_reaction(ctx: GuidanceContext, reaction: np.ndarray) -> np.ndarray:
 
 
 def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, zeta: float, for_grad: bool):
-    """Per-joint SDF values and unit gradients against the per-frame actor;
-    ``InvalidConfig`` unless ``zeta`` is positive and finite.
+    """Per-joint SDF values and unit gradients against the per-frame actor,
+    over the ``F = B * H`` flattened frames whose joints may come within
+    ``zeta`` of it; ``InvalidConfig`` unless ``zeta`` is positive and finite.
 
-    One tape FK over all frames, via the tolerant decode, so the loss value
-    and the gradient share one forward computation and the
-    finite-difference relationship between the two is exact.  Returns
-    ``(sdf (F, K), grad (F, K, 3), positions node, leaf)`` over the
-    ``F = B * H`` flattened frames.
+    A frame whose reaction box (:func:`geometry.reach_box`) lies more than
+    ``zeta`` from the actor frame's box along some axis, by the margin of
+    :func:`geometry.apart`, has every joint's SDF provably at least
+    ``zeta``: its loss terms are exactly ``zeta`` and its gradient exactly
+    zero, so it goes through neither FK nor the SDF.  One tape FK covers
+    the other frames, via the tolerant decode, so the loss value and the
+    gradient share one forward computation and the finite-difference
+    relationship between the two is exact.  Returns ``(frames, sdf (F', K),
+    grad (F', K, 3), positions node, leaf)`` for the F' frames in reach,
+    which ``frames`` indexes (a full slice when all are); no tape is built,
+    and the node and leaf are ``None``, when none is.
     """
     if not 0.0 < zeta < np.inf:
         raise InvalidConfig(f"zeta must be positive and finite, got {zeta}")
     reaction = _check_reaction(ctx, reaction)
     flat = reaction.reshape(-1, reaction.shape[-1])
-    leaf = ad.leaf(flat) if for_grad else ad.constant(flat)
+    near = ~geo.apart(*ctx.box, *geo.reach_box(ctx.skel, flat), zeta,
+                      ctx.capsules.radius.min())
+    if near.all():
+        frames, body = slice(None), ctx.capsules
+    else:
+        frames = np.flatnonzero(near)
+        if not len(frames):
+            k = ctx.skel.joint_count
+            return frames, np.zeros((0, k)), np.zeros((0, k, 3)), None, None
+        body = geo.CapsuleSet(ctx.capsules.seg_a[frames], ctx.capsules.seg_b[frames],
+                              ctx.capsules.radius)
+    leaf = ad.leaf(flat[frames]) if for_grad else ad.constant(flat[frames])
     pos, _ = geo.fk_positions_t(ctx.skel, leaf)
-    sdf, grad = geo.sdf_and_gradient(pos.data, ctx.capsules)
-    return sdf, grad, pos, leaf
+    sdf, grad = geo.sdf_and_gradient(pos.data, body)
+    return frames, sdf, grad, pos, leaf
+
+
+def _every_frame(frames, values: np.ndarray, count: int, fill: float) -> np.ndarray:
+    """``values`` of the ``frames`` in reach laid out over all ``count``
+    frames, ``fill`` elsewhere; ``values`` itself when every frame is."""
+    if isinstance(frames, slice):
+        return values
+    out = np.full((count,) + values.shape[1:], fill)
+    out[frames] = values
+    return out
 
 
 def penetration_loss(reaction: np.ndarray, ctx: GuidanceContext,
@@ -134,8 +165,9 @@ def penetration_loss(reaction: np.ndarray, ctx: GuidanceContext,
     Fully separated bodies saturate every term at -zeta; each penetrating
     joint adds its (positive) penetration depth.  A batch sums over samples.
     """
-    sdf, _, _, _ = _joint_sdfs(ctx, reaction, zeta, for_grad=False)
-    return float(-np.minimum(sdf, zeta).sum())
+    frames, sdf, _, _, _ = _joint_sdfs(ctx, reaction, zeta, for_grad=False)
+    count = int(np.prod(np.shape(reaction)[:-1]))
+    return float(-_every_frame(frames, np.minimum(sdf, zeta), count, zeta).sum())
 
 
 def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
@@ -143,15 +175,16 @@ def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
     """Gradient of :func:`penetration_loss` w.r.t. every motion coordinate.
 
     Chains the analytic SDF gradient through forward kinematics and the 6D
-    decode in one backward over all frames; saturated joints (SDF >= zeta)
-    contribute nothing.
+    decode in one backward over the frames in reach; saturated joints
+    (SDF >= zeta) contribute nothing, and a frame out of reach exactly zero.
     """
-    sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, zeta, for_grad=True)
+    frames, sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, zeta, for_grad=True)
     seed = np.where((sdf < zeta)[..., None], -sdf_grad, 0.0)
     if not seed.any():
         return np.zeros(np.shape(reaction))
     pos.backward(seed)
-    return leaf.grad.reshape(np.shape(reaction))
+    count = int(np.prod(np.shape(reaction)[:-1]))
+    return _every_frame(frames, leaf.grad, count, 0.0).reshape(np.shape(reaction))
 
 
 def _step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,

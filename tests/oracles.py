@@ -12,8 +12,13 @@ must reproduce bit for bit.  ``velocity_walk`` is unguided sampling in
 the velocity form of traditional flow matching, which the sampler's
 reprojection step equals.  ``rot6d`` writes rotation matrices in the
 motion layout's 6D form, and ``rotations`` reads them back with the
-package's one decode at exact norms.
+package's one decode at exact norms.  ``full_path`` replaces the
+package's reach test by one that finds every frame in reach, so the
+penetration metrics and the guidance terms run every frame through FK, as
+they did before the test existed.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -21,6 +26,17 @@ from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow.data import _SHOULDER, _pose_joints
+
+
+@contextlib.contextmanager
+def full_path():
+    """Within the block, ``geometry.apart`` finds no frame apart."""
+    apart = geo.apart
+    geo.apart = lambda lo_a, *args: np.zeros(len(lo_a), dtype=bool)
+    try:
+        yield
+    finally:
+        geo.apart = apart
 
 
 def rot6d(m):

@@ -937,6 +937,26 @@ def test_eval_flattened_features_on_mixed_frame_counts_exit_2(features, tmp_path
     assert "[6, 8]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("features", ["flatten", "proj"])
+@pytest.mark.parametrize("shape", [["--joints", "4"], ["--frames", "6"]],
+                         ids=["other-skeleton", "other-frame-count"])
+def test_eval_fid_against_a_reference_of_another_shape_exits_2(
+        features, shape, small_data, tmp_path, capsys, monkeypatch):
+    # proj draws one projection per input width, so the two feature sets
+    # used to be compared and a FID reported
+    ref, out = tmp_path / "ref.jsonl", tmp_path / "fid.txt"
+    assert run("gen-data", "--pairs", "40", "--seed", "1", *shape, "--out", str(ref)) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("a feature was computed")
+    monkeypatch.setattr(mx, "extract_features", never)
+    assert run("eval", "--inputs", str(small_data), "--ref", str(ref), "--metrics", "fid",
+               "--features", features, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--ref" in err and "not comparable" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("contact", [1.0, 0.0], ids=["contact", "far-apart"])
 @pytest.mark.parametrize("voxel", ["0", "-0.02", "nan", "inf"])
 def test_eval_bad_voxel_size_exits_2(voxel, contact, tmp_path, capsys):

@@ -6,12 +6,12 @@ the tape in reverse topological order and accumulates gradients into every
 leaf created with ``requires_grad=True``.
 
 The op set is what the predictor, the interaction loss and the penetration
-gradient record: broadcasting ``+ - * /`` (Tensor on the left), negation,
-batched ``@`` (operands at least 2-D), ``sum``/``mean``, ``sqrt``,
-``reshape``, basic slicing, ``concat``/``stack``, ``gelu``, and the norm and
-cross product along the last axis.  The predictor's dense layers, layer
-norms and attention blocks are each one node (``linear``, ``layer_norm``,
-``attention``) with a closed-form backward; their forwards repeat the
+gradient record: broadcasting ``+ - *`` (Tensor on the left), negation,
+batched ``@`` (operands at least 2-D), whole-tensor ``sum``/``mean``,
+``reshape``, basic slicing, ``concat`` and ``gelu``.  The predictor's dense
+layers, layer norms and attention blocks are each one node (``linear``,
+``layer_norm``, ``attention``) with a closed-form backward, and so is the
+6D rotation decode (``geometry.decode_rot6d_t``); their forwards repeat the
 arithmetic of the composed ops operation for operation, so they give the
 same bits.
 
@@ -150,18 +150,6 @@ class Tensor:
 
         return Tensor._make(out, (self, other), bw)
 
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out = self.data / other.data
-
-        def bw(g):
-            return (_unbroadcast(g / other.data, self.data.shape)
-                    if self.requires_grad else None,
-                    _unbroadcast(-g * self.data / other.data ** 2, other.data.shape)
-                    if other.requires_grad else None)
-
-        return Tensor._make(out, (self, other), bw)
-
     def __matmul__(self, other):
         other = as_tensor(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
@@ -176,36 +164,19 @@ class Tensor:
 
         return Tensor._make(out, (self, other), bw)
 
-    # -- pointwise ----------------------------------------------------------
-
-    def sqrt(self):
-        out = np.sqrt(self.data)
-
-        def bw(g):
-            return (g * 0.5 / out,)
-
-        return Tensor._make(out, (self,), bw)
-
     # -- reductions -----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self):
+        """Sum of every element, a 0-d tensor."""
+        out = self.data.sum()
 
         def bw(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.data.shape).copy(),)
+            return (np.full(self.data.shape, g),)
 
         return Tensor._make(out, (self,), bw)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     # -- shape ops ------------------------------------------------------------
 
@@ -246,7 +217,6 @@ def leaf(x) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -257,17 +227,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return Tensor._make(out, tuple(tensors), bw)
 
 
-def stack(tensors: list[Tensor], axis: int) -> Tensor:
-    expanded = []
-    for t in tensors:
-        t = as_tensor(t)
-        shape = list(t.data.shape)
-        pos = axis if axis >= 0 else axis + len(shape) + 1
-        shape.insert(pos, 1)
-        expanded.append(t.reshape(tuple(shape)))
-    return concat(expanded, axis)
-
-
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
@@ -275,7 +234,6 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU ``0.5 x (1 + tanh(c (x + 0.044715 x^3)))``
     as one tape node.  In-place steps keep the number of full-size
     temporaries down."""
-    x = as_tensor(x)
     xd = x.data
     th = np.multiply(xd, xd)
     th *= 0.044715
@@ -310,7 +268,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The leading axes of ``x`` are flattened into the rows of one GEMM, so
     the weight gradient is a single product as well.
     """
-    x = as_tensor(x)
     n_in, n_out = w.data.shape
     rows = x.data.reshape(-1, n_in)
     out = rows @ w.data
@@ -328,7 +285,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float) -> Tensor:
     """Layer normalization over the last axis, scaled by ``g`` and shifted
     by ``b``, as one tape node."""
-    x = as_tensor(x)
     n = x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     xhat = x.data + (-mu)
@@ -370,7 +326,6 @@ def attention(qkv: Tensor, heads: int, mask: np.ndarray) -> Tensor:
     before the softmax.  Returns the heads' weighted values, concatenated
     per token: (B, S, W).
     """
-    qkv = as_tensor(qkv)
     b, s, w3 = qkv.data.shape
     w = w3 // 3
     hd = w // heads
@@ -401,24 +356,3 @@ def attention(qkv: Tensor, heads: int, mask: np.ndarray) -> Tensor:
         return (grad.reshape(b, s, w3),)
 
     return Tensor._make(out, (qkv,), bw)
-
-
-def norm_last(x: Tensor, eps: float = 0.0) -> Tensor:
-    """Euclidean norm along the last axis, kept as a size-1 axis.
-
-    `eps` is added inside the square root; a tiny positive value keeps the
-    gradient finite at the origin (smoothed norm).
-    """
-    sq = (x * x).sum(axis=-1, keepdims=True)
-    if eps:
-        sq = sq + eps
-    return sq.sqrt()
-
-
-def cross_last(a: Tensor, b: Tensor) -> Tensor:
-    """Cross product along the last axis (size 3)."""
-    a0, a1, a2 = a[..., 0:1], a[..., 1:2], a[..., 2:3]
-    b0, b1, b2 = b[..., 0:1], b[..., 1:2], b[..., 2:3]
-    return concat([a1 * b2 - a2 * b1,
-                   a2 * b0 - a0 * b2,
-                   a0 * b1 - a1 * b0], axis=-1)

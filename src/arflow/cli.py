@@ -39,6 +39,7 @@ from .errors import (
     ArflowError,
     DimensionMismatch,
     EmptyInput,
+    InsufficientSamples,
     InvalidConfig,
     NonFiniteLoss,
     NonFiniteSample,
@@ -66,6 +67,15 @@ THREAD_VARS = ("ARFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 def _atomic_write(path: str, text: str, digests: dict[str, str] | None = None) -> None:
     with cache.atomic_open(path, digests) as fh:
         fh.write(text)
+
+
+def _check_outputs(inputs: list[str], outputs: list[str]) -> None:
+    """``InvalidConfig`` when a path a command writes (an output, or its
+    manifest) resolves to one of the files it reads."""
+    read = {os.path.realpath(p) for p in inputs}
+    for path in outputs + [outputs[0] + ".manifest.json"]:
+        if os.path.realpath(path) in read:
+            raise InvalidConfig(f"output {path} would overwrite the input it resolves to")
 
 
 def _tree_sha256(top: str) -> str:
@@ -164,6 +174,8 @@ def cmd_train(args) -> int:
                                prediction_mode=args.prediction, sigma_min=args.sigma_min)
     if args.log_every < 0:
         raise InvalidConfig(f"--log-every must be >= 0, got {args.log_every}")
+    loss_path = args.out + ".loss.csv"
+    _check_outputs([args.data], [args.out, loss_path])
     digests: dict[str, str] = {}
     samples, skel = dt.load_samples(args.data, digests=digests)
     if not samples:
@@ -182,7 +194,6 @@ def cmd_train(args) -> int:
                                 log_every=args.log_every, phase_end=phases.end)
     phases.end("steps")
     mdl.save_params(args.out, params, digests)
-    loss_path = args.out + ".loss.csv"
     _atomic_write(loss_path, "".join(
         f"{i},{fm!r},{inter!r},{total!r}\n"
         for i, (fm, inter, total) in enumerate(history)), digests)
@@ -208,6 +219,7 @@ def cmd_sample(args) -> int:
     cfg = smp.SamplerConfig(steps=args.steps, guidance=args.guidance,
                             lambda_pene=args.lambda_pene, zeta=args.zeta, w=args.w,
                             beta=args.beta, seed=args.seed)
+    _check_outputs([args.model, args.data], [args.out])
     # every load or model/data mismatch is a SchemaError: exit 4 for sample
     digests: dict[str, str] = {}
     try:
@@ -276,6 +288,9 @@ def cmd_eval(args) -> int:
             raise InvalidConfig(f"{what} must be >= {least}, got {value} ({flag})")
         if value > most:
             raise InvalidConfig(f"{what} must be <= {most}, got {value} ({flag})")
+    inputs = [args.inputs] + ([args.ref] if args.ref is not None else [])
+    if args.out:
+        _check_outputs(inputs, [args.out])
     digests: dict[str, str] = {}
     samples, skel = dt.load_samples(args.inputs, digests=digests)
     if not samples:
@@ -315,16 +330,22 @@ def cmd_eval(args) -> int:
             ref_feats = mx.extract_features([s.reactor for s in ref_samples],
                                             extractor, ref_skel)
             values["fid"] = mx.fid(feats, ref_feats)
-        if "div" in wanted:
-            values["diversity"] = mx.diversity(feats, args.sd, seed=args.metric_seed,
-                                               with_replacement=args.allow_replacement)
-        if "multimod" in wanted:
-            by_class = {}
-            for s, f in zip(samples, feats):
-                by_class.setdefault(s.label, []).append(f)
-            values["multimodality"] = mx.multimodality(
-                {k: np.stack(v) for k, v in by_class.items()}, args.sl,
-                seed=args.metric_seed, with_replacement=args.allow_replacement)
+        try:
+            if "div" in wanted:
+                values["diversity"] = mx.diversity(feats, args.sd, seed=args.metric_seed,
+                                                   with_replacement=args.allow_replacement)
+            if "multimod" in wanted:
+                by_class = {}
+                for s, f in zip(samples, feats):
+                    by_class.setdefault(s.label, []).append(f)
+                values["multimodality"] = mx.multimodality(
+                    {k: np.stack(v) for k, v in by_class.items()}, args.sl,
+                    seed=args.metric_seed, with_replacement=args.allow_replacement)
+        except InsufficientSamples as err:
+            # div runs first, so a diversity value means multimod failed
+            flag = "--sd" if "div" in wanted and "diversity" not in values else "--sl"
+            raise InsufficientSamples(f"{err}: lower {flag} or pass "
+                                      "--allow-replacement") from None
     values.update(n_total=len(samples), f_total=sum(len(s.reactor) for s in samples),
                   f_pene=f_pene)
 
@@ -334,9 +355,8 @@ def cmd_eval(args) -> int:
     phases.end("compute")
     if args.out:
         _atomic_write(args.out, text, digests)
-        _write_manifest(args.out, "eval", vars(args),
-                        [args.inputs] + ([args.ref] if args.ref is not None else []),
-                        [args.out], phases, digests)
+        _write_manifest(args.out, "eval", vars(args), inputs, [args.out], phases,
+                        digests)
     print(text, end="")
     return EXIT_OK
 

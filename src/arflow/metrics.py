@@ -186,8 +186,8 @@ def _two_subsets(n: int, size: int, rng: np.random.Generator,
         return rng.integers(0, n, size), rng.integers(0, n, size)
     if n < 2 * size:
         raise InsufficientSamples(
-            f"need at least {2 * size} features, have {n} "
-            "(pass with_replacement=True to allow fewer)")
+            f"need at least {2 * size} features for two disjoint subsets of "
+            f"{size}, have {n}")
     perm = rng.permutation(n)
     return perm[:size], perm[size:2 * size]
 

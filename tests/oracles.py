@@ -6,16 +6,17 @@ It keeps the paper's actor-relative form, which the package drops because
 the actor terms cancel; the oracle is the reference that shows they do.
 ``response_property`` re-checks the reactor response each scripted
 scenario is built to show.  ``linear``, ``layer_norm``, ``attention`` and
-``gelu`` are the predictor's blocks written as the chains of elementary ops
-(q/k/v slices, transposes, a separate softmax) that the fused tape nodes
-must reproduce bit for bit.  ``velocity_walk`` is unguided sampling in
-the velocity form of traditional flow matching, which the sampler's
-reprojection step equals.  ``rot6d`` writes rotation matrices in the
-motion layout's 6D form, and ``rotations`` reads them back with the
-package's one decode at exact norms.  ``full_path`` replaces the
-package's reach test by one that finds every frame in reach, so the
-penetration metrics and the guidance terms run every frame through FK, as
-they did before the test existed.
+``gelu`` are the predictor's blocks, and ``decode`` the 6D rotation decode,
+written as the chains of elementary ops (q/k/v slices, transposes, a
+separate softmax; norms, a projection, a cross product of coordinate
+products) that the fused tape nodes must reproduce bit for bit.
+``velocity_walk`` is unguided sampling in the velocity form of traditional
+flow matching, which the sampler's reprojection step equals.  ``rot6d``
+writes rotation matrices in the motion layout's 6D form, and ``rotations``
+reads them back with the package's one decode at exact norms.
+``full_path`` replaces the package's reach test by one that finds every
+frame in reach, so the penetration metrics and the guidance terms run
+every frame through FK, as they did before the test existed.
 """
 
 import contextlib
@@ -151,3 +152,18 @@ def gelu(x):
     c = 0.7978845608028654
     th = np.tanh(c * (x + 0.044715 * (x * x) * x))
     return 0.5 * x * (1.0 + th)
+
+
+def decode(r, eps):
+    """Gram-Schmidt 6D decode as smoothed norms, divisions, the projection
+    ``b + (-(b1 * dot))`` and the cross product as ``y1*z2 + (-(z1*y2))``
+    and its cyclic shifts, stacked as columns."""
+    a, b = r[..., 0:3], r[..., 3:6]
+    b1 = a / np.sqrt((a * a).sum(axis=-1, keepdims=True) + eps)
+    u = b + (-(b1 * (b * b1).sum(axis=-1, keepdims=True)))
+    b2 = u / np.sqrt((u * u).sum(axis=-1, keepdims=True) + eps)
+    x1, y1, z1 = (b1[..., i:i + 1] for i in range(3))
+    x2, y2, z2 = (b2[..., i:i + 1] for i in range(3))
+    b3 = np.concatenate([y1 * z2 + (-(z1 * y2)), z1 * x2 + (-(x1 * z2)),
+                         x1 * y2 + (-(y1 * x2))], axis=-1)
+    return np.stack([b1, b2, b3], axis=-1)

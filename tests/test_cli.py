@@ -872,6 +872,20 @@ def test_eval_subset_size_below_one_exits_2(metric, flag, small_data, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("metric, flag", [("div", "--sd"), ("multimod", "--sl")])
+def test_eval_too_few_features_names_the_cli_options(metric, flag, small_data, tmp_path,
+                                                     capsys):
+    # the message used to name the library keyword with_replacement
+    out = tmp_path / "report.txt"
+    assert run("eval", "--inputs", str(small_data), "--metrics", metric,
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"need at least \d+ features .*: lower {flag} or pass "
+                     r"--allow-replacement", err)
+    assert "with_replacement" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--metrics", "iv", "--sd", "0"],
     ["--metrics", "iv", "--sl", "0"],
@@ -1103,6 +1117,47 @@ def test_guided_iv_not_worse_than_unguided(small_model, small_data, tmp_path):
                       for line in report.read_text().splitlines())
         results[guidance] = float(values["iv_cm3"])
     assert results["improved"] <= results["none"]
+
+
+# ---------------------------------------------------------------------------
+# an output path that names an input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, argv", [
+    ("data.jsonl", ["sample", "--model", "{}/model.json", "--data", "{}/data.jsonl",
+                    "--out", "{}/data.jsonl"]),
+    ("data.jsonl", ["sample", "--model", "{}/model.json", "--data", "{}/data.jsonl",
+                    "--out", "{}/link.jsonl"]),
+    ("data.jsonl", ["sample", "--model", "{}/model.json", "--data", "{}/data.jsonl",
+                    "--out", "{}/model.json"]),
+    ("data.jsonl", ["eval", "--inputs", "{}/data.jsonl", "--out", "{}/data.jsonl"]),
+    ("data.jsonl", ["eval", "--inputs", "{}/data.jsonl", "--metrics", "fid",
+                    "--ref", "{}/model.json", "--out", "{}/model.json"]),
+    ("r.txt.manifest.json", ["eval", "--inputs", "{}/r.txt.manifest.json",
+                             "--out", "{}/r.txt"]),
+    ("data.jsonl", ["train", "--data", "{}/data.jsonl", "--out", "{}/data.jsonl"]),
+    ("data.jsonl", ["train", "--data", "{}/link.jsonl", "--out", "{}/data.jsonl"]),
+    ("m.json.loss.csv", ["train", "--data", "{}/m.json.loss.csv", "--out", "{}/m.json"]),
+], ids=["sample-data", "sample-data-symlink", "sample-model", "eval-inputs", "eval-ref",
+        "eval-manifest", "train-data", "train-data-symlink", "train-loss-csv"])
+def test_an_output_that_names_an_input_exits_2_before_any_read(
+        name, argv, small_data, small_model, tmp_path, capsys, monkeypatch):
+    # sample --data X --out X used to overwrite X and record the output's
+    # SHA-256 as the input's; eval replaced the motion file by the report,
+    # and train the data file by the model
+    (tmp_path / name).write_bytes(small_data.read_bytes())
+    (tmp_path / "model.json").write_bytes(small_model.read_bytes())
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def never(*args, **kwargs):
+        raise AssertionError("a file was read")
+    monkeypatch.setattr(dt, "load_samples", never)
+    monkeypatch.setattr(mdl, "load_params", never)
+    assert run(*[a.format(tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "would overwrite the input" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from arflow.errors import (
     InvalidConfig,
 )
 
-from oracles import rot6d, rotations
+from oracles import decode, rot6d, rotations
 from voxel_oracle import (
     GridMismatch,
     capsule_sdfs,
@@ -170,6 +170,30 @@ def test_decode_tape_matches_strict():
     r = rng.normal(size=(20, 6))
     got = geo.decode_rot6d_t(ad.constant(r)).data
     assert np.allclose(got, rotations(r), atol=1e-10)
+
+
+def _decode_blocks():
+    rng = np.random.default_rng(23)
+    col = rng.normal(size=(40, 3))
+    turned = np.stack([random_rotation(rng) for _ in range(20)])
+    return {
+        "random": rng.normal(size=(3, 40, 6)),
+        "short": 1e-7 * rng.normal(size=(40, 6)),
+        "near-parallel": np.concatenate([col, 2.0 * col + 1e-9 * rng.normal(size=(40, 3))],
+                                        axis=-1),
+        "huge": 1e150 * rng.normal(size=(40, 6)),
+        "turned": rot6d(turned @ rz(0.3)),
+    }
+
+
+@pytest.mark.parametrize("eps", [1e-12, 0.0])
+@pytest.mark.parametrize("kind", list(_decode_blocks()))
+def test_decode_node_is_bit_equal_to_the_composed_chain(kind, eps):
+    # the one-node decode repeats the composed ops' arithmetic, so strict FK
+    # and every artifact built on it keep their bits
+    r = _decode_blocks()[kind]
+    got = geo.decode_rot6d_t(ad.constant(r), eps=eps).data
+    assert np.array_equal(got, decode(r, eps))
 
 
 # ---------------------------------------------------------------------------

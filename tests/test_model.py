@@ -350,7 +350,7 @@ def test_train_draw_order_is_pinned():
         digest.update(name.encode())
         digest.update(arr.tobytes())
     assert digest.hexdigest() == (
-        "4d857a71dacbc12177899caa5ee12288d3adfcfcc42ee097ffa66b2ebbfa5c8e")
+        "95e2eecd3ead251451e0c6a50854918d00b42343e4eabd1fc22c8b61b3e50953")
 
 
 # ---------------------------------------------------------------------------

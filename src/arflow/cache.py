@@ -145,7 +145,9 @@ def read(path: str, layout: Callable[[dict], tuple], digests: dict[str, str] | N
             head = json.loads(line)
             usable = (head["format"] == FORMAT and type(head["version"]) is int
                       and head["version"] == VERSION)
-        except (ValueError, TypeError, KeyError):  # UnicodeDecodeError is a ValueError
+            meta_sha256 = _meta_sha256(head.get("meta"))
+        # UnicodeDecodeError is a ValueError, JSON nested too deep a RecursionError
+        except (ValueError, TypeError, KeyError, RecursionError):
             return None
         if not usable:
             return None
@@ -156,7 +158,7 @@ def read(path: str, layout: Callable[[dict], tuple], digests: dict[str, str] | N
         if digests is not None:
             digests[path] = source
         if (head.get("source_sha256") != source
-                or head.get("meta_sha256") != _meta_sha256(head.get("meta"))):
+                or head.get("meta_sha256") != meta_sha256):
             return None
         try:
             plan, total, start, stop = layout(head["meta"])

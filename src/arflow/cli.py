@@ -312,11 +312,10 @@ def cmd_eval(args) -> int:
 
     # the report's values in their printed order
     values: dict[str, float] = {}
-    f_pene = 0
+    stats = None
     if "iv" in wanted or "if" in wanted:
         stats = mx.penetration_stats([(s.actor, s.reactor) for s in samples], skel,
                                      args.voxel)
-        f_pene = stats.f_pene
         if "iv" in wanted:
             values["iv_cm3"] = stats.iv_cm3
         if "if" in wanted:
@@ -346,8 +345,9 @@ def cmd_eval(args) -> int:
             flag = "--sd" if "div" in wanted and "diversity" not in values else "--sl"
             raise InsufficientSamples(f"{err}: lower {flag} or pass "
                                       "--allow-replacement") from None
-    values.update(n_total=len(samples), f_total=sum(len(s.reactor) for s in samples),
-                  f_pene=f_pene)
+    values.update(n_total=len(samples), f_total=sum(len(s.reactor) for s in samples))
+    if stats is not None:  # only the IV sweep counts penetrating frames
+        values["f_pene"] = stats.f_pene
 
     lines = ["report_version: 1", f"voxel_size_m: {args.voxel!r}"]
     lines += [f"{key}: {value!r}" for key, value in values.items()]

@@ -557,7 +557,7 @@ def load_samples(path: str, split: str = "all", limit: int = 0,
         for line_no, line in itertools.islice(records, wanted.start, wanted.stop):
             try:
                 rec = json.loads(line)
-            except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+            except (ValueError, RecursionError) as err:  # bad JSON or UTF-8; too deep
                 raise SchemaError(f"invalid JSON ({err})", line=line_no) from err
             if (not isinstance(rec, dict) or type(rec.get("version")) is not int
                     or rec["version"] != FILE_VERSION):

@@ -30,7 +30,8 @@ class InsufficientSamples(ArflowError):
 
 
 class DegenerateCovariance(ArflowError):
-    """Feature covariance is unusable (too few vectors or non-finite)."""
+    """Feature statistics are unusable: too few vectors for a covariance, or
+    features, means, covariances or distances that are not finite in float64."""
 
 
 class NonFiniteLoss(ArflowError):

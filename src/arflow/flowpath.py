@@ -9,11 +9,11 @@ with a small residual coupling ``sigma_min`` to ``x0`` at t = 1.  The
 velocity of that path, the conversions between endpoint prediction and
 velocity prediction, and the recovery of the path start from an endpoint
 estimate are all closed forms in (x_t, t, sigma_min).
+The interaction loss takes its targets as the plain ``(pos, rot)`` arrays
+of the ground truth's strict FK, one row per frame.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,34 +89,21 @@ def x0_hat_expanded(x1_hat: np.ndarray, x_t: np.ndarray, t: float,
     return x1_hat + (x_t - (1.0 + sigma_min * t) * x1_hat) / _denom(t, sigma_min)
 
 
-@dataclass
-class InteractionTargets:
-    """Constant side of the interaction loss, one row per frame.
-
-    Built once by :func:`interaction_targets` over any stack of frames (a
-    batch, or a whole training set); ``rows`` takes the frames of one
-    batch.  It holds no actor term: those cancel in the loss.
-    """
-
-    pos: np.ndarray        # (N, K, 3) ground-truth FK positions
-    rot: np.ndarray        # (N, K+1, 3, 3) ground-truth rotation matrices
-
-    def rows(self, idx: np.ndarray) -> "InteractionTargets":
-        return InteractionTargets(self.pos[idx], self.rot[idx])
+def interaction_targets(skel: geo.Skeleton, gt_x1: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction-loss targets ``(pos (N, K, 3), rot (N, K + 1, 3, 3))`` of
+    the (N, D) frame rows of a ground-truth reaction ``gt_x1``, from one
+    strict FK pass (``DegenerateRotation`` on a degenerate 6D block).  A
+    frame's rows do not depend on the other frames of the stack, so a batch
+    indexes both arrays by its frames.  Actor terms cancel in the loss."""
+    return geo._strict_fk(skel, gt_x1)
 
 
-def interaction_targets(skel: geo.Skeleton, gt_x1: np.ndarray) -> InteractionTargets:
-    """Interaction-loss targets for the (N, D) frame rows of a ground-truth
-    reaction ``gt_x1``, from one strict FK pass (``DegenerateRotation`` on a
-    degenerate 6D block).  Every term is per frame, so a frame's row does
-    not depend on the other frames of the stack."""
-    return InteractionTargets(*geo._strict_fk(skel, gt_x1))
-
-
-def interaction_loss_t(pred_x1: ad.Tensor, targets: InteractionTargets,
+def interaction_loss_t(pred_x1: ad.Tensor, targets: tuple[np.ndarray, np.ndarray],
                        skel: geo.Skeleton) -> ad.Tensor:
     """Interaction loss of predicted reaction frames, on the tape.
 
+    ``targets`` is the :func:`interaction_targets` pair of the frames.
     Three terms, each (1/H) * sum of squared differences between ground
     truth and prediction: per-joint FK positions, per-slot rotation matrices
     (K joint rotations plus the root orientation), and root translations,
@@ -126,9 +113,10 @@ def interaction_loss_t(pred_x1: ad.Tensor, targets: InteractionTargets,
     for an orthonormal actor rotation A.
     """
     h = pred_x1.shape[0]
+    gt_pos, gt_rot = targets
     pos, rot = geo.fk_positions_t(skel, pred_x1)
-    d_pos = ad.constant(targets.pos) - pos
-    d_rot = ad.constant(targets.rot) - rot
+    d_pos = ad.constant(gt_pos) - pos
+    d_rot = ad.constant(gt_rot) - rot
     d_trans = d_pos[:, 0]
     total = (d_pos * d_pos).sum() + (d_rot * d_rot).sum() + (d_trans * d_trans).sum()
     return total * (1.0 / h)

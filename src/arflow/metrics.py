@@ -112,14 +112,13 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
         actors = _all_frames(skel, [a for a, _ in chunk])
         reactors = _all_frames(skel, [b for _, b in chunk])
         # joint boxes more than two radii apart hold capsules whose boxes are apart
-        near = ~geo.apart(*geo.reach_box(skel, actors, eps=0.0),
-                          *geo.reach_box(skel, reactors, eps=0.0),
-                          2.0 * skel.radii.max(), finest)
-        frames = slice(None) if near.all() else np.flatnonzero(near)
+        frames = np.flatnonzero(~geo.apart(*geo.reach_box(skel, actors, eps=0.0),
+                                           *geo.reach_box(skel, reactors, eps=0.0),
+                                           2.0 * skel.radii.max(), finest))
         caps_a = geo.motion_capsules(skel, actors, frames)
         caps_b = geo.motion_capsules(skel, reactors, frames)
         volumes = np.zeros(len(actors))
-        if near.any():
+        if len(frames):
             volumes[frames] = geo.intersection_volumes(caps_a, caps_b, voxel_size)
         f_total += len(volumes)
         for vol in volumes.tolist():
@@ -139,6 +138,14 @@ def _feature_matrix(features) -> np.ndarray:
     return feats
 
 
+def _finite(*values):
+    """The first value; ``DegenerateCovariance`` unless every value is
+    finite, as statistics of features far enough out overflow float64."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise DegenerateCovariance("feature statistics overflow float64")
+    return values[0]
+
+
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
@@ -150,7 +157,8 @@ def fid(features_a, features_b) -> float:
     ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^(1/2)), with the product
     square root computed from the symmetric form
     (S_a^(1/2) S_b S_a^(1/2))^(1/2) via eigendecomposition.  Covariances are
-    regularized with 1e-6 * I before the square root.
+    regularized with 1e-6 * I before the square root.  Means, covariances
+    or a distance that overflow float64 raise ``DegenerateCovariance``.
     """
     a = _feature_matrix(features_a)
     b = _feature_matrix(features_b)
@@ -160,16 +168,19 @@ def fid(features_a, features_b) -> float:
         raise DegenerateCovariance("need at least 2 vectors per set")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DegenerateCovariance("non-finite features")
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    eye = COV_EPS * np.eye(a.shape[1])
-    cov_a = np.cov(a, rowvar=False) + eye
-    cov_b = np.cov(b, rowvar=False) + eye
-    root_a = _sqrtm_psd(cov_a)
-    inner = root_a @ cov_b @ root_a
-    tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum()
-    value = float((mu_a - mu_b) @ (mu_a - mu_b)
-                  + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
-    return max(value, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
+        eye = COV_EPS * np.eye(a.shape[1])
+        cov_a = np.cov(a, rowvar=False) + eye
+        cov_b = np.cov(b, rowvar=False) + eye
+        _finite(mu_a, mu_b, cov_a, cov_b)
+        root_a = _sqrtm_psd(cov_a)
+        inner = root_a @ cov_b @ root_a
+        _finite(inner)
+        tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum()
+        value = float((mu_a - mu_b) @ (mu_a - mu_b)
+                      + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
+    return max(_finite(value), 0.0)
 
 
 def _subset_rng(seed: int) -> np.random.Generator:
@@ -195,11 +206,13 @@ def _two_subsets(n: int, size: int, rng: np.random.Generator,
 def diversity(features, subset_size: int = DIVERSITY_SUBSET, *, seed: int = 0,
               with_replacement: bool = False) -> float:
     """Mean distance between two seeded disjoint subsets of the features;
-    ``InvalidConfig`` when ``subset_size`` < 1."""
+    ``InvalidConfig`` when ``subset_size`` < 1, ``DegenerateCovariance``
+    when the distances overflow float64."""
     feats = _feature_matrix(features)
     rng = _subset_rng(seed)
     ia, ib = _two_subsets(len(feats), subset_size, rng, with_replacement)
-    return float(np.linalg.norm(feats[ia] - feats[ib], axis=1).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        return _finite(float(np.linalg.norm(feats[ia] - feats[ib], axis=1).mean()))
 
 
 def multimodality(features_by_class: dict, subset_size: int = MULTIMODALITY_SUBSET,
@@ -208,7 +221,8 @@ def multimodality(features_by_class: dict, subset_size: int = MULTIMODALITY_SUBS
 
     For each class two seeded subsets of ``subset_size`` are drawn and the
     paired distances accumulated; the sum is divided by
-    (num_classes * subset_size).  ``InvalidConfig`` when ``subset_size`` < 1.
+    (num_classes * subset_size).  ``InvalidConfig`` when ``subset_size`` < 1,
+    ``DegenerateCovariance`` when the distances overflow float64.
     """
     if not features_by_class:
         raise EmptyInput("no classes given")
@@ -217,8 +231,9 @@ def multimodality(features_by_class: dict, subset_size: int = MULTIMODALITY_SUBS
     for label in sorted(features_by_class):
         feats = _feature_matrix(features_by_class[label])
         ia, ib = _two_subsets(len(feats), subset_size, rng, with_replacement)
-        total += float(np.linalg.norm(feats[ia] - feats[ib], axis=1).sum())
-    return total / (len(features_by_class) * subset_size)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+            total += float(np.linalg.norm(feats[ia] - feats[ib], axis=1).sum())
+    return _finite(total) / (len(features_by_class) * subset_size)
 
 
 # ---------------------------------------------------------------------------

@@ -277,12 +277,13 @@ def as_x1_predictor(params: PredictorParams):
 
 def grad_loss(params: PredictorParams, x0: np.ndarray, x1: np.ndarray,
               skel: geo.Skeleton, cfg: TrainConfig, *, ts: np.ndarray,
-              targets: fp.InteractionTargets | None = None):
+              targets: tuple[np.ndarray, np.ndarray] | None = None):
     """Training loss and parameter gradients on a batch of (B, H, D) pairs
     x0 -> x1 at the per-sample flow times ``ts``.
 
-    ``targets`` carries the batch's interaction targets, one row per frame,
-    sample after sample (rows of the table :func:`train` builds); it is
+    ``targets`` is the batch's :func:`flowpath.interaction_targets` pair
+    ``(pos, rot)``, one row per frame, sample after sample (rows of the
+    pair :func:`train` builds once); it is
     required unless ``cfg.lambda_inter`` is 0, an ``InvalidConfig`` if
     missing.  Returns ``(total, fm, inter, grads)`` with grads keyed like
     ``params.arrays``.
@@ -382,8 +383,8 @@ def train(x0s: np.ndarray, x1s: np.ndarray, skel: geo.Skeleton,
     for step in range(train_cfg.steps):
         idx = rng.integers(0, n, size=train_cfg.batch_size)
         ts = rng.integers(0, _T_GRID, size=train_cfg.batch_size) / _T_GRID
-        targets = (None if table is None
-                   else table.rows((idx[:, None] * h + np.arange(h)).ravel()))
+        rows = (idx[:, None] * h + np.arange(h)).ravel()
+        targets = None if table is None else (table[0][rows], table[1][rows])
         try:
             total, fm, inter, grads = grad_loss(params, x0s[idx], x1s[idx], skel,
                                                 train_cfg, ts=ts, targets=targets)
@@ -497,7 +498,7 @@ def load_params(path: str, digests: dict[str, str] | None = None) -> PredictorPa
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:
             raise InvalidConfig(f"{path} is not JSON: {err}") from err
     version = doc.get("version") if isinstance(doc, dict) else None
     if (not isinstance(doc, dict) or doc.get("format") != PARAMS_FORMAT

@@ -14,6 +14,8 @@ through the network: vanilla subtracts it from the new state; improved
 corrects the endpoint and blends the recovered start with the true action
 by the weight factor.  Stochastic sampling (beta > 0) mixes the projection
 direction with a norm-matched random direction.
+The penetration terms index the frames in reach and take them through
+one tape FK; the other frames get their exact values without FK or SDF.
 """
 
 from __future__ import annotations
@@ -101,16 +103,7 @@ class GuidanceContext:
         return cls(skel, actor, geo.motion_capsules(skel, frames))
 
 
-def _check_reaction(ctx: GuidanceContext, reaction: np.ndarray) -> np.ndarray:
-    reaction = np.asarray(reaction, dtype=np.float64)
-    if reaction.shape != ctx.actor.shape[:-1] + (ctx.skel.motion_dim,):
-        raise DimensionMismatch(
-            f"reaction of shape {reaction.shape} for an actor of shape "
-            f"{ctx.actor.shape} needs {ctx.skel.motion_dim} values per frame")
-    return reaction
-
-
-def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, zeta: float, for_grad: bool):
+def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, zeta: float):
     """Per-joint SDF values and unit gradients against the per-frame actor,
     over the ``F = B * H`` flattened frames whose joints may come within
     ``zeta`` of it; ``InvalidConfig`` unless ``zeta`` is positive and finite.
@@ -122,38 +115,35 @@ def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, zeta: float, for_gra
     zero, so it goes through neither FK nor the SDF.  One tape FK covers
     the other frames, via the tolerant decode, so the loss value and the
     gradient share one forward computation and the finite-difference
-    relationship between the two is exact.  Returns ``(frames, sdf (F', K),
-    grad (F', K, 3), positions node, leaf)`` for the F' frames in reach,
-    which ``frames`` indexes (a full slice when all are); no tape is built,
-    and the node and leaf are ``None``, when none is.
+    relationship between the two is exact.  Returns the index ``frames`` of
+    the F' frames in reach, ``sdf (F', K)``, ``grad (F', K, 3)``, the
+    positions node and the leaf; both are ``None`` when no frame is in reach.
     """
     if not 0.0 < zeta < np.inf:
         raise InvalidConfig(f"zeta must be positive and finite, got {zeta}")
-    reaction = _check_reaction(ctx, reaction)
+    reaction = np.asarray(reaction, dtype=np.float64)
+    if reaction.shape != ctx.actor.shape[:-1] + (ctx.skel.motion_dim,):
+        raise DimensionMismatch(
+            f"reaction of shape {reaction.shape} for an actor of shape "
+            f"{ctx.actor.shape} needs {ctx.skel.motion_dim} values per frame")
     flat = reaction.reshape(-1, reaction.shape[-1])
-    near = ~geo.apart(*ctx.box, *geo.reach_box(ctx.skel, flat), zeta,
-                      ctx.capsules.radius.min())
-    if near.all():
-        frames, body = slice(None), ctx.capsules
-    else:
-        frames = np.flatnonzero(near)
-        if not len(frames):
-            k = ctx.skel.joint_count
-            return frames, np.zeros((0, k)), np.zeros((0, k, 3)), None, None
-        body = geo.CapsuleSet(ctx.capsules.seg_a[frames], ctx.capsules.seg_b[frames],
-                              ctx.capsules.radius)
-    leaf = ad.leaf(flat[frames]) if for_grad else ad.constant(flat[frames])
+    frames = np.flatnonzero(~geo.apart(*ctx.box, *geo.reach_box(ctx.skel, flat), zeta,
+                                       ctx.capsules.radius.min()))
+    if not len(frames):
+        k = ctx.skel.joint_count
+        return frames, np.zeros((0, k)), np.zeros((0, k, 3)), None, None
+    body = geo.CapsuleSet(ctx.capsules.seg_a[frames], ctx.capsules.seg_b[frames],
+                          ctx.capsules.radius)
+    leaf = ad.leaf(flat[frames])
     pos, _ = geo.fk_positions_t(ctx.skel, leaf)
     sdf, grad = geo.sdf_and_gradient(pos.data, body)
     return frames, sdf, grad, pos, leaf
 
 
-def _every_frame(frames, values: np.ndarray, count: int, fill: float) -> np.ndarray:
-    """``values`` of the ``frames`` in reach laid out over all ``count``
-    frames, ``fill`` elsewhere; ``values`` itself when every frame is."""
-    if isinstance(frames, slice):
-        return values
-    out = np.full((count,) + values.shape[1:], fill)
+def _every_frame(frames, values: np.ndarray, reaction, fill: float) -> np.ndarray:
+    """``values`` of the ``frames`` in reach laid out over every frame of
+    ``reaction``, ``fill`` elsewhere."""
+    out = np.full((int(np.prod(np.shape(reaction)[:-1])),) + values.shape[1:], fill)
     out[frames] = values
     return out
 
@@ -165,9 +155,8 @@ def penetration_loss(reaction: np.ndarray, ctx: GuidanceContext,
     Fully separated bodies saturate every term at -zeta; each penetrating
     joint adds its (positive) penetration depth.  A batch sums over samples.
     """
-    frames, sdf, _, _, _ = _joint_sdfs(ctx, reaction, zeta, for_grad=False)
-    count = int(np.prod(np.shape(reaction)[:-1]))
-    return float(-_every_frame(frames, np.minimum(sdf, zeta), count, zeta).sum())
+    frames, sdf, _, _, _ = _joint_sdfs(ctx, reaction, zeta)
+    return float(-_every_frame(frames, np.minimum(sdf, zeta), reaction, zeta).sum())
 
 
 def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
@@ -178,13 +167,12 @@ def penetration_grad(reaction: np.ndarray, ctx: GuidanceContext,
     decode in one backward over the frames in reach; saturated joints
     (SDF >= zeta) contribute nothing, and a frame out of reach exactly zero.
     """
-    frames, sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, zeta, for_grad=True)
+    frames, sdf, sdf_grad, pos, leaf = _joint_sdfs(ctx, reaction, zeta)
     seed = np.where((sdf < zeta)[..., None], -sdf_grad, 0.0)
     if not seed.any():
         return np.zeros(np.shape(reaction))
     pos.backward(seed)
-    count = int(np.prod(np.shape(reaction)[:-1]))
-    return _every_frame(frames, leaf.grad, count, 0.0).reshape(np.shape(reaction))
+    return _every_frame(frames, leaf.grad, reaction, 0.0).reshape(np.shape(reaction))
 
 
 def _step(x: np.ndarray, x1_hat: np.ndarray, x0: np.ndarray,

@@ -163,6 +163,7 @@ DAMAGE = {
     "size": lambda kind, x, f8: f8.write_bytes(f8.read_bytes() + bytes(8)),
     "meta-unsigned": lambda kind, x, f8: _rewrite_header(f8, _change_meta, resign=False),
     "header-not-json": lambda kind, x, f8: f8.write_bytes(b"{" + f8.read_bytes()),
+    "header-too-deep": lambda kind, x, f8: f8.write_bytes(b"[" * 100_000 + b"\n"),
     "empty": lambda kind, x, f8: f8.write_bytes(b""),
 }
 

@@ -448,8 +448,9 @@ def _label_x(line):
     return json.dumps(rec)
 
 
-@pytest.mark.parametrize("damage", [lambda line: "[1, 2]", _label_x],
-                         ids=["not-an-object", "label-not-int"])
+@pytest.mark.parametrize("damage", [lambda line: "[1, 2]", _label_x,
+                                    lambda line: "[" * 100_000],
+                         ids=["not-an-object", "label-not-int", "too-deep"])
 @pytest.mark.parametrize("command,code", [("eval", 2), ("train", 2), ("sample", 4)])
 def test_malformed_record_exits_with_schema_code(damage, command, code, small_data,
                                                  small_model, tmp_path, capsys):
@@ -695,7 +696,7 @@ def test_sample_guidance_overflow_exits_6(guidance, steps, small_model, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("defect", ["nan", "shape", "bool", "nested"])
+@pytest.mark.parametrize("defect", ["nan", "shape", "bool", "nested", "too-deep"])
 def test_sample_invalid_model_exits_4(small_model, small_data, tmp_path, defect):
     def edit(arrays):
         if defect == "nan":
@@ -707,7 +708,11 @@ def test_sample_invalid_model_exits_4(small_model, small_data, tmp_path, defect)
         else:  # nested rows of the right shape used to load
             rec = arrays["in_proj_w"]
             rec["data"] = np.reshape(rec["data"], rec["shape"]).tolist()
-    model = _edited_model(small_model, tmp_path, f"{defect}.json", edit)
+    if defect == "too-deep":  # nested past the JSON decoder's recursion limit
+        model = tmp_path / "too-deep.json"
+        model.write_text("[" * 100_000)
+    else:
+        model = _edited_model(small_model, tmp_path, f"{defect}.json", edit)
     out = tmp_path / "s.jsonl"
     assert run("sample", "--model", str(model), "--data", str(small_data),
                "--out", str(out)) == 4
@@ -841,7 +846,7 @@ def test_eval_ground_truth_penetration(small_data, tmp_path, capsys):
     values = dict(line.split(": ") for line in text.splitlines())
     assert float(values["iv_cm3"]) > 0.0
     assert 0.0 < float(values["if_frac"]) < 1.0
-    assert int(values["n_total"]) == 60
+    assert int(values["n_total"]) == 60 and int(values["f_pene"]) > 0
 
 
 def test_eval_fid_self_near_zero(small_data, tmp_path):
@@ -860,6 +865,24 @@ def test_eval_div_multimod(small_data, tmp_path):
     values = dict(line.split(": ") for line in out.read_text().splitlines())
     assert float(values["diversity"]) > 0.0
     assert float(values["multimodality"]) > 0.0
+    # no IV sweep ran, so no penetrating frames were counted (it printed 0)
+    assert "f_pene" not in values
+
+
+@pytest.mark.parametrize("metric", ["div", "multimod", "fid"])
+def test_eval_features_that_overflow_exit_2(metric, small_data, tmp_path, capsys):
+    # finite reactors 1e200 m out and beyond: their features' distances and
+    # covariances overflow float64 (div and multimod printed inf, fid failed)
+    samples, skel = dt.load_samples(str(small_data))
+    for i, s in enumerate(samples):
+        s.reactor[:, -3] = 1e200 * (1 + i)
+    data, out = tmp_path / "far.jsonl", tmp_path / "report.txt"
+    dt.save_samples(str(data), samples, skel)
+    extra = ["--ref", str(data)] if metric == "fid" else ["--allow-replacement"]
+    assert run("eval", "--inputs", str(data), "--metrics", metric, *extra,
+               "--out", str(out)) == 2
+    assert "overflow float64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("metric,flag", [("div", "--sd=0"), ("div", "--sd=-3"),

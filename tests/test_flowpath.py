@@ -215,11 +215,11 @@ def test_interaction_targets_of_a_frame_stack_equal_per_sample_calls():
     motions = [random_motion(rng, skel, 5) for _ in range(6)]
     table = fp.interaction_targets(skel, np.concatenate(motions))
     rows = np.array([4, 1, 4])  # repeats, out of order, as a batch draws them
-    got = table.rows((rows[:, None] * 5 + np.arange(5)).ravel())
+    frames = (rows[:, None] * 5 + np.arange(5)).ravel()
     want = [fp.interaction_targets(skel, motions[i]) for i in rows]
-    for field in ("pos", "rot"):
-        stacked = np.concatenate([getattr(w, field) for w in want])
-        assert getattr(got, field).tobytes() == stacked.tobytes(), field
+    for field, name in enumerate(("pos", "rot")):
+        stacked = np.concatenate([w[field] for w in want])
+        assert table[field][frames].tobytes() == stacked.tobytes(), name
 
 
 def test_interaction_targets_decode_each_block_once(monkeypatch):
@@ -230,11 +230,11 @@ def test_interaction_targets_decode_each_block_once(monkeypatch):
     decode = geo.decode_rot6d_t
     monkeypatch.setattr(geo, "decode_rot6d_t",
                         lambda r, eps=1e-12: calls.append(r.shape) or decode(r, eps))
-    targets = fp.interaction_targets(skel, gt)
+    pos, rot = fp.interaction_targets(skel, gt)
     assert calls == [(6, 4, 6)]
-    assert targets.rot.tobytes() == rotations(gt[:, :24].reshape(6, 4, 6)).tobytes()
-    assert targets.pos.tobytes() == geo.motion_joint_positions(skel, gt).tobytes()
-    assert np.array_equal(targets.pos[:, 0], gt[:, 24:])
+    assert rot.tobytes() == rotations(gt[:, :24].reshape(6, 4, 6)).tobytes()
+    assert pos.tobytes() == geo.motion_joint_positions(skel, gt).tobytes()
+    assert np.array_equal(pos[:, 0], gt[:, 24:])
 
 
 def test_interaction_targets_reject_a_huge_block():

@@ -6,7 +6,7 @@ with one record damaged raises ``SchemaError`` carrying that record's line
 number, never another exception.  Damage includes values that Python or
 numpy would coerce: a float or boolean label or version, numbers written
 as strings, a boolean among numbers, and a seed that is not a list of
-integers.
+integers; and a line nested too deep for the JSON decoder.
 """
 
 import copy
@@ -105,9 +105,11 @@ def _parent(rec, path):
 
 def _damage(draw, rec):
     """One damaged copy of a valid record, as the text of its line."""
-    kind = draw(st.sampled_from(["not-object", "missing", "wrong-type",
+    kind = draw(st.sampled_from(["deep-nesting", "not-object", "missing", "wrong-type",
                                  "bad-parent", "ragged", "non-finite", "coercible",
                                  "boolean", "seed"]))
+    if kind == "deep-nesting":  # too deep for the JSON decoder's recursion
+        return "[" * 100_000
     if kind == "not-object":
         return draw(st.sampled_from(["[1, 2]", "3", '"text"', "null", "true", "[]"]))
     rec = copy.deepcopy(rec)

@@ -253,9 +253,33 @@ def test_fid_input_validation():
         mx.fid(rng.normal(size=(1, 3)), rng.normal(size=(10, 3)))
 
 
+@pytest.mark.parametrize("a_scale, a_shift, b_scale", [
+    (1e200, 0.0, 1.0),     # a covariance overflows
+    (1.0, 1e200, 1.0),     # the squared gap between the means overflows
+    (1e100, 0.0, 1e100),   # both covariances are finite, their product is not
+], ids=["covariance", "mean-gap", "product"])
+def test_fid_refuses_statistics_that_overflow(a_scale, a_shift, b_scale):
+    # finite features: these used to give inf or fail in eigh
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(10, 3)) * a_scale + a_shift
+    b = rng.normal(size=(10, 3)) * b_scale
+    with pytest.raises(DegenerateCovariance, match="overflow"):
+        mx.fid(a, b)
+
+
 # ---------------------------------------------------------------------------
 # diversity / multimodality
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("replace", [False, True])
+def test_feature_distances_that_overflow_are_refused(replace):
+    # finite features whose distances overflow float64 used to give inf
+    feats = np.random.default_rng(7).normal(size=(40, 3)) * 1e200
+    with pytest.raises(DegenerateCovariance, match="overflow"):
+        mx.diversity(feats, 10, with_replacement=replace)
+    with pytest.raises(DegenerateCovariance, match="overflow"):
+        mx.multimodality({0: feats[:20], 1: feats[20:]}, 5, with_replacement=replace)
+
 
 def test_diversity_zero_for_identical_features():
     feats = np.ones((40, 5))

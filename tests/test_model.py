@@ -242,8 +242,8 @@ def test_grad_loss_with_table_rows_equals_no_targets(mode):
     idx = np.array([3, 0, 3])
     args = (x0s[idx], x1s[idx], skel, tcfg)
     ts = np.array([0.1, 0.5, 0.85])
-    got = mdl.grad_loss(params, *args, ts=ts,
-                        targets=table.rows((idx[:, None] * 3 + np.arange(3)).ravel()))
+    rows = (idx[:, None] * 3 + np.arange(3)).ravel()
+    got = mdl.grad_loss(params, *args, ts=ts, targets=(table[0][rows], table[1][rows]))
     want = mdl.grad_loss(params, *args, ts=ts, targets=frame_targets(skel, x1s[idx]))
     assert got[:3] == want[:3] and want[2] > 0.0
     for k in want[3]:

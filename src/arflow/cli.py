@@ -44,6 +44,7 @@ from .errors import (
     NonFiniteLoss,
     NonFiniteSample,
     SchemaError,
+    shown,
 )
 
 EXIT_OK = 0
@@ -183,7 +184,7 @@ def cmd_train(args) -> int:
     train_split = dt.train_test_split(samples)[0]
     counts = sorted({len(s.actor) for s in train_split})  # a reactor's is its actor's
     if len(counts) > 1:
-        raise InvalidConfig(f"training records differ in frame count {counts}; "
+        raise InvalidConfig(f"training records differ in frame count {shown(counts)}; "
                             f"train needs one frame count")
     x0s = np.stack([s.actor for s in train_split])
     x1s = np.stack([s.reactor for s in train_split])
@@ -305,8 +306,8 @@ def cmd_eval(args) -> int:
                   for sk, ss in ((skel, samples), (ref_skel, ref_samples))]
         if shapes[0] != shapes[1]:
             raise DimensionMismatch(
-                f"--ref has {shapes[1][0]} joints and frame counts {shapes[1][1]}, "
-                f"--inputs {shapes[0][0]} joints and {shapes[0][1]}: their features "
+                f"--ref has {shapes[1][0]} joints and frame counts {shown(shapes[1][1])}, "
+                f"--inputs {shapes[0][0]} joints and {shown(shapes[0][1])}: their features "
                 "are not comparable")
     phases.end("load")
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import cache
 from . import geometry as geo
-from .errors import InvalidConfig, SchemaError
+from .errors import InvalidConfig, SchemaError, shown
 
 SCENARIOS = ("push_retreat", "wave_mirror", "kick_dodge")
 FILE_VERSION = 1
@@ -419,11 +419,12 @@ def _record_fault(label, seed, fps, actor, reactor, motion_dim: int) -> str | No
     ``motion_dim``) finite numbers."""
     if type(label) is not int or type(seed) not in (list, tuple) or any(
             type(v) is not int for v in seed):
-        return f"label must be an int and seed a list of ints, got {label!r} and {seed!r}"
+        return (f"label must be an int and seed a list of ints, got {shown(label)} "
+                f"and {shown(seed)}")
     # an exact comparison: an integer too large for a float fails it too
     if (isinstance(fps, bool) or not isinstance(fps, (int, float))
             or not 0.0 < fps <= sys.float_info.max):
-        return f"fps is not a positive finite number: {fps!r}"
+        return f"fps is not a positive finite number: {shown(fps)}"
     shape = np.shape(actor)[:1] + (motion_dim,)
     for who, motion in (("actor", actor), ("reactor", reactor)):
         motion = np.asarray(motion)
@@ -458,7 +459,7 @@ def _person_motion(rec: dict, who: str, line: int, has_bools: bool,
             _numbers([f[key] for f in frames], has_bools).reshape(h, -1)
             for key in ("rot6d", "root_rot6d", "trans")], axis=1, dtype=np.float64)
     except (KeyError, TypeError, ValueError, InvalidConfig) as err:
-        raise SchemaError(f"bad {who} record ({err})", line=line) from err
+        raise SchemaError(f"bad {who} record ({shown(err)})", line=line) from err
     if first is not None and skel is not first[1] and (
             skel.parents != first[1].parents
             or not np.array_equal(skel.offsets, first[1].offsets)
@@ -574,6 +575,6 @@ def load_samples(path: str, split: str = "all", limit: int = 0,
             # a valid fps equal to a bool is 1 (Python equates True with 1)
             if reactor_fps != fps or isinstance(reactor_fps, bool):
                 raise SchemaError(f"actor and reactor differ in frame count or fps "
-                                  f"({fps!r}, {reactor_fps!r})", line=line_no)
+                                  f"({shown(fps)}, {shown(reactor_fps)})", line=line_no)
             samples.append(InteractionSample(actor, reactor, label, tuple(seed), float(fps)))
     return samples, first[1] if first else None

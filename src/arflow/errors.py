@@ -1,4 +1,17 @@
-"""Exception taxonomy shared by every module."""
+"""Exception taxonomy shared by every module, and how a message shows a value."""
+
+# most characters of a value's repr that an error message shows
+SHOWN_CHARS = 100
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, cut to its first
+    ``SHOWN_CHARS`` characters and followed by its full length when longer:
+    a value read from a file can be of any size."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 class ArflowError(Exception):

@@ -9,9 +9,11 @@ capsule-distance arithmetic: the SDF, its gradient and the intersection
 volume's sweep all take their distances from it.  The sweep tests with it
 only the voxel centers near the ends of each capsule's closed-form
 z-interval in a grid column, so it equals the full-grid voxel count bit
-for bit.  The reach test (:func:`reach_box`, :func:`apart`) bounds a
-frame's joints before any FK, so the callers skip the frames whose
-bodies provably cannot touch.
+for bit.  One pass (:func:`_rot6d_dots`) measures the 6D blocks, and both
+the strict check (:func:`_check_rot6d`) and the reach test
+(:func:`reach_box`, :func:`apart`) judge them by it; the reach test
+bounds a frame's joints before any FK, so the callers skip the frames
+whose bodies provably cannot touch.
 
 Motion layout: a motion is an (H, D) float array with
 ``D = 6 * (K + 1) + 3`` per frame — K joint rotations in 6D, the root
@@ -42,19 +44,30 @@ _COS_EPS = 1e-8
 # 6D rotation representation
 # ---------------------------------------------------------------------------
 
-def _check_rot6d(r: np.ndarray) -> None:
-    """Raise ``DegenerateRotation`` if a 6D block of ``r`` (..., 6) has a near-zero
-    column, one whose squared norm overflows, or near-parallel columns."""
-    a, b = r[..., :3], r[..., 3:]
-    with np.errstate(over="ignore"):
-        na = np.linalg.norm(a, axis=-1)
-        nb = np.linalg.norm(b, axis=-1)
-    if np.any(na <= _NORM_EPS) or np.any(nb <= _NORM_EPS):
+def _rot6d_dots(skel: Skeleton, motion: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|a|², |b|² and a·b, each (F, K + 1), of the 6D blocks ``(a, b)`` of
+    an (F, D) motion, as :func:`_dot3` sums: the one measure of the blocks
+    that :func:`_check_rot6d` and :func:`reach_box` judge them by.  An
+    overflowing square is inf, and a NaN stays NaN."""
+    k = skel.joint_count
+    blocks = motion[:, : 6 * (k + 1)].reshape(len(motion), k + 1, 6).transpose(2, 0, 1)
+    a, b = blocks[:3], blocks[3:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _dot3(a, a), _dot3(b, b), _dot3(a, b)
+
+
+def _check_rot6d(na2: np.ndarray, nb2: np.ndarray, dot: np.ndarray) -> None:
+    """Raise ``DegenerateRotation`` if a 6D block measured by
+    :func:`_rot6d_dots` has a near-zero column (length at most 1e-8), one
+    whose squared norm overflows, or near-parallel columns (|cos θ| at
+    least 1 - 1e-8), in that order of precedence over all blocks."""
+    if np.any(na2 <= _NORM_EPS ** 2) or np.any(nb2 <= _NORM_EPS ** 2):
         raise DegenerateRotation("6D block has a near-zero column")
-    if np.any(np.isinf(na) | np.isinf(nb)):
+    if np.any(np.isinf(na2) | np.isinf(nb2)):
         raise DegenerateRotation("6D block has a column too long to normalize")
-    cos = np.einsum("...i,...i->...", a, b) / (na * nb)
-    if np.any(np.abs(cos) >= 1.0 - _COS_EPS):
+    # cos² θ · |b|², which cannot overflow where |a|² and |b|² are finite
+    if np.any((dot / na2) * dot >= (1.0 - _COS_EPS) ** 2 * nb2):
         raise DegenerateRotation("6D block has near-parallel columns")
 
 
@@ -150,21 +163,21 @@ class Skeleton:
 # Forward kinematics
 # ---------------------------------------------------------------------------
 
-def _strict_fk(skel: Skeleton, motion: np.ndarray, frames=slice(None)
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (H', K, 3) and rotations (H', K + 1, 3, 3) of the ``frames``
-    (an index, default all) of an (H, D) motion: the checks of
-    :func:`_check_rot6d` on every frame, then :func:`fk_positions_t` on a
-    constant with exact norms (``eps=0``)."""
+def _strict_fk(skel: Skeleton, motion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (H, K, 3) and rotations (H, K + 1, 3, 3) of an (H, D)
+    motion: the checks of :func:`_check_rot6d` on every block, then
+    :func:`_exact_fk`."""
     motion = np.asarray(motion, dtype=np.float64)
     if motion.ndim != 2 or motion.shape[1] != skel.motion_dim:
         raise DimensionMismatch(
             f"motion must be (H, {skel.motion_dim}), got {motion.shape}")
-    k = skel.joint_count
-    _check_rot6d(motion[:, : 6 * (k + 1)].reshape(-1, 6))
-    motion = motion[frames]
-    if not len(motion):
-        return np.zeros((0, k, 3)), np.zeros((0, k + 1, 3, 3))
+    _check_rot6d(*_rot6d_dots(skel, motion))
+    return _exact_fk(skel, motion)
+
+
+def _exact_fk(skel: Skeleton, motion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fk_positions_t` of an (H, D) motion whose blocks passed
+    :func:`_check_rot6d`, on a constant with exact norms (``eps=0``)."""
     pos, rots = fk_positions_t(skel, ad.constant(motion), eps=0.0)
     return pos.data, rots.data
 
@@ -241,16 +254,17 @@ class CapsuleSet:
         return lo.min(axis=-2), hi.max(axis=-2)
 
 
-def motion_capsules(skel: Skeleton, motion: np.ndarray, frames=slice(None)) -> CapsuleSet:
-    """Per-frame bodies of the ``frames`` (an index, default all) of an
-    (F, D) motion as one (F', C, 3) capsule set.
+def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
+    """Per-frame bodies of an (F, D) motion as one (F, C, 3) capsule set:
+    one strict FK pass (:func:`motion_joint_positions`) over every frame,
+    whichever sample each belongs to."""
+    return joint_capsules(skel, motion_joint_positions(skel, motion))
 
-    One FK pass covers those frames, whichever sample each belongs to;
-    every frame's 6D blocks are checked.
-    """
-    pos = _strict_fk(skel, motion, frames)[0]
-    parents = np.array(skel.parents[1:])
-    return CapsuleSet(pos[:, parents], pos[:, 1:], skel.radii)
+
+def joint_capsules(skel: Skeleton, pos: np.ndarray) -> CapsuleSet:
+    """Per-frame bodies of the joint positions (F, K, 3) that FK placed:
+    one capsule from each joint's parent to the joint."""
+    return CapsuleSet(pos[:, np.array(skel.parents[1:])], pos[:, 1:], skel.radii)
 
 
 def _dot3(u, v):
@@ -676,13 +690,14 @@ _RIGID_EPS = 2.0 ** -30
 _REACH_SCALE = 2.0 ** 500
 
 
-def reach_box(skel: Skeleton, motion: np.ndarray, eps: float = 1e-12
+def reach_box(skel: Skeleton, motion: np.ndarray, dots: tuple, eps: float = 1e-12
               ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame box ``(lo, hi)``, each (F, 3), that holds every joint
     :func:`fk_positions_t` places, at decode ``eps``, in the frames of an
-    (F, D) motion: the root translation ± the skeleton's reach, widened by
-    a factor (1 + τ) per level of the tree, τ = 2^-20.  A frame for which
-    the bound below does not hold gets the box (-inf, inf).
+    (F, D) motion, judged by ``dots``, its blocks' :func:`_rot6d_dots`: the
+    root translation ± the skeleton's reach, widened by a factor (1 + τ)
+    per level of the tree, τ = 2^-20.  A frame for which the bound below
+    does not hold gets the box (-inf, inf).
 
     The bound holds when the root is finite and every 6D block ``(a, b)``
     is *rigid*: both columns finite and longer than 1e-8, the squared sine
@@ -699,20 +714,16 @@ def reach_box(skel: Skeleton, motion: np.ndarray, eps: float = 1e-12
     the tolerant decode (see :func:`decode_rot6d_t`), so such a frame is
     not trusted.
     """
-    k = skel.joint_count
-    blocks = motion[:, : 6 * (k + 1)].reshape(-1, 6).T
-    a, b = blocks[:3], blocks[3:]
-    root = motion[:, 6 * (k + 1):]
+    na2, nb2, dot = dots
+    root = motion[:, 6 * (skel.joint_count + 1):]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        na2, nb2, dot = _dot3(a, a), _dot3(b, b), _dot3(a, b)
         # cos² θ · |b|², which cannot overflow where |a|² and |b|² are finite
         rigid = ((_NORM_EPS ** 2 < na2) & (na2 < np.inf)
                  & (_NORM_EPS ** 2 < nb2) & (nb2 < np.inf)
                  & (eps <= _RIGID_EPS * na2)
                  & ((dot / na2) * dot <= (1.0 - _RIGID_SIN2) * nb2))
-    trusted = (rigid.reshape(len(motion), k + 1).all(axis=1)
-               & np.isfinite(root).all(axis=1))[:, None]
-    reach = skel.reach * (1.0 + _TAU) ** (k + 2)
+    trusted = (rigid.all(axis=1) & np.isfinite(root).all(axis=1))[:, None]
+    reach = skel.reach * (1.0 + _TAU) ** (skel.joint_count + 2)
     return np.where(trusted, root - reach, -np.inf), np.where(trusted, root + reach, np.inf)
 
 

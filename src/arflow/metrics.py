@@ -6,19 +6,23 @@ sample; it is reported in cubic centimeters per frame.  Intersection
 Frequency (IF) is the fraction of frames with any both-occupied voxel, so
 IF = 0 exactly when IV = 0 under the same voxelization.
 
-Before any FK, a reach test (:func:`geometry.reach_box` and
-:func:`geometry.apart`) boxes each frame's joints around its root
-translation, the skeleton's longest root-to-joint chain wide.  A frame
-whose two boxes lie more than two capsule radii apart along some axis, by
-a float margin of 2^-20 of the frame's coordinate scale, adds an exact
-zero: its bodies' bounding boxes cannot overlap.  The test trusts only
-what it proves.  A frame with a non-finite value, a 6D block that is not
-well conditioned, or a scale that the sweep's 2^-40 rule might refuse
-goes the full way, so its ``InvalidConfig`` or ``GridTooLarge`` is raised
-as before; every frame's 6D blocks are checked.  One FK pass per side
-builds the capsules of the other frames of up to ``EVAL_CHUNK`` samples,
-and they go to one :func:`geometry.intersection_volumes` call, which owns
-the voxel sweep and its own box test.  IV, IF and the penetrating-frame
+Before any FK, one pass per side over a chunk of up to ``EVAL_CHUNK``
+samples measures every 6D block (``geometry._rot6d_dots``: |a|², |b|²
+and a·b).  The strict check (``geometry._check_rot6d``) takes every
+frame's verdict from it, and so does the reach test
+(:func:`geometry.reach_box` and :func:`geometry.apart`), which boxes each
+frame's joints around its root translation, the skeleton's longest
+root-to-joint chain wide.  A frame whose two boxes lie more than two
+capsule radii apart along some axis, by a float margin of 2^-20 of the
+frame's coordinate scale, adds an exact zero: its bodies' bounding boxes
+cannot overlap.  The test trusts only what it proves.  A frame with a
+non-finite value, a 6D block that is not well conditioned, or a scale
+that the sweep's 2^-40 rule might refuse goes the full way, so its
+``InvalidConfig`` or ``GridTooLarge`` is raised as before.  One FK pass
+per side, with no second check, builds the capsules of the other frames
+of the chunk (none when no frame is in reach), and they go to one
+:func:`geometry.intersection_volumes` call, which owns the voxel sweep and
+its own box test.  IV, IF and the penetrating-frame
 count equal the full-grid count bit for bit (its docstring gives the
 column intervals, the margin argument and the voxel budget).  The
 per-frame volumes are added in frame order.  A NaN or infinite motion has
@@ -47,6 +51,7 @@ from .errors import (
     EmptyInput,
     InsufficientSamples,
     InvalidConfig,
+    shown,
 )
 
 M3_TO_CM3 = 1e6
@@ -95,9 +100,12 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
                       ) -> PenetrationStats:
     """IV/IF accumulation over (actor, reactor) motion pairs.
 
-    Per chunk of samples, the reach test finds the frames whose bodies
-    cannot touch; they add an exact zero.  One FK pass per side and one
-    :func:`geometry.intersection_volumes` call take the other frames.
+    Per chunk of samples, one measure of each side's 6D blocks feeds the
+    strict check of every frame and the reach test, which finds the frames
+    whose bodies cannot touch; they add an exact zero.  One FK pass per
+    side and one :func:`geometry.intersection_volumes` call take the other
+    frames.  The errors keep their order: the actors' ``DegenerateRotation``,
+    then their non-finite bodies' ``InvalidConfig``, then the reactors'.
     """
     geo.check_voxel_size(voxel_size)
     if len(samples) == 0:
@@ -109,17 +117,21 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
     finest = min(voxel_size, skel.radii.min())
     for start in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[start:start + EVAL_CHUNK]
-        actors = _all_frames(skel, [a for a, _ in chunk])
-        reactors = _all_frames(skel, [b for _, b in chunk])
+        sides = [_all_frames(skel, [pair[i] for pair in chunk]) for i in (0, 1)]
+        dots = [geo._rot6d_dots(skel, motion) for motion in sides]
         # joint boxes more than two radii apart hold capsules whose boxes are apart
-        frames = np.flatnonzero(~geo.apart(*geo.reach_box(skel, actors, eps=0.0),
-                                           *geo.reach_box(skel, reactors, eps=0.0),
+        boxes = [geo.reach_box(skel, motion, d, eps=0.0) for motion, d in zip(sides, dots)]
+        frames = np.flatnonzero(~geo.apart(*boxes[0], *boxes[1],
                                            2.0 * skel.radii.max(), finest))
-        caps_a = geo.motion_capsules(skel, actors, frames)
-        caps_b = geo.motion_capsules(skel, reactors, frames)
-        volumes = np.zeros(len(actors))
+        bodies = []
+        # the full path's order: the actors' blocks and bodies, then the reactors'
+        for motion, d in zip(sides, dots):
+            geo._check_rot6d(*d)
+            if len(frames):
+                bodies.append(geo.joint_capsules(skel, geo._exact_fk(skel, motion[frames])[0]))
+        volumes = np.zeros(len(sides[0]))
         if len(frames):
-            volumes[frames] = geo.intersection_volumes(caps_a, caps_b, voxel_size)
+            volumes[frames] = geo.intersection_volumes(*bodies, voxel_size)
         f_total += len(volumes)
         for vol in volumes.tolist():
             total_volume += vol
@@ -267,7 +279,8 @@ def _flatten_features(motions, skel: geo.Skeleton) -> np.ndarray:
     """FK joint positions of every frame, one row per motion, from one FK pass."""
     counts = sorted({np.shape(m)[0] for m in motions})
     if len(counts) > 1:
-        raise DimensionMismatch(f"flattened features need one frame count, got {counts}")
+        raise DimensionMismatch(
+            f"flattened features need one frame count, got {shown(counts)}")
     pos = geo.motion_joint_positions(skel, _all_frames(skel, motions))
     return pos.reshape(len(motions), -1)
 

@@ -29,7 +29,7 @@ from . import cache
 from . import flowpath as fp
 from . import geometry as geo
 from .data import MAX_FRAMES, _numbers
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, shown
 
 PARAMS_FORMAT = "arflow-predictor"
 PARAMS_VERSION = 3
@@ -61,24 +61,26 @@ class PredictorConfig:
         for name in ("frame_dim", "max_frames", "layers", "width", "heads"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+                raise InvalidConfig(f"{name} must be an integer, got {shown(value)}")
         if not isinstance(self.causal, bool):
-            raise InvalidConfig(f"causal must be true or false, got {self.causal!r}")
+            raise InvalidConfig(f"causal must be true or false, got {shown(self.causal)}")
         if (isinstance(self.sigma_min, bool) or not isinstance(self.sigma_min, (int, float))
                 or not 0.0 <= self.sigma_min < 1.0):  # NaN fails too
-            raise InvalidConfig(f"sigma_min must be a number in [0, 1), got {self.sigma_min!r}")
+            raise InvalidConfig(
+                f"sigma_min must be a number in [0, 1), got {shown(self.sigma_min)}")
         # checked before any array is sized from them
         if not (1 <= self.layers <= MAX_LAYERS and 2 <= self.width <= MAX_WIDTH
                 and 1 <= self.heads <= self.width):
             raise InvalidConfig(f"layers must be in [1, {MAX_LAYERS}], width in "
                                 f"[2, {MAX_WIDTH}] and heads in [1, width], got "
-                                f"{self.layers}, {self.width} and {self.heads}")
+                                f"{shown(self.layers)}, {shown(self.width)} and "
+                                f"{shown(self.heads)}")
         if self.width % self.heads != 0 or self.width % 2 != 0:
             raise InvalidConfig("width must be even and divisible by heads")
         if not 1 <= self.max_frames <= MAX_FRAMES or self.frame_dim < 1:
             raise InvalidConfig(f"frame_dim must be >= 1 and max_frames in "
-                                f"[1, {MAX_FRAMES}], got {self.frame_dim} and "
-                                f"{self.max_frames}")
+                                f"[1, {MAX_FRAMES}], got {shown(self.frame_dim)} and "
+                                f"{shown(self.max_frames)}")
         if self.prediction_mode not in ("x1", "v"):
             raise InvalidConfig("prediction_mode must be 'x1' or 'v'")
 
@@ -424,7 +426,8 @@ def _check_arrays(cfg: PredictorConfig, arrays: dict) -> None:
     :func:`save_params` checks before writing and :func:`load_params` after."""
     specs = _param_specs(cfg)
     if set(arrays) != set(specs):
-        raise InvalidConfig(f"arrays {sorted(set(arrays) ^ set(specs))} missing or unknown")
+        raise InvalidConfig(
+            f"arrays {shown(sorted(set(arrays) ^ set(specs)))} missing or unknown")
     for name, (shape, _) in specs.items():
         arr = np.asarray(arrays[name])
         if arr.shape != shape or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
@@ -505,23 +508,23 @@ def load_params(path: str, digests: dict[str, str] | None = None) -> PredictorPa
             or type(version) is not int or version != PARAMS_VERSION
             or type(doc.get("arrays")) is not dict):
         raise InvalidConfig(f"not a {PARAMS_FORMAT} v{PARAMS_VERSION} file with arrays "
-                            f"(version {version!r}): {path}")
+                            f"(version {shown(version)}): {path}")
     try:
         cfg = PredictorConfig(**doc["config"])
     except (KeyError, TypeError) as err:
-        raise InvalidConfig(f"malformed parameter file {path}: {err}") from err
+        raise InvalidConfig(f"malformed parameter file {path}: {shown(err)}") from err
     arrays = {}
     for name, rec in doc["arrays"].items():
         try:
             shape, values = rec["shape"], rec["data"]
             if type(shape) is not list or any(type(n) is not int for n in shape):
-                raise TypeError(f"shape {shape!r} is not a list of integers")
+                raise TypeError(f"shape {shown(shape)} is not a list of integers")
             # a model file always holds a boolean (causal): check each array for one
             arr = _numbers(values, has_bools=True)
             if arr.shape != (math.prod(shape),):
                 raise ValueError(f"data is not a flat list of {math.prod(shape)} numbers")
             arrays[name] = arr.reshape(shape).astype(np.float64, copy=False)
         except (KeyError, TypeError, ValueError) as err:
-            raise InvalidConfig(f"array {name}: {err}") from err
+            raise InvalidConfig(f"array {shown(name)}: {err}") from err
     _check_arrays(cfg, arrays)
     return PredictorParams(cfg, arrays)

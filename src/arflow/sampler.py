@@ -127,8 +127,8 @@ def _joint_sdfs(ctx: GuidanceContext, reaction: np.ndarray, zeta: float):
             f"reaction of shape {reaction.shape} for an actor of shape "
             f"{ctx.actor.shape} needs {ctx.skel.motion_dim} values per frame")
     flat = reaction.reshape(-1, reaction.shape[-1])
-    frames = np.flatnonzero(~geo.apart(*ctx.box, *geo.reach_box(ctx.skel, flat), zeta,
-                                       ctx.capsules.radius.min()))
+    box = geo.reach_box(ctx.skel, flat, geo._rot6d_dots(ctx.skel, flat))
+    frames = np.flatnonzero(~geo.apart(*ctx.box, *box, zeta, ctx.capsules.radius.min()))
     if not len(frames):
         k = ctx.skel.joint_count
         return frames, np.zeros((0, k)), np.zeros((0, k, 3)), None, None

@@ -14,6 +14,9 @@ products) that the fused tape nodes must reproduce bit for bit.
 flow matching, which the sampler's reprojection step equals.  ``rot6d``
 writes rotation matrices in the motion layout's 6D form, and ``rotations``
 reads them back with the package's one decode at exact norms.
+``check_rot6d`` is the strict 6D-block check as norms and a cosine
+(``np.linalg.norm`` and ``einsum``), the reference for the package's
+check, which takes squared norms and the dot product from one pass.
 ``full_path`` replaces the package's reach test by one that finds every
 frame in reach, so the penetration metrics and the guidance terms run
 every frame through FK, as they did before the test existed.
@@ -27,6 +30,7 @@ from arflow import autodiff as ad
 from arflow import flowpath as fp
 from arflow import geometry as geo
 from arflow.data import _SHOULDER, _pose_joints
+from arflow.errors import DegenerateRotation
 
 
 @contextlib.contextmanager
@@ -38,6 +42,23 @@ def full_path():
         yield
     finally:
         geo.apart = apart
+
+
+def check_rot6d(r):
+    """Raise ``DegenerateRotation`` if a 6D block of ``r`` (..., 6) has a
+    column at most 1e-8 long, one whose squared norm overflows, or columns
+    whose |cos| is at least 1 - 1e-8, in that order over all blocks."""
+    a, b = r[..., :3], r[..., 3:]
+    with np.errstate(over="ignore"):
+        na = np.linalg.norm(a, axis=-1)
+        nb = np.linalg.norm(b, axis=-1)
+    if np.any(na <= 1e-8) or np.any(nb <= 1e-8):
+        raise DegenerateRotation("6D block has a near-zero column")
+    if np.any(np.isinf(na) | np.isinf(nb)):
+        raise DegenerateRotation("6D block has a column too long to normalize")
+    cos = np.einsum("...i,...i->...", a, b) / (na * nb)
+    if np.any(np.abs(cos) >= 1.0 - 1e-8):
+        raise DegenerateRotation("6D block has near-parallel columns")
 
 
 def rot6d(m):

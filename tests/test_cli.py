@@ -468,6 +468,46 @@ def test_malformed_record_exits_with_schema_code(damage, command, code, small_da
     assert "line 3" in capsys.readouterr().err
 
 
+def _huge_data_value(small_data, tmp_path, edit):
+    lines = small_data.read_text().splitlines()
+    rec = json.loads(lines[2])
+    edit(rec)
+    lines[2] = json.dumps(rec)
+    path = tmp_path / "huge-value.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _huge_model_value(small_model, tmp_path, edit):
+    doc = json.loads(small_model.read_text())
+    edit(doc)
+    path = tmp_path / "huge-value.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case, code", [("config-layers", 4), ("array-name", 4),
+                                        ("reactor-fps", 2), ("record-seed", 2)])
+def test_a_huge_value_read_from_a_file_is_shown_cut(case, code, small_model, small_data,
+                                                    tmp_path, capsys):
+    # each used to be echoed whole: 0.1-1 million characters on stderr
+    edits = {"config-layers": lambda doc: doc["config"].update(layers=[0] * 200_000),
+             "array-name": lambda doc: doc["arrays"].update(
+                 {"x" * 100_000: {"shape": [1], "data": [0.0]}}),
+             "reactor-fps": lambda rec: rec["reactor"].update(fps=[[30.0]] * 100_000),
+             "record-seed": lambda rec: rec.update(seed=["x"] * 300_000)}
+    out = str(tmp_path / "out")
+    if code == 4:
+        model = _huge_model_value(small_model, tmp_path, edits[case])
+        argv = ["sample", "--model", str(model), "--data", str(small_data), "--out", out]
+    else:
+        argv = ["eval", "--inputs", str(_huge_data_value(small_data, tmp_path, edits[case]))]
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert len(err) < 500
+    assert re.search(r"\.\.\. \(\d{6,} characters\)", err)
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------

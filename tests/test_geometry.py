@@ -11,7 +11,7 @@ from arflow.errors import (
     InvalidConfig,
 )
 
-from oracles import decode, rot6d, rotations
+from oracles import check_rot6d, decode, rot6d, rotations
 from voxel_oracle import (
     GridMismatch,
     capsule_sdfs,
@@ -149,6 +149,71 @@ def test_motion_with_a_huge_block_is_degenerate():
     motion[1, 6:12] = [1e200, 0, 0, 0, 1e200, 0]
     with pytest.raises(DegenerateRotation, match="too long"):
         geo.motion_joint_positions(skel, motion)
+
+
+def block_cases():
+    """Named (N, 6) stacks of 6D blocks on both sides of each rule of the
+    strict check, none on a threshold: random blocks; blocks scaled to
+    1e-12..1e-6 (tiny), to 1e-200..1e-150 (squares underflow) and to
+    1e150..1e200 (squares overflow); and near-parallel ones, ``b = ±s a``
+    turned by 1e-7..1e-2 rad (the limit is about 1.4e-4 rad)."""
+    rng = np.random.default_rng(33)
+    normal = rng.normal(size=(400, 6))
+    scaled = {name: normal * 10.0 ** rng.uniform(lo, hi, (400, 1))
+              for name, lo, hi in [("tiny", -12, -6), ("underflowing", -200, -150),
+                                   ("huge", 150, 200)]}
+    one_column = normal.copy()
+    one_column[:, rng.integers(0, 2, 400) * 3] *= 1e200
+    a = normal[:, :3]
+    perp = np.cross(a, rng.normal(size=(400, 3)))
+    perp *= (np.linalg.norm(a, axis=1) / np.linalg.norm(perp, axis=1))[:, None]
+    angle = 10.0 ** rng.uniform(-7, -2, (400, 1))
+    sign = rng.choice([-1.0, 1.0], (400, 1)) * rng.uniform(0.5, 2.0, (400, 1))
+    parallel = np.concatenate([a, sign * (np.cos(angle) * a + np.sin(angle) * perp)], axis=1)
+    cases = {"random": normal, **scaled, "one column 1e200": one_column,
+             "near-parallel": parallel}
+    # the precedence of the rules over blocks of several kinds
+    cases["huge, near-parallel"] = np.concatenate([parallel, scaled["huge"]])
+    cases["all"] = np.concatenate(list(cases.values()))
+    return cases
+
+
+# the verdicts each stack of ``block_cases`` must reach
+ZERO, LONG, PARALLEL = ("6D block has a near-zero column",
+                        "6D block has a column too long to normalize",
+                        "6D block has near-parallel columns")
+BLOCK_VERDICTS = {"random": {None}, "tiny": {None, ZERO}, "underflowing": {ZERO},
+                  "huge": {None, LONG}, "one column 1e200": {LONG},
+                  "near-parallel": {None, PARALLEL},
+                  "huge, near-parallel": {None, LONG, PARALLEL},
+                  "all": {None, ZERO, LONG, PARALLEL}}
+
+
+def strict_verdict(check):
+    """The message of the ``DegenerateRotation`` that ``check()`` raises, or None."""
+    try:
+        check()
+    except DegenerateRotation as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("name", list(BLOCK_VERDICTS))
+def test_strict_check_matches_the_norm_oracle(name):
+    # one verdict per block, then the precedence over all blocks at once
+    blocks = block_cases()[name]
+    skel = chain_skeleton(1)
+    # a one-joint skeleton: the block under test, then an identity root
+    rows = np.concatenate([blocks, np.tile(geo.IDENTITY_ROT6D, (len(blocks), 1)),
+                           np.zeros((len(blocks), 3))], axis=1)
+
+    def package(motion):
+        return strict_verdict(lambda: geo._check_rot6d(*geo._rot6d_dots(skel, motion)))
+
+    verdicts = [package(row[None]) for row in rows]
+    assert verdicts == [strict_verdict(lambda: check_rot6d(block)) for block in blocks]
+    assert package(rows) == strict_verdict(lambda: check_rot6d(blocks))
+    assert set(verdicts) == BLOCK_VERDICTS[name]
 
 
 def test_encode_identity_and_quarter_turn():

@@ -193,7 +193,7 @@ def test_reach_boxes_hold_every_joint_of_in_flight_frames():
     blocks = rows[:, : 6 * (k + 1)].reshape(200, k + 1, 6)
     blocks *= rng.uniform(0.04, 3.0, (200, k + 1, 1))
     rows[:, : 6 * (k + 1)] = blocks.reshape(200, -1)
-    lo, hi = geo.reach_box(skel, rows)
+    lo, hi = geo.reach_box(skel, rows, geo._rot6d_dots(skel, rows))
     assert np.isfinite(lo).all() and np.isfinite(hi).all()
     pos = geo.fk_positions_t(skel, ad.constant(rows))[0].data
     assert np.all((lo[:, None] <= pos) & (pos <= hi[:, None]))
@@ -246,9 +246,10 @@ def test_reach_box_distrusts_blocks_the_tolerant_decode_bends(scale, strict):
     skel = chain_skeleton(3)
     row = pose_row(skel)
     row[6:9] *= scale      # joint 1's first column
-    lo, hi = geo.reach_box(skel, row[None])
+    dots = geo._rot6d_dots(skel, row[None])
+    lo, hi = geo.reach_box(skel, row[None], dots)
     assert np.all(lo == -np.inf) and np.all(hi == np.inf)
-    assert np.all(np.isfinite(geo.reach_box(skel, row[None], eps=0.0)[0])) == strict
+    assert np.all(np.isfinite(geo.reach_box(skel, row[None], dots, eps=0.0)[0])) == strict
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +272,45 @@ def test_nan_rotation_in_a_far_frame_raises_invalid_config(side):
     assert len(set(both_paths(lambda: mx.penetration_stats(pairs, skel, 0.02)))) == 1
 
 
+def test_far_eval_measures_each_block_once_and_runs_no_fk(monkeypatch):
+    # two chunks of all-far pairs: one pass over the 6D blocks per side and
+    # chunk feeds both the strict check and the reach test
+    skel = dt.default_skeleton()
+    pairs = far_pairs(skel) * 40
+    passes = []
+    measure = geo._rot6d_dots
+
+    def counted(skeleton, motion):
+        passes.append(len(motion))
+        return measure(skeleton, motion)
+
+    def never(*args, **kwargs):
+        raise AssertionError("no frame is in reach")
+
+    monkeypatch.setattr(geo, "_rot6d_dots", counted)
+    monkeypatch.setattr(geo, "fk_positions_t", never)
+    monkeypatch.setattr(geo, "intersection_volumes", never)
+    assert mx.penetration_stats(pairs, skel, 0.02) == (0.0, 0, 240)
+    assert passes == [3 * mx.EVAL_CHUNK] * 2 + [3 * (80 - mx.EVAL_CHUNK)] * 2
+
+
 def test_degenerate_rotation_in_a_far_frame_raises():
     skel = dt.default_skeleton()
     pairs = far_pairs(skel)
     pairs[1][1][2, 6:9] = 0.0      # joint 1's first column
     with pytest.raises(DegenerateRotation):
+        mx.penetration_stats(pairs, skel, 0.02)
+
+
+@pytest.mark.parametrize("nan_side, error", [(0, InvalidConfig), (1, DegenerateRotation)])
+def test_actor_errors_come_before_the_reactors(nan_side, error):
+    # the order of the full path: the actors' blocks, the actors' bodies,
+    # then the reactors' blocks and bodies
+    skel = dt.default_skeleton()
+    pairs = far_pairs(skel)
+    pairs[0][nan_side][1, -3:] = np.nan     # a root: that frame goes the full way
+    pairs[1][1 - nan_side][2, 6:9] = 0.0    # joint 1's first column
+    with pytest.raises(error):
         mx.penetration_stats(pairs, skel, 0.02)
 
 

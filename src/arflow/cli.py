@@ -296,38 +296,44 @@ def cmd_eval(args) -> int:
     samples, skel = dt.load_samples(args.inputs, digests=digests)
     if not samples:
         raise EmptyInput("empty evaluation input")
+    counts = sorted({len(s.reactor) for s in samples})
     if args.ref is not None:
         ref_samples, ref_skel = dt.load_samples(args.ref, digests=digests)
         if not ref_samples:
             raise EmptyInput("empty reference input")
         # a random projection of one width is drawn for each input width, so
         # features of another skeleton or frame count are not comparable
-        shapes = [(sk.joint_count, sorted({len(s.reactor) for s in ss}))
-                  for sk, ss in ((skel, samples), (ref_skel, ref_samples))]
+        shapes = [(skel.joint_count, counts),
+                  (ref_skel.joint_count, sorted({len(s.reactor) for s in ref_samples}))]
         if shapes[0] != shapes[1]:
             raise DimensionMismatch(
                 f"--ref has {shapes[1][0]} joints and frame counts {shown(shapes[1][1])}, "
                 f"--inputs {shapes[0][0]} joints and {shown(shapes[0][1])}: their features "
                 "are not comparable")
+    featured = bool({"fid", "div", "multimod"} & set(wanted))
+    if featured and len(counts) > 1:
+        raise DimensionMismatch(f"flattened features need one frame count, got {shown(counts)}")
+    reactors = np.concatenate([s.reactor for s in samples])
     phases.end("load")
 
     # the report's values in their printed order
     values: dict[str, float] = {}
     stats = None
     if "iv" in wanted or "if" in wanted:
-        stats = mx.penetration_stats([(s.actor, s.reactor) for s in samples], skel,
-                                     args.voxel)
+        stats = mx.penetration_stats(np.concatenate([s.actor for s in samples]), reactors,
+                                     skel, args.voxel)
         if "iv" in wanted:
             values["iv_cm3"] = stats.iv_cm3
         if "if" in wanted:
             values["if_frac"] = stats.if_frac
 
-    if {"fid", "div", "multimod"} & set(wanted):
+    if featured:
         extractor = mx.FeatureExtractor(args.features, seed=args.feature_seed,
                                         out_dim=args.proj_dim)
-        feats = mx.extract_features([s.reactor for s in samples], extractor, skel)
+        feats = mx.extract_features(reactors.reshape(len(samples), -1, skel.motion_dim),
+                                    extractor, skel)
         if "fid" in wanted:
-            ref_feats = mx.extract_features([s.reactor for s in ref_samples],
+            ref_feats = mx.extract_features(np.stack([s.reactor for s in ref_samples]),
                                             extractor, ref_skel)
             values["fid"] = mx.fid(feats, ref_feats)
         try:
@@ -335,18 +341,15 @@ def cmd_eval(args) -> int:
                 values["diversity"] = mx.diversity(feats, args.sd, seed=args.metric_seed,
                                                    with_replacement=args.allow_replacement)
             if "multimod" in wanted:
-                by_class = {}
-                for s, f in zip(samples, feats):
-                    by_class.setdefault(s.label, []).append(f)
                 values["multimodality"] = mx.multimodality(
-                    {k: np.stack(v) for k, v in by_class.items()}, args.sl,
+                    feats, [s.label for s in samples], args.sl,
                     seed=args.metric_seed, with_replacement=args.allow_replacement)
         except InsufficientSamples as err:
             # div runs first, so a diversity value means multimod failed
             flag = "--sd" if "div" in wanted and "diversity" not in values else "--sl"
             raise InsufficientSamples(f"{err}: lower {flag} or pass "
                                       "--allow-replacement") from None
-    values.update(n_total=len(samples), f_total=sum(len(s.reactor) for s in samples))
+    values.update(n_total=len(samples), f_total=len(reactors))
     if stats is not None:  # only the IV sweep counts penetrating frames
         values["f_pene"] = stats.f_pene
 

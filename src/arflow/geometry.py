@@ -22,7 +22,7 @@ orientation in 6D, then the 3 root-translation coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,6 +121,9 @@ class Skeleton:
     parents: tuple[int, ...]
     offsets: np.ndarray
     radii: np.ndarray
+    # longest root-to-joint chain (meters), taken once: with orthonormal
+    # rotations every joint lies within it of joint 0
+    reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.float64))
@@ -140,6 +143,10 @@ class Skeleton:
             raise InvalidConfig("all capsule radii must be positive and finite")
         if not np.all(np.isfinite(self.offsets)):
             raise InvalidConfig("offsets must be finite")
+        chain = [0.0]
+        for j, p in enumerate(self.parents[1:], start=1):
+            chain.append(chain[p] + float(np.linalg.norm(self.offsets[j])))
+        object.__setattr__(self, "reach", max(chain))
 
     @property
     def joint_count(self) -> int:
@@ -149,14 +156,13 @@ class Skeleton:
     def motion_dim(self) -> int:
         return 6 * (self.joint_count + 1) + 3
 
-    @property
-    def reach(self) -> float:
-        """Longest root-to-joint chain (meters): with orthonormal rotations
-        every joint lies within it of joint 0."""
-        chain = [0.0]
-        for j, p in enumerate(self.parents[1:], start=1):
-            chain.append(chain[p] + float(np.linalg.norm(self.offsets[j])))
-        return max(chain)
+
+def check_bones(skel: Skeleton) -> None:
+    """``InvalidConfig`` for a skeleton of one joint: it has no bones, so
+    its bodies have no capsules to voxelize or to take distances to."""
+    if not skel.radii.size:
+        raise InvalidConfig("the skeleton has one joint and no bones, so its "
+                            "bodies have no capsules")
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +270,7 @@ def motion_capsules(skel: Skeleton, motion: np.ndarray) -> CapsuleSet:
 def joint_capsules(skel: Skeleton, pos: np.ndarray) -> CapsuleSet:
     """Per-frame bodies of the joint positions (F, K, 3) that FK placed:
     one capsule from each joint's parent to the joint."""
+    check_bones(skel)
     return CapsuleSet(pos[:, np.array(skel.parents[1:])], pos[:, 1:], skel.radii)
 
 

@@ -1,5 +1,9 @@
 """Evaluation metrics: intersection volume/frequency and feature-space scores.
 
+Every metric takes arrays: IV/IF the (F, D) frame stacks of the actors
+and the reactors, the features an (N, H, D) batch of motions, and
+multimodality the features with an array of their labels.
+
 Intersection Volume (IV) voxelizes actor and reactor on one shared grid per
 frame and averages the both-occupied volume over every frame of every
 sample; it is reported in cubic centimeters per frame.  Intersection
@@ -7,7 +11,7 @@ Frequency (IF) is the fraction of frames with any both-occupied voxel, so
 IF = 0 exactly when IV = 0 under the same voxelization.
 
 Before any FK, one pass per side over a chunk of up to ``EVAL_CHUNK``
-samples measures every 6D block (``geometry._rot6d_dots``: |a|², |b|²
+frames measures every 6D block (``geometry._rot6d_dots``: |a|², |b|²
 and a·b).  The strict check (``geometry._check_rot6d``) takes every
 frame's verdict from it, and so does the reach test
 (:func:`geometry.reach_box` and :func:`geometry.apart`), which boxes each
@@ -25,10 +29,10 @@ of the chunk (none when no frame is in reach), and they go to one
 its own box test.  IV, IF and the penetrating-frame
 count equal the full-grid count bit for bit (its docstring gives the
 column intervals, the margin argument and the voxel budget).  The
-per-frame volumes are added in frame order.  A NaN or infinite motion has
-no capsules: it raises ``InvalidConfig``; a frame so far from the origin
-that float64 cannot resolve the voxel or a radius there raises
-``GridTooLarge``.
+per-frame volumes are added in frame order.  A NaN or infinite motion, or
+a skeleton of one joint, has no capsules: it raises ``InvalidConfig``; a
+frame so far from the origin that float64 cannot resolve the voxel or a
+radius there raises ``GridTooLarge``.
 
 The feature-space scores (FID, diversity, multimodality) run on features
 computed from the motions alone (FK joint positions, flattened or randomly
@@ -51,14 +55,13 @@ from .errors import (
     EmptyInput,
     InsufficientSamples,
     InvalidConfig,
-    shown,
 )
 
 M3_TO_CM3 = 1e6
 COV_EPS = 1e-6
-# samples per FK pass and per sweep call in penetration_stats: one pass
+# frames per FK pass and per sweep call in penetration_stats: one pass
 # serves many frames, and the chunk bounds the memory its intermediates take
-EVAL_CHUNK = 64
+EVAL_CHUNK = 1024
 DIVERSITY_SUBSET = 200
 MULTIMODALITY_SUBSET = 20
 MAX_SUBSET = 10 ** 4  # largest subset of the diversity and multimodality draws
@@ -68,15 +71,6 @@ MAX_PROJ_DIM = 10 ** 4  # widest random projection of the features
 # ---------------------------------------------------------------------------
 # Penetration metrics
 # ---------------------------------------------------------------------------
-
-def _all_frames(skel: geo.Skeleton, motions) -> np.ndarray:
-    """The frames of every motion stacked into one (F, D) array."""
-    for m in motions:
-        if np.ndim(m) != 2 or np.shape(m)[1] != skel.motion_dim:
-            raise DimensionMismatch(
-                f"motion must be (H, {skel.motion_dim}), got {np.shape(m)}")
-    return np.concatenate(motions)
-
 
 class PenetrationStats(NamedTuple):
     """Voxel-overlap totals over every frame of a set of (actor, reactor) pairs."""
@@ -96,28 +90,33 @@ class PenetrationStats(NamedTuple):
         return self.f_pene / self.f_total
 
 
-def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
+def penetration_stats(actors, reactors, skel: geo.Skeleton, voxel_size: float
                       ) -> PenetrationStats:
-    """IV/IF accumulation over (actor, reactor) motion pairs.
+    """IV/IF accumulation over the (F, D) frame stacks of both sides, frame
+    f of ``actors`` against frame f of ``reactors``.
 
-    Per chunk of samples, one measure of each side's 6D blocks feeds the
-    strict check of every frame and the reach test, which finds the frames
-    whose bodies cannot touch; they add an exact zero.  One FK pass per
-    side and one :func:`geometry.intersection_volumes` call take the other
-    frames.  The errors keep their order: the actors' ``DegenerateRotation``,
-    then their non-finite bodies' ``InvalidConfig``, then the reactors'.
+    Per chunk of ``EVAL_CHUNK`` frames, one measure of each side's 6D
+    blocks feeds the strict check of every frame and the reach test, which
+    finds the frames whose bodies cannot touch; they add an exact zero.
+    One FK pass per side and one :func:`geometry.intersection_volumes` call
+    take the other frames.  The errors of a chunk keep their order: the
+    actors' ``DegenerateRotation``, then their non-finite bodies'
+    ``InvalidConfig``, then the reactors'.
     """
     geo.check_voxel_size(voxel_size)
-    if len(samples) == 0:
-        raise EmptyInput("no samples to evaluate")
-    if any(np.shape(actor)[:1] != np.shape(reactor)[:1] for actor, reactor in samples):
+    geo.check_bones(skel)
+    for motion in (actors, reactors):
+        if np.ndim(motion) != 2 or np.shape(motion)[1] != skel.motion_dim:
+            raise DimensionMismatch(
+                f"motions must be (F, {skel.motion_dim}), got {np.shape(motion)}")
+    if len(actors) != len(reactors):
         raise DimensionMismatch("actor and reactor frame counts differ")
-    total_volume = 0.0
-    f_pene = f_total = 0
+    if len(actors) == 0:
+        raise EmptyInput("no frames to evaluate")
     finest = min(voxel_size, skel.radii.min())
-    for start in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[start:start + EVAL_CHUNK]
-        sides = [_all_frames(skel, [pair[i] for pair in chunk]) for i in (0, 1)]
+    volumes = np.zeros(len(actors))
+    for start in range(0, len(actors), EVAL_CHUNK):
+        sides = [m[start:start + EVAL_CHUNK] for m in (actors, reactors)]
         dots = [geo._rot6d_dots(skel, motion) for motion in sides]
         # joint boxes more than two radii apart hold capsules whose boxes are apart
         boxes = [geo.reach_box(skel, motion, d, eps=0.0) for motion, d in zip(sides, dots)]
@@ -129,14 +128,11 @@ def penetration_stats(samples, skel: geo.Skeleton, voxel_size: float
             geo._check_rot6d(*d)
             if len(frames):
                 bodies.append(geo.joint_capsules(skel, geo._exact_fk(skel, motion[frames])[0]))
-        volumes = np.zeros(len(sides[0]))
         if len(frames):
-            volumes[frames] = geo.intersection_volumes(*bodies, voxel_size)
-        f_total += len(volumes)
-        for vol in volumes.tolist():
-            total_volume += vol
-            f_pene += vol > 0.0
-    return PenetrationStats(total_volume, f_pene, f_total)
+            volumes[start + frames] = geo.intersection_volumes(*bodies, voxel_size)
+    # cumsum adds in frame order, as a per-frame running sum does
+    return PenetrationStats(float(volumes.cumsum()[-1]),
+                            int(np.count_nonzero(volumes > 0.0)), len(volumes))
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +223,31 @@ def diversity(features, subset_size: int = DIVERSITY_SUBSET, *, seed: int = 0,
         return _finite(float(np.linalg.norm(feats[ia] - feats[ib], axis=1).mean()))
 
 
-def multimodality(features_by_class: dict, subset_size: int = MULTIMODALITY_SUBSET,
+def multimodality(features, labels, subset_size: int = MULTIMODALITY_SUBSET,
                   *, seed: int = 0, with_replacement: bool = False) -> float:
     """Within-class spread, averaged over classes.
 
-    For each class two seeded subsets of ``subset_size`` are drawn and the
-    paired distances accumulated; the sum is divided by
-    (num_classes * subset_size).  ``InvalidConfig`` when ``subset_size`` < 1,
-    ``DegenerateCovariance`` when the distances overflow float64.
+    ``labels`` holds the class of each feature row.  For each class, in
+    sorted order, two seeded subsets of ``subset_size`` of its rows are
+    drawn and the paired distances accumulated; the sum is divided by
+    (num_classes * subset_size).  ``InvalidConfig`` when ``subset_size``
+    < 1, ``DegenerateCovariance`` when the distances overflow float64.
     """
-    if not features_by_class:
+    feats = _feature_matrix(features)
+    labels = np.asarray(labels)
+    if labels.shape != feats.shape[:1]:
+        raise DimensionMismatch(f"labels of shape {labels.shape} for {len(feats)} features")
+    if not len(feats):
         raise EmptyInput("no classes given")
     rng = _subset_rng(seed)
+    classes = np.unique(labels)
     total = 0.0
-    for label in sorted(features_by_class):
-        feats = _feature_matrix(features_by_class[label])
-        ia, ib = _two_subsets(len(feats), subset_size, rng, with_replacement)
+    for label in classes:
+        members = feats[labels == label]
+        ia, ib = _two_subsets(len(members), subset_size, rng, with_replacement)
         with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-            total += float(np.linalg.norm(feats[ia] - feats[ib], axis=1).sum())
-    return _finite(total) / (len(features_by_class) * subset_size)
+            total += float(np.linalg.norm(members[ia] - members[ib], axis=1).sum())
+    return _finite(total) / (len(classes) * subset_size)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +260,8 @@ class FeatureExtractor:
     computed from the motions alone.
 
     kinds: ``flatten`` concatenates FK joint positions; ``proj`` applies a
-    seeded fixed random linear map to the flattened vector.  Both take
-    motions of one frame count.
+    seeded fixed random linear map to the flattened vector.  Both take an
+    (N, H, D) batch of motions.
     """
 
     kind: str = "flatten"
@@ -275,22 +277,17 @@ class FeatureExtractor:
             raise InvalidConfig(f"feature seed must be >= 0, got {self.seed}")
 
 
-def _flatten_features(motions, skel: geo.Skeleton) -> np.ndarray:
-    """FK joint positions of every frame, one row per motion, from one FK pass."""
-    counts = sorted({np.shape(m)[0] for m in motions})
-    if len(counts) > 1:
-        raise DimensionMismatch(
-            f"flattened features need one frame count, got {shown(counts)}")
-    pos = geo.motion_joint_positions(skel, _all_frames(skel, motions))
-    return pos.reshape(len(motions), -1)
-
-
 def extract_features(motions, extractor: FeatureExtractor,
                      skel: geo.Skeleton) -> np.ndarray:
-    """Feature matrix (n_motions, d) of motions of one frame count."""
+    """Feature matrix (N, d) of an (N, H, D) batch of motions, from one FK
+    pass over all its frames."""
+    if np.ndim(motions) != 3 or np.shape(motions)[2] != skel.motion_dim:
+        raise DimensionMismatch(
+            f"motions must be (N, H, {skel.motion_dim}), got {np.shape(motions)}")
     if len(motions) == 0:
         raise EmptyInput("no motions to featurize")
-    flat = _flatten_features(motions, skel)
+    pos = geo.motion_joint_positions(skel, np.reshape(motions, (-1, skel.motion_dim)))
+    flat = pos.reshape(len(motions), -1)
     if extractor.kind == "flatten":
         return flat
     rng = np.random.default_rng(extractor.seed)

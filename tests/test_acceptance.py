@@ -23,6 +23,7 @@ from arflow import sampler as smp
 
 from oracles import velocity_walk
 from test_geometry import pose_row
+from test_metrics import frame_stacks
 from voxel_oracle import shared_bounds, voxelize
 
 
@@ -235,8 +236,9 @@ def test_criterion_05_guidance_efficacy(trained_setup):
     ]:
         ctx = (smp.GuidanceContext.from_actor(skel, actors)
                if cfg.guidance != "none" else None)
-        pairs = list(zip(actors, smp.sample(predictor, actors, cfg, ctx)))
-        stats = mx.penetration_stats(pairs, skel, 0.02)
+        reactions = smp.sample(predictor, actors, cfg, ctx)
+        stats = mx.penetration_stats(actors.reshape(-1, skel.motion_dim),
+                                     reactions.reshape(-1, skel.motion_dim), skel, 0.02)
         results[name] = (stats.iv_cm3, stats.if_frac)
 
     iv_u, if_u = results["unguided"]
@@ -303,7 +305,7 @@ def test_criterion_07_metric_units():
     caps = geo.CapsuleSet(bodies.seg_a[0], bodies.seg_b[0], bodies.radius)
     vs = 0.02
     body_volume = voxelize(caps, vs, shared_bounds(caps, caps, vs)).volume
-    iv_super = mx.penetration_stats([(motion, motion.copy())], skel, vs).iv_cm3
+    iv_super = mx.penetration_stats(motion, motion.copy(), skel, vs).iv_cm3
     superposed_exact = iv_super == pytest.approx(body_volume * mx.M3_TO_CM3)
 
     r, length = 0.1, 0.6
@@ -318,7 +320,7 @@ def test_criterion_07_metric_units():
     overlapping = (at((0, 0, 0.9)), at((0.05, 0, 0.9)))
     fixtures = [overlapping] + [(at((0, 0, 0.9)), at((4.0 + i, 0, 0.9)))
                                 for i in range(3)]
-    if_frac = mx.penetration_stats(fixtures, chain, vs).if_frac
+    if_frac = mx.penetration_stats(*frame_stacks(fixtures), chain, vs).if_frac
 
     ok = (fid_self < 1e-6 and fid_gap < 0.05 and superposed_exact
           and vox_err < 0.05 and if_frac == 3 / 12)

@@ -1034,6 +1034,37 @@ def test_eval_fid_against_a_reference_of_another_shape_exits_2(
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def boneless(tmp_path_factory):
+    """A 20-record file of a one-joint skeleton, whose bodies have no
+    capsules, and a model trained on it."""
+    top = tmp_path_factory.mktemp("boneless")
+    data, model = top / "data.jsonl", top / "model.json"
+    skel = geo.Skeleton((-1,), np.zeros((1, 3)), [])
+    pose = np.concatenate([geo.IDENTITY_ROT6D, geo.IDENTITY_ROT6D, np.zeros(3)])
+    dt.save_samples(str(data), [
+        dt.InteractionSample(np.tile(pose, (4, 1)), np.tile(pose + 0.01 * i, (4, 1)),
+                             i % 3, (0, i % 3, i)) for i in range(20)], skel)
+    assert run("train", "--data", str(data), "--out", str(model), "--steps", "2",
+               "--width", "16", "--layers", "1") == 0
+    return data, model
+
+
+@pytest.mark.parametrize("command", ["eval", "sample"])
+def test_penetration_on_a_skeleton_without_bones_exits_2(command, boneless, tmp_path,
+                                                         capsys):
+    # eval failed in radii.min() and guided sample in a float-typed index, exit 1
+    data, model = boneless
+    out = tmp_path / "out"
+    argv = (["eval", "--inputs", str(data), "--metrics", "iv,if"] if command == "eval" else
+            ["sample", "--model", str(model), "--data", str(data), "--guidance", "vanilla"])
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "no capsules" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("contact", [1.0, 0.0], ids=["contact", "far-apart"])
 @pytest.mark.parametrize("voxel", ["0", "-0.02", "nan", "inf"])
 def test_eval_bad_voxel_size_exits_2(voxel, contact, tmp_path, capsys):

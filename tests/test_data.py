@@ -13,6 +13,7 @@ from arflow import metrics as mx
 from arflow.errors import InvalidConfig, SchemaError
 
 from oracles import response_property, rot6d
+from test_metrics import frame_stacks
 
 
 def _one_scenario(name, count, **kw):
@@ -166,14 +167,16 @@ def test_zero_contact_fraction_never_intersects():
     samples = dt.generate_mixed(30, frames=8, contact_fraction=0.0, seed=5)
     skel = dt.default_skeleton()
     pairs = [(s.actor, s.reactor) for s in samples]
-    assert mx.penetration_stats(pairs, skel, geo.DEFAULT_VOXEL_SIZE).if_frac == 0.0
+    assert mx.penetration_stats(*frame_stacks(pairs), skel,
+                                geo.DEFAULT_VOXEL_SIZE).if_frac == 0.0
 
 
 def test_full_contact_fraction_produces_intersections():
     samples = dt.generate_mixed(30, frames=12, contact_fraction=1.0, seed=6)
     skel = dt.default_skeleton()
     pairs = [(s.actor, s.reactor) for s in samples]
-    assert mx.penetration_stats(pairs, skel, geo.DEFAULT_VOXEL_SIZE).if_frac > 0.0
+    assert mx.penetration_stats(*frame_stacks(pairs), skel,
+                                geo.DEFAULT_VOXEL_SIZE).if_frac > 0.0
 
 
 def test_mixed_round_robin_labels():

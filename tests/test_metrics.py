@@ -21,6 +21,11 @@ def pair(skel, h, actor_at, reactor_at_pt):
     return (still_actor(skel, h, actor_at), still_actor(skel, h, reactor_at_pt))
 
 
+def frame_stacks(pairs):
+    """The (F, D) actor and reactor frame stacks of (actor, reactor) pairs."""
+    return tuple(np.concatenate([p[side] for p in pairs]) for side in (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # IV / IF
 # ---------------------------------------------------------------------------
@@ -29,7 +34,7 @@ def test_iv_zero_for_disjoint_pairs():
     skel = chain_skeleton(3)
     samples = [pair(skel, 2, (0, 0, 0), (5, 0, 0)),
                pair(skel, 2, (0, 0, 0), (0, 7, 0))]
-    stats = mx.penetration_stats(samples, skel, 0.02)
+    stats = mx.penetration_stats(*frame_stacks(samples), skel, 0.02)
     assert stats.iv_cm3 == 0.0
     assert stats.if_frac == 0.0
 
@@ -41,7 +46,7 @@ def test_iv_superposed_bodies_equals_body_volume():
     bodies = geo.motion_capsules(skel, actor)
     caps = geo.CapsuleSet(bodies.seg_a[0], bodies.seg_b[0], bodies.radius)
     grid = voxelize(caps, vs, shared_bounds(caps, caps, vs))
-    iv = mx.penetration_stats([(actor, actor.copy())], skel, vs).iv_cm3
+    iv = mx.penetration_stats(actor, actor.copy(), skel, vs).iv_cm3
     assert iv == pytest.approx(grid.volume * mx.M3_TO_CM3)
 
 
@@ -55,13 +60,13 @@ def test_iv_hand_average_over_samples():
     bodies = geo.motion_capsules(skel, actor)
     caps = geo.CapsuleSet(bodies.seg_a[0], bodies.seg_b[0], bodies.radius)
     body_vol = geo.capsule_intersection_volume(caps, caps, vs) * mx.M3_TO_CM3
-    assert mx.penetration_stats(samples, skel, vs).iv_cm3 == pytest.approx(body_vol / 2)
+    assert mx.penetration_stats(*frame_stacks(samples), skel, vs).iv_cm3 == pytest.approx(body_vol / 2)
 
 
 def test_if_one_when_every_frame_penetrates():
     skel = chain_skeleton(3, radius=0.08)
     actor = still_actor(skel, 4)
-    assert mx.penetration_stats([(actor, actor.copy())], skel, 0.02).if_frac == 1.0
+    assert mx.penetration_stats(actor, actor.copy(), skel, 0.02).if_frac == 1.0
 
 
 def test_if_counts_penetrating_frames():
@@ -71,7 +76,7 @@ def test_if_counts_penetrating_frames():
     overlapping = pair(skel, h, (0, 0, 0), (0.05, 0, 0))
     samples = [overlapping] + [pair(skel, h, (0, 0, 0), (4.0 + i, 0, 0))
                                for i in range(3)]
-    assert mx.penetration_stats(samples, skel, 0.02).if_frac == pytest.approx(3 / 12)
+    assert mx.penetration_stats(*frame_stacks(samples), skel, 0.02).if_frac == pytest.approx(3 / 12)
 
 
 def test_iv_additivity_over_sample_lists():
@@ -80,9 +85,9 @@ def test_iv_additivity_over_sample_lists():
     a = [pair(skel, 2, (0, 0, 0), (0.03, 0, 0))]
     b = [pair(skel, 2, (0, 0, 0), (5.0, 0, 0)),
          pair(skel, 2, (0, 0, 0), (0.1, 0, 0))]
-    iv_a = mx.penetration_stats(a, skel, vs).iv_cm3
-    iv_b = mx.penetration_stats(b, skel, vs).iv_cm3
-    iv_all = mx.penetration_stats(a + b, skel, vs).iv_cm3
+    iv_a = mx.penetration_stats(*frame_stacks(a), skel, vs).iv_cm3
+    iv_b = mx.penetration_stats(*frame_stacks(b), skel, vs).iv_cm3
+    iv_all = mx.penetration_stats(*frame_stacks(a + b), skel, vs).iv_cm3
     frames_a, frames_b = 2 * len(a), 2 * len(b)
     expected = (iv_a * frames_a + iv_b * frames_b) / (frames_a + frames_b)
     assert iv_all == pytest.approx(expected, rel=1e-12)
@@ -94,15 +99,19 @@ def test_if_zero_iff_iv_zero():
     for trial in range(4):
         offset = (0.05 + 0.1 * trial, 0.0, 0.0) if trial % 2 == 0 else (5.0, 0, 0)
         samples = [pair(skel, 2, (0, 0, 0), offset)]
-        stats = mx.penetration_stats(samples, skel, 0.02)
+        stats = mx.penetration_stats(*frame_stacks(samples), skel, 0.02)
         iv, f = stats.iv_cm3, stats.if_frac
         assert (iv == 0.0) == (f == 0.0)
+
+
+def no_frames(skel):
+    return np.zeros((0, skel.motion_dim))
 
 
 def test_penetration_stats_empty_input():
     skel = chain_skeleton(3)
     with pytest.raises(EmptyInput):
-        mx.penetration_stats([], skel, 0.02)
+        mx.penetration_stats(no_frames(skel), no_frames(skel), skel, 0.02)
 
 
 @pytest.mark.parametrize("chunk", [mx.EVAL_CHUNK, 7])
@@ -128,7 +137,7 @@ def test_penetration_stats_equals_per_frame_oracle(chunk, tmp_path, monkeypatch)
             f_total += 1
             f_pene += vol > 0.0
     assert f_total >= 480 and 0 < f_pene < f_total
-    assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene, f_total)
+    assert mx.penetration_stats(*frame_stacks(pairs), skel, vs) == (volume, f_pene, f_total)
 
 
 @pytest.mark.parametrize("chunk", [997, 1 << 12])
@@ -151,7 +160,30 @@ def test_penetration_stats_in_small_groups_equals_per_frame_oracle(chunk, monkey
             f_pene += vol > 0.0
     assert f_pene > 0
     monkeypatch.setattr(geo, "_CHUNK", chunk)
-    assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene, 6 * 8)
+    assert mx.penetration_stats(*frame_stacks(pairs), skel, vs) == (volume, f_pene, 6 * 8)
+
+
+def test_fk_and_sweep_see_at_most_one_chunk_of_frames(monkeypatch):
+    # two contact pairs, each longer than a chunk, used to go through one
+    # FK pass and one sweep call together
+    skel = chain_skeleton(3, radius=0.08)
+    h = mx.EVAL_CHUNK + 100
+    pairs = [pair(skel, h, (0, 0, 0), (0.05, 0, 0)) for _ in range(2)]
+    seen = []
+    fk, sweep = geo._exact_fk, geo.intersection_volumes
+
+    def counted_fk(skeleton, motion):
+        seen.append(len(motion))
+        return fk(skeleton, motion)
+
+    def counted_sweep(a, b, voxel_size):
+        seen.append(len(a.seg_a))
+        return sweep(a, b, voxel_size)
+
+    monkeypatch.setattr(geo, "_exact_fk", counted_fk)
+    monkeypatch.setattr(geo, "intersection_volumes", counted_sweep)
+    assert mx.penetration_stats(*frame_stacks(pairs), skel, 0.02).if_frac == 1.0
+    assert sum(seen) == 3 * 2 * h and max(seen) == mx.EVAL_CHUNK
 
 
 def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
@@ -172,7 +204,7 @@ def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
         return win
 
     monkeypatch.setattr(geo, "_windows", recording_windows)
-    volume, f_pene, f_total = mx.penetration_stats(samples, skel, 0.02)
+    volume, f_pene, f_total = mx.penetration_stats(*frame_stacks(samples), skel, 0.02)
     assert (f_pene, f_total) == (3, 9) and volume > 0.0
     assert len(windowed) == 3
     for (lo_a, hi_a), (lo_b, hi_b) in windowed:
@@ -184,9 +216,9 @@ def test_penetration_stats_rejects_bad_voxel_size_before_any_frame(voxel_size):
     skel = chain_skeleton(3)
     far_apart = [pair(skel, 2, (0, 0, 0), (5, 0, 0))]
     with pytest.raises(InvalidConfig):
-        mx.penetration_stats(far_apart, skel, voxel_size)
+        mx.penetration_stats(*frame_stacks(far_apart), skel, voxel_size)
     with pytest.raises(InvalidConfig):
-        mx.penetration_stats([], skel, voxel_size)
+        mx.penetration_stats(no_frames(skel), no_frames(skel), skel, voxel_size)
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -196,17 +228,18 @@ def test_penetration_stats_rejects_a_nan_motion(side):
     motions = [still_actor(skel, 2), still_actor(skel, 2)]
     motions[side][1, -2] = np.nan
     with pytest.raises(InvalidConfig, match="finite"):
-        mx.penetration_stats([tuple(motions)], skel, 0.02)
+        mx.penetration_stats(*motions, skel, 0.02)
 
 
 def test_penetration_stats_frame_count_mismatch():
     skel = chain_skeleton(3)
     with pytest.raises(DimensionMismatch):
-        mx.penetration_stats([(still_actor(skel, 3), still_actor(skel, 2))], skel, 0.02)
+        mx.penetration_stats(still_actor(skel, 3), still_actor(skel, 2), skel, 0.02)
     narrow = np.zeros((3, skel.motion_dim - 1))
     with pytest.raises(DimensionMismatch):
-        mx.penetration_stats([(still_actor(skel, 3), still_actor(skel, 3)),
-                              (narrow, narrow)], skel, 0.02)
+        mx.penetration_stats(narrow, narrow, skel, 0.02)
+    with pytest.raises(DimensionMismatch):
+        mx.penetration_stats(still_actor(skel, 3)[None], still_actor(skel, 3)[None], skel, 0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +311,7 @@ def test_feature_distances_that_overflow_are_refused(replace):
     with pytest.raises(DegenerateCovariance, match="overflow"):
         mx.diversity(feats, 10, with_replacement=replace)
     with pytest.raises(DegenerateCovariance, match="overflow"):
-        mx.multimodality({0: feats[:20], 1: feats[20:]}, 5, with_replacement=replace)
+        mx.multimodality(feats, np.repeat([0, 1], 20), 5, with_replacement=replace)
 
 
 def test_diversity_zero_for_identical_features():
@@ -316,7 +349,7 @@ def test_subset_size_below_one_is_invalid(size):
         with pytest.raises(InvalidConfig, match="subset size"):
             mx.diversity(feats, size, with_replacement=replace)
         with pytest.raises(InvalidConfig, match="subset size"):
-            mx.multimodality({0: feats}, size, with_replacement=replace)
+            mx.multimodality(feats, np.zeros(len(feats)), size, with_replacement=replace)
 
 
 def test_subset_size_above_the_limit_is_invalid():
@@ -327,15 +360,15 @@ def test_subset_size_above_the_limit_is_invalid():
         with pytest.raises(InvalidConfig, match="subset size"):
             mx.diversity(feats, size, with_replacement=True)
         with pytest.raises(InvalidConfig, match="subset size"):
-            mx.multimodality({0: feats}, size, with_replacement=True)
+            mx.multimodality(feats, np.zeros(len(feats)), size, with_replacement=True)
 
 
 def test_multimodality_constant_classes_and_c1_reduction():
-    by_class = {0: np.ones((10, 3)), 1: np.zeros((10, 3))}
-    assert mx.multimodality(by_class, 4, seed=0) == 0.0
+    constant = np.concatenate([np.ones((10, 3)), np.zeros((10, 3))])
+    assert mx.multimodality(constant, np.repeat([0, 1], 10), 4, seed=0) == 0.0
     rng = np.random.default_rng(6)
     feats = rng.normal(size=(30, 4))
-    assert (mx.multimodality({0: feats}, 5, seed=3)
+    assert (mx.multimodality(feats, np.zeros(30), 5, seed=3)
             == pytest.approx(mx.diversity(feats, 5, seed=3), rel=1e-12))
 
 
@@ -343,7 +376,9 @@ def test_multimodality_brute_force_two_classes():
     rng = np.random.default_rng(7)
     by_class = {0: rng.normal(size=(8, 2)), 1: rng.normal(size=(8, 2))}
     seed = 13
-    got = mx.multimodality(by_class, 2, seed=seed)
+    # the classes interleaved: a class's rows keep their order
+    feats = np.stack([by_class[0], by_class[1]], axis=1).reshape(16, 2)
+    got = mx.multimodality(feats, np.tile([0, 1], 8), 2, seed=seed)
     gen = np.random.default_rng(seed)
     total = 0.0
     for label in (0, 1):
@@ -368,7 +403,7 @@ def test_metric_seed_determinism():
 def test_flatten_features_single_frame():
     skel = chain_skeleton(2)
     motion = still_actor(skel, 1, (1.0, 2.0, 3.0))
-    feats = mx.extract_features([motion], mx.FeatureExtractor("flatten"), skel)
+    feats = mx.extract_features(motion[None], mx.FeatureExtractor("flatten"), skel)
     assert feats.shape == (1, 6)
     assert np.allclose(feats[0], [1, 2, 3, 1, 2, 4])  # root then root+(0,0,1)
 
@@ -376,14 +411,14 @@ def test_flatten_features_single_frame():
 def test_random_projection_deterministic_and_linear():
     skel = chain_skeleton(3)
     rng = np.random.default_rng(9)
-    motions = [still_actor(skel, 2, tuple(rng.normal(size=3))) for _ in range(3)]
+    motions = np.stack([still_actor(skel, 2, tuple(rng.normal(size=3))) for _ in range(3)])
     ex = mx.FeatureExtractor("proj", seed=4, out_dim=7)
     f1 = mx.extract_features(motions, ex, skel)
     f2 = mx.extract_features(motions, ex, skel)
     assert np.array_equal(f1, f2)
     assert f1.shape == (3, 7)
     # linearity of the flatten+projection pipeline in the joint positions
-    flat = mx._flatten_features(motions, skel)
+    flat = mx.extract_features(motions, mx.FeatureExtractor("flatten"), skel)
     proj = mx.extract_features(motions, ex, skel)
     alpha = 2.5
     rngp = np.random.default_rng(4)
@@ -404,9 +439,14 @@ def test_random_projection_width_has_limits(out_dim):
         mx.FeatureExtractor("proj", out_dim=out_dim)
 
 
-@pytest.mark.parametrize("kind", ["flatten", "proj"])
-def test_flattened_features_reject_mixed_frame_counts(kind):
+def test_array_metrics_reject_misshapen_input():
     skel = chain_skeleton(2)
-    motions = [still_actor(skel, 3), still_actor(skel, 2)]
-    with pytest.raises(DimensionMismatch, match=r"\[2, 3\]"):
-        mx.extract_features(motions, mx.FeatureExtractor(kind), skel)
+    motions = np.stack([still_actor(skel, 3), still_actor(skel, 3)])
+    for batch in (motions[0], motions[..., :-1]):
+        with pytest.raises(DimensionMismatch, match=r"\(N, H, 21\)"):
+            mx.extract_features(batch, mx.FeatureExtractor("flatten"), skel)
+    with pytest.raises(EmptyInput):
+        mx.extract_features(motions[:0], mx.FeatureExtractor("flatten"), skel)
+    feats = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(DimensionMismatch, match="labels"):
+        mx.multimodality(feats, np.zeros(5), 2, with_replacement=True)

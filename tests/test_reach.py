@@ -24,6 +24,7 @@ from arflow.errors import ArflowError, DegenerateRotation, GridTooLarge, Invalid
 
 from oracles import full_path
 from test_geometry import chain_skeleton, pose_row, random_rotation, rz
+from test_metrics import frame_stacks
 from test_sampler import context, still_actor
 from voxel_oracle import window_intersection_volume
 
@@ -106,7 +107,7 @@ def eval_pairs(draw):
 @given(eval_pairs())
 def test_penetration_stats_equal_the_full_path_and_the_voxel_oracle(case):
     skel, pairs, vs = case
-    reach, full = both_paths(lambda: mx.penetration_stats(pairs, skel, vs))
+    reach, full = both_paths(lambda: mx.penetration_stats(*frame_stacks(pairs), skel, vs))
     assert reach == full
     volume, f_pene = 0.0, 0
     for actor, reactor in pairs:
@@ -117,7 +118,7 @@ def test_penetration_stats_equal_the_full_path_and_the_voxel_oracle(case):
                 geo.CapsuleSet(caps_b.seg_a[f], caps_b.seg_b[f], caps_b.radius), vs)
             volume += vol
             f_pene += vol > 0.0
-    assert mx.penetration_stats(pairs, skel, vs) == (volume, f_pene,
+    assert mx.penetration_stats(*frame_stacks(pairs), skel, vs) == (volume, f_pene,
                                                       sum(len(a) for a, _ in pairs))
 
 
@@ -239,6 +240,29 @@ def test_guidance_beside_a_stretched_chain_equals_the_full_path(block, beyond):
         assert reach == full
 
 
+def test_reach_is_taken_once_per_skeleton(monkeypatch):
+    # the longest root-to-joint chain of the branching default skeleton,
+    # summed as before; two reach boxes then take no norm
+    skel = dt.default_skeleton()
+    chain = [0.0]
+    for j, p in enumerate(skel.parents[1:], start=1):
+        chain.append(chain[p] + float(np.linalg.norm(skel.offsets[j])))
+    assert skel.reach == max(chain) and skel.parents != tuple(range(-1, 4))
+    motion = np.stack([pose_row(skel), pose_row(skel, trans=(1.0, 0.0, 0.0))])
+    dots = geo._rot6d_dots(skel, motion)
+    norm, calls = np.linalg.norm, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for _ in range(2):
+        lo, hi = geo.reach_box(skel, motion, dots)
+    assert calls == []
+    assert np.all(hi - lo > 2.0 * max(chain))
+
+
 @pytest.mark.parametrize("scale, strict", [(1e-2, True), (1e-9, False)],
                          ids=["short", "tiny"])
 def test_reach_box_distrusts_blocks_the_tolerant_decode_bends(scale, strict):
@@ -268,15 +292,15 @@ def test_nan_rotation_in_a_far_frame_raises_invalid_config(side):
     motion = pairs[1][side]
     motion[1, 6 * skel.joint_count] = np.nan      # the root orientation
     with pytest.raises(InvalidConfig, match="finite"):
-        mx.penetration_stats(pairs, skel, 0.02)
-    assert len(set(both_paths(lambda: mx.penetration_stats(pairs, skel, 0.02)))) == 1
+        mx.penetration_stats(*frame_stacks(pairs), skel, 0.02)
+    assert len(set(both_paths(lambda: mx.penetration_stats(*frame_stacks(pairs), skel, 0.02)))) == 1
 
 
 def test_far_eval_measures_each_block_once_and_runs_no_fk(monkeypatch):
     # two chunks of all-far pairs: one pass over the 6D blocks per side and
     # chunk feeds both the strict check and the reach test
     skel = dt.default_skeleton()
-    pairs = far_pairs(skel) * 40
+    pairs = far_pairs(skel) * 200
     passes = []
     measure = geo._rot6d_dots
 
@@ -290,8 +314,8 @@ def test_far_eval_measures_each_block_once_and_runs_no_fk(monkeypatch):
     monkeypatch.setattr(geo, "_rot6d_dots", counted)
     monkeypatch.setattr(geo, "fk_positions_t", never)
     monkeypatch.setattr(geo, "intersection_volumes", never)
-    assert mx.penetration_stats(pairs, skel, 0.02) == (0.0, 0, 240)
-    assert passes == [3 * mx.EVAL_CHUNK] * 2 + [3 * (80 - mx.EVAL_CHUNK)] * 2
+    assert mx.penetration_stats(*frame_stacks(pairs), skel, 0.02) == (0.0, 0, 1200)
+    assert passes == [mx.EVAL_CHUNK] * 2 + [1200 - mx.EVAL_CHUNK] * 2
 
 
 def test_degenerate_rotation_in_a_far_frame_raises():
@@ -299,7 +323,7 @@ def test_degenerate_rotation_in_a_far_frame_raises():
     pairs = far_pairs(skel)
     pairs[1][1][2, 6:9] = 0.0      # joint 1's first column
     with pytest.raises(DegenerateRotation):
-        mx.penetration_stats(pairs, skel, 0.02)
+        mx.penetration_stats(*frame_stacks(pairs), skel, 0.02)
 
 
 @pytest.mark.parametrize("nan_side, error", [(0, InvalidConfig), (1, DegenerateRotation)])
@@ -311,7 +335,7 @@ def test_actor_errors_come_before_the_reactors(nan_side, error):
     pairs[0][nan_side][1, -3:] = np.nan     # a root: that frame goes the full way
     pairs[1][1 - nan_side][2, 6:9] = 0.0    # joint 1's first column
     with pytest.raises(error):
-        mx.penetration_stats(pairs, skel, 0.02)
+        mx.penetration_stats(*frame_stacks(pairs), skel, 0.02)
 
 
 def test_far_frame_at_1e15_m_raises_grid_too_large():
@@ -319,8 +343,8 @@ def test_far_frame_at_1e15_m_raises_grid_too_large():
     pairs = far_pairs(skel)
     pairs[1][1][1, -3:] = [1e15, 0.0, 0.0]
     with pytest.raises(GridTooLarge):
-        mx.penetration_stats(pairs, skel, 0.02)
-    reach, full = both_paths(lambda: mx.penetration_stats(pairs, skel, 0.02))
+        mx.penetration_stats(*frame_stacks(pairs), skel, 0.02)
+    reach, full = both_paths(lambda: mx.penetration_stats(*frame_stacks(pairs), skel, 0.02))
     assert reach == full
 
 
@@ -364,11 +388,11 @@ def test_penetration_stats_takes_only_near_frames_through_fk(counted):
     near = still_actor(skel, 2, (0.1, 0.0, 0.0))
     far = still_actor(skel, 3, (4.0, 0.0, 0.0))
     pairs = [(still_actor(skel, 5), np.concatenate([near, far])), *far_pairs(skel)]
-    stats = mx.penetration_stats(pairs, skel, 0.02)
+    stats = mx.penetration_stats(*frame_stacks(pairs), skel, 0.02)
     assert stats.f_total == 11 and stats.f_pene == 2
     assert counted["fk"] == [2, 2]      # actor and reactor, the two near frames
     counted["fk"].clear()
-    mx.penetration_stats(far_pairs(skel), skel, 0.02)
+    mx.penetration_stats(*frame_stacks(far_pairs(skel)), skel, 0.02)
     assert counted["fk"] == []
 
 

@@ -71,8 +71,9 @@ def _atomic_write(path: str, text: str, digests: dict[str, str] | None = None) -
 
 
 def _check_outputs(inputs: list[str], outputs: list[str]) -> None:
-    """``InvalidConfig`` when a path a command writes (an output, or its
-    manifest) resolves to one of the files it reads."""
+    """``InvalidConfig`` when a path a command writes (an output, the
+    binary cache beside it, or its manifest) resolves to one of the files
+    it reads."""
     read = {os.path.realpath(p) for p in inputs}
     for path in outputs + [outputs[0] + ".manifest.json"]:
         if os.path.realpath(path) in read:
@@ -176,7 +177,7 @@ def cmd_train(args) -> int:
     if args.log_every < 0:
         raise InvalidConfig(f"--log-every must be >= 0, got {args.log_every}")
     loss_path = args.out + ".loss.csv"
-    _check_outputs([args.data], [args.out, loss_path])
+    _check_outputs([args.data], [args.out, args.out + cache.SUFFIX, loss_path])
     digests: dict[str, str] = {}
     samples, skel = dt.load_samples(args.data, digests=digests)
     if not samples:
@@ -220,7 +221,7 @@ def cmd_sample(args) -> int:
     cfg = smp.SamplerConfig(steps=args.steps, guidance=args.guidance,
                             lambda_pene=args.lambda_pene, zeta=args.zeta, w=args.w,
                             beta=args.beta, seed=args.seed)
-    _check_outputs([args.model, args.data], [args.out])
+    _check_outputs([args.model, args.data], [args.out, args.out + cache.SUFFIX])
     # every load or model/data mismatch is a SchemaError: exit 4 for sample
     digests: dict[str, str] = {}
     try:
@@ -282,9 +283,7 @@ def cmd_eval(args) -> int:
     for what, flag, value, least, most in (
             ("subset size", "--sd", args.sd, 1, mx.MAX_SUBSET),
             ("subset size", "--sl", args.sl, 1, mx.MAX_SUBSET),
-            ("projection dimension", "--proj-dim", args.proj_dim, 1, mx.MAX_PROJ_DIM),
-            ("metric seed", "--metric-seed", args.metric_seed, 0, np.inf),
-            ("feature seed", "--feature-seed", args.feature_seed, 0, np.inf)):
+            ("metric seed", "--metric-seed", args.metric_seed, 0, np.inf)):
         if value < least:
             raise InvalidConfig(f"{what} must be >= {least}, got {value} ({flag})")
         if value > most:
@@ -301,8 +300,9 @@ def cmd_eval(args) -> int:
         ref_samples, ref_skel = dt.load_samples(args.ref, digests=digests)
         if not ref_samples:
             raise EmptyInput("empty reference input")
-        # a random projection of one width is drawn for each input width, so
-        # features of another skeleton or frame count are not comparable
+        # flattened features of another skeleton or frame count are not
+        # comparable even at equal width: 5 joints x 8 frames and 4 joints x
+        # 10 frames both give 120 values
         shapes = [(skel.joint_count, counts),
                   (ref_skel.joint_count, sorted({len(s.reactor) for s in ref_samples}))]
         if shapes[0] != shapes[1]:
@@ -328,13 +328,9 @@ def cmd_eval(args) -> int:
             values["if_frac"] = stats.if_frac
 
     if featured:
-        extractor = mx.FeatureExtractor(args.features, seed=args.feature_seed,
-                                        out_dim=args.proj_dim)
-        feats = mx.extract_features(reactors.reshape(len(samples), -1, skel.motion_dim),
-                                    extractor, skel)
+        feats = mx.extract_features(reactors.reshape(len(samples), -1, skel.motion_dim), skel)
         if "fid" in wanted:
-            ref_feats = mx.extract_features(np.stack([s.reactor for s in ref_samples]),
-                                            extractor, ref_skel)
+            ref_feats = mx.extract_features(np.stack([s.reactor for s in ref_samples]), ref_skel)
             values["fid"] = mx.fid(feats, ref_feats)
         try:
             if "div" in wanted:
@@ -427,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="iv,if")
     p.add_argument("--voxel", type=float, default=geo.DEFAULT_VOXEL_SIZE)
     p.add_argument("--ref", default=None, help="reference motions for fid")
-    p.add_argument("--features", choices=("flatten", "proj"), default="flatten")
-    p.add_argument("--proj-dim", type=int, default=mx.FeatureExtractor.out_dim)
-    p.add_argument("--feature-seed", type=int, default=mx.FeatureExtractor.seed)
     p.add_argument("--sd", type=int, default=mx.DIVERSITY_SUBSET)
     p.add_argument("--sl", type=int, default=mx.MULTIMODALITY_SUBSET)
     p.add_argument("--metric-seed", type=int, default=0)

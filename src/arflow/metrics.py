@@ -34,16 +34,15 @@ a skeleton of one joint, has no capsules: it raises ``InvalidConfig``; a
 frame so far from the origin that float64 cannot resolve the voxel or a
 radius there raises ``GridTooLarge``.
 
-The feature-space scores (FID, diversity, multimodality) run on features
-computed from the motions alone (FK joint positions, flattened or randomly
-projected), never from the model under test; absolute values depend
-entirely on the extractor choice and are only comparable within one
-configuration.
+The feature-space scores (FID, diversity, multimodality) run on the
+flattened FK joint positions of the motions, never on the model under
+test; they stand in for a recognition network's features, so their
+absolute values are only comparable between motions of one skeleton and
+one frame count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,13 +58,12 @@ from .errors import (
 
 M3_TO_CM3 = 1e6
 COV_EPS = 1e-6
-# frames per FK pass and per sweep call in penetration_stats: one pass
-# serves many frames, and the chunk bounds the memory its intermediates take
+# frames per FK pass of the metrics and per sweep call: one pass serves
+# many frames, and the chunk bounds the memory its intermediates take
 EVAL_CHUNK = 1024
 DIVERSITY_SUBSET = 200
 MULTIMODALITY_SUBSET = 20
 MAX_SUBSET = 10 ** 4  # largest subset of the diversity and multimodality draws
-MAX_PROJ_DIM = 10 ** 4  # widest random projection of the features
 
 
 # ---------------------------------------------------------------------------
@@ -254,43 +252,17 @@ def multimodality(features, labels, subset_size: int = MULTIMODALITY_SUBSET,
 # Feature extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureExtractor:
-    """Deterministic motion-to-vector map for the feature-space metrics,
-    computed from the motions alone.
-
-    kinds: ``flatten`` concatenates FK joint positions; ``proj`` applies a
-    seeded fixed random linear map to the flattened vector.  Both take an
-    (N, H, D) batch of motions.
-    """
-
-    kind: str = "flatten"
-    seed: int = 0
-    out_dim: int = 32
-
-    def __post_init__(self):
-        if self.kind not in ("flatten", "proj"):
-            raise InvalidConfig(f"unknown extractor kind {self.kind!r}")
-        if self.kind == "proj" and not 1 <= self.out_dim <= MAX_PROJ_DIM:
-            raise InvalidConfig(f"out_dim must be in [1, {MAX_PROJ_DIM}], got {self.out_dim}")
-        if self.seed < 0:
-            raise InvalidConfig(f"feature seed must be >= 0, got {self.seed}")
-
-
-def extract_features(motions, extractor: FeatureExtractor,
-                     skel: geo.Skeleton) -> np.ndarray:
-    """Feature matrix (N, d) of an (N, H, D) batch of motions, from one FK
-    pass over all its frames."""
+def extract_features(motions, skel: geo.Skeleton) -> np.ndarray:
+    """The (N, H·K·3) flattened FK joint positions of an (N, H, D) batch of
+    motions, from one strict FK pass per chunk of ``EVAL_CHUNK`` frames."""
     if np.ndim(motions) != 3 or np.shape(motions)[2] != skel.motion_dim:
         raise DimensionMismatch(
             f"motions must be (N, H, {skel.motion_dim}), got {np.shape(motions)}")
     if len(motions) == 0:
         raise EmptyInput("no motions to featurize")
-    pos = geo.motion_joint_positions(skel, np.reshape(motions, (-1, skel.motion_dim)))
-    flat = pos.reshape(len(motions), -1)
-    if extractor.kind == "flatten":
-        return flat
-    rng = np.random.default_rng(extractor.seed)
-    proj = rng.normal(size=(flat.shape[1], extractor.out_dim))
-    proj /= np.sqrt(flat.shape[1])
-    return flat @ proj
+    frames = np.reshape(motions, (-1, skel.motion_dim))
+    pos = np.empty((len(frames), skel.joint_count, 3))
+    for start in range(0, len(frames), EVAL_CHUNK):
+        pos[start:start + EVAL_CHUNK] = geo.motion_joint_positions(
+            skel, frames[start:start + EVAL_CHUNK])
+    return pos.reshape(len(motions), -1)

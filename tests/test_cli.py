@@ -84,8 +84,6 @@ _REQUIRED = {"gen-data": ["--out", "o"], "train": ["--data", "d", "--out", "o"],
     ("sample", "w", _field_default(smp.SamplerConfig, "w")),
     ("sample", "beta", _field_default(smp.SamplerConfig, "beta")),
     ("sample", "seed", _field_default(smp.SamplerConfig, "seed")),
-    ("eval", "proj_dim", _field_default(mx.FeatureExtractor, "out_dim")),
-    ("eval", "feature_seed", _field_default(mx.FeatureExtractor, "seed")),
     ("eval", "voxel", geo.DEFAULT_VOXEL_SIZE),
 ])
 def test_parser_defaults_equal_config_defaults(command, dest, expected):
@@ -121,9 +119,7 @@ def test_gen_data_record_count_and_checksum(tmp_path):
      "--seed", "-1", "--out", "{out}"],
     ["eval", "--inputs", "{data}", "--metrics", "div", "--sd", "5", "--metric-seed", "-1",
      "--out", "{out}"],
-    ["eval", "--inputs", "{data}", "--metrics", "div", "--sd", "5", "--features", "proj",
-     "--feature-seed", "-1", "--out", "{out}"],
-], ids=["gen-data", "train", "sample", "sample-beta", "eval-metric", "eval-feature"])
+], ids=["gen-data", "train", "sample", "sample-beta", "eval-metric"])
 def test_negative_seed_exits_2(argv, small_data, small_model, tmp_path, capsys):
     out = tmp_path / "out"
     paths = {"data": small_data, "model": small_model, "out": out}
@@ -265,8 +261,6 @@ _REFUSED = {
     ("sample", "--beta"): ["-0.1", "1.5", "1e308"],
     ("sample", "--seed"): ["-1"],
     ("eval", "--voxel"): ["0", "-0", "-1", "1e103", "1e308"],
-    ("eval", "--proj-dim"): ["0", "-1", str(mx.MAX_PROJ_DIM + 1), _HUGE],
-    ("eval", "--feature-seed"): ["-1"],
     ("eval", "--sd"): ["0", "-1", str(mx.MAX_SUBSET + 1), _HUGE],
     ("eval", "--sl"): ["0", "-1", str(mx.MAX_SUBSET + 1), _HUGE],
     ("eval", "--metric-seed"): ["-1"],
@@ -276,6 +270,9 @@ _REFUSED = {
 _DELETED = {
     ("gen-data", "--noise"): ["nan", "inf", "-inf", "-1", "101.0", "1e308"],
     ("gen-data", "--fps"): ["nan", "inf", "-inf", "0", "-1"],
+    ("eval", "--features"): ["latent", "pca", ""],
+    ("eval", "--proj-dim"): ["0", "-1", "10001", _HUGE],
+    ("eval", "--feature-seed"): ["-1"],
 }
 # extreme values that are legal, so they are left out of the refused cases
 _LEGAL = {
@@ -290,7 +287,6 @@ _LEGAL = {
     ("sample", "--lambda-pene", "1e308"): "a finite guidance weight; its overflow exits 6",
     ("sample", "--zeta", "1e308"): "finite reach: every joint is within it",
     ("sample", "--seed", _HUGE): "numpy seeds take any integer >= 0",
-    ("eval", "--feature-seed", _HUGE): "numpy seeds take any integer >= 0",
     ("eval", "--metric-seed", _HUGE): "numpy seeds take any integer >= 0",
 }
 _BASE = {"gen-data": ["--pairs", "3", "--frames", "4"],
@@ -892,7 +888,7 @@ def test_eval_ground_truth_penetration(small_data, tmp_path, capsys):
 def test_eval_fid_self_near_zero(small_data, tmp_path):
     out = tmp_path / "fid.txt"
     assert run("eval", "--inputs", str(small_data), "--ref", str(small_data),
-               "--metrics", "fid", "--features", "proj", "--out", str(out)) == 0
+               "--metrics", "fid", "--out", str(out)) == 0
     values = dict(line.split(": ") for line in out.read_text().splitlines())
     assert float(values["fid"]) < 1e-6
 
@@ -953,13 +949,7 @@ def test_eval_too_few_features_names_the_cli_options(metric, flag, small_data, t
     ["--metrics", "iv", "--sd", "0"],
     ["--metrics", "iv", "--sl", "0"],
     ["--metrics", "iv", "--metric-seed", "-1"],
-    ["--metrics", "div", "--sd", "5", "--feature-seed", "-1"],
-    ["--metrics", "div", "--sd", "5", "--proj-dim", "0"],
-    ["--metrics", "div", "--sd", "3", "--allow-replacement", "--features", "proj",
-     "--proj-dim", str(10 ** 29)],
-    ["--metrics", "iv", "--proj-dim", str(mx.MAX_PROJ_DIM + 1)],
-], ids=["iv-sd", "iv-sl", "iv-metric-seed", "div-feature-seed", "div-proj-dim",
-        "div-proj-dim-huge", "iv-proj-dim-limit-plus-one"])
+], ids=["iv-sd", "iv-sl", "iv-metric-seed"])
 def test_eval_options_are_checked_whatever_the_metrics(argv, small_data, tmp_path,
                                                        capsys):
     # like --voxel, an option the asked-for metrics do not read still exits 2
@@ -1003,24 +993,23 @@ def test_eval_latent_features_are_rejected_by_the_parser(argv, small_data, capsy
     assert argv[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("features", ["flatten", "proj"])
-def test_eval_flattened_features_on_mixed_frame_counts_exit_2(features, tmp_path, capsys):
+def test_eval_flattened_features_on_mixed_frame_counts_exit_2(tmp_path, capsys):
     data = tmp_path / "mixed.jsonl"
     skel = dt.default_skeleton()
     dt.save_samples(str(data), dt.generate_mixed(4, frames=6, seed=1)
                     + dt.generate_mixed(4, frames=8, seed=2), skel)
-    assert run("eval", "--inputs", str(data), "--metrics", "div", "--features",
-               features, "--sd", "2", "--allow-replacement") == 2
+    assert run("eval", "--inputs", str(data), "--metrics", "div", "--sd", "2",
+               "--allow-replacement") == 2
     assert "[6, 8]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("features", ["flatten", "proj"])
 @pytest.mark.parametrize("shape", [["--joints", "4"], ["--frames", "6"]],
                          ids=["other-skeleton", "other-frame-count"])
 def test_eval_fid_against_a_reference_of_another_shape_exits_2(
-        features, shape, small_data, tmp_path, capsys, monkeypatch):
-    # proj draws one projection per input width, so the two feature sets
-    # used to be compared and a FID reported
+        shape, small_data, tmp_path, capsys, monkeypatch):
+    # features of another skeleton or frame count can share a width (5
+    # joints x 8 frames and 4 joints x 10 frames both give 120 values), and
+    # a FID between them would be reported
     ref, out = tmp_path / "ref.jsonl", tmp_path / "fid.txt"
     assert run("gen-data", "--pairs", "40", "--seed", "1", *shape, "--out", str(ref)) == 0
 
@@ -1028,7 +1017,7 @@ def test_eval_fid_against_a_reference_of_another_shape_exits_2(
         raise AssertionError("a feature was computed")
     monkeypatch.setattr(mx, "extract_features", never)
     assert run("eval", "--inputs", str(small_data), "--ref", str(ref), "--metrics", "fid",
-               "--features", features, "--out", str(out)) == 2
+               "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "--ref" in err and "not comparable" in err
     assert not out.exists()
@@ -1232,13 +1221,17 @@ def test_guided_iv_not_worse_than_unguided(small_model, small_data, tmp_path):
     ("data.jsonl", ["train", "--data", "{}/data.jsonl", "--out", "{}/data.jsonl"]),
     ("data.jsonl", ["train", "--data", "{}/link.jsonl", "--out", "{}/data.jsonl"]),
     ("m.json.loss.csv", ["train", "--data", "{}/m.json.loss.csv", "--out", "{}/m.json"]),
+    ("o.f8", ["sample", "--model", "{}/model.json", "--data", "{}/o.f8", "--out", "{}/o"]),
+    ("m.json.f8", ["train", "--data", "{}/m.json.f8", "--out", "{}/m.json"]),
 ], ids=["sample-data", "sample-data-symlink", "sample-model", "eval-inputs", "eval-ref",
-        "eval-manifest", "train-data", "train-data-symlink", "train-loss-csv"])
+        "eval-manifest", "train-data", "train-data-symlink", "train-loss-csv",
+        "sample-data-cache", "train-data-cache"])
 def test_an_output_that_names_an_input_exits_2_before_any_read(
         name, argv, small_data, small_model, tmp_path, capsys, monkeypatch):
     # sample --data X --out X used to overwrite X and record the output's
     # SHA-256 as the input's; eval replaced the motion file by the report,
-    # and train the data file by the model
+    # and train the data file by the model.  sample --data o.f8 --out o
+    # replaced the input by the output's binary cache
     (tmp_path / name).write_bytes(small_data.read_bytes())
     (tmp_path / "model.json").write_bytes(small_model.read_bytes())
     (tmp_path / "link.jsonl").symlink_to(tmp_path / name)
@@ -1252,6 +1245,15 @@ def test_an_output_that_names_an_input_exits_2_before_any_read(
     err = capsys.readouterr().err
     assert "would overwrite the input" in err and "Traceback" not in err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_eval_reads_an_input_named_like_its_output_s_cache(small_data, tmp_path):
+    # eval writes no binary cache, so an input named <out>.f8 is not refused
+    data, out = tmp_path / "r.txt.f8", tmp_path / "r.txt"
+    data.write_bytes(small_data.read_bytes())
+    assert run("eval", "--inputs", str(data), "--out", str(out)) == 0
+    assert data.read_bytes() == small_data.read_bytes()
+    assert out.read_text().startswith("report_version: 1\n")
 
 
 # ---------------------------------------------------------------------------

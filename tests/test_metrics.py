@@ -165,7 +165,8 @@ def test_penetration_stats_in_small_groups_equals_per_frame_oracle(chunk, monkey
 
 def test_fk_and_sweep_see_at_most_one_chunk_of_frames(monkeypatch):
     # two contact pairs, each longer than a chunk, used to go through one
-    # FK pass and one sweep call together
+    # FK pass and one sweep call together, and their features through one
+    # FK pass
     skel = chain_skeleton(3, radius=0.08)
     h = mx.EVAL_CHUNK + 100
     pairs = [pair(skel, h, (0, 0, 0), (0.05, 0, 0)) for _ in range(2)]
@@ -184,6 +185,15 @@ def test_fk_and_sweep_see_at_most_one_chunk_of_frames(monkeypatch):
     monkeypatch.setattr(geo, "intersection_volumes", counted_sweep)
     assert mx.penetration_stats(*frame_stacks(pairs), skel, 0.02).if_frac == 1.0
     assert sum(seen) == 3 * 2 * h and max(seen) == mx.EVAL_CHUNK
+    seen.clear()
+    reactors = np.stack([reactor for _, reactor in pairs])
+    reactors[..., -3:] += np.random.default_rng(2).normal(size=(2, h, 3))  # no two frames alike
+    feats = mx.extract_features(reactors, skel)
+    assert sum(seen) == 2 * h and max(seen) == mx.EVAL_CHUNK
+    # the chunked features equal one pass over every frame
+    monkeypatch.undo()
+    whole = geo.motion_joint_positions(skel, reactors.reshape(2 * h, -1))
+    assert feats.tobytes() == whole.reshape(2, -1).tobytes()
 
 
 def test_disjoint_frames_never_reach_the_sweep(monkeypatch):
@@ -403,40 +413,9 @@ def test_metric_seed_determinism():
 def test_flatten_features_single_frame():
     skel = chain_skeleton(2)
     motion = still_actor(skel, 1, (1.0, 2.0, 3.0))
-    feats = mx.extract_features(motion[None], mx.FeatureExtractor("flatten"), skel)
+    feats = mx.extract_features(motion[None], skel)
     assert feats.shape == (1, 6)
     assert np.allclose(feats[0], [1, 2, 3, 1, 2, 4])  # root then root+(0,0,1)
-
-
-def test_random_projection_deterministic_and_linear():
-    skel = chain_skeleton(3)
-    rng = np.random.default_rng(9)
-    motions = np.stack([still_actor(skel, 2, tuple(rng.normal(size=3))) for _ in range(3)])
-    ex = mx.FeatureExtractor("proj", seed=4, out_dim=7)
-    f1 = mx.extract_features(motions, ex, skel)
-    f2 = mx.extract_features(motions, ex, skel)
-    assert np.array_equal(f1, f2)
-    assert f1.shape == (3, 7)
-    # linearity of the flatten+projection pipeline in the joint positions
-    flat = mx.extract_features(motions, mx.FeatureExtractor("flatten"), skel)
-    proj = mx.extract_features(motions, ex, skel)
-    alpha = 2.5
-    rngp = np.random.default_rng(4)
-    p = rngp.normal(size=(flat.shape[1], 7)) / np.sqrt(flat.shape[1])
-    assert np.allclose((alpha * flat) @ p, alpha * proj, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", ["predictor_latent", "latent", "pca", ""])
-def test_feature_extractor_rejects_unknown_kind(kind):
-    with pytest.raises(InvalidConfig, match="unknown extractor kind"):
-        mx.FeatureExtractor(kind)
-
-
-@pytest.mark.parametrize("out_dim", [0, mx.MAX_PROJ_DIM + 1, 10 ** 29])
-def test_random_projection_width_has_limits(out_dim):
-    # 10^29 columns used to fail inside numpy's normal draw
-    with pytest.raises(InvalidConfig, match="out_dim"):
-        mx.FeatureExtractor("proj", out_dim=out_dim)
 
 
 def test_array_metrics_reject_misshapen_input():
@@ -444,9 +423,9 @@ def test_array_metrics_reject_misshapen_input():
     motions = np.stack([still_actor(skel, 3), still_actor(skel, 3)])
     for batch in (motions[0], motions[..., :-1]):
         with pytest.raises(DimensionMismatch, match=r"\(N, H, 21\)"):
-            mx.extract_features(batch, mx.FeatureExtractor("flatten"), skel)
+            mx.extract_features(batch, skel)
     with pytest.raises(EmptyInput):
-        mx.extract_features(motions[:0], mx.FeatureExtractor("flatten"), skel)
+        mx.extract_features(motions[:0], skel)
     feats = np.arange(12.0).reshape(6, 2)
     with pytest.raises(DimensionMismatch, match="labels"):
         mx.multimodality(feats, np.zeros(5), 2, with_replacement=True)
